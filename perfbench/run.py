@@ -27,6 +27,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -44,6 +45,8 @@ WORK = ROOT / ".perfbench_work"
 PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1"}
 COMMAND_TIMEOUT_S = 150.0
+# Fewest ``import qhedge.cli`` launches behind ``setup_s``.
+SETUP_SAMPLES = 7
 MB = 1e6
 
 # Criterion 1's market: ATM put, mu = r, sigma = 0.15, lambda = 1e-3.
@@ -159,8 +162,6 @@ class Step:
 @dataclass(frozen=True)
 class Workload:
     steps: tuple
-    # Commands run once per run, untimed, whose summaries the check reads.
-    references: tuple = ()
 
 
 def _with(base, seed, tiny, **extra):
@@ -180,11 +181,10 @@ def build_workloads(seed, tiny):
             Step("dp_hi", "dp-solve", dict(c1, **{"risk.lambda": "0.01"})),
             Step("utility", "utility-price", c1),
         )),
-        "model_free": Workload(
-            steps=(Step("dataset", "make-dataset",
-                        dict(c1, **{"dataset.policy": "random"})),
-                   Step("fqi", "fqi-solve", c1)),
-            references=(Step("dp_ref", "dp-solve", c1),)),
+        "model_free": Workload(steps=(
+            Step("dataset", "make-dataset", dict(c1, **{"dataset.policy": "random"})),
+            Step("fqi", "fqi-solve", c1),
+        )),
         "chain": Workload(steps=(
             Step("tabular", "tabular-q", _with(CHAIN, seed, tiny)),)),
         "artifacts": Workload(steps=(
@@ -196,7 +196,7 @@ def build_workloads(seed, tiny):
     }
 
 
-def check_model_based(s, ref, passdir, env, workload):
+def check_model_based(s, passdir, env, workload):
     """Criterion 1: DP within 5 % / 0.05 of Black-Scholes, price rising in
     lambda."""
     err, herr = s["compare"]["price_rel_error"], s["compare"]["hedge_abs_error"]
@@ -210,10 +210,16 @@ def check_model_based(s, ref, passdir, env, workload):
     return err
 
 
-def check_model_free(s, ref, passdir, env, workload):
-    """Criterion 3 off-policy: FQI on random actions agrees with DP on the
-    same seed within 5 % in price and 0.10 in hedge."""
-    fqi, dp = s["fqi"], ref["dp_ref"]
+def check_model_free(s, passdir, env, workload):
+    """Criterion 3 off-policy: FQI on random actions agrees with a
+    ``dp-solve`` on the same seed within 5 % in price and 0.10 in hedge."""
+    ref = Step("dp_ref", "dp-solve", workload.steps[-1].config)
+    code, _, _ = launch([sys.executable, "-m", "qhedge.cli", *ref.argv()],
+                        env, passdir, passdir / "dp_ref.err")
+    if code != 0:
+        raise CheckFailed(f"reference dp-solve exited {code}: "
+                          f"{_tail(passdir / 'dp_ref.err')}", -1.0)
+    dp, fqi = read_summary(passdir / ref.label / "summary.txt"), s["fqi"]
     err = abs(fqi["price0"] / dp["price0"] - 1.0)
     herr = abs(fqi["hedge0"] - dp["hedge0"])
     if not (err <= 0.05 and herr <= 0.10):
@@ -221,7 +227,7 @@ def check_model_free(s, ref, passdir, env, workload):
     return err
 
 
-def check_chain(s, ref, passdir, env, workload):
+def check_chain(s, passdir, env, workload):
     """Criterion 4: learned Q within 5 % of exact backward induction."""
     err = s["tabular"]["sup_rel_error"]
     if not err <= 0.05:
@@ -229,7 +235,7 @@ def check_chain(s, ref, passdir, env, workload):
     return err
 
 
-def check_artifacts(s, ref, passdir, env, workload):
+def check_artifacts(s, passdir, env, workload):
     """The CSVs parse back exactly to the arrays computed in-process."""
     out = passdir / "roundtrip.json"
     rollout = workload.steps[-1]
@@ -274,6 +280,12 @@ def launch(argv, env, cwd, errpath):
         killer.start()
         try:
             _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            # Interrupted (SIGTERM is turned into SystemExit by main): stop
+            # the child and reap it before leaving.
+            proc.kill()
+            proc.wait()
+            raise
         finally:
             killer.cancel()
         wall = time.perf_counter() - t0
@@ -395,12 +407,8 @@ def run_pass(workload, name, workdir, env, tally, state, traced=False,
         digests = {label: r.digest for label, r in results.items()}
         if "digests" not in state:
             summaries = {label: r.summary for label, r in results.items()}
-            if state["refs"] is None:
-                tally.fail(f"{name} check: reference command failed")
-                return p
             try:
-                state["ref_err"] = CHECKS[name](summaries, state["refs"],
-                                                passdir, env, workload)
+                state["ref_err"] = CHECKS[name](summaries, passdir, env, workload)
                 state["digests"] = digests
             except CheckFailed as exc:
                 state["ref_err"] = exc.err
@@ -412,31 +420,14 @@ def run_pass(workload, name, workdir, env, tally, state, traced=False,
         shutil.rmtree(passdir, ignore_errors=True)
 
 
-def run_references(workload, workdir, env, tally):
-    passdir = Path(tempfile.mkdtemp(prefix="ref-", dir=workdir))
-    try:
-        refs = {}
-        for step in workload.references:
-            res = run_step(step, passdir, env, tally)
-            if not res.ok:
-                return None
-            refs[step.label] = res.summary
-        return refs
-    finally:
-        shutil.rmtree(passdir, ignore_errors=True)
-
-
-def measure_setup(env, workdir, tally, samples=3):
-    """Median time for a fresh interpreter to import ``qhedge.cli``."""
-    times = []
-    for _ in range(samples):
-        tally.attempted += 1
-        code, wall, _ = launch([sys.executable, "-c", "import qhedge.cli"],
-                               env, workdir, workdir / "setup.err")
-        if code != 0:
-            tally.fail(f"import qhedge.cli exited {code}: {_tail(workdir / 'setup.err')}")
-        times.append(wall)
-    return times
+def measure_setup(env, workdir, tally):
+    """Time for a fresh interpreter to import ``qhedge.cli``."""
+    tally.attempted += 1
+    code, wall, _ = launch([sys.executable, "-c", "import qhedge.cli"],
+                           env, workdir, workdir / "setup.err")
+    if code != 0:
+        tally.fail(f"import qhedge.cli exited {code}: {_tail(workdir / 'setup.err')}")
+    return wall
 
 
 def quartiles(values):
@@ -512,25 +503,30 @@ def run(workload_name, seed, seconds, trace, tiny=False):
               "tiny": tiny, "nproc": os.cpu_count(), "pins": PINS,
               "affinity": len(os.sched_getaffinity(0))}
     try:
-        state = {"refs": run_references(workload, workdir, env, tally)}
+        state = {}
         # Untimed warm-up pass at Criterion 9's tiny size: pulls the
         # interpreter, libraries and bytecode into the page cache.
         warm = build_workloads(seed, True)[workload_name]
         run_pass(warm, workload_name, workdir, env, tally, {}, check=False)
-        setup = [] if trace else measure_setup(env, workdir, tally)
 
         detail["loadavg_before"] = os.getloadavg()
-        untraced, traced = [], []
+        untraced, traced, setup = [], [], []
         measured = 0.0
         # Start another pass only while the timed time, checks excluded, is
         # expected to stay within ``seconds``; a run's length then does not
-        # depend on where the last pass happens to end.
+        # depend on where the last pass happens to end.  Set-up samples are
+        # taken before each pass, so that they see the same host as the
+        # passes, and count towards ``seconds``.
         while not untraced or measured * (1 + 1 / len(untraced)) <= seconds:
+            if not trace:
+                setup.append(measure_setup(env, workdir, tally))
             untraced.append(run_pass(workload, workload_name, workdir, env, tally, state))
             if trace:
                 traced.append(run_pass(workload, workload_name, workdir, env,
                                        tally, state, traced=True))
-            measured = sum(p.wall for p in untraced + traced)
+            measured = sum(p.wall for p in untraced + traced) + sum(setup)
+        while not trace and len(setup) < SETUP_SAMPLES:
+            setup.append(measure_setup(env, workdir, tally))
         detail["loadavg_after"] = os.getloadavg()
         detail["measured_s"] = measured
     finally:
@@ -587,6 +583,7 @@ def main(argv=None):
     parser.add_argument("--tiny", action="store_true",
                         help="Criterion 9's 400 paths x 6 steps (for tests)")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if not (SRC / "qhedge" / "cli.py").is_file():
         print(f"perfbench: no qhedge sources under {SRC}", file=sys.stderr)
         return 2
