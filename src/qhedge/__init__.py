@@ -10,10 +10,10 @@ Black-Scholes oracle for the small-step limit.
 
 __version__ = "0.1.0"
 
-from .basis import BasisSet, build_basis, evaluate
+from .basis import BasisSet, build_basis
 from .black_scholes import BSQuote, bs_price_delta, limit_hedge_correction, norm_cdf
-from .dp import (DPSolution, optimal_action_coeffs, optimal_q_coeffs,
-                 price_and_hedge_surface, solve_dp, terminal_q_values)
+from .dp import (DPSolution, price_and_hedge_surface, solve_dp,
+                 terminal_q_values)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      QHedgeError, SingularSystemError)
 from .fqi import (DatasetHeader, FQISolution, TransitionDataset, build_dataset,
@@ -23,9 +23,8 @@ from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, simulate_gbm,
                      terminal_payoff, to_state)
 from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
-                        local_risk_hedge, reward, reward_parabola,
-                        rollout_portfolio, signed_measure_weights,
-                        solve_local_risk)
+                        local_risk_hedge, reward_parabola, rollout_portfolio,
+                        signed_measure_weights, solve_local_risk)
 from .tabular import (DiscreteMDP, QTable, analytic_actions, discretize,
                       exact_backward_induction, q_learn)
 from .utility import (IndifferenceResult, UtilityParams, hedge_expansion,
@@ -39,12 +38,11 @@ __all__ = [
     "SingularSystemError", "TransitionDataset", "UtilityParams", "ask_price",
     "analytic_actions", "bs_price_delta", "build_basis", "build_dataset",
     "build_features", "discretize", "ensemble_from_prices",
-    "exact_backward_induction", "extract_price_hedge", "evaluate",
-    "fqi_backward", "from_state", "hedge_expansion",
-    "indifference_price_recursion", "limit_hedge_correction",
-    "local_risk_hedge", "norm_cdf", "numeric_hedge", "optimal_action_coeffs",
-    "optimal_q_coeffs", "price_and_hedge_surface", "q_learn",
-    "read_dataset_csv", "reward", "reward_parabola", "rollout_portfolio",
+    "exact_backward_induction", "extract_price_hedge", "fqi_backward",
+    "from_state", "hedge_expansion", "indifference_price_recursion",
+    "limit_hedge_correction", "local_risk_hedge", "norm_cdf", "numeric_hedge",
+    "price_and_hedge_surface", "q_learn", "read_dataset_csv",
+    "reward_parabola", "rollout_portfolio",
     "signed_measure_weights", "simulate_gbm", "solve_dp", "solve_local_risk",
     "terminal_payoff", "terminal_q_values", "to_state", "write_dataset_csv",
 ]

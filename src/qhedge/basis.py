@@ -60,15 +60,6 @@ class BasisSet:
         x = np.asarray(states, dtype=float)
         return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.m - 1)
 
-    @property
-    def grid_centers(self) -> np.ndarray:
-        """Bucket midpoints (one_hot_grid) or kernel/knot centers."""
-        if self.kind == "one_hot_grid":
-            return 0.5 * (self.edges[:-1] + self.edges[1:])
-        if self.kind == "rbf":
-            return self.centers
-        return np.asarray(self.knots[self.degree:-self.degree - 1])
-
 
 def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet:
     """Build a basis sized to the sample distribution.
@@ -132,8 +123,3 @@ def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet
     if bandwidth is None:
         bandwidth = float(np.diff(centers).mean()) if centers.size > 1 else (hi - lo)
     return BasisSet(kind, centers.size, centers=centers, bandwidth=bandwidth)
-
-
-def evaluate(basis: BasisSet, states) -> np.ndarray:
-    """Module-level alias for :meth:`BasisSet.evaluate`."""
-    return basis.evaluate(states)

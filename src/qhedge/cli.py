@@ -16,15 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import build_basis
+from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, QHedgeError
 from .fqi import build_dataset, fqi_backward, read_dataset_csv, write_dataset_csv
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, simulate_gbm)
-from .portfolio import (HedgeStrategy, RiskParams, rollout_portfolio,
-                        solve_local_risk)
+from .portfolio import (HedgeStrategy, RiskParams, reward_parabola,
+                        rollout_portfolio, solve_local_risk)
+from .regression import conditional_mean
 from .tabular import discretize, exact_backward_induction, q_learn
 from .utility import indifference_price_recursion
 
@@ -47,9 +48,10 @@ SCHEMA = {
     "basis.m": (int, 12),
     "basis.degree": (int, 3),
     "basis.bandwidth": (float, 0.0),       # 0 -> automatic
-    "rollout.policy": (str, "local_risk"),  # zero | constant | local_risk | dp_optimal
+    # both policies: zero | constant | local_risk | dp_optimal | random
+    "rollout.policy": (str, "local_risk"),
     "rollout.constant": (float, 0.0),
-    "dataset.policy": (str, "dp_optimal"),  # dp_optimal | local_risk | random | zero
+    "dataset.policy": (str, "dp_optimal"),
     "dataset.random_lo": (float, -1.5),
     "dataset.random_hi": (float, 1.5),
     "dataset.path": (str, ""),
@@ -66,6 +68,20 @@ SCHEMA = {
     "ingest.path": (str, ""),
     "output.dir": (str, "."),
 }
+
+POLICIES = ("zero", "constant", "local_risk", "dp_optimal", "random")
+# keys whose value must be one of a fixed set
+CHOICES = {
+    "contract.kind": ("put", "call"),
+    "basis.kind": KINDS,
+    "rollout.policy": POLICIES,
+    "dataset.policy": POLICIES,
+    "utility.method": ("expansion", "numeric"),
+    "utility.order": (0, 1, 2),
+}
+# The parameter classes start every ValueError message with the offending
+# field's name; fields map to "section.field" keys except these.
+_FIELD_KEYS = {"lam": "risk.lambda", "gamma": "market.r"}  # gamma = e^{-r dt}
 
 
 class ExperimentConfig:
@@ -93,7 +109,25 @@ class ExperimentConfig:
         for key, val in (overrides or {}).items():
             key = _check_key(key)
             values[key] = _parse_value(key, val)
-        return cls(values)
+        cfg = cls(values)
+        cfg._validate()
+        return cfg
+
+    def _validate(self):
+        """Reject bad values before any work: choice keys, then the market,
+        contract and risk parameters they build."""
+        for key, allowed in CHOICES.items():
+            if self.values[key] not in allowed:
+                names = ", ".join(map(str, allowed))
+                raise ConfigError(f"{key} must be one of {names}; got {self.values[key]!r}")
+        for section, build in (("market", self.market), ("contract", self.contract),
+                               ("risk", self.risk)):
+            try:
+                build()
+            except ValueError as exc:
+                field = str(exc).split()[0]
+                key = _FIELD_KEYS.get(field, f"{section}.{field}")
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
 
     def __getitem__(self, key):
         return self.values[key]
@@ -226,20 +260,24 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     return ensemble_from_prices(panel, params)
 
 
-def _strategy(cfg, paths, basis, policy, constant=0.0):
-    contract, risk = cfg.contract(), cfg.risk()
+def _strategy(cfg, paths, basis, policy) -> HedgeStrategy:
+    """The hedge named by ``policy``, one of POLICIES (checked at load)."""
     if policy == "zero":
-        return HedgeStrategy.zero(), None
+        return HedgeStrategy.zero()
     if policy == "constant":
-        return HedgeStrategy.constant(constant), None
+        return HedgeStrategy.constant(cfg["rollout.constant"])
     if policy == "local_risk":
-        coeffs, pi = solve_local_risk(paths, contract, basis)
-        return HedgeStrategy.from_coefficients(basis, coeffs), pi
+        coeffs, _ = solve_local_risk(paths, cfg.contract(), basis)
+        return HedgeStrategy.from_coefficients(basis, coeffs)
     if policy == "dp_optimal":
         _require_positive_lambda(cfg, "the dp_optimal policy")
-        sol = solve_dp(paths, contract, risk, basis)
-        return HedgeStrategy.from_coefficients(basis, sol.hedge_coeffs), None
-    raise ConfigError(f"unknown policy {policy!r}")
+        sol = solve_dp(paths, cfg.contract(), cfg.risk(), basis)
+        return HedgeStrategy.from_coefficients(basis, sol.hedge_coeffs)
+    # random: uniform actions from a stream distinct from the ensemble's
+    rng = np.random.default_rng(cfg["mc.seed"] + 1)
+    return HedgeStrategy.from_matrix(
+        rng.uniform(cfg["dataset.random_lo"], cfg["dataset.random_hi"],
+                    size=(paths.n_paths, paths.n_steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +287,14 @@ def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
     p = paths.params
-    n, t1 = paths.s_paths.shape
-    pid = np.repeat(np.arange(n), t1)
-    ts = np.tile(np.arange(t1), n)
+    pid, ts = np.indices(paths.s_paths.shape)
     write_csv(out / "ensemble.csv", ["path", "t", "s", "x"],
-              [pid, ts, paths.s_paths.ravel(), paths.x_paths.ravel()],
+              [pid.ravel(), ts.ravel(), paths.s_paths.ravel(), paths.x_paths.ravel()],
               header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
                       "maturity": p.maturity, "n_steps": p.n_steps,
-                      "n_paths": n, "seed": paths.seed})
+                      "n_paths": paths.n_paths, "seed": paths.seed})
     summary = _base_summary(cfg)
-    summary.update({"n_paths": n, "n_steps": p.n_steps,
+    summary.update({"n_paths": paths.n_paths, "n_steps": p.n_steps,
                     "mean_s_final": paths.s_paths[:, -1].mean()})
     write_summary(out / "summary.txt", summary)
     return 0
@@ -267,15 +303,12 @@ def cmd_simulate(cfg):
 def cmd_rollout(cfg):
     paths = _ensemble(cfg)
     basis = cfg.basis_for(paths)
-    strategy, _ = _strategy(cfg, paths, basis, cfg["rollout.policy"],
-                            cfg["rollout.constant"])
+    strategy = _strategy(cfg, paths, basis, cfg["rollout.policy"])
     roll = rollout_portfolio(paths, strategy, cfg.contract(), cfg.risk())
     out = _outdir(cfg)
-    n, t1 = roll.pi.shape
-    pid = np.repeat(np.arange(n), t1)
-    ts = np.tile(np.arange(t1), n)
+    pid, ts = np.indices(roll.pi.shape)
     write_csv(out / "rollout.csv", ["path", "t", "S", "X", "a", "Pi", "B", "R"],
-              [pid, ts, paths.s_paths.ravel(), paths.x_paths.ravel(),
+              [pid.ravel(), ts.ravel(), paths.s_paths.ravel(), paths.x_paths.ravel(),
                roll.actions.ravel(), roll.pi.ravel(), roll.b_account.ravel(),
                roll.rewards.ravel()],
               header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
@@ -301,28 +334,20 @@ def cmd_dp_solve(cfg):
     sol = solve_dp(paths, cfg.contract(), cfg.risk(), basis)
     out = _outdir(cfg)
 
-    n_steps = paths.n_steps
-    ts, ns, phis, omegas = [], [], [], []
-    for t in range(n_steps + 1):
-        for n in range(basis.m):
-            ts.append(t)
-            ns.append(n)
-            phis.append(sol.hedge_coeffs[t][n] if t < n_steps else 0.0)
-            omegas.append(sol.value_coeffs[t][n])
+    phis = np.vstack([*sol.hedge_coeffs, np.zeros(basis.m)])  # no position at expiry
+    ts, ns = np.indices(phis.shape)
     write_csv(out / "coefficients.csv", ["t", "n", "phi", "omega"],
-              [ts, ns, phis, omegas], header={"m": basis.m})
+              [ts.ravel(), ns.ravel(), phis.ravel(), np.ravel(sol.value_coeffs)],
+              header={"m": basis.m})
 
     # per-state price/hedge surfaces over the central state range
     qs = np.quantile(paths.x_paths.ravel(), np.linspace(0.05, 0.95, 41))
-    ts, xs, prices, hedges = [], [], [], []
-    for t in range(n_steps + 1):
-        pr, hd = price_and_hedge_surface(sol, basis, qs, t)
-        ts.extend([t] * qs.size)
-        xs.extend(qs)
-        prices.extend(pr)
-        hedges.extend(hd)
+    surf = np.array([price_and_hedge_surface(sol, basis, qs, t)
+                     for t in range(paths.n_steps + 1)])
+    ts, qi = np.indices(surf[:, 0].shape)
     write_csv(out / "surfaces.csv", ["t", "x", "price", "hedge"],
-              [ts, xs, prices, hedges], header={"m": basis.m})
+              [ts.ravel(), qs[qi.ravel()], surf[:, 0].ravel(), surf[:, 1].ravel()],
+              header={"m": basis.m})
 
     summary = _base_summary(cfg)
     summary.update({"price0": sol.price0, "hedge0": sol.hedge0})
@@ -335,24 +360,7 @@ def cmd_make_dataset(cfg):
     basis = cfg.basis_for(paths)
     contract, risk = cfg.contract(), cfg.risk()
     policy = cfg["dataset.policy"]
-
-    if policy == "zero":
-        actions = np.zeros((paths.n_paths, paths.n_steps))
-    elif policy == "local_risk":
-        coeffs, _ = solve_local_risk(paths, contract, basis)
-        actions = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)[:, :-1]
-    elif policy == "dp_optimal":
-        _require_positive_lambda(cfg, "make-dataset with the dp_optimal policy")
-        sol = solve_dp(paths, contract, risk, basis)
-        strat = HedgeStrategy.from_coefficients(basis, sol.hedge_coeffs)
-        actions = strat.actions(paths)[:, :-1]
-    elif policy == "random":
-        rng = np.random.default_rng(cfg["mc.seed"] + 1)
-        actions = rng.uniform(cfg["dataset.random_lo"], cfg["dataset.random_hi"],
-                              size=(paths.n_paths, paths.n_steps))
-    else:
-        raise ConfigError(f"unknown dataset policy {policy!r}")
-
+    actions = _strategy(cfg, paths, basis, policy).actions(paths)[:, :-1]
     rewards = dataset_rewards(paths, actions, contract, risk, basis)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
@@ -368,9 +376,6 @@ def cmd_make_dataset(cfg):
 def dataset_rewards(paths, actions, contract, risk, basis) -> np.ndarray:
     """Per-record rewards: gain term from the recorded actions, risk
     penalty from the policy-independent risk-minimizing rollout."""
-    from .portfolio import reward_parabola
-    from .regression import conditional_mean
-
     _, pi_ref = solve_local_risk(paths, contract, basis)
     rewards = np.empty_like(np.asarray(actions, dtype=float))
     for t in range(paths.n_steps):
@@ -393,15 +398,9 @@ def cmd_fqi_solve(cfg):
     basis = cfg.basis_for(paths)
     sol = fqi_backward(dataset, basis)
     out = _outdir(cfg)
-    ts, rows, cols, vals = [], [], [], []
-    for t, w in enumerate(sol.weights):
-        for i in range(3):
-            for j in range(w.shape[1]):
-                ts.append(t)
-                rows.append(i)
-                cols.append(j)
-                vals.append(w[i, j])
-    write_csv(out / "weights.csv", ["t", "i", "j", "w"], [ts, rows, cols, vals],
+    w = np.array(sol.weights)
+    write_csv(out / "weights.csv", ["t", "i", "j", "w"],
+              [*(k.ravel() for k in np.indices(w.shape)), w.ravel()],
               header={"m": basis.m})
     summary = _base_summary(cfg)
     summary.update({"price0": sol.price0, "hedge0": sol.hedge0,
@@ -420,10 +419,8 @@ def cmd_tabular_q(cfg):
                       schedule=(cfg["tabular.alpha0"], cfg["tabular.k0"]),
                       seed=cfg["mc.seed"])
     out = _outdir(cfg)
-    t1, n_x, n_a = learned.q.shape
-    ts = np.repeat(np.arange(t1), n_x * n_a)
-    xs = np.tile(np.repeat(np.arange(n_x), n_a), t1)
-    asq = np.tile(np.arange(n_a), t1 * n_x)
+    _, n_x, n_a = learned.q.shape
+    ts, xs, asq = (k.ravel() for k in np.indices(learned.q.shape))
     vis = np.concatenate([learned.visits.ravel(),
                           np.zeros(n_x * n_a, dtype=int)])
     write_csv(out / "qtable.csv",
@@ -452,12 +449,10 @@ def cmd_utility_price(cfg):
         paths, cfg.contract(), cfg["utility.gamma"], basis,
         order=cfg["utility.order"], method=cfg["utility.method"])
     out = _outdir(cfg)
-    ts, ns, us = [], [], []
-    for t, hc in enumerate(res.hedge_coeffs):
-        ts.extend([t] * hc.size)
-        ns.extend(range(hc.size))
-        us.extend(hc)
-    write_csv(out / "utility_hedges.csv", ["t", "n", "u"], [ts, ns, us],
+    us = np.array(res.hedge_coeffs)
+    ts, ns = np.indices(us.shape)
+    write_csv(out / "utility_hedges.csv", ["t", "n", "u"],
+              [ts.ravel(), ns.ravel(), us.ravel()],
               header={"gamma": cfg["utility.gamma"], "method": res.method})
     summary = _base_summary(cfg)
     summary.update({"price0": res.price0, "method": res.method,
@@ -468,8 +463,7 @@ def cmd_utility_price(cfg):
 
 
 def cmd_bs_quote(cfg):
-    m = cfg.market()
-    c = cfg.contract()
+    m, c = cfg.market(), cfg.contract()
     quote = bs_price_delta(m.s0, c.strike, m.sigma, m.r, m.maturity, c.kind)
     summary = _base_summary(cfg)
     summary.update({"price": quote.price, "delta": quote.delta})

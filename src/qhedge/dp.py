@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import RiskParams, reward_parabola
+from .portfolio import RiskParams, _replicate, reward_parabola
 from .regression import (NormalEquations, conditional_mean,
                          conditional_variance, ridge_epsilon, ridge_solve)
 
@@ -43,51 +43,6 @@ def action_normal_equations(design, ds_dev, pi_dev, drift, risk: RiskParams) -> 
     gram = (design * (ds_dev**2)[:, None]).T @ design
     rhs = design.T @ (pi_dev * ds_dev + drift / (2.0 * risk.gamma * risk.lam))
     return NormalEquations(gram, rhs, ridge_epsilon(gram))
-
-
-def optimal_action_coeffs(paths: PathEnsemble, pi_next, basis, risk: RiskParams,
-                          t: int, *, pi_center=None, ds_center=None,
-                          drift=None) -> np.ndarray:
-    """Coefficients of the risk-adjusted optimal action at step t.
-
-    The fitted action is the conditional version of
-    (E[pi_dev * ds_dev] + E[drift] / (2 gamma lam)) / E[ds_dev^2].
-
-    Defaults: ``pi_center`` is the regression estimate of E[Pi_{t+1}|state],
-    ``ds_center`` the model-implied conditional mean of dS_t, and ``drift``
-    equals ``ds_center`` (so the risk-return term carries no sampling noise
-    and vanishes identically when mu == r).  Pass ``drift=paths.delta_s(t)``
-    for the raw per-path sample form.
-    """
-    if risk.lam <= 0:
-        raise ValueError(
-            "optimal action needs lam > 0; use portfolio.local_risk_hedge for "
-            "the pure risk-minimizing hedge"
-        )
-    pi_next = np.asarray(pi_next, dtype=float)
-    ds = paths.delta_s(t)
-    if ds_center is None:
-        ds_center = paths.delta_s_mean(t)
-    if drift is None:
-        drift = ds_center
-    design = basis.evaluate(paths.x_paths[:, t])
-    if pi_center is None:
-        pi_center = conditional_mean(design, pi_next)
-    eqs = action_normal_equations(design, ds - ds_center, pi_next - pi_center,
-                                  np.broadcast_to(drift, ds.shape), risk)
-    try:
-        return eqs.solve()
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"optimal action at step {t}: {exc}") from exc
-
-
-def optimal_q_coeffs(paths: PathEnsemble, targets, basis, t: int) -> np.ndarray:
-    """Least-squares fit of the Bellman targets on the state basis at step t."""
-    design = basis.evaluate(paths.x_paths[:, t])
-    try:
-        return ridge_solve(design.T @ design, design.T @ np.asarray(targets, dtype=float))
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"Q fit at step {t}: {exc}") from exc
 
 
 def terminal_q_values(paths: PathEnsemble, contract: OptionContract,
@@ -125,7 +80,8 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         whose increments are martingale-enforced per state).
     """
     if risk.lam <= 0:
-        raise ValueError("solve_dp requires lam > 0")
+        raise ValueError("solve_dp requires lam > 0; portfolio.solve_local_risk "
+                         "gives the pure risk-minimizing hedge")
     if centering not in ("conditional", "pooled"):
         raise ValueError(f"unknown centering {centering!r}")
     if ds_mean not in ("model", "regression"):
@@ -134,19 +90,18 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         raise ValueError(f"unknown gain {gain!r}")
 
     n_steps = paths.n_steps
-    designs = [basis.evaluate(paths.x_paths[:, t]) for t in range(n_steps + 1)]
-
     value_coeffs = [None] * (n_steps + 1)
     hedge_coeffs = [None] * n_steps
 
+    design = basis.evaluate(paths.x_paths[:, -1])
     q_term = terminal_q_values(paths, contract, risk, basis)
-    value_coeffs[n_steps] = ridge_solve(designs[-1].T @ designs[-1],
-                                        designs[-1].T @ q_term)
-    q_next = designs[-1] @ value_coeffs[n_steps]
+    value_coeffs[n_steps] = ridge_solve(design.T @ design, design.T @ q_term)
+    q_next = design @ value_coeffs[n_steps]
 
-    pi = terminal_payoff(paths.s_paths[:, -1], contract)
-    for t in range(n_steps - 1, -1, -1):
-        design = designs[t]
+    def hedge(t, pi):
+        """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
+        nonlocal q_next
+        design = basis.evaluate(paths.x_paths[:, t])
         ds = paths.delta_s(t)
         if ds_mean == "model":
             ds_c = paths.delta_s_mean(t)
@@ -162,11 +117,10 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         eqs = action_normal_equations(design, ds - ds_c, pi - pi_c,
                                       np.broadcast_to(drift, ds.shape), risk)
         try:
-            phi = eqs.solve()
+            hedge_coeffs[t] = eqs.solve()
         except SingularSystemError as exc:
             raise SingularSystemError(f"optimal action at step {t}: {exc}") from exc
-        hedge_coeffs[t] = phi
-        a = design @ phi
+        a = design @ hedge_coeffs[t]
 
         c0, c1, c2 = reward_parabola(ds, pi, risk, pi_center=pi_c,
                                      ds_center=ds_c, gain=gain_vals)
@@ -176,8 +130,10 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         except SingularSystemError as exc:
             raise SingularSystemError(f"Q fit at step {t}: {exc}") from exc
         q_next = design @ value_coeffs[t]
-        pi = risk.gamma * (pi - a * ds)
+        return a
 
+    _replicate(terminal_payoff(paths.s_paths[:, -1], contract), n_steps,
+               risk.gamma, paths.delta_s, hedge)
     phi0 = basis.evaluate([paths.x_paths[0, 0]])
     price0 = -float((phi0 @ value_coeffs[0])[0])
     hedge0 = float((phi0 @ hedge_coeffs[0])[0])
@@ -196,8 +152,5 @@ def price_and_hedge_surface(solution: DPSolution, basis, states, t: int):
         raise ValueError(f"t={t} outside [0, {n_steps}]")
     design = basis.evaluate(states)
     prices = -(design @ solution.value_coeffs[t])
-    if t < n_steps:
-        hedges = design @ solution.hedge_coeffs[t]
-    else:
-        hedges = np.zeros(design.shape[0])
+    hedges = design @ solution.hedge_coeffs[t] if t < n_steps else np.zeros(len(design))
     return prices, hedges

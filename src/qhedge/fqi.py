@@ -23,7 +23,7 @@ from .dp import action_normal_equations, terminal_q_values
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, terminal_payoff)
-from .portfolio import RiskParams
+from .portfolio import RiskParams, _replicate
 from .regression import conditional_mean, ridge_solve
 
 
@@ -78,8 +78,9 @@ class TransitionDataset:
         return self._slices[t]
 
     def validate(self):
-        if not np.all(np.isfinite(self.r)):
-            raise DataFormatError("non-finite rewards in dataset")
+        for name in ("x", "a", "r", "x_next"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataFormatError(f"non-finite {name} values in dataset")
         n_ids = np.unique(self.path_ids).size
         for ti, idx in enumerate(self._slices):
             if idx.size != n_ids:
@@ -88,6 +89,18 @@ class TransitionDataset:
                 )
             if np.unique(self.path_ids[idx]).size != idx.size:
                 raise DataFormatError(f"duplicate (path, t={ti}) records")
+        n_steps = self.header.n_steps
+        if len(self) != n_ids * n_steps:
+            raise DataFormatError(f"{len(self)} records for {n_ids} paths x {n_steps} "
+                                  f"steps: some t outside [0, {n_steps})")
+        # one price panel underlies the records: each x_next must be the x
+        # of the same path's next record
+        gap = (self.x_next.reshape(n_ids, n_steps)[:, :-1]
+               != self.x.reshape(n_ids, n_steps)[:, 1:])
+        if gap.any():
+            i, ti = np.argwhere(gap)[0]
+            raise DataFormatError(f"x_next of (path={self.path_ids[i * n_steps]}, "
+                                  f"t={ti}) differs from that path's x at t={ti + 1}")
 
     def x0(self) -> float:
         """Representative initial state: mean of the t=0 records."""
@@ -195,14 +208,19 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
 
     paths = dataset.to_ensemble()
-    params = paths.params
     n_steps = h.n_steps
     m = basis.m
     gamma = risk.gamma
 
     use_analytic = action_source != "crossfit"
+    rows = dataset.path_rows()
     if use_analytic and pi_reference is None:
-        pi_reference = _reconstruct_portfolio(dataset, paths, contract)
+        # roll the recorded actions backward on the rebuilt panel
+        amat = np.zeros((paths.n_paths, n_steps))
+        amat[rows, dataset.t] = dataset.a
+        pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), n_steps,
+                        paths.params.gamma, paths.delta_s, lambda t, _: amat[:, t])
+        pi_reference = pi[rows, dataset.t + 1]
 
     design_term = basis.evaluate(paths.x_paths[:, -1])
     term_coeffs = ridge_solve(design_term.T @ design_term,
@@ -237,7 +255,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
 
         if use_analytic:
             pi_next = np.asarray(pi_reference)[idx]
-            ds = _record_delta_s(dataset, params, idx)
+            ds = paths.delta_s(t)[rows[idx]]
             design_t = basis.evaluate(x_t)
             if ds_mean == "regression":
                 # regression centering pairs with mean-centered reward gains,
@@ -245,7 +263,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
                 ds_c = conditional_mean(design_t, ds)
                 drift = np.zeros_like(ds)
             else:
-                ds_c = _record_delta_s_mean(dataset, params, idx)
+                ds_c = paths.delta_s_mean(t)[rows[idx]]
                 drift = ds_c
             eqs = action_normal_equations(
                 design_t, ds - ds_c, pi_next - conditional_mean(design_t, pi_next),
@@ -259,16 +277,17 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             prev_idx = dataset.slice_indices(t - 1)
             xq = dataset.x_next[prev_idx]
             if use_analytic:
-                a_star = basis.evaluate(xq) @ action_coeffs[t]
-                u = basis.evaluate(xq) @ w.T
+                design_q = basis.evaluate(xq)
+                a_star = design_q @ action_coeffs[t]
+                u = design_q @ w.T
                 v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
             else:
                 v_cache = _crossfit_v(dataset, basis, targets, psi, t, prev_idx, m)
 
-    x0 = dataset.x0()
-    u0 = basis.evaluate([x0]) @ weights[0].T
+    phi0 = basis.evaluate([dataset.x0()])
+    u0 = phi0 @ weights[0].T
     if use_analytic:
-        a0 = float((basis.evaluate([x0]) @ action_coeffs[0])[0])
+        a0 = float((phi0 @ action_coeffs[0])[0])
     elif u0[0, 2] < 0:
         a0 = float(-u0[0, 1] / u0[0, 2])
     else:
@@ -307,37 +326,6 @@ def _crossfit_v(dataset, basis, targets, psi, t, prev_idx, m):
         a_star = np.clip(a_star, a_lo, a_hi)
         out[sel] = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
     return out
-
-
-def _record_delta_s(dataset, params, idx):
-    t = dataset.t[idx]
-    s_t = from_state(dataset.x[idx], t * params.dt, params)
-    s_n = from_state(dataset.x_next[idx], (t + 1) * params.dt, params)
-    return s_n - np.exp(params.r * params.dt) * s_t
-
-
-def _record_delta_s_mean(dataset, params, idx):
-    t = dataset.t[idx]
-    s_t = from_state(dataset.x[idx], t * params.dt, params)
-    return s_t * (np.exp(params.mu * params.dt) - np.exp(params.r * params.dt))
-
-
-def _reconstruct_portfolio(dataset, paths, contract):
-    """Roll the recorded actions backward on the rebuilt panel; returns the
-    portfolio value at each record's next state, in record order."""
-    h = dataset.header
-    rows = dataset.path_rows()
-    n_ids = rows.max() + 1
-    amat = np.zeros((n_ids, h.n_steps))
-    amat[rows, dataset.t] = dataset.a
-
-    growth = np.exp(paths.params.r * paths.params.dt)
-    pi = np.empty((n_ids, h.n_steps + 1))
-    pi[:, -1] = terminal_payoff(paths.s_paths[:, -1], contract)
-    for t in range(h.n_steps - 1, -1, -1):
-        ds = paths.s_paths[:, t + 1] - growth * paths.s_paths[:, t]
-        pi[:, t] = (pi[:, t + 1] - amat[:, t] * ds) / growth
-    return pi[rows, dataset.t + 1]
 
 
 def extract_price_hedge(solution: FQISolution, basis, x, t: int):

@@ -34,6 +34,9 @@ class MarketParams:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("s0", "mu", "sigma", "r", "maturity"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0 <= 0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if self.sigma < 0:
@@ -64,8 +67,8 @@ class OptionContract:
     def __post_init__(self):
         if self.kind not in ("put", "call"):
             raise ValueError(f"kind must be 'put' or 'call', got {self.kind!r}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        if not np.isfinite(self.strike) or self.strike <= 0:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
 
     def payoff(self, s) -> np.ndarray:
         return terminal_payoff(s, self)

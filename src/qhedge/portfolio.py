@@ -6,10 +6,12 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
     Pi_t = e^{-r dt} (Pi_{t+1} - u_t dS_t),   dS_t = S_{t+1} - e^{r dt} S_t,
     B_t  = e^{-r dt} (B_{t+1} + (u_{t+1} - u_t) S_{t+1}),
 
-so uncertainty about the future propagates to today path by path.  On top
-of the rollout the module provides the risk-adjusted one-step reward (a
-quadratic in the action), the pure risk-minimizing hedge, signed-measure
-reweighting and the variance-loaded ask price.
+so uncertainty about the future propagates to today path by path.  Every
+solver runs the Pi recursion through one function, ``_replicate``, and
+differs only in the hedge rule that chooses u_t.  On top of the rollout
+the module provides the risk-adjusted one-step reward (a quadratic in the
+action), the pure risk-minimizing hedge, signed-measure reweighting and
+the variance-loaded ask price.
 """
 
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ class RiskParams:
     gamma: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not np.isfinite(self.lam) or self.lam < 0:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
@@ -77,15 +79,12 @@ class HedgeStrategy:
             out[:, :-1] = self._constant
         elif self._matrix is not None:
             mat = self._matrix
-            if mat.shape == (n, t1):
-                out[:, :-1] = mat[:, :-1]
-            elif mat.shape == (n, t1 - 1):
-                out[:, :-1] = mat
-            else:
+            if mat.shape not in ((n, t1), (n, t1 - 1)):
                 raise ValueError(
                     f"action matrix shape {mat.shape} does not match the "
                     f"({n}, {t1 - 1}) ensemble"
                 )
+            out[:, :-1] = mat[:, :t1 - 1]
         else:
             if len(self._coeffs) != t1 - 1:
                 raise ValueError(
@@ -106,6 +105,24 @@ class PortfolioRollout:
     actions: np.ndarray    # (n_paths, n_steps+1), expiry column 0
 
 
+def _replicate(payoff, n_steps: int, gamma: float, delta_s, hedge) -> np.ndarray:
+    """The backward self-financing recursion every solver shares.
+
+        Pi_T = payoff,   Pi_t = gamma (Pi_{t+1} - u_t dS_t),   t = T-1 .. 0,
+
+    where ``delta_s(t)`` returns the step-t increments and the hedge rule
+    ``hedge(t, pi_next)`` chooses u_t from Pi_{t+1} (recording whatever
+    fits it makes on the way).  Returns Pi as an (n_paths, n_steps+1) array,
+    stored by step so that each step's values are contiguous.
+    """
+    pi = np.empty((n_steps + 1, len(payoff)))
+    pi[-1] = payoff
+    for t in range(n_steps - 1, -1, -1):
+        u = hedge(t, pi[t + 1])
+        pi[t] = gamma * (pi[t + 1] - u * delta_s(t))
+    return pi.T
+
+
 def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
                       contract: OptionContract, risk: RiskParams) -> PortfolioRollout:
     """Evaluate the self-financing portfolio backward along every path."""
@@ -114,24 +131,20 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     s = paths.s_paths
     growth = np.exp(paths.params.r * paths.params.dt)
     payoff = terminal_payoff(s[:, -1], contract)
+    pi = _replicate(payoff, t1 - 1, paths.params.gamma, paths.delta_s,
+                    lambda t, _: u[:, t])
 
-    pi = np.empty((n, t1))
     b = np.empty((n, t1))
-    pi[:, -1] = payoff
     b[:, -1] = payoff
     for t in range(t1 - 2, -1, -1):
-        ds = s[:, t + 1] - growth * s[:, t]
-        pi[:, t] = (pi[:, t + 1] - u[:, t] * ds) / growth
         b[:, t] = (b[:, t + 1] + (u[:, t + 1] - u[:, t]) * s[:, t + 1]) / growth
 
     rewards = np.empty((n, t1))
     for t in range(t1 - 1):
-        c0, c1, c2 = reward_parabola(
-            paths.delta_s(t), pi[:, t + 1], risk,
-            pi_center=pi[:, t + 1].mean(), ds_center=paths.delta_s(t).mean(),
-        )
-        a = u[:, t]
-        rewards[:, t] = c0 + c1 * a + c2 * a**2
+        ds = paths.delta_s(t)
+        c0, c1, c2 = reward_parabola(ds, pi[:, t + 1], risk,
+                                     pi_center=pi[:, t + 1].mean(), ds_center=ds.mean())
+        rewards[:, t] = c0 + c1 * u[:, t] + c2 * u[:, t]**2
     # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
     rewards[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
     return PortfolioRollout(pi=pi, b_account=b, rewards=rewards, actions=u)
@@ -159,60 +172,37 @@ def reward_parabola(delta_s, pi_next, risk: RiskParams, *,
     return c0, c1, c2
 
 
-def reward(paths: PathEnsemble, rollout: PortfolioRollout, strategy: HedgeStrategy,
-           risk: RiskParams, t: int) -> np.ndarray:
-    """Realized per-path reward at step t, with pooled sample-mean centering.
-
-    For t == n_steps this is the terminal variance penalty realization
-    -lam (Pi_T - mean)^2, whose cross-sectional mean is -lam Var[Pi_T].
-    """
-    t1 = paths.n_steps
-    if not 0 <= t <= t1:
-        raise ValueError(f"t={t} outside [0, {t1}]")
-    if t == t1:
-        pi_T = rollout.pi[:, -1]
-        return -risk.lam * (pi_T - pi_T.mean()) ** 2
-    ds = paths.delta_s(t)
-    pi_next = rollout.pi[:, t + 1]
-    c0, c1, c2 = reward_parabola(ds, pi_next, risk,
-                                 pi_center=pi_next.mean(), ds_center=ds.mean())
-    a = strategy.actions(paths)[:, t]
-    return c0 + c1 * a + c2 * a**2
-
-
-def local_risk_hedge(paths: PathEnsemble, rollout_or_pi_next, basis, t: int,
-                     *, ds_center=None) -> np.ndarray:
-    """Basis coefficients of the pure risk-minimizing hedge at step t.
-
-    The hedge is the cross-sectional regression estimate of
-    Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state), i.e. the optimal-action
-    system with the risk-return drift term removed.
-
-    ``rollout_or_pi_next`` is either a PortfolioRollout or the Pi_{t+1}
-    value vector directly; ``ds_center`` defaults to the model-implied
-    conditional mean of dS_t.
-    """
-    if isinstance(rollout_or_pi_next, PortfolioRollout):
-        pi_next = rollout_or_pi_next.pi[:, t + 1]
-    else:
-        pi_next = np.asarray(rollout_or_pi_next, dtype=float)
-    ds = paths.delta_s(t)
-    if ds_center is None:
-        ds_center = paths.delta_s_mean(t)
-    ds_dev = ds - ds_center
+def _risk_minimizing_coeffs(design, ds_dev, pi_next, t: int) -> np.ndarray:
+    """Regression coefficients of Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state)
+    on a step's design matrix."""
     if np.max(np.abs(ds_dev)) == 0.0:
         raise DegenerateInputError(
             f"all price increments identical at step {t}; hedge undefined"
         )
-    design = basis.evaluate(paths.x_paths[:, t])
     pi_dev = pi_next - conditional_mean(design, pi_next)
     gram = (design * (ds_dev**2)[:, None]).T @ design
     rhs = design.T @ (pi_dev * ds_dev)
     return ridge_solve(gram, rhs)
 
 
-def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis,
-                     *, gamma: float = None):
+def local_risk_hedge(paths: PathEnsemble, pi_next, basis, t: int,
+                     *, ds_center=None) -> np.ndarray:
+    """Basis coefficients of the pure risk-minimizing hedge at step t.
+
+    The hedge is the cross-sectional regression estimate of
+    Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state), i.e. the optimal-action
+    system with the risk-return drift term removed.  ``pi_next`` is the
+    Pi_{t+1} value vector; ``ds_center`` defaults to the model-implied
+    conditional mean of dS_t.
+    """
+    if ds_center is None:
+        ds_center = paths.delta_s_mean(t)
+    return _risk_minimizing_coeffs(basis.evaluate(paths.x_paths[:, t]),
+                                   paths.delta_s(t) - ds_center,
+                                   np.asarray(pi_next, dtype=float), t)
+
+
+def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     """Backward risk-minimizing hedge solve, independent of risk aversion.
 
     Returns (coeffs, pi): per-step hedge coefficient vectors and the
@@ -220,17 +210,16 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis,
     is the reference replicating rollout used when rewards must not
     depend on an exploration policy.
     """
-    params = paths.params
-    if gamma is None:
-        gamma = params.gamma
-    n_steps = paths.n_steps
-    pi = np.empty((paths.n_paths, n_steps + 1))
-    pi[:, -1] = terminal_payoff(paths.s_paths[:, -1], contract)
-    coeffs = [None] * n_steps
-    for t in range(n_steps - 1, -1, -1):
-        coeffs[t] = local_risk_hedge(paths, pi[:, t + 1], basis, t)
-        a = basis.evaluate(paths.x_paths[:, t]) @ coeffs[t]
-        pi[:, t] = gamma * (pi[:, t + 1] - a * paths.delta_s(t))
+    coeffs = [None] * paths.n_steps
+
+    def hedge(t, pi_next):
+        design = basis.evaluate(paths.x_paths[:, t])
+        coeffs[t] = _risk_minimizing_coeffs(
+            design, paths.delta_s(t) - paths.delta_s_mean(t), pi_next, t)
+        return design @ coeffs[t]
+
+    pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), paths.n_steps,
+                    paths.params.gamma, paths.delta_s, hedge)
     return coeffs, pi
 
 

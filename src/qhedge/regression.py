@@ -39,14 +39,9 @@ def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return NormalEquations(gram, rhs, ridge_epsilon(gram)).solve()
 
 
-def fit_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ridge least-squares coefficients of y on the design matrix columns."""
-    return ridge_solve(design.T @ design, design.T @ y)
-
-
 def conditional_mean(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fitted values of the cross-sectional regression of y on the basis."""
-    return design @ fit_ls(design, y)
+    return design @ ridge_solve(design.T @ design, design.T @ y)
 
 
 def conditional_variance(design: np.ndarray, y: np.ndarray) -> np.ndarray:

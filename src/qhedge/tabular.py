@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
-from .portfolio import RiskParams
+from .basis import BasisSet
+from .market import (OptionContract, PathEnsemble, ensemble_from_prices,
+                     from_state, terminal_payoff)
+from .portfolio import RiskParams, _replicate, reward_parabola
 
 
 @dataclass
@@ -55,10 +57,6 @@ class DiscreteMDP:
     def n_steps(self) -> int:
         return self.probs.shape[0]
 
-    def reward(self, t: int, i: int, j: int, a: float) -> float:
-        c0, c1, c2 = self.reward_coeffs[t, i, j]
-        return float(c0 + c1 * a + c2 * a * a)
-
     def state_index(self, x) -> np.ndarray:
         """Bucket index of raw states under the chain's quantile edges."""
         return np.clip(np.searchsorted(self.edges, np.asarray(x), side="right") - 1,
@@ -66,8 +64,6 @@ class DiscreteMDP:
 
     def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
         """The ensemble with every state snapped to its bucket center."""
-        from .market import ensemble_from_prices
-
         idx = self.state_index(paths.x_paths)
         s = from_state(self.x_centers[idx], paths.params.times()[None, :],
                        paths.params)
@@ -75,8 +71,6 @@ class DiscreteMDP:
 
     def indicator_basis(self):
         """One-hot basis whose buckets are exactly the chain states."""
-        from .basis import BasisSet
-
         c = self.x_centers
         if c.size == 1:
             mids = np.array([c[0] - 0.5, c[0] + 0.5])
@@ -123,7 +117,6 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         raise ValueError(f"unknown slices mode {slices!r}")
     params = paths.params
     n_steps = paths.n_steps
-    gamma, lam = risk.gamma, risk.lam
 
     pooled = paths.x_paths
     if np.all(pooled[:, 0] == pooled[0, 0]) and n_steps >= 1:
@@ -145,40 +138,38 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     idx = np.clip(np.searchsorted(edges, paths.x_paths, side="right") - 1, 0, n_xe - 1)
-    times = params.times()
-    s = from_state(centers[idx], times[None, :], params)
+    s = from_state(centers[idx], params.times()[None, :], params)
     payoff = terminal_payoff(s[:, -1], contract)
     growth = np.exp(params.r * params.dt)
 
+    def delta_s(t):
+        return s[:, t + 1] - growth * s[:, t]
+
     # martingale-enforced increments per (step, bucket)
     ds_dev = np.empty((paths.n_paths, n_steps))
-    ds_raw = np.empty_like(ds_dev)
     for t in range(n_steps):
-        ds = s[:, t + 1] - growth * s[:, t]
-        ds_raw[:, t] = ds
+        ds = delta_s(t)
         ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
 
-    # risk-minimizing reference rollout on the snapped prices
-    pi = np.empty((paths.n_paths, n_steps + 1))
-    pi[:, -1] = payoff
-    for t in range(n_steps - 1, -1, -1):
+    def bucket_hedge(t, pi_next):
+        """Per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t)."""
         ix = idx[:, t]
-        pi_dev = pi[:, t + 1] - _bucket_means(ix, pi[:, t + 1], n_xe)[ix]
+        pi_dev = pi_next - _bucket_means(ix, pi_next, n_xe)[ix]
         num = _bucket_means(ix, pi_dev * ds_dev[:, t], n_xe)
         den = _bucket_means(ix, ds_dev[:, t] ** 2, n_xe)
-        a = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
-        pi[:, t] = gamma * (pi[:, t + 1] - a * ds_raw[:, t])
+        return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
+
+    # risk-minimizing reference rollout on the snapped prices
+    pi = _replicate(payoff, n_steps, risk.gamma, delta_s, bucket_hedge)
 
     # per-path reward parabolas, then conditional means per (t, i, j)
     counts = np.zeros((n_steps, n_xe, n_xe))
     coeffs = np.zeros((n_steps, n_xe, n_xe, 3))
     for t in range(n_steps):
         ix, jx = idx[:, t], idx[:, t + 1]
-        pi_dev = pi[:, t + 1] - _bucket_means(ix, pi[:, t + 1], n_xe)[ix]
-        dsd = ds_dev[:, t]
-        c0 = -lam * gamma**2 * pi_dev**2
-        c1 = gamma * dsd + 2.0 * lam * gamma**2 * pi_dev * dsd
-        c2 = -lam * gamma**2 * dsd**2
+        c0, c1, c2 = reward_parabola(
+            ds_dev[:, t], pi[:, t + 1], risk,
+            pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)
         np.add.at(counts[t], (ix, jx), 1.0)
         for k, c in enumerate((c0, c1, c2)):
             np.add.at(coeffs[t], (ix, jx, k), c)
@@ -197,7 +188,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     ix_T = idx[:, -1]
     mean_pay = _bucket_means(ix_T, payoff, n_xe)
     mean_pay2 = _bucket_means(ix_T, payoff**2, n_xe)
-    terminal_q = -mean_pay - lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
+    terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
 
     reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
     for t in range(n_steps + 1):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qhedge import BasisSet, build_basis, evaluate
+from qhedge import BasisSet, build_basis
 from qhedge.errors import DegenerateInputError
 
 
@@ -31,19 +31,18 @@ class TestOneHot:
     def test_regressions_become_bucket_averages(self):
         """One-hot least squares equals the per-bucket sample mean, the
         bridge between the regression solvers and the finite-state chain."""
-        from qhedge.regression import fit_ls
+        from qhedge.regression import conditional_mean
 
         rng = np.random.default_rng(1)
         x = rng.normal(size=4000)
         y = np.sin(x) + rng.normal(size=4000)
         basis = build_basis("one_hot_grid", 8, x)
-        design = basis.evaluate(x)
-        coeffs = fit_ls(design, y)
+        fitted = conditional_mean(basis.evaluate(x), y)
         buckets = basis.bucket_of(x)
         for b in range(8):
             sel = buckets == b
             if sel.any():
-                np.testing.assert_allclose(coeffs[b], y[sel].mean(), rtol=1e-6)
+                np.testing.assert_allclose(fitted[sel], y[sel].mean(), rtol=1e-6)
 
     def test_m_exceeding_cardinality(self):
         with pytest.raises(ValueError):
@@ -91,7 +90,7 @@ class TestRBF:
 class TestEvaluate:
     def test_empty_states(self):
         basis = build_basis("one_hot_grid", 4, np.linspace(0, 1, 50))
-        assert evaluate(basis, []).shape == (0, 4)
+        assert basis.evaluate([]).shape == (0, 4)
 
     def test_deterministic(self):
         samples = np.random.default_rng(6).normal(size=500)

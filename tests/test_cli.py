@@ -50,6 +50,34 @@ class TestConfig:
         assert a.hash() == b.hash() != c.hash()
 
 
+class TestConfigBoundary:
+    """Bad values exit 2 from ExperimentConfig.load, naming their key,
+    before any ensemble is simulated."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ensemble simulated before config validation")
+        monkeypatch.setattr("qhedge.cli.simulate_gbm", fail)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("rollout", "contract.kind", "foo"),
+        ("rollout", "basis.kind", "foo"),
+        ("rollout", "market.sigma", "-1"),
+        ("rollout", "rollout.policy", "foo"),
+        ("make-dataset", "dataset.policy", "foo"),
+        ("utility-price", "utility.method", "foo"),
+        ("dp-solve", "market.mu", "nan"),
+        ("dp-solve", "risk.lambda", "inf"),
+        ("dp-solve", "contract.strike", "-5"),
+        ("dp-solve", "market.r", "-0.05"),  # e^{-r dt} > 1
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
+        code = run(command, f"--{key}", value, "--output.dir", str(tmp_path), *SMALL)
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
 class TestSubcommands:
     def test_bs_quote_matches_quadrature(self, tmp_path):
         out = tmp_path / "o"
@@ -116,6 +144,16 @@ class TestSubcommands:
         ds = read_dataset_csv(out / "dataset.csv")
         np.testing.assert_array_equal(ds.a, 0.0)
         np.testing.assert_array_equal(ds.r, 0.0)
+
+    @pytest.mark.parametrize("command, key", [("rollout", "rollout.policy"),
+                                              ("make-dataset", "dataset.policy")])
+    @pytest.mark.parametrize("policy", ["zero", "constant", "local_risk",
+                                        "dp_optimal", "random"])
+    def test_shared_policy_names(self, tmp_path, command, key, policy):
+        out = tmp_path / "p"
+        assert run(command, f"--{key}", policy, "--rollout.constant", "0.25",
+                   "--output.dir", str(out), *SMALL) == 0
+        assert read_summary(out / "summary.txt")["policy"] == policy
 
     def test_tabular_q_summary(self, tmp_path):
         out = tmp_path / "tab"

@@ -5,9 +5,9 @@ import pytest
 
 from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     build_basis, ensemble_from_prices, local_risk_hedge,
-                    optimal_action_coeffs, optimal_q_coeffs,
                     price_and_hedge_surface, reward_parabola, simulate_gbm,
-                    solve_dp, terminal_payoff)
+                    solve_dp, solve_local_risk, terminal_payoff)
+from qhedge.regression import ridge_solve
 
 PUT = OptionContract("put", 100.0)
 
@@ -27,16 +27,26 @@ def hand_ensemble(prices, mu=0.0, r=0.0):
 
 
 class TestOptimalActionCoeffs:
+    """The action solve inside solve_dp (``hedge_coeffs``)."""
+
     def test_large_lambda_equals_local_risk(self):
-        """The 1/(2 gamma lam) term vanishes, leaving the pure risk hedge."""
+        """The 1/(2 gamma lam) term vanishes, leaving the pure risk hedge:
+        the same coefficients at the last step and the same fitted actions
+        at every step (at t = 0 all states coincide, so the coefficients
+        themselves are fixed only up to the ridge)."""
         paths = gbm(mu=0.05, seed=3)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        pi_next = terminal_payoff(paths.s_paths[:, -1], PUT)
         risk = RiskParams.from_market(1e12, paths.params)
+        sol = solve_dp(paths, PUT, risk, basis)
+        lr_coeffs, _ = solve_local_risk(paths, PUT, basis)
         t = paths.n_steps - 1
-        a = optimal_action_coeffs(paths, pi_next, basis, risk, t)
-        b = local_risk_hedge(paths, pi_next, basis, t)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        pi_next = terminal_payoff(paths.s_paths[:, -1], PUT)
+        np.testing.assert_allclose(sol.hedge_coeffs[t],
+                                   local_risk_hedge(paths, pi_next, basis, t), atol=1e-10)
+        for t in range(paths.n_steps):
+            design = basis.evaluate(paths.x_paths[:, t])
+            np.testing.assert_allclose(design @ sol.hedge_coeffs[t],
+                                       design @ lr_coeffs[t], atol=1e-10)
 
     def test_one_hot_is_per_bucket_ratio(self):
         """Two buckets, hand sums: coeff_b = sum_b(pi_dev ds_dev) / sum_b(ds_dev^2)
@@ -45,9 +55,10 @@ class TestOptimalActionCoeffs:
                            [120.0, 131.0], [120.0, 112.0]])
         paths = hand_ensemble(prices)
         basis = build_basis("one_hot_grid", 2, paths.x_paths[:, 0])
-        pi_next = np.array([3.0, -1.0, 8.0, -2.0])
+        contract = OptionContract("put", 120.0)
+        pi_next = terminal_payoff(prices[:, 1], contract)  # 16, 23, 0, 8
         risk = RiskParams(lam=0.5, gamma=1.0)
-        coeffs = optimal_action_coeffs(paths, pi_next, basis, risk, 0)
+        coeffs = solve_dp(paths, contract, risk, basis).hedge_coeffs[0]
         expected = np.empty(2)
         for b, rows in enumerate(([0, 1], [2, 3])):
             ds = prices[rows, 1] - prices[rows, 0]
@@ -58,40 +69,47 @@ class TestOptimalActionCoeffs:
         np.testing.assert_allclose(coeffs, expected, rtol=1e-6)
 
     def test_grid_search_oracle_one_step(self):
-        """The sample-form action equals the argmax of the summed sampled
-        reward over a fine action grid (brute-force oracle)."""
+        """With pooled centering and the sample increment mean, the action
+        equals the argmax of the summed sampled reward over a fine action
+        grid (brute-force oracle)."""
         prices = np.array([[100.0, 93.0], [100.0, 109.0]])
         paths = hand_ensemble(prices)
         basis = build_basis("one_hot_grid", 1, paths.x_paths[:, 0])
         pi_next = terminal_payoff(prices[:, 1], PUT)
         risk = RiskParams(lam=0.2, gamma=1.0)
+        sol = solve_dp(paths, PUT, risk, basis, centering="pooled",
+                       ds_mean="regression")
         ds = paths.delta_s(0)
-        pi_c, ds_c = pi_next.mean(), ds.mean()
-        coeffs = optimal_action_coeffs(paths, pi_next, basis, risk, 0,
-                                       pi_center=pi_c, ds_center=ds_c, drift=ds)
         grid = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
-        pi_dev, ds_dev = pi_next - pi_c, ds - ds_c
+        pi_dev, ds_dev = pi_next - pi_next.mean(), ds - ds.mean()
         total = np.empty(grid.size)
         for i, a in enumerate(grid):
             rew = risk.gamma * a * ds - risk.lam * risk.gamma**2 \
                 * (pi_dev - a * ds_dev) ** 2
             total[i] = rew.sum()
         a_star = grid[np.argmax(total)]
-        assert abs(float(coeffs[0]) - a_star) <= 1e-4
+        assert abs(float(sol.hedge_coeffs[0][0]) - a_star) <= 1e-4
 
     def test_lambda_zero_rejected(self):
         paths = gbm(n_paths=100)
         basis = build_basis("bspline", 6, paths.x_paths.ravel())
         risk = RiskParams(lam=0.0, gamma=paths.params.gamma)
-        with pytest.raises(ValueError, match="local_risk_hedge"):
-            optimal_action_coeffs(paths, np.zeros(100), basis, risk, 0)
+        with pytest.raises(ValueError, match="solve_local_risk"):
+            solve_dp(paths, PUT, risk, basis)
 
 
 class TestOptimalQCoeffs:
+    """The Q fit inside solve_dp: a ridge solve on the step's design."""
+
+    @staticmethod
+    def q_fit(paths, targets, basis, t):
+        design = basis.evaluate(paths.x_paths[:, t])
+        return ridge_solve(design.T @ design, design.T @ targets)
+
     def test_constant_target_on_indicators(self):
         paths = gbm(n_paths=500, seed=1)
         basis = build_basis("one_hot_grid", 5, paths.x_paths.ravel())
-        coeffs = optimal_q_coeffs(paths, np.full(500, 4.2), basis, 2)
+        coeffs = self.q_fit(paths, np.full(500, 4.2), basis, 2)
         occupied = basis.evaluate(paths.x_paths[:, 2]).sum(axis=0) > 0
         np.testing.assert_allclose(coeffs[occupied], 4.2, rtol=1e-7)
 
@@ -101,14 +119,18 @@ class TestOptimalQCoeffs:
         paths = hand_ensemble(prices)
         basis = build_basis("one_hot_grid", 2, paths.x_paths[:, 0])
         targets = np.array([1.0, 3.0, 10.0, 14.0])
-        coeffs = optimal_q_coeffs(paths, targets, basis, 0)
+        coeffs = self.q_fit(paths, targets, basis, 0)
         np.testing.assert_allclose(coeffs, [2.0, 12.0], rtol=1e-7)
 
     def test_zero_everything_is_zero(self):
+        """Zero payoff, zero action value: every fitted Q coefficient of
+        solve_dp is exactly zero."""
         paths = gbm(n_paths=500, seed=1)
         basis = build_basis("bspline", 6, paths.x_paths.ravel())
-        coeffs = optimal_q_coeffs(paths, np.zeros(500), basis, 0)
-        np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
+        worthless = OptionContract("put", 1e-6)
+        risk = RiskParams.from_market(1e-3, paths.params)
+        sol = solve_dp(paths, worthless, risk, basis)
+        np.testing.assert_allclose(np.array(sol.value_coeffs), 0.0, atol=1e-12)
 
 
 class TestSolveDP:

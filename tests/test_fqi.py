@@ -228,6 +228,33 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError):
             TransitionDataset([0], [0], [0.0], [0.0], [np.nan], [0.1], header)
 
+    @pytest.mark.parametrize("field", ["x", "a", "x_next"])
+    def test_nonfinite_state_or_action_rejected(self, field):
+        header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
+                               dt=1.0, lam=0.1, seed=0)
+        rec = dict(x=[0.0], a=[0.0], r=[0.0], x_next=[0.1])
+        rec[field] = [np.inf]
+        with pytest.raises(DataFormatError, match=f"non-finite {field}"):
+            TransitionDataset([0], [0], header=header, **rec)
+
+    def test_x_next_must_match_next_state(self):
+        """A path's x_next at t is its x at t+1: the rebuilt panel keeps
+        only one of them, so a disagreement would price two panels."""
+        header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
+                               dt=0.5, lam=0.1, seed=0)
+        with pytest.raises(DataFormatError, match=r"path=1, t=0"):
+            TransitionDataset(
+                path_ids=[0, 0, 1, 1], t=[0, 1, 0, 1], x=[0.0, 0.1, 0.0, 0.2],
+                a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1, 0.3, 0.25, 0.1],
+                header=header)
+
+    def test_time_outside_horizon_rejected(self):
+        header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
+                               dt=1.0, lam=0.1, seed=0)
+        with pytest.raises(DataFormatError, match="records for 1 paths"):
+            TransitionDataset([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
+                              [0.0, 0.0], [0.1, 0.2], header)
+
     def test_header_missing_keys(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=1\npath,t,x,a,r,x_next\n0,0,0,0,0,0\n")

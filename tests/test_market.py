@@ -69,6 +69,12 @@ class TestSimulateGBM:
         with pytest.raises(ValueError):
             simulate_gbm(make_params(), 0, seed=1)
 
+    @pytest.mark.parametrize("field", ["s0", "mu", "sigma", "r", "maturity"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_params(**{field: value})
+
 
 class TestStateTransform:
     def test_log_one_is_zero(self):
@@ -120,6 +126,9 @@ class TestTerminalPayoff:
             OptionContract("straddle", 100.0)
         with pytest.raises(ValueError):
             OptionContract("put", -5.0)
+        for strike in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OptionContract("put", strike)
 
 
 class TestPathEnsemble:

@@ -5,7 +5,7 @@ import pytest
 
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
                     ask_price, build_basis, ensemble_from_prices,
-                    local_risk_hedge, reward, rollout_portfolio,
+                    local_risk_hedge, rollout_portfolio,
                     signed_measure_weights, simulate_gbm, solve_local_risk,
                     terminal_payoff)
 from qhedge.errors import DegenerateInputError
@@ -28,6 +28,18 @@ def hand_ensemble(prices, mu=0.0, sigma=0.2, r=0.0, maturity=None):
     params = MarketParams(s0=prices[0, 0], mu=mu, sigma=sigma, r=r,
                           maturity=maturity or float(n_steps), n_steps=n_steps)
     return ensemble_from_prices(prices, params)
+
+
+class TestRiskParams:
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            RiskParams(lam=lam, gamma=0.99)
+
+    def test_rejects_gamma_outside_unit_interval(self):
+        for gamma in (0.0, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                RiskParams(lam=0.1, gamma=gamma)
 
 
 class TestRollout:
@@ -137,44 +149,41 @@ class TestLocalRiskHedge:
 
 
 class TestReward:
+    """Realized rewards of a rollout: pooled sample-mean centering, with
+    the terminal variance penalty in the expiry column."""
+
     def test_zero_lambda_zero_action(self):
         paths = gbm()
         risk = RiskParams.from_market(0.0, paths.params)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
-        for t in range(paths.n_steps):
-            np.testing.assert_array_equal(
-                reward(paths, roll, HedgeStrategy.zero(), risk, t), 0.0)
+        np.testing.assert_array_equal(roll.rewards[:, :-1], 0.0)
 
     def test_zero_lambda_is_linear_gain(self):
         paths = gbm()
         risk = RiskParams.from_market(0.0, paths.params)
-        strat = HedgeStrategy.constant(0.7)
-        roll = rollout_portfolio(paths, strat, PUT, risk)
+        roll = rollout_portfolio(paths, HedgeStrategy.constant(0.7), PUT, risk)
         for t in (0, 3):
-            np.testing.assert_allclose(
-                reward(paths, roll, strat, risk, t),
-                risk.gamma * 0.7 * paths.delta_s(t), rtol=1e-12)
+            np.testing.assert_allclose(roll.rewards[:, t],
+                                       risk.gamma * 0.7 * paths.delta_s(t),
+                                       rtol=1e-12)
 
     def test_variance_penalty_mean(self):
         """lam=1, a=0: mean reward equals -lam gamma^2 Var(Pi_{t+1})."""
         paths = gbm(seed=8)
         risk = RiskParams.from_market(1.0, paths.params)
-        strat = HedgeStrategy.zero()
-        roll = rollout_portfolio(paths, strat, PUT, risk)
+        roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         t = 2
-        rew = reward(paths, roll, strat, risk, t)
         pi_next = roll.pi[:, t + 1]
         expected = -risk.gamma**2 * np.mean((pi_next - pi_next.mean()) ** 2)
-        np.testing.assert_allclose(rew.mean(), expected, rtol=1e-12)
+        np.testing.assert_allclose(roll.rewards[:, t].mean(), expected, rtol=1e-12)
 
     def test_terminal_penalty(self):
         paths = gbm(seed=8)
         risk = RiskParams.from_market(0.5, paths.params)
-        strat = HedgeStrategy.zero()
-        roll = rollout_portfolio(paths, strat, PUT, risk)
-        rew = reward(paths, roll, strat, risk, paths.n_steps)
+        roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
-        np.testing.assert_allclose(rew.mean(), -0.5 * payoff.var(), rtol=1e-12)
+        np.testing.assert_allclose(roll.rewards[:, -1].mean(), -0.5 * payoff.var(),
+                                   rtol=1e-12)
 
 
 class TestSignedMeasure:

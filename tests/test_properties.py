@@ -1,0 +1,89 @@
+"""Randomized invariants of the shared replication recursion and the DP
+solver.  Examples are drawn by hypothesis, derandomized so every run draws
+the same ones."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
+                    build_basis, rollout_portfolio, simulate_gbm, solve_dp,
+                    solve_local_risk)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+kinds = st.sampled_from(["put", "call"])
+
+
+def market(mu, sigma, r, n_steps, s0=100.0):
+    return MarketParams(s0=s0, mu=mu, sigma=sigma, r=r, maturity=1.0, n_steps=n_steps)
+
+
+markets = st.builds(market, mu=st.floats(-0.05, 0.15), sigma=st.floats(0.05, 0.5),
+                    r=st.floats(0.0, 0.1), n_steps=st.integers(1, 8))
+
+
+def self_financing_gaps(paths, roll):
+    """Largest relative breaks of Pi = u S + B and of the rebalancing
+    identity u_t S_{t+1} + e^{r dt} B_t = u_{t+1} S_{t+1} + B_{t+1}."""
+    u, s, b = roll.actions, paths.s_paths, roll.b_account
+    pointwise = np.abs(roll.pi - (u * s + b)) / np.maximum(np.abs(roll.pi), 1.0)
+    growth = np.exp(paths.params.r * paths.params.dt)
+    lhs = u[:, :-1] * s[:, 1:] + growth * b[:, :-1]
+    rhs = u[:, 1:] * s[:, 1:] + b[:, 1:]
+    step = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)
+    return float(pointwise.max()), float(step.max())
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(1, 40), seed=seeds, kind=kinds,
+       strike=st.floats(50.0, 150.0), spread=st.floats(0.0, 3.0))
+def test_self_financing_for_random_actions(params, n_paths, seed, kind, strike, spread):
+    paths = simulate_gbm(params, n_paths, seed)
+    actions = np.random.default_rng(seed).uniform(-spread, spread,
+                                                  (n_paths, params.n_steps))
+    roll = rollout_portfolio(paths, HedgeStrategy.from_matrix(actions),
+                             OptionContract(kind, strike),
+                             RiskParams.from_market(0.0, params))
+    assert max(self_financing_gaps(paths, roll)) < 1e-10
+
+
+@PROPERTY
+@given(params=markets.filter(lambda p: p.n_steps >= 2), n_paths=st.integers(60, 300),
+       seed=seeds, kind=kinds)
+def test_local_risk_rollout_is_its_own_replication(params, n_paths, seed, kind):
+    """The risk-minimizing solve and a rollout of the hedge it returns run
+    the same recursion on the same actions, so their portfolios agree
+    bit for bit."""
+    paths = simulate_gbm(params, n_paths, seed)
+    basis = build_basis("bspline", 7, paths.x_paths.ravel())
+    contract = OptionContract(kind, 100.0)
+    coeffs, pi = solve_local_risk(paths, contract, basis)
+    roll = rollout_portfolio(paths, HedgeStrategy.from_coefficients(basis, coeffs),
+                             contract, RiskParams.from_market(1e-3, params))
+    assert np.array_equal(roll.pi, pi)
+
+
+def scaled_dp(c, mu, sigma, r, n_steps, lam, kind, moneyness, seed):
+    """solve_dp at (s0, K, lam) = (100 c, 100 c moneyness, lam / c)."""
+    params = market(mu, sigma, r, n_steps, s0=100.0 * c)
+    paths = simulate_gbm(params, 400, seed)
+    basis = build_basis("bspline", 8, paths.x_paths.ravel())
+    return solve_dp(paths, OptionContract(kind, 100.0 * c * moneyness),
+                    RiskParams.from_market(lam / c, params), basis)
+
+
+@PROPERTY
+@given(c=st.floats(0.1, 10.0), mu=st.floats(-0.05, 0.15), sigma=st.floats(0.1, 0.4),
+       r=st.floats(0.0, 0.1), n_steps=st.integers(3, 6), lam=st.floats(1e-4, 1e-1),
+       kind=kinds, moneyness=st.floats(0.8, 1.2), seed=seeds)
+def test_dp_homogeneous_of_degree_one(c, mu, sigma, r, n_steps, lam, kind, moneyness,
+                                      seed):
+    """Scaling prices and strike by c and risk aversion by 1/c scales the
+    price by c and leaves the hedge unchanged (rounding of the scaled
+    ensemble aside)."""
+    base = scaled_dp(1.0, mu, sigma, r, n_steps, lam, kind, moneyness, seed)
+    scaled = scaled_dp(c, mu, sigma, r, n_steps, lam, kind, moneyness, seed)
+    assert abs(scaled.price0 - c * base.price0) <= 1e-10 * abs(c * base.price0)
+    assert abs(scaled.hedge0 - base.hedge0) <= 1e-10
