@@ -2,10 +2,10 @@
 
 Configuration is flat ``section.key=value`` text; every key doubles as a
 command-line flag (``--market.s0 100``) that overrides the file.  All
-outputs are CSV with ``#``-prefixed key=value headers and 17-significant-
-digit floats, plus a ``summary.txt`` of key=value pairs, so a fixed
-(config, seed) reproduces every artifact byte for byte.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+outputs are CSV artifacts in the one format of :mod:`qhedge.csvio`, plus a
+``summary.txt`` of key=value pairs, so a fixed (config, seed) reproduces
+every artifact byte for byte.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
+from .csvio import format_value, index_columns, read_csv, write_csv
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, QHedgeError
 from .fqi import build_dataset, fqi_backward, read_dataset_csv, write_dataset_csv
@@ -28,8 +29,6 @@ from .portfolio import (HedgeStrategy, RiskParams, reward_parabola,
 from .regression import conditional_mean
 from .tabular import discretize, exact_backward_induction, q_learn
 from .utility import indifference_price_recursion
-
-_FMT = "%.17g"
 
 # key -> (type, default); None default means "required when used"
 SCHEMA = {
@@ -79,6 +78,9 @@ CHOICES = {
     "utility.method": ("expansion", "numeric"),
     "utility.order": (0, 1, 2),
 }
+# count keys -> smallest valid value
+MINIMUMS = {"mc.n_paths": 1, "basis.m": 1, "basis.degree": 0,
+            "tabular.n_x": 1, "tabular.n_a": 2, "tabular.n_updates": 1}
 # The parameter classes start every ValueError message with the offending
 # field's name; fields map to "section.field" keys except these.
 _FIELD_KEYS = {"lam": "risk.lambda", "gamma": "market.r"}  # gamma = e^{-r dt}
@@ -114,12 +116,15 @@ class ExperimentConfig:
         return cfg
 
     def _validate(self):
-        """Reject bad values before any work: choice keys, then the market,
-        contract and risk parameters they build."""
+        """Reject bad values before any work: choice keys, count keys, then
+        the market, contract and risk parameters they build."""
         for key, allowed in CHOICES.items():
             if self.values[key] not in allowed:
                 names = ", ".join(map(str, allowed))
                 raise ConfigError(f"{key} must be one of {names}; got {self.values[key]!r}")
+        for key, low in MINIMUMS.items():
+            if self.values[key] < low:
+                raise ConfigError(f"{key} must be >= {low}; got {self.values[key]}")
         for section, build in (("market", self.market), ("contract", self.contract),
                                ("risk", self.risk)):
             try:
@@ -174,30 +179,16 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return _FMT % v
-    return str(v)
-
-
-def write_csv(path, colnames, columns, header=None):
-    lines = [f"# {k}={_fmt(v)}" for k, v in (header or {}).items()]
-    lines.append(",".join(colnames))
-    cols = [np.asarray(c) for c in columns]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_summary(path, entries: dict):
-    lines = [f"{k}={_fmt(entries[k])}" for k in sorted(entries)]
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{k}={format_value(entries[k])}\n" for k in sorted(entries))
     Path(path).write_text(text)
     sys.stdout.write(text)
 
 
-def _base_summary(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.hash(), "version": __version__}
+def _summarize(cfg: ExperimentConfig, out: Path, entries: dict):
+    """Write ``out/summary.txt``: ``entries`` plus the config hash and version."""
+    write_summary(out / "summary.txt",
+                  {"config_hash": cfg.hash(), "version": __version__, **entries})
 
 
 def _outdir(cfg) -> Path:
@@ -221,28 +212,14 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     path = Path(csv_path)
     if not path.exists():
         raise ConfigError(f"price panel not found: {path}")
-    meta = {}
-    triples = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            k, _, v = line[1:].strip().partition("=")
-            meta[k.strip()] = v.strip()
-        elif line[0].isdigit() or line[0] == "-":
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise DataFormatError(f"expected path,t,s columns, got {line!r}")
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if not triples:
-        raise DataFormatError(f"no data rows in {path}")
-    pids = sorted({p for p, _, _ in triples})
-    tmax = max(t for _, t, _ in triples)
-    panel = np.full((len(pids), tmax + 1), np.nan)
-    row = {p: i for i, p in enumerate(pids)}
-    for p, t, s in triples:
-        panel[row[p], t] = s
+    meta, _, data = read_csv(path)
+    if data.shape[1] < 3:
+        raise DataFormatError(f"{path}: expected path,t,s columns")
+    pid, t = index_columns(path, data)
+    pids, rows = np.unique(pid, return_inverse=True)
+    tmax = int(t.max())
+    panel = np.full((pids.size, tmax + 1), np.nan)
+    panel[rows, t] = data[:, 2]
     if np.isnan(panel).any():
         i, j = np.argwhere(np.isnan(panel))[0]
         raise DataFormatError(f"ragged panel: missing cell (path={pids[i]}, t={j})")
@@ -293,10 +270,8 @@ def cmd_simulate(cfg):
               header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
                       "maturity": p.maturity, "n_steps": p.n_steps,
                       "n_paths": paths.n_paths, "seed": paths.seed})
-    summary = _base_summary(cfg)
-    summary.update({"n_paths": paths.n_paths, "n_steps": p.n_steps,
-                    "mean_s_final": paths.s_paths[:, -1].mean()})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
+                          "mean_s_final": paths.s_paths[:, -1].mean()})
     return 0
 
 
@@ -312,10 +287,8 @@ def cmd_rollout(cfg):
                roll.actions.ravel(), roll.pi.ravel(), roll.b_account.ravel(),
                roll.rewards.ravel()],
               header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
-    summary = _base_summary(cfg)
-    summary.update({"mean_pi0": roll.pi[:, 0].mean(),
-                    "policy": cfg["rollout.policy"]})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"mean_pi0": roll.pi[:, 0].mean(),
+                          "policy": cfg["rollout.policy"]})
     return 0
 
 
@@ -349,9 +322,7 @@ def cmd_dp_solve(cfg):
               [ts.ravel(), qs[qi.ravel()], surf[:, 0].ravel(), surf[:, 1].ravel()],
               header={"m": basis.m})
 
-    summary = _base_summary(cfg)
-    summary.update({"price0": sol.price0, "hedge0": sol.hedge0})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"price0": sol.price0, "hedge0": sol.hedge0})
     return 0
 
 
@@ -367,9 +338,7 @@ def cmd_make_dataset(cfg):
     dataset.header.extras["policy"] = policy
     out = _outdir(cfg)
     write_dataset_csv(dataset, out / "dataset.csv")
-    summary = _base_summary(cfg)
-    summary.update({"n_records": len(dataset), "policy": policy})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"n_records": len(dataset), "policy": policy})
     return 0
 
 
@@ -402,10 +371,8 @@ def cmd_fqi_solve(cfg):
     write_csv(out / "weights.csv", ["t", "i", "j", "w"],
               [*(k.ravel() for k in np.indices(w.shape)), w.ravel()],
               header={"m": basis.m})
-    summary = _base_summary(cfg)
-    summary.update({"price0": sol.price0, "hedge0": sol.hedge0,
-                    "n_warnings": len(sol.warnings)})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"price0": sol.price0, "hedge0": sol.hedge0,
+                          "n_warnings": len(sol.warnings)})
     return 0
 
 
@@ -431,14 +398,12 @@ def cmd_tabular_q(cfg):
     mask[:-1] = learned.visits > 0
     scale = np.abs(exact.q).max()
     sup = np.abs(learned.q - exact.q)[mask].max() / scale if scale > 0 else 0.0
-    summary = _base_summary(cfg)
-    summary.update({
+    _summarize(cfg, out, {
         "q0_exact": exact.q[0, mdp.x0_index].max(),
         "q0_learned": learned.q[0, mdp.x0_index].max(),
         "sup_rel_error": sup,
         "n_merged_bins": len(mdp.merged_bins),
     })
-    write_summary(out / "summary.txt", summary)
     return 0
 
 
@@ -454,20 +419,16 @@ def cmd_utility_price(cfg):
     write_csv(out / "utility_hedges.csv", ["t", "n", "u"],
               [ts.ravel(), ns.ravel(), us.ravel()],
               header={"gamma": cfg["utility.gamma"], "method": res.method})
-    summary = _base_summary(cfg)
-    summary.update({"price0": res.price0, "method": res.method,
-                    "order": cfg["utility.order"],
-                    "utility_gamma": cfg["utility.gamma"]})
-    write_summary(out / "summary.txt", summary)
+    _summarize(cfg, out, {"price0": res.price0, "method": res.method,
+                          "order": cfg["utility.order"],
+                          "utility_gamma": cfg["utility.gamma"]})
     return 0
 
 
 def cmd_bs_quote(cfg):
     m, c = cfg.market(), cfg.contract()
     quote = bs_price_delta(m.s0, c.strike, m.sigma, m.r, m.maturity, c.kind)
-    summary = _base_summary(cfg)
-    summary.update({"price": quote.price, "delta": quote.delta})
-    write_summary(_outdir(cfg) / "summary.txt", summary)
+    _summarize(cfg, _outdir(cfg), {"price": quote.price, "delta": quote.delta})
     return 0
 
 
@@ -484,14 +445,12 @@ def cmd_compare(cfg):
                [sol.price0, sol.hedge0],
                [quote.price, quote.delta],
                [abs(sol.price0 - quote.price), abs(sol.hedge0 - quote.delta)]])
-    summary = _base_summary(cfg)
-    summary.update({
+    _summarize(cfg, out, {
         "dp_price0": sol.price0, "bs_price": quote.price,
         "dp_hedge0": sol.hedge0, "bs_delta": quote.delta,
         "price_rel_error": abs(sol.price0 - quote.price) / abs(quote.price),
         "hedge_abs_error": abs(sol.hedge0 - quote.delta),
     })
-    write_summary(out / "summary.txt", summary)
     return 0
 
 

@@ -14,11 +14,11 @@ parabola on the same sample would bias Q upward through the convexity of
 the max.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import index_columns, read_csv, write_csv
 from .dp import action_normal_equations, terminal_q_values
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
@@ -128,13 +128,13 @@ class TransitionDataset:
         return ensemble_from_prices(s, params, seed=h.seed)
 
 
-def build_features(x, a, basis) -> np.ndarray:
-    """Stacked features Psi(x, a) of length 3M per record.
+def build_features(design, a) -> np.ndarray:
+    """Stacked features Psi(x, a) of length 3M per record, from the design
+    rows Phi(x) = ``basis.evaluate(x)``.
 
     Columns of the outer product of (1, a, a^2/2) with Phi(x), concatenated
     column-major: [Phi_1, a Phi_1, a^2/2 Phi_1, Phi_2, ...].
     """
-    design = basis.evaluate(x)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     out = np.empty((design.shape[0], 3 * design.shape[1]))
     out[:, 0::3] = design
@@ -238,7 +238,8 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             v_cache = basis.evaluate(dataset.x_next[idx]) @ term_coeffs
         targets = r_t + gamma * v_cache
 
-        psi = build_features(x_t, a_t, basis)
+        design_t = basis.evaluate(x_t)
+        psi = build_features(design_t, a_t)
         try:
             wvec = ridge_solve(psi.T @ psi, psi.T @ targets)
         except SingularSystemError as exc:
@@ -256,7 +257,6 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         if use_analytic:
             pi_next = np.asarray(pi_reference)[idx]
             ds = paths.delta_s(t)[rows[idx]]
-            design_t = basis.evaluate(x_t)
             if ds_mean == "regression":
                 # regression centering pairs with mean-centered reward gains,
                 # whose conditional expectation (the drift numerator) is zero
@@ -275,11 +275,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
 
         if t > 0:
             prev_idx = dataset.slice_indices(t - 1)
-            xq = dataset.x_next[prev_idx]
             if use_analytic:
-                design_q = basis.evaluate(xq)
-                a_star = design_q @ action_coeffs[t]
-                u = design_q @ w.T
+                # validate() makes slice t-1's x_next slice t's x, row for row
+                a_star = design_t @ action_coeffs[t]
+                u = design_t @ w.T
                 v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
             else:
                 v_cache = _crossfit_v(dataset, basis, targets, psi, t, prev_idx, m)
@@ -386,77 +385,37 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
     )
 
 
-_FMT = "%.17g"
+# header key -> type, for the keys every dataset file carries, in
+# DatasetHeader field order
+_HEADER_KEYS = {"n_paths": int, "n_steps": int, "mu": float, "sigma": float,
+                "r": float, "dt": float, "lambda": float, "seed": int}
 
 
 def write_dataset_csv(dataset: TransitionDataset, path):
     h = dataset.header
-    lines = [
-        f"# n_paths={h.n_paths}",
-        f"# n_steps={h.n_steps}",
-        f"# mu={_FMT % h.mu}",
-        f"# sigma={_FMT % h.sigma}",
-        f"# r={_FMT % h.r}",
-        f"# dt={_FMT % h.dt}",
-        f"# lambda={_FMT % h.lam}",
-        f"# seed={h.seed}",
-    ]
-    for k in sorted(h.extras):
-        v = h.extras[k]
-        lines.append(f"# {k}={_FMT % v if isinstance(v, float) else v}")
-    lines.append("path,t,x,a,r,x_next")
-    for i in range(len(dataset)):
-        lines.append(
-            f"{dataset.path_ids[i]},{dataset.t[i]},"
-            f"{_FMT % dataset.x[i]},{_FMT % dataset.a[i]},"
-            f"{_FMT % dataset.r[i]},{_FMT % dataset.x_next[i]}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = dict(zip(_HEADER_KEYS, (h.n_paths, h.n_steps, h.mu, h.sigma, h.r,
+                                     h.dt, h.lam, h.seed)))
+    header.update(sorted(h.extras.items()))
+    write_csv(path, ["path", "t", "x", "a", "r", "x_next"],
+              [dataset.path_ids, dataset.t, dataset.x, dataset.a, dataset.r,
+               dataset.x_next], header)
+
+
+def _number_or_text(v: str):
+    try:
+        return float(v)
+    except ValueError:
+        return v
 
 
 def read_dataset_csv(path) -> TransitionDataset:
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            elif line.startswith("path,"):
-                continue
-            else:
-                rows.append(line)
-    required = ("n_paths", "n_steps", "mu", "sigma", "r", "dt", "lambda", "seed")
-    missing = [k for k in required if k not in meta]
+    meta, _, data = read_csv(path)
+    missing = [k for k in _HEADER_KEYS if k not in meta]
     if missing:
         raise DataFormatError(f"dataset header missing keys: {missing}")
-    extras = {}
-    for k, v in meta.items():
-        if k in required:
-            continue
-        try:
-            extras[k] = float(v)
-        except ValueError:
-            extras[k] = v
-    header = DatasetHeader(
-        n_paths=int(meta["n_paths"]), n_steps=int(meta["n_steps"]),
-        mu=float(meta["mu"]), sigma=float(meta["sigma"]), r=float(meta["r"]),
-        dt=float(meta["dt"]), lam=float(meta["lambda"]), seed=int(meta["seed"]),
-        extras=extras,
-    )
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",",
-                          ndmin=2, dtype=float)
-    except ValueError as exc:
-        raise DataFormatError(f"malformed dataset rows: {exc}") from exc
     if data.shape[1] != 6:
         raise DataFormatError(f"expected 6 columns, got {data.shape[1]}")
-    return TransitionDataset(
-        path_ids=data[:, 0].astype(int), t=data[:, 1].astype(int),
-        x=data[:, 2], a=data[:, 3], r=data[:, 4], x_next=data[:, 5],
-        header=header,
-    )
+    header = DatasetHeader(*[typ(meta.pop(k)) for k, typ in _HEADER_KEYS.items()],
+                           extras={k: _number_or_text(v) for k, v in meta.items()})
+    pid, t = index_columns(path, data)
+    return TransitionDataset(pid, t, *data[:, 2:].T, header=header)

@@ -71,9 +71,16 @@ class TestConfigBoundary:
         ("dp-solve", "risk.lambda", "inf"),
         ("dp-solve", "contract.strike", "-5"),
         ("dp-solve", "market.r", "-0.05"),  # e^{-r dt} > 1
+        ("simulate", "mc.n_paths", "0"),
+        ("dp-solve", "basis.m", "0"),
+        ("dp-solve", "basis.degree", "-1"),
+        ("tabular-q", "tabular.n_x", "0"),
+        ("tabular-q", "tabular.n_a", "1"),
+        ("tabular-q", "tabular.n_updates", "0"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
-        code = run(command, f"--{key}", value, "--output.dir", str(tmp_path), *SMALL)
+        # the key under test comes last so that SMALL's sizes do not override it
+        code = run(command, *SMALL, "--output.dir", str(tmp_path), f"--{key}", value)
         assert code == 2
         assert key in capsys.readouterr().err
 
@@ -232,6 +239,28 @@ class TestIngest:
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), contract, risk)
         np.testing.assert_allclose(roll.pi[:, 0], np.exp(-0.05) * 8.0,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("row", ["0,-1,250", "0,1.5,250", "-2,1,250"])
+    def test_index_must_be_nonnegative_integer(self, tmp_path, row):
+        """A negative or fractional t or path id is a format error, not a
+        cell that silently overwrites another."""
+        f = tmp_path / "panel.csv"
+        f.write_text("# mu=0\n# sigma=0.2\n# r=0\n# maturity=1\n"
+                     f"path,t,s\n0,0,100\n0,1,101\n{row}\n")
+        with pytest.raises(DataFormatError, match=r"non-negative integers; data row 3 "):
+            ingest_prices(f)
+
+    @pytest.mark.parametrize("body", [
+        "", "# mu=0\n", "path,t,s\n", "path,t,s\n0,0,abc\n",
+        "path,t,s\n0,0,100\n0,1\n", "0,0,100\n0,1,101\n",
+    ])
+    def test_malformed_file_names_path(self, tmp_path, body):
+        """Empty files, a missing column-name row and malformed rows are
+        format errors naming the file."""
+        f = tmp_path / "panel.csv"
+        f.write_text(body)
+        with pytest.raises(DataFormatError, match="panel.csv"):
+            ingest_prices(f)
 
     def test_nonpositive_price_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"

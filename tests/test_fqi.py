@@ -35,14 +35,14 @@ def make_pipeline(paths, lam=1e-3, m=10):
 class TestFeatures:
     def test_zero_action_interleaves_zeros(self):
         basis = build_basis("one_hot_grid", 3, np.linspace(0, 1, 50))
-        psi = build_features([0.1], [0.0], basis)
+        psi = build_features(basis.evaluate([0.1]), [0.0])
         assert psi.shape == (1, 9)
         np.testing.assert_array_equal(psi[0, 0::3], basis.evaluate([0.1])[0])
         np.testing.assert_array_equal(psi[0, 1::3], 0.0)
         np.testing.assert_array_equal(psi[0, 2::3], 0.0)
 
     def test_flat_single_cell(self):
-        psi = build_features([0.0], [2.0], unit_basis())
+        psi = build_features(unit_basis().evaluate([0.0]), [2.0])
         np.testing.assert_array_equal(psi, [[1.0, 2.0, 2.0]])
 
     def test_vectorization_identity(self):
@@ -53,7 +53,7 @@ class TestFeatures:
         wvec = w.T.ravel()  # column-major over the 3 x M layout
         x = rng.normal(size=40)
         a = rng.normal(size=40)
-        psi = build_features(x, a, basis)
+        psi = build_features(basis.evaluate(x), a)
         lhs = psi @ wvec
         amat = np.stack([np.ones(40), a, 0.5 * a**2], axis=1)
         rhs = np.einsum("ki,ij,kj->k", amat, w, basis.evaluate(x))
@@ -128,7 +128,7 @@ class TestAgainstDP:
         idx = ds.slice_indices(t)
         v = basis.evaluate(ds.x_next[idx]) @ sol.terminal_value_coeffs
         targets = ds.r[idx] + risk.gamma * v
-        fitted = build_features(ds.x[idx], ds.a[idx], basis) \
+        fitted = build_features(basis.evaluate(ds.x[idx]), ds.a[idx]) \
             @ sol.weights[t].T.ravel()
         resid = targets - fitted
         assert abs(resid.mean()) <= 4 * resid.std() / np.sqrt(resid.size)
@@ -259,6 +259,15 @@ class TestDatasetIO:
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=1\npath,t,x,a,r,x_next\n0,0,0,0,0,0\n")
         with pytest.raises(DataFormatError):
+            read_dataset_csv(f)
+
+    def test_fractional_path_id_rejected(self, tmp_path):
+        """A fractional path id is rejected, not truncated to an integer."""
+        f = tmp_path / "bad.csv"
+        f.write_text("# n_paths=2\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
+                     "0,0,0,0,0,0.1\n2.7,0,0,0,0,0.2\n")
+        with pytest.raises(DataFormatError, match=r"data row 2 is \[2\.7, 0\.0"):
             read_dataset_csv(f)
 
     def test_contract_required(self):

@@ -1,14 +1,20 @@
-"""Randomized invariants of the shared replication recursion and the DP
-solver.  Examples are drawn by hypothesis, derandomized so every run draws
-the same ones."""
+"""Randomized invariants of the shared replication recursion, the DP
+solver and the artifact codec.  Examples are drawn by hypothesis,
+derandomized so every run draws the same ones."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
-                    build_basis, rollout_portfolio, simulate_gbm, solve_dp,
-                    solve_local_risk)
+                    build_basis, build_dataset, read_dataset_csv,
+                    rollout_portfolio, simulate_gbm, solve_dp, solve_local_risk,
+                    write_dataset_csv)
+from qhedge.csvio import format_value, read_csv, write_csv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -87,3 +93,58 @@ def test_dp_homogeneous_of_degree_one(c, mu, sigma, r, n_steps, lam, kind, money
     scaled = scaled_dp(c, mu, sigma, r, n_steps, lam, kind, moneyness, seed)
     assert abs(scaled.price0 - c * base.price0) <= 1e-10 * abs(c * base.price0)
     assert abs(scaled.hedge0 - base.hedge0) <= 1e-10
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# signed zeros, the smallest subnormal and normal, and the largest finite
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+names = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+words = st.from_regex(r"[A-Za-z][A-Za-z0-9_.]{0,8}", fullmatch=True)
+
+
+def round_trip(write, read, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.csv"
+        write(*args, path)
+        return read(path)
+
+
+@PROPERTY
+@given(data=st.data(), n_float=st.integers(1, 4),
+       header=st.dictionaries(names, st.one_of(finite, st.integers(), words),
+                              max_size=6))
+def test_csv_round_trip_is_lossless(data, n_float, header):
+    """Every finite float64 (and every integer up to 2^53) reads back
+    exactly, sign of zero included; header values read back as written."""
+    n_rows = data.draw(st.integers(0, 30))
+    floats = np.vstack([np.tile(np.array(EDGE_FLOATS)[:, None], n_float),
+                        data.draw(hnp.arrays(np.float64, (n_rows, n_float),
+                                             elements=finite))])
+    ints = data.draw(hnp.arrays(np.int64, len(floats),
+                                elements=st.integers(-2**53, 2**53)))
+    colnames = ["k"] + [f"v{j}" for j in range(n_float)]
+    meta, cols, back = round_trip(
+        lambda path: write_csv(path, colnames, [ints, *floats.T], header=header),
+        read_csv)
+    assert cols == colnames
+    assert meta == {k: format_value(v) for k, v in header.items()}
+    assert np.array_equal(back[:, 0], ints)
+    assert np.array_equal(back[:, 1:], floats)
+    assert np.array_equal(np.signbit(back[:, 1:]), np.signbit(floats))
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(1, 20), seed=seeds, kind=kinds,
+       strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data())
+def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam, data):
+    paths = simulate_gbm(params, n_paths, seed)
+    shape = (n_paths, params.n_steps)
+    actions, rewards = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
+                        for _ in range(2))
+    ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike),
+                       seed=seed)
+    back = round_trip(write_dataset_csv, read_dataset_csv, ds)
+    for name in ("path_ids", "t", "x", "a", "r", "x_next"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name))
+    assert back.header == ds.header
