@@ -27,7 +27,7 @@ from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
                         signed_measure_weights, solve_local_risk)
 from .tabular import (DiscreteMDP, QTable, analytic_actions, discretize,
                       exact_backward_induction, q_learn)
-from .utility import (IndifferenceResult, UtilityParams, hedge_expansion,
+from .utility import (IndifferenceResult, hedge_expansion,
                       indifference_price_recursion, numeric_hedge)
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "DatasetHeader", "DegenerateInputError", "DiscreteMDP", "FQISolution",
     "HedgeStrategy", "IndifferenceResult", "MarketParams", "OptionContract",
     "PathEnsemble", "PortfolioRollout", "QHedgeError", "QTable", "RiskParams",
-    "SingularSystemError", "TransitionDataset", "UtilityParams", "ask_price",
+    "SingularSystemError", "TransitionDataset", "ask_price",
     "analytic_actions", "bs_price_delta", "build_basis", "build_dataset",
     "build_features", "discretize", "ensemble_from_prices",
     "exact_backward_induction", "extract_price_hedge", "fqi_backward",

@@ -331,8 +331,11 @@ def cmd_make_dataset(cfg):
     basis = cfg.basis_for(paths)
     contract, risk = cfg.contract(), cfg.risk()
     policy = cfg["dataset.policy"]
-    actions = _strategy(cfg, paths, basis, policy).actions(paths)[:, :-1]
-    rewards = dataset_rewards(paths, actions, contract, risk, basis)
+    # one local-risk solve: the rewards' reference, and that policy's hedge
+    coeffs, pi_ref = solve_local_risk(paths, contract, basis)
+    actions = (HedgeStrategy.from_coefficients(basis, coeffs) if policy == "local_risk"
+               else _strategy(cfg, paths, basis, policy)).actions(paths)[:, :-1]
+    rewards = _rewards(paths, actions, pi_ref, risk, basis)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
     dataset.header.extras["policy"] = policy
@@ -345,7 +348,12 @@ def cmd_make_dataset(cfg):
 def dataset_rewards(paths, actions, contract, risk, basis) -> np.ndarray:
     """Per-record rewards: gain term from the recorded actions, risk
     penalty from the policy-independent risk-minimizing rollout."""
-    _, pi_ref = solve_local_risk(paths, contract, basis)
+    return _rewards(paths, actions, solve_local_risk(paths, contract, basis)[1],
+                    risk, basis)
+
+
+def _rewards(paths, actions, pi_ref, risk, basis) -> np.ndarray:
+    """``dataset_rewards`` around the risk-minimizing portfolio ``pi_ref``."""
     rewards = np.empty_like(np.asarray(actions, dtype=float))
     for t in range(paths.n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
@@ -360,8 +368,9 @@ def dataset_rewards(paths, actions, contract, risk, basis) -> np.ndarray:
 
 def cmd_fqi_solve(cfg):
     _require_positive_lambda(cfg, "fqi-solve")
-    if not cfg["dataset.path"]:
-        raise ConfigError("fqi-solve requires dataset.path")
+    if not Path(cfg["dataset.path"]).is_file():
+        raise ConfigError(f"fqi-solve requires dataset.path to name a file; "
+                          f"got {cfg['dataset.path']!r}")
     dataset = read_dataset_csv(cfg["dataset.path"])
     paths = dataset.to_ensemble()
     basis = cfg.basis_for(paths)

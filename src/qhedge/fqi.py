@@ -57,74 +57,71 @@ class DatasetHeader:
 
 
 class TransitionDataset:
-    """Flat (path, t, x, a, r, x_next) records, path-major then time-minor."""
+    """Flat (path, t, x, a, r, x_next) records, in any order, that must form
+    one panel: a record per path and t in [0, n_steps), each x_next the
+    path's next x.  Held as that panel, paths in ascending ``path_ids``:
+    ``x`` is (n, n_steps+1), ``a`` and ``r`` are (n, n_steps), each stored
+    by step so that column t is contiguous."""
 
     def __init__(self, path_ids, t, x, a, r, x_next, header: DatasetHeader):
-        order = np.lexsort((np.asarray(t), np.asarray(path_ids)))
-        self.path_ids = np.asarray(path_ids, dtype=int)[order]
-        self.t = np.asarray(t, dtype=int)[order]
-        self.x = np.asarray(x, dtype=float)[order]
-        self.a = np.asarray(a, dtype=float)[order]
-        self.r = np.asarray(r, dtype=float)[order]
-        self.x_next = np.asarray(x_next, dtype=float)[order]
-        self.header = header
-        self._slices = [np.flatnonzero(self.t == ti) for ti in range(header.n_steps)]
-        self.validate()
-
-    def __len__(self):
-        return self.path_ids.size
-
-    def slice_indices(self, t: int) -> np.ndarray:
-        return self._slices[t]
-
-    def validate(self):
-        for name in ("x", "a", "r", "x_next"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        rec = {"x": x, "a": a, "r": r, "x_next": x_next}
+        for name, v in rec.items():
+            rec[name] = np.asarray(v, dtype=float)
+            if not np.all(np.isfinite(rec[name])):
                 raise DataFormatError(f"non-finite {name} values in dataset")
-        n_ids = np.unique(self.path_ids).size
-        for ti, idx in enumerate(self._slices):
-            if idx.size != n_ids:
-                raise DataFormatError(
-                    f"time slice t={ti} has {idx.size} records for {n_ids} paths"
-                )
-            if np.unique(self.path_ids[idx]).size != idx.size:
-                raise DataFormatError(f"duplicate (path, t={ti}) records")
-        n_steps = self.header.n_steps
-        if len(self) != n_ids * n_steps:
-            raise DataFormatError(f"{len(self)} records for {n_ids} paths x {n_steps} "
+        self.header = header
+        n_steps = header.n_steps
+        path_ids = np.asarray(path_ids, dtype=int)
+        self.path_ids = np.unique(path_ids)
+        n_ids = self.path_ids.size
+        t = np.asarray(t, dtype=int)
+        cell = t * n_ids + np.searchsorted(self.path_ids, path_ids)  # step-major
+        inside = (t >= 0) & (t < n_steps)
+        hits = np.bincount(cell[inside], minlength=n_steps * n_ids).reshape(n_steps, n_ids)
+        bad = np.flatnonzero((hits != 1).any(axis=1))
+        if bad.size:
+            ti, k = bad[0], hits[bad[0]].sum()
+            if k != n_ids:
+                raise DataFormatError(f"time slice t={ti} has {k} records for {n_ids} paths")
+            raise DataFormatError(f"duplicate (path, t={ti}) records")
+        if t.size != n_ids * n_steps:
+            raise DataFormatError(f"{t.size} records for {n_ids} paths x {n_steps} "
                                   f"steps: some t outside [0, {n_steps})")
+
+        def by_step(v, n_rows=n_steps):
+            out = np.empty((n_rows, n_ids))
+            out.reshape(-1)[cell] = v
+            return out
+
+        xs, xs_next = by_step(rec["x"], n_steps + 1), by_step(rec["x_next"])
         # one price panel underlies the records: each x_next must be the x
         # of the same path's next record
-        gap = (self.x_next.reshape(n_ids, n_steps)[:, :-1]
-               != self.x.reshape(n_ids, n_steps)[:, 1:])
+        gap = (xs_next[:-1] != xs[1:-1]).T
         if gap.any():
             i, ti = np.argwhere(gap)[0]
-            raise DataFormatError(f"x_next of (path={self.path_ids[i * n_steps]}, "
-                                  f"t={ti}) differs from that path's x at t={ti + 1}")
+            raise DataFormatError(f"x_next of (path={self.path_ids[i]}, t={ti}) "
+                                  f"differs from that path's x at t={ti + 1}")
+        xs[-1] = xs_next[-1]
+        self.x, self.a, self.r = xs.T, by_step(rec["a"]).T, by_step(rec["r"]).T
 
-    def x0(self) -> float:
-        """Representative initial state: mean of the t=0 records."""
-        return float(self.x[self.slice_indices(0)].mean())
+    def __len__(self):
+        return self.a.size
 
-    def path_rows(self) -> np.ndarray:
-        """Dense row index per record (path ids need not be contiguous)."""
-        uniq = np.unique(self.path_ids)
-        return np.searchsorted(uniq, self.path_ids)
+    def records(self):
+        """The flat (path, t, x, a, r, x_next) columns, path-major."""
+        n, n_steps = self.a.shape
+        return (np.repeat(self.path_ids, n_steps), np.tile(np.arange(n_steps), n),
+                self.x[:, :-1].ravel(), self.a.ravel(), self.r.ravel(),
+                self.x[:, 1:].ravel())
 
     def to_ensemble(self) -> PathEnsemble:
-        """Rebuild the price panel underlying the records."""
+        """The price panel of the records."""
         h = self.header
-        rows = self.path_rows()
-        n_ids = rows.max() + 1
-        xmat = np.empty((n_ids, h.n_steps + 1))
-        xmat[rows, self.t] = self.x
-        last = self.t == h.n_steps - 1
-        xmat[rows[last], h.n_steps] = self.x_next[last]
         s0 = h.extras.get("s0")
         if s0 is None:
-            s0 = float(np.exp(self.x0()))
+            s0 = float(np.exp(self.x[:, 0].mean()))
         params = h.market_params(float(s0))
-        s = from_state(xmat, params.times()[None, :], params)
+        s = from_state(self.x, params.times()[None, :], params)
         return ensemble_from_prices(s, params, seed=h.seed)
 
 
@@ -143,9 +140,9 @@ def build_features(design, a) -> np.ndarray:
     return out
 
 
-def _weights_from_vec(wvec: np.ndarray, m: int) -> np.ndarray:
+def _weights_from_vec(wvec: np.ndarray) -> np.ndarray:
     """Unstack the 3M solution vector into the 3 x M coefficient matrix."""
-    return wvec.reshape(m, 3).T
+    return wvec.reshape(-1, 3).T
 
 
 @dataclass
@@ -167,8 +164,8 @@ class FQISolution:
 
 def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = None,
                  *, pi_reference=None, action_source: str = "auto",
-                 ds_mean: str = "model", risk: RiskParams = None) -> FQISolution:
-    """Backward fitted Q-iteration over the dataset's time slices.
+                 ds_mean: str = "model") -> FQISolution:
+    """Backward fitted Q-iteration over the dataset's steps.
 
     Parameters
     ----------
@@ -176,10 +173,9 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         Needed for the terminal condition; defaults to the header's
         contract keys.
     pi_reference : ndarray, optional
-        Portfolio value at each record's next state, aligned with the
-        dataset's (path-major, time-minor) record order.  When omitted it
-        is reconstructed by rolling the recorded actions backward on the
-        rebuilt price panel.
+        Portfolio values as an (n, n_steps) panel in the dataset's path
+        order, column t holding Pi_{t+1}.  When omitted it is reconstructed
+        by rolling the recorded actions backward on the price panel.
     action_source : {"auto", "analytic", "crossfit"}
         How the max-term action at t+1 is estimated: the closed-form
         regression on portfolio values ("analytic", the default whenever
@@ -192,8 +188,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         carry quantization drift).
     """
     h = dataset.header
-    if risk is None:
-        risk = h.risk()
+    risk = h.risk()
     if risk.lam <= 0:
         raise ValueError("fqi_backward requires lam > 0 in the dataset header")
     contract = contract or h.contract()
@@ -209,18 +204,14 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
 
     paths = dataset.to_ensemble()
     n_steps = h.n_steps
-    m = basis.m
     gamma = risk.gamma
 
     use_analytic = action_source != "crossfit"
-    rows = dataset.path_rows()
     if use_analytic and pi_reference is None:
-        # roll the recorded actions backward on the rebuilt panel
-        amat = np.zeros((paths.n_paths, n_steps))
-        amat[rows, dataset.t] = dataset.a
-        pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), n_steps,
-                        paths.params.gamma, paths.delta_s, lambda t, _: amat[:, t])
-        pi_reference = pi[rows, dataset.t + 1]
+        # roll the recorded actions backward on the price panel
+        pi_reference = _replicate(terminal_payoff(paths.s_paths[:, -1], contract),
+                                  n_steps, paths.params.gamma, paths.delta_s,
+                                  lambda t, _: dataset.a[:, t])[:, 1:]
 
     design_term = basis.evaluate(paths.x_paths[:, -1])
     term_coeffs = ridge_solve(design_term.T @ design_term,
@@ -230,21 +221,18 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
     action_coeffs = [None] * n_steps if use_analytic else None
     warnings = []
 
-    v_cache = None  # max_a Q_{t+1} at the current slice's x_next values
+    v_cache = basis.evaluate(dataset.x[:, -1]) @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
     for t in range(n_steps - 1, -1, -1):
-        idx = dataset.slice_indices(t)
-        x_t, a_t, r_t = dataset.x[idx], dataset.a[idx], dataset.r[idx]
-        if t == n_steps - 1:
-            v_cache = basis.evaluate(dataset.x_next[idx]) @ term_coeffs
-        targets = r_t + gamma * v_cache
+        x_t = dataset.x[:, t]
+        targets = dataset.r[:, t] + gamma * v_cache
 
         design_t = basis.evaluate(x_t)
-        psi = build_features(design_t, a_t)
+        psi = build_features(design_t, dataset.a[:, t])
         try:
             wvec = ridge_solve(psi.T @ psi, psi.T @ targets)
         except SingularSystemError as exc:
             raise SingularSystemError(f"FQI weights at step {t}: {exc}") from exc
-        w = _weights_from_vec(wvec, m)
+        w = _weights_from_vec(wvec)
         weights[t] = w
 
         u_med = basis.evaluate([float(np.median(x_t))]) @ w.T
@@ -255,15 +243,15 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             )
 
         if use_analytic:
-            pi_next = np.asarray(pi_reference)[idx]
-            ds = paths.delta_s(t)[rows[idx]]
+            pi_next = np.ascontiguousarray(pi_reference[:, t], dtype=float)
+            ds = paths.delta_s(t)
             if ds_mean == "regression":
                 # regression centering pairs with mean-centered reward gains,
                 # whose conditional expectation (the drift numerator) is zero
                 ds_c = conditional_mean(design_t, ds)
                 drift = np.zeros_like(ds)
             else:
-                ds_c = paths.delta_s_mean(t)[rows[idx]]
+                ds_c = paths.delta_s_mean(t)
                 drift = ds_c
             eqs = action_normal_equations(
                 design_t, ds - ds_c, pi_next - conditional_mean(design_t, pi_next),
@@ -273,17 +261,15 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             except SingularSystemError as exc:
                 raise SingularSystemError(f"FQI action at step {t}: {exc}") from exc
 
-        if t > 0:
-            prev_idx = dataset.slice_indices(t - 1)
+        if t > 0:  # max_a Q_t at x_t, the previous step's next states
             if use_analytic:
-                # validate() makes slice t-1's x_next slice t's x, row for row
                 a_star = design_t @ action_coeffs[t]
                 u = design_t @ w.T
                 v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
             else:
-                v_cache = _crossfit_v(dataset, basis, targets, psi, t, prev_idx, m)
+                v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
 
-    phi0 = basis.evaluate([dataset.x0()])
+    phi0 = basis.evaluate([float(dataset.x[:, 0].mean())])
     u0 = phi0 @ weights[0].T
     if use_analytic:
         a0 = float((phi0 @ action_coeffs[0])[0])
@@ -297,29 +283,26 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
                        warnings=warnings)
 
 
-def _crossfit_v(dataset, basis, targets, psi, t, prev_idx, m):
-    """Two-fold vertex estimator of max_a Q_t at the previous slice's
-    next-states: fit W on each half of the slice-t records (split by path
-    parity) and take both vertex action and value from the fold the
-    evaluated path does not belong to.  The vertex is clamped to the
-    slice's observed action support (the fitted parabola means nothing
-    beyond it), and non-concave points fall back to the value at a = 0."""
-    idx = dataset.slice_indices(t)
-    a_lo, a_hi = dataset.a[idx].min(), dataset.a[idx].max()
-    fold = dataset.path_ids[idx] % 2
+def _crossfit_v(dataset, design, targets, psi, t):
+    """Two-fold vertex estimator of max_a Q_t at the step-t states
+    (``design`` rows): fit W on each half of the paths (split by id parity)
+    and take both vertex action and value from the fold the evaluated path
+    does not belong to.  The vertex is clamped to the step's observed
+    action support (the fitted parabola means nothing beyond it), and
+    non-concave points fall back to the value at a = 0."""
+    a_lo, a_hi = dataset.a[:, t].min(), dataset.a[:, t].max()
+    fold = dataset.path_ids % 2
     w_fold = []
     for f in (0, 1):
         sel = fold == f
         if not sel.any():
             raise DataFormatError(f"cannot 2-fold split slice t={t}")
         wv = ridge_solve(psi[sel].T @ psi[sel], psi[sel].T @ targets[sel])
-        w_fold.append(_weights_from_vec(wv, m))
-    xq = dataset.x_next[prev_idx]
-    out = np.empty(xq.size)
-    prev_fold = dataset.path_ids[prev_idx] % 2
+        w_fold.append(_weights_from_vec(wv))
+    out = np.empty(fold.size)
     for f in (0, 1):
-        sel = prev_fold == f
-        u = basis.evaluate(xq[sel]) @ w_fold[1 - f].T
+        sel = fold == f
+        u = design[sel] @ w_fold[1 - f].T
         concave = u[:, 2] < 0
         a_star = np.where(concave, -u[:, 1] / np.where(concave, u[:, 2], -1.0), 0.0)
         a_star = np.clip(a_star, a_lo, a_hi)
@@ -353,15 +336,11 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None, seed=None) -> TransitionDataset:
-    """Flatten an ensemble plus per-step actions/rewards into records."""
+    """The dataset of an ensemble plus per-step actions/rewards, built from
+    its records like any other."""
     actions = np.asarray(actions, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
-    n, t1 = paths.s_paths.shape
-    n_steps = t1 - 1
-    if actions.shape[1] == t1:
-        actions = actions[:, :-1]
-    if rewards.shape[1] == t1:
-        rewards = rewards[:, :-1]
+    n, n_steps = paths.n_paths, paths.n_steps
     if actions.shape != (n, n_steps) or rewards.shape != (n, n_steps):
         raise ValueError("actions/rewards must be (n_paths, n_steps)")
     p = paths.params
@@ -374,15 +353,10 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
         lam=lam, seed=seed if seed is not None else (paths.seed or 0),
         extras=extras,
     )
-    pid = np.repeat(np.arange(n), n_steps)
-    ts = np.tile(np.arange(n_steps), n)
-    return TransitionDataset(
-        path_ids=pid, t=ts,
-        x=paths.x_paths[:, :-1].ravel(),
-        a=actions.ravel(), r=rewards.ravel(),
-        x_next=paths.x_paths[:, 1:].ravel(),
-        header=header,
-    )
+    pid, ts = np.indices((n, n_steps))
+    return TransitionDataset(pid.ravel(), ts.ravel(), paths.x_paths[:, :-1].ravel(),
+                             actions.ravel(), rewards.ravel(),
+                             paths.x_paths[:, 1:].ravel(), header)
 
 
 # header key -> type, for the keys every dataset file carries, in
@@ -396,9 +370,7 @@ def write_dataset_csv(dataset: TransitionDataset, path):
     header = dict(zip(_HEADER_KEYS, (h.n_paths, h.n_steps, h.mu, h.sigma, h.r,
                                      h.dt, h.lam, h.seed)))
     header.update(sorted(h.extras.items()))
-    write_csv(path, ["path", "t", "x", "a", "r", "x_next"],
-              [dataset.path_ids, dataset.t, dataset.x, dataset.a, dataset.r,
-               dataset.x_next], header)
+    write_csv(path, ["path", "t", "x", "a", "r", "x_next"], dataset.records(), header)
 
 
 def _number_or_text(v: str):
@@ -415,7 +387,13 @@ def read_dataset_csv(path) -> TransitionDataset:
         raise DataFormatError(f"dataset header missing keys: {missing}")
     if data.shape[1] != 6:
         raise DataFormatError(f"expected 6 columns, got {data.shape[1]}")
-    header = DatasetHeader(*[typ(meta.pop(k)) for k, typ in _HEADER_KEYS.items()],
-                           extras={k: _number_or_text(v) for k, v in meta.items()})
+    values = {}
+    for key, raw in meta.items():
+        try:
+            values[key] = _HEADER_KEYS.get(key, _number_or_text)(raw)
+        except ValueError:
+            raise DataFormatError(f"{path}: header value {key}={raw!r} is not "
+                                  f"a valid {_HEADER_KEYS[key].__name__}") from None
+    header = DatasetHeader(*(values.pop(k) for k in _HEADER_KEYS), extras=values)
     pid, t = index_columns(path, data)
     return TransitionDataset(pid, t, *data[:, 2:].T, header=header)

@@ -34,18 +34,6 @@ from .market import OptionContract, PathEnsemble, terminal_payoff
 _BISECT_CAP = 200
 
 
-@dataclass(frozen=True)
-class UtilityParams:
-    gamma_risk: float
-    expansion_order: int = 1
-
-    def __post_init__(self):
-        if self.gamma_risk < 0:
-            raise ValueError("gamma_risk must be non-negative")
-        if self.expansion_order not in (0, 1, 2):
-            raise ValueError("expansion_order must be 0, 1 or 2")
-
-
 @dataclass
 class IndifferenceResult:
     """Per-step indifference values and hedges from the backward recursion."""
@@ -136,14 +124,16 @@ def numeric_hedge(paths: PathEnsemble, h_next, t: int, gamma_risk: float,
     on its monotone derivative, to 1e-10 in the hedge."""
     if gamma_risk <= 0:
         raise ValueError("numeric hedge requires gamma_risk > 0")
-    h_next = np.asarray(h_next, dtype=float)
-    _, cells = _cells(paths, t, basis)
+    return _numeric_hedge(_cells(paths, t, basis)[1], np.asarray(h_next, dtype=float),
+                          t, gamma_risk)
+
+
+def _numeric_hedge(cells, h_next, t, gamma_risk):
+    """``numeric_hedge`` on the step-t cells of ``_cells``."""
     out = np.zeros(len(cells))
     for n, cell in enumerate(cells):
-        if cell.empty:
-            continue
-        if not cell.hedgeable:
-            continue  # singleton cell: no hedge estimate, leave 0
+        if cell.empty or not cell.hedgeable:
+            continue  # no sample, or a singleton: no hedge estimate, leave 0
         h_sub = cell.take(h_next)
         u0 = cell.u0(h_sub)
 
@@ -219,7 +209,7 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
         hedges = np.zeros(m)
         occupied = np.array([not c.empty for c in cells])
         if method == "numeric":
-            hedges = numeric_hedge(paths, h_next, t, gamma_risk, basis)
+            hedges = _numeric_hedge(cells, h_next, t, gamma_risk)
         for n, cell in enumerate(cells):
             if cell.empty:
                 continue

@@ -164,9 +164,8 @@ class TestCriterion4FiniteStateAgreement:
         for t in range(t1 - 2, -1, -1):
             a_t = indicator.evaluate(snapped.x_paths[:, t]) @ dp.hedge_coeffs[t]
             pi_ref[:, t] = (pi_ref[:, t + 1] - a_t * snapped.delta_s(t)) / growth
-        rows = ds.path_ids // n_var
         fqi = fqi_backward(ds, indicator, ds_mean="regression",
-                           pi_reference=pi_ref[rows, ds.t + 1])
+                           pi_reference=pi_ref[ds.path_ids // n_var, 1:])
         q0_fqi = -fqi.price0
 
         diff_tab = abs(q0_tab - q0_dp) / scale

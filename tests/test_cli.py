@@ -77,6 +77,7 @@ class TestConfigBoundary:
         ("tabular-q", "tabular.n_x", "0"),
         ("tabular-q", "tabular.n_a", "1"),
         ("tabular-q", "tabular.n_updates", "0"),
+        ("fqi-solve", "dataset.path", "no/such/dataset.csv"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
         # the key under test comes last so that SMALL's sizes do not override it

@@ -125,10 +125,9 @@ class TestAgainstDP:
         sol = fqi_backward(ds, basis)
         # recompute targets/fits at the last step, where v is the terminal fit
         t = paths.n_steps - 1
-        idx = ds.slice_indices(t)
-        v = basis.evaluate(ds.x_next[idx]) @ sol.terminal_value_coeffs
-        targets = ds.r[idx] + risk.gamma * v
-        fitted = build_features(basis.evaluate(ds.x[idx]), ds.a[idx]) \
+        v = basis.evaluate(ds.x[:, t + 1]) @ sol.terminal_value_coeffs
+        targets = ds.r[:, t] + risk.gamma * v
+        fitted = build_features(basis.evaluate(ds.x[:, t]), ds.a[:, t]) \
             @ sol.weights[t].T.ravel()
         resid = targets - fitted
         assert abs(resid.mean()) <= 4 * resid.std() / np.sqrt(resid.size)
@@ -206,11 +205,9 @@ class TestDatasetIO:
         write_dataset_csv(ds, f)
         back = read_dataset_csv(f)
         assert np.array_equal(back.path_ids, ds.path_ids)
-        assert np.array_equal(back.t, ds.t)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
-        assert np.array_equal(back.x_next, ds.x_next)
         assert back.header == ds.header
 
     def test_missing_slice_rejected(self):
@@ -221,6 +218,14 @@ class TestDatasetIO:
                 path_ids=[0, 1, 0], t=[0, 0, 1], x=[0.0, 0.0, 0.1],
                 a=[0.0] * 3, r=[0.0] * 3, x_next=[0.1, 0.2, 0.2],
                 header=header)
+
+    def test_duplicate_record_rejected(self):
+        header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
+                               dt=0.5, lam=0.1, seed=0)
+        with pytest.raises(DataFormatError, match=r"duplicate \(path, t=0\)"):
+            TransitionDataset(
+                path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], x=[0.0] * 4,
+                a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1] * 4, header=header)
 
     def test_nonfinite_reward_rejected(self):
         header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
@@ -260,6 +265,34 @@ class TestDatasetIO:
         f.write_text("# n_paths=1\npath,t,x,a,r,x_next\n0,0,0,0,0,0\n")
         with pytest.raises(DataFormatError):
             read_dataset_csv(f)
+
+    def test_bad_header_value_names_key_and_file(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("# n_paths=abc\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
+                     "0,0,0,0,0,0.1\n")
+        with pytest.raises(DataFormatError, match=r"bad\.csv.*n_paths='abc'"):
+            read_dataset_csv(f)
+
+    def test_row_order_is_free(self, tmp_path):
+        """Shuffling a written dataset's data rows gives the same panels and
+        the same price, bit for bit."""
+        paths = gbm(n_paths=400, seed=2, n_steps=4)
+        basis, risk = make_pipeline(paths, m=6)
+        actions = np.random.default_rng(4).uniform(-1, 1, size=(400, 4))
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        f = tmp_path / "data.csv"
+        write_dataset_csv(build_dataset(paths, actions, rewards, risk.lam, PUT), f)
+        lines = f.read_text().splitlines(keepends=True)
+        head = sum(ln.startswith("#") for ln in lines) + 1
+        rows = lines[head:]
+        np.random.default_rng(5).shuffle(rows)
+        g = tmp_path / "shuffled.csv"
+        g.write_text("".join(lines[:head] + rows))
+        ds, back = read_dataset_csv(f), read_dataset_csv(g)
+        for name in ("path_ids", "x", "a", "r"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name))
+        assert fqi_backward(back, basis).price0 == fqi_backward(ds, basis).price0
 
     def test_fractional_path_id_rejected(self, tmp_path):
         """A fractional path id is rejected, not truncated to an integer."""

