@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .basis import BasisSet, build_basis
 from .black_scholes import BSQuote, bs_price_delta, limit_hedge_correction, norm_cdf
-from .dp import (DPSolution, price_and_hedge_surface, solve_dp,
-                 terminal_q_values)
+from .dp import DPSolution, price_and_hedge_surface, solve_dp
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      QHedgeError, SingularSystemError)
 from .fqi import (DatasetHeader, FQISolution, TransitionDataset, build_dataset,
@@ -23,7 +22,7 @@ from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, simulate_gbm,
                      terminal_payoff, to_state)
 from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
-                        local_risk_hedge, reward_parabola, rollout_portfolio,
+                        reward_parabola, rollout_portfolio,
                         signed_measure_weights, solve_local_risk)
 from .tabular import (DiscreteMDP, QTable, analytic_actions, discretize,
                       exact_backward_induction, q_learn)
@@ -40,9 +39,9 @@ __all__ = [
     "build_features", "discretize", "ensemble_from_prices",
     "exact_backward_induction", "extract_price_hedge", "fqi_backward",
     "from_state", "hedge_expansion", "indifference_price_recursion",
-    "limit_hedge_correction", "local_risk_hedge", "norm_cdf", "numeric_hedge",
+    "limit_hedge_correction", "norm_cdf", "numeric_hedge",
     "price_and_hedge_surface", "q_learn", "read_dataset_csv",
     "reward_parabola", "rollout_portfolio",
     "signed_measure_weights", "simulate_gbm", "solve_dp", "solve_local_risk",
-    "terminal_payoff", "terminal_q_values", "to_state", "write_dataset_csv",
+    "terminal_payoff", "to_state", "write_dataset_csv",
 ]

@@ -158,7 +158,8 @@ class ExperimentConfig:
     def risk(self) -> RiskParams:
         return RiskParams.from_market(self.values["risk.lambda"], self.market())
 
-    def basis_for(self, paths: PathEnsemble):
+    def basis_for(self, paths):
+        """The configured basis over the ``x_paths`` of an ensemble or dataset."""
         v = self.values
         bw = v["basis.bandwidth"] or None
         return build_basis(v["basis.kind"], v["basis.m"], paths.x_paths.ravel(),
@@ -206,8 +207,8 @@ def _ensemble(cfg) -> PathEnsemble:
 def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
-    The panel must be a complete rectangle; the state transform uses the
-    header's mu/sigma when ``params`` is not given.
+    The panel must hold one row per (path, t) cell of a rectangle; the
+    state transform uses the header's mu/sigma when ``params`` is not given.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -219,6 +220,10 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     pids, rows = np.unique(pid, return_inverse=True)
     tmax = int(t.max())
     panel = np.full((pids.size, tmax + 1), np.nan)
+    hits = np.bincount(rows * (tmax + 1) + t, minlength=panel.size).reshape(panel.shape)
+    if (hits > 1).any():
+        i, j = np.argwhere(hits > 1)[0]
+        raise DataFormatError(f"{path}: duplicate rows for cell (path={pids[i]}, t={j})")
     panel[rows, t] = data[:, 2]
     if np.isnan(panel).any():
         i, j = np.argwhere(np.isnan(panel))[0]
@@ -315,11 +320,10 @@ def cmd_dp_solve(cfg):
 
     # per-state price/hedge surfaces over the central state range
     qs = np.quantile(paths.x_paths.ravel(), np.linspace(0.05, 0.95, 41))
-    surf = np.array([price_and_hedge_surface(sol, basis, qs, t)
-                     for t in range(paths.n_steps + 1)])
-    ts, qi = np.indices(surf[:, 0].shape)
+    prices, hedges = price_and_hedge_surface(sol, basis, qs)
+    ts, qi = np.indices(prices.shape)
     write_csv(out / "surfaces.csv", ["t", "x", "price", "hedge"],
-              [ts.ravel(), qs[qi.ravel()], surf[:, 0].ravel(), surf[:, 1].ravel()],
+              [ts.ravel(), qs[qi.ravel()], prices.ravel(), hedges.ravel()],
               header={"m": basis.m})
 
     _summarize(cfg, out, {"price0": sol.price0, "hedge0": sol.hedge0})
@@ -372,8 +376,7 @@ def cmd_fqi_solve(cfg):
         raise ConfigError(f"fqi-solve requires dataset.path to name a file; "
                           f"got {cfg['dataset.path']!r}")
     dataset = read_dataset_csv(cfg["dataset.path"])
-    paths = dataset.to_ensemble()
-    basis = cfg.basis_for(paths)
+    basis = cfg.basis_for(dataset)
     sol = fqi_backward(dataset, basis)
     out = _outdir(cfg)
     w = np.array(sol.weights)

@@ -5,7 +5,8 @@ regressions per step: the optimal action (closed form, since the one-step
 reward is an exact parabola in the action) and the optimal Q-function fit
 to the targets R_t + gamma * Q_{t+1}.  The option's ask price is the
 negative of the optimal Q at the initial state, and the optimal hedge is
-its action argument — one object carries both.
+its action argument — one object carries both.  The action is the tilted
+``portfolio.hedge_fit``; ``terminal_fit`` is shared with ``fqi_backward``.
 
 The Q-target uses Q_{t+1} evaluated at the previously computed optimal
 action, never at the vertex of a parabola refit on the same sample; that
@@ -19,9 +20,8 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import RiskParams, _replicate, reward_parabola
-from .regression import (NormalEquations, conditional_mean,
-                         conditional_variance, ridge_epsilon, ridge_solve)
+from .portfolio import RiskParams, _replicate, hedge_fit, reward_parabola
+from .regression import conditional_mean, conditional_variance, ridge_solve
 
 
 @dataclass
@@ -34,25 +34,12 @@ class DPSolution:
     hedge0: float
 
 
-def action_normal_equations(design, ds_dev, pi_dev, drift, risk: RiskParams) -> NormalEquations:
-    """Gram system for the optimal-action coefficients.
-
-        gram = Phi^T diag(ds_dev^2) Phi
-        rhs  = Phi^T (pi_dev * ds_dev + drift / (2 gamma lam))
-    """
-    gram = (design * (ds_dev**2)[:, None]).T @ design
-    rhs = design.T @ (pi_dev * ds_dev + drift / (2.0 * risk.gamma * risk.lam))
-    return NormalEquations(gram, rhs, ridge_epsilon(gram))
-
-
-def terminal_q_values(paths: PathEnsemble, contract: OptionContract,
-                      risk: RiskParams, basis) -> np.ndarray:
-    """Per-path terminal Q: -payoff minus lam times the regression estimate
-    of the payoff variance conditional on the terminal state (floored at 0)."""
-    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    design = basis.evaluate(paths.x_paths[:, -1])
-    var_pen = conditional_variance(design, payoff)
-    return -payoff - risk.lam * var_pen
+def terminal_fit(design, payoff, lam: float) -> np.ndarray:
+    """Value coefficients of the terminal Q on the terminal design:
+    -payoff minus lam times the regression estimate of the payoff variance
+    conditional on the terminal state (floored at 0)."""
+    q_term = -payoff - lam * conditional_variance(design, payoff)
+    return ridge_solve(design.T @ design, design.T @ q_term)
 
 
 def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
@@ -93,9 +80,9 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     value_coeffs = [None] * (n_steps + 1)
     hedge_coeffs = [None] * n_steps
 
+    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
     design = basis.evaluate(paths.x_paths[:, -1])
-    q_term = terminal_q_values(paths, contract, risk, basis)
-    value_coeffs[n_steps] = ridge_solve(design.T @ design, design.T @ q_term)
+    value_coeffs[n_steps] = terminal_fit(design, payoff, risk.lam)
     q_next = design @ value_coeffs[n_steps]
 
     def hedge(t, pi):
@@ -114,12 +101,8 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         drift = np.zeros_like(ds) if gain == "centered" else ds_c
         gain_vals = ds - ds_c if gain == "centered" else ds
 
-        eqs = action_normal_equations(design, ds - ds_c, pi - pi_c,
-                                      np.broadcast_to(drift, ds.shape), risk)
-        try:
-            hedge_coeffs[t] = eqs.solve()
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"optimal action at step {t}: {exc}") from exc
+        hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
+                                    tilt=drift / (2.0 * risk.gamma * risk.lam))
         a = design @ hedge_coeffs[t]
 
         c0, c1, c2 = reward_parabola(ds, pi, risk, pi_center=pi_c,
@@ -132,8 +115,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         q_next = design @ value_coeffs[t]
         return a
 
-    _replicate(terminal_payoff(paths.s_paths[:, -1], contract), n_steps,
-               risk.gamma, paths.delta_s, hedge)
+    _replicate(payoff, n_steps, risk.gamma, paths.delta_s, hedge)
     phi0 = basis.evaluate([paths.x_paths[0, 0]])
     price0 = -float((phi0 @ value_coeffs[0])[0])
     hedge0 = float((phi0 @ hedge_coeffs[0])[0])
@@ -141,16 +123,13 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
                       price0=price0, hedge0=hedge0)
 
 
-def price_and_hedge_surface(solution: DPSolution, basis, states, t: int):
-    """Evaluate the fitted price and hedge over arbitrary states at step t.
+def price_and_hedge_surface(solution: DPSolution, basis, states):
+    """Evaluate the fitted price and hedge over arbitrary states at every step.
 
-    prices = -Phi(states) @ value_coeffs[t]; hedges likewise from the
-    action coefficients (zero at expiry, where the position is closed).
+    Returns (prices, hedges), each (n_steps+1, len(states)): row t holds
+    -Phi(states) @ value_coeffs[t] and Phi(states) @ hedge_coeffs[t], the
+    hedge row at expiry zero (the position is closed).
     """
-    n_steps = len(solution.hedge_coeffs)
-    if not 0 <= t <= n_steps:
-        raise ValueError(f"t={t} outside [0, {n_steps}]")
     design = basis.evaluate(states)
-    prices = -(design @ solution.value_coeffs[t])
-    hedges = design @ solution.hedge_coeffs[t] if t < n_steps else np.zeros(len(design))
-    return prices, hedges
+    hedges = [design @ c for c in solution.hedge_coeffs] + [np.zeros(len(design))]
+    return np.array([-(design @ w) for w in solution.value_coeffs]), np.array(hedges)

@@ -8,10 +8,10 @@ by a 3 x M matrix W acting on (1, a, a^2/2) and the state basis:
 Each backward step solves one least-squares problem in the 3M stacked
 features.  The max over next actions inside the target is evaluated at an
 action estimated independently of the W-fit being maximized (either the
-closed-form regression action when portfolio values are reconstructible,
-or a two-fold cross-fitted vertex otherwise); maximizing the same fitted
-parabola on the same sample would bias Q upward through the convexity of
-the max.
+closed-form action ``portfolio.hedge_fit`` of ``dp.solve_dp`` when portfolio
+values are reconstructible, or a two-fold cross-fitted vertex otherwise);
+maximizing the same fitted parabola on the same sample would bias Q upward
+through the convexity of the max.  The terminal fit is ``dp.terminal_fit``.
 """
 
 from dataclasses import dataclass, field
@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import index_columns, read_csv, write_csv
-from .dp import action_normal_equations, terminal_q_values
+from .dp import terminal_fit
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, terminal_payoff)
-from .portfolio import RiskParams, _replicate
+from .portfolio import RiskParams, _replicate, hedge_fit
 from .regression import conditional_mean, ridge_solve
 
 
@@ -60,8 +60,8 @@ class TransitionDataset:
     """Flat (path, t, x, a, r, x_next) records, in any order, that must form
     one panel: a record per path and t in [0, n_steps), each x_next the
     path's next x.  Held as that panel, paths in ascending ``path_ids``:
-    ``x`` is (n, n_steps+1), ``a`` and ``r`` are (n, n_steps), each stored
-    by step so that column t is contiguous."""
+    ``x_paths`` is (n, n_steps+1) as in ``PathEnsemble``, ``a`` and ``r``
+    are (n, n_steps), each stored by step so that column t is contiguous."""
 
     def __init__(self, path_ids, t, x, a, r, x_next, header: DatasetHeader):
         rec = {"x": x, "a": a, "r": r, "x_next": x_next}
@@ -102,7 +102,7 @@ class TransitionDataset:
             raise DataFormatError(f"x_next of (path={self.path_ids[i]}, t={ti}) "
                                   f"differs from that path's x at t={ti + 1}")
         xs[-1] = xs_next[-1]
-        self.x, self.a, self.r = xs.T, by_step(rec["a"]).T, by_step(rec["r"]).T
+        self.x_paths, self.a, self.r = xs.T, by_step(rec["a"]).T, by_step(rec["r"]).T
 
     def __len__(self):
         return self.a.size
@@ -111,17 +111,17 @@ class TransitionDataset:
         """The flat (path, t, x, a, r, x_next) columns, path-major."""
         n, n_steps = self.a.shape
         return (np.repeat(self.path_ids, n_steps), np.tile(np.arange(n_steps), n),
-                self.x[:, :-1].ravel(), self.a.ravel(), self.r.ravel(),
-                self.x[:, 1:].ravel())
+                self.x_paths[:, :-1].ravel(), self.a.ravel(), self.r.ravel(),
+                self.x_paths[:, 1:].ravel())
 
     def to_ensemble(self) -> PathEnsemble:
         """The price panel of the records."""
         h = self.header
         s0 = h.extras.get("s0")
         if s0 is None:
-            s0 = float(np.exp(self.x[:, 0].mean()))
+            s0 = float(np.exp(self.x_paths[:, 0].mean()))
         params = h.market_params(float(s0))
-        s = from_state(self.x, params.times()[None, :], params)
+        s = from_state(self.x_paths, params.times()[None, :], params)
         return ensemble_from_prices(s, params, seed=h.seed)
 
 
@@ -163,7 +163,7 @@ class FQISolution:
 
 
 def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = None,
-                 *, pi_reference=None, action_source: str = "auto",
+                 *, pi_reference=None, action_source: str = "analytic",
                  ds_mean: str = "model") -> FQISolution:
     """Backward fitted Q-iteration over the dataset's steps.
 
@@ -176,11 +176,12 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         Portfolio values as an (n, n_steps) panel in the dataset's path
         order, column t holding Pi_{t+1}.  When omitted it is reconstructed
         by rolling the recorded actions backward on the price panel.
-    action_source : {"auto", "analytic", "crossfit"}
+    action_source : {"analytic", "crossfit"}
         How the max-term action at t+1 is estimated: the closed-form
-        regression on portfolio values ("analytic", the default whenever
-        such values exist) or the two-fold cross-fitted parabola vertex
-        ("crossfit", the data-only fallback).
+        regression on portfolio values (``portfolio.hedge_fit`` with the
+        risk-return tilt, as in ``dp.solve_dp``; the default) or the
+        two-fold cross-fitted parabola vertex ("crossfit", the data-only
+        fallback).
     ds_mean : {"model", "regression"}
         Conditional mean of the price increment inside the action
         regression: implied by the header's mu/r (default), or estimated
@@ -197,33 +198,32 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             "no contract available (argument or header contract_kind/strike); "
             "the terminal condition is undefined without one"
         )
-    if action_source not in ("auto", "analytic", "crossfit"):
+    if action_source not in ("analytic", "crossfit"):
         raise ValueError(f"unknown action_source {action_source!r}")
     if ds_mean not in ("model", "regression"):
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
 
     paths = dataset.to_ensemble()
+    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
     n_steps = h.n_steps
     gamma = risk.gamma
 
-    use_analytic = action_source != "crossfit"
+    use_analytic = action_source == "analytic"
     if use_analytic and pi_reference is None:
         # roll the recorded actions backward on the price panel
-        pi_reference = _replicate(terminal_payoff(paths.s_paths[:, -1], contract),
-                                  n_steps, paths.params.gamma, paths.delta_s,
+        pi_reference = _replicate(payoff, n_steps, paths.params.gamma, paths.delta_s,
                                   lambda t, _: dataset.a[:, t])[:, 1:]
 
-    design_term = basis.evaluate(paths.x_paths[:, -1])
-    term_coeffs = ridge_solve(design_term.T @ design_term,
-                              design_term.T @ terminal_q_values(paths, contract, risk, basis))
+    design_term = basis.evaluate(dataset.x_paths[:, -1])
+    term_coeffs = terminal_fit(design_term, payoff, risk.lam)
 
     weights = [None] * n_steps
     action_coeffs = [None] * n_steps if use_analytic else None
     warnings = []
 
-    v_cache = basis.evaluate(dataset.x[:, -1]) @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
+    v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
     for t in range(n_steps - 1, -1, -1):
-        x_t = dataset.x[:, t]
+        x_t = dataset.x_paths[:, t]
         targets = dataset.r[:, t] + gamma * v_cache
 
         design_t = basis.evaluate(x_t)
@@ -253,13 +253,9 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             else:
                 ds_c = paths.delta_s_mean(t)
                 drift = ds_c
-            eqs = action_normal_equations(
-                design_t, ds - ds_c, pi_next - conditional_mean(design_t, pi_next),
-                np.broadcast_to(drift, ds.shape), risk)
-            try:
-                action_coeffs[t] = eqs.solve()
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"FQI action at step {t}: {exc}") from exc
+            action_coeffs[t] = hedge_fit(
+                design_t, ds - ds_c, pi_next - conditional_mean(design_t, pi_next), t,
+                tilt=drift / (2.0 * gamma * risk.lam))
 
         if t > 0:  # max_a Q_t at x_t, the previous step's next states
             if use_analytic:
@@ -269,7 +265,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             else:
                 v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
 
-    phi0 = basis.evaluate([float(dataset.x[:, 0].mean())])
+    phi0 = basis.evaluate([float(dataset.x_paths[:, 0].mean())])
     u0 = phi0 @ weights[0].T
     if use_analytic:
         a0 = float((phi0 @ action_coeffs[0])[0])

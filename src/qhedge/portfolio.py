@@ -8,17 +8,18 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 
 so uncertainty about the future propagates to today path by path.  Every
 solver runs the Pi recursion through one function, ``_replicate``, and
-differs only in the hedge rule that chooses u_t.  On top of the rollout
-the module provides the risk-adjusted one-step reward (a quadratic in the
-action), the pure risk-minimizing hedge, signed-measure reweighting and
-the variance-loaded ask price.
+fits its hedge with one regression, ``hedge_fit``: untilted in
+``solve_local_risk``, tilted in ``dp.solve_dp`` and ``fqi.fqi_backward``.
+On top of the rollout the module provides the risk-adjusted one-step
+reward (a quadratic in the action), signed-measure reweighting and the
+variance-loaded ask price.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, SingularSystemError
 from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
 from .regression import conditional_mean, conditional_variance, ridge_solve
 
@@ -172,34 +173,19 @@ def reward_parabola(delta_s, pi_next, risk: RiskParams, *,
     return c0, c1, c2
 
 
-def _risk_minimizing_coeffs(design, ds_dev, pi_next, t: int) -> np.ndarray:
-    """Regression coefficients of Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state)
-    on a step's design matrix."""
-    if np.max(np.abs(ds_dev)) == 0.0:
-        raise DegenerateInputError(
-            f"all price increments identical at step {t}; hedge undefined"
-        )
-    pi_dev = pi_next - conditional_mean(design, pi_next)
+def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
+    """Step-t hedge coefficients c on the design rows Phi, from the ridge
+    system Phi^T diag(ds_dev^2) Phi c = Phi^T (pi_dev * ds_dev + tilt).
+
+    With no tilt c estimates Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state),
+    the risk-minimizing hedge; tilt = drift / (2 gamma lam) gives the
+    risk-adjusted optimal action."""
     gram = (design * (ds_dev**2)[:, None]).T @ design
-    rhs = design.T @ (pi_dev * ds_dev)
-    return ridge_solve(gram, rhs)
-
-
-def local_risk_hedge(paths: PathEnsemble, pi_next, basis, t: int,
-                     *, ds_center=None) -> np.ndarray:
-    """Basis coefficients of the pure risk-minimizing hedge at step t.
-
-    The hedge is the cross-sectional regression estimate of
-    Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state), i.e. the optimal-action
-    system with the risk-return drift term removed.  ``pi_next`` is the
-    Pi_{t+1} value vector; ``ds_center`` defaults to the model-implied
-    conditional mean of dS_t.
-    """
-    if ds_center is None:
-        ds_center = paths.delta_s_mean(t)
-    return _risk_minimizing_coeffs(basis.evaluate(paths.x_paths[:, t]),
-                                   paths.delta_s(t) - ds_center,
-                                   np.asarray(pi_next, dtype=float), t)
+    target = pi_dev * ds_dev if tilt is None else pi_dev * ds_dev + tilt
+    try:
+        return ridge_solve(gram, design.T @ target)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"hedge fit at step {t}: {exc}") from exc
 
 
 def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
@@ -213,9 +199,14 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     coeffs = [None] * paths.n_steps
 
     def hedge(t, pi_next):
+        ds_dev = paths.delta_s(t) - paths.delta_s_mean(t)
+        if np.max(np.abs(ds_dev)) == 0.0:
+            raise DegenerateInputError(
+                f"all price increments identical at step {t}; hedge undefined"
+            )
         design = basis.evaluate(paths.x_paths[:, t])
-        coeffs[t] = _risk_minimizing_coeffs(
-            design, paths.delta_s(t) - paths.delta_s_mean(t), pi_next, t)
+        coeffs[t] = hedge_fit(design, ds_dev,
+                              pi_next - conditional_mean(design, pi_next), t)
         return design @ coeffs[t]
 
     pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), paths.n_steps,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qhedge import MarketParams, OptionContract, read_dataset_csv
+from qhedge import (BasisSet, MarketParams, OptionContract, TransitionDataset,
+                    read_dataset_csv)
 from qhedge.cli import ExperimentConfig, ingest_prices, main
 from qhedge.errors import ConfigError, DataFormatError
 from tests.test_black_scholes import put_price_by_quadrature
@@ -269,3 +270,52 @@ class TestIngest:
                      "path,t,s\n0,0,100\n0,1,-5\n")
         with pytest.raises(DataFormatError):
             ingest_prices(f)
+
+    def test_duplicate_cell_names_cell(self, tmp_path, capsys):
+        """Two rows for one (path, t) cell are a format error, not a price
+        the later row silently overwrites."""
+        f = tmp_path / "panel.csv"
+        f.write_text("path,t,s\n0,0,100\n0,1,101\n1,0,100\n1,1,99\n0,1,250\n")
+        code = run("simulate", "--ingest.path", str(f), "--market.n_steps", "1",
+                   "--output.dir", str(tmp_path / "out"))
+        assert code == 3
+        assert "duplicate rows for cell (path=0, t=1)" in capsys.readouterr().err
+
+
+class TestEvaluateOnce:
+    """A command evaluates the basis once per distinct input, and
+    fqi-solve builds the dataset's ensemble once."""
+
+    @pytest.fixture
+    def dataset_path(self, tmp_path):
+        assert run("make-dataset", *SMALL, "--dataset.policy", "random",
+                   "--output.dir", str(tmp_path / "ds")) == 0
+        return str(tmp_path / "ds" / "dataset.csv")
+
+    @pytest.mark.parametrize("command", ["dp-solve", "compare", "fqi-solve"])
+    def test_calls_equal_distinct_inputs(self, tmp_path, monkeypatch, dataset_path,
+                                         command):
+        inputs = []
+        evaluate = BasisSet.evaluate
+
+        def counted(self, states):
+            inputs.append(np.asarray(states, dtype=float).tobytes())
+            return evaluate(self, states)
+
+        monkeypatch.setattr(BasisSet, "evaluate", counted)
+        assert run(command, *SMALL, "--dataset.path", dataset_path,
+                   "--output.dir", str(tmp_path / "out")) == 0
+        assert len(inputs) == len(set(inputs))
+
+    def test_fqi_solve_builds_one_ensemble(self, tmp_path, monkeypatch, dataset_path):
+        calls = []
+        to_ensemble = TransitionDataset.to_ensemble
+
+        def counted(self):
+            calls.append(self)
+            return to_ensemble(self)
+
+        monkeypatch.setattr(TransitionDataset, "to_ensemble", counted)
+        assert run("fqi-solve", *SMALL, "--dataset.path", dataset_path,
+                   "--output.dir", str(tmp_path / "out")) == 0
+        assert len(calls) == 1

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
-                    build_basis, ensemble_from_prices, local_risk_hedge,
-                    price_and_hedge_surface, reward_parabola, simulate_gbm,
-                    solve_dp, solve_local_risk, terminal_payoff)
+                    build_basis, ensemble_from_prices, price_and_hedge_surface,
+                    reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
+                    terminal_payoff)
 from qhedge.regression import ridge_solve
+from tests.test_portfolio import local_risk_fit
 
 PUT = OptionContract("put", 100.0)
 
@@ -42,7 +43,7 @@ class TestOptimalActionCoeffs:
         t = paths.n_steps - 1
         pi_next = terminal_payoff(paths.s_paths[:, -1], PUT)
         np.testing.assert_allclose(sol.hedge_coeffs[t],
-                                   local_risk_hedge(paths, pi_next, basis, t), atol=1e-10)
+                                   local_risk_fit(paths, pi_next, basis, t), atol=1e-10)
         for t in range(paths.n_steps):
             design = basis.evaluate(paths.x_paths[:, t])
             np.testing.assert_allclose(design @ sol.hedge_coeffs[t],
@@ -312,11 +313,11 @@ class TestSurfaces:
         risk = RiskParams.from_market(1e-3, paths.params)
         sol = solve_dp(paths, PUT, risk, basis)
         t = 3
-        prices, hedges = price_and_hedge_surface(sol, basis, paths.x_paths[:, t], t)
+        prices, hedges = price_and_hedge_surface(sol, basis, paths.x_paths[:, t])
         design = basis.evaluate(paths.x_paths[:, t])
-        np.testing.assert_allclose(prices, -(design @ sol.value_coeffs[t]),
+        np.testing.assert_allclose(prices[t], -(design @ sol.value_coeffs[t]),
                                    rtol=1e-12)
-        np.testing.assert_allclose(hedges, design @ sol.hedge_coeffs[t],
+        np.testing.assert_allclose(hedges[t], design @ sol.hedge_coeffs[t],
                                    rtol=1e-12)
 
     def test_one_hot_surface_is_piecewise_constant(self):
@@ -326,8 +327,8 @@ class TestSurfaces:
         sol = solve_dp(paths, PUT, risk, basis)
         lo, hi = paths.x_paths.min(), paths.x_paths.max()
         xs = np.linspace(lo, hi, 300)
-        prices, _ = price_and_hedge_surface(sol, basis, xs, 2)
-        assert np.unique(np.round(prices, 12)).size <= 6
+        prices, _ = price_and_hedge_surface(sol, basis, xs)
+        assert np.unique(np.round(prices[2], 12)).size <= 6
 
     def test_early_hedge_surface_near_bs_delta(self):
         """First dispersed step, mu = r, small dt: the fitted hedge tracks
@@ -339,10 +340,10 @@ class TestSurfaces:
         sol = solve_dp(paths, PUT, risk, basis)
         t = 1
         xs = np.quantile(paths.x_paths[:, t], np.linspace(0.1, 0.9, 33))
-        _, hedges = price_and_hedge_surface(sol, basis, xs, t)
+        _, hedges = price_and_hedge_surface(sol, basis, xs)
         from qhedge import from_state
         tau = params.maturity - t * params.dt
-        for x, h in zip(xs, hedges):
+        for x, h in zip(xs, hedges[t]):
             s = float(from_state(x, t * params.dt, params))
             delta = bs_price_delta(s, 100.0, 0.15, 0.03, tau, "put").delta
             assert abs(h - delta) < 0.05

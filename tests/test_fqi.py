@@ -125,9 +125,9 @@ class TestAgainstDP:
         sol = fqi_backward(ds, basis)
         # recompute targets/fits at the last step, where v is the terminal fit
         t = paths.n_steps - 1
-        v = basis.evaluate(ds.x[:, t + 1]) @ sol.terminal_value_coeffs
+        v = basis.evaluate(ds.x_paths[:, t + 1]) @ sol.terminal_value_coeffs
         targets = ds.r[:, t] + risk.gamma * v
-        fitted = build_features(basis.evaluate(ds.x[:, t]), ds.a[:, t]) \
+        fitted = build_features(basis.evaluate(ds.x_paths[:, t]), ds.a[:, t]) \
             @ sol.weights[t].T.ravel()
         resid = targets - fitted
         assert abs(resid.mean()) <= 4 * resid.std() / np.sqrt(resid.size)
@@ -205,7 +205,7 @@ class TestDatasetIO:
         write_dataset_csv(ds, f)
         back = read_dataset_csv(f)
         assert np.array_equal(back.path_ids, ds.path_ids)
-        assert np.array_equal(back.x, ds.x)
+        assert np.array_equal(back.x_paths, ds.x_paths)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
         assert back.header == ds.header
@@ -290,7 +290,7 @@ class TestDatasetIO:
         g = tmp_path / "shuffled.csv"
         g.write_text("".join(lines[:head] + rows))
         ds, back = read_dataset_csv(f), read_dataset_csv(g)
-        for name in ("path_ids", "x", "a", "r"):
+        for name in ("path_ids", "x_paths", "a", "r"):
             assert np.array_equal(getattr(back, name), getattr(ds, name))
         assert fqi_backward(back, basis).price0 == fqi_backward(ds, basis).price0
 

@@ -5,10 +5,11 @@ import pytest
 
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
                     ask_price, build_basis, ensemble_from_prices,
-                    local_risk_hedge, rollout_portfolio,
-                    signed_measure_weights, simulate_gbm, solve_local_risk,
-                    terminal_payoff)
+                    rollout_portfolio, signed_measure_weights, simulate_gbm,
+                    solve_local_risk, terminal_payoff)
 from qhedge.errors import DegenerateInputError
+from qhedge.portfolio import hedge_fit
+from qhedge.regression import conditional_mean
 
 PUT = OptionContract("put", 100.0)
 
@@ -104,30 +105,37 @@ class TestRollout:
             rollout_portfolio(paths, bad, PUT, risk)
 
 
+def local_risk_fit(paths, pi_next, basis, t, ds_center=None):
+    """The shared hedge fit with no tilt, as ``solve_local_risk`` runs it:
+    Pi_{t+1} centered on its conditional mean, dS_t on ``ds_center``
+    (default: the model-implied conditional mean)."""
+    design = basis.evaluate(paths.x_paths[:, t])
+    if ds_center is None:
+        ds_center = paths.delta_s_mean(t)
+    return hedge_fit(design, paths.delta_s(t) - ds_center,
+                     pi_next - conditional_mean(design, pi_next), t)
+
+
 class TestLocalRiskHedge:
     def test_perfect_replication_gives_unit_hedge(self):
         """Pi_{t+1} = dS_t makes cov/var = 1 identically when both moments
         are centered by the same conditional-mean estimate."""
-        from qhedge.regression import conditional_mean
-
         paths = gbm(n_paths=1000, mu=0.03, seed=4)
         basis = build_basis("one_hot_grid", 6, paths.x_paths.ravel())
         pi_next = paths.delta_s(2)
         ds_c = conditional_mean(basis.evaluate(paths.x_paths[:, 2]), pi_next)
-        coeffs = local_risk_hedge(paths, pi_next, basis, 2, ds_center=ds_c)
+        coeffs = local_risk_fit(paths, pi_next, basis, 2, ds_center=ds_c)
         # near-empty edge buckets feel the ridge more; identity exact without it
         np.testing.assert_allclose(basis.evaluate(paths.x_paths[:, 2]) @ coeffs,
                                    1.0, atol=1e-4)
 
     def test_constant_target_gives_zero_hedge(self):
-        from qhedge.regression import conditional_mean
-
         paths = gbm(n_paths=1000, mu=0.03, seed=4)
         basis = build_basis("one_hot_grid", 6, paths.x_paths.ravel())
         ds = paths.delta_s(1)
         ds_c = conditional_mean(basis.evaluate(paths.x_paths[:, 1]), ds)
-        coeffs = local_risk_hedge(paths, np.full(1000, 7.3), basis, 1,
-                                  ds_center=ds_c)
+        coeffs = local_risk_fit(paths, np.full(1000, 7.3), basis, 1,
+                                ds_center=ds_c)
         np.testing.assert_allclose(basis.evaluate(paths.x_paths[:, 1]) @ coeffs,
                                    0.0, atol=1e-6)
 
@@ -136,7 +144,7 @@ class TestLocalRiskHedge:
         prices = np.array([[10.0, 9.0], [10.0, 10.0], [10.0, 11.0]])
         paths = hand_ensemble(prices, r=0.0, mu=0.0)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
-        coeffs = local_risk_hedge(paths, np.array([-2.0, 0.0, 2.0]), basis, 0)
+        coeffs = local_risk_fit(paths, np.array([-2.0, 0.0, 2.0]), basis, 0)
         # the 1e-8 trace-scaled ridge perturbs the pure ratio at that order
         np.testing.assert_allclose(coeffs, [2.0], rtol=1e-7)
 
@@ -145,7 +153,7 @@ class TestLocalRiskHedge:
         paths = hand_ensemble(prices, r=0.0, mu=0.0)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
         with pytest.raises(DegenerateInputError):
-            local_risk_hedge(paths, np.ones(4), basis, 0)
+            solve_local_risk(paths, PUT, basis)
 
 
 class TestReward:

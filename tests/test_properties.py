@@ -1,6 +1,6 @@
-"""Randomized invariants of the shared replication recursion, the DP
-solver and the artifact codec.  Examples are drawn by hypothesis,
-derandomized so every run draws the same ones."""
+"""Randomized invariants of the shared replication recursion, the shared
+hedge fit, the DP solver and the artifact codec.  Examples are drawn by
+hypothesis, derandomized so every run draws the same ones."""
 
 import tempfile
 from pathlib import Path
@@ -14,6 +14,7 @@ from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
                     build_basis, build_dataset, read_dataset_csv,
                     rollout_portfolio, simulate_gbm, solve_dp, solve_local_risk,
                     write_dataset_csv)
+from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_csv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -95,6 +96,26 @@ def test_dp_homogeneous_of_degree_one(c, mu, sigma, r, n_steps, lam, kind, money
     assert abs(scaled.hedge0 - base.hedge0) <= 1e-10
 
 
+@PROPERTY
+@given(r=st.floats(0.0, 0.1), sigma=st.floats(0.05, 0.5), n_steps=st.integers(1, 8),
+       n_paths=st.integers(60, 300), seed=seeds, kind=kinds,
+       strike=st.floats(50.0, 150.0), lam=st.floats(1e-6, 1e3),
+       basis_kind=st.sampled_from(KINDS))
+def test_dp_hedge_is_local_risk_hedge_when_mu_equals_r(r, sigma, n_steps, n_paths, seed,
+                                                       kind, strike, lam, basis_kind):
+    """At mu = r the model drift S_t (e^{mu dt} - e^{r dt}) is exactly zero,
+    so the optimal action is the shared hedge fit with a zero tilt: solve_dp's
+    hedge coefficients equal solve_local_risk's bit for bit, for any lam."""
+    params = market(r, sigma, r, n_steps)
+    paths = simulate_gbm(params, n_paths, seed)
+    basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
+    contract = OptionContract(kind, strike)
+    sol = solve_dp(paths, contract, RiskParams.from_market(lam, params), basis)
+    coeffs, _ = solve_local_risk(paths, contract, basis)
+    for dp_c, lr_c in zip(sol.hedge_coeffs, coeffs, strict=True):
+        assert np.array_equal(dp_c, lr_c)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # signed zeros, the smallest subnormal and normal, and the largest finite
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -145,6 +166,6 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike),
                        seed=seed)
     back = round_trip(write_dataset_csv, read_dataset_csv, ds)
-    for name in ("path_ids", "x", "a", "r"):
+    for name in ("path_ids", "x_paths", "a", "r"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
     assert back.header == ds.header
