@@ -207,8 +207,9 @@ def _ensemble(cfg) -> PathEnsemble:
 def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
-    The panel must hold one row per (path, t) cell of a rectangle; the
-    state transform uses the header's mu/sigma when ``params`` is not given.
+    The panel must hold one finite, positive price per (path, t) cell of
+    a rectangle; the state transform uses the header's mu/sigma when
+    ``params`` is not given.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -217,6 +218,11 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     if data.shape[1] < 3:
         raise DataFormatError(f"{path}: expected path,t,s columns")
     pid, t = index_columns(path, data)
+    bad = ~np.isfinite(data[:, 2])
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise DataFormatError(f"{path}: non-finite price {data[i, 2]} at cell "
+                              f"(path={pid[i]}, t={t[i]})")
     pids, rows = np.unique(pid, return_inverse=True)
     tmax = int(t.max())
     panel = np.full((pids.size, tmax + 1), np.nan)

@@ -232,6 +232,14 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
     counter k.  The slice above is fully learned (and frozen) before the
     current one starts; the terminal slice is set exactly.  Cells of
     unreachable states are never updated and keep their initialization.
+
+    The updates of a slice are applied grouped by cell, one vectorized
+    step per visit rank k, and this is exact, not an approximation: with
+    ``v_next`` frozen, a target depends only on its own draws, so each
+    cell is an independent Robbins-Monro chain (Watkins & Dayan 1992).
+    Ranking by a stable sort keeps every cell's updates in draw order,
+    and each arithmetic step is the one-at-a-time update's, so ``q`` and
+    ``visits`` are bit-identical to applying the draws one by one.
     """
     alpha0, k0 = float(schedule[0]), float(schedule[1])
     n_steps, n_x, n_a = mdp.n_steps, mdp.n_states, mdp.n_actions
@@ -247,22 +255,35 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
         states = np.flatnonzero(mdp.reachable[t])
         v_next = np.where(mdp.reachable[t + 1], q[t + 1].max(axis=1), 0.0)
         cum = mdp.probs[t].cumsum(axis=1)
-        xs_seq = rng.choice(states, size=n_updates_per_slice)
-        aj_seq = rng.integers(0, n_a, size=n_updates_per_slice)
-        u_seq = rng.random(n_updates_per_slice)
-        q_t = q[t]
-        vis_t = visits[t]
-        rc_t = mdp.reward_coeffs[t]
-        for i in range(n_updates_per_slice):
-            xs = xs_seq[i]
-            aj = aj_seq[i]
-            xn = min(int(np.searchsorted(cum[xs], u_seq[i], side="right")), n_x - 1)
-            a = ag[aj]
-            c = rc_t[xs, xn]
-            target = c[0] + c[1] * a + c[2] * a * a + gamma * v_next[xn]
-            k = vis_t[xs, aj]
-            q_t[xs, aj] += (alpha0 / (1.0 + k / k0)) * (target - q_t[xs, aj])
-            vis_t[xs, aj] = k + 1
+        xs = rng.choice(states, size=n_updates_per_slice)
+        aj = rng.integers(0, n_a, size=n_updates_per_slice)
+        u = rng.random(n_updates_per_slice)
+        # successors state by state, so no (n_updates, n_x) temporary is built
+        xn = np.empty(n_updates_per_slice, dtype=np.intp)
+        for i in states:
+            drawn = xs == i
+            xn[drawn] = np.searchsorted(cum[i], u[drawn], side="right")
+        xn = np.minimum(xn, n_x - 1)
+        a = ag[aj]
+        c = mdp.reward_coeffs[t, xs, xn]
+        target = c[:, 0] + c[:, 1] * a + c[:, 2] * a * a + gamma * v_next[xn]
+
+        cell = xs * n_a + aj
+        counts = np.bincount(cell, minlength=n_x * n_a)
+        by_cell = np.argsort(cell, kind="stable")
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(n_updates_per_slice) - first     # visit rank of by_cell[j]
+        by_rank = by_cell[np.argsort(rank, kind="stable")]
+        per_rank = np.bincount(rank)
+        steps = alpha0 / (1.0 + np.arange(per_rank.size) / k0)
+        q_t = q[t].reshape(-1)      # a view: updates land in q
+        lo = 0
+        for k, hi in enumerate(np.cumsum(per_rank)):
+            sel = by_rank[lo:hi]    # rank k: each visited cell once
+            cs = cell[sel]
+            q_t[cs] += steps[k] * (target[sel] - q_t[cs])
+            lo = hi
+        visits[t] = counts.reshape(n_x, n_a)
     return QTable(q=q, visits=visits)
 
 

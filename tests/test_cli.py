@@ -281,6 +281,28 @@ class TestIngest:
         assert code == 3
         assert "duplicate rows for cell (path=0, t=1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price", ["inf", "-inf"])
+    def test_infinite_price_names_cell(self, tmp_path, capsys, price):
+        """An infinite price is a format error, not a run that reports
+        mean_s_final=inf."""
+        f = tmp_path / "panel.csv"
+        f.write_text(f"path,t,s\n0,0,100\n0,1,{price}\n1,0,100\n1,1,99\n")
+        code = run("simulate", "--ingest.path", str(f), "--market.n_steps", "1",
+                   "--output.dir", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"non-finite price {price} at cell (path=0, t=1)" in err
+
+    def test_nan_price_is_not_a_missing_cell(self, tmp_path):
+        """A NaN price is named as a non-finite price, not mistaken for the
+        NaN fill that marks missing cells."""
+        f = tmp_path / "panel.csv"
+        f.write_text("# mu=0\n# sigma=0.2\n# r=0\n# maturity=1\n"
+                     "path,t,s\n0,0,100\n0,1,nan\n1,0,100\n1,1,99\n")
+        with pytest.raises(DataFormatError,
+                           match=r"non-finite price nan at cell \(path=0, t=1\)"):
+            ingest_prices(f)
+
 
 class TestEvaluateOnce:
     """A command evaluates the basis once per distinct input, and

@@ -1,5 +1,6 @@
 """Randomized invariants of the shared replication recursion, the shared
-hedge fit, the DP solver and the artifact codec.  Examples are drawn by
+hedge fit, the DP solver, the artifact codec and the grouped Q-learning
+kernel.  Examples are drawn by
 hypothesis, derandomized so every run draws the same ones."""
 
 import tempfile
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
-                    build_basis, build_dataset, read_dataset_csv,
-                    rollout_portfolio, simulate_gbm, solve_dp, solve_local_risk,
-                    write_dataset_csv)
+from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
+                    RiskParams, build_basis, build_dataset, q_learn,
+                    read_dataset_csv, rollout_portfolio, simulate_gbm, solve_dp,
+                    solve_local_risk, write_dataset_csv)
 from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_csv
 
@@ -169,3 +170,65 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     for name in ("path_ids", "x_paths", "a", "r"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
     assert back.header == ds.header
+
+
+def q_learn_one_by_one(mdp, n_updates_per_slice, schedule, seed):
+    """Reference: the same draws as ``q_learn``, applied one update at a
+    time in draw order."""
+    alpha0, k0 = float(schedule[0]), float(schedule[1])
+    n_steps, n_x, n_a = mdp.n_steps, mdp.n_states, mdp.n_actions
+    rng = np.random.default_rng(seed)
+    ag, gamma = mdp.action_grid, mdp.risk.gamma
+    q = np.zeros((n_steps + 1, n_x, n_a))
+    q[n_steps] = np.where(mdp.reachable[n_steps, :, None], mdp.terminal_q[:, None], 0.0)
+    visits = np.zeros((n_steps, n_x, n_a), dtype=np.int64)
+    for t in range(n_steps - 1, -1, -1):
+        states = np.flatnonzero(mdp.reachable[t])
+        v_next = np.where(mdp.reachable[t + 1], q[t + 1].max(axis=1), 0.0)
+        cum = mdp.probs[t].cumsum(axis=1)
+        xs_seq = rng.choice(states, size=n_updates_per_slice)
+        aj_seq = rng.integers(0, n_a, size=n_updates_per_slice)
+        u_seq = rng.random(n_updates_per_slice)
+        for xs, aj, u in zip(xs_seq, aj_seq, u_seq):
+            xn = min(int(np.searchsorted(cum[xs], u, side="right")), n_x - 1)
+            a = ag[aj]
+            c = mdp.reward_coeffs[t, xs, xn]
+            target = c[0] + c[1] * a + c[2] * a * a + gamma * v_next[xn]
+            k = visits[t, xs, aj]
+            q[t, xs, aj] += (alpha0 / (1.0 + k / k0)) * (target - q[t, xs, aj])
+            visits[t, xs, aj] = k + 1
+    return q, visits
+
+
+@st.composite
+def chains(draw):
+    """Small chains with unreachable states and transition rows whose
+    cumulative probability can fall short of 1 (so the successor clamp to
+    the last state is exercised)."""
+    n_steps, n_x, n_a = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                         draw(st.integers(2, 6)))
+    rng = np.random.default_rng(draw(seeds))
+    reachable = rng.random((n_steps + 1, n_x)) < draw(st.floats(0.3, 1.0))
+    reachable[np.arange(n_steps + 1), rng.integers(0, n_x, n_steps + 1)] = True
+    probs = rng.random((n_steps, n_x, n_x)) * reachable[1:, None, :]
+    probs /= np.maximum(probs.sum(axis=2, keepdims=True), 1e-300)
+    short = rng.random((n_steps, n_x, 1)) < 0.3
+    probs *= np.where(short, draw(st.floats(0.5, 1.0)), 1.0)
+    return DiscreteMDP(
+        x_centers=np.arange(n_x, dtype=float),
+        action_grid=np.sort(rng.uniform(-1.5, 0.5, n_a)),
+        probs=probs, reward_coeffs=rng.normal(size=(n_steps, n_x, n_x, 3)),
+        terminal_q=rng.normal(size=n_x), reachable=reachable, x0_index=0,
+        risk=RiskParams(lam=1e-3, gamma=draw(st.floats(0.9, 1.0))))
+
+
+@PROPERTY
+@given(mdp=chains(), n_updates=st.integers(1, 3000), seed=seeds,
+       schedule=st.sampled_from([(1.0, np.inf), (1.0, 1.0), (0.5, 100.0)]))
+def test_grouped_q_learning_is_the_one_by_one_loop(mdp, n_updates, seed, schedule):
+    """Within a frozen slice each cell is its own Robbins-Monro chain, so
+    the cell-grouped kernel gives the one-at-a-time result bit for bit."""
+    table = q_learn(mdp, n_updates, schedule=schedule, seed=seed)
+    q, visits = q_learn_one_by_one(mdp, n_updates, schedule, seed)
+    assert np.array_equal(table.q, q)
+    assert np.array_equal(table.visits, visits)
