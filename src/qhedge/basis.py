@@ -9,7 +9,6 @@ variable is driftless, so its support is stable over the horizon.
 """
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DegenerateInputError
 
@@ -47,8 +46,7 @@ class BasisSet:
             return out
         if self.kind == "bspline":
             hi = np.nextafter(self._hi, self._lo)
-            xc = np.clip(x, self._lo, hi)
-            return BSpline.design_matrix(xc, self.knots, self.degree).toarray()
+            return _bspline_design(np.clip(x, self._lo, hi), self.knots, self.degree)
         # rbf
         z = (x[:, None] - self.centers[None, :]) / self.bandwidth
         return np.exp(-0.5 * z**2)
@@ -59,6 +57,33 @@ class BasisSet:
             raise ValueError("bucket_of only applies to one_hot_grid bases")
         x = np.asarray(states, dtype=float)
         return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.m - 1)
+
+
+def _bspline_design(x, t, k) -> np.ndarray:
+    """Dense design matrix of the degree-k B-splines on knots t at x, with
+    every x in [t[k], t[-k-1]).
+
+    Cox-de Boor recurrence (de Boor, *A Practical Guide to Splines*, 2001,
+    ch. X), with its operations in the order of scipy's ``_deBoor_D`` so
+    that the result equals ``BSpline.design_matrix(x, t, k).toarray()``
+    bit for bit.  Each row holds the k+1 nonzero values of the span
+    t[ell] <= x < t[ell+1] in columns ell-k .. ell.
+    """
+    n = t.size - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    h = np.zeros((k + 1, x.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for q in range(1, j + 1):
+            right, left = t[ell + q], t[ell + q - j]
+            w = hh[q - 1] / (right - left)
+            h[q - 1] += w * (right - x)
+            h[q] = w * (x - left)
+    out = np.zeros((x.size, n))
+    np.put_along_axis(out, ell[:, None] + np.arange(-k, 1), h.T, axis=1)
+    return out
 
 
 def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet:

@@ -235,7 +235,8 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         w = _weights_from_vec(wvec)
         weights[t] = w
 
-        u_med = basis.evaluate([float(np.median(x_t))]) @ w.T
+        phi_med = basis.evaluate([float(np.median(x_t))])
+        u_med = phi_med @ w.T
         if u_med[0, 2] >= 0:
             warnings.append(
                 f"step {t}: fitted Q not concave in the action at the median "
@@ -265,7 +266,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             else:
                 v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
 
-    phi0 = basis.evaluate([float(dataset.x_paths[:, 0].mean())])
+    # read out at the start state every path records, which is then the
+    # t = 0 median row; the mean of equal values can be an ulp off them
+    x0 = dataset.x_paths[:, 0]
+    phi0 = phi_med if np.all(x0 == x0[0]) else basis.evaluate([float(x0.mean())])
     u0 = phi0 @ weights[0].T
     if use_analytic:
         a0 = float((phi0 @ action_coeffs[0])[0])

@@ -13,7 +13,6 @@ which keeps one basis usable across all time steps.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateInputError
 
@@ -150,9 +149,15 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     """Simulate GBM paths with the exact lognormal step.
 
     S_{t+1} = S_t exp((mu - sigma^2/2) dt + sigma sqrt(dt) z), z ~ N(0,1).
-    Normals are drawn by inverse CDF from PCG64 uniforms so the output is
-    reproducible bit-for-bit across platforms for a fixed seed.
+    Normals are drawn by inverse CDF from PCG64 uniforms, so for a fixed
+    seed the output is reproducible bit for bit on one machine and library
+    build.  Across machines it is not: numpy's float64 ``log`` and ``exp``
+    dispatch to CPU-specific SIMD loops, which may differ by an ulp.
     """
+    # imported here, not at module level: scipy.special is the slowest
+    # import of the package, and only simulating commands need it
+    from scipy.special import ndtri
+
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)

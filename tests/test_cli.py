@@ -1,8 +1,14 @@
 """Command-line driver: dispatch, config handling, files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qhedge
 from qhedge import (BasisSet, MarketParams, OptionContract, TransitionDataset,
                     read_dataset_csv)
 from qhedge.cli import ExperimentConfig, ingest_prices, main
@@ -97,6 +103,27 @@ class TestSubcommands:
         summary = read_summary(out / "summary.txt")
         oracle = put_price_by_quadrature(100.0, 100.0, 0.2, 0.0, 1.0)
         assert abs(float(summary["price"]) - oracle) < 1e-6
+
+    def test_import_and_bs_quote_load_no_scipy(self, tmp_path):
+        """scipy is imported only by commands that simulate paths."""
+        child = (
+            "import sys\n"
+            "import qhedge.cli\n"
+            "def scipy_loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "if scipy_loaded():\n"
+            "    sys.exit(f'import qhedge.cli loaded {scipy_loaded()}')\n"
+            f"code = qhedge.cli.main(['bs-quote', '--output.dir', {str(tmp_path)!r}])\n"
+            "if code or scipy_loaded():\n"
+            "    sys.exit(f'bs-quote exited {code} and loaded {scipy_loaded()}')\n"
+        )
+        src = str(Path(qhedge.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "summary.txt").exists()
 
     def test_dp_lambda_zero_is_config_error(self, tmp_path, capsys):
         code = run("dp-solve", "--risk.lambda", "0", "--output.dir",

@@ -132,6 +132,25 @@ class TestAgainstDP:
         resid = targets - fitted
         assert abs(resid.mean()) <= 4 * resid.std() / np.sqrt(resid.size)
 
+    def test_reads_out_at_the_recorded_start_state(self):
+        """price0 and hedge0 are the fitted Q and action at the start state
+        every path records, not at their mean, which at 2000 paths is an
+        ulp off it."""
+        paths = gbm(n_paths=2000, seed=3)
+        x0 = paths.x_paths[0, 0]
+        assert paths.x_paths[:, 0].mean() != x0
+        basis, risk = make_pipeline(paths)
+        actions = np.random.default_rng(9).uniform(-1.5, 1.5,
+                                                   (paths.n_paths, paths.n_steps))
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT), basis)
+        phi0 = basis.evaluate([x0])
+        hedge0 = float((phi0 @ sol.action_coeffs[0])[0])
+        u0 = phi0 @ sol.weights[0].T
+        assert sol.hedge0 == hedge0
+        assert sol.price0 == -float(u0[0, 0] + hedge0 * u0[0, 1]
+                                    + 0.5 * hedge0**2 * u0[0, 2])
+
     def test_crossfit_mode_close_to_analytic(self):
         """The data-only fallback needs enough risk aversion for the
         quadratic action coefficient to be identifiable."""

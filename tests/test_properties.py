@@ -1,7 +1,7 @@
-"""Randomized invariants of the shared replication recursion, the shared
-hedge fit, the DP solver, the artifact codec and the grouped Q-learning
-kernel.  Examples are drawn by
-hypothesis, derandomized so every run draws the same ones."""
+"""Randomized invariants of the B-spline design, the shared replication
+recursion, the shared hedge fit, the DP solver, the artifact codec and the
+grouped Q-learning kernel.  Examples are drawn by hypothesis, derandomized
+so every run draws the same ones."""
 
 import tempfile
 from pathlib import Path
@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.interpolate import BSpline
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     RiskParams, build_basis, build_dataset, q_learn,
@@ -115,6 +116,46 @@ def test_dp_hedge_is_local_risk_hedge_when_mu_equals_r(r, sigma, n_steps, n_path
     coeffs, _ = solve_local_risk(paths, contract, basis)
     for dp_c, lr_c in zip(sol.hedge_coeffs, coeffs, strict=True):
         assert np.array_equal(dp_c, lr_c)
+
+
+@PROPERTY
+@given(r=st.floats(0.0, 0.1), sigma=st.floats(0.05, 0.5), n_steps=st.integers(1, 8),
+       n_paths=st.integers(60, 300), seed=seeds, kind=kinds,
+       strike=st.floats(50.0, 150.0), lam=st.floats(1e-6, 1e3),
+       step=st.floats(1e-6, 1e6), basis_kind=st.sampled_from(["bspline", "one_hot_grid"]))
+def test_dp_price_does_not_decrease_in_lambda_when_mu_equals_r(
+        r, sigma, n_steps, n_paths, seed, kind, strike, lam, step, basis_kind):
+    """At mu = r the hedge does not depend on lam, so price0 is affine in
+    lam with slope the sum of discounted fitted variances, which average to
+    non-negative values on bases that span the constants.  Rounding of the
+    intercept outweighs the slope term below a relative lam step of about
+    1e-9, so the step starts at 1e-6."""
+    params = market(r, sigma, r, n_steps)
+    paths = simulate_gbm(params, n_paths, seed)
+    basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
+    contract = OptionContract(kind, strike)
+    lo, hi = (solve_dp(paths, contract, RiskParams.from_market(x, params), basis).price0
+              for x in (lam, lam * (1.0 + step)))
+    assert hi >= lo
+
+
+@PROPERTY
+@given(params=markets, seed=seeds, degree=st.integers(0, 5), data=st.data())
+def test_bspline_design_is_scipys_design_matrix(params, seed, degree, data):
+    """BasisSet.evaluate's numpy Cox-de Boor recurrence equals scipy's
+    B-spline design matrix bit for bit, at every knot, inside the range
+    and far outside it.  m starts at degree + 3: at degree + 2 a single
+    quantile breakpoint is left, which build_basis rejects."""
+    m = data.draw(st.integers(degree + 3, 40))
+    basis = build_basis("bspline", m, simulate_gbm(params, 100, seed).x_paths.ravel(),
+                        degree=degree)
+    t = basis.knots
+    inside = data.draw(hnp.arrays(float, st.integers(0, 50),
+                                  elements=st.floats(t[0] - 1.0, t[-1] + 1.0)))
+    x = np.concatenate([inside, t, [-1e9, 1e9]])
+    lo, hi = t[degree], t[-degree - 1]
+    expected = BSpline.design_matrix(np.clip(x, lo, np.nextafter(hi, lo)), t, degree)
+    assert np.array_equal(basis.evaluate(x), expected.toarray())
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
