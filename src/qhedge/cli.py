@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
-from .csvio import format_value, index_columns, read_csv, write_csv
+from .csvio import format_value, read_csv, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, QHedgeError
 from .fqi import build_dataset, fqi_backward, read_dataset_csv, write_dataset_csv
@@ -78,9 +78,11 @@ CHOICES = {
     "utility.method": ("expansion", "numeric"),
     "utility.order": (0, 1, 2),
 }
-# count keys -> smallest valid value
+# numeric keys -> smallest valid value; every float key must also be
+# finite, except that an infinite k0 turns the step-size decay off
 MINIMUMS = {"mc.n_paths": 1, "basis.m": 1, "basis.degree": 0,
-            "tabular.n_x": 1, "tabular.n_a": 2, "tabular.n_updates": 1}
+            "tabular.n_x": 1, "tabular.n_a": 2, "tabular.n_updates": 1,
+            "basis.bandwidth": 0.0, "utility.gamma": 0.0}
 # The parameter classes start every ValueError message with the offending
 # field's name; fields map to "section.field" keys except these.
 _FIELD_KEYS = {"lam": "risk.lambda", "gamma": "market.r"}  # gamma = e^{-r dt}
@@ -116,15 +118,29 @@ class ExperimentConfig:
         return cfg
 
     def _validate(self):
-        """Reject bad values before any work: choice keys, count keys, then
-        the market, contract and risk parameters they build."""
+        """Reject bad values before any work: choice keys, finite floats,
+        numeric bounds, then the market, contract and risk parameters they
+        build."""
+        v = self.values
         for key, allowed in CHOICES.items():
-            if self.values[key] not in allowed:
+            if v[key] not in allowed:
                 names = ", ".join(map(str, allowed))
-                raise ConfigError(f"{key} must be one of {names}; got {self.values[key]!r}")
+                raise ConfigError(f"{key} must be one of {names}; got {v[key]!r}")
+        for key, (typ, _) in SCHEMA.items():
+            finite = typ is not float or np.isfinite(v[key])
+            if not finite and (key, v[key]) != ("tabular.k0", np.inf):
+                raise ConfigError(f"{key} must be finite; got {v[key]}")
         for key, low in MINIMUMS.items():
-            if self.values[key] < low:
-                raise ConfigError(f"{key} must be >= {low}; got {self.values[key]}")
+            if v[key] < low:
+                raise ConfigError(f"{key} must be >= {low}; got {v[key]}")
+        for key in ("tabular.alpha0", "tabular.k0"):
+            if v[key] <= 0:
+                raise ConfigError(f"{key} must be > 0; got {v[key]}")
+        if v["utility.method"] == "numeric" and v["utility.gamma"] == 0:
+            raise ConfigError("utility.gamma must be > 0 with utility.method numeric; got 0")
+        if v["dataset.random_lo"] > v["dataset.random_hi"]:
+            raise ConfigError(f"dataset.random_lo must be <= dataset.random_hi; got "
+                              f"{v['dataset.random_lo']} > {v['dataset.random_hi']}")
         for section, build in (("market", self.market), ("contract", self.contract),
                                ("risk", self.risk)):
             try:
@@ -217,34 +233,13 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     meta, _, data = read_csv(path)
     if data.shape[1] < 3:
         raise DataFormatError(f"{path}: expected path,t,s columns")
-    pid, t = index_columns(path, data)
-    bad = ~np.isfinite(data[:, 2])
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise DataFormatError(f"{path}: non-finite price {data[i, 2]} at cell "
-                              f"(path={pid[i]}, t={t[i]})")
-    pids, rows = np.unique(pid, return_inverse=True)
-    tmax = int(t.max())
-    panel = np.full((pids.size, tmax + 1), np.nan)
-    hits = np.bincount(rows * (tmax + 1) + t, minlength=panel.size).reshape(panel.shape)
-    if (hits > 1).any():
-        i, j = np.argwhere(hits > 1)[0]
-        raise DataFormatError(f"{path}: duplicate rows for cell (path={pids[i]}, t={j})")
-    panel[rows, t] = data[:, 2]
-    if np.isnan(panel).any():
-        i, j = np.argwhere(np.isnan(panel))[0]
-        raise DataFormatError(f"ragged panel: missing cell (path={pids[i]}, t={j})")
+    _, cols = scatter_records(path, data[:, 0], data[:, 1], {"price": data[:, 2]})
+    panel = np.ascontiguousarray(cols["price"].T)
     if np.any(panel <= 0):
         raise DataFormatError("non-positive prices in panel")
     if params is None:
-        try:
-            params = MarketParams(
-                s0=float(panel[0, 0]), mu=float(meta["mu"]),
-                sigma=float(meta["sigma"]), r=float(meta["r"]),
-                maturity=float(meta["maturity"]), n_steps=tmax,
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"panel header missing key {exc}") from exc
+        h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
+        params = MarketParams(s0=float(panel[0, 0]), n_steps=panel.shape[1] - 1, **h)
     return ensemble_from_prices(panel, params)
 
 
@@ -275,12 +270,11 @@ def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
     p = paths.params
-    pid, ts = np.indices(paths.s_paths.shape)
-    write_csv(out / "ensemble.csv", ["path", "t", "s", "x"],
-              [pid.ravel(), ts.ravel(), paths.s_paths.ravel(), paths.x_paths.ravel()],
-              header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
-                      "maturity": p.maturity, "n_steps": p.n_steps,
-                      "n_paths": paths.n_paths, "seed": paths.seed})
+    write_table(out / "ensemble.csv", {"path": None, "t": None},
+                {"s": paths.s_paths, "x": paths.x_paths},
+                header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
+                        "maturity": p.maturity, "n_steps": p.n_steps,
+                        "n_paths": paths.n_paths, "seed": paths.seed})
     _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
                           "mean_s_final": paths.s_paths[:, -1].mean()})
     return 0
@@ -292,12 +286,10 @@ def cmd_rollout(cfg):
     strategy = _strategy(cfg, paths, basis, cfg["rollout.policy"])
     roll = rollout_portfolio(paths, strategy, cfg.contract(), cfg.risk())
     out = _outdir(cfg)
-    pid, ts = np.indices(roll.pi.shape)
-    write_csv(out / "rollout.csv", ["path", "t", "S", "X", "a", "Pi", "B", "R"],
-              [pid.ravel(), ts.ravel(), paths.s_paths.ravel(), paths.x_paths.ravel(),
-               roll.actions.ravel(), roll.pi.ravel(), roll.b_account.ravel(),
-               roll.rewards.ravel()],
-              header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
+    write_table(out / "rollout.csv", {"path": None, "t": None},
+                {"S": paths.s_paths, "X": paths.x_paths, "a": roll.actions,
+                 "Pi": roll.pi, "B": roll.b_account, "R": roll.rewards},
+                header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
     _summarize(cfg, out, {"mean_pi0": roll.pi[:, 0].mean(),
                           "policy": cfg["rollout.policy"]})
     return 0
@@ -319,18 +311,14 @@ def cmd_dp_solve(cfg):
     out = _outdir(cfg)
 
     phis = np.vstack([*sol.hedge_coeffs, np.zeros(basis.m)])  # no position at expiry
-    ts, ns = np.indices(phis.shape)
-    write_csv(out / "coefficients.csv", ["t", "n", "phi", "omega"],
-              [ts.ravel(), ns.ravel(), phis.ravel(), np.ravel(sol.value_coeffs)],
-              header={"m": basis.m})
+    write_table(out / "coefficients.csv", {"t": None, "n": None},
+                {"phi": phis, "omega": np.array(sol.value_coeffs)}, header={"m": basis.m})
 
     # per-state price/hedge surfaces over the central state range
     qs = np.quantile(paths.x_paths.ravel(), np.linspace(0.05, 0.95, 41))
     prices, hedges = price_and_hedge_surface(sol, basis, qs)
-    ts, qi = np.indices(prices.shape)
-    write_csv(out / "surfaces.csv", ["t", "x", "price", "hedge"],
-              [ts.ravel(), qs[qi.ravel()], prices.ravel(), hedges.ravel()],
-              header={"m": basis.m})
+    write_table(out / "surfaces.csv", {"t": None, "x": qs},
+                {"price": prices, "hedge": hedges}, header={"m": basis.m})
 
     _summarize(cfg, out, {"price0": sol.price0, "hedge0": sol.hedge0})
     return 0
@@ -385,10 +373,8 @@ def cmd_fqi_solve(cfg):
     basis = cfg.basis_for(dataset)
     sol = fqi_backward(dataset, basis)
     out = _outdir(cfg)
-    w = np.array(sol.weights)
-    write_csv(out / "weights.csv", ["t", "i", "j", "w"],
-              [*(k.ravel() for k in np.indices(w.shape)), w.ravel()],
-              header={"m": basis.m})
+    write_table(out / "weights.csv", {"t": None, "i": None, "j": None},
+                {"w": np.array(sol.weights)}, header={"m": basis.m})
     _summarize(cfg, out, {"price0": sol.price0, "hedge0": sol.hedge0,
                           "n_warnings": len(sol.warnings)})
     return 0
@@ -404,18 +390,12 @@ def cmd_tabular_q(cfg):
                       schedule=(cfg["tabular.alpha0"], cfg["tabular.k0"]),
                       seed=cfg["mc.seed"])
     out = _outdir(cfg)
-    _, n_x, n_a = learned.q.shape
-    ts, xs, asq = (k.ravel() for k in np.indices(learned.q.shape))
-    vis = np.concatenate([learned.visits.ravel(),
-                          np.zeros(n_x * n_a, dtype=int)])
-    write_csv(out / "qtable.csv",
-              ["t", "state_index", "action_index", "q", "visits"],
-              [ts, xs, asq, learned.q.ravel(), vis],
-              header={"n_x": n_x, "n_a": n_a})
-    mask = np.zeros_like(learned.q, dtype=bool)
-    mask[:-1] = learned.visits > 0
+    visits = np.vstack([learned.visits, np.zeros_like(learned.visits[:1])])  # none at T
+    write_table(out / "qtable.csv", {"t": None, "state_index": None, "action_index": None},
+                {"q": learned.q, "visits": visits},
+                header={"n_x": mdp.n_states, "n_a": mdp.n_actions})
     scale = np.abs(exact.q).max()
-    sup = np.abs(learned.q - exact.q)[mask].max() / scale if scale > 0 else 0.0
+    sup = np.abs(learned.q - exact.q)[visits > 0].max() / scale if scale > 0 else 0.0
     _summarize(cfg, out, {
         "q0_exact": exact.q[0, mdp.x0_index].max(),
         "q0_learned": learned.q[0, mdp.x0_index].max(),
@@ -432,11 +412,9 @@ def cmd_utility_price(cfg):
         paths, cfg.contract(), cfg["utility.gamma"], basis,
         order=cfg["utility.order"], method=cfg["utility.method"])
     out = _outdir(cfg)
-    us = np.array(res.hedge_coeffs)
-    ts, ns = np.indices(us.shape)
-    write_csv(out / "utility_hedges.csv", ["t", "n", "u"],
-              [ts.ravel(), ns.ravel(), us.ravel()],
-              header={"gamma": cfg["utility.gamma"], "method": res.method})
+    write_table(out / "utility_hedges.csv", {"t": None, "n": None},
+                {"u": np.array(res.hedge_coeffs)},
+                header={"gamma": cfg["utility.gamma"], "method": res.method})
     _summarize(cfg, out, {"price0": res.price0, "method": res.method,
                           "order": cfg["utility.order"],
                           "utility_gamma": cfg["utility.gamma"]})
@@ -457,12 +435,10 @@ def cmd_compare(cfg):
     sol = solve_dp(paths, c, cfg.risk(), basis)
     quote = bs_price_delta(m.s0, c.strike, m.sigma, m.r, m.maturity, c.kind)
     out = _outdir(cfg)
-    write_csv(out / "comparison.csv",
-              ["quantity", "dp", "analytic", "abs_diff"],
-              [["price", "hedge"],
-               [sol.price0, sol.hedge0],
-               [quote.price, quote.delta],
-               [abs(sol.price0 - quote.price), abs(sol.hedge0 - quote.delta)]])
+    write_table(out / "comparison.csv", {"quantity": ["price", "hedge"]},
+                {"dp": [sol.price0, sol.hedge0], "analytic": [quote.price, quote.delta],
+                 "abs_diff": [abs(sol.price0 - quote.price),
+                              abs(sol.hedge0 - quote.delta)]})
     _summarize(cfg, out, {
         "dp_price0": sol.price0, "bs_price": quote.price,
         "dp_hedge0": sol.hedge0, "bs_delta": quote.delta,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import index_columns, read_csv, write_csv
+from .csvio import read_csv, scatter_records, typed_header, write_table
 from .dp import terminal_fit
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
@@ -57,65 +57,49 @@ class DatasetHeader:
 
 
 class TransitionDataset:
-    """Flat (path, t, x, a, r, x_next) records, in any order, that must form
-    one panel: a record per path and t in [0, n_steps), each x_next the
-    path's next x.  Held as that panel, paths in ascending ``path_ids``:
-    ``x_paths`` is (n, n_steps+1) as in ``PathEnsemble``, ``a`` and ``r``
-    are (n, n_steps), each stored by step so that column t is contiguous."""
+    """Transitions as one (path x step) panel, paths in ascending
+    ``path_ids``: ``x_paths`` is (n, n_steps+1) as in ``PathEnsemble``,
+    ``a`` and ``r`` are (n, n_steps), each stored by step so that column t
+    is contiguous.  ``from_records`` builds one from flat records."""
 
-    def __init__(self, path_ids, t, x, a, r, x_next, header: DatasetHeader):
-        rec = {"x": x, "a": a, "r": r, "x_next": x_next}
-        for name, v in rec.items():
-            rec[name] = np.asarray(v, dtype=float)
-            if not np.all(np.isfinite(rec[name])):
-                raise DataFormatError(f"non-finite {name} values in dataset")
+    def __init__(self, path_ids, x_paths, a, r, header: DatasetHeader):
         self.header = header
-        n_steps = header.n_steps
-        path_ids = np.asarray(path_ids, dtype=int)
-        self.path_ids = np.unique(path_ids)
-        n_ids = self.path_ids.size
-        t = np.asarray(t, dtype=int)
-        cell = t * n_ids + np.searchsorted(self.path_ids, path_ids)  # step-major
-        inside = (t >= 0) & (t < n_steps)
-        hits = np.bincount(cell[inside], minlength=n_steps * n_ids).reshape(n_steps, n_ids)
-        bad = np.flatnonzero((hits != 1).any(axis=1))
-        if bad.size:
-            ti, k = bad[0], hits[bad[0]].sum()
-            if k != n_ids:
-                raise DataFormatError(f"time slice t={ti} has {k} records for {n_ids} paths")
-            raise DataFormatError(f"duplicate (path, t={ti}) records")
-        if t.size != n_ids * n_steps:
-            raise DataFormatError(f"{t.size} records for {n_ids} paths x {n_steps} "
-                                  f"steps: some t outside [0, {n_steps})")
+        self.path_ids = np.asarray(path_ids, dtype=np.int64)
+        n, n_steps = self.path_ids.size, header.n_steps
+        for name, v, shape in (("x_paths", x_paths, (n, n_steps + 1)),
+                               ("a", a, (n, n_steps)), ("r", r, (n, n_steps))):
+            v = np.asarray(v, dtype=float)
+            if v.shape != shape:
+                raise DataFormatError(f"{name} is {v.shape}; expected {shape}")
+            if not np.all(np.isfinite(v)):
+                raise DataFormatError(f"non-finite {name} values in dataset")
+            setattr(self, name, np.ascontiguousarray(v.T).T)
 
-        def by_step(v, n_rows=n_steps):
-            out = np.empty((n_rows, n_ids))
-            out.reshape(-1)[cell] = v
-            return out
-
-        xs, xs_next = by_step(rec["x"], n_steps + 1), by_step(rec["x_next"])
+    @classmethod
+    def from_records(cls, path_ids, t, x, a, r, x_next, header: DatasetHeader,
+                     source="records"):
+        """The dataset of flat (path, t, x, a, r, x_next) records in any
+        order, which must form one panel: a record per path and t in
+        [0, n_steps), each x_next the path's next x.  Errors name
+        ``source`` and the (path, t) cell."""
+        ids, p = scatter_records(source, path_ids, t,
+                                 {"x": x, "a": a, "r": r, "x_next": x_next},
+                                 header.n_steps)
         # one price panel underlies the records: each x_next must be the x
         # of the same path's next record
-        gap = (xs_next[:-1] != xs[1:-1]).T
+        gap = (p["x_next"][:-1] != p["x"][1:]).T
         if gap.any():
             i, ti = np.argwhere(gap)[0]
-            raise DataFormatError(f"x_next of (path={self.path_ids[i]}, t={ti}) "
+            raise DataFormatError(f"{source}: x_next of (path={ids[i]}, t={ti}) "
                                   f"differs from that path's x at t={ti + 1}")
-        xs[-1] = xs_next[-1]
-        self.x_paths, self.a, self.r = xs.T, by_step(rec["a"]).T, by_step(rec["r"]).T
+        x_paths = np.vstack([p["x"], p["x_next"][-1:]])
+        return cls(ids, x_paths.T, p["a"].T, p["r"].T, header)
 
     def __len__(self):
         return self.a.size
 
-    def records(self):
-        """The flat (path, t, x, a, r, x_next) columns, path-major."""
-        n, n_steps = self.a.shape
-        return (np.repeat(self.path_ids, n_steps), np.tile(np.arange(n_steps), n),
-                self.x_paths[:, :-1].ravel(), self.a.ravel(), self.r.ravel(),
-                self.x_paths[:, 1:].ravel())
-
     def to_ensemble(self) -> PathEnsemble:
-        """The price panel of the records."""
+        """The dataset's price panel as an ensemble."""
         h = self.header
         s0 = h.extras.get("s0")
         if s0 is None:
@@ -336,13 +320,9 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None, seed=None) -> TransitionDataset:
-    """The dataset of an ensemble plus per-step actions/rewards, built from
-    its records like any other."""
-    actions = np.asarray(actions, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
+    """The dataset of an ensemble plus per-step (n_paths, n_steps)
+    actions and rewards."""
     n, n_steps = paths.n_paths, paths.n_steps
-    if actions.shape != (n, n_steps) or rewards.shape != (n, n_steps):
-        raise ValueError("actions/rewards must be (n_paths, n_steps)")
     p = paths.params
     extras = {"s0": p.s0}
     if contract is not None:
@@ -353,10 +333,7 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
         lam=lam, seed=seed if seed is not None else (paths.seed or 0),
         extras=extras,
     )
-    pid, ts = np.indices((n, n_steps))
-    return TransitionDataset(pid.ravel(), ts.ravel(), paths.x_paths[:, :-1].ravel(),
-                             actions.ravel(), rewards.ravel(),
-                             paths.x_paths[:, 1:].ravel(), header)
+    return TransitionDataset(np.arange(n), paths.x_paths, actions, rewards, header)
 
 
 # header key -> type, for the keys every dataset file carries, in
@@ -370,7 +347,9 @@ def write_dataset_csv(dataset: TransitionDataset, path):
     header = dict(zip(_HEADER_KEYS, (h.n_paths, h.n_steps, h.mu, h.sigma, h.r,
                                      h.dt, h.lam, h.seed)))
     header.update(sorted(h.extras.items()))
-    write_csv(path, ["path", "t", "x", "a", "r", "x_next"], dataset.records(), header)
+    write_table(path, {"path": dataset.path_ids, "t": None},
+                {"x": dataset.x_paths[:, :-1], "a": dataset.a, "r": dataset.r,
+                 "x_next": dataset.x_paths[:, 1:]}, header)
 
 
 def _number_or_text(v: str):
@@ -382,18 +361,9 @@ def _number_or_text(v: str):
 
 def read_dataset_csv(path) -> TransitionDataset:
     meta, _, data = read_csv(path)
-    missing = [k for k in _HEADER_KEYS if k not in meta]
-    if missing:
-        raise DataFormatError(f"dataset header missing keys: {missing}")
+    values = typed_header(path, meta, _HEADER_KEYS)
     if data.shape[1] != 6:
-        raise DataFormatError(f"expected 6 columns, got {data.shape[1]}")
-    values = {}
-    for key, raw in meta.items():
-        try:
-            values[key] = _HEADER_KEYS.get(key, _number_or_text)(raw)
-        except ValueError:
-            raise DataFormatError(f"{path}: header value {key}={raw!r} is not "
-                                  f"a valid {_HEADER_KEYS[key].__name__}") from None
-    header = DatasetHeader(*(values.pop(k) for k in _HEADER_KEYS), extras=values)
-    pid, t = index_columns(path, data)
-    return TransitionDataset(pid, t, *data[:, 2:].T, header=header)
+        raise DataFormatError(f"{path}: expected 6 columns, got {data.shape[1]}")
+    extras = {k: _number_or_text(v) for k, v in meta.items() if k not in _HEADER_KEYS}
+    header = DatasetHeader(*values.values(), extras=extras)
+    return TransitionDataset.from_records(*data.T, header, source=path)

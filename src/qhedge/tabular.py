@@ -115,7 +115,6 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         raise ValueError("need n_x >= 1 and n_a >= 2")
     if slices not in ("per_step", "pooled"):
         raise ValueError(f"unknown slices mode {slices!r}")
-    params = paths.params
     n_steps = paths.n_steps
 
     pooled = paths.x_paths
@@ -123,8 +122,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         # the initial column is a point mass; its weight would only
         # collapse quantile edges onto duplicates
         pooled = pooled[:, 1:]
-    pooled = pooled.ravel()
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, n_x + 1))
+    edges = np.quantile(pooled.ravel(), np.linspace(0.0, 1.0, n_x + 1))
     uniq, first = np.unique(edges, return_index=True)
     merged = []
     if uniq.size < edges.size:
@@ -135,20 +133,20 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     if edges.size < 2:
         edges = np.array([edges[0], edges[0] + 1e-8])
     n_xe = edges.size - 1
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    idx = np.clip(np.searchsorted(edges, paths.x_paths, side="right") - 1, 0, n_xe - 1)
-    s = from_state(centers[idx], params.times()[None, :], params)
-    payoff = terminal_payoff(s[:, -1], contract)
-    growth = np.exp(params.r * params.dt)
-
-    def delta_s(t):
-        return s[:, t + 1] - growth * s[:, t]
+    lo, hi = action_range
+    mdp = DiscreteMDP(
+        x_centers=0.5 * (edges[:-1] + edges[1:]),
+        action_grid=np.linspace(float(lo), float(hi), n_a), probs=None,
+        reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0, risk=risk,
+        edges=edges, slices=slices, merged_bins=merged)
+    snapped = mdp.snapped_ensemble(paths)
+    idx = mdp.state_index(paths.x_paths)
+    payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
 
     # martingale-enforced increments per (step, bucket)
     ds_dev = np.empty((paths.n_paths, n_steps))
     for t in range(n_steps):
-        ds = delta_s(t)
+        ds = snapped.delta_s(t)
         ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
 
     def bucket_hedge(t, pi_next):
@@ -160,19 +158,22 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
 
     # risk-minimizing reference rollout on the snapped prices
-    pi = _replicate(payoff, n_steps, risk.gamma, delta_s, bucket_hedge)
+    pi = _replicate(payoff, n_steps, risk.gamma, snapped.delta_s, bucket_hedge)
 
-    # per-path reward parabolas, then conditional means per (t, i, j)
-    counts = np.zeros((n_steps, n_xe, n_xe))
-    coeffs = np.zeros((n_steps, n_xe, n_xe, 3))
+    # per-path reward parabolas, then conditional means per (t, i, j);
+    # bincount adds each cell's records in path order
+    counts = np.empty((n_steps, n_xe * n_xe))
+    coeffs = np.empty((n_steps, n_xe * n_xe, 3))
     for t in range(n_steps):
-        ix, jx = idx[:, t], idx[:, t + 1]
-        c0, c1, c2 = reward_parabola(
-            ds_dev[:, t], pi[:, t + 1], risk,
-            pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)
-        np.add.at(counts[t], (ix, jx), 1.0)
-        for k, c in enumerate((c0, c1, c2)):
-            np.add.at(coeffs[t], (ix, jx, k), c)
+        ix = idx[:, t]
+        cell = ix * n_xe + idx[:, t + 1]
+        counts[t] = np.bincount(cell, minlength=n_xe * n_xe)
+        for k, c in enumerate(reward_parabola(
+                ds_dev[:, t], pi[:, t + 1], risk,
+                pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
+            coeffs[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
+    counts = counts.reshape(n_steps, n_xe, n_xe)
+    coeffs = coeffs.reshape(n_steps, n_xe, n_xe, 3)
     coeffs = np.where(counts[..., None] > 0,
                       coeffs / np.maximum(counts[..., None], 1.0), 0.0)
 
@@ -191,16 +192,11 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
 
     reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
-    for t in range(n_steps + 1):
-        reachable[t, np.unique(idx[:, t])] = True
+    reachable[np.arange(n_steps + 1), idx] = True
 
-    lo, hi = action_range
-    return DiscreteMDP(
-        x_centers=centers, action_grid=np.linspace(float(lo), float(hi), n_a),
-        probs=probs, reward_coeffs=coeffs, terminal_q=terminal_q,
-        reachable=reachable, x0_index=int(idx[0, 0]), risk=risk,
-        edges=edges, slices=slices, merged_bins=merged,
-    )
+    mdp.probs, mdp.reward_coeffs, mdp.terminal_q = probs, coeffs, terminal_q
+    mdp.reachable, mdp.x0_index = reachable, int(idx[0, 0])
+    return mdp
 
 
 def exact_backward_induction(mdp: DiscreteMDP) -> QTable:

@@ -153,7 +153,7 @@ class TestCriterion4FiniteStateAgreement:
             r=params.r, dt=params.dt, lam=risk.lam, seed=3,
             extras={"s0": params.s0, "contract_kind": contract.kind,
                     "contract_strike": contract.strike})
-        ds = TransitionDataset(
+        ds = TransitionDataset.from_records(
             path_ids=pid, t=t_flat, x=mdp.x_centers[i_flat], a=a_flat,
             r=r_flat, x_next=mdp.x_centers[j_flat], header=header)
         # max-term actions regress on the replicating portfolio (per-variant

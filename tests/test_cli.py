@@ -85,10 +85,20 @@ class TestConfigBoundary:
         ("tabular-q", "tabular.n_a", "1"),
         ("tabular-q", "tabular.n_updates", "0"),
         ("fqi-solve", "dataset.path", "no/such/dataset.csv"),
+        ("tabular-q", "tabular.k0", "0"),
+        ("tabular-q", "tabular.alpha0", "-1"),
+        ("tabular-q", "tabular.action_lo", "nan"),
+        ("utility-price", "utility.gamma", "-5"),
+        ("utility-price --utility.method numeric", "utility.gamma", "0"),
+        ("rollout", "rollout.constant", "nan"),
+        ("make-dataset", "dataset.random_lo", "nan"),
+        ("make-dataset", "dataset.random_lo", "2"),  # above random_hi = 1.5
+        ("dp-solve", "basis.bandwidth", "-1"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
         # the key under test comes last so that SMALL's sizes do not override it
-        code = run(command, *SMALL, "--output.dir", str(tmp_path), f"--{key}", value)
+        code = run(*command.split(), *SMALL, "--output.dir", str(tmp_path),
+                   f"--{key}", value)
         assert code == 2
         assert key in capsys.readouterr().err
 
@@ -289,6 +299,16 @@ class TestIngest:
         f = tmp_path / "panel.csv"
         f.write_text(body)
         with pytest.raises(DataFormatError, match="panel.csv"):
+            ingest_prices(f)
+
+    @pytest.mark.parametrize("header, message", [
+        ("# mu=abc\n# sigma=0.2\n# r=0\n# maturity=1\n", "header value mu='abc'"),
+        ("# sigma=0.2\n# r=0\n# maturity=1\n", "header missing key 'mu'"),
+    ], ids=["bad_value", "missing_key"])
+    def test_bad_header_names_file_and_key(self, tmp_path, header, message):
+        f = tmp_path / "panel.csv"
+        f.write_text(header + "path,t,s\n0,0,100\n0,1,101\n")
+        with pytest.raises(DataFormatError, match=rf"panel\.csv: {message}"):
             ingest_prices(f)
 
     def test_nonpositive_price_rejected(self, tmp_path):

@@ -73,8 +73,8 @@ class TestSingleStepRegression:
                                dt=1.0, lam=0.5, seed=0,
                                extras={"s0": 100.0, "contract_kind": "put",
                                        "contract_strike": 100.0})
-        ds = TransitionDataset(np.arange(4), np.zeros(4, dtype=int),
-                               x, a, r, x_next, header)
+        ds = TransitionDataset.from_records(np.arange(4), np.zeros(4, dtype=int),
+                                            x, a, r, x_next, header)
         basis = unit_basis()
         sol = fqi_backward(ds, basis)
         # oracle: terminal Q is the flat-cell fit of -payoff - lam Var(payoff)
@@ -233,7 +233,7 @@ class TestDatasetIO:
         header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
                                dt=0.5, lam=0.1, seed=0)
         with pytest.raises(DataFormatError):
-            TransitionDataset(
+            TransitionDataset.from_records(
                 path_ids=[0, 1, 0], t=[0, 0, 1], x=[0.0, 0.0, 0.1],
                 a=[0.0] * 3, r=[0.0] * 3, x_next=[0.1, 0.2, 0.2],
                 header=header)
@@ -241,8 +241,8 @@ class TestDatasetIO:
     def test_duplicate_record_rejected(self):
         header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
                                dt=0.5, lam=0.1, seed=0)
-        with pytest.raises(DataFormatError, match=r"duplicate \(path, t=0\)"):
-            TransitionDataset(
+        with pytest.raises(DataFormatError, match=r"duplicate rows for cell \(path=0, t=0\)"):
+            TransitionDataset.from_records(
                 path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], x=[0.0] * 4,
                 a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1] * 4, header=header)
 
@@ -250,7 +250,8 @@ class TestDatasetIO:
         header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
                                dt=1.0, lam=0.1, seed=0)
         with pytest.raises(DataFormatError):
-            TransitionDataset([0], [0], [0.0], [0.0], [np.nan], [0.1], header)
+            TransitionDataset.from_records([0], [0], [0.0], [0.0], [np.nan], [0.1],
+                                           header)
 
     @pytest.mark.parametrize("field", ["x", "a", "x_next"])
     def test_nonfinite_state_or_action_rejected(self, field):
@@ -259,7 +260,7 @@ class TestDatasetIO:
         rec = dict(x=[0.0], a=[0.0], r=[0.0], x_next=[0.1])
         rec[field] = [np.inf]
         with pytest.raises(DataFormatError, match=f"non-finite {field}"):
-            TransitionDataset([0], [0], header=header, **rec)
+            TransitionDataset.from_records([0], [0], header=header, **rec)
 
     def test_x_next_must_match_next_state(self):
         """A path's x_next at t is its x at t+1: the rebuilt panel keeps
@@ -267,7 +268,7 @@ class TestDatasetIO:
         header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
                                dt=0.5, lam=0.1, seed=0)
         with pytest.raises(DataFormatError, match=r"path=1, t=0"):
-            TransitionDataset(
+            TransitionDataset.from_records(
                 path_ids=[0, 0, 1, 1], t=[0, 1, 0, 1], x=[0.0, 0.1, 0.0, 0.2],
                 a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1, 0.3, 0.25, 0.1],
                 header=header)
@@ -275,9 +276,9 @@ class TestDatasetIO:
     def test_time_outside_horizon_rejected(self):
         header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
                                dt=1.0, lam=0.1, seed=0)
-        with pytest.raises(DataFormatError, match="records for 1 paths"):
-            TransitionDataset([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
-                              [0.0, 0.0], [0.1, 0.2], header)
+        with pytest.raises(DataFormatError, match=r"cell \(path=0, t=1\) is outside"):
+            TransitionDataset.from_records([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
+                                           [0.0, 0.0], [0.1, 0.2], header)
 
     def test_header_missing_keys(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -322,10 +323,23 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=r"data row 2 is \[2\.7, 0\.0"):
             read_dataset_csv(f)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,0,0,0,0.1\n0,1,0.1,0,0,0.2\n0,1,0.1,0,0,0.2\n",
+         r"duplicate rows for cell \(path=0, t=1\)"),
+        ("0,0,0,0,0,0.1\n0,1,0.1,0,0,0.2\n1,1,0.1,0,0,0.2\n",
+         r"missing cell \(path=1, t=0\)"),
+    ], ids=["duplicate", "missing"])
+    def test_record_errors_name_file_and_cell(self, tmp_path, rows, message):
+        f = tmp_path / "data.csv"
+        f.write_text("# n_paths=2\n# n_steps=2\n# mu=0\n# sigma=0.2\n# r=0\n"
+                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n" + rows)
+        with pytest.raises(DataFormatError, match=rf"data\.csv: {message}"):
+            read_dataset_csv(f)
+
     def test_contract_required(self):
         header = DatasetHeader(n_paths=2, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
                                dt=1.0, lam=0.1, seed=0, extras={"s0": 100.0})
-        ds = TransitionDataset([0, 1], [0, 0], [4.6, 4.6], [0.0, 0.0],
-                               [0.0, 0.0], [4.61, 4.59], header)
+        ds = TransitionDataset.from_records([0, 1], [0, 0], [4.6, 4.6], [0.0, 0.0],
+                                            [0.0, 0.0], [4.61, 4.59], header)
         with pytest.raises(DataFormatError, match="contract"):
             fqi_backward(ds, unit_basis())

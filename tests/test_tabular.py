@@ -58,6 +58,8 @@ class TestDiscretize:
             for t in range(mdp.n_steps):
                 rows = mdp.probs[t][mdp.reachable[t]]
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+            if mode == "pooled":  # every step shares one transition table
+                assert all(np.array_equal(p, mdp.probs[0]) for p in mdp.probs)
 
     def test_transition_counts_match_hand_tally(self):
         """Empirical frequencies against an independent dict-based count."""
