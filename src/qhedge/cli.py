@@ -234,9 +234,12 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     if data.shape[1] < 3:
         raise DataFormatError(f"{path}: expected path,t,s columns")
     _, cols = scatter_records(path, data[:, 0], data[:, 1], {"price": data[:, 2]})
+    bad = np.flatnonzero(data[:, 2] <= 0)
+    if bad.size:
+        i = bad[0]
+        raise DataFormatError(f"{path}: non-positive price {data[i, 2]} at cell "
+                              f"(path={int(data[i, 0])}, t={int(data[i, 1])})")
     panel = np.ascontiguousarray(cols["price"].T)
-    if np.any(panel <= 0):
-        raise DataFormatError("non-positive prices in panel")
     if params is None:
         h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
         params = MarketParams(s0=float(panel[0, 0]), n_steps=panel.shape[1] - 1, **h)

@@ -366,4 +366,8 @@ def read_dataset_csv(path) -> TransitionDataset:
         raise DataFormatError(f"{path}: expected 6 columns, got {data.shape[1]}")
     extras = {k: _number_or_text(v) for k, v in meta.items() if k not in _HEADER_KEYS}
     header = DatasetHeader(*values.values(), extras=extras)
-    return TransitionDataset.from_records(*data.T, header, source=path)
+    dataset = TransitionDataset.from_records(*data.T, header, source=path)
+    if dataset.path_ids.size != header.n_paths:
+        raise DataFormatError(f"{path}: header n_paths={header.n_paths}, but the "
+                              f"records hold {dataset.path_ids.size} paths")
+    return dataset

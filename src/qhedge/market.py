@@ -10,6 +10,7 @@ a driftless coordinate whose distribution does not translate over time,
 which keeps one basis usable across all time steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,28 +146,111 @@ def terminal_payoff(s_t, contract: OptionContract):
     return np.maximum(s_t - contract.strike, 0.0)
 
 
+# Cephes ndtri (Moshier 1989), the code scipy.special.ndtri runs, with its
+# coefficients.  P0/Q0 cover the centre e^-2 < y < 1 - e^-2 in y - 1/2;
+# P1/Q1 and P2/Q2 cover the tails in 1/x, x = sqrt(-2 log y), below and
+# above x = 8 (y = e^-32).  Q0, Q1 and Q2 are Cephes' p1evl polynomials,
+# stored with their implicit leading 1: 1.0 * x is exact, so polevl on them
+# rounds as p1evl does.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Cephes polevl: coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = coef[0] * x
+    for c in coef[1:-1]:
+        ans += c
+        ans *= x
+    ans += coef[-1]
+    return ans
+
+
+def _libm_log(v):
+    # math.log is the C library's log, which Cephes calls; numpy's SIMD
+    # loops may differ from it by an ulp
+    return np.fromiter(map(math.log, memoryview(v)), float, v.size)
+
+
+def _ndtri(y):
+    """Inverse standard normal CDF of a float array in the open (0, 1), bit
+    for bit the Cephes ``ndtri``: each branch runs on its own subset in
+    Cephes' operation order and fills one output array."""
+    z = np.empty_like(y)
+    centre = (y > _EXP_M2) & (y <= 1.0 - _EXP_M2)
+    c = y[centre] - 0.5
+    c2 = c * c
+    z[centre] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _S2PI
+    del c, c2
+    # a tail value above 1/2 is mapped to 1 - y, which is exact and below
+    # e^-2, and keeps its positive sign; the lower tail is negated
+    tail = ~centre
+    t = y[tail]
+    upper = t > 0.5
+    np.subtract(1.0, t, out=t, where=upper)
+    x = np.sqrt(-2.0 * _libm_log(t))
+    x0 = x - _libm_log(x) / x
+    w = 1.0 / x
+    x1 = w * _polevl(w, _P1) / _polevl(w, _Q1)
+    far = x >= 8.0
+    wf = w[far]
+    x1[far] = wf * _polevl(wf, _P2) / _polevl(wf, _Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper)
+    z[tail] = x0
+    return z
+
+
 def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     """Simulate GBM paths with the exact lognormal step.
 
     S_{t+1} = S_t exp((mu - sigma^2/2) dt + sigma sqrt(dt) z), z ~ N(0,1).
-    Normals are drawn by inverse CDF from PCG64 uniforms, so for a fixed
-    seed the output is reproducible bit for bit on one machine and library
-    build.  Across machines it is not: numpy's float64 ``log`` and ``exp``
-    dispatch to CPU-specific SIMD loops, which may differ by an ulp.
+    Normals are drawn by inverse CDF from PCG64 uniforms, through a numpy
+    port of Cephes ``ndtri`` that equals ``scipy.special.ndtri`` bit for
+    bit; its tail logs come from the C library, as Cephes' do.  So for a
+    fixed seed the output is reproducible bit for bit on one machine and
+    library build.  Across machines it is not: numpy's float64 ``log`` and
+    ``exp`` dispatch to CPU-specific SIMD loops, which may differ by an ulp.
     """
-    # imported here, not at module level: scipy.special is the slowest
-    # import of the package, and only simulating commands need it
-    from scipy.special import ndtri
-
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
     u = rng.random((n_paths, params.n_steps))
     # keep uniforms strictly inside (0, 1) so ndtri stays finite
-    z = ndtri(np.clip(u, 1e-300, np.nextafter(1.0, 0.0)))
+    np.clip(u, 1e-300, np.nextafter(1.0, 0.0), out=u)
+    log_s = _ndtri(u)
+    del u
+    # the normals become log-price increments, then log prices, in place
     dt = params.dt
-    increments = (params.mu - 0.5 * params.sigma**2) * dt + params.sigma * np.sqrt(dt) * z
-    log_s = np.log(params.s0) + np.cumsum(increments, axis=1)
+    log_s *= params.sigma * np.sqrt(dt)
+    log_s += (params.mu - 0.5 * params.sigma**2) * dt
+    np.cumsum(log_s, axis=1, out=log_s)
+    log_s += np.log(params.s0)
     s = np.empty((n_paths, params.n_steps + 1))
     s[:, 0] = params.s0
     s[:, 1:] = np.exp(log_s)

@@ -115,7 +115,8 @@ class TestSubcommands:
         assert abs(float(summary["price"]) - oracle) < 1e-6
 
     def test_import_and_bs_quote_load_no_scipy(self, tmp_path):
-        """scipy is imported only by commands that simulate paths."""
+        """No command loads scipy, simulating ones included: it is a
+        test-time reference only."""
         child = (
             "import sys\n"
             "import qhedge.cli\n"
@@ -126,6 +127,10 @@ class TestSubcommands:
             f"code = qhedge.cli.main(['bs-quote', '--output.dir', {str(tmp_path)!r}])\n"
             "if code or scipy_loaded():\n"
             "    sys.exit(f'bs-quote exited {code} and loaded {scipy_loaded()}')\n"
+            f"code = qhedge.cli.main(['simulate', *{SMALL!r}, "
+            f"'--output.dir', {str(tmp_path / 'sim')!r}])\n"
+            "if code or scipy_loaded():\n"
+            "    sys.exit(f'simulate exited {code} and loaded {scipy_loaded()}')\n"
         )
         src = str(Path(qhedge.__file__).resolve().parents[1])
         env = {**os.environ,
@@ -134,6 +139,7 @@ class TestSubcommands:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "summary.txt").exists()
+        assert (tmp_path / "sim" / "ensemble.csv").exists()
 
     def test_dp_lambda_zero_is_config_error(self, tmp_path, capsys):
         code = run("dp-solve", "--risk.lambda", "0", "--output.dir",
@@ -163,6 +169,18 @@ class TestSubcommands:
         assert "price0" in summary and "hedge0" in summary
         assert (out / "coefficients.csv").exists()
         assert (out / "surfaces.csv").exists()
+
+    def test_fqi_solve_rejects_header_n_paths_mismatch(self, tmp_path, capsys):
+        """fqi-solve on a dataset whose header's n_paths disagrees with its
+        records exits 3 naming the file and the key."""
+        f = tmp_path / "data.csv"
+        f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
+                     "0,0,0,0,0,0.1\n1,0,0,0,0,0.2\n")
+        code = run("fqi-solve", "--dataset.path", str(f),
+                   "--output.dir", str(tmp_path / "fqi"))
+        assert code == 3
+        assert "data.csv: header n_paths=5" in capsys.readouterr().err
 
     def test_dataset_roundtrip_and_fqi(self, tmp_path):
         """dp_optimal dataset reproduces the DP price (mu = r, where the
@@ -317,6 +335,15 @@ class TestIngest:
                      "path,t,s\n0,0,100\n0,1,-5\n")
         with pytest.raises(DataFormatError):
             ingest_prices(f)
+
+    def test_nonpositive_price_names_file_and_cell(self, tmp_path, capsys):
+        f = tmp_path / "panel.csv"
+        f.write_text("path,t,s\n0,0,100\n0,1,-5\n1,0,100\n1,1,99\n")
+        code = run("simulate", "--ingest.path", str(f), "--market.n_steps", "1",
+                   "--output.dir", str(tmp_path / "out"))
+        assert code == 3
+        assert ("panel.csv: non-positive price -5.0 at cell (path=0, t=1)"
+                in capsys.readouterr().err)
 
     def test_duplicate_cell_names_cell(self, tmp_path, capsys):
         """Two rows for one (path, t) cell are a format error, not a price

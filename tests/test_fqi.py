@@ -336,6 +336,17 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=rf"data\.csv: {message}"):
             read_dataset_csv(f)
 
+    def test_header_n_paths_must_match_records(self, tmp_path):
+        """A header that claims more paths than the records hold is a
+        format error, not a dataset that writes the wrong count back."""
+        f = tmp_path / "data.csv"
+        f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
+                     "0,0,0,0,0,0.1\n1,0,0,0,0,0.2\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv: header n_paths=5, "
+                                                  r"but the records hold 2 paths"):
+            read_dataset_csv(f)
+
     def test_contract_required(self):
         header = DatasetHeader(n_paths=2, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
                                dt=1.0, lam=0.1, seed=0, extras={"s0": 100.0})

@@ -1,7 +1,7 @@
-"""Randomized invariants of the B-spline design, the shared replication
-recursion, the shared hedge fit, the DP solver, the artifact codec and the
-grouped Q-learning kernel.  Examples are drawn by hypothesis, derandomized
-so every run draws the same ones."""
+"""Randomized invariants of the B-spline design, the inverse normal CDF,
+the shared replication recursion, the shared hedge fit, the DP solver, the
+artifact codec and the grouped Q-learning kernel.  Examples are drawn by
+hypothesis, derandomized so every run draws the same ones."""
 
 import tempfile
 from pathlib import Path
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import BSpline
+from scipy.special import ndtri
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     RiskParams, build_basis, build_dataset, q_learn,
@@ -18,6 +19,7 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     solve_local_risk, write_dataset_csv)
 from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_csv
+from qhedge.market import _ndtri
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -156,6 +158,30 @@ def test_bspline_design_is_scipys_design_matrix(params, seed, degree, data):
     lo, hi = t[degree], t[-degree - 1]
     expected = BSpline.design_matrix(np.clip(x, lo, np.nextafter(hi, lo)), t, degree)
     assert np.array_equal(basis.evaluate(x), expected.toarray())
+
+
+# Cephes ndtri's branch cuts: e^-2 and 1 - e^-2 bound the centre, e^-32
+# and 1 - e^-32 are where x = sqrt(-2 log y) reaches 8
+NDTRI_CUTS = np.array([0.13533528323661269189, 1.0 - 0.13533528323661269189,
+                       np.exp(-32.0), 1.0 - np.exp(-32.0)])
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(0, 5000),
+       lower=st.lists(st.floats(-300.0, -3.0), max_size=50),
+       upper=st.lists(st.floats(-16.0, -3.0), max_size=50),
+       ulps=st.lists(st.integers(-50, 50), max_size=25))
+def test_ndtri_is_scipys_ndtri(seed, n, lower, upper, ulps):
+    """market._ndtri equals scipy.special.ndtri bit for bit: on PCG64
+    uniforms, on both tails out to the clip's endpoints 1e-300 and
+    nextafter(1, 0), and on ulp neighbours of every branch cut.  Values are
+    clipped as simulate_gbm clips them."""
+    cuts = NDTRI_CUTS.view(np.int64)[:, None] + np.array(ulps, dtype=np.int64)
+    y = np.concatenate([np.random.default_rng(seed).random(n),
+                        10.0 ** np.array(lower), 1.0 - 10.0 ** np.array(upper),
+                        cuts.view(float).ravel(), NDTRI_CUTS, [0.0, 1.0]])
+    y = np.clip(y, 1e-300, np.nextafter(1.0, 0.0))
+    assert np.array_equal(_ndtri(y), ndtri(y))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
