@@ -16,8 +16,8 @@ from .dp import DPSolution, price_and_hedge_surface, solve_dp
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      QHedgeError, SingularSystemError)
 from .fqi import (DatasetHeader, FQISolution, TransitionDataset, build_dataset,
-                  build_features, extract_price_hedge, fqi_backward,
-                  read_dataset_csv, write_dataset_csv)
+                  build_features, dataset_rewards, extract_price_hedge,
+                  fqi_backward, read_dataset_csv, write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, simulate_gbm,
                      terminal_payoff, to_state)
@@ -26,8 +26,7 @@ from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
                         signed_measure_weights, solve_local_risk)
 from .tabular import (DiscreteMDP, QTable, analytic_actions, discretize,
                       exact_backward_induction, q_learn)
-from .utility import (IndifferenceResult, hedge_expansion,
-                      indifference_price_recursion, numeric_hedge)
+from .utility import IndifferenceResult, indifference_price_recursion
 
 __all__ = [
     "BSQuote", "BasisSet", "ConfigError", "DPSolution", "DataFormatError",
@@ -36,12 +35,11 @@ __all__ = [
     "PathEnsemble", "PortfolioRollout", "QHedgeError", "QTable", "RiskParams",
     "SingularSystemError", "TransitionDataset", "ask_price",
     "analytic_actions", "bs_price_delta", "build_basis", "build_dataset",
-    "build_features", "discretize", "ensemble_from_prices",
+    "build_features", "dataset_rewards", "discretize", "ensemble_from_prices",
     "exact_backward_induction", "extract_price_hedge", "fqi_backward",
-    "from_state", "hedge_expansion", "indifference_price_recursion",
-    "limit_hedge_correction", "norm_cdf", "numeric_hedge",
-    "price_and_hedge_surface", "q_learn", "read_dataset_csv",
-    "reward_parabola", "rollout_portfolio",
-    "signed_measure_weights", "simulate_gbm", "solve_dp", "solve_local_risk",
-    "terminal_payoff", "to_state", "write_dataset_csv",
+    "from_state", "indifference_price_recursion", "limit_hedge_correction",
+    "norm_cdf", "price_and_hedge_surface", "q_learn", "read_dataset_csv",
+    "reward_parabola", "rollout_portfolio", "signed_measure_weights",
+    "simulate_gbm", "solve_dp", "solve_local_risk", "terminal_payoff",
+    "to_state", "write_dataset_csv",
 ]

@@ -21,12 +21,11 @@ from .black_scholes import bs_price_delta
 from .csvio import format_value, read_csv, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, QHedgeError
-from .fqi import build_dataset, fqi_backward, read_dataset_csv, write_dataset_csv
+from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
+                  write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, simulate_gbm)
-from .portfolio import (HedgeStrategy, RiskParams, reward_parabola,
-                        rollout_portfolio, solve_local_risk)
-from .regression import conditional_mean
+from .portfolio import HedgeStrategy, RiskParams, rollout_portfolio, solve_local_risk
 from .tabular import discretize, exact_backward_induction, q_learn
 from .utility import indifference_price_recursion
 
@@ -224,8 +223,8 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
     The panel must hold one finite, positive price per (path, t) cell of
-    a rectangle; the state transform uses the header's mu/sigma when
-    ``params`` is not given.
+    a rectangle, with ``params.n_steps`` steps when ``params`` is given;
+    otherwise the state transform uses the header's mu/sigma.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -240,9 +239,13 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
         raise DataFormatError(f"{path}: non-positive price {data[i, 2]} at cell "
                               f"(path={int(data[i, 0])}, t={int(data[i, 1])})")
     panel = np.ascontiguousarray(cols["price"].T)
+    n_steps = panel.shape[1] - 1
     if params is None:
         h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
-        params = MarketParams(s0=float(panel[0, 0]), n_steps=panel.shape[1] - 1, **h)
+        params = MarketParams(s0=float(panel[0, 0]), n_steps=n_steps, **h)
+    elif params.n_steps != n_steps:
+        raise ConfigError(f"{path}: the panel has {n_steps} steps, but "
+                          f"market.n_steps is {params.n_steps}")
     return ensemble_from_prices(panel, params)
 
 
@@ -336,7 +339,7 @@ def cmd_make_dataset(cfg):
     coeffs, pi_ref = solve_local_risk(paths, contract, basis)
     actions = (HedgeStrategy.from_coefficients(basis, coeffs) if policy == "local_risk"
                else _strategy(cfg, paths, basis, policy)).actions(paths)[:, :-1]
-    rewards = _rewards(paths, actions, pi_ref, risk, basis)
+    rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
     dataset.header.extras["policy"] = policy
@@ -344,27 +347,6 @@ def cmd_make_dataset(cfg):
     write_dataset_csv(dataset, out / "dataset.csv")
     _summarize(cfg, out, {"n_records": len(dataset), "policy": policy})
     return 0
-
-
-def dataset_rewards(paths, actions, contract, risk, basis) -> np.ndarray:
-    """Per-record rewards: gain term from the recorded actions, risk
-    penalty from the policy-independent risk-minimizing rollout."""
-    return _rewards(paths, actions, solve_local_risk(paths, contract, basis)[1],
-                    risk, basis)
-
-
-def _rewards(paths, actions, pi_ref, risk, basis) -> np.ndarray:
-    """``dataset_rewards`` around the risk-minimizing portfolio ``pi_ref``."""
-    rewards = np.empty_like(np.asarray(actions, dtype=float))
-    for t in range(paths.n_steps):
-        design = basis.evaluate(paths.x_paths[:, t])
-        c0, c1, c2 = reward_parabola(
-            paths.delta_s(t), pi_ref[:, t + 1], risk,
-            pi_center=conditional_mean(design, pi_ref[:, t + 1]),
-            ds_center=paths.delta_s_mean(t))
-        a = actions[:, t]
-        rewards[:, t] = c0 + c1 * a + c2 * a**2
-    return rewards
 
 
 def cmd_fqi_solve(cfg):

@@ -23,7 +23,7 @@ from .dp import terminal_fit
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, terminal_payoff)
-from .portfolio import RiskParams, _replicate, hedge_fit
+from .portfolio import RiskParams, _replicate, hedge_fit, reward_parabola
 from .regression import conditional_mean, ridge_solve
 
 
@@ -140,11 +140,6 @@ class FQISolution:
     hedge0: float
     warnings: list = field(default_factory=list)
 
-    def action_poly(self, basis, x, t: int):
-        """(q0, q1, q2) with Q_t(x, a) = q0 + q1 a + q2 a^2 / 2."""
-        u = basis.evaluate(x) @ self.weights[t].T
-        return u[:, 0], u[:, 1], u[:, 2]
-
 
 def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = None,
                  *, pi_reference=None, action_source: str = "analytic",
@@ -165,7 +160,8 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         regression on portfolio values (``portfolio.hedge_fit`` with the
         risk-return tilt, as in ``dp.solve_dp``; the default) or the
         two-fold cross-fitted parabola vertex ("crossfit", the data-only
-        fallback).
+        fallback).  ``hedge0`` is the same analytic action at t = 0, or
+        under "crossfit" the vertex of the fitted parabola.
     ds_mean : {"model", "regression"}
         Conditional mean of the price increment inside the action
         regression: implied by the header's mu/r (default), or estimated
@@ -186,6 +182,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         raise ValueError(f"unknown action_source {action_source!r}")
     if ds_mean not in ("model", "regression"):
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
+    shape = (dataset.path_ids.size, h.n_steps)
+    if pi_reference is not None and np.shape(pi_reference) != shape:
+        raise ValueError(f"pi_reference must be (n_paths, n_steps) = {shape}, "
+                         f"column t holding Pi_(t+1); got {np.shape(pi_reference)}")
 
     paths = dataset.to_ensemble()
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
@@ -254,14 +254,8 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
     # t = 0 median row; the mean of equal values can be an ulp off them
     x0 = dataset.x_paths[:, 0]
     phi0 = phi_med if np.all(x0 == x0[0]) else basis.evaluate([float(x0.mean())])
-    u0 = phi0 @ weights[0].T
-    if use_analytic:
-        a0 = float((phi0 @ action_coeffs[0])[0])
-    elif u0[0, 2] < 0:
-        a0 = float(-u0[0, 1] / u0[0, 2])
-    else:
-        raise SingularSystemError("degenerate Q at t=0: no action estimate available")
-    price0 = -float(u0[0, 0] + a0 * u0[0, 1] + 0.5 * a0**2 * u0[0, 2])
+    beta0 = action_coeffs[0] if use_analytic else None
+    price0, a0 = _read_out(phi0, weights[0], beta0, 0)
     return FQISolution(weights=weights, terminal_value_coeffs=term_coeffs,
                        action_coeffs=action_coeffs, price0=price0, hedge0=a0,
                        warnings=warnings)
@@ -294,29 +288,50 @@ def _crossfit_v(dataset, design, targets, psi, t):
     return out
 
 
-def extract_price_hedge(solution: FQISolution, basis, x, t: int):
-    """Price and hedge read-out from the fitted quadratic at (x, t).
-
-    The hedge is the parabola vertex -q1/q2 when the fit is concave;
-    otherwise it falls back to the stored analytic-action coefficients.
-    The price is -Q_t(x, hedge).
-    """
-    q0, q1, q2 = solution.action_poly(basis, [float(x)], t)
-    q0, q1, q2 = float(q0[0]), float(q1[0]), float(q2[0])
-    if q2 < 0:
-        hedge = -q1 / q2
-    elif solution.action_coeffs is not None:
-        hedge = float((basis.evaluate([float(x)]) @ solution.action_coeffs[t])[0])
+def _read_out(phi, w, beta, t):
+    """Price and hedge at the design row ``phi`` (1 x M) from step t's
+    weights ``w``: the hedge is the analytic action ``phi @ beta`` when
+    the solution has one (``beta`` not None), else the vertex -q1/q2 of
+    the concave fitted parabola; the price is -Q_t at that hedge."""
+    q0, q1, q2 = (phi @ w.T)[0]
+    if beta is not None:
+        hedge = float((phi @ beta)[0])
+    elif q2 < 0:
+        hedge = float(-q1 / q2)
     else:
         raise SingularSystemError(
-            f"fitted Q degenerate in the action at step {t} and no fallback action"
-        )
-    price = -(q0 + hedge * q1 + 0.5 * hedge**2 * q2)
-    return price, hedge
+            f"fitted Q not concave in the action at step {t} and no analytic action")
+    return -float(q0 + hedge * q1 + 0.5 * hedge**2 * q2), hedge
+
+
+def extract_price_hedge(solution: FQISolution, basis, x, t: int):
+    """Price and hedge read out at (x, t) by the rule ``fqi_backward``
+    applies at t = 0, so at its start state this returns
+    (``price0``, ``hedge0``)."""
+    beta = None if solution.action_coeffs is None else solution.action_coeffs[t]
+    return _read_out(basis.evaluate([float(x)]), solution.weights[t], beta, t)
 
 
 # ---------------------------------------------------------------------------
 # dataset construction and CSV round-trip
+
+def dataset_rewards(paths: PathEnsemble, actions, pi_reference, risk: RiskParams,
+                    basis) -> np.ndarray:
+    """Per-record (n_paths, n_steps) rewards of the recorded ``actions``:
+    the gain term from the actions, the variance penalty around the
+    reference portfolio ``pi_reference``, an (n_paths, n_steps+1) panel
+    such as the risk-minimizing ``solve_local_risk(...)[1]``."""
+    rewards = np.empty_like(np.asarray(actions, dtype=float))
+    for t in range(paths.n_steps):
+        design = basis.evaluate(paths.x_paths[:, t])
+        c0, c1, c2 = reward_parabola(
+            paths.delta_s(t), pi_reference[:, t + 1], risk,
+            pi_center=conditional_mean(design, pi_reference[:, t + 1]),
+            ds_center=paths.delta_s_mean(t))
+        a = actions[:, t]
+        rewards[:, t] = c0 + c1 * a + c2 * a**2
+    return rewards
+
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None, seed=None) -> TransitionDataset:

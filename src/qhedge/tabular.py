@@ -42,7 +42,6 @@ class DiscreteMDP:
     x0_index: int
     risk: RiskParams
     edges: np.ndarray = None    # (n_x+1,) quantile bucket edges
-    slices: str = "per_step"
     merged_bins: list = field(default_factory=list)
 
     @property
@@ -96,25 +95,18 @@ def _bucket_means(ix, vals, n_x):
 
 
 def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
-               n_x: int, n_a: int, action_range, *,
-               slices: str = "per_step") -> DiscreteMDP:
+               n_x: int, n_a: int, action_range) -> DiscreteMDP:
     """Build the finite chain from an ensemble.
 
     The state grid sits on quantiles of the pooled states (empty duplicate
     bins are merged and recorded); actions are a uniform grid over
     ``action_range``.  Rewards come from the risk-minimizing replicating
     rollout on the snapped paths, so they do not depend on any exploration
-    policy.
-
-    ``slices="per_step"`` keeps one empirical transition table per time
-    step (exactly consistent with cross-sectional regression solvers);
-    ``"pooled"`` shares one table across steps, as the driftless state
-    justifies statistically.
+    policy.  Each time step keeps its own empirical transition table,
+    exactly consistent with the cross-sectional regression solvers.
     """
     if n_x < 1 or n_a < 2:
         raise ValueError("need n_x >= 1 and n_a >= 2")
-    if slices not in ("per_step", "pooled"):
-        raise ValueError(f"unknown slices mode {slices!r}")
     n_steps = paths.n_steps
 
     pooled = paths.x_paths
@@ -138,7 +130,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         x_centers=0.5 * (edges[:-1] + edges[1:]),
         action_grid=np.linspace(float(lo), float(hi), n_a), probs=None,
         reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0, risk=risk,
-        edges=edges, slices=slices, merged_bins=merged)
+        edges=edges, merged_bins=merged)
     snapped = mdp.snapped_ensemble(paths)
     idx = mdp.state_index(paths.x_paths)
     payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
@@ -177,14 +169,8 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     coeffs = np.where(counts[..., None] > 0,
                       coeffs / np.maximum(counts[..., None], 1.0), 0.0)
 
-    if slices == "pooled":
-        total = counts.sum(axis=0)
-        rows = total.sum(axis=1, keepdims=True)
-        probs = np.where(rows > 0, total / np.maximum(rows, 1.0), 0.0)
-        probs = np.broadcast_to(probs, counts.shape).copy()
-    else:
-        rows = counts.sum(axis=2, keepdims=True)
-        probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
+    rows = counts.sum(axis=2, keepdims=True)
+    probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
 
     ix_T = idx[:, -1]
     mean_pay = _bucket_means(ix_T, payoff, n_xe)

@@ -96,77 +96,40 @@ def _cells(paths, t, basis):
     return design, [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
 
 
-def hedge_expansion(paths: PathEnsemble, h_next, t: int, basis, *,
-                    gamma_risk: float = 0.0, order: int = 1) -> np.ndarray:
-    """Small-aversion hedge coefficients per basis cell.
+def _exact_hedge(cell, h_sub, n, t, gamma_risk):
+    """The hedge minimizing E[exp(g (h - u dS))] over a hedgeable cell, by
+    bisection on its monotone derivative, to 1e-10 in the hedge."""
+    u0 = cell.u0(h_sub)
 
-    Returns u0 at order 0 and u0 + gamma_risk * u1 at order >= 1, where u0
-    is the conditional covariance/variance ratio and u1 the first slippage
-    correction.  Empty cells get coefficient 0.
-    """
-    h_next = np.asarray(h_next, dtype=float)
-    _, cells = _cells(paths, t, basis)
-    out = np.zeros(len(cells))
-    for n, cell in enumerate(cells):
-        if cell.empty:
-            continue
-        h_sub = cell.take(h_next)
-        u0 = cell.u0(h_sub)
-        out[n] = u0
-        if order >= 1 and gamma_risk != 0.0:
-            out[n] = u0 + gamma_risk * cell.u1(h_sub, u0)
-    return out
+    def dobj(u):
+        z = gamma_risk * (h_sub - u * cell.ds_c)
+        return -float(np.dot(cell.w, cell.ds_c * np.exp(z - z.max())))
 
-
-def numeric_hedge(paths: PathEnsemble, h_next, t: int, gamma_risk: float,
-                  basis) -> np.ndarray:
-    """Exact per-cell hedge: minimizes E_t[exp(g (h - u dS))] by bisection
-    on its monotone derivative, to 1e-10 in the hedge."""
-    if gamma_risk <= 0:
-        raise ValueError("numeric hedge requires gamma_risk > 0")
-    return _numeric_hedge(_cells(paths, t, basis)[1], np.asarray(h_next, dtype=float),
-                          t, gamma_risk)
-
-
-def _numeric_hedge(cells, h_next, t, gamma_risk):
-    """``numeric_hedge`` on the step-t cells of ``_cells``."""
-    out = np.zeros(len(cells))
-    for n, cell in enumerate(cells):
-        if cell.empty or not cell.hedgeable:
-            continue  # no sample, or a singleton: no hedge estimate, leave 0
-        h_sub = cell.take(h_next)
-        u0 = cell.u0(h_sub)
-
-        def dobj(u):
-            z = gamma_risk * (h_sub - u * cell.ds_c)
-            return -float(np.dot(cell.w, cell.ds_c * np.exp(z - z.max())))
-
-        lo, hi = u0 - 1.0, u0 + 1.0
-        it = 0
-        while dobj(lo) > 0:
-            lo -= max(1.0, hi - lo)
-            it += 1
-            if it > _BISECT_CAP:
-                raise SingularSystemError(f"hedge bracketing failed in cell {n}")
-        while dobj(hi) < 0:
-            hi += max(1.0, hi - lo)
-            it += 1
-            if it > _BISECT_CAP:
-                raise SingularSystemError(f"hedge bracketing failed in cell {n}")
-        for _ in range(_BISECT_CAP):
-            mid = 0.5 * (lo + hi)
-            if dobj(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-10:
-                break
+    lo, hi = u0 - 1.0, u0 + 1.0
+    it = 0
+    while dobj(lo) > 0:
+        lo -= max(1.0, hi - lo)
+        it += 1
+        if it > _BISECT_CAP:
+            raise SingularSystemError(f"hedge bracketing failed in cell {n}")
+    while dobj(hi) < 0:
+        hi += max(1.0, hi - lo)
+        it += 1
+        if it > _BISECT_CAP:
+            raise SingularSystemError(f"hedge bracketing failed in cell {n}")
+    for _ in range(_BISECT_CAP):
+        mid = 0.5 * (lo + hi)
+        if dobj(mid) > 0:
+            hi = mid
         else:
-            raise SingularSystemError(
-                f"hedge bisection did not reach 1e-10 in cell {n} at step {t}"
-            )
-        out[n] = 0.5 * (lo + hi)
-    return out
+            lo = mid
+        if hi - lo < 1e-10:
+            break
+    else:
+        raise SingularSystemError(
+            f"hedge bisection did not reach 1e-10 in cell {n} at step {t}"
+        )
+    return 0.5 * (lo + hi)
 
 
 def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
@@ -208,13 +171,13 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
         vals = np.zeros(m)
         hedges = np.zeros(m)
         occupied = np.array([not c.empty for c in cells])
-        if method == "numeric":
-            hedges = _numeric_hedge(cells, h_next, t, gamma_risk)
         for n, cell in enumerate(cells):
             if cell.empty:
                 continue
             h_sub = cell.take(h_next)
             if method == "numeric":
+                if cell.hedgeable:  # a singleton has no hedge estimate: 0
+                    hedges[n] = _exact_hedge(cell, h_sub, n, t, gamma_risk)
                 z = gamma_risk * (h_sub - hedges[n] * cell.ds_c)
                 zmax = float(z.max())
                 mean_exp = cell.mean(np.exp(z - zmax))

@@ -345,6 +345,18 @@ class TestIngest:
         assert ("panel.csv: non-positive price -5.0 at cell (path=0, t=1)"
                 in capsys.readouterr().err)
 
+    def test_step_count_mismatch_names_key_and_file(self, tmp_path, capsys):
+        """A 2-step panel under the default 24 steps is a configuration
+        error naming market.n_steps and the file, not a numerical failure."""
+        f = tmp_path / "panel.csv"
+        f.write_text("path,t,s\n0,0,100\n0,1,101\n0,2,99\n"
+                     "1,0,100\n1,1,98\n1,2,97\n")
+        code = run("simulate", "--ingest.path", str(f),
+                   "--output.dir", str(tmp_path / "out"))
+        assert code == 2
+        assert ("panel.csv: the panel has 2 steps, but market.n_steps is 24"
+                in capsys.readouterr().err)
+
     def test_duplicate_cell_names_cell(self, tmp_path, capsys):
         """Two rows for one (path, t) cell are a format error, not a price
         the later row silently overwrites."""

@@ -6,10 +6,9 @@ import pytest
 from qhedge import (BasisSet, DatasetHeader, FQISolution, MarketParams,
                     OptionContract, RiskParams, TransitionDataset,
                     build_basis, build_dataset, build_features,
-                    extract_price_hedge, fqi_backward, read_dataset_csv,
-                    simulate_gbm, solve_dp, solve_local_risk,
+                    dataset_rewards, extract_price_hedge, fqi_backward,
+                    read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
                     write_dataset_csv)
-from qhedge.cli import dataset_rewards
 from qhedge.errors import DataFormatError
 
 PUT = OptionContract("put", 100.0)
@@ -94,11 +93,30 @@ class TestAgainstDP:
         actions = np.column_stack(
             [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
              for t in range(paths.n_steps)])
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.02
         assert abs(sol.hedge0 - dp.hedge0) < 0.05
+
+    def test_pi_reference_shape_checked(self):
+        """pi_reference holds Pi_(t+1) in column t: a full (n, n_steps+1)
+        portfolio panel is rejected, not read one step off."""
+        paths = gbm(n_paths=4000, seed=3)
+        basis, risk = make_pipeline(paths)
+        dp = solve_dp(paths, PUT, risk, basis)
+        actions = np.column_stack(
+            [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
+             for t in range(paths.n_steps)])
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        ds = build_dataset(paths, actions,
+                           dataset_rewards(paths, actions, pi_ref, risk, basis),
+                           risk.lam, PUT)
+        with pytest.raises(ValueError, match=r"\(4000, 8\).*got \(4000, 9\)"):
+            fqi_backward(ds, basis, pi_reference=pi_ref)
+        sol = fqi_backward(ds, basis, pi_reference=pi_ref[:, 1:])
+        assert abs(sol.price0 - dp.price0) / dp.price0 < 0.02
 
     def test_off_policy_random_actions(self):
         """Uniformly random actions still recover the price and hedge."""
@@ -107,7 +125,8 @@ class TestAgainstDP:
         dp = solve_dp(paths, PUT, risk, basis)
         rng = np.random.default_rng(9)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.05
@@ -120,7 +139,8 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths)
         rng = np.random.default_rng(9)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         # recompute targets/fits at the last step, where v is the terminal fit
@@ -142,7 +162,8 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths)
         actions = np.random.default_rng(9).uniform(-1.5, 1.5,
                                                    (paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT), basis)
         phi0 = basis.evaluate([x0])
         hedge0 = float((phi0 @ sol.action_coeffs[0])[0])
@@ -158,7 +179,8 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths, lam=0.05)
         rng = np.random.default_rng(2)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         ana = fqi_backward(ds, basis, action_source="analytic")
         cf = fqi_backward(ds, basis, action_source="crossfit")
@@ -196,29 +218,48 @@ class TestExtract:
         assert price == -(3.0 + 0.25)
 
     def test_hedge_close_to_dp_on_generated_data(self):
-        """Vertex read-out of the fitted parabola; its linear and quadratic
-        coefficients scale with lam, so identifiability needs lam large
-        enough (the analytic route covers the small-lam regime)."""
+        """Vertex read-out of the fitted parabola, which a crossfit solution
+        uses; its linear and quadratic coefficients scale with lam, so
+        identifiability needs lam large enough (the analytic route covers
+        the small-lam regime)."""
         paths = gbm(n_paths=20_000, seed=13)
         basis, risk = make_pipeline(paths, lam=0.05)
         dp = solve_dp(paths, PUT, risk, basis)
         rng = np.random.default_rng(1)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
-        sol = fqi_backward(ds, basis)
+        sol = fqi_backward(ds, basis, action_source="crossfit")
         _, hedge = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
         assert abs(hedge - dp.hedge0) < 0.05
+
+    # the crossfit vertex needs lam large enough for a concave fit at t = 0
+    @pytest.mark.parametrize("action_source, lam", [("analytic", 1e-3),
+                                                    ("crossfit", 0.05)])
+    def test_read_out_is_the_solvers(self, action_source, lam):
+        """At the start state the read-out returns price0 and hedge0 bit for
+        bit: one rule, the analytic action when the solution has one."""
+        paths = gbm(seed=3)
+        basis, risk = make_pipeline(paths, lam=lam)
+        actions = np.random.default_rng(1).uniform(-1.5, 1.5,
+                                                   (paths.n_paths, paths.n_steps))
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT),
+                           basis, action_source=action_source)
+        got = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
+        assert got == (sol.price0, sol.hedge0)
 
 
 class TestDatasetIO:
     def test_roundtrip_field_for_field(self, tmp_path):
         paths = gbm(n_paths=60, seed=1, n_steps=4)
         basis, risk = make_pipeline(paths, m=6)
-        coeffs, pi = solve_local_risk(paths, PUT, basis)
         rng = np.random.default_rng(0)
         actions = rng.uniform(-1, 1, size=(60, 4))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         f = tmp_path / "data.csv"
         write_dataset_csv(ds, f)
@@ -300,7 +341,8 @@ class TestDatasetIO:
         paths = gbm(n_paths=400, seed=2, n_steps=4)
         basis, risk = make_pipeline(paths, m=6)
         actions = np.random.default_rng(4).uniform(-1, 1, size=(400, 4))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         f = tmp_path / "data.csv"
         write_dataset_csv(build_dataset(paths, actions, rewards, risk.lam, PUT), f)
         lines = f.read_text().splitlines(keepends=True)

@@ -53,13 +53,10 @@ class TestDiscretize:
     def test_rows_sum_to_one(self):
         paths = gbm(seed=3)
         risk = RiskParams.from_market(1e-3, paths.params)
-        for mode in ("per_step", "pooled"):
-            mdp = discretize(paths, PUT, risk, 9, 5, (-1.5, 0.5), slices=mode)
-            for t in range(mdp.n_steps):
-                rows = mdp.probs[t][mdp.reachable[t]]
-                np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-            if mode == "pooled":  # every step shares one transition table
-                assert all(np.array_equal(p, mdp.probs[0]) for p in mdp.probs)
+        mdp = discretize(paths, PUT, risk, 9, 5, (-1.5, 0.5))
+        for t in range(mdp.n_steps):
+            rows = mdp.probs[t][mdp.reachable[t]]
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
     def test_transition_counts_match_hand_tally(self):
         """Empirical frequencies against an independent dict-based count."""

@@ -1,11 +1,13 @@
 """Exponential-utility hedges and indifference prices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qhedge import (BasisSet, MarketParams, OptionContract, bs_price_delta,
-                    build_basis, ensemble_from_prices, hedge_expansion,
-                    indifference_price_recursion, numeric_hedge, simulate_gbm)
+                    build_basis, ensemble_from_prices,
+                    indifference_price_recursion, simulate_gbm)
 from qhedge.errors import DegenerateInputError
 
 PUT = OptionContract("put", 100.0)
@@ -30,20 +32,29 @@ def hand_ensemble(prices):
     return ensemble_from_prices(prices, params)
 
 
+def step_hedge(paths, h_next, t, g, **kw):
+    """The recursion's hedge coefficients on the one-step ensemble of step
+    t, with terminal values ``h_next``, on the single flat cell."""
+    step = ensemble_from_prices(paths.s_paths[:, t:t + 2],
+                                replace(paths.params, maturity=paths.params.dt,
+                                        n_steps=1))
+    return indifference_price_recursion(step, PUT, g, unit_basis(),
+                                        terminal_values=h_next, **kw).hedge_coeffs[0]
+
+
 class TestHedgeExpansion:
     def test_perfect_replication(self):
         """h_{t+1} = dS_t gives u0 = 1 and a vanishing first correction."""
         paths = rn_gbm(n_paths=5000, seed=1)
         h_next = paths.delta_s(2)
-        u0 = hedge_expansion(paths, h_next, 2, unit_basis(), order=0)
-        u1 = (hedge_expansion(paths, h_next, 2, unit_basis(),
-                              gamma_risk=1.0, order=1) - u0)
+        u0 = step_hedge(paths, h_next, 2, 0.0, order=0)
+        u1 = step_hedge(paths, h_next, 2, 1.0, order=1) - u0
         np.testing.assert_allclose(u0, [1.0], rtol=1e-12)
         np.testing.assert_allclose(u1, [0.0], atol=1e-12)
 
     def test_constant_claim_needs_no_hedge(self):
         paths = rn_gbm(n_paths=5000, seed=1)
-        u0 = hedge_expansion(paths, np.full(5000, 3.3), 1, unit_basis(), order=0)
+        u0 = step_hedge(paths, np.full(5000, 3.3), 1, 0.0, order=0)
         np.testing.assert_allclose(u0, [0.0], atol=1e-12)
 
     def test_three_path_hand_moments(self):
@@ -57,9 +68,8 @@ class TestHedgeExpansion:
         u0 = np.mean(h_next * ds_c) / var
         resid = h_next - u0 * ds_c
         u1 = 0.5 * np.mean(resid**2 * ds_c) / var
-        got0 = hedge_expansion(paths, h_next, 0, unit_basis(), order=0)
-        got1 = hedge_expansion(paths, h_next, 0, unit_basis(),
-                               gamma_risk=0.07, order=1)
+        got0 = step_hedge(paths, h_next, 0, 0.0, order=0)
+        got1 = step_hedge(paths, h_next, 0, 0.07, order=1)
         np.testing.assert_allclose(got0, [u0], rtol=1e-12)
         np.testing.assert_allclose(got1, [u0 + 0.07 * u1], rtol=1e-12)
 
@@ -67,7 +77,7 @@ class TestHedgeExpansion:
         prices = np.full((4, 2), 10.0)
         paths = hand_ensemble(prices)
         with pytest.raises(DegenerateInputError):
-            hedge_expansion(paths, np.ones(4), 0, unit_basis(), order=0)
+            step_hedge(paths, np.ones(4), 0, 0.0, order=0)
 
 
 class TestNumericHedge:
@@ -75,14 +85,14 @@ class TestNumericHedge:
         paths = rn_gbm(n_paths=3000, seed=2)
         h_next = paths.delta_s(1)
         for g in (0.01, 0.5, 3.0):
-            u = numeric_hedge(paths, h_next, 1, g, unit_basis())
+            u = step_hedge(paths, h_next, 1, g, method="numeric")
             np.testing.assert_allclose(u, [1.0], atol=1e-9)
 
     def test_small_aversion_limit_is_u0(self):
         paths = rn_gbm(n_paths=3000, seed=3)
         payoff = np.maximum(100.0 - paths.s_paths[:, -1], 0.0)
-        u0 = hedge_expansion(paths, payoff, 4, unit_basis(), order=0)[0]
-        u = numeric_hedge(paths, payoff, 4, 1e-5, unit_basis())[0]
+        u0 = step_hedge(paths, payoff, 4, 0.0, order=0)[0]
+        u = step_hedge(paths, payoff, 4, 1e-5, method="numeric")[0]
         assert abs(u - u0) < 1e-3
 
     def test_quadratic_shrinkage_vs_expansion(self):
@@ -92,9 +102,8 @@ class TestNumericHedge:
         payoff = np.maximum(100.0 - paths.s_paths[:, -1], 0.0)
         errs = []
         for g in (0.04, 0.02):
-            exp1 = hedge_expansion(paths, payoff, 1, unit_basis(),
-                                   gamma_risk=g, order=1)[0]
-            num = numeric_hedge(paths, payoff, 1, g, unit_basis())[0]
+            exp1 = step_hedge(paths, payoff, 1, g, order=1)[0]
+            num = step_hedge(paths, payoff, 1, g, method="numeric")[0]
             errs.append(abs(num - exp1))
         assert 2.0 < errs[0] / errs[1] < 8.0
 
