@@ -5,8 +5,9 @@ regressions per step: the optimal action (closed form, since the one-step
 reward is an exact parabola in the action) and the optimal Q-function fit
 to the targets R_t + gamma * Q_{t+1}.  The option's ask price is the
 negative of the optimal Q at the initial state, and the optimal hedge is
-its action argument — one object carries both.  The action is the tilted
-``portfolio.hedge_fit``; ``terminal_fit`` is shared with ``fqi_backward``.
+its action argument — one object carries both.  Steps are centered and
+hedged as in ``fqi_backward`` (``portfolio.centered_step``, the tilted
+``portfolio.hedge_fit``), and ``terminal_fit`` is shared with it.
 
 The Q-target uses Q_{t+1} evaluated at the previously computed optimal
 action, never at the vertex of a parabola refit on the same sample; that
@@ -20,8 +21,9 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import RiskParams, _replicate, hedge_fit, reward_parabola
-from .regression import conditional_mean, conditional_variance, ridge_solve
+from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
+                        reward_parabola)
+from .regression import conditional_variance, ridge_solve
 
 
 @dataclass
@@ -43,38 +45,19 @@ def terminal_fit(design, payoff, lam: float) -> np.ndarray:
 
 
 def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
-             basis, *, centering: str = "conditional", ds_mean: str = "model",
-             gain: str = "raw") -> DPSolution:
+             basis, *, ds_mean: str = "model") -> DPSolution:
     """Backward dynamic-programming solve of the hedging MDP.
 
     Per step (t = T-1 .. 0): fit the optimal action, re-evaluate the
     realized rewards at that action, fit the Q-coefficients to
-    R_t + gamma * Q_{t+1}, and roll the portfolio back one step.
-
-    Parameters
-    ----------
-    centering : {"conditional", "pooled"}
-        How Pi_{t+1} is centered inside the variance penalty: regression
-        estimate of its conditional mean (default) or the pooled
-        cross-sectional sample mean.
-    ds_mean : {"model", "regression"}
-        Conditional mean of dS_t used for centering and for the
-        risk-return drift term: model-implied S_t(e^{mu dt} - e^{r dt})
-        (default) or a basis-regression estimate.
-    gain : {"raw", "centered"}
-        Whether the reward's linear term uses the raw increment dS_t or
-        the centered one (the latter matches the discretized-chain MDP,
-        whose increments are martingale-enforced per state).
+    R_t + gamma * Q_{t+1}, and roll the portfolio back one step.  ``ds_mean``
+    is the convention of ``portfolio.centered_step``, as in ``fqi_backward``.
     """
     if risk.lam <= 0:
         raise ValueError("solve_dp requires lam > 0; portfolio.solve_local_risk "
                          "gives the pure risk-minimizing hedge")
-    if centering not in ("conditional", "pooled"):
-        raise ValueError(f"unknown centering {centering!r}")
-    if ds_mean not in ("model", "regression"):
+    if ds_mean not in DS_MEANS:
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
-    if gain not in ("raw", "centered"):
-        raise ValueError(f"unknown gain {gain!r}")
 
     n_steps = paths.n_steps
     value_coeffs = [None] * (n_steps + 1)
@@ -89,24 +72,13 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
         nonlocal q_next
         design = basis.evaluate(paths.x_paths[:, t])
-        ds = paths.delta_s(t)
-        if ds_mean == "model":
-            ds_c = paths.delta_s_mean(t)
-        else:
-            ds_c = conditional_mean(design, ds)
-        if centering == "conditional":
-            pi_c = conditional_mean(design, pi)
-        else:
-            pi_c = pi.mean()
-        drift = np.zeros_like(ds) if gain == "centered" else ds_c
-        gain_vals = ds - ds_c if gain == "centered" else ds
-
+        ds, ds_c, pi_c, gain, drift = centered_step(design, paths, t, pi, ds_mean)
         hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
                                     tilt=drift / (2.0 * risk.gamma * risk.lam))
         a = design @ hedge_coeffs[t]
 
         c0, c1, c2 = reward_parabola(ds, pi, risk, pi_center=pi_c,
-                                     ds_center=ds_c, gain=gain_vals)
+                                     ds_center=ds_c, gain=gain)
         target = c0 + c1 * a + c2 * a**2 + risk.gamma * q_next
         try:
             value_coeffs[t] = ridge_solve(design.T @ design, design.T @ target)

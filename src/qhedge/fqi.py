@@ -7,11 +7,12 @@ by a 3 x M matrix W acting on (1, a, a^2/2) and the state basis:
 
 Each backward step solves one least-squares problem in the 3M stacked
 features.  The max over next actions inside the target is evaluated at an
-action estimated independently of the W-fit being maximized (either the
-closed-form action ``portfolio.hedge_fit`` of ``dp.solve_dp`` when portfolio
-values are reconstructible, or a two-fold cross-fitted vertex otherwise);
-maximizing the same fitted parabola on the same sample would bias Q upward
-through the convexity of the max.  The terminal fit is ``dp.terminal_fit``.
+action estimated independently of the W-fit being maximized: the
+closed-form action of ``dp.solve_dp`` (``portfolio.centered_step`` and the
+tilted ``portfolio.hedge_fit``) when portfolio values are reconstructible,
+or a two-fold cross-fitted vertex otherwise.  Maximizing the same fitted
+parabola on the same sample would bias Q upward through the convexity of
+the max.  The terminal fit is ``dp.terminal_fit``.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,9 @@ from .dp import terminal_fit
 from .errors import DataFormatError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, terminal_payoff)
-from .portfolio import RiskParams, _replicate, hedge_fit, reward_parabola
-from .regression import conditional_mean, ridge_solve
+from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
+                        reward_parabola)
+from .regression import ridge_solve
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,9 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         Needed for the terminal condition; defaults to the header's
         contract keys.
     pi_reference : ndarray, optional
-        Portfolio values as an (n, n_steps) panel in the dataset's path
-        order, column t holding Pi_{t+1}.  When omitted it is reconstructed
-        by rolling the recorded actions backward on the price panel.
+        Portfolio values as the (n, n_steps+1) panel ``dataset_rewards``
+        takes, in the dataset's path order.  When omitted it is rolled
+        backward from the recorded actions on the price panel.
     action_source : {"analytic", "crossfit"}
         How the max-term action at t+1 is estimated: the closed-form
         regression on portfolio values (``portfolio.hedge_fit`` with the
@@ -163,10 +165,8 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         fallback).  ``hedge0`` is the same analytic action at t = 0, or
         under "crossfit" the vertex of the fitted parabola.
     ds_mean : {"model", "regression"}
-        Conditional mean of the price increment inside the action
-        regression: implied by the header's mu/r (default), or estimated
-        per state on the basis (matches chains whose snapped increments
-        carry quantization drift).
+        The step convention of ``portfolio.centered_step``; "regression"
+        matches chains whose snapped increments carry quantization drift.
     """
     h = dataset.header
     risk = h.risk()
@@ -180,12 +180,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         )
     if action_source not in ("analytic", "crossfit"):
         raise ValueError(f"unknown action_source {action_source!r}")
-    if ds_mean not in ("model", "regression"):
+    if ds_mean not in DS_MEANS:
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
-    shape = (dataset.path_ids.size, h.n_steps)
-    if pi_reference is not None and np.shape(pi_reference) != shape:
-        raise ValueError(f"pi_reference must be (n_paths, n_steps) = {shape}, "
-                         f"column t holding Pi_(t+1); got {np.shape(pi_reference)}")
+    if pi_reference is not None:
+        _check_shape("pi_reference", pi_reference, dataset.path_ids.size, h.n_steps + 1)
 
     paths = dataset.to_ensemble()
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
@@ -196,7 +194,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
     if use_analytic and pi_reference is None:
         # roll the recorded actions backward on the price panel
         pi_reference = _replicate(payoff, n_steps, paths.params.gamma, paths.delta_s,
-                                  lambda t, _: dataset.a[:, t])[:, 1:]
+                                  lambda t, _: dataset.a[:, t])
 
     design_term = basis.evaluate(dataset.x_paths[:, -1])
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
@@ -228,19 +226,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
             )
 
         if use_analytic:
-            pi_next = np.ascontiguousarray(pi_reference[:, t], dtype=float)
-            ds = paths.delta_s(t)
-            if ds_mean == "regression":
-                # regression centering pairs with mean-centered reward gains,
-                # whose conditional expectation (the drift numerator) is zero
-                ds_c = conditional_mean(design_t, ds)
-                drift = np.zeros_like(ds)
-            else:
-                ds_c = paths.delta_s_mean(t)
-                drift = ds_c
-            action_coeffs[t] = hedge_fit(
-                design_t, ds - ds_c, pi_next - conditional_mean(design_t, pi_next), t,
-                tilt=drift / (2.0 * gamma * risk.lam))
+            pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
+            ds, ds_c, pi_c, _, drift = centered_step(design_t, paths, t, pi_next, ds_mean)
+            action_coeffs[t] = hedge_fit(design_t, ds - ds_c, pi_next - pi_c, t,
+                                         tilt=drift / (2.0 * gamma * risk.lam))
 
         if t > 0:  # max_a Q_t at x_t, the previous step's next states
             if use_analytic:
@@ -317,20 +306,29 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 
 def dataset_rewards(paths: PathEnsemble, actions, pi_reference, risk: RiskParams,
                     basis) -> np.ndarray:
-    """Per-record (n_paths, n_steps) rewards of the recorded ``actions``:
-    the gain term from the actions, the variance penalty around the
-    reference portfolio ``pi_reference``, an (n_paths, n_steps+1) panel
-    such as the risk-minimizing ``solve_local_risk(...)[1]``."""
-    rewards = np.empty_like(np.asarray(actions, dtype=float))
-    for t in range(paths.n_steps):
+    """Per-record rewards of the recorded (n_paths, n_steps) ``actions``
+    under ``portfolio.centered_step``'s model convention, with the variance
+    penalty around ``pi_reference``, an (n_paths, n_steps+1) panel such as
+    the risk-minimizing ``solve_local_risk(...)[1]``."""
+    n, n_steps = paths.n_paths, paths.n_steps
+    _check_shape("actions", actions, n, n_steps)
+    _check_shape("pi_reference", pi_reference, n, n_steps + 1)
+    rewards = np.empty((n_steps, n))
+    for t in range(n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
-        c0, c1, c2 = reward_parabola(
-            paths.delta_s(t), pi_reference[:, t + 1], risk,
-            pi_center=conditional_mean(design, pi_reference[:, t + 1]),
-            ds_center=paths.delta_s_mean(t))
+        pi_next = pi_reference[:, t + 1]
+        ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
+        c0, c1, c2 = reward_parabola(ds, pi_next, risk, pi_center=pi_c,
+                                     ds_center=ds_c, gain=gain)
         a = actions[:, t]
-        rewards[:, t] = c0 + c1 * a + c2 * a**2
-    return rewards
+        rewards[t] = c0 + c1 * a + c2 * a**2
+    return rewards.T
+
+
+def _check_shape(name, panel, n_paths, n_cols):
+    if np.shape(panel) != (n_paths, n_cols):
+        raise ValueError(f"{name} must be an ({n_paths}, {n_cols}) panel; "
+                         f"got {np.shape(panel)}")
 
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,

@@ -7,8 +7,9 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
     B_t  = e^{-r dt} (B_{t+1} + (u_{t+1} - u_t) S_{t+1}),
 
 so uncertainty about the future propagates to today path by path.  Every
-solver runs the Pi recursion through one function, ``_replicate``, and
-fits its hedge with one regression, ``hedge_fit``: untilted in
+solver runs the Pi recursion through one function, ``_replicate``,
+centers each step by one rule, ``centered_step`` (as ``fqi.dataset_rewards``
+does), and fits its hedge with one regression, ``hedge_fit``: untilted in
 ``solve_local_risk``, tilted in ``dp.solve_dp`` and ``fqi.fqi_backward``.
 On top of the rollout the module provides the risk-adjusted one-step
 reward (a quadratic in the action), signed-measure reweighting and the
@@ -22,6 +23,8 @@ import numpy as np
 from .errors import DegenerateInputError, SingularSystemError
 from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
 from .regression import conditional_mean, conditional_variance, ridge_solve
+
+DS_MEANS = ("model", "regression")  # the conventions of centered_step
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,24 @@ def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
         raise SingularSystemError(f"hedge fit at step {t}: {exc}") from exc
 
 
+def centered_step(design, paths: PathEnsemble, t: int, pi_next, ds_mean="model"):
+    """The one centering rule of the risk-adjusted step t.  Returns
+    (ds, ds_center, pi_center, gain, drift): dS_t, its center, the center
+    of Pi_{t+1} (always its regression on ``design``), the reward's gain
+    and the drift that tilts the hedge.  Under ``ds_mean="model"`` dS_t is
+    centered on S_t (e^{mu dt} - e^{r dt}), the gain is the raw dS_t and
+    the drift is that mean; under "regression" dS_t is centered on its
+    regression, the gain is centered and the drift is zero (the chain's
+    martingale convention)."""
+    ds = paths.delta_s(t)
+    pi_center = conditional_mean(design, pi_next)
+    if ds_mean == "model":
+        ds_center = paths.delta_s_mean(t)
+        return ds, ds_center, pi_center, ds, ds_center
+    ds_center = conditional_mean(design, ds)
+    return ds, ds_center, pi_center, ds - ds_center, 0.0
+
+
 def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     """Backward risk-minimizing hedge solve, independent of risk aversion.
 
@@ -199,14 +220,14 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     coeffs = [None] * paths.n_steps
 
     def hedge(t, pi_next):
-        ds_dev = paths.delta_s(t) - paths.delta_s_mean(t)
+        design = basis.evaluate(paths.x_paths[:, t])
+        ds, ds_c, pi_c, _, _ = centered_step(design, paths, t, pi_next)
+        ds_dev = ds - ds_c
         if np.max(np.abs(ds_dev)) == 0.0:
             raise DegenerateInputError(
                 f"all price increments identical at step {t}; hedge undefined"
             )
-        design = basis.evaluate(paths.x_paths[:, t])
-        coeffs[t] = hedge_fit(design, ds_dev,
-                              pi_next - conditional_mean(design, pi_next), t)
+        coeffs[t] = hedge_fit(design, ds_dev, pi_next - pi_c, t)
         return design @ coeffs[t]
 
     pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), paths.n_steps,

@@ -132,8 +132,7 @@ class TestCriterion4FiniteStateAgreement:
 
         snapped = mdp.snapped_ensemble(paths)
         indicator = mdp.indicator_basis()
-        dp = solve_dp(snapped, contract, risk, indicator,
-                      ds_mean="regression", gain="centered")
+        dp = solve_dp(snapped, contract, risk, indicator, ds_mean="regression")
         q0_dp = -dp.price0
 
         # exhaustive dataset: every observed transition under 7 action levels,
@@ -167,7 +166,7 @@ class TestCriterion4FiniteStateAgreement:
             a_t = indicator.evaluate(snapped.x_paths[:, t]) @ dp.hedge_coeffs[t]
             pi_ref[:, t] = (pi_ref[:, t + 1] - a_t * snapped.delta_s(t)) / growth
         fqi = fqi_backward(ds, indicator, ds_mean="regression",
-                           pi_reference=pi_ref[ds.path_ids // n_var, 1:])
+                           pi_reference=pi_ref[ds.path_ids // n_var])
         q0_fqi = -fqi.price0
 
         diff_tab = abs(q0_tab - q0_dp) / scale

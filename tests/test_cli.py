@@ -1,5 +1,6 @@
 """Command-line driver: dispatch, config handling, files, determinism."""
 
+import json
 import os
 import subprocess
 import sys
@@ -400,7 +401,8 @@ class TestEvaluateOnce:
                    "--output.dir", str(tmp_path / "ds")) == 0
         return str(tmp_path / "ds" / "dataset.csv")
 
-    @pytest.mark.parametrize("command", ["dp-solve", "compare", "fqi-solve"])
+    @pytest.mark.parametrize("command", ["dp-solve", "compare", "fqi-solve",
+                                         "utility-price"])
     def test_calls_equal_distinct_inputs(self, tmp_path, monkeypatch, dataset_path,
                                          command):
         inputs = []
@@ -427,3 +429,33 @@ class TestEvaluateOnce:
         assert run("fqi-solve", *SMALL, "--dataset.path", dataset_path,
                    "--output.dir", str(tmp_path / "out")) == 0
         assert len(calls) == 1
+
+
+class TestBenchmarkScripts:
+    """The benchmark's helper scripts still run against the package: the
+    ``artifacts`` check's round trip, and the traced launcher that wraps
+    ``HedgeStrategy.actions`` and ``NormalEquations.solve``."""
+
+    TINY = ["--market.mu", "0.03", "--market.n_steps", "6", "--mc.n_paths", "400",
+            "--basis.m", "8", "--mc.seed", "11"]
+
+    @staticmethod
+    def script(name, *argv):
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(qhedge.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, str(root / "perfbench" / name), *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_roundtrip_exact_and_traced_bs_quote(self, tmp_path):
+        assert run("simulate", *self.TINY, "--output.dir", str(tmp_path / "simulate")) == 0
+        rollout = [*self.TINY, "--output.dir", str(tmp_path / "rollout")]
+        assert run("rollout", *rollout) == 0
+        out = tmp_path / "roundtrip.json"
+        proc = self.script("roundtrip.py", str(out), "rollout", *rollout)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["exact"]
+        proc = self.script("traced.py", str(tmp_path / "spans.json"), "bs-quote",
+                           "--output.dir", str(tmp_path / "bs"))
+        assert proc.returncode == 0, proc.stderr

@@ -101,8 +101,9 @@ class TestAgainstDP:
         assert abs(sol.hedge0 - dp.hedge0) < 0.05
 
     def test_pi_reference_shape_checked(self):
-        """pi_reference holds Pi_(t+1) in column t: a full (n, n_steps+1)
-        portfolio panel is rejected, not read one step off."""
+        """pi_reference is the full (n, n_steps+1) portfolio panel that
+        dataset_rewards takes; the column-shifted (n, n_steps) form is
+        rejected, not read one step off."""
         paths = gbm(n_paths=4000, seed=3)
         basis, risk = make_pipeline(paths)
         dp = solve_dp(paths, PUT, risk, basis)
@@ -113,10 +114,41 @@ class TestAgainstDP:
         ds = build_dataset(paths, actions,
                            dataset_rewards(paths, actions, pi_ref, risk, basis),
                            risk.lam, PUT)
-        with pytest.raises(ValueError, match=r"\(4000, 8\).*got \(4000, 9\)"):
-            fqi_backward(ds, basis, pi_reference=pi_ref)
-        sol = fqi_backward(ds, basis, pi_reference=pi_ref[:, 1:])
+        with pytest.raises(ValueError, match=r"pi_reference.*\(4000, 9\).*got \(4000, 8\)"):
+            fqi_backward(ds, basis, pi_reference=pi_ref[:, 1:])
+        sol = fqi_backward(ds, basis, pi_reference=pi_ref)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.02
+
+    @pytest.mark.parametrize("action_source", ["analytic", "crossfit"])
+    def test_unknown_ds_mean_rejected(self, action_source):
+        """Both solvers reject a ds_mean outside the two conventions of
+        centered_step, fqi_backward under either action source."""
+        paths = gbm(n_paths=200, seed=3)
+        basis, risk = make_pipeline(paths)
+        actions = np.zeros((paths.n_paths, paths.n_steps))
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        ds = build_dataset(paths, actions,
+                           dataset_rewards(paths, actions, pi_ref, risk, basis),
+                           risk.lam, PUT)
+        with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
+            solve_dp(paths, PUT, risk, basis, ds_mean="pooled")
+        with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
+            fqi_backward(ds, basis, action_source=action_source, ds_mean="pooled")
+
+    @pytest.mark.parametrize("name,cols", [("pi_reference", 6), ("actions", 3),
+                                           ("actions", 8)])
+    def test_dataset_rewards_shape_checked(self, name, cols):
+        """A panel of another shape fails naming the argument and both
+        shapes, instead of an IndexError or columns of unset memory."""
+        paths = gbm(n_paths=400, seed=3, n_steps=6)
+        basis, risk = make_pipeline(paths)
+        args = {"actions": np.zeros((400, 6)),
+                "pi_reference": solve_local_risk(paths, PUT, basis)[1]}
+        args[name] = np.zeros((400, cols))
+        want = 7 if name == "pi_reference" else 6
+        with pytest.raises(ValueError,
+                           match=rf"{name} must be an \(400, {want}\).*got \(400, {cols}\)"):
+            dataset_rewards(paths, args["actions"], args["pi_reference"], risk, basis)
 
     def test_off_policy_random_actions(self):
         """Uniformly random actions still recover the price and hedge."""
