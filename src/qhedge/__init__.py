@@ -15,9 +15,9 @@ from .black_scholes import BSQuote, bs_price_delta, limit_hedge_correction, norm
 from .dp import DPSolution, price_and_hedge_surface, solve_dp
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      QHedgeError, SingularSystemError)
-from .fqi import (DatasetHeader, FQISolution, TransitionDataset, build_dataset,
-                  build_features, dataset_rewards, extract_price_hedge,
-                  fqi_backward, read_dataset_csv, write_dataset_csv)
+from .fqi import (FQISolution, TransitionDataset, build_dataset, build_features,
+                  dataset_rewards, extract_price_hedge, fqi_backward,
+                  read_dataset_csv, write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, from_state, simulate_gbm,
                      terminal_payoff, to_state)
@@ -30,7 +30,7 @@ from .utility import IndifferenceResult, indifference_price_recursion
 
 __all__ = [
     "BSQuote", "BasisSet", "ConfigError", "DPSolution", "DataFormatError",
-    "DatasetHeader", "DegenerateInputError", "DiscreteMDP", "FQISolution",
+    "DegenerateInputError", "DiscreteMDP", "FQISolution",
     "HedgeStrategy", "IndifferenceResult", "MarketParams", "OptionContract",
     "PathEnsemble", "PortfolioRollout", "QHedgeError", "QTable", "RiskParams",
     "SingularSystemError", "TransitionDataset", "ask_price",

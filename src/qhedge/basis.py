@@ -124,12 +124,9 @@ def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet
         raise DegenerateInputError("smooth bases need dispersed samples")
 
     if kind == "bspline":
-        if m < degree + 2:
-            raise ValueError(f"bspline needs m >= degree + 2, got m={m}")
-        inner = np.quantile(samples, np.linspace(0.0, 1.0, m - degree - 1))
-        inner = np.unique(inner)
-        if inner.size < 2:
-            raise DegenerateInputError("sample quantiles collapse; reduce m")
+        if m < degree + 3:  # then the quantiles include the distinct min and max
+            raise ValueError(f"bspline needs m >= degree + 3, got m={m} with degree {degree}")
+        inner = np.unique(np.quantile(samples, np.linspace(0.0, 1.0, m - degree - 1)))
         pad_lo = inner[0] - (inner[1] - inner[0])
         pad_hi = inner[-1] + (inner[-1] - inner[-2])
         breaks = np.concatenate([[pad_lo], inner, [pad_hi]])

@@ -135,6 +135,9 @@ class ExperimentConfig:
         for key in ("tabular.alpha0", "tabular.k0"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be > 0; got {v[key]}")
+        if v["basis.kind"] == "bspline" and v["basis.m"] < v["basis.degree"] + 3:
+            raise ConfigError(f"basis.m must be >= basis.degree + 3 with basis.kind "
+                              f"bspline; got {v['basis.m']} with degree {v['basis.degree']}")
         if v["utility.method"] == "numeric" and v["utility.gamma"] == 0:
             raise ConfigError("utility.gamma must be > 0 with utility.method numeric; got 0")
         if v["dataset.random_lo"] > v["dataset.random_hi"]:
@@ -342,7 +345,7 @@ def cmd_make_dataset(cfg):
     rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
-    dataset.header.extras["policy"] = policy
+    dataset.extras["policy"] = policy
     out = _outdir(cfg)
     write_dataset_csv(dataset, out / "dataset.csv")
     _summarize(cfg, out, {"n_records": len(dataset), "policy": policy})
@@ -350,11 +353,13 @@ def cmd_make_dataset(cfg):
 
 
 def cmd_fqi_solve(cfg):
-    _require_positive_lambda(cfg, "fqi-solve")
     if not Path(cfg["dataset.path"]).is_file():
         raise ConfigError(f"fqi-solve requires dataset.path to name a file; "
                           f"got {cfg['dataset.path']!r}")
     dataset = read_dataset_csv(cfg["dataset.path"])
+    if dataset.risk.lam <= 0:  # the header's, as fqi-solve ignores risk.lambda
+        raise DataFormatError(f"{cfg['dataset.path']}: bad header value for lambda: "
+                              f"fqi-solve requires lambda > 0; got {dataset.risk.lam}")
     basis = cfg.basis_for(dataset)
     sol = fqi_backward(dataset, basis)
     out = _outdir(cfg)
@@ -414,6 +419,7 @@ def cmd_bs_quote(cfg):
 
 
 def cmd_compare(cfg):
+    _require_positive_lambda(cfg, "compare")
     paths = _ensemble(cfg)
     basis = cfg.basis_for(paths)
     m, c = cfg.market(), cfg.contract()

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataFormatError
 
 _FLOAT = "%.17g"
-_BLOCK = 1 << 15  # rows formatted per write
+_BLOCK = 1 << 13  # records gathered and formatted per write
 
 
 def format_value(v) -> str:
@@ -26,26 +26,6 @@ def format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _FLOAT % v
     return str(v)
-
-
-def write_csv(path, colnames, columns, header=None):
-    """Write equal-length ``columns`` under ``colnames``, after one
-    ``# key=value`` line per ``header`` item.  Each column's format follows
-    its dtype, and one row template formats a whole block of rows."""
-    cols = [np.asarray(c) for c in columns]
-    n = len(cols[0]) if cols else 0
-    if any(len(c) != n for c in cols):
-        raise ValueError(f"columns of unequal length for {path}")
-    spec = {"f": _FLOAT, "i": "%d", "u": "%d"}
-    template = ",".join(spec.get(c.dtype.kind, "%s") for c in cols) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(f"# {k}={format_value(v)}\n" for k, v in (header or {}).items())
-        fh.write(",".join(colnames) + "\n")
-        for lo in range(0, n, _BLOCK):
-            rows = np.empty((min(_BLOCK, n - lo), len(cols)), dtype=object)
-            for j, c in enumerate(cols):
-                rows[:, j] = c[lo:lo + len(rows)]
-            fh.write(template * len(rows) % tuple(rows.ravel()))
 
 
 def read_csv(path):
@@ -75,16 +55,31 @@ def read_csv(path):
 
 
 def write_table(path, axes, values, header=None):
-    """Write arrays of one shape as one record per element, in C order:
-    first one column per axis of ``axes`` (name -> that axis's labels, or
-    None for its index), then one per array of ``values`` (name -> array)."""
+    """Write arrays of one shape as one record per element, in C order,
+    after one ``# key=value`` line per ``header`` item: first one column
+    per axis of ``axes`` (name -> that axis's labels, or None for its
+    index), then one per array of ``values`` (name -> array).  Each
+    column's format follows its dtype; each block of records is gathered
+    from the arrays as it is written, and one row template formats it."""
     arrays = [np.asarray(v) for v in values.values()]
     shape = arrays[0].shape
     if len(axes) != len(shape) or any(a.shape != shape for a in arrays):
         raise ValueError(f"arrays of one {len(axes)}-axis shape expected for {path}")
-    index = [np.broadcast_to(i if labels is None else np.asarray(labels)[i], shape).ravel()
-             for labels, i in zip(axes.values(), np.indices(shape, sparse=True))]
-    write_csv(path, [*axes, *values], [*index, *(a.ravel() for a in arrays)], header)
+    labels = [None if lab is None else np.asarray(lab) for lab in axes.values()]
+    kinds = ["i" if lab is None else lab.dtype.kind for lab in labels]
+    template = ",".join({"f": _FLOAT, "i": "%d", "u": "%d"}.get(k, "%s")
+                        for k in kinds + [a.dtype.kind for a in arrays]) + "\n"
+    n = arrays[0].size
+    with open(path, "w") as fh:
+        fh.writelines(f"# {k}={format_value(v)}\n" for k, v in (header or {}).items())
+        fh.write(",".join([*axes, *values]) + "\n")
+        for lo in range(0, n, _BLOCK):
+            index = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n)), shape)
+            cols = [i if lab is None else lab[i] for lab, i in zip(labels, index)]
+            rows = np.empty((index[0].size, len(cols) + len(arrays)), dtype=object)
+            for j, c in enumerate(cols + [a[index] for a in arrays]):
+                rows[:, j] = c
+            fh.write(template * len(rows) % tuple(rows.ravel()))
 
 
 def typed_header(source, meta, keys):
@@ -132,6 +127,7 @@ def scatter_records(source, path, t, columns, n_steps=None):
     hits = np.bincount(cell, minlength=n * ids.size)
     for wrong, what in ((hits > 1, "duplicate rows for cell"), (hits == 0, "missing cell")):
         reject(wrong, lambda j: f"{what} (path={ids[j % ids.size]}, t={j // ids.size})")
+    del hits, wrong  # panel-sized; free before the panels are allocated
     panels = {name: np.empty((n, ids.size)) for name in vals}
     for name, v in vals.items():
         panels[name].reshape(-1)[cell] = v

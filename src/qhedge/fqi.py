@@ -21,55 +21,41 @@ import numpy as np
 
 from .csvio import read_csv, scatter_records, typed_header, write_table
 from .dp import terminal_fit
-from .errors import DataFormatError, SingularSystemError
-from .market import (MarketParams, OptionContract, PathEnsemble,
-                     ensemble_from_prices, from_state, terminal_payoff)
+from .errors import DataFormatError, DegenerateInputError, SingularSystemError
+from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
+                     terminal_payoff)
 from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
                         reward_parabola)
 from .regression import ridge_solve
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    """Metadata a transition file must carry to be priced model-free."""
-
-    n_paths: int
-    n_steps: int
-    mu: float
-    sigma: float
-    r: float
-    dt: float
-    lam: float
-    seed: int
-    extras: dict = field(default_factory=dict)
-
-    def market_params(self, s0: float) -> MarketParams:
-        return MarketParams(s0=s0, mu=self.mu, sigma=self.sigma, r=self.r,
-                            maturity=self.dt * self.n_steps, n_steps=self.n_steps)
-
-    def risk(self) -> RiskParams:
-        return RiskParams(lam=self.lam, gamma=float(np.exp(-self.r * self.dt)))
-
-    def contract(self):
-        kind = self.extras.get("contract_kind")
-        strike = self.extras.get("contract_strike")
-        if kind is None or strike is None:
-            return None
-        return OptionContract(kind=str(kind), strike=float(strike))
+# header key -> type; n_paths, s0 and the contract keys may be absent
+_HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": float,
+                "lambda": float, "seed": int, "n_paths": int, "s0": float,
+                "contract_kind": str, "contract_strike": float}
+_OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
+# the header key of each field a parameter class names in its ValueError
+_FIELD_KEYS = {"maturity": "dt", "lam": "lambda", "gamma": "r",
+               "kind": "contract_kind", "strike": "contract_strike"}
 
 
 class TransitionDataset:
-    """Transitions as one (path x step) panel, paths in ascending
-    ``path_ids``: ``x_paths`` is (n, n_steps+1) as in ``PathEnsemble``,
-    ``a`` and ``r`` are (n, n_steps), each stored by step so that column t
-    is contiguous.  ``from_records`` builds one from flat records."""
+    """Transitions recorded on one ensemble of prices, ``paths``, whose
+    params and seed are the dataset's: a path per id of ``path_ids``
+    (ascending), and ``a`` and ``r`` (n, n_steps) stored by step so that
+    column t is contiguous.  ``risk`` discounts by the market's one-period
+    factor, ``contract`` may be None, and ``extras`` holds any other header
+    items.  ``from_records`` builds one from flat records."""
 
-    def __init__(self, path_ids, x_paths, a, r, header: DatasetHeader):
-        self.header = header
+    def __init__(self, path_ids, paths: PathEnsemble, a, r, lam: float,
+                 contract: OptionContract = None, extras=None):
         self.path_ids = np.asarray(path_ids, dtype=np.int64)
-        n, n_steps = self.path_ids.size, header.n_steps
-        for name, v, shape in (("x_paths", x_paths, (n, n_steps + 1)),
-                               ("a", a, (n, n_steps)), ("r", r, (n, n_steps))):
+        self.paths, self.contract, self.extras = paths, contract, dict(extras or {})
+        self.risk = RiskParams.from_market(lam, paths.params)
+        shape = (self.path_ids.size, paths.n_steps)
+        if paths.n_paths != shape[0]:
+            raise DataFormatError(f"{paths.n_paths} price paths for {shape[0]} path ids")
+        for name, v in (("a", a), ("r", r)):
             v = np.asarray(v, dtype=float)
             if v.shape != shape:
                 raise DataFormatError(f"{name} is {v.shape}; expected {shape}")
@@ -77,16 +63,27 @@ class TransitionDataset:
                 raise DataFormatError(f"non-finite {name} values in dataset")
             setattr(self, name, np.ascontiguousarray(v.T).T)
 
+    @property
+    def x_paths(self) -> np.ndarray:
+        return self.paths.x_paths
+
     @classmethod
-    def from_records(cls, path_ids, t, x, a, r, x_next, header: DatasetHeader,
+    def from_records(cls, path_ids, t, x, a, r, x_next, header: dict,
                      source="records"):
         """The dataset of flat (path, t, x, a, r, x_next) records in any
-        order, which must form one panel: a record per path and t in
-        [0, n_steps), each x_next the path's next x.  Errors name
-        ``source`` and the (path, t) cell."""
+        order, under ``header``, the file's items as a dict: ``n_steps``,
+        ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, ``seed``, optionally
+        ``n_paths`` (checked against the records), ``s0``,
+        ``contract_kind`` and ``contract_strike``, then extras.  The records
+        must form one panel: a record per path and t in [0, n_steps), each
+        x_next the path's next x.  The states are kept
+        exactly, and the prices are their ``from_state``.  Errors name
+        ``source`` and the header key or the (path, t) cell."""
+        v = typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
+                                          if k in header or k not in _OPTIONAL_KEYS})
         ids, p = scatter_records(source, path_ids, t,
                                  {"x": x, "a": a, "r": r, "x_next": x_next},
-                                 header.n_steps)
+                                 v["n_steps"])
         # one price panel underlies the records: each x_next must be the x
         # of the same path's next record
         gap = (p["x_next"][:-1] != p["x"][1:]).T
@@ -94,21 +91,31 @@ class TransitionDataset:
             i, ti = np.argwhere(gap)[0]
             raise DataFormatError(f"{source}: x_next of (path={ids[i]}, t={ti}) "
                                   f"differs from that path's x at t={ti + 1}")
-        x_paths = np.vstack([p["x"], p["x_next"][-1:]])
-        return cls(ids, x_paths.T, p["a"].T, p["r"].T, header)
+        if v.get("n_paths", ids.size) != ids.size:
+            raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
+                                  f"records hold {ids.size} paths")
+        # popped, so that the state panels are freed before the prices exist
+        x_paths = np.empty((ids.size, v["n_steps"] + 1))
+        x_paths[:, :-1] = p.pop("x").T
+        x_paths[:, -1] = p.pop("x_next")[-1]
+        try:
+            params = MarketParams(s0=v.get("s0", float(np.exp(x_paths[:, 0].mean()))),
+                                  mu=v["mu"], sigma=v["sigma"], r=v["r"],
+                                  maturity=v["dt"] * v["n_steps"], n_steps=v["n_steps"])
+            RiskParams.from_market(v["lambda"], params)  # checked here to name the key
+            contract = (OptionContract(v["contract_kind"], v["contract_strike"])
+                        if "contract_kind" in v and "contract_strike" in v else None)
+        except ValueError as exc:
+            field = str(exc).split()[0]
+            raise DataFormatError(f"{source}: bad header value for "
+                                  f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
+        paths = PathEnsemble(from_state(x_paths, params.times()[None, :], params),
+                             x_paths, params, seed=v["seed"])
+        return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
+                   {k: val for k, val in header.items() if k not in _HEADER_KEYS})
 
     def __len__(self):
         return self.a.size
-
-    def to_ensemble(self) -> PathEnsemble:
-        """The dataset's price panel as an ensemble."""
-        h = self.header
-        s0 = h.extras.get("s0")
-        if s0 is None:
-            s0 = float(np.exp(self.x_paths[:, 0].mean()))
-        params = h.market_params(float(s0))
-        s = from_state(self.x_paths, params.times()[None, :], params)
-        return ensemble_from_prices(s, params, seed=h.seed)
 
 
 def build_features(design, a) -> np.ndarray:
@@ -151,8 +158,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
     Parameters
     ----------
     contract : OptionContract, optional
-        Needed for the terminal condition; defaults to the header's
-        contract keys.
+        Needed for the terminal condition; defaults to the dataset's.
     pi_reference : ndarray, optional
         Portfolio values as the (n, n_steps+1) panel ``dataset_rewards``
         takes, in the dataset's path order.  When omitted it is rolled
@@ -168,11 +174,10 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         The step convention of ``portfolio.centered_step``; "regression"
         matches chains whose snapped increments carry quantization drift.
     """
-    h = dataset.header
-    risk = h.risk()
+    risk, paths = dataset.risk, dataset.paths
     if risk.lam <= 0:
-        raise ValueError("fqi_backward requires lam > 0 in the dataset header")
-    contract = contract or h.contract()
+        raise ValueError("fqi_backward requires lam > 0")
+    contract = contract or dataset.contract
     if contract is None:
         raise DataFormatError(
             "no contract available (argument or header contract_kind/strike); "
@@ -182,18 +187,17 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         raise ValueError(f"unknown action_source {action_source!r}")
     if ds_mean not in DS_MEANS:
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
+    n_steps = paths.n_steps
     if pi_reference is not None:
-        _check_shape("pi_reference", pi_reference, dataset.path_ids.size, h.n_steps + 1)
+        _check_shape("pi_reference", pi_reference, paths.n_paths, n_steps + 1)
 
-    paths = dataset.to_ensemble()
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    n_steps = h.n_steps
     gamma = risk.gamma
 
     use_analytic = action_source == "analytic"
     if use_analytic and pi_reference is None:
         # roll the recorded actions backward on the price panel
-        pi_reference = _replicate(payoff, n_steps, paths.params.gamma, paths.delta_s,
+        pi_reference = _replicate(payoff, n_steps, gamma, paths.delta_s,
                                   lambda t, _: dataset.a[:, t])
 
     design_term = basis.evaluate(dataset.x_paths[:, -1])
@@ -234,6 +238,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         if t > 0:  # max_a Q_t at x_t, the previous step's next states
             if use_analytic:
                 a_star = design_t @ action_coeffs[t]
+                _check_one_action(dataset.a[:, t], a_star, t)
                 u = design_t @ w.T
                 v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
             else:
@@ -245,9 +250,21 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
     phi0 = phi_med if np.all(x0 == x0[0]) else basis.evaluate([float(x0.mean())])
     beta0 = action_coeffs[0] if use_analytic else None
     price0, a0 = _read_out(phi0, weights[0], beta0, 0)
+    _check_one_action(dataset.a[:, 0], a0, 0)
     return FQISolution(weights=weights, terminal_value_coeffs=term_coeffs,
                        action_coeffs=action_coeffs, price0=price0, hedge0=a0,
                        warnings=warnings)
+
+
+def _check_one_action(recorded, read, t):
+    """Refuse to read step t's fit at an action other than the one value
+    every path recorded there: the fitted parabola has no data elsewhere."""
+    a, read = recorded[0], np.atleast_1d(read)
+    off = np.abs(read - a) > 1e-9 * max(1.0, abs(a))
+    if off.any() and np.all(recorded == a):
+        raise DegenerateInputError(
+            f"every action recorded at step {t} is {a:.17g}, but the fit is read "
+            f"at action {read[off][0]:.6g}; one recorded action cannot price another")
 
 
 def _crossfit_v(dataset, design, targets, psi, t):
@@ -334,53 +351,31 @@ def _check_shape(name, panel, n_paths, n_cols):
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None, seed=None) -> TransitionDataset:
     """The dataset of an ensemble plus per-step (n_paths, n_steps)
-    actions and rewards."""
-    n, n_steps = paths.n_paths, paths.n_steps
-    p = paths.params
-    extras = {"s0": p.s0}
-    if contract is not None:
-        extras["contract_kind"] = contract.kind
-        extras["contract_strike"] = contract.strike
-    header = DatasetHeader(
-        n_paths=n, n_steps=n_steps, mu=p.mu, sigma=p.sigma, r=p.r, dt=p.dt,
-        lam=lam, seed=seed if seed is not None else (paths.seed or 0),
-        extras=extras,
-    )
-    return TransitionDataset(np.arange(n), paths.x_paths, actions, rewards, header)
-
-
-# header key -> type, for the keys every dataset file carries, in
-# DatasetHeader field order
-_HEADER_KEYS = {"n_paths": int, "n_steps": int, "mu": float, "sigma": float,
-                "r": float, "dt": float, "lambda": float, "seed": int}
+    actions and rewards; ``seed`` overrides the ensemble's (0 when it has
+    none)."""
+    seed = (paths.seed or 0) if seed is None else seed
+    if seed != paths.seed:
+        paths = PathEnsemble(paths.s_paths, paths.x_paths, paths.params, seed=seed)
+    return TransitionDataset(np.arange(paths.n_paths), paths, actions, rewards, lam,
+                             contract)
 
 
 def write_dataset_csv(dataset: TransitionDataset, path):
-    h = dataset.header
-    header = dict(zip(_HEADER_KEYS, (h.n_paths, h.n_steps, h.mu, h.sigma, h.r,
-                                     h.dt, h.lam, h.seed)))
-    header.update(sorted(h.extras.items()))
+    paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
+    items = {"s0": p.s0, **dataset.extras}
+    if c is not None:
+        items.update(contract_kind=c.kind, contract_strike=c.strike)
     write_table(path, {"path": dataset.path_ids, "t": None},
                 {"x": dataset.x_paths[:, :-1], "a": dataset.a, "r": dataset.r,
-                 "x_next": dataset.x_paths[:, 1:]}, header)
-
-
-def _number_or_text(v: str):
-    try:
-        return float(v)
-    except ValueError:
-        return v
+                 "x_next": dataset.x_paths[:, 1:]},
+                {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
+                 "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
+                 "seed": paths.seed, **dict(sorted(items.items()))})
 
 
 def read_dataset_csv(path) -> TransitionDataset:
     meta, _, data = read_csv(path)
-    values = typed_header(path, meta, _HEADER_KEYS)
+    typed_header(path, meta, {"n_paths": int})  # which a file must carry
     if data.shape[1] != 6:
         raise DataFormatError(f"{path}: expected 6 columns, got {data.shape[1]}")
-    extras = {k: _number_or_text(v) for k, v in meta.items() if k not in _HEADER_KEYS}
-    header = DatasetHeader(*values.values(), extras=extras)
-    dataset = TransitionDataset.from_records(*data.T, header, source=path)
-    if dataset.path_ids.size != header.n_paths:
-        raise DataFormatError(f"{path}: header n_paths={header.n_paths}, but the "
-                              f"records hold {dataset.path_ids.size} paths")
-    return dataset
+    return TransitionDataset.from_records(*data.T, meta, source=path)

@@ -132,8 +132,8 @@ def to_state(s, t, params: MarketParams):
 
 def from_state(x, t, params: MarketParams):
     """Inverse of :func:`to_state`: S = exp(x + (mu - sigma^2/2) t)."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(x + (params.mu - 0.5 * params.sigma**2) * t)
+    s = np.asarray(x, dtype=float) + (params.mu - 0.5 * params.sigma**2) * t
+    return np.exp(s, out=s) if np.ndim(s) else np.exp(s)  # an array in place
 
 
 def terminal_payoff(s_t, contract: OptionContract):

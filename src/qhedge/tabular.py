@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .market import (OptionContract, PathEnsemble, ensemble_from_prices,
-                     from_state, terminal_payoff)
+from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
 from .portfolio import RiskParams, _replicate, reward_parabola
 
 
@@ -63,10 +62,9 @@ class DiscreteMDP:
 
     def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
         """The ensemble with every state snapped to its bucket center."""
-        idx = self.state_index(paths.x_paths)
-        s = from_state(self.x_centers[idx], paths.params.times()[None, :],
-                       paths.params)
-        return ensemble_from_prices(s, paths.params, seed=paths.seed)
+        x = self.x_centers[self.state_index(paths.x_paths)]
+        s = from_state(x, paths.params.times()[None, :], paths.params)
+        return PathEnsemble(s, x, paths.params, seed=paths.seed)
 
     def indicator_basis(self):
         """One-hot basis whose buckets are exactly the chain states."""

@@ -18,7 +18,6 @@ from qhedge import (MarketParams, OptionContract, RiskParams,
                     indifference_price_recursion, q_learn, reward_parabola,
                     rollout_portfolio, signed_measure_weights, simulate_gbm,
                     solve_dp, solve_local_risk, HedgeStrategy)
-from qhedge.fqi import DatasetHeader
 from tests.test_black_scholes import put_price_by_quadrature
 
 RESULTS = []
@@ -149,11 +148,10 @@ class TestCriterion4FiniteStateAgreement:
         r_flat = c[:, 0] + c[:, 1] * a_flat + c[:, 2] * a_flat**2
         pid = np.repeat(np.arange(n)[:, None] * n_var, t1 - 1, axis=1)
         pid = np.repeat(pid.ravel(), n_var) + np.tile(np.arange(n_var), n * (t1 - 1))
-        header = DatasetHeader(
-            n_paths=n * n_var, n_steps=t1 - 1, mu=params.mu, sigma=params.sigma,
-            r=params.r, dt=params.dt, lam=risk.lam, seed=3,
-            extras={"s0": params.s0, "contract_kind": contract.kind,
-                    "contract_strike": contract.strike})
+        header = {"n_steps": t1 - 1, "mu": params.mu, "sigma": params.sigma,
+                  "r": params.r, "dt": params.dt, "lambda": risk.lam, "seed": 3,
+                  "s0": params.s0, "contract_kind": contract.kind,
+                  "contract_strike": contract.strike}
         ds = TransitionDataset.from_records(
             path_ids=pid, t=t_flat, x=mdp.x_centers[i_flat], a=a_flat,
             r=r_flat, x_next=mdp.x_centers[j_flat], header=header)

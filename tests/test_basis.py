@@ -73,6 +73,17 @@ class TestBSpline:
         with pytest.raises(DegenerateInputError):
             build_basis("bspline", 8, np.zeros(50))
 
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_smallest_size_is_degree_plus_three(self, degree):
+        """degree + 2 functions leave a single quantile breakpoint, which no
+        sample can widen into a knot span: a size error naming m and the
+        degree, while degree + 3 builds."""
+        samples = np.random.default_rng(5).normal(size=1000)
+        with pytest.raises(ValueError, match=rf"m >= degree \+ 3, got m={degree + 2} "
+                                             rf"with degree {degree}"):
+            build_basis("bspline", degree + 2, samples, degree=degree)
+        assert build_basis("bspline", degree + 3, samples, degree=degree).m == degree + 3
+
 
 class TestRBF:
     def test_unit_peak(self):

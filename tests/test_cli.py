@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qhedge
-from qhedge import (BasisSet, MarketParams, OptionContract, TransitionDataset,
+from qhedge import (BasisSet, MarketParams, OptionContract, PathEnsemble,
                     read_dataset_csv)
 from qhedge.cli import ExperimentConfig, ingest_prices, main
 from qhedge.errors import ConfigError, DataFormatError
@@ -95,6 +95,8 @@ class TestConfigBoundary:
         ("make-dataset", "dataset.random_lo", "nan"),
         ("make-dataset", "dataset.random_lo", "2"),  # above random_hi = 1.5
         ("dp-solve", "basis.bandwidth", "-1"),
+        ("dp-solve", "basis.m", "5"),  # one quantile breakpoint at degree 3
+        ("compare", "risk.lambda", "0"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, key, value):
         # the key under test comes last so that SMALL's sizes do not override it
@@ -243,6 +245,71 @@ class TestSubcommands:
                    "--output.dir", str(out)) == 0
         summary = read_summary(out / "summary.txt")
         assert float(summary["price_rel_error"]) < 0.10
+
+
+class TestDatasetHeader:
+    """fqi-solve takes the market, lambda and contract from the dataset's
+    header: a bad value there exits 3 naming the file and the key, and the
+    config's risk.lambda is not read."""
+
+    @pytest.fixture
+    def dataset_path(self, tmp_path):
+        assert run("make-dataset", *SMALL, "--mc.n_paths", "200",
+                   "--market.n_steps", "4", "--dataset.policy", "random",
+                   "--output.dir", str(tmp_path / "ds")) == 0
+        return tmp_path / "ds" / "dataset.csv"
+
+    def fqi_solve(self, tmp_path, dataset_path, *argv):
+        return run("fqi-solve", *SMALL, "--mc.n_paths", "200", "--market.n_steps", "4",
+                   "--dataset.path", str(dataset_path),
+                   "--output.dir", str(tmp_path / "fqi"), *argv)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("contract_kind", "foo", "bad header value for contract_kind: kind must be"),
+        ("contract_strike", "abc", "header value contract_strike='abc' is not a valid float"),
+        ("s0", "-5", "bad header value for s0: s0 must be positive"),
+        ("lambda", "-1", "bad header value for lambda: lam must be non-negative"),
+        ("lambda", "0", "bad header value for lambda: fqi-solve requires lambda > 0"),
+        ("dt", "-1", "bad header value for dt: maturity must be positive"),
+        ("r", "-1", "bad header value for r: gamma must be in (0, 1]"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, dataset_path,
+                                          key, value, message):
+        lines = dataset_path.read_text().splitlines(keepends=True)
+        edited = [f"# {key}={value}\n" if ln.startswith(f"# {key}=") else ln
+                  for ln in lines]
+        assert edited != lines
+        dataset_path.write_text("".join(edited))
+        capsys.readouterr()
+        assert self.fqi_solve(tmp_path, dataset_path) == 3
+        assert f"dataset.csv: {message}" in capsys.readouterr().err
+
+    def test_config_lambda_is_not_read(self, tmp_path, dataset_path):
+        assert self.fqi_solve(tmp_path, dataset_path) == 0
+        price0 = read_summary(tmp_path / "fqi" / "summary.txt")["price0"]
+        assert self.fqi_solve(tmp_path, dataset_path, "--risk.lambda", "0") == 0
+        assert read_summary(tmp_path / "fqi" / "summary.txt")["price0"] == price0
+
+    @pytest.mark.parametrize("policy, mu, step", [("constant", "0.05", 5),
+                                                  ("local_risk", "0.05", 0),
+                                                  ("local_risk", "0.03", None)])
+    def test_one_recorded_action_prices_no_other(self, tmp_path, capsys, policy, mu,
+                                                 step):
+        """A step where every path recorded one action cannot be read at
+        another: the constant policy's last step, or local_risk's t = 0
+        (one start state) under the mu != r tilt.  At mu = r the analytic
+        action at t = 0 is the recorded one."""
+        argv = [*SMALL, "--market.mu", mu, "--rollout.constant", "0.5"]
+        assert run("make-dataset", *argv, "--dataset.policy", policy,
+                   "--output.dir", str(tmp_path / "ds")) == 0
+        code = run("fqi-solve", *argv, "--dataset.path", str(tmp_path / "ds" / "dataset.csv"),
+                   "--output.dir", str(tmp_path / "fqi"))
+        err = capsys.readouterr().err
+        if step is None:
+            assert code == 0, err
+        else:
+            assert code == 3
+            assert f"every action recorded at step {step} is" in err
 
 
 class TestDeterminism:
@@ -419,13 +486,13 @@ class TestEvaluateOnce:
 
     def test_fqi_solve_builds_one_ensemble(self, tmp_path, monkeypatch, dataset_path):
         calls = []
-        to_ensemble = TransitionDataset.to_ensemble
+        init = PathEnsemble.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             calls.append(self)
-            return to_ensemble(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(TransitionDataset, "to_ensemble", counted)
+        monkeypatch.setattr(PathEnsemble, "__init__", counted)
         assert run("fqi-solve", *SMALL, "--dataset.path", dataset_path,
                    "--output.dir", str(tmp_path / "out")) == 0
         assert len(calls) == 1

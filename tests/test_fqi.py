@@ -1,14 +1,17 @@
 """Fitted Q-iteration: features, weights, file round-trip, DP agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qhedge import (BasisSet, DatasetHeader, FQISolution, MarketParams,
+from qhedge import (BasisSet, FQISolution, MarketParams,
                     OptionContract, RiskParams, TransitionDataset,
                     build_basis, build_dataset, build_features,
                     dataset_rewards, extract_price_hedge, fqi_backward,
                     read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
                     write_dataset_csv)
+from qhedge.csvio import write_table
 from qhedge.errors import DataFormatError
 
 PUT = OptionContract("put", 100.0)
@@ -68,10 +71,9 @@ class TestSingleStepRegression:
         x_next = np.log(np.array([95.0, 99.0, 104.0, 108.0]))
         a = np.array([-1.0, 0.0, 0.5, 1.0])
         r = np.array([0.3, -0.1, 0.2, 0.4])
-        header = DatasetHeader(n_paths=4, n_steps=1, mu=0.0, sigma=0.0, r=0.0,
-                               dt=1.0, lam=0.5, seed=0,
-                               extras={"s0": 100.0, "contract_kind": "put",
-                                       "contract_strike": 100.0})
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.0, "r": 0.0, "dt": 1.0,
+                  "lambda": 0.5, "seed": 0, "s0": 100.0, "contract_kind": "put",
+                  "contract_strike": 100.0}
         ds = TransitionDataset.from_records(np.arange(4), np.zeros(4, dtype=int),
                                             x, a, r, x_next, header)
         basis = unit_basis()
@@ -293,6 +295,7 @@ class TestDatasetIO:
         pi_ref = solve_local_risk(paths, PUT, basis)[1]
         rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
+        ds.extras["policy"] = "random"
         f = tmp_path / "data.csv"
         write_dataset_csv(ds, f)
         back = read_dataset_csv(f)
@@ -300,11 +303,35 @@ class TestDatasetIO:
         assert np.array_equal(back.x_paths, ds.x_paths)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
-        assert back.header == ds.header
+        # what the file carries: the maturity is not among it, only dt
+        p, q = back.paths.params, ds.paths.params
+        assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
+            (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
+        assert (back.risk.lam, back.paths.seed) == (ds.risk.lam, ds.paths.seed)
+        assert (back.contract, back.extras) == (PUT, {"policy": "random"})
+
+    def test_table_writer_gathers_records_by_block(self, tmp_path):
+        """write_table gathers each block of records from the arrays as it
+        writes it, so writing 200k records of step-major arrays (as a
+        dataset stores a and r) allocates well under the arrays' size;
+        copying every column whole first would allocate more than it.
+        Small integers keep the traced formatting fast."""
+        rng = np.random.default_rng(0)
+        values = {name: np.asfortranarray(rng.integers(0, 100, size=(1000, 200)))
+                  for name in ("a", "b", "c", "d")}
+        size = sum(v.nbytes for v in values.values())
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "table.csv", {"path": np.arange(1000), "t": None},
+                        values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2
 
     def test_missing_slice_rejected(self):
-        header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
-                               dt=0.5, lam=0.1, seed=0)
+        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
+                  "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records(
                 path_ids=[0, 1, 0], t=[0, 0, 1], x=[0.0, 0.0, 0.1],
@@ -312,24 +339,24 @@ class TestDatasetIO:
                 header=header)
 
     def test_duplicate_record_rejected(self):
-        header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
-                               dt=0.5, lam=0.1, seed=0)
+        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
+                  "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"duplicate rows for cell \(path=0, t=0\)"):
             TransitionDataset.from_records(
                 path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], x=[0.0] * 4,
                 a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1] * 4, header=header)
 
     def test_nonfinite_reward_rejected(self):
-        header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
-                               dt=1.0, lam=0.1, seed=0)
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+                  "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records([0], [0], [0.0], [0.0], [np.nan], [0.1],
                                            header)
 
     @pytest.mark.parametrize("field", ["x", "a", "x_next"])
     def test_nonfinite_state_or_action_rejected(self, field):
-        header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
-                               dt=1.0, lam=0.1, seed=0)
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+                  "lambda": 0.1, "seed": 0}
         rec = dict(x=[0.0], a=[0.0], r=[0.0], x_next=[0.1])
         rec[field] = [np.inf]
         with pytest.raises(DataFormatError, match=f"non-finite {field}"):
@@ -338,8 +365,8 @@ class TestDatasetIO:
     def test_x_next_must_match_next_state(self):
         """A path's x_next at t is its x at t+1: the rebuilt panel keeps
         only one of them, so a disagreement would price two panels."""
-        header = DatasetHeader(n_paths=2, n_steps=2, mu=0.0, sigma=0.2, r=0.0,
-                               dt=0.5, lam=0.1, seed=0)
+        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
+                  "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"path=1, t=0"):
             TransitionDataset.from_records(
                 path_ids=[0, 0, 1, 1], t=[0, 1, 0, 1], x=[0.0, 0.1, 0.0, 0.2],
@@ -347,8 +374,8 @@ class TestDatasetIO:
                 header=header)
 
     def test_time_outside_horizon_rejected(self):
-        header = DatasetHeader(n_paths=1, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
-                               dt=1.0, lam=0.1, seed=0)
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+                  "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"cell \(path=0, t=1\) is outside"):
             TransitionDataset.from_records([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
                                            [0.0, 0.0], [0.1, 0.2], header)
@@ -422,8 +449,8 @@ class TestDatasetIO:
             read_dataset_csv(f)
 
     def test_contract_required(self):
-        header = DatasetHeader(n_paths=2, n_steps=1, mu=0.0, sigma=0.2, r=0.0,
-                               dt=1.0, lam=0.1, seed=0, extras={"s0": 100.0})
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+                  "lambda": 0.1, "seed": 0, "s0": 100.0}
         ds = TransitionDataset.from_records([0, 1], [0, 0], [4.6, 4.6], [0.0, 0.0],
                                             [0.0, 0.0], [4.61, 4.59], header)
         with pytest.raises(DataFormatError, match="contract"):

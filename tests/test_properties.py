@@ -18,7 +18,7 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     read_dataset_csv, rollout_portfolio, simulate_gbm, solve_dp,
                     solve_local_risk, write_dataset_csv)
 from qhedge.basis import KINDS
-from qhedge.csvio import format_value, read_csv, write_csv
+from qhedge.csvio import format_value, read_csv, write_table
 from qhedge.market import _ndtri
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -214,7 +214,8 @@ def test_csv_round_trip_is_lossless(data, n_float, header):
                                 elements=st.integers(-2**53, 2**53)))
     colnames = ["k"] + [f"v{j}" for j in range(n_float)]
     meta, cols, back = round_trip(
-        lambda path: write_csv(path, colnames, [ints, *floats.T], header=header),
+        lambda path: write_table(path, {"k": ints},
+                                 dict(zip(colnames[1:], floats.T)), header=header),
         read_csv)
     assert cols == colnames
     assert meta == {k: format_value(v) for k, v in header.items()}
@@ -236,7 +237,12 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     back = round_trip(write_dataset_csv, read_dataset_csv, ds)
     for name in ("path_ids", "x_paths", "a", "r"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
-    assert back.header == ds.header
+    # what the file carries: the maturity is not among it, only dt
+    p, q = back.paths.params, ds.paths.params
+    assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
+        (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
+    assert (back.risk.lam, back.paths.seed) == (lam, seed)
+    assert (back.contract, back.extras) == (OptionContract(kind, strike), {})
 
 
 def q_learn_one_by_one(mdp, n_updates_per_slice, schedule, seed):
