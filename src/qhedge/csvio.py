@@ -9,8 +9,19 @@ for byte, and reading one back returns the computed values exactly.
 It is also the one place that knows the record layout: ``write_table``
 turns arrays into one record per element, and ``scatter_records`` turns
 (path, t) records back into panels, checking that they fill them.
+
+Records are formatted and parsed on every usable CPU: a large table is
+cut into contiguous ranges of records, one process per CPU formats or
+parses its range, and the ranges are joined in file order, so the bytes
+written and the floats read are byte-identical to one process's.  Tables
+below a fixed size per process, and platforms without ``os.fork`` or
+``os.sched_getaffinity``, use one process.  There is no setting for it.
 """
 
+import contextlib
+import io
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +30,10 @@ from .errors import DataFormatError
 
 _FLOAT = "%.17g"
 _BLOCK = 1 << 13  # records gathered and formatted per write
+# Fewest records written, and data bytes read, per process: below them a
+# table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
+_SPLIT_RECORDS = 1 << 15
+_SPLIT_BYTES = 1 << 21
 
 
 def format_value(v) -> str:
@@ -42,16 +57,148 @@ def read_csv(path):
         colnames = line.strip().split(",")
         if not line or colnames[0].lstrip("+-").replace(".", "", 1).isdigit():
             raise DataFormatError(f"{path}: no column-name row")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # no data rows
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except (ValueError, UserWarning) as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
+        data = _read_split(fh)
+        if data is None:
+            try:
+                data = _loadtxt(fh)
+            except UserWarning:
+                raise DataFormatError(f"{path}: no data rows") from None
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: {exc}") from exc
     if data.shape[1] != len(colnames):
         raise DataFormatError(f"{path}: {data.shape[1]} values per row "
                               f"for {len(colnames)} columns {colnames}")
     return meta, colnames, data
+
+
+def _loadtxt(lines):
+    """The records of ``lines`` as a float array of one row each; no data
+    rows raise a UserWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # no data rows
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _read_split(fh):
+    """The records after ``fh``'s position, parsed by one forked worker per
+    usable CPU, each on a byte range of whole lines, and joined in file
+    order; None when the body is too small to split, or when a worker
+    fails or the workers disagree on the column count, which leaves the
+    whole body to one parse here (and so every error to it)."""
+    fd = fh.fileno()
+    end = os.fstat(fd).st_size
+    start = fh.tell() if fh.seekable() else end  # a byte offset at a line start
+    n = _n_procs(end - start, _SPLIT_BYTES)
+    cuts = sorted({start, end, *(_line_start(fd, start + (end - start) * i // n, end)
+                                 for i in range(1, n))})
+    if len(cuts) < 3:
+        return None
+    with _Workers() as workers, contextlib.ExitStack() as pipes:
+        parts = []
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            r, w = os.pipe()
+            parts.append(pipes.enter_context(open(r, "rb")))
+            with open(w, "wb") as out:  # the worker's copy stays open
+                workers.start(i, _parse_range, fd, lo, hi, fh.encoding, out)
+        shapes = [np.frombuffer(p.read(16), np.int64) for p in parts]
+        if any(s.size != 2 for s in shapes) or len({int(s[1]) for s in shapes}) != 1:
+            return None
+        data = np.empty((sum(int(s[0]) for s in shapes), int(shapes[0][1])))
+        row = 0
+        for i, (p, s) in enumerate(zip(parts, shapes)):
+            view = memoryview(data[row:row + s[0]]).cast("B")
+            if p.readinto(view) != view.nbytes or not workers.ok(i):
+                return None
+            row += s[0]
+    return data
+
+
+def _parse_range(fd, lo, hi, encoding, out):
+    """In a worker: parse bytes ``lo:hi`` of ``fd`` as text, as ``open``
+    would decode it, and send the array's shape and then its bytes."""
+    part = _loadtxt(io.TextIOWrapper(_ByteRange(fd, lo, hi), encoding=encoding))
+    out.write(np.array(part.shape, np.int64).tobytes())
+    out.write(memoryview(part).cast("B"))
+    out.flush()
+
+
+class _ByteRange(io.BufferedIOBase):
+    """Bytes ``lo:hi`` of the file open as ``fd``, read by offset."""
+
+    def __init__(self, fd, lo, hi):
+        self.fd, self.pos, self.end = fd, lo, hi
+
+    def readable(self):
+        return True
+
+    def read1(self, size=-1):
+        left = self.end - self.pos
+        data = os.pread(self.fd, left if size < 0 else min(size, left), self.pos)
+        self.pos += len(data)
+        return data
+
+
+def _line_start(fd, pos, end):
+    """The first offset at or after ``pos`` (> 0) that starts a line of
+    ``fd``, or ``end``."""
+    chunk = 1 << 16
+    while pos < end:
+        i = os.pread(fd, chunk, pos - 1).find(b"\n")
+        if i >= 0:
+            return min(pos + i, end)
+        pos += chunk - 1
+    return end
+
+
+def _n_procs(size, minimum):
+    """Processes to share ``size`` units of work: one per usable CPU, each
+    with at least ``minimum`` units; one where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // minimum))
+
+
+class _Workers:
+    """Forked workers, keyed by the caller.  A worker runs one function
+    and leaves through ``os._exit``: status 0 if the function returned, 1
+    if it raised.  Workers touch no BLAS.  Leaving the ``with`` block
+    kills and reaps every worker not yet waited for."""
+
+    def __init__(self):
+        self.pids = {}
+
+    def __enter__(self):
+        return self
+
+    def start(self, key, work, *args):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with warnings.catch_warnings():
+            # Python 3.12 warns when forking with threads, such as BLAS's
+            # idle pool; a worker runs no BLAS and no other thread's code.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                work(*args)
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids[key] = pid
+
+    def ok(self, key):
+        """Wait for worker ``key``: True if it was started and exited 0."""
+        pid = self.pids.pop(key, None)
+        return pid is not None and os.waitpid(pid, 0)[1] == 0
+
+    def __exit__(self, *exc):
+        if self.pids:
+            import signal  # only a worker left behind by an error needs it
+            for pid in self.pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            self.pids.clear()
 
 
 def write_table(path, axes, values, header=None):
@@ -60,7 +207,12 @@ def write_table(path, axes, values, header=None):
     per axis of ``axes`` (name -> that axis's labels, or None for its
     index), then one per array of ``values`` (name -> array).  Each
     column's format follows its dtype; each block of records is gathered
-    from the arrays as it is written, and one row template formats it."""
+    from the arrays as it is written, and one row template formats it.
+    The records are cut into one contiguous range of whole blocks per
+    process: this one writes the first, and a forked worker formats each
+    other into an unnamed file in the output directory, copied in after
+    it; a range whose worker failed or found no such file is written
+    here."""
     arrays = [np.asarray(v) for v in values.values()]
     shape = arrays[0].shape
     if len(axes) != len(shape) or any(a.shape != shape for a in arrays):
@@ -70,16 +222,45 @@ def write_table(path, axes, values, header=None):
     template = ",".join({"f": _FLOAT, "i": "%d", "u": "%d"}.get(k, "%s")
                         for k in kinds + [a.dtype.kind for a in arrays]) + "\n"
     n = arrays[0].size
-    with open(path, "w") as fh:
-        fh.writelines(f"# {k}={format_value(v)}\n" for k, v in (header or {}).items())
-        fh.write(",".join([*axes, *values]) + "\n")
-        for lo in range(0, n, _BLOCK):
-            index = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n)), shape)
+
+    def write_records(fh, lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            index = np.unravel_index(np.arange(start, min(start + _BLOCK, hi)), shape)
             cols = [i if lab is None else lab[i] for lab, i in zip(labels, index)]
             rows = np.empty((index[0].size, len(cols) + len(arrays)), dtype=object)
             for j, c in enumerate(cols + [a[index] for a in arrays]):
                 rows[:, j] = c
             fh.write(template * len(rows) % tuple(rows.ravel()))
+        fh.flush()
+
+    procs, blocks = _n_procs(n, _SPLIT_RECORDS), -(-n // _BLOCK)
+    cuts = [min(n, blocks * i // procs * _BLOCK) for i in range(procs + 1)]
+    directory = os.path.dirname(os.path.abspath(path))
+    with open(path, "w") as fh, _Workers() as workers, contextlib.ExitStack() as stack:
+        fh.writelines(f"# {k}={format_value(v)}\n" for k, v in (header or {}).items())
+        fh.write(",".join([*axes, *values]) + "\n")
+        fh.flush()
+        tmp = {}
+        for i in range(1, procs):
+            try:
+                fd = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
+            except OSError:
+                continue
+            tmp[i] = stack.enter_context(open(fd, "w", encoding=fh.encoding))
+            workers.start(i, write_records, tmp[i], cuts[i], cuts[i + 1])
+        write_records(fh, cuts[0], cuts[1])
+        for i in range(1, procs):
+            if workers.ok(i):
+                _append(tmp[i].fileno(), fh.fileno())
+            else:
+                write_records(fh, cuts[i], cuts[i + 1])
+
+
+def _append(src, dst):
+    """Copy the whole file open as ``src`` to the end of ``dst``."""
+    offset = 0
+    while count := os.sendfile(dst, src, offset, 1 << 30):
+        offset += count
 
 
 def typed_header(source, meta, keys):

@@ -284,6 +284,15 @@ class TestDatasetHeader:
         assert self.fqi_solve(tmp_path, dataset_path) == 3
         assert f"dataset.csv: {message}" in capsys.readouterr().err
 
+    def test_no_records_names_file(self, tmp_path, capsys, dataset_path):
+        """A dataset with its header but no records exits 3 naming the
+        file, not the repr of a file object."""
+        lines = dataset_path.read_text().splitlines(keepends=True)
+        dataset_path.write_text("".join(ln for ln in lines if ln[0] in "#p"))
+        capsys.readouterr()
+        assert self.fqi_solve(tmp_path, dataset_path) == 3
+        assert capsys.readouterr().err == f"numerical failure: {dataset_path}: no data rows\n"
+
     def test_config_lambda_is_not_read(self, tmp_path, dataset_path):
         assert self.fqi_solve(tmp_path, dataset_path) == 0
         price0 = read_summary(tmp_path / "fqi" / "summary.txt")["price0"]
@@ -396,6 +405,19 @@ class TestIngest:
         f.write_text(header + "path,t,s\n0,0,100\n0,1,101\n")
         with pytest.raises(DataFormatError, match=rf"panel\.csv: {message}"):
             ingest_prices(f)
+
+    def test_no_data_rows_names_file(self, tmp_path, capsys):
+        """A panel with its column names but no rows is a format error
+        naming the file, through ingest_prices and the command line."""
+        f = tmp_path / "panel.csv"
+        f.write_text("path,t,s\n")
+        with pytest.raises(DataFormatError) as exc:
+            ingest_prices(f)
+        assert str(exc.value) == f"{f}: no data rows"
+        code = run("simulate", "--ingest.path", str(f), "--market.n_steps", "1",
+                   "--output.dir", str(tmp_path / "out"))
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical failure: {f}: no data rows\n"
 
     def test_nonpositive_price_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"

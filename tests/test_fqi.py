@@ -1,5 +1,6 @@
 """Fitted Q-iteration: features, weights, file round-trip, DP agreement."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -310,12 +311,14 @@ class TestDatasetIO:
         assert (back.risk.lam, back.paths.seed) == (ds.risk.lam, ds.paths.seed)
         assert (back.contract, back.extras) == (PUT, {"policy": "random"})
 
-    def test_table_writer_gathers_records_by_block(self, tmp_path):
+    def test_table_writer_gathers_records_by_block(self, tmp_path, monkeypatch):
         """write_table gathers each block of records from the arrays as it
         writes it, so writing 200k records of step-major arrays (as a
         dataset stores a and r) allocates well under the arrays' size;
         copying every column whole first would allocate more than it.
-        Small integers keep the traced formatting fast."""
+        Small integers keep the traced formatting fast.  tracemalloc sees
+        only this process, so one CPU keeps every record formatted here."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         rng = np.random.default_rng(0)
         values = {name: np.asfortranarray(rng.integers(0, 100, size=(1000, 200)))
                   for name in ("a", "b", "c", "d")}
