@@ -245,7 +245,12 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     n_steps = panel.shape[1] - 1
     if params is None:
         h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
-        params = MarketParams(s0=float(panel[0, 0]), n_steps=n_steps, **h)
+        try:
+            params = MarketParams(s0=float(panel[0, 0]), n_steps=n_steps, **h)
+        except ValueError as exc:  # n_steps is the panel's, not the header's
+            key = str(exc).split()[0]
+            raise DataFormatError(f"{path}: bad header value for {key}: {exc}" if key in h
+                                  else f"{path}: {exc}") from None
     elif params.n_steps != n_steps:
         raise ConfigError(f"{path}: the panel has {n_steps} steps, but "
                           f"market.n_steps is {params.n_steps}")

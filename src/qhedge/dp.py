@@ -23,7 +23,7 @@ from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, terminal_payoff
 from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
                         reward_parabola)
-from .regression import conditional_variance, ridge_solve
+from .regression import conditional_variance, least_squares
 
 
 @dataclass
@@ -41,7 +41,7 @@ def terminal_fit(design, payoff, lam: float) -> np.ndarray:
     -payoff minus lam times the regression estimate of the payoff variance
     conditional on the terminal state (floored at 0)."""
     q_term = -payoff - lam * conditional_variance(design, payoff)
-    return ridge_solve(design.T @ design, design.T @ q_term)
+    return least_squares(design, q_term)
 
 
 def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
@@ -81,7 +81,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
                                      ds_center=ds_c, gain=gain)
         target = c0 + c1 * a + c2 * a**2 + risk.gamma * q_next
         try:
-            value_coeffs[t] = ridge_solve(design.T @ design, design.T @ target)
+            value_coeffs[t] = least_squares(design, target)
         except SingularSystemError as exc:
             raise SingularSystemError(f"Q fit at step {t}: {exc}") from exc
         q_next = design @ value_coeffs[t]

@@ -26,7 +26,7 @@ from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
                      terminal_payoff)
 from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
                         reward_parabola)
-from .regression import ridge_solve
+from .regression import least_squares
 
 
 # header key -> type; n_paths, s0 and the contract keys may be absent
@@ -215,7 +215,7 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         design_t = basis.evaluate(x_t)
         psi = build_features(design_t, dataset.a[:, t])
         try:
-            wvec = ridge_solve(psi.T @ psi, psi.T @ targets)
+            wvec = least_squares(psi, targets)
         except SingularSystemError as exc:
             raise SingularSystemError(f"FQI weights at step {t}: {exc}") from exc
         w = _weights_from_vec(wvec)
@@ -281,7 +281,7 @@ def _crossfit_v(dataset, design, targets, psi, t):
         sel = fold == f
         if not sel.any():
             raise DataFormatError(f"cannot 2-fold split slice t={t}")
-        wv = ridge_solve(psi[sel].T @ psi[sel], psi[sel].T @ targets[sel])
+        wv = least_squares(psi[sel], targets[sel])
         w_fold.append(_weights_from_vec(wv))
     out = np.empty(fold.size)
     for f in (0, 1):

@@ -70,9 +70,6 @@ class OptionContract:
         if not np.isfinite(self.strike) or self.strike <= 0:
             raise ValueError(f"strike must be positive and finite, got {self.strike}")
 
-    def payoff(self, s) -> np.ndarray:
-        return terminal_payoff(s, self)
-
 
 class PathEnsemble:
     """A matrix of simulated stock paths with their transformed states.

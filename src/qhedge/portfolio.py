@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, SingularSystemError
 from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
-from .regression import conditional_mean, conditional_variance, ridge_solve
+from .regression import conditional_mean, conditional_variance, least_squares
 
 DS_MEANS = ("model", "regression")  # the conventions of centered_step
 
@@ -183,10 +183,9 @@ def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
     With no tilt c estimates Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state),
     the risk-minimizing hedge; tilt = drift / (2 gamma lam) gives the
     risk-adjusted optimal action."""
-    gram = (design * (ds_dev**2)[:, None]).T @ design
     target = pi_dev * ds_dev if tilt is None else pi_dev * ds_dev + tilt
     try:
-        return ridge_solve(gram, design.T @ target)
+        return least_squares(design, target, scale=ds_dev)
     except SingularSystemError as exc:
         raise SingularSystemError(f"hedge fit at step {t}: {exc}") from exc
 

@@ -28,20 +28,22 @@ class NormalEquations:
         return coeffs
 
 
-def ridge_epsilon(gram: np.ndarray) -> float:
-    """Ridge ``RIDGE_SCALE * trace / m`` with an absolute floor for empty systems."""
-    m = gram.shape[0]
-    eps = RIDGE_SCALE * float(np.trace(gram)) / m
-    return eps if eps > 0 else 1e-12
-
-
-def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return NormalEquations(gram, rhs, ridge_epsilon(gram)).solve()
+def least_squares(design: np.ndarray, target: np.ndarray, scale=None) -> np.ndarray:
+    """Ridge least squares: c with (A^T A + eps I) c = Phi^T target, where A is
+    the design Phi with each row times ``scale`` (Phi when None) and eps is
+    RIDGE_SCALE * trace / m, floored at 1e-12.  Each sum over samples runs in
+    one order at any BLAS thread count: the Gram is one symmetric product
+    (``syrk`` splits threads by output block), Phi^T target numpy's einsum."""
+    rows = design if scale is None else design * scale[:, None]
+    gram = rows.T @ rows
+    eps = RIDGE_SCALE * float(np.trace(gram)) / gram.shape[0]
+    rhs = np.einsum("ij,i->j", design, target)
+    return NormalEquations(gram, rhs, eps if eps > 0 else 1e-12).solve()
 
 
 def conditional_mean(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fitted values of the cross-sectional regression of y on the basis."""
-    return design @ ridge_solve(design.T @ design, design.T @ y)
+    return design @ least_squares(design, y)
 
 
 def conditional_variance(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -53,8 +55,5 @@ def conditional_variance(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     of fitting E[y^2|x] and E[y|x]^2 separately.  The floor guards against
     fitted values of the non-negative target dipping below zero.
     """
-    gram = design.T @ design
-    eps = ridge_epsilon(gram)
-    resid = y - design @ NormalEquations(gram, design.T @ y, eps).solve()
-    fitted = design @ NormalEquations(gram, design.T @ resid**2, eps).solve()
-    return np.maximum(fitted, 0.0)
+    resid = y - conditional_mean(design, y)
+    return np.maximum(conditional_mean(design, resid**2), 0.0)

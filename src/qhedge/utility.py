@@ -64,8 +64,8 @@ class _Cell:
         if self.empty:
             return
         self.w = w[self.idx] / tot
-        self.ds_c = ds[self.idx] - float(np.dot(self.w, ds[self.idx]))
-        self.var = float(np.dot(self.w, self.ds_c**2))
+        self.ds_c = ds[self.idx] - self.mean(ds[self.idx])
+        self.var = self.mean(self.ds_c**2)
         self.hedgeable = self.var > 0
         if not self.hedgeable and self.idx.size >= 2:
             raise DegenerateInputError(
@@ -76,7 +76,7 @@ class _Cell:
         return np.asarray(v)[self.idx]
 
     def mean(self, v_sub):
-        return float(np.dot(self.w, v_sub))
+        return float(np.einsum("i,i->", self.w, v_sub))
 
     def u0(self, h_sub):
         if not self.hedgeable:
@@ -103,7 +103,7 @@ def _exact_hedge(cell, h_sub, n, t, gamma_risk):
 
     def dobj(u):
         z = gamma_risk * (h_sub - u * cell.ds_c)
-        return -float(np.dot(cell.w, cell.ds_c * np.exp(z - z.max())))
+        return -cell.mean(cell.ds_c * np.exp(z - z.max()))
 
     lo, hi = u0 - 1.0, u0 + 1.0
     it = 0

@@ -339,6 +339,42 @@ class TestDeterminism:
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_any_blas_thread_count_writes_the_same_artifacts(self, tmp_path):
+        """One and two BLAS threads write the same bytes: every regression
+        sums over the samples in one order.  Each thread count runs in its
+        own process, as BLAS reads it at start-up, with the same relative
+        paths so that the config hashes agree."""
+        size = ["--mc.n_paths", "50000", "--market.n_steps", "2"]
+        commands = [
+            ["make-dataset", "--dataset.policy", "random", "--output.dir", "dataset"],
+            ["fqi-solve", "--dataset.path", "dataset/dataset.csv", "--output.dir", "fqi"],
+            ["dp-solve", "--output.dir", "dp"],
+            ["utility-price", "--output.dir", "utility"],
+        ]
+        child = ("import sys\nfrom qhedge.cli import main\n"
+                 f"for argv in {commands!r}:\n"
+                 f"    if main(argv + {size!r}):\n"
+                 "        sys.exit(f'{argv[0]} failed')\n")
+        src = str(Path(qhedge.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        dirs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads-{threads}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", child], cwd=cwd, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            dirs.append(cwd)
+        files = sorted(p.relative_to(dirs[0]) for p in dirs[0].rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(dirs[1]) for p in dirs[1].rglob("*")
+                               if p.is_file())
+        differ = [str(f) for f in files
+                  if (dirs[0] / f).read_bytes() != (dirs[1] / f).read_bytes()]
+        assert not differ, f"artifacts differ between 1 and 2 BLAS threads: {differ}"
+
 
 class TestIngest:
     def test_export_then_ingest_roundtrip(self, tmp_path):
@@ -387,10 +423,11 @@ class TestIngest:
     @pytest.mark.parametrize("body", [
         "", "# mu=0\n", "path,t,s\n", "path,t,s\n0,0,abc\n",
         "path,t,s\n0,0,100\n0,1\n", "0,0,100\n0,1,101\n",
+        "# mu=0\n# sigma=0.2\n# r=0\n# maturity=1\npath,t,s\n0,0,100\n",
     ])
     def test_malformed_file_names_path(self, tmp_path, body):
-        """Empty files, a missing column-name row and malformed rows are
-        format errors naming the file."""
+        """Empty files, a missing column-name row, malformed rows and a panel
+        of one time step are format errors naming the file."""
         f = tmp_path / "panel.csv"
         f.write_text(body)
         with pytest.raises(DataFormatError, match="panel.csv"):
@@ -399,7 +436,13 @@ class TestIngest:
     @pytest.mark.parametrize("header, message", [
         ("# mu=abc\n# sigma=0.2\n# r=0\n# maturity=1\n", "header value mu='abc'"),
         ("# sigma=0.2\n# r=0\n# maturity=1\n", "header missing key 'mu'"),
-    ], ids=["bad_value", "missing_key"])
+        ("# mu=0\n# sigma=-1\n# r=0\n# maturity=1\n",
+         "bad header value for sigma: sigma must be non-negative"),
+        ("# mu=0\n# sigma=0.2\n# r=0\n# maturity=0\n",
+         "bad header value for maturity: maturity must be positive"),
+        ("# mu=nan\n# sigma=0.2\n# r=0\n# maturity=1\n",
+         "bad header value for mu: mu must be finite"),
+    ], ids=["bad_value", "missing_key", "negative_sigma", "zero_maturity", "nan_mu"])
     def test_bad_header_names_file_and_key(self, tmp_path, header, message):
         f = tmp_path / "panel.csv"
         f.write_text(header + "path,t,s\n0,0,100\n0,1,101\n")

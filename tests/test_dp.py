@@ -7,7 +7,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     build_basis, ensemble_from_prices, price_and_hedge_surface,
                     reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff)
-from qhedge.regression import ridge_solve
+from qhedge.regression import least_squares
 from tests.test_portfolio import local_risk_fit
 
 PUT = OptionContract("put", 100.0)
@@ -104,7 +104,7 @@ class TestOptimalQCoeffs:
     @staticmethod
     def q_fit(paths, targets, basis, t):
         design = basis.evaluate(paths.x_paths[:, t])
-        return ridge_solve(design.T @ design, design.T @ targets)
+        return least_squares(design, targets)
 
     def test_constant_target_on_indicators(self):
         paths = gbm(n_paths=500, seed=1)

@@ -1,10 +1,11 @@
 """Randomized invariants of the B-spline design, the inverse normal CDF,
 the shared replication recursion, the shared hedge fit, the DP solver, the
-artifact codec and the grouped Q-learning kernel.  Examples are drawn by
+least-squares routine, the artifact codec and the grouped Q-learning kernel.  Examples are drawn by
 hypothesis, derandomized so every run draws the same ones."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     RiskParams, build_basis, build_dataset, q_learn,
                     read_dataset_csv, rollout_portfolio, simulate_gbm, solve_dp,
                     solve_local_risk, write_dataset_csv)
+from qhedge import regression
 from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_table
 from qhedge.market import _ndtri
@@ -139,6 +141,44 @@ def test_dp_price_does_not_decrease_in_lambda_when_mu_equals_r(
     lo, hi = (solve_dp(paths, contract, RiskParams.from_market(x, params), basis).price0
               for x in (lam, lam * (1.0 + step)))
     assert hi >= lo
+
+
+def solved_system(design, target, scale):
+    """``least_squares``'s coefficients and the NormalEquations it solved."""
+    systems, solve = [], regression.NormalEquations.solve
+
+    def record(system):
+        systems.append(system)
+        return solve(system)
+
+    with mock.patch.object(regression.NormalEquations, "solve", record):
+        coeffs = regression.least_squares(design, target, scale)
+    return coeffs, systems[0]
+
+
+@PROPERTY
+@given(n=st.integers(1, 300), m=st.integers(1, 12), seed=seeds,
+       zero_share=st.floats(0.0, 1.0), repeat_column=st.booleans())
+def test_least_squares_solves_the_ridge_normal_equations(n, m, seed, zero_share,
+                                                         repeat_column):
+    """The Gram of the scaled rows is Phi^T diag(scale^2) Phi, the solution
+    satisfies the ridge normal equations, and the sign of the scale does not
+    change a bit.  Zero scales and a repeated column make the Gram singular
+    but for the ridge."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((n, m))
+    if repeat_column:
+        design[:, -1] = design[:, 0]
+    target = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    scale = np.where(rng.random(n) < zero_share, 0.0, rng.standard_normal(n))
+    coeffs, system = solved_system(design, target, scale)
+    gram = (design * scale[:, None] ** 2).T @ design
+    assert np.abs(system.gram - gram).max() <= 1e-12 * np.abs(gram).max()
+    lhs = (gram + system.ridge_epsilon * np.eye(m)) @ coeffs
+    rhs = design.T @ target
+    size = np.abs(gram).max() * np.abs(coeffs).max() + np.abs(rhs).max()
+    assert np.abs(lhs - rhs).max() <= 1e-11 * size
+    assert regression.least_squares(design, target, -scale).tobytes() == coeffs.tobytes()
 
 
 @PROPERTY
