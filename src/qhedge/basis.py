@@ -70,19 +70,44 @@ def _bspline_design(x, t, k) -> np.ndarray:
     t[ell] <= x < t[ell+1] in columns ell-k .. ell.
     """
     n = t.size - k - 1
-    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
-    h = np.zeros((k + 1, x.size))
-    h[0] = 1.0
-    for j in range(1, k + 1):
-        hh = h[:j].copy()
-        h[0] = 0.0
-        for q in range(1, j + 1):
-            right, left = t[ell + q], t[ell + q - j]
-            w = hh[q - 1] / (right - left)
-            h[q - 1] += w * (right - x)
-            h[q] = w * (x - left)
+    # the output before the temporaries: a loop of calls then reuses their
+    # freed memory rather than growing the heap around each output
     out = np.zeros((x.size, n))
-    np.put_along_axis(out, ell[:, None] + np.arange(-k, 1), h.T, axis=1)
+    # the span ell of each x, less k: the interior knots at or below x (the
+    # knots are sorted), which is searchsorted's, clipped to [k, n-1]; one
+    # compare per knot beats a binary search at the basis sizes in use
+    span = np.zeros(x.size, dtype=np.intp)
+    for knot in t[k + 1:n]:
+        span += x >= knot
+
+    def knot(d):
+        """t[ell + d] at each x."""
+        return t[k + d:n + d].take(span)
+
+    to_right = [None] + [knot(q) - x for q in range(1, k + 1)]  # t[ell+q] - x
+    from_left = [x - knot(-d) for d in range(k)]                # x - t[ell-d]
+    h = [np.ones(x.size)]
+    for j in range(1, k + 1):
+        # scipy's w = h[q-1] / (t[ell+q] - t[ell+q-j]), h[q-1] += w
+        # (t[ell+q] - x) and h[q] = w (x - t[ell+q-j]), q = 1..j, on h[0] = 0
+        nxt = [None] * (j + 1)
+        for q in range(1, j + 1):
+            w = (t[k + q:n + q] - t[k + q - j:n + q - j]).take(span)  # per span
+            np.divide(h[q - 1], w, out=w)
+            if q == 1:
+                nxt[0] = w * to_right[1]  # scipy adds it to 0: both factors are >= 0
+            else:
+                nxt[q - 1] += w * to_right[q]
+            nxt[q] = np.multiply(w, from_left[j - q], out=w)
+        h = nxt
+    del to_right, from_left  # before the scatter: a lower resident peak
+    # row i's value h[c] goes to flat offset i n + ell - k + c
+    flat = out.reshape(-1)
+    at = np.arange(0, x.size * n, n)
+    at += span
+    for hc in h:
+        flat[at] = hc
+        at += 1
     return out
 
 
@@ -105,7 +130,7 @@ def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet
         raise ValueError(f"unknown basis kind {kind!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    samples = np.asarray(state_samples, dtype=float).ravel()
+    samples = np.asarray(state_samples, dtype=float).ravel(order="K")  # in any order
     if samples.size == 0:
         raise ValueError("state_samples must be non-empty")
     lo, hi = float(samples.min()), float(samples.max())

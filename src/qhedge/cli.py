@@ -180,7 +180,7 @@ class ExperimentConfig:
         """The configured basis over the ``x_paths`` of an ensemble or dataset."""
         v = self.values
         bw = v["basis.bandwidth"] or None
-        return build_basis(v["basis.kind"], v["basis.m"], paths.x_paths.ravel(),
+        return build_basis(v["basis.kind"], v["basis.m"], paths.x_paths,
                            degree=v["basis.degree"], bandwidth=bw)
 
 
@@ -241,7 +241,7 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
         i = bad[0]
         raise DataFormatError(f"{path}: non-positive price {data[i, 2]} at cell "
                               f"(path={int(data[i, 0])}, t={int(data[i, 1])})")
-    panel = np.ascontiguousarray(cols["price"].T)
+    panel = cols["price"].T  # stored by step, as PathEnsemble keeps it
     n_steps = panel.shape[1] - 1
     if params is None:
         h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
@@ -329,7 +329,7 @@ def cmd_dp_solve(cfg):
                 {"phi": phis, "omega": np.array(sol.value_coeffs)}, header={"m": basis.m})
 
     # per-state price/hedge surfaces over the central state range
-    qs = np.quantile(paths.x_paths.ravel(), np.linspace(0.05, 0.95, 41))
+    qs = np.quantile(paths.x_paths.ravel(order="K"), np.linspace(0.05, 0.95, 41))
     prices, hedges = price_and_hedge_surface(sol, basis, qs)
     write_table(out / "surfaces.csv", {"t": None, "x": qs},
                 {"price": prices, "hedge": hedges}, header={"m": basis.m})

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataFormatError
 
 _FLOAT = "%.17g"
-_BLOCK = 1 << 13  # records gathered and formatted per write
+_BLOCK = 1 << 13  # records gathered per write, or per successor check
 # Fewest records written, and data bytes read, per process: below them a
 # table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
 _SPLIT_RECORDS = 1 << 15
@@ -278,13 +278,18 @@ def typed_header(source, meta, keys):
     return out
 
 
-def scatter_records(source, path, t, columns, n_steps=None):
+def scatter_records(source, path, t, columns, n_steps=None, successor=None):
     """Place flat (path, t) records, in any order, into step-major panels:
     returns the distinct path ids, ascending, and per name of ``columns``
     (one value per record) an (n_steps, n_paths) panel.  The records must
     fill the panels: path and t non-negative integers, t below n_steps (by
     default one past the largest t), values finite, one record per cell.
-    Each error names ``source`` and the (path, t) cell."""
+    ``successor``, a pair (name, of) of column names, says that column
+    ``name`` holds each record's value of ``of`` at t + 1: it gets no
+    panel of its own; ``of``'s gets an (n_steps+1)-th row, filled from the
+    records at the last t, and every other value of ``name`` must equal
+    ``of``'s in the same path at t + 1.  Each error names ``source`` and
+    the (path, t) cell."""
     def reject(wrong, message):
         i = np.flatnonzero(wrong)
         if i.size:
@@ -303,13 +308,31 @@ def scatter_records(source, path, t, columns, n_steps=None):
         reject(~np.isfinite(v), lambda i: f"non-finite {name} {v[i]} at cell "
                                           f"(path={pid[i]}, t={ts[i]})")
     ids = np.unique(pid)
-    cell = ts * ids.size + np.searchsorted(ids, pid)
+    cell = ts  # in place: record-sized
+    cell *= ids.size
+    cell += np.searchsorted(ids, pid)
     del pid, ts  # record-sized; free before the panels are allocated
     hits = np.bincount(cell, minlength=n * ids.size)
     for wrong, what in ((hits > 1, "duplicate rows for cell"), (hits == 0, "missing cell")):
         reject(wrong, lambda j: f"{what} (path={ids[j % ids.size]}, t={j // ids.size})")
     del hits, wrong  # panel-sized; free before the panels are allocated
-    panels = {name: np.empty((n, ids.size)) for name in vals}
-    for name, v in vals.items():
-        panels[name].reshape(-1)[cell] = v
+    succ, of = successor or (None, None)
+    panels = {name: np.empty((n + (name == of), ids.size)) for name in vals if name != succ}
+    for name, panel in panels.items():
+        panel.reshape(-1)[cell] = vals[name]
+    if successor is not None:
+        # each record's successor value goes to its path's cell at t + 1
+        # in the last row and must equal the value there in every other; a
+        # block of records at a time, so that no record-sized array is made
+        flat, step = panels[of].reshape(-1), ids.size
+        for lo in range(0, cell.size, _BLOCK):
+            nxt, v = cell[lo:lo + _BLOCK] + step, vals[succ][lo:lo + _BLOCK]
+            last = nxt >= n * step
+            flat[nxt[last]] = v[last]
+            differ = np.flatnonzero(flat[nxt] != v)
+            if differ.size:
+                j = nxt[differ[0]] - step
+                raise DataFormatError(f"{source}: {succ} of (path={ids[j % step]}, "
+                                      f"t={j // step}) differs from that path's {of} "
+                                      f"at t={j // step + 1}")
     return ids, panels

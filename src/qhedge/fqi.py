@@ -81,23 +81,16 @@ class TransitionDataset:
         ``source`` and the header key or the (path, t) cell."""
         v = typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
                                           if k in header or k not in _OPTIONAL_KEYS})
+        # one price panel underlies the records: each x_next must be the x
+        # of the same path's next record, and the last fills the terminal
+        # column of the states, stored by step
         ids, p = scatter_records(source, path_ids, t,
                                  {"x": x, "a": a, "r": r, "x_next": x_next},
-                                 v["n_steps"])
-        # one price panel underlies the records: each x_next must be the x
-        # of the same path's next record
-        gap = (p["x_next"][:-1] != p["x"][1:]).T
-        if gap.any():
-            i, ti = np.argwhere(gap)[0]
-            raise DataFormatError(f"{source}: x_next of (path={ids[i]}, t={ti}) "
-                                  f"differs from that path's x at t={ti + 1}")
+                                 v["n_steps"], successor=("x_next", "x"))
         if v.get("n_paths", ids.size) != ids.size:
             raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
                                   f"records hold {ids.size} paths")
-        # popped, so that the state panels are freed before the prices exist
-        x_paths = np.empty((ids.size, v["n_steps"] + 1))
-        x_paths[:, :-1] = p.pop("x").T
-        x_paths[:, -1] = p.pop("x_next")[-1]
+        x_paths = p["x"].T
         try:
             params = MarketParams(s0=v.get("s0", float(np.exp(x_paths[:, 0].mean()))),
                                   mu=v["mu"], sigma=v["sigma"], r=v["r"],

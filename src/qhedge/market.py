@@ -10,7 +10,6 @@ a driftless coordinate whose distribution does not translate over time,
 which keeps one basis usable across all time steps.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,21 +74,23 @@ class PathEnsemble:
     """A matrix of simulated stock paths with their transformed states.
 
     ``s_paths`` and ``x_paths`` are (n_paths, n_steps+1) read-only arrays
-    related pointwise by the state transform.  ``seed`` records the RNG
-    seed that produced the ensemble (None for ingested data).
+    related pointwise by the state transform, stored by step (Fortran
+    order) so that each step's column is contiguous; a panel in another
+    layout is copied into that one.  ``seed`` records the RNG seed that
+    produced the ensemble (None for ingested data).
     """
 
     def __init__(self, s_paths, x_paths, params: MarketParams, seed=None):
-        s_paths = np.ascontiguousarray(s_paths, dtype=float)
-        x_paths = np.ascontiguousarray(x_paths, dtype=float)
+        s_paths = np.asfortranarray(s_paths, dtype=float)
+        x_paths = np.asfortranarray(x_paths, dtype=float)
         if s_paths.shape != x_paths.shape:
             raise ValueError("s_paths and x_paths must have the same shape")
         if s_paths.shape[1] != params.n_steps + 1:
             raise ValueError(
                 f"paths have {s_paths.shape[1]} columns, expected {params.n_steps + 1}"
             )
-        if np.any(s_paths <= 0):
-            raise ValueError("all stock prices must be positive")
+        if not _positive_finite(s_paths):
+            raise ValueError("all stock prices must be positive and finite")
         s_paths.setflags(write=False)
         x_paths.setflags(write=False)
         self.s_paths = s_paths
@@ -117,6 +118,11 @@ class PathEnsemble:
         """
         p = self.params
         return self.s_paths[:, t] * (np.exp(p.mu * p.dt) - np.exp(p.r * p.dt))
+
+
+def _positive_finite(s) -> bool:
+    # false on NaN, which fails both comparisons
+    return bool(np.all(s > 0) and np.all(s < np.inf))
 
 
 def to_state(s, t, params: MarketParams):
@@ -189,9 +195,12 @@ def _polevl(x, coef):
 
 
 def _libm_log(v):
-    # math.log is the C library's log, which Cephes calls; numpy's SIMD
-    # loops may differ from it by an ulp
-    return np.fromiter(map(math.log, memoryview(v)), float, v.size)
+    """Natural log of a 1-D float array by the C library's ``log``, which
+    Cephes calls; numpy's SIMD loops may differ from it by an ulp.  On an
+    input read backward numpy runs its scalar loop, which calls that
+    ``log``.  Only the input is reversed: with the output reversed too,
+    numpy would flip both back and run the SIMD loop."""
+    return np.log(np.ascontiguousarray(v)[::-1])[::-1]
 
 
 def _ndtri(y):
@@ -229,10 +238,16 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     S_{t+1} = S_t exp((mu - sigma^2/2) dt + sigma sqrt(dt) z), z ~ N(0,1).
     Normals are drawn by inverse CDF from PCG64 uniforms, through a numpy
     port of Cephes ``ndtri`` that equals ``scipy.special.ndtri`` bit for
-    bit; its tail logs come from the C library, as Cephes' do.  So for a
-    fixed seed the output is reproducible bit for bit on one machine and
-    library build.  Across machines it is not: numpy's float64 ``log`` and
-    ``exp`` dispatch to CPU-specific SIMD loops, which may differ by an ulp.
+    bit; its tail logs come from the C library (``_libm_log``), as
+    Cephes' do.  So for a fixed seed the output is reproducible bit for
+    bit on one machine and library build.  Across machines it is not:
+    numpy's float64 ``log`` and ``exp`` dispatch to CPU-specific SIMD
+    loops, which may differ by an ulp.  Uniforms are drawn path by path,
+    and the panels are built by step, as ``PathEnsemble`` stores them.
+
+    Raises DegenerateInputError when a price leaves the finite positive
+    doubles: exp overflows or underflows at extreme drift, volatility or
+    maturity.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -240,28 +255,39 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     u = rng.random((n_paths, params.n_steps))
     # keep uniforms strictly inside (0, 1) so ndtri stays finite
     np.clip(u, 1e-300, np.nextafter(1.0, 0.0), out=u)
-    log_s = _ndtri(u)
+    z = _ndtri(u)
     del u
-    # the normals become log-price increments, then log prices, in place
+    s = np.empty((params.n_steps + 1, n_paths))  # row t is step t
+    s[0] = params.s0
+    log_s = s[1:]
+    log_s[...] = z.T
+    del z
+    # the normals become log-price increments, then log prices, then
+    # prices, in place
     dt = params.dt
-    log_s *= params.sigma * np.sqrt(dt)
-    log_s += (params.mu - 0.5 * params.sigma**2) * dt
-    np.cumsum(log_s, axis=1, out=log_s)
-    log_s += np.log(params.s0)
-    s = np.empty((n_paths, params.n_steps + 1))
-    s[:, 0] = params.s0
-    s[:, 1:] = np.exp(log_s)
-    x = to_state(s, params.times()[None, :], params)
-    return PathEnsemble(s, x, params, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_s *= params.sigma * np.sqrt(dt)
+        log_s += (params.mu - 0.5 * params.sigma**2) * dt
+        np.cumsum(log_s, axis=0, out=log_s)
+        log_s += np.log(params.s0)
+        np.exp(log_s, out=log_s)
+    if not _positive_finite(log_s):
+        raise DegenerateInputError(
+            "simulated prices overflow or underflow the doubles; the drift and "
+            "volatility over the horizon (market.mu, market.sigma, "
+            "market.maturity) are too large")
+    x = to_state(s.T, params.times()[None, :], params)
+    return PathEnsemble(s.T, x, params, seed=seed)
 
 
 def ensemble_from_prices(s_paths, params: MarketParams, seed=None) -> PathEnsemble:
     """Wrap a price panel (e.g. ingested market data) into a PathEnsemble.
 
     The state transform uses the mu/sigma configured in ``params``, which
-    for external data must come from the dataset header.
+    for external data must come from the dataset header.  A panel stored
+    by step (Fortran order) is used without a copy.
     """
-    s_paths = np.asarray(s_paths, dtype=float)
+    s_paths = np.asfortranarray(s_paths, dtype=float)
     if s_paths.ndim != 2:
         raise ValueError("s_paths must be a 2-D panel")
     if s_paths.shape[0] < 1:

@@ -62,7 +62,7 @@ class DiscreteMDP:
 
     def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
         """The ensemble with every state snapped to its bucket center."""
-        x = self.x_centers[self.state_index(paths.x_paths)]
+        x = self.x_centers[self.state_index(paths.x_paths.T)].T  # stored by step
         s = from_state(x, paths.params.times()[None, :], paths.params)
         return PathEnsemble(s, x, paths.params, seed=paths.seed)
 
@@ -112,7 +112,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         # the initial column is a point mass; its weight would only
         # collapse quantile edges onto duplicates
         pooled = pooled[:, 1:]
-    edges = np.quantile(pooled.ravel(), np.linspace(0.0, 1.0, n_x + 1))
+    edges = np.quantile(pooled.ravel(order="K"), np.linspace(0.0, 1.0, n_x + 1))
     uniq, first = np.unique(edges, return_index=True)
     merged = []
     if uniq.size < edges.size:

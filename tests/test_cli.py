@@ -150,6 +150,18 @@ class TestSubcommands:
         assert code == 2
         assert "risk.lambda > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--market.mu", "900", "--market.n_steps", "1", "--mc.n_paths", "200"],
+        ["dp-solve", "--market.sigma", "60", "--mc.n_paths", "2000"]])
+    def test_prices_beyond_the_doubles_exit_3_naming_keys(self, tmp_path, capsys, argv):
+        """Simulated prices that overflow (mu 900) or underflow (sigma 60)
+        the doubles exit 3 naming the market keys, and write no file."""
+        out = tmp_path / "out"
+        assert run(*argv, "--output.dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("market.mu", "market.sigma", "market.maturity"))
+        assert not out.exists()
+
     def test_simulate_writes_ensemble(self, tmp_path):
         out = tmp_path / "sim"
         assert run("simulate", "--output.dir", str(out), *SMALL) == 0

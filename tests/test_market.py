@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from qhedge import (MarketParams, OptionContract, ensemble_from_prices,
-                    from_state, simulate_gbm, terminal_payoff, to_state)
+from qhedge import (MarketParams, OptionContract, PathEnsemble, RiskParams,
+                    build_dataset, discretize, ensemble_from_prices, from_state,
+                    read_dataset_csv, simulate_gbm, terminal_payoff, to_state,
+                    write_dataset_csv)
+from qhedge.cli import ingest_prices, main
+from qhedge.errors import DegenerateInputError
 
 
 def make_params(**kw):
@@ -153,3 +157,57 @@ class TestPathEnsemble:
         assert ens.n_paths == 3
         with pytest.raises(ValueError):
             ensemble_from_prices(np.array([[100.0, -1.0, 100.0]]), params)
+
+    @pytest.mark.parametrize("price", [np.inf, np.nan])
+    def test_rejects_non_finite_prices(self, price):
+        s = np.array([[100.0, price, 100.0]])
+        with pytest.raises(ValueError, match="positive and finite"):
+            PathEnsemble(s, np.zeros_like(s), make_params(n_steps=2))
+
+
+def _ensemble_from(constructor, tmp_path):
+    """A small ensemble built by ``constructor``."""
+    params = make_params(n_steps=4)
+    paths = simulate_gbm(params, 30, seed=1)
+    if constructor == "simulate_gbm":
+        return paths
+    if constructor == "ensemble_from_prices":  # from a panel stored by path
+        return ensemble_from_prices(np.array(paths.s_paths, order="C"), params)
+    if constructor == "ingest_prices":
+        assert main(["simulate", "--market.n_steps", "4", "--mc.n_paths", "30",
+                     "--output.dir", str(tmp_path)]) == 0
+        return ingest_prices(tmp_path / "ensemble.csv")
+    if constructor == "from_records":
+        zeros = np.zeros((paths.n_paths, paths.n_steps))
+        write_dataset_csv(build_dataset(paths, zeros, zeros, 0.1), tmp_path / "d.csv")
+        return read_dataset_csv(tmp_path / "d.csv").paths
+    mdp = discretize(paths, OptionContract("put", 100.0),
+                     RiskParams.from_market(0.1, params), 5, 3, (-1.0, 1.0))
+    return mdp.snapped_ensemble(paths)
+
+
+@pytest.mark.parametrize("constructor", ["simulate_gbm", "ensemble_from_prices",
+                                         "ingest_prices", "from_records",
+                                         "snapped_ensemble"])
+def test_panels_are_stored_by_step(tmp_path, constructor):
+    """Every constructor stores s_paths and x_paths by step: each step's
+    column is contiguous."""
+    paths = _ensemble_from(constructor, tmp_path)
+    for panel in (paths.s_paths, paths.x_paths):
+        assert all(panel[:, t].flags.c_contiguous for t in range(paths.n_steps + 1))
+
+
+def test_panel_stored_by_step_is_not_copied():
+    params = make_params(n_steps=2)
+    panel = np.full((3, 3), 100.0, order="F")
+    assert ensemble_from_prices(panel, params).s_paths is panel
+
+
+@pytest.mark.parametrize("kw", [dict(mu=900.0, n_steps=1), dict(mu=-900.0, n_steps=1),
+                                dict(sigma=60.0, n_steps=24)])
+def test_prices_beyond_the_doubles_are_refused(kw):
+    """exp overflowing or underflowing a simulated price raises, naming the
+    parameters that set the log-price range, with no RuntimeWarning."""
+    with pytest.raises(DegenerateInputError,
+                       match="market.mu, market.sigma, market.maturity"):
+        simulate_gbm(make_params(**kw), 200, seed=1)

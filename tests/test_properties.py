@@ -3,6 +3,7 @@ the shared replication recursion, the shared hedge fit, the DP solver, the
 least-squares routine, the artifact codec and the grouped Q-learning kernel.  Examples are drawn by
 hypothesis, derandomized so every run draws the same ones."""
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
 from qhedge import regression
 from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_table
-from qhedge.market import _ndtri
+from qhedge.market import _libm_log, _ndtri
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -222,6 +223,27 @@ def test_ndtri_is_scipys_ndtri(seed, n, lower, upper, ulps):
                         cuts.view(float).ravel(), NDTRI_CUTS, [0.0, 1.0]])
     y = np.clip(y, 1e-300, np.nextafter(1.0, 0.0))
     assert np.array_equal(_ndtri(y), ndtri(y))
+
+
+@PROPERTY
+@given(seed=seeds,
+       n=st.sampled_from([0, 1]) | st.integers(0, 1500).map(lambda k: 2 * k + 1),
+       stride=st.sampled_from([1, 2, 3, -1, -2]),
+       extremes=st.lists(st.floats(5e-324, 1.7976931348623157e308), max_size=50))
+def test_libm_log_is_math_log(seed, n, stride, extremes):
+    """market._libm_log equals math.log, the C library's log that Cephes
+    calls, bit for bit, where numpy's SIMD log can be an ulp off it: on
+    ndtri's tail inputs y < e^-2 and their x = sqrt(-2 log y) <= 38.6, and
+    on positive doubles from the smallest subnormal to the largest finite;
+    at sizes 0, 1 and odd, read contiguously or with a stride."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([extremes, rng.random(n) * np.exp(-2.0),
+                           rng.uniform(2.0, 38.6, n)])
+    buf = np.ones(n * abs(stride))
+    v = buf[::stride]
+    v[...] = rng.permutation(pool)[:n]
+    expected = np.array([math.log(x) for x in v])
+    assert np.ascontiguousarray(_libm_log(v)).tobytes() == expected.tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
