@@ -79,7 +79,7 @@ CHOICES = {
 }
 # numeric keys -> smallest valid value; every float key must also be
 # finite, except that an infinite k0 turns the step-size decay off
-MINIMUMS = {"mc.n_paths": 1, "basis.m": 1, "basis.degree": 0,
+MINIMUMS = {"mc.n_paths": 1, "mc.seed": 0, "basis.m": 1, "basis.degree": 0,
             "tabular.n_x": 1, "tabular.n_a": 2, "tabular.n_updates": 1,
             "basis.bandwidth": 0.0, "utility.gamma": 0.0}
 # The parameter classes start every ValueError message with the offending
@@ -143,6 +143,9 @@ class ExperimentConfig:
         if v["dataset.random_lo"] > v["dataset.random_hi"]:
             raise ConfigError(f"dataset.random_lo must be <= dataset.random_hi; got "
                               f"{v['dataset.random_lo']} > {v['dataset.random_hi']}")
+        if v["tabular.action_lo"] >= v["tabular.action_hi"]:
+            raise ConfigError(f"tabular.action_lo must be < tabular.action_hi; got "
+                              f"{v['tabular.action_lo']} >= {v['tabular.action_hi']}")
         for section, build in (("market", self.market), ("contract", self.contract),
                                ("risk", self.risk)):
             try:
@@ -482,7 +485,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QHedgeError, ValueError, np.linalg.LinAlgError) as exc:
+    except (QHedgeError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

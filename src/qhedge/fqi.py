@@ -143,15 +143,13 @@ class FQISolution:
     warnings: list = field(default_factory=list)
 
 
-def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = None,
-                 *, pi_reference=None, action_source: str = "analytic",
-                 ds_mean: str = "model") -> FQISolution:
-    """Backward fitted Q-iteration over the dataset's steps.
+def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
+                 action_source: str = "analytic", ds_mean: str = "model") -> FQISolution:
+    """Backward fitted Q-iteration over the dataset's steps, pricing the
+    dataset's own contract (its terminal condition).
 
     Parameters
     ----------
-    contract : OptionContract, optional
-        Needed for the terminal condition; defaults to the dataset's.
     pi_reference : ndarray, optional
         Portfolio values as the (n, n_steps+1) panel ``dataset_rewards``
         takes, in the dataset's path order.  When omitted it is rolled
@@ -167,13 +165,12 @@ def fqi_backward(dataset: TransitionDataset, basis, contract: OptionContract = N
         The step convention of ``portfolio.centered_step``; "regression"
         matches chains whose snapped increments carry quantization drift.
     """
-    risk, paths = dataset.risk, dataset.paths
+    risk, paths, contract = dataset.risk, dataset.paths, dataset.contract
     if risk.lam <= 0:
         raise ValueError("fqi_backward requires lam > 0")
-    contract = contract or dataset.contract
     if contract is None:
         raise DataFormatError(
-            "no contract available (argument or header contract_kind/strike); "
+            "no contract in the dataset (header contract_kind/strike); "
             "the terminal condition is undefined without one"
         )
     if action_source not in ("analytic", "crossfit"):

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DegenerateInputError
 
+_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # largest sigma with a finite square
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -40,6 +42,9 @@ class MarketParams:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if self.sigma > _SIGMA_MAX:
+            raise ValueError(f"sigma must be at most {_SIGMA_MAX!r}, so that its square "
+                             f"is a finite double, got {self.sigma}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.maturity <= 0:

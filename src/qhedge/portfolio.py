@@ -4,9 +4,9 @@ The hedge portfolio Pi_t = u_t S_t + B_t is evaluated backward from the
 terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 
     Pi_t = e^{-r dt} (Pi_{t+1} - u_t dS_t),   dS_t = S_{t+1} - e^{r dt} S_t,
-    B_t  = e^{-r dt} (B_{t+1} + (u_{t+1} - u_t) S_{t+1}),
 
-so uncertainty about the future propagates to today path by path.  Every
+so uncertainty about the future propagates to today path by path, and the
+bank account B_t = Pi_t - u_t S_t follows from it.  Every
 solver runs the Pi recursion through one function, ``_replicate``,
 centers each step by one rule, ``centered_step`` (as ``fqi.dataset_rewards``
 does), and fits its hedge with one regression, ``hedge_fit``: untilted in
@@ -48,54 +48,52 @@ class RiskParams:
 class HedgeStrategy:
     """A stock-position rule per time step; the position at expiry is 0.
 
-    Built either from a recorded (n_paths, n_steps) action matrix, from a
-    constant, or from per-step basis coefficients.
+    One rule ``fill(paths, out)`` writes the positions of steps 0 ..
+    n_steps-1 into the (n_paths, n_steps) view ``out``: a constant, a
+    recorded action matrix, or per-step basis coefficients.
     """
 
-    def __init__(self, *, matrix=None, constant=None, basis=None, coeffs=None):
-        self._matrix = matrix
-        self._constant = constant
-        self._basis = basis
-        self._coeffs = coeffs
+    def __init__(self, fill):
+        self._fill = fill
 
     @classmethod
     def zero(cls):
-        return cls(constant=0.0)
+        return cls.constant(0.0)
 
     @classmethod
     def constant(cls, value: float):
-        return cls(constant=float(value))
+        value = float(value)
+        return cls(lambda paths, out: out.fill(value))
 
     @classmethod
     def from_matrix(cls, actions):
-        return cls(matrix=np.asarray(actions, dtype=float))
+        mat = np.asarray(actions, dtype=float)
+
+        def fill(paths, out):
+            n, t = out.shape
+            if mat.shape not in ((n, t + 1), (n, t)):
+                raise ValueError(f"action matrix shape {mat.shape} does not match the "
+                                 f"({n}, {t}) ensemble")
+            out[:] = mat[:, :t]
+        return cls(fill)
 
     @classmethod
     def from_coefficients(cls, basis, coeffs):
         """coeffs: sequence of length n_steps of per-basis coefficient vectors."""
-        return cls(basis=basis, coeffs=[np.asarray(c, dtype=float) for c in coeffs])
+        coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+
+        def fill(paths, out):
+            if len(coeffs) != out.shape[1]:
+                raise ValueError(f"{len(coeffs)} coefficient vectors for "
+                                 f"{out.shape[1]} steps")
+            for t, c in enumerate(coeffs):
+                out[:, t] = basis.evaluate(paths.x_paths[:, t]) @ c
+        return cls(fill)
 
     def actions(self, paths: PathEnsemble) -> np.ndarray:
         """(n_paths, n_steps+1) action matrix with the expiry column zeroed."""
-        n, t1 = paths.n_paths, paths.n_steps + 1
-        out = np.zeros((n, t1))
-        if self._constant is not None:
-            out[:, :-1] = self._constant
-        elif self._matrix is not None:
-            mat = self._matrix
-            if mat.shape not in ((n, t1), (n, t1 - 1)):
-                raise ValueError(
-                    f"action matrix shape {mat.shape} does not match the "
-                    f"({n}, {t1 - 1}) ensemble"
-                )
-            out[:, :-1] = mat[:, :t1 - 1]
-        else:
-            if len(self._coeffs) != t1 - 1:
-                raise ValueError(
-                    f"{len(self._coeffs)} coefficient vectors for {t1 - 1} steps"
-                )
-            for t, c in enumerate(self._coeffs):
-                out[:, t] = self._basis.evaluate(paths.x_paths[:, t]) @ c
+        out = np.zeros((paths.n_paths, paths.n_steps + 1))
+        self._fill(paths, out[:, :-1])
         return out
 
 
@@ -104,7 +102,7 @@ class PortfolioRollout:
     """Backward-evaluated portfolio values, bank account and realized rewards."""
 
     pi: np.ndarray         # (n_paths, n_steps+1)
-    b_account: np.ndarray  # (n_paths, n_steps+1)
+    b_account: np.ndarray  # (n_paths, n_steps+1), Pi - actions * S
     rewards: np.ndarray    # (n_paths, n_steps+1); column T holds the terminal penalty
     actions: np.ndarray    # (n_paths, n_steps+1), expiry column 0
 
@@ -132,16 +130,9 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     """Evaluate the self-financing portfolio backward along every path."""
     u = strategy.actions(paths)
     n, t1 = u.shape
-    s = paths.s_paths
-    growth = np.exp(paths.params.r * paths.params.dt)
-    payoff = terminal_payoff(s[:, -1], contract)
+    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
     pi = _replicate(payoff, t1 - 1, paths.params.gamma, paths.delta_s,
                     lambda t, _: u[:, t])
-
-    b = np.empty((n, t1))
-    b[:, -1] = payoff
-    for t in range(t1 - 2, -1, -1):
-        b[:, t] = (b[:, t + 1] + (u[:, t + 1] - u[:, t]) * s[:, t + 1]) / growth
 
     rewards = np.empty((n, t1))
     for t in range(t1 - 1):
@@ -151,7 +142,8 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
         rewards[:, t] = c0 + c1 * u[:, t] + c2 * u[:, t]**2
     # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
     rewards[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
-    return PortfolioRollout(pi=pi, b_account=b, rewards=rewards, actions=u)
+    return PortfolioRollout(pi=pi, b_account=pi - u * paths.s_paths, rewards=rewards,
+                            actions=u)
 
 
 def reward_parabola(delta_s, pi_next, risk: RiskParams, *,

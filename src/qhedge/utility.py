@@ -36,15 +36,11 @@ _BISECT_CAP = 200
 
 @dataclass
 class IndifferenceResult:
-    """Per-step indifference values and hedges from the backward recursion."""
+    """The t = 0 indifference value and the per-step hedges of the recursion."""
 
-    h: np.ndarray           # (n_paths, n_steps+1)
+    price0: float           # h_0 on the first path
     hedge_coeffs: list      # n_steps arrays of shape (M,), hedge chosen at t
     method: str             # "expansion" or "numeric"
-
-    @property
-    def price0(self) -> float:
-        return float(self.h[0, 0])
 
 
 class _Cell:
@@ -88,12 +84,6 @@ class _Cell:
             return 0.0
         resid = h_sub - u0 * self.ds_c
         return 0.5 * self.mean(resid**2 * self.ds_c) / self.var
-
-
-def _cells(paths, t, basis):
-    design = basis.evaluate(paths.x_paths[:, t])
-    ds = paths.delta_s(t)
-    return design, [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
 
 
 def _exact_hedge(cell, h_sub, n, t, gamma_risk):
@@ -152,56 +142,65 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
         raise ValueError("numeric method requires gamma_risk > 0")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    params = paths.params
     n_steps = paths.n_steps
-    disc = np.exp(-params.r * params.dt)
-
-    h = np.empty((paths.n_paths, n_steps + 1))
+    disc = paths.params.gamma
     if terminal_values is not None:
-        h[:, -1] = np.broadcast_to(np.asarray(terminal_values, dtype=float),
-                                   (paths.n_paths,))
+        h = np.broadcast_to(np.asarray(terminal_values, dtype=float), (paths.n_paths,))
     else:
-        h[:, -1] = terminal_payoff(paths.s_paths[:, -1], contract)
+        h = terminal_payoff(paths.s_paths[:, -1], contract)
     hedge_coeffs = [None] * n_steps
 
     for t in range(n_steps - 1, -1, -1):
-        h_next = h[:, t + 1]
-        design, cells = _cells(paths, t, basis)
-        m = len(cells)
-        vals = np.zeros(m)
-        hedges = np.zeros(m)
-        occupied = np.array([not c.empty for c in cells])
-        for n, cell in enumerate(cells):
-            if cell.empty:
-                continue
-            h_sub = cell.take(h_next)
-            if method == "numeric":
-                if cell.hedgeable:  # a singleton has no hedge estimate: 0
-                    hedges[n] = _exact_hedge(cell, h_sub, n, t, gamma_risk)
-                z = gamma_risk * (h_sub - hedges[n] * cell.ds_c)
-                zmax = float(z.max())
-                mean_exp = cell.mean(np.exp(z - zmax))
-                if not np.isfinite(mean_exp) or mean_exp <= 0:
-                    raise SingularSystemError(
-                        f"exponential expectation overflowed in cell {n} at step {t}"
-                    )
-                vals[n] = (zmax + np.log(mean_exp)) / gamma_risk
-            else:
-                u0 = cell.u0(h_sub)
-                hedges[n] = u0
-                resid = h_sub - u0 * cell.ds_c
-                mean_r = cell.mean(resid)
-                vals[n] = mean_r
-                if order >= 1:
-                    var_r = max(cell.mean(resid**2) - mean_r**2, 0.0)
-                    vals[n] += 0.5 * gamma_risk * var_r
-                    hedges[n] = u0 + gamma_risk * cell.u1(h_sub, u0)
-                if order >= 2:
-                    vals[n] += gamma_risk**2 / 6.0 * cell.mean((resid - mean_r) ** 3)
-        hedge_coeffs[t] = hedges
-        weights = np.where(occupied[None, :], design, 0.0)
-        norm = weights.sum(axis=1)
-        if np.any(norm <= 0):
-            raise DegenerateInputError(f"state outside every occupied cell at step {t}")
-        h[:, t] = disc * (weights @ vals) / norm
-    return IndifferenceResult(h=h, hedge_coeffs=hedge_coeffs, method=method)
+        try:  # Python floats raise OverflowError; numpy raises under errstate
+            with np.errstate(over="raise", invalid="raise"):
+                h, hedge_coeffs[t] = _step(paths, t, basis, h, gamma_risk, method,
+                                           order, disc)
+            finite = np.isfinite(h).all() and np.isfinite(hedge_coeffs[t]).all()
+        except (OverflowError, FloatingPointError):
+            finite = False
+        if not finite:
+            raise SingularSystemError(
+                f"indifference value or hedge not finite at step {t}: risk aversion "
+                f"{gamma_risk:g} is too large for these payoffs")
+    return IndifferenceResult(price0=float(h[0]), hedge_coeffs=hedge_coeffs,
+                              method=method)
+
+
+def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
+    """One backward step: h_t and the per-cell hedges, from h_{t+1}."""
+    design, ds = basis.evaluate(paths.x_paths[:, t]), paths.delta_s(t)
+    cells = [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
+    vals, hedges = np.zeros(len(cells)), np.zeros(len(cells))
+    occupied = np.array([not c.empty for c in cells])
+    for n, cell in enumerate(cells):
+        if cell.empty:
+            continue
+        h_sub = cell.take(h_next)
+        if method == "numeric":
+            if cell.hedgeable:  # a singleton has no hedge estimate: 0
+                hedges[n] = _exact_hedge(cell, h_sub, n, t, gamma_risk)
+            z = gamma_risk * (h_sub - hedges[n] * cell.ds_c)
+            zmax = float(z.max())
+            mean_exp = cell.mean(np.exp(z - zmax))
+            if not np.isfinite(mean_exp) or mean_exp <= 0:
+                raise SingularSystemError(
+                    f"exponential expectation overflowed in cell {n} at step {t}"
+                )
+            vals[n] = (zmax + np.log(mean_exp)) / gamma_risk
+        else:
+            u0 = cell.u0(h_sub)
+            hedges[n] = u0
+            resid = h_sub - u0 * cell.ds_c
+            mean_r = cell.mean(resid)
+            vals[n] = mean_r
+            if order >= 1:
+                var_r = max(cell.mean(resid**2) - mean_r**2, 0.0)
+                vals[n] += 0.5 * gamma_risk * var_r
+                hedges[n] = u0 + gamma_risk * cell.u1(h_sub, u0)
+            if order >= 2:
+                vals[n] += gamma_risk**2 / 6.0 * cell.mean((resid - mean_r) ** 3)
+    weights = np.where(occupied[None, :], design, 0.0)
+    norm = weights.sum(axis=1)
+    if np.any(norm <= 0):
+        raise DegenerateInputError(f"state outside every occupied cell at step {t}")
+    return disc * (weights @ vals) / norm, hedges

@@ -72,6 +72,8 @@ class TestConfigBoundary:
         ("rollout", "contract.kind", "foo"),
         ("rollout", "basis.kind", "foo"),
         ("rollout", "market.sigma", "-1"),
+        ("simulate", "market.sigma", "1e200"),
+        ("bs-quote", "market.sigma", "1e200"),  # sigma**2 overflows
         ("rollout", "rollout.policy", "foo"),
         ("make-dataset", "dataset.policy", "foo"),
         ("utility-price", "utility.method", "foo"),
@@ -80,6 +82,7 @@ class TestConfigBoundary:
         ("dp-solve", "contract.strike", "-5"),
         ("dp-solve", "market.r", "-0.05"),  # e^{-r dt} > 1
         ("simulate", "mc.n_paths", "0"),
+        ("make-dataset", "mc.seed", "-1"),
         ("dp-solve", "basis.m", "0"),
         ("dp-solve", "basis.degree", "-1"),
         ("tabular-q", "tabular.n_x", "0"),
@@ -89,6 +92,8 @@ class TestConfigBoundary:
         ("tabular-q", "tabular.k0", "0"),
         ("tabular-q", "tabular.alpha0", "-1"),
         ("tabular-q", "tabular.action_lo", "nan"),
+        ("tabular-q", "tabular.action_lo", "1.5"),  # equal to action_hi
+        ("tabular-q", "tabular.action_hi", "-2"),  # below action_lo = -1.5
         ("utility-price", "utility.gamma", "-5"),
         ("utility-price --utility.method numeric", "utility.gamma", "0"),
         ("rollout", "rollout.constant", "nan"),
@@ -250,6 +255,19 @@ class TestSubcommands:
                    "--market.mu", "0.03", "--output.dir", str(out), *SMALL) == 0
         assert "price0" in read_summary(out / "summary.txt")
 
+    @pytest.mark.parametrize("argv, step", [
+        (["--utility.gamma", "1e308", "--mc.n_paths", "200", "--market.n_steps", "2"], 1),
+        (["--utility.gamma", "1e6", "--mc.n_paths", "2000"], 18),
+    ], ids=["value_inf", "square_overflows"])
+    def test_utility_price_refuses_a_non_finite_price(self, tmp_path, capsys, argv, step):
+        """A risk aversion that drives the recursion past the doubles exits 3
+        naming the step, and writes no summary."""
+        out = tmp_path / "u"
+        assert run("utility-price", *argv, "--output.dir", str(out)) == 3
+        assert (f"indifference value or hedge not finite at step {step}"
+                in capsys.readouterr().err)
+        assert not (out / "summary.txt").exists()
+
     def test_compare_reports_errors(self, tmp_path):
         out = tmp_path / "cmp"
         assert run("compare", "--market.mu", "0.03", "--market.sigma", "0.15",
@@ -280,6 +298,7 @@ class TestDatasetHeader:
         ("contract_kind", "foo", "bad header value for contract_kind: kind must be"),
         ("contract_strike", "abc", "header value contract_strike='abc' is not a valid float"),
         ("s0", "-5", "bad header value for s0: s0 must be positive"),
+        ("sigma", "1e200", "bad header value for sigma: sigma must be at most"),
         ("lambda", "-1", "bad header value for lambda: lam must be non-negative"),
         ("lambda", "0", "bad header value for lambda: fqi-solve requires lambda > 0"),
         ("dt", "-1", "bad header value for dt: maturity must be positive"),
@@ -363,6 +382,7 @@ class TestDeterminism:
             ["fqi-solve", "--dataset.path", "dataset/dataset.csv", "--output.dir", "fqi"],
             ["dp-solve", "--output.dir", "dp"],
             ["utility-price", "--output.dir", "utility"],
+            ["rollout", "--rollout.policy", "local_risk", "--output.dir", "rollout"],
         ]
         child = ("import sys\nfrom qhedge.cli import main\n"
                  f"for argv in {commands!r}:\n"
@@ -450,11 +470,14 @@ class TestIngest:
         ("# sigma=0.2\n# r=0\n# maturity=1\n", "header missing key 'mu'"),
         ("# mu=0\n# sigma=-1\n# r=0\n# maturity=1\n",
          "bad header value for sigma: sigma must be non-negative"),
+        ("# mu=0\n# sigma=1e200\n# r=0\n# maturity=1\n",
+         "bad header value for sigma: sigma must be at most"),
         ("# mu=0\n# sigma=0.2\n# r=0\n# maturity=0\n",
          "bad header value for maturity: maturity must be positive"),
         ("# mu=nan\n# sigma=0.2\n# r=0\n# maturity=1\n",
          "bad header value for mu: mu must be finite"),
-    ], ids=["bad_value", "missing_key", "negative_sigma", "zero_maturity", "nan_mu"])
+    ], ids=["bad_value", "missing_key", "negative_sigma", "huge_sigma", "zero_maturity",
+            "nan_mu"])
     def test_bad_header_names_file_and_key(self, tmp_path, header, message):
         f = tmp_path / "panel.csv"
         f.write_text(header + "path,t,s\n0,0,100\n0,1,101\n")

@@ -73,6 +73,16 @@ class TestSimulateGBM:
         with pytest.raises(ValueError):
             simulate_gbm(make_params(), 0, seed=1)
 
+    def test_sigma_whose_square_overflows_is_rejected(self):
+        """The largest sigma whose square is a finite double passes; the
+        next double up, and 1e200, are refused with a message that starts
+        with the field's name."""
+        top = float(np.sqrt(np.finfo(float).max))
+        assert np.isfinite(make_params(sigma=top).sigma ** 2)
+        for sigma in (np.nextafter(top, np.inf), 1e200):
+            with pytest.raises(ValueError, match=r"^sigma must be at most 1\.34"):
+                make_params(sigma=float(sigma))
+
     @pytest.mark.parametrize("field", ["s0", "mu", "sigma", "r", "maturity"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):

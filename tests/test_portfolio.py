@@ -104,6 +104,15 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout_portfolio(paths, bad, PUT, risk)
 
+    def test_coefficient_count_mismatch(self):
+        paths = gbm(n_paths=50)
+        risk = RiskParams.from_market(0.0, paths.params)
+        steps = paths.n_steps
+        bad = HedgeStrategy.from_coefficients(None, [np.zeros(3)] * (steps - 1))
+        with pytest.raises(ValueError, match=f"^{steps - 1} coefficient vectors "
+                                             f"for {steps} steps$"):
+            rollout_portfolio(paths, bad, PUT, risk)
+
 
 def local_risk_fit(paths, pi_next, basis, t, ds_center=None):
     """The shared hedge fit with no tilt, as ``solve_local_risk`` runs it:

@@ -8,7 +8,7 @@ import pytest
 from qhedge import (BasisSet, MarketParams, OptionContract, bs_price_delta,
                     build_basis, ensemble_from_prices,
                     indifference_price_recursion, simulate_gbm)
-from qhedge.errors import DegenerateInputError
+from qhedge.errors import DegenerateInputError, SingularSystemError
 
 PUT = OptionContract("put", 100.0)
 
@@ -169,6 +169,18 @@ class TestIndifferencePrice:
                                                terminal_values=claim)
             prices.append(res.price0)
         np.testing.assert_allclose(prices, prices[0], rtol=1e-9)
+
+    @pytest.mark.parametrize("method, order", [("expansion", 1), ("expansion", 2),
+                                               ("numeric", 1)])
+    def test_values_past_the_doubles_raise_naming_the_step(self, method, order):
+        """An aversion that takes a value or hedge past the doubles raises
+        at the first step where it happens, never returning a NaN or an
+        infinite price."""
+        paths = rn_gbm(n_paths=200, seed=9, n_steps=2)
+        basis = build_basis("one_hot_grid", 4, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError, match="not finite at step 1"):
+            indifference_price_recursion(paths, PUT, 1e308, basis, order=order,
+                                         method=method)
 
     def test_numeric_needs_positive_aversion(self):
         paths = rn_gbm(n_paths=500, seed=9, n_steps=2)
