@@ -25,7 +25,7 @@ print(f"analytic quote: price {quote.price:.4f}, delta {quote.delta:.4f}\n")
 
 print(f"{'lambda':>8} {'price':>9} {'premium':>9} {'hedge':>9} {'hedge err':>10}")
 for lam in (1e-4, 1e-3, 1e-2):
-    sol = solve_dp(paths, contract, RiskParams.from_market(lam, params), basis)
+    sol = solve_dp(paths, contract, RiskParams(lam), basis)
     print(f"{lam:8.0e} {sol.price0:9.4f} {sol.price0 - quote.price:9.4f} "
           f"{sol.hedge0:9.4f} {sol.hedge0 - quote.delta:10.4f}")
 
@@ -35,7 +35,7 @@ tilted = MarketParams(s0=100.0, mu=0.05, sigma=0.15, r=0.03,
 paths_t = simulate_gbm(tilted, 50_000, seed=42)
 basis_t = build_basis("bspline", 12, paths_t.x_paths.ravel())
 for lam in (0.1, 0.01):
-    sol = solve_dp(paths_t, contract, RiskParams.from_market(lam, tilted), basis_t)
+    sol = solve_dp(paths_t, contract, RiskParams(lam), basis_t)
     tilt = (tilted.mu - tilted.r) / (2 * lam * tilted.sigma**2 * tilted.s0)
     print(f"  lambda={lam:g}: hedge {sol.hedge0:+.4f}  "
           f"(delta {quote.delta:+.4f} + theoretical tilt {tilt:+.4f})")

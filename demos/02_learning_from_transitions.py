@@ -16,7 +16,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, build_basis,
 params = MarketParams(s0=100.0, mu=0.03, sigma=0.15, r=0.03,
                       maturity=1.0, n_steps=24)
 contract = OptionContract("put", 100.0)
-risk = RiskParams.from_market(1e-3, params)
+risk = RiskParams(1e-3)
 
 paths = simulate_gbm(params, 50_000, seed=42)
 basis = build_basis("bspline", 12, paths.x_paths.ravel())

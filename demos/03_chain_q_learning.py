@@ -15,7 +15,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, discretize,
 params = MarketParams(s0=100.0, mu=0.03, sigma=0.10, r=0.03,
                       maturity=1.0, n_steps=5)
 contract = OptionContract("put", 200.0)   # deep ITM: wide, well-scaled Q
-risk = RiskParams.from_market(1e-4, params)
+risk = RiskParams(1e-4)
 
 paths = simulate_gbm(params, 20_000, seed=3)
 mdp = discretize(paths, contract, risk, 21, 5, (-1.3, 0.1))

@@ -33,6 +33,6 @@ smooth = build_basis("bspline", 12, paths.x_paths.ravel())
 print("aversion bridge: order-1 indifference vs quadratic-risk ask price")
 for g in (0.02, 0.01):
     h1 = indifference_price_recursion(paths, contract, g, cells, order=1).price0
-    dp = solve_dp(paths, contract, RiskParams.from_market(g / 2, params), smooth)
+    dp = solve_dp(paths, contract, RiskParams(g / 2), smooth)
     print(f"  g={g:5.3f}: indifference {h1:.4f}  vs  ask(lambda=g/2) "
           f"{dp.price0:.4f}  ({(h1 - dp.price0) / dp.price0:+.2%})")

@@ -20,7 +20,7 @@ from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
 from .csvio import format_value, read_csv, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
-from .errors import ConfigError, DataFormatError, QHedgeError
+from .errors import ConfigError, DataFormatError, QHedgeError, SingularSystemError
 from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
                   write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
@@ -82,9 +82,6 @@ CHOICES = {
 MINIMUMS = {"mc.n_paths": 1, "mc.seed": 0, "basis.m": 1, "basis.degree": 0,
             "tabular.n_x": 1, "tabular.n_a": 2, "tabular.n_updates": 1,
             "basis.bandwidth": 0.0, "utility.gamma": 0.0}
-# The parameter classes start every ValueError message with the offending
-# field's name; fields map to "section.field" keys except these.
-_FIELD_KEYS = {"lam": "risk.lambda", "gamma": "market.r"}  # gamma = e^{-r dt}
 
 
 class ExperimentConfig:
@@ -146,13 +143,13 @@ class ExperimentConfig:
         if v["tabular.action_lo"] >= v["tabular.action_hi"]:
             raise ConfigError(f"tabular.action_lo must be < tabular.action_hi; got "
                               f"{v['tabular.action_lo']} >= {v['tabular.action_hi']}")
+        # each ValueError message starts with the offending key's name
         for section, build in (("market", self.market), ("contract", self.contract),
                                ("risk", self.risk)):
             try:
                 build()
             except ValueError as exc:
-                field = str(exc).split()[0]
-                key = _FIELD_KEYS.get(field, f"{section}.{field}")
+                key = f"{section}.{str(exc).split()[0]}"
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
 
     def __getitem__(self, key):
@@ -177,7 +174,7 @@ class ExperimentConfig:
                               strike=self.values["contract.strike"])
 
     def risk(self) -> RiskParams:
-        return RiskParams.from_market(self.values["risk.lambda"], self.market())
+        return RiskParams(self.values["risk.lambda"])
 
     def basis_for(self, paths):
         """The configured basis over the ``x_paths`` of an ensemble or dataset."""
@@ -387,6 +384,9 @@ def cmd_tabular_q(cfg):
     learned = q_learn(mdp, cfg["tabular.n_updates"],
                       schedule=(cfg["tabular.alpha0"], cfg["tabular.k0"]),
                       seed=cfg["mc.seed"])
+    for name, table in (("exact", exact), ("learned", learned)):
+        if not np.isfinite(table.q).all():  # no agreement metric on a broken table
+            raise SingularSystemError(f"{name} Q-table not finite")
     out = _outdir(cfg)
     visits = np.vstack([learned.visits, np.zeros_like(learned.visits[:1])])  # none at T
     write_table(out / "qtable.csv", {"t": None, "state_index": None, "action_index": None},

@@ -59,7 +59,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     if ds_mean not in DS_MEANS:
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
 
-    n_steps = paths.n_steps
+    n_steps, gamma = paths.n_steps, paths.params.gamma
     value_coeffs = [None] * (n_steps + 1)
     hedge_coeffs = [None] * n_steps
 
@@ -74,12 +74,12 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         design = basis.evaluate(paths.x_paths[:, t])
         ds, ds_c, pi_c, gain, drift = centered_step(design, paths, t, pi, ds_mean)
         hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
-                                    tilt=drift / (2.0 * risk.gamma * risk.lam))
+                                    tilt=drift / (2.0 * gamma * risk.lam))
         a = design @ hedge_coeffs[t]
 
-        c0, c1, c2 = reward_parabola(ds, pi, risk, pi_center=pi_c,
+        c0, c1, c2 = reward_parabola(ds, pi, risk, gamma, pi_center=pi_c,
                                      ds_center=ds_c, gain=gain)
-        target = c0 + c1 * a + c2 * a**2 + risk.gamma * q_next
+        target = c0 + c1 * a + c2 * a**2 + gamma * q_next
         try:
             value_coeffs[t] = least_squares(design, target)
         except SingularSystemError as exc:
@@ -87,7 +87,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         q_next = design @ value_coeffs[t]
         return a
 
-    _replicate(payoff, n_steps, risk.gamma, paths.delta_s, hedge)
+    _replicate(paths, payoff, hedge)
     phi0 = basis.evaluate([paths.x_paths[0, 0]])
     price0 = -float((phi0 @ value_coeffs[0])[0])
     hedge0 = float((phi0 @ hedge_coeffs[0])[0])

@@ -34,24 +34,23 @@ _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": f
                 "lambda": float, "seed": int, "n_paths": int, "s0": float,
                 "contract_kind": str, "contract_strike": float}
 _OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
-# the header key of each field a parameter class names in its ValueError
-_FIELD_KEYS = {"maturity": "dt", "lam": "lambda", "gamma": "r",
-               "kind": "contract_kind", "strike": "contract_strike"}
+# the header key of each parameter-class field whose name differs from it
+_FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
 
 class TransitionDataset:
     """Transitions recorded on one ensemble of prices, ``paths``, whose
     params and seed are the dataset's: a path per id of ``path_ids``
     (ascending), and ``a`` and ``r`` (n, n_steps) stored by step so that
-    column t is contiguous.  ``risk`` discounts by the market's one-period
-    factor, ``contract`` may be None, and ``extras`` holds any other header
+    column t is contiguous.  ``risk`` holds the dataset's lambda,
+    ``contract`` may be None, and ``extras`` holds any other header
     items.  ``from_records`` builds one from flat records."""
 
     def __init__(self, path_ids, paths: PathEnsemble, a, r, lam: float,
                  contract: OptionContract = None, extras=None):
         self.path_ids = np.asarray(path_ids, dtype=np.int64)
         self.paths, self.contract, self.extras = paths, contract, dict(extras or {})
-        self.risk = RiskParams.from_market(lam, paths.params)
+        self.risk = RiskParams(lam)
         shape = (self.path_ids.size, paths.n_steps)
         if paths.n_paths != shape[0]:
             raise DataFormatError(f"{paths.n_paths} price paths for {shape[0]} path ids")
@@ -95,7 +94,7 @@ class TransitionDataset:
             params = MarketParams(s0=v.get("s0", float(np.exp(x_paths[:, 0].mean()))),
                                   mu=v["mu"], sigma=v["sigma"], r=v["r"],
                                   maturity=v["dt"] * v["n_steps"], n_steps=v["n_steps"])
-            RiskParams.from_market(v["lambda"], params)  # checked here to name the key
+            RiskParams(v["lambda"])  # checked here to name the key
             contract = (OptionContract(v["contract_kind"], v["contract_strike"])
                         if "contract_kind" in v and "contract_strike" in v else None)
         except ValueError as exc:
@@ -182,13 +181,12 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
         _check_shape("pi_reference", pi_reference, paths.n_paths, n_steps + 1)
 
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    gamma = risk.gamma
+    gamma = paths.params.gamma
 
     use_analytic = action_source == "analytic"
     if use_analytic and pi_reference is None:
         # roll the recorded actions backward on the price panel
-        pi_reference = _replicate(payoff, n_steps, gamma, paths.delta_s,
-                                  lambda t, _: dataset.a[:, t])
+        pi_reference = _replicate(paths, payoff, lambda t, _: dataset.a[:, t])
 
     design_term = basis.evaluate(dataset.x_paths[:, -1])
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
@@ -325,8 +323,8 @@ def dataset_rewards(paths: PathEnsemble, actions, pi_reference, risk: RiskParams
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
         ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
-        c0, c1, c2 = reward_parabola(ds, pi_next, risk, pi_center=pi_c,
-                                     ds_center=ds_c, gain=gain)
+        c0, c1, c2 = reward_parabola(ds, pi_next, risk, paths.params.gamma,
+                                     pi_center=pi_c, ds_center=ds_c, gain=gain)
         a = actions[:, t]
         rewards[t] = c0 + c1 * a + c2 * a**2
     return rewards.T

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError
 
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # largest sigma with a finite square
+_RATE_DT_MAX = float(np.log(np.finfo(float).max))  # largest r dt with a finite e^{r dt}
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,15 @@ class MarketParams:
         if self.sigma > _SIGMA_MAX:
             raise ValueError(f"sigma must be at most {_SIGMA_MAX!r}, so that its square "
                              f"is a finite double, got {self.sigma}")
+        if self.r < 0:
+            raise ValueError(f"r must be non-negative, got {self.r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.maturity <= 0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
+        if self.r * self.dt > _RATE_DT_MAX:
+            raise ValueError(f"maturity must keep r dt <= {_RATE_DT_MAX:.6g} (e^(-r dt) > 0), "
+                             f"got {self.maturity} over {self.n_steps} steps at r = {self.r}")
 
     @property
     def dt(self) -> float:

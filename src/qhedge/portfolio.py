@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, SingularSystemError
-from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
+from .market import OptionContract, PathEnsemble, terminal_payoff
 from .regression import conditional_mean, conditional_variance, least_squares
 
 DS_MEANS = ("model", "regression")  # the conventions of centered_step
@@ -29,20 +29,13 @@ DS_MEANS = ("model", "regression")  # the conventions of centered_step
 
 @dataclass(frozen=True)
 class RiskParams:
-    """Risk aversion lam >= 0 and the per-period discount gamma = e^{-r dt}."""
+    """Risk aversion lam >= 0; the discount is the market's ``MarketParams.gamma``."""
 
     lam: float
-    gamma: float
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-
-    @classmethod
-    def from_market(cls, lam: float, params: MarketParams) -> "RiskParams":
-        return cls(lam=lam, gamma=params.gamma)
+            raise ValueError(f"lambda must be non-negative and finite, got {self.lam}")
 
 
 class HedgeStrategy:
@@ -107,61 +100,75 @@ class PortfolioRollout:
     actions: np.ndarray    # (n_paths, n_steps+1), expiry column 0
 
 
-def _replicate(payoff, n_steps: int, gamma: float, delta_s, hedge) -> np.ndarray:
+def _replicate(paths: PathEnsemble, payoff, hedge) -> np.ndarray:
     """The backward self-financing recursion every solver shares.
 
         Pi_T = payoff,   Pi_t = gamma (Pi_{t+1} - u_t dS_t),   t = T-1 .. 0,
 
-    where ``delta_s(t)`` returns the step-t increments and the hedge rule
-    ``hedge(t, pi_next)`` chooses u_t from Pi_{t+1} (recording whatever
-    fits it makes on the way).  Returns Pi as an (n_paths, n_steps+1) array,
-    stored by step so that each step's values are contiguous.
+    with the steps, the discount gamma and the increments dS_t of the
+    ensemble ``paths``, where the hedge rule ``hedge(t, pi_next)`` chooses
+    u_t from Pi_{t+1} (recording whatever fits it makes on the way).
+    Returns Pi as an (n_paths, n_steps+1) array, stored by step so that
+    each step's values are contiguous.  Raises SingularSystemError at the
+    first step whose Pi leaves the finite doubles.
     """
-    pi = np.empty((n_steps + 1, len(payoff)))
+    gamma = paths.params.gamma
+    pi = np.empty((paths.n_steps + 1, len(payoff)))
     pi[-1] = payoff
-    for t in range(n_steps - 1, -1, -1):
+    for t in range(paths.n_steps - 1, -1, -1):
         u = hedge(t, pi[t + 1])
-        pi[t] = gamma * (pi[t + 1] - u * delta_s(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi[t] = gamma * (pi[t + 1] - u * paths.delta_s(t))
+        if not np.isfinite(pi[t]).all():
+            raise SingularSystemError(f"portfolio value Pi not finite at step {t}")
     return pi.T
 
 
 def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
                       contract: OptionContract, risk: RiskParams) -> PortfolioRollout:
-    """Evaluate the self-financing portfolio backward along every path."""
+    """Evaluate the self-financing portfolio backward along every path.
+
+    Raises SingularSystemError naming the first step at which Pi, the
+    bank account B or the reward R is not finite."""
     u = strategy.actions(paths)
-    n, t1 = u.shape
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    pi = _replicate(payoff, t1 - 1, paths.params.gamma, paths.delta_s,
-                    lambda t, _: u[:, t])
+    pi = _replicate(paths, payoff, lambda t, _: u[:, t])
 
-    rewards = np.empty((n, t1))
-    for t in range(t1 - 1):
-        ds = paths.delta_s(t)
-        c0, c1, c2 = reward_parabola(ds, pi[:, t + 1], risk,
-                                     pi_center=pi[:, t + 1].mean(), ds_center=ds.mean())
-        rewards[:, t] = c0 + c1 * u[:, t] + c2 * u[:, t]**2
-    # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
-    rewards[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
-    return PortfolioRollout(pi=pi, b_account=pi - u * paths.s_paths, rewards=rewards,
-                            actions=u)
+    rewards = np.empty(u.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(paths.n_steps):
+            ds = paths.delta_s(t)
+            c0, c1, c2 = reward_parabola(ds, pi[:, t + 1], risk, paths.params.gamma,
+                                         pi_center=pi[:, t + 1].mean(),
+                                         ds_center=ds.mean())
+            rewards[:, t] = c0 + c1 * u[:, t] + c2 * u[:, t]**2
+        # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
+        rewards[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
+        b_account = pi - u * paths.s_paths
+    for name, panel in (("bank account B", b_account), ("reward R", rewards)):
+        bad = np.flatnonzero(~np.isfinite(panel).all(axis=0))
+        if bad.size:
+            raise SingularSystemError(f"{name} not finite at step {bad[0]}")
+    return PortfolioRollout(pi=pi, b_account=b_account, rewards=rewards, actions=u)
 
 
-def reward_parabola(delta_s, pi_next, risk: RiskParams, *,
+def reward_parabola(delta_s, pi_next, risk: RiskParams, gamma: float, *,
                     pi_center, ds_center, gain=None):
     """Coefficients (c0, c1, c2) of the one-step reward as a function of a.
 
         R(a) = gamma * a * gain - lam * gamma^2 * (pi_dev - a * ds_dev)^2
 
-    with pi_dev = pi_next - pi_center and ds_dev = delta_s - ds_center.
-    ``gain`` defaults to the raw increment delta_s; centers may be scalars
-    (pooled sample means) or per-path conditional means.
+    with pi_dev = pi_next - pi_center, ds_dev = delta_s - ds_center and
+    gamma the ensemble's ``params.gamma``.  ``gain`` defaults to the raw
+    increment delta_s; centers may be scalars (pooled sample means) or
+    per-path conditional means.
     """
     delta_s = np.asarray(delta_s, dtype=float)
     pi_dev = np.asarray(pi_next, dtype=float) - pi_center
     ds_dev = delta_s - ds_center
     if gain is None:
         gain = delta_s
-    g, lam = risk.gamma, risk.lam
+    g, lam = gamma, risk.lam
     c2 = -lam * g**2 * ds_dev**2
     c1 = g * np.asarray(gain, dtype=float) + 2.0 * lam * g**2 * pi_dev * ds_dev
     c0 = -lam * g**2 * pi_dev**2
@@ -221,8 +228,7 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
         coeffs[t] = hedge_fit(design, ds_dev, pi_next - pi_c, t)
         return design @ coeffs[t]
 
-    pi = _replicate(terminal_payoff(paths.s_paths[:, -1], contract), paths.n_steps,
-                    paths.params.gamma, paths.delta_s, hedge)
+    pi = _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge)
     return coeffs, pi
 
 
@@ -247,16 +253,16 @@ def ask_price(paths: PathEnsemble, rollout: PortfolioRollout, risk: RiskParams,
               basis) -> float:
     """Fair price plus the cumulative discounted variance risk premium.
 
-        ask = E[Pi_0] + lam * sum_t e^{-r t} E[ Var[Pi_t | state_t] ]
+        ask = E[Pi_0] + lam * sum_t gamma^t E[ Var[Pi_t | state_t] ]
 
     Conditional variances are regression estimates on the configured basis
     (floored at zero), so a deterministic world prices at the discounted
     payoff for any lam.  Monotone non-decreasing in lam on a fixed rollout.
     """
-    params = paths.params
+    gamma = paths.params.gamma
     total = float(rollout.pi[:, 0].mean())
     for t in range(paths.n_steps + 1):
         design = basis.evaluate(paths.x_paths[:, t])
         var_t = conditional_variance(design, rollout.pi[:, t])
-        total += risk.lam * np.exp(-params.r * t * params.dt) * float(var_t.mean())
+        total += risk.lam * gamma**t * float(var_t.mean())
     return total

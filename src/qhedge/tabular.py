@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
+from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
 from .portfolio import RiskParams, _replicate, reward_parabola
 
@@ -39,7 +40,7 @@ class DiscreteMDP:
     terminal_q: np.ndarray      # (n_x,)
     reachable: np.ndarray       # (n_steps+1, n_x) bool
     x0_index: int
-    risk: RiskParams
+    gamma: float                # one-period discount of the chain's ensemble
     edges: np.ndarray = None    # (n_x+1,) quantile bucket edges
     merged_bins: list = field(default_factory=list)
 
@@ -102,6 +103,8 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     rollout on the snapped paths, so they do not depend on any exploration
     policy.  Each time step keeps its own empirical transition table,
     exactly consistent with the cross-sectional regression solvers.
+    Raises SingularSystemError naming the first step whose reward
+    coefficients or terminal values are not finite.
     """
     if n_x < 1 or n_a < 2:
         raise ValueError("need n_x >= 1 and n_a >= 2")
@@ -127,8 +130,8 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     mdp = DiscreteMDP(
         x_centers=0.5 * (edges[:-1] + edges[1:]),
         action_grid=np.linspace(float(lo), float(hi), n_a), probs=None,
-        reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0, risk=risk,
-        edges=edges, merged_bins=merged)
+        reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0,
+        gamma=paths.params.gamma, edges=edges, merged_bins=merged)
     snapped = mdp.snapped_ensemble(paths)
     idx = mdp.state_index(paths.x_paths)
     payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
@@ -148,24 +151,28 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
 
     # risk-minimizing reference rollout on the snapped prices
-    pi = _replicate(payoff, n_steps, risk.gamma, snapped.delta_s, bucket_hedge)
+    pi = _replicate(snapped, payoff, bucket_hedge)
 
     # per-path reward parabolas, then conditional means per (t, i, j);
     # bincount adds each cell's records in path order
     counts = np.empty((n_steps, n_xe * n_xe))
     coeffs = np.empty((n_steps, n_xe * n_xe, 3))
-    for t in range(n_steps):
-        ix = idx[:, t]
-        cell = ix * n_xe + idx[:, t + 1]
-        counts[t] = np.bincount(cell, minlength=n_xe * n_xe)
-        for k, c in enumerate(reward_parabola(
-                ds_dev[:, t], pi[:, t + 1], risk,
-                pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
-            coeffs[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps):
+            ix = idx[:, t]
+            cell = ix * n_xe + idx[:, t + 1]
+            counts[t] = np.bincount(cell, minlength=n_xe * n_xe)
+            for k, c in enumerate(reward_parabola(
+                    ds_dev[:, t], pi[:, t + 1], risk, mdp.gamma,
+                    pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
+                coeffs[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
     counts = counts.reshape(n_steps, n_xe, n_xe)
     coeffs = coeffs.reshape(n_steps, n_xe, n_xe, 3)
     coeffs = np.where(counts[..., None] > 0,
                       coeffs / np.maximum(counts[..., None], 1.0), 0.0)
+    bad = np.flatnonzero(~np.isfinite(coeffs).reshape(n_steps, -1).all(axis=1))
+    if bad.size:
+        raise SingularSystemError(f"chain reward coefficients not finite at step {bad[0]}")
 
     rows = counts.sum(axis=2, keepdims=True)
     probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
@@ -173,7 +180,10 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     ix_T = idx[:, -1]
     mean_pay = _bucket_means(ix_T, payoff, n_xe)
     mean_pay2 = _bucket_means(ix_T, payoff**2, n_xe)
-    terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
+    if not np.isfinite(terminal_q).all():
+        raise SingularSystemError(f"chain terminal values not finite at step {n_steps}")
 
     reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
     reachable[np.arange(n_steps + 1), idx] = True
@@ -190,7 +200,7 @@ def exact_backward_induction(mdp: DiscreteMDP) -> QTable:
     ag = mdp.action_grid
     q = np.zeros((n_steps + 1, n_x, n_a))
     q[n_steps] = np.where(mdp.reachable[n_steps, :, None], mdp.terminal_q[:, None], 0.0)
-    gamma = mdp.risk.gamma
+    gamma = mdp.gamma
     for t in range(n_steps - 1, -1, -1):
         v_next = np.where(mdp.reachable[t + 1], q[t + 1].max(axis=1), 0.0)
         cont = mdp.reward_coeffs[t, :, :, 0] + gamma * v_next[None, :]
@@ -225,7 +235,7 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
     n_steps, n_x, n_a = mdp.n_steps, mdp.n_states, mdp.n_actions
     rng = np.random.default_rng(seed)
     ag = mdp.action_grid
-    gamma = mdp.risk.gamma
+    gamma = mdp.gamma
 
     q = np.zeros((n_steps + 1, n_x, n_a))
     q[n_steps] = np.where(mdp.reachable[n_steps, :, None], mdp.terminal_q[:, None], 0.0)

@@ -41,7 +41,7 @@ def bs_setup():
     basis = build_basis("bspline", 12, paths.x_paths.ravel())
     solutions = {}
     for lam in (1e-4, 1e-3, 1e-2):
-        risk = RiskParams.from_market(lam, params)
+        risk = RiskParams(lam)
         solutions[lam] = solve_dp(paths, contract, risk, basis)
     elapsed = time.monotonic() - t0
     return dict(params=params, contract=contract, paths=paths, basis=basis,
@@ -82,7 +82,7 @@ class TestCriterion3FQIMatchesDP:
         t0 = time.monotonic()
         paths, basis = bs_setup["paths"], bs_setup["basis"]
         contract = bs_setup["contract"]
-        risk = RiskParams.from_market(1e-3, bs_setup["params"])
+        risk = RiskParams(1e-3)
         dp = bs_setup["solutions"][1e-3]
         # the rewards' variance penalty is taken around the local-risk portfolio
         pi_ref = solve_local_risk(paths, contract, basis)[1]
@@ -121,7 +121,7 @@ class TestCriterion4FiniteStateAgreement:
         params = MarketParams(s0=100.0, mu=0.03, sigma=0.10, r=0.03,
                               maturity=1.0, n_steps=5)
         contract = OptionContract("put", 200.0)
-        risk = RiskParams.from_market(1e-4, params)
+        risk = RiskParams(1e-4)
         paths = simulate_gbm(params, 20_000, seed=3)
 
         mdp = discretize(paths, contract, risk, 21, 41, (-1.3, 0.1))
@@ -188,23 +188,23 @@ class TestCriterion4FiniteStateAgreement:
 class TestCriterion5QuadraticExactness:
     def test_parabola_reconstruction_and_argmax(self, bs_setup):
         paths = bs_setup["paths"]
-        risk = RiskParams.from_market(1e-3, bs_setup["params"])
+        risk = RiskParams(1e-3)
         sol = bs_setup["solutions"][1e-3]
         basis = bs_setup["basis"]
         rng = np.random.default_rng(55)
         worst_recon = 0.0
         worst_argmax = 0.0
         pi = np.maximum(100.0 - paths.s_paths[:, -1], 0.0)
+        g = paths.params.gamma
         for _ in range(100):
             t = int(rng.integers(0, paths.n_steps))
             k = int(rng.integers(0, paths.n_paths))
             ds = paths.delta_s(t)
             q_next = basis.evaluate(paths.x_paths[:, t + 1]) \
                 @ sol.value_coeffs[t + 1]
-            c0, c1, c2 = reward_parabola(ds, pi, risk, pi_center=pi.mean(),
+            c0, c1, c2 = reward_parabola(ds, pi, risk, g, pi_center=pi.mean(),
                                          ds_center=ds.mean())
-            target = lambda a: (c0[k] + c1[k] * a + c2[k] * a**2
-                                + risk.gamma * q_next[k])
+            target = lambda a: c0[k] + c1[k] * a + c2[k] * a**2 + g * q_next[k]
             f = [target(a) for a in (-1.0, 0.0, 1.0)]
             recon = f[0] - 3.0 * f[1] + 3.0 * f[2]  # Lagrange at a = 2
             direct = target(2.0)
@@ -214,7 +214,7 @@ class TestCriterion5QuadraticExactness:
                 argmax = -c1[k] / (2.0 * c2[k])
                 pi_dev = pi[k] - pi.mean()
                 ds_dev = ds[k] - ds.mean()
-                closed = (pi_dev * ds_dev + ds[k] / (2 * risk.gamma * risk.lam)) \
+                closed = (pi_dev * ds_dev + ds[k] / (2 * g * risk.lam)) \
                     / ds_dev**2
                 worst_argmax = max(worst_argmax,
                                    abs(argmax - closed) / abs(closed))
@@ -227,11 +227,12 @@ class TestCriterion5QuadraticExactness:
 class TestCriterion6SignedMeasure:
     def test_weights_and_recursion_identity(self, bs_setup):
         paths = bs_setup["paths"]
-        risk = RiskParams.from_market(0.0, bs_setup["params"])
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(),
                                  bs_setup["contract"], risk)
         worst_sum = 0.0
         worst_id = 0.0
+        g = paths.params.gamma
         for t in range(paths.n_steps):
             w = signed_measure_weights(paths, t)
             worst_sum = max(worst_sum, abs(w.sum() - 1.0))
@@ -239,8 +240,8 @@ class TestCriterion6SignedMeasure:
             pi_next = roll.pi[:, t + 1]
             u_star = np.mean((pi_next - pi_next.mean()) * (ds - ds.mean())) \
                 / np.mean((ds - ds.mean()) ** 2)
-            lhs = np.sum(w * risk.gamma * pi_next)
-            rhs = risk.gamma * (pi_next.mean() - u_star * ds.mean())
+            lhs = np.sum(w * g * pi_next)
+            rhs = g * (pi_next.mean() - u_star * ds.mean())
             worst_id = max(worst_id, abs(lhs - rhs) / max(abs(rhs), 1.0))
         ok = worst_sum <= 1e-12 and worst_id <= 1e-10
         report("6 signed-measure identity", ok,
@@ -254,7 +255,7 @@ class TestCriterion7SelfFinancing:
         params = bs_setup["params"]
         contract = bs_setup["contract"]
         basis = bs_setup["basis"]
-        risk = RiskParams.from_market(1e-3, params)
+        risk = RiskParams(1e-3)
         lr_coeffs, _ = solve_local_risk(paths, contract, basis)
         dp = bs_setup["solutions"][1e-3]
         strategies = {
@@ -308,7 +309,7 @@ class TestCriterion8UtilityExpansion:
         for g in (0.02, 0.01):
             h1 = indifference_price_recursion(paths, contract, g, cells,
                                               order=1).price0
-            risk = RiskParams.from_market(g / 2.0, params)
+            risk = RiskParams(g / 2.0)
             dp = solve_dp(paths, contract, risk, smooth)
             bridge_devs.append(abs(h1 - dp.price0) / dp.price0)
         bridge_ok = all(d <= 0.10 for d in bridge_devs)

@@ -81,6 +81,12 @@ class TestConfigBoundary:
         ("dp-solve", "risk.lambda", "inf"),
         ("dp-solve", "contract.strike", "-5"),
         ("dp-solve", "market.r", "-0.05"),  # e^{-r dt} > 1
+        ("bs-quote", "market.maturity", "1e308"),  # e^{-r dt} underflows to 0
+        ("simulate", "market.maturity", "1e308"),
+        ("dp-solve", "market.maturity", "0"),
+        ("dp-solve", "market.s0", "0"),
+        ("dp-solve", "market.n_steps", "0"),
+        ("dp-solve", "risk.lambda", "-1"),
         ("simulate", "mc.n_paths", "0"),
         ("make-dataset", "mc.seed", "-1"),
         ("dp-solve", "basis.m", "0"),
@@ -268,6 +274,47 @@ class TestSubcommands:
                 in capsys.readouterr().err)
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--rollout.policy", "constant", "--rollout.constant", "1e308"],
+         "portfolio value Pi not finite at step 23"),
+        (["--risk.lambda", "1e308"], "reward R not finite at step 0"),
+    ], ids=["pi_overflows", "reward_overflows"])
+    def test_rollout_refuses_a_non_finite_panel(self, tmp_path, capsys, argv, message):
+        """A hedge or a risk aversion that drives Pi or R past the doubles
+        exits 3 naming the panel and the step, and writes no rollout.csv."""
+        out = tmp_path / "r"
+        assert run("rollout", "--mc.n_paths", "500", *argv, "--output.dir", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "rollout.csv").exists()
+
+    def test_tabular_q_refuses_a_non_finite_chain(self, tmp_path, capsys):
+        """A risk aversion whose rewards leave the doubles exits 3 naming
+        the step, and reports no agreement metric."""
+        out = tmp_path / "tab"
+        assert run("tabular-q", "--risk.lambda", "1e308", "--mc.n_paths", "500",
+                   "--tabular.n_updates", "1000", "--output.dir", str(out)) == 3
+        assert ("chain reward coefficients not finite at step 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tabular_q_computes_no_error_from_a_non_finite_table(
+            self, tmp_path, capsys, monkeypatch):
+        """A learned table holding NaN exits 3 instead of reporting
+        sup_rel_error, which a NaN scale would read as 0."""
+        import qhedge.cli
+        learn = qhedge.cli.q_learn
+
+        def broken(*args, **kwargs):
+            table = learn(*args, **kwargs)
+            table.q[0, 0, 0] = np.nan
+            return table
+        monkeypatch.setattr(qhedge.cli, "q_learn", broken)
+        out = tmp_path / "tab"
+        assert run("tabular-q", "--tabular.n_x", "5", "--tabular.n_a", "3",
+                   "--tabular.n_updates", "200", "--output.dir", str(out), *SMALL) == 3
+        assert "learned Q-table not finite" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_compare_reports_errors(self, tmp_path):
         out = tmp_path / "cmp"
         assert run("compare", "--market.mu", "0.03", "--market.sigma", "0.15",
@@ -299,10 +346,11 @@ class TestDatasetHeader:
         ("contract_strike", "abc", "header value contract_strike='abc' is not a valid float"),
         ("s0", "-5", "bad header value for s0: s0 must be positive"),
         ("sigma", "1e200", "bad header value for sigma: sigma must be at most"),
-        ("lambda", "-1", "bad header value for lambda: lam must be non-negative"),
+        ("lambda", "-1", "bad header value for lambda: lambda must be non-negative"),
         ("lambda", "0", "bad header value for lambda: fqi-solve requires lambda > 0"),
         ("dt", "-1", "bad header value for dt: maturity must be positive"),
-        ("r", "-1", "bad header value for r: gamma must be in (0, 1]"),
+        ("dt", "1e308", "bad header value for dt: maturity must be finite"),
+        ("r", "-1", "bad header value for r: r must be non-negative"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, dataset_path,
                                           key, value, message):
@@ -437,7 +485,7 @@ class TestIngest:
         f.write_text("\n".join(rows) + "\n")
         paths = ingest_prices(f)
         contract = OptionContract("put", 108.0)
-        risk = RiskParams.from_market(0.7, paths.params)
+        risk = RiskParams(0.7)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), contract, risk)
         np.testing.assert_allclose(roll.pi[:, 0], np.exp(-0.05) * 8.0,
                                    rtol=1e-12)
@@ -476,8 +524,12 @@ class TestIngest:
          "bad header value for maturity: maturity must be positive"),
         ("# mu=nan\n# sigma=0.2\n# r=0\n# maturity=1\n",
          "bad header value for mu: mu must be finite"),
+        ("# mu=0\n# sigma=0.2\n# r=0.05\n# maturity=1e308\n",
+         "bad header value for maturity: maturity must keep r dt <= 709.783"),
+        ("# mu=0\n# sigma=0.2\n# r=-1\n# maturity=1\n",
+         "bad header value for r: r must be non-negative"),
     ], ids=["bad_value", "missing_key", "negative_sigma", "huge_sigma", "zero_maturity",
-            "nan_mu"])
+            "nan_mu", "discount_underflows", "negative_r"])
     def test_bad_header_names_file_and_key(self, tmp_path, header, message):
         f = tmp_path / "panel.csv"
         f.write_text(header + "path,t,s\n0,0,100\n0,1,101\n")

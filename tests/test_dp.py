@@ -37,7 +37,7 @@ class TestOptimalActionCoeffs:
         themselves are fixed only up to the ridge)."""
         paths = gbm(mu=0.05, seed=3)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e12, paths.params)
+        risk = RiskParams(1e12)
         sol = solve_dp(paths, PUT, risk, basis)
         lr_coeffs, _ = solve_local_risk(paths, PUT, basis)
         t = paths.n_steps - 1
@@ -58,7 +58,7 @@ class TestOptimalActionCoeffs:
         basis = build_basis("one_hot_grid", 2, paths.x_paths[:, 0])
         contract = OptionContract("put", 120.0)
         pi_next = terminal_payoff(prices[:, 1], contract)  # 16, 23, 0, 8
-        risk = RiskParams(lam=0.5, gamma=1.0)
+        risk = RiskParams(0.5)
         coeffs = solve_dp(paths, contract, risk, basis).hedge_coeffs[0]
         expected = np.empty(2)
         for b, rows in enumerate(([0, 1], [2, 3])):
@@ -77,15 +77,15 @@ class TestOptimalActionCoeffs:
         paths = hand_ensemble(prices, mu=np.log(1.01))
         basis = build_basis("one_hot_grid", 1, paths.x_paths[:, 0])
         pi_next = terminal_payoff(prices[:, 1], PUT)
-        risk = RiskParams(lam=0.2, gamma=1.0)
+        risk = RiskParams(0.2)
         sol = solve_dp(paths, PUT, risk, basis)
+        g = paths.params.gamma
         ds = paths.delta_s(0)
         grid = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
         pi_dev, ds_dev = pi_next - pi_next.mean(), ds - ds.mean()
         total = np.empty(grid.size)
         for i, a in enumerate(grid):
-            rew = risk.gamma * a * ds - risk.lam * risk.gamma**2 \
-                * (pi_dev - a * ds_dev) ** 2
+            rew = g * a * ds - risk.lam * g**2 * (pi_dev - a * ds_dev) ** 2
             total[i] = rew.sum()
         a_star = grid[np.argmax(total)]
         assert abs(float(sol.hedge_coeffs[0][0]) - a_star) <= 1e-4
@@ -93,7 +93,7 @@ class TestOptimalActionCoeffs:
     def test_lambda_zero_rejected(self):
         paths = gbm(n_paths=100)
         basis = build_basis("bspline", 6, paths.x_paths.ravel())
-        risk = RiskParams(lam=0.0, gamma=paths.params.gamma)
+        risk = RiskParams(0.0)
         with pytest.raises(ValueError, match="solve_local_risk"):
             solve_dp(paths, PUT, risk, basis)
 
@@ -128,7 +128,7 @@ class TestOptimalQCoeffs:
         paths = gbm(n_paths=500, seed=1)
         basis = build_basis("bspline", 6, paths.x_paths.ravel())
         worthless = OptionContract("put", 1e-6)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         sol = solve_dp(paths, worthless, risk, basis)
         np.testing.assert_allclose(np.array(sol.value_coeffs), 0.0, atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestSolveDP:
         paths = simulate_gbm(params, 30, seed=0)
         contract = OptionContract("put", 110.0)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
-        sol = solve_dp(paths, contract, RiskParams.from_market(1e-3, params), basis)
+        sol = solve_dp(paths, contract, RiskParams(1e-3), basis)
         np.testing.assert_allclose(sol.price0, 10.0, rtol=1e-6)
 
     def test_one_period_hand_unroll(self):
@@ -151,8 +151,8 @@ class TestSolveDP:
         prices = np.array([[100.0, 90.0], [100.0, 100.0], [100.0, 112.0]])
         paths = hand_ensemble(prices)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
-        lam, g = 0.1, 1.0
-        risk = RiskParams(lam=lam, gamma=g)
+        lam, g = 0.1, paths.params.gamma  # 1 at r = 0
+        risk = RiskParams(lam)
         sol = solve_dp(paths, PUT, risk, basis)
 
         payoff = terminal_payoff(prices[:, 1], PUT)
@@ -169,7 +169,7 @@ class TestSolveDP:
         runs the full configuration)."""
         paths = gbm(n_paths=20_000, mu=0.03, sigma=0.15, n_steps=12, seed=42)
         basis = build_basis("bspline", 12, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         sol = solve_dp(paths, PUT, risk, basis)
         quote = bs_price_delta(100.0, 100.0, 0.15, 0.03, 1.0, "put")
         assert abs(sol.price0 - quote.price) / quote.price < 0.03
@@ -178,7 +178,7 @@ class TestSolveDP:
     def test_price_monotone_in_lambda(self):
         paths = gbm(n_paths=8000, seed=11)
         basis = build_basis("bspline", 10, paths.x_paths.ravel())
-        prices = [solve_dp(paths, PUT, RiskParams.from_market(lam, paths.params),
+        prices = [solve_dp(paths, PUT, RiskParams(lam),
                            basis).price0
                   for lam in (1e-4, 1e-3, 1e-2)]
         assert prices[0] < prices[1] < prices[2]
@@ -188,7 +188,7 @@ class TestSolveDP:
         action coefficients cannot move as lambda grows."""
         paths = gbm(n_paths=3000, seed=7)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        sols = [solve_dp(paths, PUT, RiskParams.from_market(lam, paths.params),
+        sols = [solve_dp(paths, PUT, RiskParams(lam),
                          basis)
                 for lam in (1e-4, 1e-3, 1e-2)]
         for t in range(paths.n_steps):
@@ -201,7 +201,7 @@ class TestSolveDP:
         paths = gbm(n_paths=100)
         basis = build_basis("bspline", 6, paths.x_paths.ravel())
         with pytest.raises(ValueError):
-            solve_dp(paths, PUT, RiskParams(lam=0.0, gamma=1.0), basis)
+            solve_dp(paths, PUT, RiskParams(0.0), basis)
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_put_call_parity_at_mu_equals_r(self, seed):
@@ -213,7 +213,7 @@ class TestSolveDP:
         to -0.012 at mu 0.05 and 20k paths), so it is not asserted there."""
         paths = gbm(n_paths=10_000, sigma=0.15, n_steps=24, seed=seed)
         basis = build_basis("bspline", 12, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         call = solve_dp(paths, OptionContract("call", 100.0), risk, basis)
         put = solve_dp(paths, PUT, risk, basis)
         forward = 100.0 - 100.0 * np.exp(-0.03 * 1.0)
@@ -227,11 +227,11 @@ class TestSolveDP:
         paths = gbm(n_paths=3000, n_steps=3, seed=19)
         basis = build_basis("one_hot_grid", 5, paths.x_paths.ravel())
         lam = 1e-4
-        risk = RiskParams.from_market(lam, paths.params)
+        risk = RiskParams(lam)
         sol = solve_dp(paths, PUT, risk, basis, ds_mean="regression")
 
         # independent exhaustive induction on the bucket chain
-        g = risk.gamma
+        g = paths.params.gamma
         n_x = 5
         idx = np.stack([basis.bucket_of(paths.x_paths[:, t])
                         for t in range(4)], axis=1)
@@ -278,14 +278,14 @@ class TestQuadraticInAction:
         """The Bellman target is an exact parabola in the action: a Lagrange
         fit through a in {-1, 0, 1} reproduces the value at a = 2."""
         paths = gbm(n_paths=300, seed=23)
-        risk = RiskParams.from_market(0.05, paths.params)
+        risk = RiskParams(0.05)
         rng = np.random.default_rng(4)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
         for _ in range(100):
             t = int(rng.integers(0, paths.n_steps))
             k = int(rng.integers(0, paths.n_paths))
             ds = paths.delta_s(t)
-            c0, c1, c2 = reward_parabola(ds, payoff, risk,
+            c0, c1, c2 = reward_parabola(ds, payoff, risk, paths.params.gamma,
                                          pi_center=payoff.mean(),
                                          ds_center=ds.mean())
             target = lambda a: c0[k] + c1[k] * a + c2[k] * a**2
@@ -297,15 +297,15 @@ class TestQuadraticInAction:
 
     def test_analytic_action_is_parabola_argmax(self):
         paths = gbm(n_paths=300, seed=24)
-        risk = RiskParams.from_market(0.05, paths.params)
+        risk = RiskParams(0.05)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
         t = 2
         ds = paths.delta_s(t)
-        c0, c1, c2 = reward_parabola(ds, payoff, risk, pi_center=payoff.mean(),
-                                     ds_center=ds.mean())
+        c0, c1, c2 = reward_parabola(ds, payoff, risk, paths.params.gamma,
+                                     pi_center=payoff.mean(), ds_center=ds.mean())
         pi_dev = payoff - payoff.mean()
         ds_dev = ds - ds.mean()
-        closed = (pi_dev * ds_dev + ds / (2 * risk.gamma * risk.lam)) / ds_dev**2
+        closed = (pi_dev * ds_dev + ds / (2 * paths.params.gamma * risk.lam)) / ds_dev**2
         argmax = -c1 / (2 * c2)
         np.testing.assert_allclose(argmax, closed, rtol=1e-10)
 
@@ -314,7 +314,7 @@ class TestSurfaces:
     def test_training_states_reproduce_fitted_q(self):
         paths = gbm(n_paths=2000, seed=31)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         sol = solve_dp(paths, PUT, risk, basis)
         t = 3
         prices, hedges = price_and_hedge_surface(sol, basis, paths.x_paths[:, t])
@@ -327,7 +327,7 @@ class TestSurfaces:
     def test_one_hot_surface_is_piecewise_constant(self):
         paths = gbm(n_paths=2000, seed=32)
         basis = build_basis("one_hot_grid", 6, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         sol = solve_dp(paths, PUT, risk, basis)
         lo, hi = paths.x_paths.min(), paths.x_paths.max()
         xs = np.linspace(lo, hi, 300)
@@ -340,7 +340,7 @@ class TestSurfaces:
         paths = gbm(n_paths=30_000, mu=0.03, sigma=0.15, n_steps=24, seed=42)
         params = paths.params
         basis = build_basis("bspline", 12, paths.x_paths.ravel())
-        risk = RiskParams.from_market(1e-3, params)
+        risk = RiskParams(1e-3)
         sol = solve_dp(paths, PUT, risk, basis)
         t = 1
         xs = np.quantile(paths.x_paths[:, t], np.linspace(0.1, 0.9, 33))

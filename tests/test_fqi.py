@@ -31,7 +31,7 @@ def gbm(n_paths=8000, seed=0, **kw):
 
 def make_pipeline(paths, lam=1e-3, m=10):
     basis = build_basis("bspline", m, paths.x_paths.ravel())
-    risk = RiskParams.from_market(lam, paths.params)
+    risk = RiskParams(lam)
     return basis, risk
 
 
@@ -181,7 +181,7 @@ class TestAgainstDP:
         # recompute targets/fits at the last step, where v is the terminal fit
         t = paths.n_steps - 1
         v = basis.evaluate(ds.x_paths[:, t + 1]) @ sol.terminal_value_coeffs
-        targets = ds.r[:, t] + risk.gamma * v
+        targets = ds.r[:, t] + paths.params.gamma * v
         fitted = build_features(basis.evaluate(ds.x_paths[:, t]), ds.a[:, t]) \
             @ sol.weights[t].T.ravel()
         resid = targets - fitted

@@ -83,6 +83,20 @@ class TestSimulateGBM:
             with pytest.raises(ValueError, match=r"^sigma must be at most 1\.34"):
                 make_params(sigma=float(sigma))
 
+    def test_rejects_discount_outside_unit_interval(self):
+        """No one-period discount e^{-r dt} outside (0, 1] reaches a solver:
+        a negative rate is refused naming r, and an r dt whose growth
+        e^{r dt} overflows (so e^{-r dt} is 0 or subnormal) naming maturity."""
+        assert make_params(r=0.0).gamma == 1.0
+        with pytest.raises(ValueError, match=r"^r must be non-negative"):
+            make_params(r=-0.01)
+        top = float(np.log(np.finfo(float).max))
+        assert 0.0 < make_params(r=top, maturity=1.0, n_steps=1).gamma < 1.0
+        for kw in ({"maturity": 1e308}, {"r": 1e3, "n_steps": 1},
+                   {"r": np.nextafter(top, np.inf), "maturity": 1.0, "n_steps": 1}):
+            with pytest.raises(ValueError, match=r"^maturity must keep r dt <= 709\.783 "):
+                make_params(**kw)
+
     @pytest.mark.parametrize("field", ["s0", "mu", "sigma", "r", "maturity"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):
@@ -192,7 +206,7 @@ def _ensemble_from(constructor, tmp_path):
         write_dataset_csv(build_dataset(paths, zeros, zeros, 0.1), tmp_path / "d.csv")
         return read_dataset_csv(tmp_path / "d.csv").paths
     mdp = discretize(paths, OptionContract("put", 100.0),
-                     RiskParams.from_market(0.1, params), 5, 3, (-1.0, 1.0))
+                     RiskParams(0.1), 5, 3, (-1.0, 1.0))
     return mdp.snapped_ensemble(paths)
 
 

@@ -34,19 +34,14 @@ def hand_ensemble(prices, mu=0.0, sigma=0.2, r=0.0, maturity=None):
 class TestRiskParams:
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_rejects_non_finite_lambda(self, lam):
-        with pytest.raises(ValueError, match="finite"):
-            RiskParams(lam=lam, gamma=0.99)
-
-    def test_rejects_gamma_outside_unit_interval(self):
-        for gamma in (0.0, 1.5, np.nan):
-            with pytest.raises(ValueError):
-                RiskParams(lam=0.1, gamma=gamma)
+        with pytest.raises(ValueError, match="^lambda must be non-negative and finite"):
+            RiskParams(lam)
 
 
 class TestRollout:
     def test_zero_strategy_discounts_payoff(self):
         paths = gbm()
-        risk = RiskParams.from_market(0.001, paths.params)
+        risk = RiskParams(0.001)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
         disc = np.exp(-paths.params.r * paths.params.maturity)
@@ -54,7 +49,7 @@ class TestRollout:
 
     def test_unit_hedge_telescopes_at_zero_rate(self):
         paths = gbm(r=0.0, mu=0.0)
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.constant(1.0), PUT, risk)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
         expected = payoff - (paths.s_paths[:, -1] - paths.s_paths[:, 0])
@@ -66,7 +61,7 @@ class TestRollout:
                            [100.0, 90.0, 105.0]])
         paths = hand_ensemble(prices, r=0.0)
         u = np.array([[0.5, 0.25], [0.5, -0.75]])
-        risk = RiskParams(lam=0.0, gamma=1.0)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.from_matrix(u), PUT, risk)
         # path 0: payoff 5; Pi_1 = 5 - 0.25*(95-110) = 8.75; Pi_0 = 8.75 - 0.5*10 = 3.75
         # path 1: payoff 0; Pi_1 = 0 + 0.75*(105-90) = 11.25; Pi_0 = 11.25 - 0.5*(-10) = 16.25
@@ -77,7 +72,7 @@ class TestRollout:
         for zero, constant, risk-minimizing and recorded-matrix strategies."""
         paths = gbm(n_paths=400, seed=9)
         params = paths.params
-        risk = RiskParams.from_market(0.01, params)
+        risk = RiskParams(0.01)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
         lr_coeffs, _ = solve_local_risk(paths, PUT, basis)
         rng = np.random.default_rng(3)
@@ -99,14 +94,14 @@ class TestRollout:
 
     def test_shape_mismatch(self):
         paths = gbm(n_paths=50)
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         bad = HedgeStrategy.from_matrix(np.zeros((50, 99)))
         with pytest.raises(ValueError):
             rollout_portfolio(paths, bad, PUT, risk)
 
     def test_coefficient_count_mismatch(self):
         paths = gbm(n_paths=50)
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         steps = paths.n_steps
         bad = HedgeStrategy.from_coefficients(None, [np.zeros(3)] * (steps - 1))
         with pytest.raises(ValueError, match=f"^{steps - 1} coefficient vectors "
@@ -171,32 +166,32 @@ class TestReward:
 
     def test_zero_lambda_zero_action(self):
         paths = gbm()
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         np.testing.assert_array_equal(roll.rewards[:, :-1], 0.0)
 
     def test_zero_lambda_is_linear_gain(self):
         paths = gbm()
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.constant(0.7), PUT, risk)
         for t in (0, 3):
             np.testing.assert_allclose(roll.rewards[:, t],
-                                       risk.gamma * 0.7 * paths.delta_s(t),
+                                       paths.params.gamma * 0.7 * paths.delta_s(t),
                                        rtol=1e-12)
 
     def test_variance_penalty_mean(self):
         """lam=1, a=0: mean reward equals -lam gamma^2 Var(Pi_{t+1})."""
         paths = gbm(seed=8)
-        risk = RiskParams.from_market(1.0, paths.params)
+        risk = RiskParams(1.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         t = 2
         pi_next = roll.pi[:, t + 1]
-        expected = -risk.gamma**2 * np.mean((pi_next - pi_next.mean()) ** 2)
+        expected = -paths.params.gamma**2 * np.mean((pi_next - pi_next.mean()) ** 2)
         np.testing.assert_allclose(roll.rewards[:, t].mean(), expected, rtol=1e-12)
 
     def test_terminal_penalty(self):
         paths = gbm(seed=8)
-        risk = RiskParams.from_market(0.5, paths.params)
+        risk = RiskParams(0.5)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         payoff = terminal_payoff(paths.s_paths[:, -1], PUT)
         np.testing.assert_allclose(roll.rewards[:, -1].mean(), -0.5 * payoff.var(),
@@ -226,9 +221,9 @@ class TestSignedMeasure:
         """sum_k w_k gamma Pi_{t+1} = gamma (mean Pi - u* mean dS) with u*
         the pooled cov/var ratio: the one-step fair-price identity."""
         paths = gbm(n_paths=5000, seed=5)
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
-        g = risk.gamma
+        g = paths.params.gamma
         for t in range(paths.n_steps):
             w = signed_measure_weights(paths, t)
             ds = paths.delta_s(t)
@@ -250,7 +245,7 @@ class TestAskPrice:
     def test_lambda_zero_is_fair_price(self):
         paths = gbm(seed=21)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        risk = RiskParams.from_market(0.0, paths.params)
+        risk = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk)
         np.testing.assert_allclose(ask_price(paths, roll, risk, basis),
                                    roll.pi[:, 0].mean(), rtol=1e-12)
@@ -262,7 +257,7 @@ class TestAskPrice:
         contract = OptionContract("put", 110.0)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
         for lam in (0.0, 0.5, 5.0):
-            risk = RiskParams.from_market(lam, params)
+            risk = RiskParams(lam)
             roll = rollout_portfolio(paths, HedgeStrategy.zero(), contract, risk)
             payoff = terminal_payoff(paths.s_paths[0, -1], contract)
             np.testing.assert_allclose(ask_price(paths, roll, risk, basis),
@@ -271,9 +266,9 @@ class TestAskPrice:
     def test_monotone_in_lambda(self):
         paths = gbm(seed=30)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
-        risk0 = RiskParams.from_market(0.0, paths.params)
+        risk0 = RiskParams(0.0)
         roll = rollout_portfolio(paths, HedgeStrategy.zero(), PUT, risk0)
-        prices = [ask_price(paths, roll, RiskParams.from_market(lam, paths.params),
+        prices = [ask_price(paths, roll, RiskParams(lam),
                             basis)
                   for lam in (0.0, 1e-3, 1e-2, 1e-1)]
         assert np.all(np.diff(prices) > 0)
@@ -283,7 +278,7 @@ class TestAskPrice:
         the ask price reduces to mean(Pi_0) + lam * sum_t e^{-rt} Var(Pi_t)."""
         paths = gbm(n_paths=300, n_steps=2, seed=17)
         basis = build_basis("one_hot_grid", 1, paths.x_paths.ravel())
-        risk = RiskParams.from_market(0.01, paths.params)
+        risk = RiskParams(0.01)
         roll = rollout_portfolio(paths, HedgeStrategy.constant(-0.3), PUT, risk)
         params = paths.params
         expected = roll.pi[:, 0].mean()

@@ -59,7 +59,7 @@ def test_self_financing_for_random_actions(params, n_paths, seed, kind, strike, 
                                                   (n_paths, params.n_steps))
     roll = rollout_portfolio(paths, HedgeStrategy.from_matrix(actions),
                              OptionContract(kind, strike),
-                             RiskParams.from_market(0.0, params))
+                             RiskParams(0.0))
     assert max(self_financing_gaps(paths, roll)) < 1e-10
 
 
@@ -75,7 +75,7 @@ def test_local_risk_rollout_is_its_own_replication(params, n_paths, seed, kind):
     contract = OptionContract(kind, 100.0)
     coeffs, pi = solve_local_risk(paths, contract, basis)
     roll = rollout_portfolio(paths, HedgeStrategy.from_coefficients(basis, coeffs),
-                             contract, RiskParams.from_market(1e-3, params))
+                             contract, RiskParams(1e-3))
     assert np.array_equal(roll.pi, pi)
 
 
@@ -85,7 +85,7 @@ def scaled_dp(c, mu, sigma, r, n_steps, lam, kind, moneyness, seed):
     paths = simulate_gbm(params, 400, seed)
     basis = build_basis("bspline", 8, paths.x_paths.ravel())
     return solve_dp(paths, OptionContract(kind, 100.0 * c * moneyness),
-                    RiskParams.from_market(lam / c, params), basis)
+                    RiskParams(lam / c), basis)
 
 
 @PROPERTY
@@ -117,7 +117,7 @@ def test_dp_hedge_is_local_risk_hedge_when_mu_equals_r(r, sigma, n_steps, n_path
     paths = simulate_gbm(params, n_paths, seed)
     basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
     contract = OptionContract(kind, strike)
-    sol = solve_dp(paths, contract, RiskParams.from_market(lam, params), basis)
+    sol = solve_dp(paths, contract, RiskParams(lam), basis)
     coeffs, _ = solve_local_risk(paths, contract, basis)
     for dp_c, lr_c in zip(sol.hedge_coeffs, coeffs, strict=True):
         assert np.array_equal(dp_c, lr_c)
@@ -139,7 +139,7 @@ def test_dp_price_does_not_decrease_in_lambda_when_mu_equals_r(
     paths = simulate_gbm(params, n_paths, seed)
     basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
     contract = OptionContract(kind, strike)
-    lo, hi = (solve_dp(paths, contract, RiskParams.from_market(x, params), basis).price0
+    lo, hi = (solve_dp(paths, contract, RiskParams(x), basis).price0
               for x in (lam, lam * (1.0 + step)))
     assert hi >= lo
 
@@ -313,7 +313,7 @@ def q_learn_one_by_one(mdp, n_updates_per_slice, schedule, seed):
     alpha0, k0 = float(schedule[0]), float(schedule[1])
     n_steps, n_x, n_a = mdp.n_steps, mdp.n_states, mdp.n_actions
     rng = np.random.default_rng(seed)
-    ag, gamma = mdp.action_grid, mdp.risk.gamma
+    ag, gamma = mdp.action_grid, mdp.gamma
     q = np.zeros((n_steps + 1, n_x, n_a))
     q[n_steps] = np.where(mdp.reachable[n_steps, :, None], mdp.terminal_q[:, None], 0.0)
     visits = np.zeros((n_steps, n_x, n_a), dtype=np.int64)
@@ -354,7 +354,7 @@ def chains(draw):
         action_grid=np.sort(rng.uniform(-1.5, 0.5, n_a)),
         probs=probs, reward_coeffs=rng.normal(size=(n_steps, n_x, n_x, 3)),
         terminal_q=rng.normal(size=n_x), reachable=reachable, x0_index=0,
-        risk=RiskParams(lam=1e-3, gamma=draw(st.floats(0.9, 1.0))))
+        gamma=draw(st.floats(0.9, 1.0)))
 
 
 @PROPERTY

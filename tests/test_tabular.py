@@ -16,7 +16,7 @@ def gbm(n_paths=4000, seed=0, **kw):
     return simulate_gbm(MarketParams(**base), n_paths, seed=seed)
 
 
-def tiny_mdp(probs, coeffs, terminal_q, actions, gamma=1.0, lam=0.1):
+def tiny_mdp(probs, coeffs, terminal_q, actions, gamma=1.0):
     """Hand-assembled chain; probs (T, n_x, n_x), coeffs same + (3,)."""
     probs = np.asarray(probs, dtype=float)
     n_steps, n_x, _ = probs.shape
@@ -26,7 +26,7 @@ def tiny_mdp(probs, coeffs, terminal_q, actions, gamma=1.0, lam=0.1):
         action_grid=np.asarray(actions, dtype=float),
         probs=probs, reward_coeffs=np.asarray(coeffs, dtype=float),
         terminal_q=np.asarray(terminal_q, dtype=float), reachable=reach,
-        x0_index=0, risk=RiskParams(lam=lam, gamma=gamma),
+        x0_index=0, gamma=gamma,
         edges=np.arange(n_x + 1, dtype=float) - 0.5,
     )
 
@@ -34,7 +34,7 @@ def tiny_mdp(probs, coeffs, terminal_q, actions, gamma=1.0, lam=0.1):
 class TestDiscretize:
     def test_single_state_chain(self):
         paths = gbm(n_paths=200)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 1, 3, (-1.0, 0.0))
         np.testing.assert_allclose(mdp.probs, 1.0)
         assert mdp.n_states == 1
@@ -43,7 +43,7 @@ class TestDiscretize:
         params = MarketParams(s0=100.0, mu=0.05, sigma=0.0, r=0.05,
                               maturity=1.0, n_steps=3)
         paths = simulate_gbm(params, 50, seed=0)
-        risk = RiskParams.from_market(1e-3, params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 1, 2, (-1.0, 0.0))
         for t in range(3):
             rows = mdp.probs[t][mdp.reachable[t]]
@@ -52,7 +52,7 @@ class TestDiscretize:
 
     def test_rows_sum_to_one(self):
         paths = gbm(seed=3)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 9, 5, (-1.5, 0.5))
         for t in range(mdp.n_steps):
             rows = mdp.probs[t][mdp.reachable[t]]
@@ -61,7 +61,7 @@ class TestDiscretize:
     def test_transition_counts_match_hand_tally(self):
         """Empirical frequencies against an independent dict-based count."""
         paths = gbm(n_paths=500, seed=11)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 3, 2, (-1.0, 0.0))
         idx = mdp.state_index(paths.x_paths)
         for t in range(paths.n_steps):
@@ -80,14 +80,14 @@ class TestDiscretize:
         params = MarketParams(s0=100.0, mu=0.005, sigma=0.1, r=0.0,
                               maturity=2.0, n_steps=2)
         paths = ensemble_from_prices(prices, params)
-        risk = RiskParams.from_market(1e-3, params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 4, 2, (-1.0, 0.0))
         assert len(mdp.merged_bins) > 0
         assert mdp.n_states == 1
 
     def test_rejects_bad_sizes(self):
         paths = gbm(n_paths=100)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         with pytest.raises(ValueError):
             discretize(paths, PUT, risk, 0, 2, (-1, 0))
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestExactInduction:
         """The argmax over the action grid sits within one grid step of the
         chain's closed-form vertex action."""
         paths = gbm(n_paths=20_000, seed=2, n_steps=5)
-        risk = RiskParams.from_market(1e-2, paths.params)
+        risk = RiskParams(1e-2)
         mdp = discretize(paths, PUT, risk, 21, 41, (-1.5, 0.5))
         table = exact_backward_induction(mdp)
         vertices = analytic_actions(mdp)
@@ -162,7 +162,7 @@ class TestQLearn:
         """3 states x 3 actions x 2 steps: sup-norm error below 1e-2 of the
         Q scale after 1e5 sampled transitions per slice."""
         paths = gbm(n_paths=10_000, seed=6, n_steps=2)
-        risk = RiskParams.from_market(1e-2, paths.params)
+        risk = RiskParams(1e-2)
         deep_put = OptionContract("put", 200.0)  # payoff offset widens Q scale
         mdp = discretize(paths, deep_put, risk, 3, 3, (-1.2, 0.2))
         exact = exact_backward_induction(mdp)
@@ -177,7 +177,7 @@ class TestQLearn:
         """Robbins-Monro decay: the sup error at 2e4 updates per slice is
         not more than 10x the error at 2e5."""
         paths = gbm(n_paths=10_000, seed=6, n_steps=2)
-        risk = RiskParams.from_market(1e-2, paths.params)
+        risk = RiskParams(1e-2)
         mdp = discretize(paths, PUT, risk, 3, 3, (-1.2, 0.2))
         exact = exact_backward_induction(mdp)
 
@@ -191,7 +191,7 @@ class TestQLearn:
 
     def test_unvisited_cells_stay_initialized(self):
         paths = gbm(n_paths=3000, seed=8, n_steps=5)
-        risk = RiskParams.from_market(1e-3, paths.params)
+        risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 15, 3, (-1.2, 0.2))
         learned = q_learn(mdp, 2000, seed=0)
         unreachable = ~mdp.reachable[:-1]
