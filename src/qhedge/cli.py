@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
-from .csvio import format_value, read_csv, scatter_records, typed_header, write_table
+from .csvio import format_value, read_columns, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, QHedgeError, SingularSystemError
 from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
@@ -232,15 +232,15 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     path = Path(csv_path)
     if not path.exists():
         raise ConfigError(f"price panel not found: {path}")
-    meta, _, data = read_csv(path)
-    if data.shape[1] < 3:
+    meta, _, columns = read_columns(path)
+    if len(columns) < 3:
         raise DataFormatError(f"{path}: expected path,t,s columns")
-    _, cols = scatter_records(path, data[:, 0], data[:, 1], {"price": data[:, 2]})
-    bad = np.flatnonzero(data[:, 2] <= 0)
+    _, cols = scatter_records(path, dict(zip(("path", "t", "price"), columns)))
+    bad = np.flatnonzero(columns[2] <= 0)
     if bad.size:
         i = bad[0]
-        raise DataFormatError(f"{path}: non-positive price {data[i, 2]} at cell "
-                              f"(path={int(data[i, 0])}, t={int(data[i, 1])})")
+        raise DataFormatError(f"{path}: non-positive price {columns[2][i]} at cell "
+                              f"(path={int(columns[0][i])}, t={int(columns[1][i])})")
     panel = cols["price"].T  # stored by step, as PathEnsemble keeps it
     n_steps = panel.shape[1] - 1
     if params is None:

@@ -16,6 +16,13 @@ parses its range, and the ranges are joined in file order, so the bytes
 written and the floats read are byte-identical to one process's.  Tables
 below a fixed size per process, and platforms without ``os.fork`` or
 ``os.sched_getaffinity``, use one process.  There is no setting for it.
+
+Records are read one column at a time: each range is parsed a piece of
+lines at a time into one array per column, a worker sends its columns
+one after another, and the reader keeps one array per column, never one
+(records, columns) block, on one CPU or many.  ``scatter_records`` drops
+each column once it is consumed, so reading a dataset peaks near 7 float
+columns of records.
 """
 
 import contextlib
@@ -34,6 +41,7 @@ _BLOCK = 1 << 13  # records gathered per write, or per successor check
 # table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
 _SPLIT_RECORDS = 1 << 15
 _SPLIT_BYTES = 1 << 21
+_PARSE_BYTES = 1 << 20  # data bytes parsed per call into a range's columns
 
 
 def format_value(v) -> str:
@@ -44,8 +52,15 @@ def format_value(v) -> str:
 
 
 def read_csv(path):
-    """``(meta, colnames, data)``: the header items as strings, the column
-    names, and the records as a float array of one row each."""
+    """``(meta, colnames, data)``: ``read_columns``'s table with the records
+    as a float array of one row each."""
+    meta, colnames, columns = read_columns(path)
+    return meta, colnames, np.stack(columns, axis=1)
+
+
+def read_columns(path):
+    """``(meta, colnames, columns)``: the header items as strings, the
+    column names, and the records as one float array per column."""
     meta = {}
     with open(path) as fh:
         line = fh.readline()
@@ -57,18 +72,18 @@ def read_csv(path):
         colnames = line.strip().split(",")
         if not line or colnames[0].lstrip("+-").replace(".", "", 1).isdigit():
             raise DataFormatError(f"{path}: no column-name row")
-        data = _read_split(fh)
-        if data is None:
+        columns = _read_split(fh)
+        if columns is None:
             try:
-                data = _loadtxt(fh)
+                columns = list(_loadtxt(fh).T)
             except UserWarning:
                 raise DataFormatError(f"{path}: no data rows") from None
             except ValueError as exc:
                 raise DataFormatError(f"{path}: {exc}") from exc
-    if data.shape[1] != len(colnames):
-        raise DataFormatError(f"{path}: {data.shape[1]} values per row "
+    if len(columns) != len(colnames):
+        raise DataFormatError(f"{path}: {len(columns)} values per row "
                               f"for {len(colnames)} columns {colnames}")
-    return meta, colnames, data
+    return meta, colnames, columns
 
 
 def _loadtxt(lines):
@@ -80,11 +95,12 @@ def _loadtxt(lines):
 
 
 def _read_split(fh):
-    """The records after ``fh``'s position, parsed by one forked worker per
-    usable CPU, each on a byte range of whole lines, and joined in file
-    order; None when the body is too small to split, or when a worker
-    fails or the workers disagree on the column count, which leaves the
-    whole body to one parse here (and so every error to it)."""
+    """The records after ``fh``'s position as one array per column: parsed
+    here when one process gets the whole body, else by one forked worker
+    per usable CPU, each on a byte range of whole lines, and joined in
+    file order.  None when a parse fails or the workers disagree on the
+    column count, which leaves the whole body to one parse of it (and so
+    every error to that)."""
     fd = fh.fileno()
     end = os.fstat(fd).st_size
     start = fh.tell() if fh.seekable() else end  # a byte offset at a line start
@@ -92,7 +108,10 @@ def _read_split(fh):
     cuts = sorted({start, end, *(_line_start(fd, start + (end - start) * i // n, end)
                                  for i in range(1, n))})
     if len(cuts) < 3:
-        return None
+        try:
+            return _parse_columns(fd, start, end, fh.encoding) if start < end else None
+        except (ValueError, UserWarning):
+            return None
     with _Workers() as workers, contextlib.ExitStack() as pipes:
         parts = []
         for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
@@ -103,23 +122,63 @@ def _read_split(fh):
         shapes = [np.frombuffer(p.read(16), np.int64) for p in parts]
         if any(s.size != 2 for s in shapes) or len({int(s[1]) for s in shapes}) != 1:
             return None
-        data = np.empty((sum(int(s[0]) for s in shapes), int(shapes[0][1])))
+        columns = [np.empty(sum(int(s[0]) for s in shapes)) for _ in range(shapes[0][1])]
         row = 0
         for i, (p, s) in enumerate(zip(parts, shapes)):
-            view = memoryview(data[row:row + s[0]]).cast("B")
-            if p.readinto(view) != view.nbytes or not workers.ok(i):
+            for column in columns:
+                view = memoryview(column[row:row + s[0]]).cast("B")
+                if p.readinto(view) != view.nbytes:
+                    return None
+            if not workers.ok(i):
                 return None
             row += s[0]
-    return data
+    return columns
 
 
 def _parse_range(fd, lo, hi, encoding, out):
-    """In a worker: parse bytes ``lo:hi`` of ``fd`` as text, as ``open``
-    would decode it, and send the array's shape and then its bytes."""
-    part = _loadtxt(io.TextIOWrapper(_ByteRange(fd, lo, hi), encoding=encoding))
-    out.write(np.array(part.shape, np.int64).tobytes())
-    out.write(memoryview(part).cast("B"))
+    """In a worker: parse bytes ``lo:hi`` of ``fd`` into columns, and send
+    their shape (records, columns) and then each column's bytes."""
+    columns = _parse_columns(fd, lo, hi, encoding)
+    out.write(np.array([columns[0].size, len(columns)], np.int64).tobytes())
+    for column in columns:
+        out.write(memoryview(column).cast("B"))
     out.flush()
+
+
+def _parse_columns(fd, lo, hi, encoding):
+    """The records in bytes ``lo:hi`` of ``fd`` (whole lines, decoded as
+    ``open`` would) as one float array per column.  The range is parsed
+    ``_PARSE_BYTES`` of whole lines at a time into columns sized by its
+    line count, so no (records, columns) block of the whole range is made;
+    each value is parsed as one parse of the range would parse it."""
+    cuts = [lo]
+    while cuts[-1] < hi:
+        cuts.append(_line_start(fd, min(cuts[-1] + _PARSE_BYTES, hi), hi))
+    columns, row = None, 0
+    for a, b in zip(cuts, cuts[1:]):
+        part = _loadtxt(io.TextIOWrapper(_ByteRange(fd, a, b), encoding=encoding))
+        if columns is None:
+            n = _count_lines(fd, lo, hi)
+            columns = [np.empty(n) for _ in range(part.shape[1])]
+        elif part.shape[1] != len(columns):
+            raise ValueError("number of columns changed")
+        for column, values in zip(columns, part.T):
+            column[row:row + len(part)] = values
+        row += len(part)
+    return [column[:row] for column in columns]
+
+
+def _count_lines(fd, lo, hi):
+    """Lines in bytes ``lo:hi`` of ``fd``, a last one without a newline
+    counted: the most records they can hold."""
+    count, pos = 1, lo
+    while pos < hi:
+        chunk = os.pread(fd, min(_PARSE_BYTES, hi - pos), pos)
+        if not chunk:
+            break
+        count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        pos += len(chunk)
+    return count
 
 
 class _ByteRange(io.BufferedIOBase):
@@ -264,7 +323,7 @@ def _append(src, dst):
 
 
 def typed_header(source, meta, keys):
-    """The ``keys`` (name -> type) of a ``read_csv`` header, converted; a
+    """The ``keys`` (name -> type) of a ``read_columns`` header, converted; a
     missing key or a value its type rejects names ``source`` and the key."""
     out = {}
     for key, typ in keys.items():
@@ -278,55 +337,61 @@ def typed_header(source, meta, keys):
     return out
 
 
-def scatter_records(source, path, t, columns, n_steps=None, successor=None):
-    """Place flat (path, t) records, in any order, into step-major panels:
-    returns the distinct path ids, ascending, and per name of ``columns``
-    (one value per record) an (n_steps, n_paths) panel.  The records must
-    fill the panels: path and t non-negative integers, t below n_steps (by
-    default one past the largest t), values finite, one record per cell.
-    ``successor``, a pair (name, of) of column names, says that column
-    ``name`` holds each record's value of ``of`` at t + 1: it gets no
-    panel of its own; ``of``'s gets an (n_steps+1)-th row, filled from the
-    records at the last t, and every other value of ``name`` must equal
-    ``of``'s in the same path at t + 1.  Each error names ``source`` and
-    the (path, t) cell."""
+def scatter_records(source, records, n_steps=None, successor=None):
+    """Place flat (path, t) records, in any order, into step-major panels.
+    ``records`` maps "path", "t" and then each value's name to one column
+    of one entry per record; the dict is emptied as its columns are used
+    (path and t once each record's cell is known, a value once it is
+    placed, the successor last), so a caller that hands over the only
+    references frees each column as soon as it is consumed.  Returns the
+    distinct path ids, ascending, and per value name an (n_steps, n_paths)
+    panel.  The records must fill the panels: path and t non-negative
+    integers, t below n_steps (by default one past the largest t), values
+    finite, one record per cell.  ``successor``, a pair (name, of) of
+    value names, says that ``name`` holds each record's value of ``of`` at
+    t + 1: it gets no panel of its own; ``of``'s gets an (n_steps+1)-th
+    row, filled from the records at the last t, and every other value of
+    ``name`` must equal ``of``'s in the same path at t + 1.  Each error
+    names ``source`` and the (path, t) cell."""
     def reject(wrong, message):
         i = np.flatnonzero(wrong)
         if i.size:
             raise DataFormatError(f"{source}: {message(i[0])}")
 
-    pid, ts = np.asarray(path, dtype=float), np.asarray(t, dtype=float)
-    vals = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
-    rows = [pid, ts, *vals.values()]
-    reject(~np.all([(c >= 0) & (c == np.floor(c)) & (c < 2.0**53) for c in (pid, ts)], axis=0),
+    for name, v in records.items():
+        records[name] = np.asarray(v, dtype=float)
+    reject(~np.all([(c >= 0) & (c == np.floor(c)) & (c < 2.0**53)
+                    for c in (records["path"], records["t"])], axis=0),
            lambda i: f"path and t must be non-negative integers; "
-                     f"data row {i + 1} is {[float(c[i]) for c in rows]}")
-    pid, ts = pid.astype(np.int64), ts.astype(np.int64)
-    n = int(ts.max()) + 1 if n_steps is None else n_steps
-    reject(ts >= n, lambda i: f"cell (path={pid[i]}, t={ts[i]}) is outside t in [0, {n})")
-    for name, v in vals.items():
-        reject(~np.isfinite(v), lambda i: f"non-finite {name} {v[i]} at cell "
-                                          f"(path={pid[i]}, t={ts[i]})")
+                     f"data row {i + 1} is {[float(c[i]) for c in records.values()]}")
+    pid = records.pop("path").astype(np.int64)
+    cell = records.pop("t").astype(np.int64)  # the step, then in place the cell
+    n = int(cell.max()) + 1 if n_steps is None else n_steps
+    reject(cell >= n, lambda i: f"cell (path={pid[i]}, t={cell[i]}) is outside t in [0, {n})")
+    for name in records:
+        reject(~np.isfinite(records[name]),
+               lambda i: f"non-finite {name} {records[name][i]} at cell "
+                         f"(path={pid[i]}, t={cell[i]})")
     ids = np.unique(pid)
-    cell = ts  # in place: record-sized
     cell *= ids.size
     cell += np.searchsorted(ids, pid)
-    del pid, ts  # record-sized; free before the panels are allocated
+    del pid  # record-sized; free before the panels are allocated
     hits = np.bincount(cell, minlength=n * ids.size)
     for wrong, what in ((hits > 1, "duplicate rows for cell"), (hits == 0, "missing cell")):
         reject(wrong, lambda j: f"{what} (path={ids[j % ids.size]}, t={j // ids.size})")
     del hits, wrong  # panel-sized; free before the panels are allocated
     succ, of = successor or (None, None)
-    panels = {name: np.empty((n + (name == of), ids.size)) for name in vals if name != succ}
-    for name, panel in panels.items():
-        panel.reshape(-1)[cell] = vals[name]
+    panels = {}
+    for name in [name for name in records if name != succ]:
+        panels[name] = np.empty((n + (name == of), ids.size))
+        panels[name].reshape(-1)[cell] = records.pop(name)
     if successor is not None:
         # each record's successor value goes to its path's cell at t + 1
         # in the last row and must equal the value there in every other; a
         # block of records at a time, so that no record-sized array is made
-        flat, step = panels[of].reshape(-1), ids.size
+        flat, step, values = panels[of].reshape(-1), ids.size, records.pop(succ)
         for lo in range(0, cell.size, _BLOCK):
-            nxt, v = cell[lo:lo + _BLOCK] + step, vals[succ][lo:lo + _BLOCK]
+            nxt, v = cell[lo:lo + _BLOCK] + step, values[lo:lo + _BLOCK]
             last = nxt >= n * step
             flat[nxt[last]] = v[last]
             differ = np.flatnonzero(flat[nxt] != v)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SingularSystemError
 from .market import OptionContract, PathEnsemble, terminal_payoff
 from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
-                        reward_parabola)
+                        require_finite, reward_parabola, risk_tilt)
 from .regression import conditional_variance, least_squares
 
 
@@ -74,12 +74,14 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         design = basis.evaluate(paths.x_paths[:, t])
         ds, ds_c, pi_c, gain, drift = centered_step(design, paths, t, pi, ds_mean)
         hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
-                                    tilt=drift / (2.0 * gamma * risk.lam))
+                                    tilt=risk_tilt(drift, gamma, risk, t))
         a = design @ hedge_coeffs[t]
 
         c0, c1, c2 = reward_parabola(ds, pi, risk, gamma, pi_center=pi_c,
                                      ds_center=ds_c, gain=gain)
-        target = c0 + c1 * a + c2 * a**2 + gamma * q_next
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = c0 + c1 * a + c2 * a**2 + gamma * q_next
+        require_finite(target, "Q target R_t + gamma Q_(t+1)", risk, t)
         try:
             value_coeffs[t] = least_squares(design, target)
         except SingularSystemError as exc:

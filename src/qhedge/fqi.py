@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import read_csv, scatter_records, typed_header, write_table
+from .csvio import read_columns, scatter_records, typed_header, write_table
 from .dp import terminal_fit
 from .errors import DataFormatError, DegenerateInputError, SingularSystemError
 from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
                      terminal_payoff)
 from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
-                        reward_parabola)
+                        require_finite, reward_parabola, risk_tilt)
 from .regression import least_squares
 
 
@@ -34,6 +34,7 @@ _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": f
                 "lambda": float, "seed": int, "n_paths": int, "s0": float,
                 "contract_kind": str, "contract_strike": float}
 _OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
+_RECORD_COLUMNS = ("path", "t", "x", "a", "r", "x_next")  # a dataset file's, in order
 # the header key of each parameter-class field whose name differs from it
 _FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
@@ -78,14 +79,19 @@ class TransitionDataset:
         x_next the path's next x.  The states are kept
         exactly, and the prices are their ``from_state``.  Errors name
         ``source`` and the header key or the (path, t) cell."""
+        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, x, a, r, x_next))),
+                                 header, source)
+
+    @classmethod
+    def _from_columns(cls, records, header, source):
+        """``from_records`` on a dict of the record columns, which it
+        empties: ``scatter_records`` frees each column once consumed."""
         v = typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
                                           if k in header or k not in _OPTIONAL_KEYS})
         # one price panel underlies the records: each x_next must be the x
         # of the same path's next record, and the last fills the terminal
         # column of the states, stored by step
-        ids, p = scatter_records(source, path_ids, t,
-                                 {"x": x, "a": a, "r": r, "x_next": x_next},
-                                 v["n_steps"], successor=("x_next", "x"))
+        ids, p = scatter_records(source, records, v["n_steps"], successor=("x_next", "x"))
         if v.get("n_paths", ids.size) != ids.size:
             raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
                                   f"records hold {ids.size} paths")
@@ -120,8 +126,8 @@ def build_features(design, a) -> np.ndarray:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     out = np.empty((design.shape[0], 3 * design.shape[1]))
     out[:, 0::3] = design
-    out[:, 1::3] = design * a[:, None]
-    out[:, 2::3] = design * (0.5 * a**2)[:, None]
+    np.multiply(design, a[:, None], out=out[:, 1::3])
+    np.multiply(design, (0.5 * a**2)[:, None], out=out[:, 2::3])
     return out
 
 
@@ -196,9 +202,11 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     warnings = []
 
     v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
+    del design_term  # not held through the steps
     for t in range(n_steps - 1, -1, -1):
         x_t = dataset.x_paths[:, t]
         targets = dataset.r[:, t] + gamma * v_cache
+        require_finite(targets, "FQI target R_t + gamma max_a Q_(t+1)", risk, t)
 
         design_t = basis.evaluate(x_t)
         psi = build_features(design_t, dataset.a[:, t])
@@ -206,6 +214,9 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             wvec = least_squares(psi, targets)
         except SingularSystemError as exc:
             raise SingularSystemError(f"FQI weights at step {t}: {exc}") from exc
+        if t > 0 and not use_analytic:  # max_a Q_t at x_t, by the folds' own fits
+            v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
+        del psi  # three design-sized blocks: free before the hedge fit and step t-1
         w = _weights_from_vec(wvec)
         weights[t] = w
 
@@ -221,16 +232,14 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
             ds, ds_c, pi_c, _, drift = centered_step(design_t, paths, t, pi_next, ds_mean)
             action_coeffs[t] = hedge_fit(design_t, ds - ds_c, pi_next - pi_c, t,
-                                         tilt=drift / (2.0 * gamma * risk.lam))
-
-        if t > 0:  # max_a Q_t at x_t, the previous step's next states
-            if use_analytic:
+                                         tilt=risk_tilt(drift, gamma, risk, t))
+            if t > 0:  # max_a Q_t at x_t, the previous step's next states
                 a_star = design_t @ action_coeffs[t]
                 _check_one_action(dataset.a[:, t], a_star, t)
                 u = design_t @ w.T
-                v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
-            else:
-                v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked as a target
+                    v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
+        del design_t  # free before step t-1's is evaluated
 
     # read out at the start state every path records, which is then the
     # t = 0 median row; the mean of equal values can be an ulp off them
@@ -362,8 +371,10 @@ def write_dataset_csv(dataset: TransitionDataset, path):
 
 
 def read_dataset_csv(path) -> TransitionDataset:
-    meta, _, data = read_csv(path)
+    meta, _, columns = read_columns(path)
     typed_header(path, meta, {"n_paths": int})  # which a file must carry
-    if data.shape[1] != 6:
-        raise DataFormatError(f"{path}: expected 6 columns, got {data.shape[1]}")
-    return TransitionDataset.from_records(*data.T, meta, source=path)
+    if len(columns) != 6:
+        raise DataFormatError(f"{path}: expected 6 columns, got {len(columns)}")
+    records = dict(zip(_RECORD_COLUMNS, columns))
+    del columns  # the dict holds the only references, and frees each once scattered
+    return TransitionDataset._from_columns(records, meta, path)

@@ -189,6 +189,28 @@ def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
         raise SingularSystemError(f"hedge fit at step {t}: {exc}") from exc
 
 
+def risk_tilt(drift, gamma: float, risk: RiskParams, t: int):
+    """The tilt drift / (2 gamma lam) that ``hedge_fit`` adds for the
+    risk-adjusted optimal action at step t, in ``dp.solve_dp`` and
+    ``fqi.fqi_backward``; a tilt past the doubles raises
+    SingularSystemError naming risk.lambda."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tilt = drift / (2.0 * gamma * risk.lam)
+    if not np.all(np.isfinite(tilt)):
+        raise SingularSystemError(f"risk-return tilt drift / (2 gamma lambda) not finite at "
+                                  f"step {t} (risk.lambda = {risk.lam:g}, gamma = {gamma:.6g})")
+    return tilt
+
+
+def require_finite(target, what, risk: RiskParams, t: int):
+    """Raise SingularSystemError naming ``what``, step t and risk.lambda
+    if the step-t regression target of a risk-adjusted recursion is not
+    finite: its optimal actions scale as 1 / lam."""
+    if not np.all(np.isfinite(target)):
+        raise SingularSystemError(f"{what} not finite at step {t} "
+                                  f"(risk.lambda = {risk.lam:g})")
+
+
 def centered_step(design, paths: PathEnsemble, t: int, pi_next, ds_mean="model"):
     """The one centering rule of the risk-adjusted step t.  Returns
     (ds, ds_center, pi_center, gain, drift): dS_t, its center, the center

@@ -166,10 +166,25 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
                               method=method)
 
 
+def _cells(paths, t, design):
+    """Step t's basis cells (``design`` columns) of the increments dS_t.
+    Their moments do not depend on the risk aversion: moments past the
+    doubles raise SingularSystemError naming dS and market.r."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ds = paths.delta_s(t)
+            return [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
+    except (OverflowError, FloatingPointError):
+        p = paths.params
+        raise SingularSystemError(
+            f"price increments dS = S_(t+1) - e^(r dt) S_t overflow in their moments at "
+            f"step {t} (market.r = {p.r:g}, e^(r dt) = {np.exp(p.r * p.dt):.6g})") from None
+
+
 def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
     """One backward step: h_t and the per-cell hedges, from h_{t+1}."""
-    design, ds = basis.evaluate(paths.x_paths[:, t]), paths.delta_s(t)
-    cells = [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
+    design = basis.evaluate(paths.x_paths[:, t])
+    cells = _cells(paths, t, design)
     vals, hedges = np.zeros(len(cells)), np.zeros(len(cells))
     occupied = np.array([not c.empty for c in cells])
     for n, cell in enumerate(cells):

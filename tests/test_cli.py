@@ -274,6 +274,24 @@ class TestSubcommands:
                 in capsys.readouterr().err)
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("argv, names", [
+        (["dp-solve", "--risk.lambda", "1e-300"], ("Q target", "step 23", "risk.lambda")),
+        (["dp-solve", "--market.r", "700", "--market.n_steps", "1"],
+         ("risk-return tilt", "step 0", "risk.lambda")),
+        (["utility-price", "--market.r", "700", "--market.n_steps", "1"],
+         ("increments dS", "step 0", "market.r")),
+    ], ids=["dp_tiny_lambda", "dp_tiny_discount", "utility_huge_growth"])
+    def test_overflow_exits_3_naming_its_cause(self, tmp_path, capsys, argv, names):
+        """A tilt or target past the doubles names risk.lambda, and price
+        increments whose own moments overflow name market.r, not the risk
+        aversion: exit 3 with no overflow warning and no summary."""
+        out = tmp_path / "out"
+        assert run(*argv, "--mc.n_paths", "500", "--output.dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert "risk aversion" not in err
+        assert not (out / "summary.txt").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--rollout.policy", "constant", "--rollout.constant", "1e308"],
          "portfolio value Pi not finite at step 23"),

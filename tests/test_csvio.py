@@ -3,6 +3,7 @@ bytes written, the arrays read and every error are those of one process,
 and no worker or file outlives a call."""
 
 import contextlib
+import io
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from qhedge import csvio
 from qhedge.cli import main
-from qhedge.csvio import read_csv, write_table
+from qhedge.csvio import read_columns, read_csv, write_table
 from qhedge.errors import DataFormatError
 
 SMALL = ["--market.n_steps", "6", "--mc.n_paths", "400", "--basis.m", "8",
@@ -150,6 +151,34 @@ class TestSplitRead:
         assert len(started) == 3
         assert one[:2] == three[:2]
         assert np.array_equal(one[2], three[2])
+
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("blank_run", [False, True])
+    def test_pieces_parse_as_one_parse(self, tmp_path, n_cpus, blank_run):
+        """Each range is parsed 64 bytes of whole lines at a time into its
+        columns, which equal one parse of the whole body, sign of zero
+        included, across blank and comment lines and a last line without
+        a newline.  A piece of blank lines alone leaves the body to that
+        one parse."""
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-300, 300, (300, 4))
+        values[::7, 1], values[::11, 2], values[5, 3] = -0.0, 5e-324, np.finfo(float).max
+        lines = [",".join("%.17g" % v for v in row) + "\n" for row in values]
+        lines[40:40] = ["\n", "# a note\n"] + ["\n"] * (80 if blank_run else 1)
+        body = "".join(lines).rstrip("\n")
+        path = tmp_path / "table.csv"
+        path.write_text("# k=1\na,b,c,d\n" + body)
+        with split_over(n_cpus) as started, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "_PARSE_BYTES", 64)
+            columns = read_columns(path)[2]
+        assert len(started) == (0 if n_cpus == 1 else n_cpus)
+        assert_no_worker_left()
+        one = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        assert one.shape == (300, 4)
+        for j, column in enumerate(columns):
+            assert np.array_equal(column, one[:, j])
+            assert np.array_equal(np.signbit(column), np.signbit(one[:, j]))
 
 
 class TestSplitWrite:

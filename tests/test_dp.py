@@ -7,6 +7,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     build_basis, ensemble_from_prices, price_and_hedge_surface,
                     reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff)
+from qhedge.errors import SingularSystemError
 from qhedge.regression import least_squares
 from tests.test_portfolio import local_risk_fit
 
@@ -134,6 +135,22 @@ class TestOptimalQCoeffs:
 
 
 class TestSolveDP:
+    @pytest.mark.parametrize("lam, market, message", [
+        (1e-300, {}, r"Q target .* not finite at step 5 \(risk\.lambda = 1e-300\)"),
+        (1e-3, {"r": 700.0, "maturity": 1.0, "n_steps": 1},
+         r"tilt drift / \(2 gamma lambda\) not finite at step 0 \(risk\.lambda = 0\.001, "
+         r"gamma = 9\.85968e-305\)"),
+    ], ids=["tiny_lambda", "tiny_discount"])
+    def test_past_the_doubles_names_risk_lambda(self, lam, market, message):
+        """The optimal action's tilt drift / (2 gamma lambda) grows as 1/lambda
+        and 1/gamma: a tiny lambda takes the Q target past the doubles, and
+        gamma = e^(-700) the tilt itself.  Either raises naming risk.lambda
+        and the step, with no overflow warning."""
+        paths = gbm(n_paths=500, seed=1, mu=0.05, **market)
+        basis = build_basis("bspline", 8, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError, match=message):
+            solve_dp(paths, PUT, RiskParams(lam), basis)
+
     def test_deterministic_world_prices_at_payoff(self):
         """sigma = 0, r = 0: the price is the certain payoff itself; the
         degenerate action system is absorbed by the ridge floor."""

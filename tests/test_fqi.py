@@ -12,8 +12,10 @@ from qhedge import (BasisSet, FQISolution, MarketParams,
                     dataset_rewards, extract_price_hedge, fqi_backward,
                     read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
                     write_dataset_csv)
+from qhedge.cli import ExperimentConfig, main
 from qhedge.csvio import write_table
-from qhedge.errors import DataFormatError
+from qhedge.errors import DataFormatError, SingularSystemError
+from tests.test_csvio import split_over
 
 PUT = OptionContract("put", 100.0)
 
@@ -166,6 +168,21 @@ class TestAgainstDP:
         sol = fqi_backward(ds, basis)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.05
         assert abs(sol.hedge0 - dp.hedge0) < 0.10
+
+    def test_tiny_lambda_names_risk_lambda(self):
+        """At lambda = 1e-300 the analytic action's tilt drift / (2 gamma
+        lambda) is about 1e299, so the max term leaves the doubles: the
+        target that would hold it raises naming risk.lambda and the step,
+        with no overflow warning."""
+        paths = gbm(n_paths=500, seed=3, mu=0.05)
+        basis, risk = make_pipeline(paths, lam=1e-300)
+        actions = np.random.default_rng(9).uniform(-1.5, 1.5, size=(500, paths.n_steps))
+        pi_ref = solve_local_risk(paths, PUT, basis)[1]
+        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
+        with pytest.raises(SingularSystemError, match=r"FQI target .* not finite at "
+                                                      r"step \d \(risk\.lambda = 1e-300\)"):
+            fqi_backward(ds, basis)
 
     def test_residuals_have_zero_mean(self):
         """The Bellman regression treats its noise as zero-mean: fitted
@@ -331,6 +348,33 @@ class TestDatasetIO:
         finally:
             tracemalloc.stop()
         assert peak < size / 2
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_read_and_solve_peak_below_nine_record_columns(self, tmp_path, n_cpus):
+        """At the benchmark's shape (24 steps and the default 12-function
+        basis, so one step's features are 1.5 float columns of records)
+        reading a dataset and solving it each trace less than 9 float
+        columns of records: the records arrive and are scattered one
+        column at a time, and each step's features are freed before the
+        next step's.  The read holds the same columns whether it parses
+        here (one CPU) or in forked workers, whose memory is not traced."""
+        assert main(["make-dataset", "--dataset.policy", "random",
+                     "--output.dir", str(tmp_path)]) == 0
+        with split_over(n_cpus) as started:
+            tracemalloc.start()
+            try:
+                ds = read_dataset_csv(tmp_path / "dataset.csv")
+                read_peak = tracemalloc.get_traced_memory()[1]
+                basis = ExperimentConfig.load().basis_for(ds)
+                tracemalloc.reset_peak()
+                fqi_backward(ds, basis)
+                solve_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(started) == (0 if n_cpus == 1 else n_cpus)
+        assert (ds.paths.n_steps, basis.m) == (24, 12)
+        columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
+        assert all(peak < 9 for peak in columns.values()), columns
 
     def test_missing_slice_rejected(self):
         header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,

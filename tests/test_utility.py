@@ -182,6 +182,17 @@ class TestIndifferencePrice:
             indifference_price_recursion(paths, PUT, 1e308, basis, order=order,
                                          method=method)
 
+    @pytest.mark.parametrize("method", ["expansion", "numeric"])
+    def test_increments_past_the_doubles_name_the_rate(self, method):
+        """At r dt = 700, e^(r dt) S_t is about 1e306 in every dS, whose
+        centered square leaves the doubles whatever the risk aversion: the
+        error names dS and market.r, not the aversion."""
+        paths = rn_gbm(n_paths=500, seed=9, mu=0.03, r=700.0, n_steps=1)
+        basis = build_basis("one_hot_grid", 4, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError, match=r"increments dS .* overflow in their "
+                                                      r"moments at step 0 \(market\.r = 700"):
+            indifference_price_recursion(paths, PUT, 0.01, basis, method=method)
+
     def test_numeric_needs_positive_aversion(self):
         paths = rn_gbm(n_paths=500, seed=9, n_steps=2)
         basis = build_basis("one_hot_grid", 4, paths.x_paths.ravel())
