@@ -20,7 +20,7 @@ from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
 from .csvio import format_value, read_columns, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
-from .errors import ConfigError, DataFormatError, QHedgeError, SingularSystemError
+from .errors import ConfigError, DataFormatError, QHedgeError, require_finite
 from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
                   write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
@@ -385,8 +385,7 @@ def cmd_tabular_q(cfg):
                       schedule=(cfg["tabular.alpha0"], cfg["tabular.k0"]),
                       seed=cfg["mc.seed"])
     for name, table in (("exact", exact), ("learned", learned)):
-        if not np.isfinite(table.q).all():  # no agreement metric on a broken table
-            raise SingularSystemError(f"{name} Q-table not finite")
+        require_finite(lambda: table.q, f"{name} Q-table")  # no metric on a broken table
     out = _outdir(cfg)
     visits = np.vstack([learned.visits, np.zeros_like(learned.visits[:1])])  # none at T
     write_table(out / "qtable.csv", {"t": None, "state_index": None, "action_index": None},

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import require_finite
 from .market import OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
-                        require_finite, reward_parabola, risk_tilt)
+from .portfolio import (DS_MEANS, RiskParams, _replicate, _reward, centered_step,
+                        hedge_fit, risk_tilt)
 from .regression import conditional_variance, least_squares
 
 
@@ -40,8 +40,9 @@ def terminal_fit(design, payoff, lam: float) -> np.ndarray:
     """Value coefficients of the terminal Q on the terminal design:
     -payoff minus lam times the regression estimate of the payoff variance
     conditional on the terminal state (floored at 0)."""
-    q_term = -payoff - lam * conditional_variance(design, payoff)
-    return least_squares(design, q_term)
+    var, note = conditional_variance(design, payoff), f"risk.lambda = {lam:g}"
+    q_term = require_finite(lambda: -payoff - lam * var, "terminal Q target", note=note)
+    return least_squares(design, q_term, what=f"terminal Q fit ({note})")
 
 
 def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
@@ -77,15 +78,11 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
                                     tilt=risk_tilt(drift, gamma, risk, t))
         a = design @ hedge_coeffs[t]
 
-        c0, c1, c2 = reward_parabola(ds, pi, risk, gamma, pi_center=pi_c,
-                                     ds_center=ds_c, gain=gain)
-        with np.errstate(over="ignore", invalid="ignore"):
-            target = c0 + c1 * a + c2 * a**2 + gamma * q_next
-        require_finite(target, "Q target R_t + gamma Q_(t+1)", risk, t)
-        try:
-            value_coeffs[t] = least_squares(design, target)
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"Q fit at step {t}: {exc}") from exc
+        target = require_finite(
+            lambda: _reward(a, ds, pi, risk, gamma, pi_center=pi_c, ds_center=ds_c,
+                            gain=gain) + gamma * q_next,
+            "Q target R_t + gamma Q_(t+1)", t, f"risk.lambda = {risk.lam:g}")
+        value_coeffs[t] = least_squares(design, target, what=f"Q fit at step {t}")
         q_next = design @ value_coeffs[t]
         return a
 

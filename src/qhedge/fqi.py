@@ -21,11 +21,12 @@ import numpy as np
 
 from .csvio import read_columns, scatter_records, typed_header, write_table
 from .dp import terminal_fit
-from .errors import DataFormatError, DegenerateInputError, SingularSystemError
+from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
+                     require_finite)
 from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
                      terminal_payoff)
-from .portfolio import (DS_MEANS, RiskParams, _replicate, centered_step, hedge_fit,
-                        require_finite, reward_parabola, risk_tilt)
+from .portfolio import (DS_MEANS, RiskParams, _replicate, _reward, centered_step,
+                        hedge_fit, risk_tilt)
 from .regression import least_squares
 
 
@@ -200,20 +201,18 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     weights = [None] * n_steps
     action_coeffs = [None] * n_steps if use_analytic else None
     warnings = []
+    lam_note = f"risk.lambda = {risk.lam:g}"
 
     v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
     del design_term  # not held through the steps
     for t in range(n_steps - 1, -1, -1):
         x_t = dataset.x_paths[:, t]
-        targets = dataset.r[:, t] + gamma * v_cache
-        require_finite(targets, "FQI target R_t + gamma max_a Q_(t+1)", risk, t)
+        targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
+                                 "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
 
         design_t = basis.evaluate(x_t)
         psi = build_features(design_t, dataset.a[:, t])
-        try:
-            wvec = least_squares(psi, targets)
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"FQI weights at step {t}: {exc}") from exc
+        wvec = least_squares(psi, targets, what=f"FQI weights at step {t}")
         if t > 0 and not use_analytic:  # max_a Q_t at x_t, by the folds' own fits
             v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
         del psi  # three design-sized blocks: free before the hedge fit and step t-1
@@ -237,8 +236,9 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
                 a_star = design_t @ action_coeffs[t]
                 _check_one_action(dataset.a[:, t], a_star, t)
                 u = design_t @ w.T
-                with np.errstate(over="ignore", invalid="ignore"):  # checked as a target
-                    v_cache = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
+                v_cache = require_finite(  # past the doubles, so is step t-1's target
+                    lambda: u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2],
+                    "FQI target R_t + gamma max_a Q_(t+1)", t - 1, lam_note)
         del design_t  # free before step t-1's is evaluated
 
     # read out at the start state every path records, which is then the
@@ -332,10 +332,10 @@ def dataset_rewards(paths: PathEnsemble, actions, pi_reference, risk: RiskParams
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
         ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
-        c0, c1, c2 = reward_parabola(ds, pi_next, risk, paths.params.gamma,
-                                     pi_center=pi_c, ds_center=ds_c, gain=gain)
-        a = actions[:, t]
-        rewards[t] = c0 + c1 * a + c2 * a**2
+        rewards[t] = require_finite(
+            lambda: _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
+                            pi_center=pi_c, ds_center=ds_c, gain=gain),
+            "reward R", t, f"risk.lambda = {risk.lam:g}")
     return rewards.T
 
 

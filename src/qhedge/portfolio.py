@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularSystemError
+from .errors import DegenerateInputError, require_finite
 from .market import OptionContract, PathEnsemble, terminal_payoff
 from .regression import conditional_mean, conditional_variance, least_squares
 
@@ -117,10 +117,8 @@ def _replicate(paths: PathEnsemble, payoff, hedge) -> np.ndarray:
     pi[-1] = payoff
     for t in range(paths.n_steps - 1, -1, -1):
         u = hedge(t, pi[t + 1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi[t] = gamma * (pi[t + 1] - u * paths.delta_s(t))
-        if not np.isfinite(pi[t]).all():
-            raise SingularSystemError(f"portfolio value Pi not finite at step {t}")
+        pi[t] = require_finite(lambda: gamma * (pi[t + 1] - u * paths.delta_s(t)),
+                               "portfolio value Pi", t)
     return pi.T
 
 
@@ -133,23 +131,20 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     u = strategy.actions(paths)
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
     pi = _replicate(paths, payoff, lambda t, _: u[:, t])
+    b_account = require_finite(lambda: (pi - u * paths.s_paths).T, "bank account B",
+                               by_step=True).T
 
-    rewards = np.empty(u.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
+    def rewards():
+        out = np.empty(u.shape)
         for t in range(paths.n_steps):
             ds = paths.delta_s(t)
-            c0, c1, c2 = reward_parabola(ds, pi[:, t + 1], risk, paths.params.gamma,
-                                         pi_center=pi[:, t + 1].mean(),
-                                         ds_center=ds.mean())
-            rewards[:, t] = c0 + c1 * u[:, t] + c2 * u[:, t]**2
+            out[:, t] = _reward(u[:, t], ds, pi[:, t + 1], risk, paths.params.gamma,
+                                pi_center=pi[:, t + 1].mean(), ds_center=ds.mean())
         # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
-        rewards[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
-        b_account = pi - u * paths.s_paths
-    for name, panel in (("bank account B", b_account), ("reward R", rewards)):
-        bad = np.flatnonzero(~np.isfinite(panel).all(axis=0))
-        if bad.size:
-            raise SingularSystemError(f"{name} not finite at step {bad[0]}")
-    return PortfolioRollout(pi=pi, b_account=b_account, rewards=rewards, actions=u)
+        out[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
+        return out.T
+    return PortfolioRollout(pi=pi, b_account=b_account, actions=u,
+                            rewards=require_finite(rewards, "reward R", by_step=True).T)
 
 
 def reward_parabola(delta_s, pi_next, risk: RiskParams, gamma: float, *,
@@ -175,6 +170,12 @@ def reward_parabola(delta_s, pi_next, risk: RiskParams, gamma: float, *,
     return c0, c1, c2
 
 
+def _reward(a, delta_s, pi_next, risk: RiskParams, gamma: float, **centers):
+    """The reward c0 + c1 a + c2 a^2 of ``reward_parabola`` at the actions a."""
+    c0, c1, c2 = reward_parabola(delta_s, pi_next, risk, gamma, **centers)
+    return c0 + c1 * a + c2 * a**2
+
+
 def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
     """Step-t hedge coefficients c on the design rows Phi, from the ridge
     system Phi^T diag(ds_dev^2) Phi c = Phi^T (pi_dev * ds_dev + tilt).
@@ -183,10 +184,7 @@ def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
     the risk-minimizing hedge; tilt = drift / (2 gamma lam) gives the
     risk-adjusted optimal action."""
     target = pi_dev * ds_dev if tilt is None else pi_dev * ds_dev + tilt
-    try:
-        return least_squares(design, target, scale=ds_dev)
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"hedge fit at step {t}: {exc}") from exc
+    return least_squares(design, target, scale=ds_dev, what=f"hedge fit at step {t}")
 
 
 def risk_tilt(drift, gamma: float, risk: RiskParams, t: int):
@@ -194,21 +192,9 @@ def risk_tilt(drift, gamma: float, risk: RiskParams, t: int):
     risk-adjusted optimal action at step t, in ``dp.solve_dp`` and
     ``fqi.fqi_backward``; a tilt past the doubles raises
     SingularSystemError naming risk.lambda."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tilt = drift / (2.0 * gamma * risk.lam)
-    if not np.all(np.isfinite(tilt)):
-        raise SingularSystemError(f"risk-return tilt drift / (2 gamma lambda) not finite at "
-                                  f"step {t} (risk.lambda = {risk.lam:g}, gamma = {gamma:.6g})")
-    return tilt
-
-
-def require_finite(target, what, risk: RiskParams, t: int):
-    """Raise SingularSystemError naming ``what``, step t and risk.lambda
-    if the step-t regression target of a risk-adjusted recursion is not
-    finite: its optimal actions scale as 1 / lam."""
-    if not np.all(np.isfinite(target)):
-        raise SingularSystemError(f"{what} not finite at step {t} "
-                                  f"(risk.lambda = {risk.lam:g})")
+    return require_finite(lambda: drift / (2.0 * gamma * risk.lam),
+                          "risk-return tilt drift / (2 gamma lambda)", t,
+                          f"risk.lambda = {risk.lam:g}, gamma = {gamma:.6g}")
 
 
 def centered_step(design, paths: PathEnsemble, t: int, pi_next, ds_mean="model"):

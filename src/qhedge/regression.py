@@ -28,17 +28,22 @@ class NormalEquations:
         return coeffs
 
 
-def least_squares(design: np.ndarray, target: np.ndarray, scale=None) -> np.ndarray:
+def least_squares(design: np.ndarray, target: np.ndarray, scale=None,
+                  what=None) -> np.ndarray:
     """Ridge least squares: c with (A^T A + eps I) c = Phi^T target, where A is
     the design Phi with each row times ``scale`` (Phi when None) and eps is
     RIDGE_SCALE * trace / m, floored at 1e-12.  Each sum over samples runs in
     one order at any BLAS thread count: the Gram is one symmetric product
-    (``syrk`` splits threads by output block), Phi^T target numpy's einsum."""
+    (``syrk`` splits threads by output block), Phi^T target numpy's einsum.
+    A SingularSystemError is prefixed with "<what>: " when ``what`` is given."""
     rows = design if scale is None else design * scale[:, None]
     gram = rows.T @ rows
     eps = RIDGE_SCALE * float(np.trace(gram)) / gram.shape[0]
     rhs = np.einsum("ij,i->j", design, target)
-    return NormalEquations(gram, rhs, eps if eps > 0 else 1e-12).solve()
+    try:
+        return NormalEquations(gram, rhs, eps if eps > 0 else 1e-12).solve()
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
 def conditional_mean(design: np.ndarray, y: np.ndarray) -> np.ndarray:

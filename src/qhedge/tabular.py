@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .errors import SingularSystemError
+from .errors import require_finite
 from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
 from .portfolio import RiskParams, _replicate, reward_parabola
 
@@ -156,8 +156,9 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     # per-path reward parabolas, then conditional means per (t, i, j);
     # bincount adds each cell's records in path order
     counts = np.empty((n_steps, n_xe * n_xe))
-    coeffs = np.empty((n_steps, n_xe * n_xe, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def mean_coeffs():
+        sums = np.empty((n_steps, n_xe * n_xe, 3))
         for t in range(n_steps):
             ix = idx[:, t]
             cell = ix * n_xe + idx[:, t + 1]
@@ -165,14 +166,11 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
             for k, c in enumerate(reward_parabola(
                     ds_dev[:, t], pi[:, t + 1], risk, mdp.gamma,
                     pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
-                coeffs[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
+                sums[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
+        n = counts.reshape(n_steps, n_xe, n_xe, 1)
+        return np.where(n > 0, sums.reshape(*n.shape[:3], 3) / np.maximum(n, 1.0), 0.0)
+    coeffs = require_finite(mean_coeffs, "chain reward coefficients", by_step=True)
     counts = counts.reshape(n_steps, n_xe, n_xe)
-    coeffs = coeffs.reshape(n_steps, n_xe, n_xe, 3)
-    coeffs = np.where(counts[..., None] > 0,
-                      coeffs / np.maximum(counts[..., None], 1.0), 0.0)
-    bad = np.flatnonzero(~np.isfinite(coeffs).reshape(n_steps, -1).all(axis=1))
-    if bad.size:
-        raise SingularSystemError(f"chain reward coefficients not finite at step {bad[0]}")
 
     rows = counts.sum(axis=2, keepdims=True)
     probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
@@ -180,10 +178,9 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     ix_T = idx[:, -1]
     mean_pay = _bucket_means(ix_T, payoff, n_xe)
     mean_pay2 = _bucket_means(ix_T, payoff**2, n_xe)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
-    if not np.isfinite(terminal_q).all():
-        raise SingularSystemError(f"chain terminal values not finite at step {n_steps}")
+    terminal_q = require_finite(
+        lambda: -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0),
+        "chain terminal values", n_steps)
 
     reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
     reachable[np.arange(n_steps + 1), idx] = True
@@ -286,7 +283,6 @@ def analytic_actions(mdp: DiscreteMDP) -> np.ndarray:
     for t in range(n_steps):
         lin = np.einsum("ij,ij->i", mdp.probs[t], mdp.reward_coeffs[t, :, :, 1])
         quad = np.einsum("ij,ij->i", mdp.probs[t], mdp.reward_coeffs[t, :, :, 2])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vert = np.where(quad < 0, -lin / (2.0 * quad), 0.0)
+        vert = np.where(quad < 0, -lin / (2.0 * np.where(quad < 0, quad, -1.0)), 0.0)
         out[t] = np.where(mdp.reachable[t], vert, 0.0)
     return out

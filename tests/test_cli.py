@@ -280,11 +280,21 @@ class TestSubcommands:
          ("risk-return tilt", "step 0", "risk.lambda")),
         (["utility-price", "--market.r", "700", "--market.n_steps", "1"],
          ("increments dS", "step 0", "market.r")),
-    ], ids=["dp_tiny_lambda", "dp_tiny_discount", "utility_huge_growth"])
+        (["make-dataset", "--risk.lambda", "1e308", "--dataset.policy", "random",
+          "--market.n_steps", "4"],
+         ("reward R not finite at step 0 (risk.lambda = 1e+308)",)),
+        (["dp-solve", "--risk.lambda", "1e308"],
+         ("terminal Q fit", "risk.lambda = 1e+308")),
+        (["dp-solve", "--risk.lambda", "1e308", "--market.sigma", "1"],
+         ("terminal Q target not finite", "risk.lambda = 1e+308")),
+    ], ids=["dp_tiny_lambda", "dp_tiny_discount", "utility_huge_growth",
+            "dataset_reward_overflows", "dp_terminal_fit_overflows",
+            "dp_terminal_target_overflows"])
     def test_overflow_exits_3_naming_its_cause(self, tmp_path, capsys, argv, names):
-        """A tilt or target past the doubles names risk.lambda, and price
-        increments whose own moments overflow name market.r, not the risk
-        aversion: exit 3 with no overflow warning and no summary."""
+        """A tilt, target, reward or terminal fit past the doubles names
+        risk.lambda, and price increments whose own moments overflow name
+        market.r, not the risk aversion: exit 3 with no overflow warning and
+        no summary."""
         out = tmp_path / "out"
         assert run(*argv, "--mc.n_paths", "500", "--output.dir", str(out)) == 3
         err = capsys.readouterr().err
@@ -296,9 +306,12 @@ class TestSubcommands:
         (["--rollout.policy", "constant", "--rollout.constant", "1e308"],
          "portfolio value Pi not finite at step 23"),
         (["--risk.lambda", "1e308"], "reward R not finite at step 0"),
-    ], ids=["pi_overflows", "reward_overflows"])
+        # R overflows on this run too: B is checked first
+        (["--rollout.policy", "constant", "--rollout.constant", "1e306",
+          "--market.n_steps", "2"], "bank account B not finite at step 0"),
+    ], ids=["pi_overflows", "reward_overflows", "bank_account_overflows"])
     def test_rollout_refuses_a_non_finite_panel(self, tmp_path, capsys, argv, message):
-        """A hedge or a risk aversion that drives Pi or R past the doubles
+        """A hedge or a risk aversion that drives Pi, B or R past the doubles
         exits 3 naming the panel and the step, and writes no rollout.csv."""
         out = tmp_path / "r"
         assert run("rollout", "--mc.n_paths", "500", *argv, "--output.dir", str(out)) == 3
