@@ -226,8 +226,9 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
     The panel must hold one finite, positive price per (path, t) cell of
-    a rectangle, with ``params.n_steps`` steps when ``params`` is given;
-    otherwise the state transform uses the header's mu/sigma.
+    a rectangle.  Without ``params`` the state transform uses the header's
+    mu/sigma; with them the panel must have ``params.n_steps`` steps, and
+    a header mu, sigma, r or maturity must equal the configured one.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -243,8 +244,9 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
                               f"(path={int(columns[0][i])}, t={int(columns[1][i])})")
     panel = cols["price"].T  # stored by step, as PathEnsemble keeps it
     n_steps = panel.shape[1] - 1
+    keys = ("mu", "sigma", "r", "maturity")
     if params is None:
-        h = typed_header(path, meta, dict.fromkeys(("mu", "sigma", "r", "maturity"), float))
+        h = typed_header(path, meta, dict.fromkeys(keys, float))
         try:
             params = MarketParams(s0=float(panel[0, 0]), n_steps=n_steps, **h)
         except ValueError as exc:  # n_steps is the panel's, not the header's
@@ -254,6 +256,12 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     elif params.n_steps != n_steps:
         raise ConfigError(f"{path}: the panel has {n_steps} steps, but "
                           f"market.n_steps is {params.n_steps}")
+    else:  # a panel recorded under another market would be priced under the wrong one
+        h = typed_header(path, meta, dict.fromkeys((k for k in keys if k in meta), float))
+        for key, value in h.items():
+            if value != getattr(params, key):
+                raise ConfigError(f"{path}: the panel's header has {key}={value}, but "
+                                  f"market.{key} is {getattr(params, key)}")
     return ensemble_from_prices(panel, params)
 
 

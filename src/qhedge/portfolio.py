@@ -84,8 +84,9 @@ class HedgeStrategy:
         return cls(fill)
 
     def actions(self, paths: PathEnsemble) -> np.ndarray:
-        """(n_paths, n_steps+1) action matrix with the expiry column zeroed."""
-        out = np.zeros((paths.n_paths, paths.n_steps + 1))
+        """(n_paths, n_steps+1) action matrix with the expiry column zeroed,
+        stored by step so that its [:, :-1] view is a step-major panel."""
+        out = np.zeros((paths.n_paths, paths.n_steps + 1), order="F")
         self._fill(paths, out[:, :-1])
         return out
 
@@ -135,7 +136,7 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
                                by_step=True).T
 
     def rewards():
-        out = np.empty(u.shape)
+        out = np.empty_like(u)
         for t in range(paths.n_steps):
             ds = paths.delta_s(t)
             out[:, t] = _reward(u[:, t], ds, pi[:, t + 1], risk, paths.params.gamma,

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import SingularSystemError, require_finite
 
 RIDGE_SCALE = 1e-8
 
@@ -20,12 +20,11 @@ class NormalEquations:
     def solve(self) -> np.ndarray:
         m = self.gram.shape[0]
         try:
-            coeffs = np.linalg.solve(self.gram + self.ridge_epsilon * np.eye(m), self.rhs)
+            return require_finite(
+                lambda: np.linalg.solve(self.gram + self.ridge_epsilon * np.eye(m), self.rhs),
+                "regression coefficients")
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"normal equations singular after ridge: {exc}") from exc
-        if not np.all(np.isfinite(coeffs)):
-            raise SingularSystemError("non-finite regression coefficients")
-        return coeffs
 
 
 def least_squares(design: np.ndarray, target: np.ndarray, scale=None,

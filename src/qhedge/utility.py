@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularSystemError
+from .errors import DegenerateInputError, SingularSystemError, require_finite
 from .market import OptionContract, PathEnsemble, terminal_payoff
 
 _BISECT_CAP = 200
@@ -63,7 +63,8 @@ class _Cell:
         self.ds_c = ds[self.idx] - self.mean(ds[self.idx])
         self.var = self.mean(self.ds_c**2)
         self.hedgeable = self.var > 0
-        if not self.hedgeable and self.idx.size >= 2:
+        # a NaN variance is not zero: _cells reports it as not finite
+        if self.var == 0 and self.idx.size >= 2:
             raise DegenerateInputError(
                 f"zero conditional variance of dS in cell {n} at step {t}"
             )
@@ -151,34 +152,28 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
     hedge_coeffs = [None] * n_steps
 
     for t in range(n_steps - 1, -1, -1):
-        try:  # Python floats raise OverflowError; numpy raises under errstate
-            with np.errstate(over="raise", invalid="raise"):
-                h, hedge_coeffs[t] = _step(paths, t, basis, h, gamma_risk, method,
-                                           order, disc)
-            finite = np.isfinite(h).all() and np.isfinite(hedge_coeffs[t]).all()
-        except (OverflowError, FloatingPointError):
-            finite = False
-        if not finite:
-            raise SingularSystemError(
-                f"indifference value or hedge not finite at step {t}: risk aversion "
-                f"{gamma_risk:g} is too large for these payoffs")
+        values = require_finite(
+            lambda: np.concatenate(_step(paths, t, basis, h, gamma_risk, method, order,
+                                         disc)),
+            "indifference value or hedge", t, f"utility.gamma = {gamma_risk:g}")
+        h, hedge_coeffs[t] = values[:paths.n_paths], values[paths.n_paths:].copy()
     return IndifferenceResult(price0=float(h[0]), hedge_coeffs=hedge_coeffs,
                               method=method)
 
 
 def _cells(paths, t, design):
     """Step t's basis cells (``design`` columns) of the increments dS_t.
-    Their moments do not depend on the risk aversion: moments past the
-    doubles raise SingularSystemError naming dS and market.r."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            ds = paths.delta_s(t)
-            return [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
-    except (OverflowError, FloatingPointError):
-        p = paths.params
-        raise SingularSystemError(
-            f"price increments dS = S_(t+1) - e^(r dt) S_t overflow in their moments at "
-            f"step {t} (market.r = {p.r:g}, e^(r dt) = {np.exp(p.r * p.dt):.6g})") from None
+    Their moments do not depend on the risk aversion: a variance past the
+    doubles raises SingularSystemError naming dS and market.r, whose growth
+    e^(r dt) S_t dominates dS.  Runs inside the step's ``require_finite``,
+    which keeps numpy's float warnings off."""
+    ds = paths.delta_s(t)
+    cells = [_Cell(design[:, n], ds, t, n) for n in range(design.shape[1])]
+    p = paths.params
+    require_finite(lambda: [c.var for c in cells if not c.empty],
+                   "variance of the price increments dS = S_(t+1) - e^(r dt) S_t", t,
+                   f"market.r = {p.r:g}, e^(r dt) = {np.exp(p.r * p.dt):.6g}")
+    return cells
 
 
 def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
@@ -196,12 +191,7 @@ def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
                 hedges[n] = _exact_hedge(cell, h_sub, n, t, gamma_risk)
             z = gamma_risk * (h_sub - hedges[n] * cell.ds_c)
             zmax = float(z.max())
-            mean_exp = cell.mean(np.exp(z - zmax))
-            if not np.isfinite(mean_exp) or mean_exp <= 0:
-                raise SingularSystemError(
-                    f"exponential expectation overflowed in cell {n} at step {t}"
-                )
-            vals[n] = (zmax + np.log(mean_exp)) / gamma_risk
+            vals[n] = (zmax + np.log(cell.mean(np.exp(z - zmax)))) / gamma_risk
         else:
             u0 = cell.u0(h_sub)
             hedges[n] = u0
@@ -209,11 +199,11 @@ def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
             mean_r = cell.mean(resid)
             vals[n] = mean_r
             if order >= 1:
-                var_r = max(cell.mean(resid**2) - mean_r**2, 0.0)
+                var_r = max(cell.mean(resid**2) - mean_r * mean_r, 0.0)
                 vals[n] += 0.5 * gamma_risk * var_r
                 hedges[n] = u0 + gamma_risk * cell.u1(h_sub, u0)
             if order >= 2:
-                vals[n] += gamma_risk**2 / 6.0 * cell.mean((resid - mean_r) ** 3)
+                vals[n] += gamma_risk * gamma_risk / 6.0 * cell.mean((resid - mean_r) ** 3)
     weights = np.where(occupied[None, :], design, 0.0)
     norm = weights.sum(axis=1)
     if np.any(norm <= 0):

@@ -608,6 +608,26 @@ class TestIngest:
         assert ("panel.csv: the panel has 2 steps, but market.n_steps is 24"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value", [("mu", "0.03"), ("sigma", "0.3"), ("r", "0.04"),
+                                            ("maturity", "2")])
+    def test_header_market_contradiction_names_key_and_file(self, tmp_path, capsys,
+                                                             key, value):
+        """A panel recorded under another market is a configuration error
+        naming the key, the file and both values, not a price computed
+        under the configured market; under the panel's market it runs."""
+        assert run("simulate", f"--market.{key}", value, "--output.dir",
+                   str(tmp_path / "sim"), *SMALL) == 0
+        capsys.readouterr()
+        f = tmp_path / "sim" / "ensemble.csv"
+        out = tmp_path / "dp"
+        assert run("dp-solve", "--ingest.path", str(f), "--output.dir", str(out), *SMALL) == 2
+        default = ExperimentConfig.load().values[f"market.{key}"]
+        assert (f"{f}: the panel's header has {key}={float(value)}, but market.{key} is "
+                f"{default}" in capsys.readouterr().err)
+        assert not (out / "summary.txt").exists()
+        assert run("dp-solve", "--ingest.path", str(f), f"--market.{key}", value,
+                   "--output.dir", str(out), *SMALL) == 0
+
     def test_duplicate_cell_names_cell(self, tmp_path, capsys):
         """Two rows for one (path, t) cell are a format error, not a price
         the later row silently overwrites."""

@@ -6,7 +6,7 @@ import pytest
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
                     ask_price, build_basis, ensemble_from_prices,
                     rollout_portfolio, signed_measure_weights, simulate_gbm,
-                    solve_local_risk, terminal_payoff)
+                    solve_dp, solve_local_risk, terminal_payoff)
 from qhedge.errors import DegenerateInputError
 from qhedge.portfolio import hedge_fit
 from qhedge.regression import conditional_mean
@@ -286,3 +286,19 @@ class TestAskPrice:
             expected += 0.01 * np.exp(-params.r * t * params.dt) * roll.pi[:, t].var()
         np.testing.assert_allclose(ask_price(paths, roll, risk, basis),
                                    expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_dp_price_on_dp_rollout(self, seed):
+        """The paper's price = -Q*: on DP's own hedged rollout at mu = r the
+        ask equals DP's price0.  Both sum lam gamma^t Var[Pi_t | x_t] over
+        t = 0 .. T, so the gap is the difference of their regressions: at
+        most 3.1e-5 relative over 200 seeds at this size.  A Q target
+        without gamma moves it by 2.8e-2 or more, and one without the
+        terminal variance by 1.07e-4 or more."""
+        paths = gbm(seed=seed, mu=0.03)
+        basis = build_basis("bspline", 8, paths.x_paths)
+        risk = RiskParams(1e-3)
+        sol = solve_dp(paths, PUT, risk, basis)
+        strategy = HedgeStrategy.from_coefficients(basis, sol.hedge_coeffs)
+        roll = rollout_portfolio(paths, strategy, PUT, risk)
+        np.testing.assert_allclose(ask_price(paths, roll, risk, basis), sol.price0, rtol=6e-5)

@@ -189,9 +189,19 @@ class TestIndifferencePrice:
         error names dS and market.r, not the aversion."""
         paths = rn_gbm(n_paths=500, seed=9, mu=0.03, r=700.0, n_steps=1)
         basis = build_basis("one_hot_grid", 4, paths.x_paths.ravel())
-        with pytest.raises(SingularSystemError, match=r"increments dS .* overflow in their "
-                                                      r"moments at step 0 \(market\.r = 700"):
+        with pytest.raises(SingularSystemError, match=r"increments dS = .* not finite at "
+                                                      r"step 0 \(market\.r = 700, "):
             indifference_price_recursion(paths, PUT, 0.01, basis, method=method)
+
+    def test_infinite_increments_are_not_a_zero_variance(self):
+        """At r dt = 709, e^(r dt) S_t itself overflows, every dS is -inf and
+        each cell's centered variance NaN: still named as dS past the
+        doubles, not as a cell without dispersion."""
+        paths = rn_gbm(n_paths=500, seed=9, mu=0.03, r=709.0, n_steps=1)
+        basis = build_basis("one_hot_grid", 4, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError, match=r"increments dS = .* not finite at "
+                                                      r"step 0 \(market\.r = 709, "):
+            indifference_price_recursion(paths, PUT, 0.01, basis)
 
     def test_numeric_needs_positive_aversion(self):
         paths = rn_gbm(n_paths=500, seed=9, n_steps=2)
