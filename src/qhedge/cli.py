@@ -295,8 +295,8 @@ def cmd_simulate(cfg):
     write_table(out / "ensemble.csv", {"path": None, "t": None},
                 {"s": paths.s_paths, "x": paths.x_paths},
                 header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
-                        "maturity": p.maturity, "n_steps": p.n_steps,
-                        "n_paths": paths.n_paths, "seed": paths.seed})
+                        "maturity": p.maturity, "n_steps": p.n_steps, "n_paths": paths.n_paths,
+                        **({} if paths.seed is None else {"seed": paths.seed})})
     _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
                           "mean_s_final": paths.s_paths[:, -1].mean()})
     return 0

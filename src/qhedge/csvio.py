@@ -1,10 +1,15 @@
 """The artifact codec: the one place that writes and reads CSV artifacts.
 
 A file is ``# key=value`` header lines, one row of column names, then one
-comma-separated row per record.  Floats are written with 17 significant
-digits, which round-trips every float64; integers in decimal; anything
-else as ``str``.  So a fixed (config, seed) reproduces every artifact byte
-for byte, and reading one back returns the computed values exactly.
+comma-separated row per record, each value as ``%.17g`` (floats: 17
+significant digits, which round-trips every float64), ``%d`` (integers) or
+``str`` writes it.  So a fixed (config, seed) reproduces every artifact
+byte for byte, and reading one back returns the computed values exactly.
+numpy formats records byte-identically to those: a float 0 or 1e-4 <= |v|
+< 1e16 takes its digits from Dekker's exact product and, like an integer
+in [0, 1e17), is laid out four digits at a time from a table; any other
+value (non-finite, subnormal, other magnitudes, negative integers,
+labels) goes through Python's format.
 
 It is also the one place that knows the record layout: ``write_table``
 turns arrays into one record per element, and ``scatter_records`` turns
@@ -32,6 +37,7 @@ import sys
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError
 
@@ -266,7 +272,7 @@ def write_table(path, axes, values, header=None):
     per axis of ``axes`` (name -> that axis's labels, or None for its
     index), then one per array of ``values`` (name -> array).  Each
     column's format follows its dtype; each block of records is gathered
-    from the arrays as it is written, and one row template formats it.
+    from the arrays as it is written and formatted by ``_column_text``.
     The records are cut into one contiguous range of whole blocks per
     process: this one writes the first, and a forked worker formats each
     other into an unnamed file in the output directory, copied in after
@@ -277,20 +283,18 @@ def write_table(path, axes, values, header=None):
     if len(axes) != len(shape) or any(a.shape != shape for a in arrays):
         raise ValueError(f"arrays of one {len(axes)}-axis shape expected for {path}")
     labels = [None if lab is None else np.asarray(lab) for lab in axes.values()]
-    kinds = ["i" if lab is None else lab.dtype.kind for lab in labels]
-    template = ",".join({"f": _FLOAT, "i": "%d", "u": "%d"}.get(k, "%s")
-                        for k in kinds + [a.dtype.kind for a in arrays]) + "\n"
     n = arrays[0].size
 
-    def write_records(fh, lo, hi):
+    def write_records(out, lo, hi):
         for start in range(lo, hi, _BLOCK):
             index = np.unravel_index(np.arange(start, min(start + _BLOCK, hi)), shape)
             cols = [i if lab is None else lab[i] for lab, i in zip(labels, index)]
-            rows = np.empty((index[0].size, len(cols) + len(arrays)), dtype=object)
-            for j, c in enumerate(cols + [a[index] for a in arrays]):
-                rows[:, j] = c
-            fh.write(template * len(rows) % tuple(rows.ravel()))
-        fh.flush()
+            comma = np.full((index[0].size, 1), ord(","), np.uint8)
+            rows = np.concatenate([part for c in cols + [a[index] for a in arrays]
+                                   for part in (*_column_text(c, fh.encoding), comma)], axis=1)
+            rows[:, -1] = ord("\n")
+            out.write(rows.ravel()[rows.ravel() != 0])
+        out.flush()
 
     procs, blocks = _n_procs(n, _SPLIT_RECORDS), -(-n // _BLOCK)
     cuts = [min(n, blocks * i // procs * _BLOCK) for i in range(procs + 1)]
@@ -305,14 +309,80 @@ def write_table(path, axes, values, header=None):
                 fd = os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600)
             except OSError:
                 continue
-            tmp[i] = stack.enter_context(open(fd, "w", encoding=fh.encoding))
+            tmp[i] = stack.enter_context(open(fd, "wb"))
             workers.start(i, write_records, tmp[i], cuts[i], cuts[i + 1])
-        write_records(fh, cuts[0], cuts[1])
+        write_records(fh.buffer, cuts[0], cuts[1])
         for i in range(1, procs):
             if workers.ok(i):
                 _append(tmp[i].fileno(), fh.fileno())
             else:
-                write_records(fh, cuts[i], cuts[i + 1])
+                write_records(fh.buffer, cuts[i], cuts[i + 1])
+
+
+def _column_text(c, encoding):
+    """The values of the 1-d ``c`` as (n, width) uint8 blocks, NUL-padded."""
+    kind, parts, ok = c.dtype.kind, [], np.zeros(c.size, bool)
+    if kind == "f":
+        a = np.abs(c := c.astype(np.float64, copy=False))
+        ok = (a == 0) | (a >= 1e-4) & (a < 1e16)
+        parts = _fixed_text(np.where(ok, a, 0.0), np.signbit(c))
+    elif kind in "iu":
+        ok = (c >= 0) & (c < 10**17)
+        parts = [_int_text(np.where(ok, c, 0).astype(np.int64))]
+    if not ok.all():
+        rest, fmt = np.flatnonzero(~ok), {"f": _FLOAT, "i": "%d", "u": "%d"}.get(kind, "%s")
+        more = np.array([(fmt % (v,)).encode(encoding) for v in c[rest].astype(object)])
+        width = max(sum(part.shape[1] for part in parts), more.itemsize)
+        parts = [np.concatenate([*parts, np.zeros((c.size, width), np.uint8)], axis=1)[:, :width]]
+        parts[0][rest] = more.astype(f"S{width}").view(np.uint8).reshape(rest.size, width)
+    return parts
+
+
+def _int_text(d):
+    """``%d`` of the int64s ``d`` in [0, 1e17), right-aligned."""
+    quads, width = [], len(str(d.max()))
+    while len(quads) * 4 < width:
+        q = d - (d := d // 10000) * 10000  # the last four digits; d keeps the rest
+        quads.insert(0, np.where(d > 0, q, q + _L))  # NULs before the first nonzero digit
+    text = _QUADS.take(np.stack(quads, 1)).view(np.uint8)[:, -width:]
+    text[:, -1] |= 48  # the "0" of 0
+    return text
+
+
+def _fixed_text(a, neg):
+    """``%.17g`` of floats 0 or in [1e-4, 1e16), minus where ``neg``."""
+    k = np.searchsorted(_POW10[0, :20], np.where(a > 0, a, 1), side="right") - 5  # floor(log10 a)
+    (a1, a2), (b, b1, b2) = _split(a), _POW10.take(20 - k, axis=1)
+    h = a * b  # a 10^(16-k) = h + l exactly, h an even integer above 2^53
+    l = ((a1 * b1 - h) + a1 * b2 + a2 * b1) + a2 * b2
+    d = h.astype(np.int64) + np.rint(l).astype(np.int64)  # the 17 digits, ties to even
+    del a1, a2, b, b1, b2, h, l  # before the digits' own temporaries
+    # no carry into the units: the next integer is over a 2^-53 > 5e-17 a (half a 17th digit) off
+    whole = _int_text(a.astype(np.int64))
+    # the fraction is bytes 4 + k on of "000", then the digits, trailing zeros NUL
+    frac, tail = [np.zeros(a.size, np.uint32)] * ((np.ptp(k) + 3) // 4), np.zeros(a.size, bool)
+    for _ in range(5):
+        q = d - (d := d // 10000) * 10000
+        frac.insert(0, _QUADS.take(np.where(tail, q, q + _S)))
+        tail |= q > 0
+    frac = sliding_window_view(np.stack(frac, 1).view(np.uint8), 16 - k.min(),
+                               axis=1)[np.arange(a.size), 4 + k]
+    return [(neg * np.uint8(45))[:, None], whole, (frac[:, :1] > 0) * np.uint8(46), frac]
+
+
+def _split(a):  # Veltkamp's: a = hi + lo, each of at most 26 significant bits
+    return (hi := 134217729.0 * a - (134217729.0 * a - a)), a - hi
+
+
+# 10^-4 to 10^22 and their halves: exact from 10^0 on, and rounded up below it, so
+# that floor(log10 a) of a double a counts the ones at or below it exactly
+_POW10 = np.array([float(f"1e{i}") for i in range(-4, 23)])
+_POW10 = np.stack([_POW10, *_split(_POW10)])
+# "0000".."9999" as 4 ASCII bytes in a uint32, then with trailing (_S), leading (_L) zeros NUL
+_S, _L = 10000, 20000
+_QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(48)).T.copy()
+_QUADS = np.vstack([_QUADS, _QUADS * ~np.logical_and.accumulate(_QUADS[:, ::-1] == 48, 1)[:, ::-1],
+                    _QUADS * ~np.logical_and.accumulate(_QUADS == 48, 1)]).view(np.uint32).ravel()
 
 
 def _append(src, dst):

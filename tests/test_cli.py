@@ -498,6 +498,22 @@ class TestIngest:
         direct = simulate_gbm(params, 400, seed=11)
         np.testing.assert_allclose(paths.s_paths, direct.s_paths, rtol=1e-15)
 
+    def test_reexported_panel_has_no_seed_line_and_reads_back(self, tmp_path):
+        """An ingested ensemble has no seed: simulate re-exports it with a
+        header that carries none (not "seed=None"), and the re-export is
+        the same panel and the same bytes as the file it came from, but
+        for the seed line."""
+        out, again = tmp_path / "sim", tmp_path / "again"
+        assert run("simulate", "--output.dir", str(out), *SMALL) == 0
+        assert run("simulate", "--ingest.path", str(out / "ensemble.csv"), *SMALL,
+                   "--output.dir", str(again)) == 0
+        text = (again / "ensemble.csv").read_text()
+        assert "seed" not in text
+        assert text == (out / "ensemble.csv").read_text().replace("# seed=11\n", "")
+        first, second = (ingest_prices(d / "ensemble.csv") for d in (out, again))
+        assert np.array_equal(first.s_paths, second.s_paths)
+        assert second.seed is None
+
     def test_ragged_panel_names_cell(self, tmp_path):
         f = tmp_path / "panel.csv"
         f.write_text("# mu=0\n# sigma=0.2\n# r=0\n# maturity=1\n"

@@ -329,16 +329,19 @@ class TestDatasetIO:
         assert (back.contract, back.extras) == (PUT, {"policy": "random"})
 
     def test_table_writer_gathers_records_by_block(self, tmp_path, monkeypatch):
-        """write_table gathers each block of records from the arrays as it
-        writes it, so writing 200k records of step-major arrays (as a
-        dataset stores a and r) allocates well under the arrays' size;
-        copying every column whole first would allocate more than it.
-        Small integers keep the traced formatting fast.  tracemalloc sees
-        only this process, so one CPU keeps every record formatted here."""
+        """write_table gathers and formats each block of records from the
+        arrays as it writes it, so writing 200k records of step-major
+        integer and float arrays (as a dataset stores a and r) allocates
+        well under the arrays' size: the formatting's temporaries are a
+        block's; copying every column whole first would allocate more than
+        it.  tracemalloc sees only this process, so one CPU keeps every
+        record formatted here."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         rng = np.random.default_rng(0)
         values = {name: np.asfortranarray(rng.integers(0, 100, size=(1000, 200)))
                   for name in ("a", "b", "c", "d")}
+        values.update({name: np.asfortranarray(rng.standard_normal((1000, 200)))
+                       for name in ("x", "y")})
         size = sum(v.nbytes for v in values.values())
         tracemalloc.start()
         try:

@@ -286,6 +286,74 @@ def test_csv_round_trip_is_lossless(data, n_float, header):
     assert np.array_equal(np.signbit(back[:, 1:]), np.signbit(floats))
 
 
+def template_records(axes, values):
+    """The records as one ``%.17g`` / ``%d`` / ``%s`` row template formats
+    them from an object array, one record per element in C order: the
+    reference the writer's numpy formatting must match byte for byte."""
+    arrays = [np.asarray(v) for v in values.values()]
+    labels = [None if lab is None else np.asarray(lab) for lab in axes.values()]
+    kinds = ["i" if lab is None else lab.dtype.kind for lab in labels]
+    template = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(k, "%s")
+                        for k in kinds + [a.dtype.kind for a in arrays]) + "\n"
+    index = np.unravel_index(np.arange(arrays[0].size), arrays[0].shape)
+    cols = [i if lab is None else lab[i] for lab, i in zip(labels, index)]
+    rows = np.empty((index[0].size, len(cols) + len(arrays)), dtype=object)
+    for j, c in enumerate(cols + [a[index] for a in arrays]):
+        rows[:, j] = c
+    return (template * len(rows) % tuple(rows.ravel())).encode()
+
+
+def assert_template_bytes(axes, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_table(path, axes, values)
+        names, records = path.read_bytes().split(b"\n", 1)
+    assert names == ",".join([*axes, *values]).encode()
+    assert records == template_records(axes, values)
+
+
+# 40 doubles either side of each decade 1e-5..1e17, among them 1e-4 and
+# 1e16, where numpy's formatting hands over to Python's; and integers about
+# the 1e17 hand-over and at the int64 extremes
+NEIGHBOURS = np.concatenate([(np.array(float(f"1e{k}")).view(np.int64)
+                             + np.arange(-40, 41)).view(np.float64) for k in range(-5, 18)])
+INT_EDGES = [0, 1, 9, 10, 9999, 10000, 10**16, 10**17 - 1, 10**17, 2**53, 2**63 - 1,
+             -1, -10**17, -2**63]
+
+
+@PROPERTY
+@given(data=st.data(), n_labels=st.integers(1, 6), n_steps=st.integers(1, 6))
+def test_table_bytes_are_the_template_bytes(data, n_labels, n_steps):
+    """write_table writes the bytes of the ``%``-template reference for any
+    float (nan, infinities, subnormals, signed zeros), int64, uint64 beyond
+    2^63 and string label."""
+    shape = (n_labels, n_steps)
+    edge = st.sampled_from(EDGE_FLOATS + [math.nan, math.inf, -math.inf, 1e-4, 1e16])
+    assert_template_bytes(
+        {"label": data.draw(hnp.arrays(np.str_, n_labels, elements=words)), "t": None},
+        {"v": data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(st.floats(), edge))),
+         "w": data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e17, 1e17))),
+         "i": data.draw(hnp.arrays(np.int64, shape)),
+         "u": data.draw(hnp.arrays(np.uint64, shape, elements=st.integers(2**63 - 9, 2**64 - 1)))})
+
+
+def test_table_bytes_at_decades_ties_and_integer_edges():
+    """Hard cases write the template's bytes: each decade's neighbours,
+    exact ties at the 17th digit (15 or 14 integer digits and 3 or 4
+    binary-exact decimals ending in 5, the 17th digit odd and even), and
+    the integer edges, as int64 and as uint64 beyond 2^63."""
+    rng = np.random.default_rng(0)
+    ties = np.concatenate([rng.integers(10**14, 10**15, 500) + rng.integers(0, 4, 500) / 4
+                           + 0.125,
+                           rng.integers(10**13, 10**14, 500) + rng.integers(0, 8, 500) / 8
+                           + 0.0625])
+    floats = np.concatenate([NEIGHBOURS, ties, [123456789012345.625]])
+    assert_template_bytes({"n": None}, {"x": np.concatenate([floats, -floats])})
+    assert_template_bytes({"n": None}, {"k": np.array(INT_EDGES, np.int64)})
+    assert_template_bytes({"n": np.array(["price", "hedge"])},
+                          {"k": np.array([2**64 - 1, 2**63], np.uint64)})
+
+
 @PROPERTY
 @given(params=markets, n_paths=st.integers(1, 20), seed=seeds, kind=kinds,
        strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data())
