@@ -24,8 +24,8 @@ from .market import (MarketParams, OptionContract, PathEnsemble,
 from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
                         reward_parabola, rollout_portfolio,
                         signed_measure_weights, solve_local_risk)
-from .tabular import (DiscreteMDP, QTable, analytic_actions, discretize,
-                      exact_backward_induction, q_learn)
+from .tabular import (DiscreteMDP, QTable, discretize, exact_backward_induction,
+                      q_learn)
 from .utility import IndifferenceResult, indifference_price_recursion
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "HedgeStrategy", "IndifferenceResult", "MarketParams", "OptionContract",
     "PathEnsemble", "PortfolioRollout", "QHedgeError", "QTable", "RiskParams",
     "SingularSystemError", "TransitionDataset", "ask_price",
-    "analytic_actions", "bs_price_delta", "build_basis", "build_dataset",
+    "bs_price_delta", "build_basis", "build_dataset",
     "build_features", "dataset_rewards", "discretize", "ensemble_from_prices",
     "exact_backward_induction", "extract_price_hedge", "fqi_backward",
     "from_state", "indifference_price_recursion", "limit_hedge_correction",

@@ -25,7 +25,7 @@ from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
                      require_finite)
 from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
                      terminal_payoff)
-from .portfolio import (DS_MEANS, RiskParams, _replicate, _reward, centered_step,
+from .portfolio import (DS_MEANS, RiskParams, _pi_step, _reward, centered_step,
                         hedge_fit, risk_tilt)
 from .regression import least_squares
 
@@ -159,7 +159,8 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     pi_reference : ndarray, optional
         Portfolio values as the (n, n_steps+1) panel ``dataset_rewards``
         takes, in the dataset's path order.  When omitted it is rolled
-        backward from the recorded actions on the price panel.
+        backward from the recorded actions on the price panel, a step
+        ahead of the fits, so that only Pi_(t+1) and Pi_t are held.
     action_source : {"analytic", "crossfit"}
         How the max-term action at t+1 is estimated: the closed-form
         regression on portfolio values (``portfolio.hedge_fit`` with the
@@ -191,9 +192,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     gamma = paths.params.gamma
 
     use_analytic = action_source == "analytic"
-    if use_analytic and pi_reference is None:
-        # roll the recorded actions backward on the price panel
-        pi_reference = _replicate(paths, payoff, lambda t, _: dataset.a[:, t])
+    rolled = payoff if use_analytic and pi_reference is None else None  # Pi_(t+1)
 
     design_term = basis.evaluate(dataset.x_paths[:, -1])
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
@@ -206,6 +205,10 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
     del design_term  # not held through the steps
     for t in range(n_steps - 1, -1, -1):
+        if rolled is not None:
+            pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t])
+        elif use_analytic:
+            pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
         x_t = dataset.x_paths[:, t]
         targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
                                  "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
@@ -228,7 +231,6 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             )
 
         if use_analytic:
-            pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
             ds, ds_c, pi_c, _, drift = centered_step(design_t, paths, t, pi_next, ds_mean)
             action_coeffs[t] = hedge_fit(design_t, ds - ds_c, pi_next - pi_c, t,
                                          tilt=risk_tilt(drift, gamma, risk, t))

@@ -18,6 +18,7 @@ from .errors import DegenerateInputError
 
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # largest sigma with a finite square
 _RATE_DT_MAX = float(np.log(np.finfo(float).max))  # largest r dt with a finite e^{r dt}
+_PATH_BLOCK = 4096  # paths whose uniforms simulate_gbm draws and transforms at once
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,9 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     Cephes' do.  So for a fixed seed the output is reproducible bit for
     bit on one machine and library build.  Across machines it is not:
     numpy's float64 ``log`` and ``exp`` dispatch to CPU-specific SIMD
-    loops, which may differ by an ulp.  Uniforms are drawn path by path,
-    and the panels are built by step, as ``PathEnsemble`` stores them.
+    loops, which may differ by an ulp.  Uniforms are drawn path by path
+    from one stream, ``_PATH_BLOCK`` paths at a time, and each block's
+    normals go straight into the step-major panel ``PathEnsemble`` keeps.
 
     Raises DegenerateInputError when a price leaves the finite positive
     doubles: exp overflows or underflows at extreme drift, volatility or
@@ -263,16 +265,14 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
-    u = rng.random((n_paths, params.n_steps))
-    # keep uniforms strictly inside (0, 1) so ndtri stays finite
-    np.clip(u, 1e-300, np.nextafter(1.0, 0.0), out=u)
-    z = _ndtri(u)
-    del u
     s = np.empty((params.n_steps + 1, n_paths))  # row t is step t
     s[0] = params.s0
     log_s = s[1:]
-    log_s[...] = z.T
-    del z
+    for lo in range(0, n_paths, _PATH_BLOCK):
+        u = rng.random((min(_PATH_BLOCK, n_paths - lo), params.n_steps))
+        # keep uniforms strictly inside (0, 1) so ndtri stays finite
+        np.clip(u, 1e-300, np.nextafter(1.0, 0.0), out=u)
+        log_s[:, lo:lo + len(u)] = _ndtri(u).T
     # the normals become log-price increments, then log prices, then
     # prices, in place
     dt = params.dt

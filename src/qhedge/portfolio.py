@@ -7,7 +7,7 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 
 so uncertainty about the future propagates to today path by path, and the
 bank account B_t = Pi_t - u_t S_t follows from it.  Every
-solver runs the Pi recursion through one function, ``_replicate``,
+solver takes each Pi step through one function, ``_pi_step``,
 centers each step by one rule, ``centered_step`` (as ``fqi.dataset_rewards``
 does), and fits its hedge with one regression, ``hedge_fit``: untilted in
 ``solve_local_risk``, tilted in ``dp.solve_dp`` and ``fqi.fqi_backward``.
@@ -101,26 +101,36 @@ class PortfolioRollout:
     actions: np.ndarray    # (n_paths, n_steps+1), expiry column 0
 
 
-def _replicate(paths: PathEnsemble, payoff, hedge) -> np.ndarray:
+def _pi_step(paths: PathEnsemble, t: int, pi_next, u) -> np.ndarray:
+    """One step of the self-financing recursion, Pi_t = gamma (Pi_{t+1} -
+    u_t dS_t); raises SingularSystemError if Pi_t leaves the finite doubles."""
+    return require_finite(lambda: paths.params.gamma * (pi_next - u * paths.delta_s(t)),
+                          "portfolio value Pi", t)
+
+
+def _replicate(paths: PathEnsemble, payoff, hedge, out=None):
     """The backward self-financing recursion every solver shares.
 
         Pi_T = payoff,   Pi_t = gamma (Pi_{t+1} - u_t dS_t),   t = T-1 .. 0,
 
     with the steps, the discount gamma and the increments dS_t of the
     ensemble ``paths``, where the hedge rule ``hedge(t, pi_next)`` chooses
-    u_t from Pi_{t+1} (recording whatever fits it makes on the way).
-    Returns Pi as an (n_paths, n_steps+1) array, stored by step so that
-    each step's values are contiguous.  Raises SingularSystemError at the
-    first step whose Pi leaves the finite doubles.
+    u_t from Pi_{t+1} (recording whatever fits it makes on the way), and
+    ``_pi_step`` takes the step.  Only Pi_{t+1} and Pi_t are held at step
+    t; a caller that needs the panel passes ``out``, an (n_paths,
+    n_steps+1) array that receives Pi_t in column t, and is returned.
+    Raises SingularSystemError at the first step whose Pi leaves the
+    finite doubles.
     """
-    gamma = paths.params.gamma
-    pi = np.empty((paths.n_steps + 1, len(payoff)))
-    pi[-1] = payoff
+    pi = payoff
+    if out is not None:
+        out[:, -1] = payoff
     for t in range(paths.n_steps - 1, -1, -1):
-        u = hedge(t, pi[t + 1])
-        pi[t] = require_finite(lambda: gamma * (pi[t + 1] - u * paths.delta_s(t)),
-                               "portfolio value Pi", t)
-    return pi.T
+        pi = _pi_step(paths, t, pi, hedge(t, pi))
+        if out is not None:  # the next step reads Pi_t from the panel: its array goes
+            out[:, t] = pi
+            pi = out[:, t]
+    return out
 
 
 def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
@@ -131,7 +141,7 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     bank account B or the reward R is not finite."""
     u = strategy.actions(paths)
     payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    pi = _replicate(paths, payoff, lambda t, _: u[:, t])
+    pi = _replicate(paths, payoff, lambda t, _: u[:, t], out=np.empty_like(u))
     b_account = require_finite(lambda: (pi - u * paths.s_paths).T, "bank account B",
                                by_step=True).T
 
@@ -237,7 +247,8 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
         coeffs[t] = hedge_fit(design, ds_dev, pi_next - pi_c, t)
         return design @ coeffs[t]
 
-    pi = _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge)
+    pi = _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge,
+                    out=np.empty_like(paths.s_paths))  # stored by step
     return coeffs, pi
 
 

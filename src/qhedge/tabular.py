@@ -151,7 +151,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
 
     # risk-minimizing reference rollout on the snapped prices
-    pi = _replicate(snapped, payoff, bucket_hedge)
+    pi = _replicate(snapped, payoff, bucket_hedge, out=np.empty_like(snapped.s_paths))
 
     # per-path reward parabolas, then conditional means per (t, i, j);
     # bincount adds each cell's records in path order
@@ -273,16 +273,3 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
         visits[t] = counts.reshape(n_x, n_a)
     return QTable(q=q, visits=visits)
 
-
-def analytic_actions(mdp: DiscreteMDP) -> np.ndarray:
-    """Closed-form optimal action per (step, state) from the chain's own
-    moments: the vertex of the probability-averaged reward parabola plus
-    the discounted continuation (which does not depend on the action)."""
-    n_steps = mdp.n_steps
-    out = np.zeros((n_steps, mdp.n_states))
-    for t in range(n_steps):
-        lin = np.einsum("ij,ij->i", mdp.probs[t], mdp.reward_coeffs[t, :, :, 1])
-        quad = np.einsum("ij,ij->i", mdp.probs[t], mdp.reward_coeffs[t, :, :, 2])
-        vert = np.where(quad < 0, -lin / (2.0 * np.where(quad < 0, quad, -1.0)), 0.0)
-        out[t] = np.where(mdp.reachable[t], vert, 0.0)
-    return out

@@ -9,6 +9,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     terminal_payoff)
 from qhedge.errors import SingularSystemError
 from qhedge.regression import least_squares
+from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 from tests.test_portfolio import local_risk_fit
 
 PUT = OptionContract("put", 100.0)
@@ -135,6 +136,17 @@ class TestOptimalQCoeffs:
 
 
 class TestSolveDP:
+    def test_working_set_below_two_point_three_record_columns(self):
+        """At the benchmark's model-based shape solve_dp allocates less than
+        2.3 float columns of records (n_paths x n_steps doubles) beyond the
+        ensemble: the portfolio recursion holds Pi_(t+1) and Pi_t, not the
+        panel of every step."""
+        paths = gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
+        basis = build_basis("bspline", 12, paths.x_paths)
+        sol, peak = traced(lambda: solve_dp(paths, PUT, RiskParams(1e-3), basis))
+        assert np.isfinite(sol.price0)
+        assert peak / (BENCH_PATHS * paths.n_steps * 8) < 2.3
+
     @pytest.mark.parametrize("lam, market, message", [
         (1e-300, {}, r"Q target .* not finite at step 5 \(risk\.lambda = 1e-300\)"),
         (1e-3, {"r": 700.0, "maturity": 1.0, "n_steps": 1},

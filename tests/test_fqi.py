@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from qhedge import (BasisSet, FQISolution, MarketParams,
                     build_basis, build_dataset, build_features,
                     dataset_rewards, extract_price_hedge, fqi_backward,
                     read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
-                    write_dataset_csv)
+                    terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
 from qhedge.csvio import write_table
 from qhedge.errors import DataFormatError, SingularSystemError
+from qhedge.portfolio import _replicate
 from tests.test_csvio import split_over
+from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 
 PUT = OptionContract("put", 100.0)
 
@@ -237,6 +240,61 @@ class TestAgainstDP:
         ana = fqi_backward(ds, basis, action_source="analytic")
         cf = fqi_backward(ds, basis, action_source="crossfit")
         assert abs(cf.price0 - ana.price0) / ana.price0 < 0.10
+
+
+class TestRolledReference:
+    """Without ``pi_reference`` the recorded actions are rolled backward a
+    step ahead of the fits, which read Pi_(t+1) at step t."""
+
+    def test_equals_the_rolled_panel_and_holds_no_panel(self):
+        """At the benchmark's model-free shape (random actions) the default
+        solution equals, bit for bit, the one given the rolled panel as
+        pi_reference, and traces less than 2.7 float columns of records
+        beyond the dataset, where rolling the whole panel before the
+        fits took 3.51."""
+        paths = gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
+        basis, risk = make_pipeline(paths, m=12)
+        actions = np.random.default_rng(9).uniform(-1.5, 1.5,
+                                                   (paths.n_paths, paths.n_steps))
+        rewards = dataset_rewards(paths, actions, solve_local_risk(paths, PUT, basis)[1],
+                                  risk, basis)
+        ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
+        del rewards
+        sol, peak = traced(lambda: fqi_backward(ds, basis))
+        assert peak / (len(ds) * 8) < 2.7
+
+        pi = np.empty_like(paths.s_paths)
+        _replicate(paths, terminal_payoff(paths.s_paths[:, -1], PUT),
+                   lambda t, _: ds.a[:, t], out=pi)
+        ref = fqi_backward(ds, basis, pi_reference=pi)
+        assert (sol.price0, sol.hedge0, sol.warnings) == (ref.price0, ref.hedge0,
+                                                           ref.warnings)
+        assert np.array_equal(sol.terminal_value_coeffs, ref.terminal_value_coeffs)
+        for name in ("weights", "action_coeffs"):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(getattr(sol, name), getattr(ref, name), strict=True))
+
+    def test_pi_past_the_doubles_raises_at_its_step(self):
+        """Recorded actions of 1e308 at step 2 take Pi_2 past the doubles.
+        The roll raises "portfolio value Pi not finite at step 2" after the
+        fits of steps 5 to 3, before any fit of step 2, so the error is the
+        one of rolling the whole panel first.  Under "crossfit", which
+        computes no Pi, the same dataset fails in step 2's fit instead."""
+        paths = gbm(n_paths=300, seed=5, mu=0.05, sigma=0.2, n_steps=6)
+        rng = np.random.default_rng(1)
+        actions = rng.uniform(-1.5, 1.5, (300, 6))
+        actions[:, 2] = 1e308
+        ds = TransitionDataset(np.arange(300), paths, actions, rng.standard_normal((300, 6)),
+                               1e-3, PUT)
+        basis = build_basis("bspline", 8, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError,
+                           match=r"^portfolio value Pi not finite at step 2$"):
+            fqi_backward(ds, basis)
+        with warnings.catch_warnings():
+            # the features square the recorded 1e308 outside any guard
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SingularSystemError, match=r"^FQI weights at step 2: "):
+                fqi_backward(ds, basis, action_source="crossfit")
 
 
 class TestExtract:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qhedge import (DiscreteMDP, MarketParams, OptionContract, RiskParams,
-                    analytic_actions, discretize, ensemble_from_prices,
-                    exact_backward_induction, q_learn, simulate_gbm)
+                    discretize, ensemble_from_prices, exact_backward_induction,
+                    q_learn, simulate_gbm)
 
 PUT = OptionContract("put", 100.0)
 
@@ -122,17 +122,21 @@ class TestExactInduction:
 
     def test_grid_argmax_tracks_analytic_action(self):
         """The argmax over the action grid sits within one grid step of the
-        chain's closed-form vertex action."""
+        chain's closed-form vertex action: the vertex -c1 / (2 c2) of the
+        probability-averaged reward parabola, since the discounted
+        continuation does not depend on the action."""
         paths = gbm(n_paths=20_000, seed=2, n_steps=5)
         risk = RiskParams(1e-2)
         mdp = discretize(paths, PUT, risk, 21, 41, (-1.5, 0.5))
         table = exact_backward_induction(mdp)
-        vertices = analytic_actions(mdp)
         step = mdp.action_grid[1] - mdp.action_grid[0]
         for t in range(mdp.n_steps):
+            c1, c2 = (np.einsum("ij,ij->i", mdp.probs[t], mdp.reward_coeffs[t, :, :, k])
+                      for k in (1, 2))
             for i in np.flatnonzero(mdp.reachable[t]):
+                assert c2[i] < 0
                 best = mdp.action_grid[np.argmax(table.q[t, i])]
-                assert abs(best - vertices[t, i]) <= step
+                assert abs(best + c1[i] / (2.0 * c2[i])) <= step
 
 
 class TestQLearn:
