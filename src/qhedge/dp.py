@@ -68,6 +68,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     design = basis.evaluate(paths.x_paths[:, -1])
     value_coeffs[n_steps] = terminal_fit(design, payoff, risk.lam)
     q_next = design @ value_coeffs[n_steps]
+    del design  # not held through the steps
 
     def hedge(t, pi):
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""

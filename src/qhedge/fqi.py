@@ -117,18 +117,20 @@ class TransitionDataset:
         return self.a.size
 
 
-def build_features(design, a) -> np.ndarray:
+def build_features(design, a, t=None) -> np.ndarray:
     """Stacked features Psi(x, a) of length 3M per record, from the design
     rows Phi(x) = ``basis.evaluate(x)``.
 
     Columns of the outer product of (1, a, a^2/2) with Phi(x), concatenated
-    column-major: [Phi_1, a Phi_1, a^2/2 Phi_1, Phi_2, ...].
+    column-major: [Phi_1, a Phi_1, a^2/2 Phi_1, Phi_2, ...].  An a^2/2 past the
+    doubles raises SingularSystemError naming step ``t`` (no |Phi| exceeds 1).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     out = np.empty((design.shape[0], 3 * design.shape[1]))
     out[:, 0::3] = design
     np.multiply(design, a[:, None], out=out[:, 1::3])
-    np.multiply(design, (0.5 * a**2)[:, None], out=out[:, 2::3])
+    half_a2 = require_finite(lambda: 0.5 * a**2, "FQI feature a^2/2 of the recorded actions", t)
+    np.multiply(design, half_a2[:, None], out=out[:, 2::3])
     return out
 
 
@@ -214,7 +216,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
                                  "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
 
         design_t = basis.evaluate(x_t)
-        psi = build_features(design_t, dataset.a[:, t])
+        psi = build_features(design_t, dataset.a[:, t], t)
         wvec = least_squares(psi, targets, what=f"FQI weights at step {t}")
         if t > 0 and not use_analytic:  # max_a Q_t at x_t, by the folds' own fits
             v_cache = _crossfit_v(dataset, design_t, targets, psi, t)

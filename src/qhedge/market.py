@@ -142,7 +142,9 @@ def to_state(s, t, params: MarketParams):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("prices must be positive")
-    return -(params.mu - 0.5 * params.sigma**2) * t + np.log(s)
+    x, drift = np.log(s), -(params.mu - 0.5 * params.sigma**2) * t
+    in_place = np.ndim(x) and np.broadcast_shapes(x.shape, np.shape(drift)) == x.shape
+    return np.add(x, drift, out=x if in_place else None)  # IEEE addition commutes
 
 
 def from_state(x, t, params: MarketParams):

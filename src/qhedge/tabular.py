@@ -6,7 +6,8 @@ parabolas in the action whose coefficients are conditional averages of the
 continuous rewards.  Reward increments are mean-centered per (step, state)
 bucket: snapping the state breaks the martingale property of the price
 increments, and without recentering a grid-max Bellman solver would chase
-the quantization drift to the edge of the action grid.
+the quantization drift to the edge of the action grid.  One backward pass
+of the replicating rollout builds every step's rewards and transitions.
 
 On a chain, exact backward induction over the action grid is cheap and
 serves as the convergence oracle for online Q-learning, which runs one
@@ -58,12 +59,14 @@ class DiscreteMDP:
 
     def state_index(self, x) -> np.ndarray:
         """Bucket index of raw states under the chain's quantile edges."""
-        return np.clip(np.searchsorted(self.edges, np.asarray(x), side="right") - 1,
-                       0, self.n_states - 1)
+        idx = np.searchsorted(self.edges, np.asarray(x), side="right")
+        idx -= 1  # in place, as is the clip of an array
+        return np.clip(idx, 0, self.n_states - 1, out=idx if np.ndim(idx) else None)
 
-    def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
-        """The ensemble with every state snapped to its bucket center."""
-        x = self.x_centers[self.state_index(paths.x_paths.T)].T  # stored by step
+    def snapped_ensemble(self, paths: PathEnsemble, index=None) -> PathEnsemble:
+        """The ensemble with every state snapped to its bucket center;
+        ``index`` is ``state_index(paths.x_paths.T)`` if already computed."""
+        x = self.x_centers[self.state_index(paths.x_paths.T) if index is None else index].T
         s = from_state(x, paths.params.times()[None, :], paths.params)
         return PathEnsemble(s, x, paths.params, seed=paths.seed)
 
@@ -102,7 +105,9 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     ``action_range``.  Rewards come from the risk-minimizing replicating
     rollout on the snapped paths, so they do not depend on any exploration
     policy.  Each time step keeps its own empirical transition table,
-    exactly consistent with the cross-sectional regression solvers.
+    exactly consistent with the cross-sectional regression solvers.  At
+    step t the rollout's hedge rule, holding Pi_{t+1}, also sums step t's
+    reward parabolas per (i, j) cell, so no dS or Pi panel is kept.
     Raises SingularSystemError naming the first step whose reward
     coefficients or terminal values are not finite.
     """
@@ -132,58 +137,46 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         action_grid=np.linspace(float(lo), float(hi), n_a), probs=None,
         reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0,
         gamma=paths.params.gamma, edges=edges, merged_bins=merged)
-    snapped = mdp.snapped_ensemble(paths)
-    idx = mdp.state_index(paths.x_paths)
+    idx = mdp.state_index(paths.x_paths.T)  # row t: step t's states
+    snapped = mdp.snapped_ensemble(paths, idx)
     payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
+    counts, sums = np.empty((n_steps, n_xe, n_xe)), np.empty((n_steps, n_xe, n_xe, 3))
 
-    # martingale-enforced increments per (step, bucket)
-    ds_dev = np.empty((paths.n_paths, n_steps))
-    for t in range(n_steps):
+    def hedge(t, pi_next):
+        """Step t's reward-parabola sums and counts per (i, j) cell, then its
+        per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t), on
+        dS_t centered per bucket (the martingale-enforced increment)."""
+        ix = idx[t]
         ds = snapped.delta_s(t)
-        ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
-
-    def bucket_hedge(t, pi_next):
-        """Per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t)."""
-        ix = idx[:, t]
-        pi_dev = pi_next - _bucket_means(ix, pi_next, n_xe)[ix]
-        num = _bucket_means(ix, pi_dev * ds_dev[:, t], n_xe)
-        den = _bucket_means(ix, ds_dev[:, t] ** 2, n_xe)
+        ds_dev = ds - _bucket_means(ix, ds, n_xe)[ix]
+        pi_center = _bucket_means(ix, pi_next, n_xe)[ix]
+        # bincount adds each cell's records in path order
+        cell = ix * n_xe + idx[t + 1]
+        counts[t] = np.bincount(cell, minlength=n_xe * n_xe).reshape(n_xe, n_xe)
+        for k, c in enumerate(reward_parabola(ds_dev, pi_next, risk, mdp.gamma,
+                                              pi_center=pi_center, ds_center=0.0)):
+            sums[t, ..., k] = np.bincount(cell, c, n_xe * n_xe).reshape(n_xe, n_xe)
+        num = _bucket_means(ix, (pi_next - pi_center) * ds_dev, n_xe)
+        den = _bucket_means(ix, ds_dev**2, n_xe)
         return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
 
-    # risk-minimizing reference rollout on the snapped prices
-    pi = _replicate(snapped, payoff, bucket_hedge, out=np.empty_like(snapped.s_paths))
-
-    # per-path reward parabolas, then conditional means per (t, i, j);
-    # bincount adds each cell's records in path order
-    counts = np.empty((n_steps, n_xe * n_xe))
-
     def mean_coeffs():
-        sums = np.empty((n_steps, n_xe * n_xe, 3))
-        for t in range(n_steps):
-            ix = idx[:, t]
-            cell = ix * n_xe + idx[:, t + 1]
-            counts[t] = np.bincount(cell, minlength=n_xe * n_xe)
-            for k, c in enumerate(reward_parabola(
-                    ds_dev[:, t], pi[:, t + 1], risk, mdp.gamma,
-                    pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
-                sums[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
-        n = counts.reshape(n_steps, n_xe, n_xe, 1)
-        return np.where(n > 0, sums.reshape(*n.shape[:3], 3) / np.maximum(n, 1.0), 0.0)
+        _replicate(snapped, payoff, hedge)  # only Pi_{t+1} and Pi_t are held
+        n = counts[..., None]
+        return np.where(n > 0, sums / np.maximum(n, 1.0), 0.0)
     coeffs = require_finite(mean_coeffs, "chain reward coefficients", by_step=True)
-    counts = counts.reshape(n_steps, n_xe, n_xe)
 
     rows = counts.sum(axis=2, keepdims=True)
     probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
 
-    ix_T = idx[:, -1]
-    mean_pay = _bucket_means(ix_T, payoff, n_xe)
-    mean_pay2 = _bucket_means(ix_T, payoff**2, n_xe)
+    mean_pay = _bucket_means(idx[-1], payoff, n_xe)
+    mean_pay2 = _bucket_means(idx[-1], payoff**2, n_xe)
     terminal_q = require_finite(
         lambda: -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0),
         "chain terminal values", n_steps)
 
     reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
-    reachable[np.arange(n_steps + 1), idx] = True
+    reachable[np.arange(n_steps + 1)[:, None], idx] = True
 
     mdp.probs, mdp.reward_coeffs, mdp.terminal_q = probs, coeffs, terminal_q
     mdp.reachable, mdp.x0_index = reachable, int(idx[0, 0])

@@ -204,8 +204,8 @@ def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
                 hedges[n] = u0 + gamma_risk * cell.u1(h_sub, u0)
             if order >= 2:
                 vals[n] += gamma_risk * gamma_risk / 6.0 * cell.mean((resid - mean_r) ** 3)
-    weights = np.where(occupied[None, :], design, 0.0)
-    norm = weights.sum(axis=1)
+    design[:, ~occupied] = 0.0  # the cells hold copies of what they read
+    norm = design.sum(axis=1)
     if np.any(norm <= 0):
         raise DegenerateInputError(f"state outside every occupied cell at step {t}")
-    return disc * (weights @ vals) / norm, hedges
+    return disc * (design @ vals) / norm, hedges

@@ -147,6 +147,15 @@ class TestSolveDP:
         assert np.isfinite(sol.price0)
         assert peak / (BENCH_PATHS * paths.n_steps * 8) < 2.3
 
+    def test_working_set_below_one_point_six_record_columns(self):
+        """The terminal design is freed once Q_T is fitted, so solve_dp's
+        working set holds one step's design, not two, and stays below 1.6
+        record columns at the benchmark's model-based shape."""
+        paths = gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
+        basis = build_basis("bspline", 12, paths.x_paths)
+        _, peak = traced(lambda: solve_dp(paths, PUT, RiskParams(1e-3), basis))
+        assert peak / (BENCH_PATHS * paths.n_steps * 8) < 1.6
+
     @pytest.mark.parametrize("lam, market, message", [
         (1e-300, {}, r"Q target .* not finite at step 5 \(risk\.lambda = 1e-300\)"),
         (1e-3, {"r": 700.0, "maturity": 1.0, "n_steps": 1},

@@ -115,6 +115,15 @@ class TestSimulateGBM:
         _, peak = traced(lambda: simulate_gbm(params, BENCH_PATHS, seed=42))
         assert peak / (BENCH_PATHS * params.n_steps * 8) < 3.5
 
+    def test_peak_below_two_and_a_half_record_columns(self):
+        """The state transform adds the drift into the array of its log, so
+        simulate_gbm's peak stays below 2.5 record columns: the ensemble's
+        2.08 plus a block of uniforms, and no panel-sized log temporary."""
+        params = make_params(**BENCH_PARAMS)
+        simulate_gbm(params, 10, seed=1)
+        _, peak = traced(lambda: simulate_gbm(params, BENCH_PATHS, seed=42))
+        assert peak / (BENCH_PATHS * params.n_steps * 8) < 2.5
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             make_params(s0=-1.0)

@@ -5,24 +5,28 @@ hypothesis, derandomized so every run draws the same ones."""
 
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import BSpline
 from scipy.special import ndtri
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
-                    RiskParams, build_basis, build_dataset, q_learn,
-                    read_dataset_csv, rollout_portfolio, simulate_gbm, solve_dp,
-                    solve_local_risk, write_dataset_csv)
+                    PathEnsemble, RiskParams, build_basis, build_dataset, discretize,
+                    ensemble_from_prices, from_state, q_learn, read_dataset_csv,
+                    reward_parabola, rollout_portfolio, simulate_gbm, solve_dp,
+                    solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge import regression
 from qhedge.basis import KINDS
 from qhedge.csvio import format_value, read_csv, write_table
 from qhedge.market import _libm_log, _ndtri
+from qhedge.portfolio import _replicate
+from qhedge.tabular import _bucket_means
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -435,3 +439,133 @@ def test_grouped_q_learning_is_the_one_by_one_loop(mdp, n_updates, seed, schedul
     q, visits = q_learn_one_by_one(mdp, n_updates, schedule, seed)
     assert np.array_equal(table.q, q)
     assert np.array_equal(table.visits, visits)
+
+
+def state_index_with_temporaries(edges, x):
+    """Reference: ``DiscreteMDP.state_index`` through three index panels."""
+    return np.clip(np.searchsorted(edges, np.asarray(x), side="right") - 1,
+                   0, edges.size - 2)
+
+
+def snapped_with_temporaries(edges, paths):
+    """Reference: ``DiscreteMDP.snapped_ensemble`` from its own state index."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    x = centers[state_index_with_temporaries(edges, paths.x_paths.T)].T
+    s = from_state(x, paths.params.times()[None, :], paths.params)
+    return PathEnsemble(s, x, paths.params, seed=paths.seed)
+
+
+def discretize_three_loops(paths, contract, risk, n_x, n_a, action_range):
+    """Reference: ``discretize`` as three passes over the ensemble, with the
+    state index computed twice and a ds_dev and a Pi panel held."""
+    n_steps = paths.n_steps
+    pooled = paths.x_paths
+    if np.all(pooled[:, 0] == pooled[0, 0]) and n_steps >= 1:
+        pooled = pooled[:, 1:]
+    edges = np.quantile(pooled.ravel(order="K"), np.linspace(0.0, 1.0, n_x + 1))
+    uniq, first = np.unique(edges, return_index=True)
+    merged = []
+    if uniq.size < edges.size:
+        kept = np.sort(first)
+        merged = [(int(i), int(np.searchsorted(kept, i, side="right") - 1))
+                  for i in range(edges.size) if i not in kept]
+        edges = uniq
+    if edges.size < 2:
+        edges = np.array([edges[0], edges[0] + 1e-8])
+    n_xe, gamma = edges.size - 1, paths.params.gamma
+    snapped = snapped_with_temporaries(edges, paths)
+    idx = state_index_with_temporaries(edges, paths.x_paths)
+    payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
+
+    ds_dev = np.empty((paths.n_paths, n_steps))
+    for t in range(n_steps):
+        ds = snapped.delta_s(t)
+        ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
+
+    def bucket_hedge(t, pi_next):
+        ix = idx[:, t]
+        pi_dev = pi_next - _bucket_means(ix, pi_next, n_xe)[ix]
+        num = _bucket_means(ix, pi_dev * ds_dev[:, t], n_xe)
+        den = _bucket_means(ix, ds_dev[:, t] ** 2, n_xe)
+        return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)[ix]
+
+    pi = _replicate(snapped, payoff, bucket_hedge, out=np.empty_like(snapped.s_paths))
+
+    counts = np.empty((n_steps, n_xe * n_xe))
+    sums = np.empty((n_steps, n_xe * n_xe, 3))
+    for t in range(n_steps):
+        ix = idx[:, t]
+        cell = ix * n_xe + idx[:, t + 1]
+        counts[t] = np.bincount(cell, minlength=n_xe * n_xe)
+        for k, c in enumerate(reward_parabola(
+                ds_dev[:, t], pi[:, t + 1], risk, gamma,
+                pi_center=_bucket_means(ix, pi[:, t + 1], n_xe)[ix], ds_center=0.0)):
+            sums[t, :, k] = np.bincount(cell, weights=c, minlength=n_xe * n_xe)
+    n = counts.reshape(n_steps, n_xe, n_xe, 1)
+    coeffs = np.where(n > 0, sums.reshape(*n.shape[:3], 3) / np.maximum(n, 1.0), 0.0)
+    counts = counts.reshape(n_steps, n_xe, n_xe)
+    rows = counts.sum(axis=2, keepdims=True)
+    probs = np.where(rows > 0, counts / np.maximum(rows, 1.0), 0.0)
+
+    mean_pay = _bucket_means(idx[:, -1], payoff, n_xe)
+    mean_pay2 = _bucket_means(idx[:, -1], payoff**2, n_xe)
+    terminal_q = -mean_pay - risk.lam * np.maximum(mean_pay2 - mean_pay**2, 0.0)
+    reachable = np.zeros((n_steps + 1, n_xe), dtype=bool)
+    reachable[np.arange(n_steps + 1), idx] = True
+    lo, hi = action_range
+    return DiscreteMDP(
+        x_centers=0.5 * (edges[:-1] + edges[1:]),
+        action_grid=np.linspace(float(lo), float(hi), n_a), probs=probs,
+        reward_coeffs=coeffs, terminal_q=terminal_q, reachable=reachable,
+        x0_index=int(idx[0, 0]), gamma=gamma, edges=edges, merged_bins=merged)
+
+
+PRICE_LEVELS = [80.0, 95.0, 100.0, 120.0]
+
+
+@st.composite
+def chain_ensembles(draw):
+    """Small ensembles to discretize: simulated ones, whose t = 0 column is a
+    point mass (and every state one value at sigma = 0, which merges every
+    bin), or panels of a few price levels, whose t = 0 column varies and
+    whose repeated quantiles merge bins."""
+    n_steps, n_paths = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    params = market(draw(st.floats(-0.05, 0.15)), draw(st.sampled_from([0.0, 0.1, 0.4])),
+                    draw(st.floats(0.0, 0.1)), n_steps)
+    if draw(st.booleans()):
+        return simulate_gbm(params, n_paths, draw(seeds))
+    prices = draw(hnp.arrays(np.float64, (n_paths, n_steps + 1),
+                             elements=st.sampled_from(PRICE_LEVELS)))
+    return ensemble_from_prices(prices, params)
+
+
+@PROPERTY
+@given(paths=chain_ensembles(), n_x=st.integers(1, 8), n_a=st.integers(2, 5), kind=kinds,
+       strike=st.floats(80.0, 120.0), lam=st.floats(0.0, 1e-2))
+@example(paths=simulate_gbm(market(0.05, 0.2, 0.03, 3), 30, 1), n_x=1, n_a=2, kind="put",
+         strike=100.0, lam=1e-3)
+@example(paths=simulate_gbm(market(0.05, 0.0, 0.03, 2), 9, 2), n_x=5, n_a=3, kind="call",
+         strike=95.0, lam=1e-3)
+@example(paths=ensemble_from_prices(np.resize(PRICE_LEVELS, (12, 3)), market(0.0, 0.2, 0.0, 2)),
+         n_x=6, n_a=4, kind="put", strike=100.0, lam=1e-2)
+def test_one_pass_discretize_is_the_three_loop_construction(paths, n_x, n_a, kind, strike,
+                                                            lam):
+    """The one backward pass builds every field of the chain bit for bit as
+    three loops over a ds_dev and a Pi panel do, and the chain's state
+    index and snapped ensemble are those of the three index panels."""
+    contract, risk = OptionContract(kind, strike), RiskParams(lam)
+    mdp = discretize(paths, contract, risk, n_x, n_a, (-1.3, 0.1))
+    ref = discretize_three_loops(paths, contract, risk, n_x, n_a, (-1.3, 0.1))
+    for f in fields(DiscreteMDP):
+        got, want = getattr(mdp, f.name), getattr(ref, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+    for x in (paths.x_paths, paths.x_paths[:, 0], float(paths.x_paths[-1, -1])):
+        got, want = mdp.state_index(x), state_index_with_temporaries(mdp.edges, x)
+        assert type(got) is type(want) and np.array_equal(got, want)
+    snapped, want = mdp.snapped_ensemble(paths), snapped_with_temporaries(mdp.edges, paths)
+    assert np.array_equal(snapped.s_paths, want.s_paths)
+    assert np.array_equal(snapped.x_paths, want.x_paths)

@@ -6,6 +6,7 @@ import pytest
 from qhedge import (DiscreteMDP, MarketParams, OptionContract, RiskParams,
                     discretize, ensemble_from_prices, exact_backward_induction,
                     q_learn, simulate_gbm)
+from tests.test_market import traced
 
 PUT = OptionContract("put", 100.0)
 
@@ -84,6 +85,18 @@ class TestDiscretize:
         mdp = discretize(paths, PUT, risk, 4, 2, (-1.0, 0.0))
         assert len(mdp.merged_bins) > 0
         assert mdp.n_states == 1
+
+    def test_working_set_below_four_and_a_half_panels(self):
+        """At the benchmark's chain (Criterion 4's market, 50k paths x 12
+        steps) discretize allocates less than 4.5 panels of (n_paths,
+        n_steps+1) doubles: the state index is computed once, and the
+        backward pass holds Pi_(t+1) and Pi_t, with no ds_dev or Pi panel
+        (three loops over both panels read 5.73)."""
+        paths = gbm(n_paths=50_000, seed=42, sigma=0.10, n_steps=12)
+        deep_itm, risk = OptionContract("put", 200.0), RiskParams(1e-4)
+        discretize(gbm(n_paths=100), deep_itm, risk, 21, 5, (-1.3, 0.1))  # lazy set-up
+        _, peak = traced(lambda: discretize(paths, deep_itm, risk, 21, 5, (-1.3, 0.1)))
+        assert peak / (paths.s_paths.size * 8) < 4.5
 
     def test_rejects_bad_sizes(self):
         paths = gbm(n_paths=100)

@@ -9,6 +9,7 @@ from qhedge import (BasisSet, MarketParams, OptionContract, bs_price_delta,
                     build_basis, ensemble_from_prices,
                     indifference_price_recursion, simulate_gbm)
 from qhedge.errors import DegenerateInputError, SingularSystemError
+from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 
 PUT = OptionContract("put", 100.0)
 
@@ -109,6 +110,17 @@ class TestNumericHedge:
 
 
 class TestIndifferencePrice:
+    def test_working_set_below_one_point_four_record_columns(self):
+        """At the benchmark's model-based shape the recursion allocates less
+        than 1.4 float columns of records (n_paths x n_steps doubles) beyond
+        the ensemble: each step zeroes the unoccupied cells of its own
+        design rather than weighting a copy of it."""
+        paths = rn_gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
+        basis = build_basis("bspline", 12, paths.x_paths)
+        res, peak = traced(lambda: indifference_price_recursion(paths, PUT, 0.01, basis))
+        assert np.isfinite(res.price0)
+        assert peak / (BENCH_PATHS * paths.n_steps * 8) < 1.4
+
     def test_constant_claim_discounts(self):
         """A constant terminal claim is worth its discounted value at every
         aversion level (and exactly b when r = 0)."""
