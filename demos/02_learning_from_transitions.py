@@ -11,7 +11,7 @@ import numpy as np
 
 from qhedge import (MarketParams, OptionContract, RiskParams, build_basis,
                     build_dataset, dataset_rewards, fqi_backward, simulate_gbm,
-                    solve_dp, solve_local_risk)
+                    solve_dp)
 
 params = MarketParams(s0=100.0, mu=0.03, sigma=0.15, r=0.03,
                       maturity=1.0, n_steps=24)
@@ -22,9 +22,6 @@ paths = simulate_gbm(params, 50_000, seed=42)
 basis = build_basis("bspline", 12, paths.x_paths.ravel())
 dp = solve_dp(paths, contract, risk, basis)
 print(f"model-based reference: price {dp.price0:.4f}, hedge {dp.hedge0:.4f}\n")
-# rewards penalize variance around the risk-minimizing portfolio, which
-# does not depend on the policy that recorded the actions
-pi_ref = solve_local_risk(paths, contract, basis)[1]
 
 optimal_actions = np.column_stack(
     [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
@@ -35,7 +32,9 @@ random_actions = rng.uniform(-1.5, 1.5, size=optimal_actions.shape) \
 
 for label, actions in (("optimal-policy data", optimal_actions),
                        ("random-policy data", random_actions)):
-    rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+    # rewards penalize variance around the contract's risk-minimizing
+    # portfolio, which does not depend on the policy that recorded the actions
+    rewards = dataset_rewards(paths, actions, contract, risk, basis)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract)
     sol = fqi_backward(dataset, basis)
     print(f"{label:20s}: price {sol.price0:.4f} "

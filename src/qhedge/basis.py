@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateInputError
 
 KINDS = ("one_hot_grid", "bspline", "rbf")
+_ROWS = 1 << 14  # states per block of a design matrix
 
 
 class BasisSet:
@@ -36,20 +37,25 @@ class BasisSet:
             self._hi = knots[-degree - 1]
 
     def evaluate(self, states) -> np.ndarray:
-        """Design matrix Phi with Phi[i, n] = basis_n(states[i])."""
+        """Design matrix Phi with Phi[i, n] = basis_n(states[i]), filled
+        ``_ROWS`` rows at a time: each row depends on its state alone, so
+        the temporaries are a block's and the values those of one pass."""
         x = np.atleast_1d(np.asarray(states, dtype=float))
-        if x.size == 0:
-            return np.zeros((0, self.m))
+        out = np.zeros((x.size, self.m))
+        for lo in range(0, x.size, _ROWS):
+            self._fill(x[lo:lo + _ROWS], out[lo:lo + _ROWS])
+        return out
+
+    def _fill(self, x, out):
+        """Write the design rows of the states x into the zeroed ``out``."""
         if self.kind == "one_hot_grid":
-            out = np.zeros((x.size, self.m))
             out[np.arange(x.size), self.bucket_of(x)] = 1.0
-            return out
-        if self.kind == "bspline":
+        elif self.kind == "bspline":
             hi = np.nextafter(self._hi, self._lo)
-            return _bspline_design(np.clip(x, self._lo, hi), self.knots, self.degree)
-        # rbf
-        z = (x[:, None] - self.centers[None, :]) / self.bandwidth
-        return np.exp(-0.5 * z**2)
+            _bspline_design(np.clip(x, self._lo, hi), self.knots, self.degree, out)
+        else:  # rbf
+            z = (x[:, None] - self.centers[None, :]) / self.bandwidth
+            np.exp(-0.5 * z**2, out=out)
 
     def bucket_of(self, states) -> np.ndarray:
         """Bucket index per state (one_hot_grid only); out-of-range clamps."""
@@ -59,9 +65,10 @@ class BasisSet:
         return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.m - 1)
 
 
-def _bspline_design(x, t, k) -> np.ndarray:
-    """Dense design matrix of the degree-k B-splines on knots t at x, with
-    every x in [t[k], t[-k-1]).
+def _bspline_design(x, t, k, out):
+    """Write the dense design matrix of the degree-k B-splines on knots t
+    at x, with every x in [t[k], t[-k-1]), into the zeroed (x.size, n)
+    C-ordered ``out``.
 
     Cox-de Boor recurrence (de Boor, *A Practical Guide to Splines*, 2001,
     ch. X), with its operations in the order of scipy's ``_deBoor_D`` so
@@ -70,9 +77,6 @@ def _bspline_design(x, t, k) -> np.ndarray:
     t[ell] <= x < t[ell+1] in columns ell-k .. ell.
     """
     n = t.size - k - 1
-    # the output before the temporaries: a loop of calls then reuses their
-    # freed memory rather than growing the heap around each output
-    out = np.zeros((x.size, n))
     # the span ell of each x, less k: the interior knots at or below x (the
     # knots are sorted), which is searchsorted's, clipped to [k, n-1]; one
     # compare per knot beats a binary search at the basis sizes in use
@@ -108,7 +112,6 @@ def _bspline_design(x, t, k) -> np.ndarray:
     for hc in h:
         flat[at] = hc
         at += 1
-    return out
 
 
 def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet:

@@ -351,11 +351,11 @@ def cmd_make_dataset(cfg):
     basis = cfg.basis_for(paths)
     contract, risk = cfg.contract(), cfg.risk()
     policy = cfg["dataset.policy"]
-    # one local-risk solve: the rewards' reference, and that policy's hedge
-    coeffs, pi_ref = solve_local_risk(paths, contract, basis)
-    actions = (HedgeStrategy.from_coefficients(basis, coeffs) if policy == "local_risk"
-               else _strategy(cfg, paths, basis, policy)).actions(paths)[:, :-1]
-    rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+    # one local-risk pass: the rewards' reference, and that policy's hedge
+    record = policy == "local_risk"
+    actions = (np.empty((paths.n_paths, paths.n_steps), order="F") if record
+               else _strategy(cfg, paths, basis, policy).actions(paths)[:, :-1])
+    rewards = dataset_rewards(paths, actions, contract, risk, basis, record_hedge=record)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
     dataset.extras["policy"] = policy

@@ -12,8 +12,10 @@ value (non-finite, subnormal, other magnitudes, negative integers,
 labels) goes through Python's format.
 
 It is also the one place that knows the record layout: ``write_table``
-turns arrays into one record per element, and ``scatter_records`` turns
-(path, t) records back into panels, checking that they fill them.
+turns arrays into one record per element, ``PanelSink`` puts (path, t)
+records that come in that order straight into panels, and
+``scatter_records`` places them in any order, checking that they fill
+the panels and naming what is wrong.
 
 Records are formatted and parsed on every usable CPU: a large table is
 cut into contiguous ranges of records, one process per CPU formats or
@@ -23,11 +25,13 @@ below a fixed size per process, and platforms without ``os.fork`` or
 ``os.sched_getaffinity``, use one process.  There is no setting for it.
 
 Records are read one column at a time: each range is parsed a piece of
-lines at a time into one array per column, a worker sends its columns
-one after another, and the reader keeps one array per column, never one
-(records, columns) block, on one CPU or many.  ``scatter_records`` drops
-each column once it is consumed, so reading a dataset peaks near 7 float
-columns of records.
+lines at a time, a worker sends its columns one after another, and the
+reader hands each column to a sink a piece at a time, never one
+(records, columns) block, on one CPU or many.  The default sink keeps
+one array per column; ``PanelSink`` places each piece in its panel, so
+reading a dataset in the order it was written holds its panels and a
+piece, about 3 float columns of records, where whole columns scattered
+by ``scatter_records`` (which drops each once consumed) peak near 7.
 """
 
 import contextlib
@@ -64,9 +68,17 @@ def read_csv(path):
     return meta, colnames, np.stack(columns, axis=1)
 
 
-def read_columns(path):
+def read_columns(path, sink=None):
     """``(meta, colnames, columns)``: the header items as strings, the
-    column names, and the records as one float array per column."""
+    column names, and the records as one float array per column.
+
+    ``sink``, a function of (meta, colnames) called once the column names
+    are read, returns an object that takes the records instead, and whose
+    ``finish`` is returned in place of the columns: ``start(n, k)`` with
+    at least the record count n and the column count k, then ``put(c,
+    row, values)`` with the values of column c at records row onward,
+    each column's pieces in file order, then ``finish(n)`` with the record
+    count.  A parse that fails part way starts it again."""
     meta = {}
     with open(path) as fh:
         line = fh.readline()
@@ -78,18 +90,36 @@ def read_columns(path):
         colnames = line.strip().split(",")
         if not line or colnames[0].lstrip("+-").replace(".", "", 1).isdigit():
             raise DataFormatError(f"{path}: no column-name row")
-        columns = _read_split(fh)
-        if columns is None:
+        into = _Columns() if sink is None else sink(meta, colnames)
+        shape = _read_split(fh, into)
+        if shape is None:
             try:
-                columns = list(_loadtxt(fh).T)
+                block = _loadtxt(fh)
             except UserWarning:
                 raise DataFormatError(f"{path}: no data rows") from None
             except ValueError as exc:
                 raise DataFormatError(f"{path}: {exc}") from exc
-    if len(columns) != len(colnames):
-        raise DataFormatError(f"{path}: {len(columns)} values per row "
+            into.start(*(shape := block.shape))
+            for c in range(shape[1]):
+                into.put(c, 0, block[:, c])
+            del block
+    if shape[1] != len(colnames):
+        raise DataFormatError(f"{path}: {shape[1]} values per row "
                               f"for {len(colnames)} columns {colnames}")
-    return meta, colnames, columns
+    return meta, colnames, into.finish(shape[0])
+
+
+class _Columns:
+    """``read_columns``' own sink: one float array per column."""
+
+    def start(self, n, k):
+        self.columns = [np.empty(n) for _ in range(k)]
+
+    def put(self, c, row, values):
+        self.columns[c][row:row + len(values)] = values
+
+    def finish(self, n):
+        return [column[:n] for column in self.columns]
 
 
 def _loadtxt(lines):
@@ -100,13 +130,14 @@ def _loadtxt(lines):
         return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
-def _read_split(fh):
-    """The records after ``fh``'s position as one array per column: parsed
-    here when one process gets the whole body, else by one forked worker
-    per usable CPU, each on a byte range of whole lines, and joined in
-    file order.  None when a parse fails or the workers disagree on the
-    column count, which leaves the whole body to one parse of it (and so
-    every error to that)."""
+def _read_split(fh, sink):
+    """Put the records after ``fh``'s position into ``sink`` (see
+    ``read_columns``) and return their (records, columns): parsed here
+    when one process gets the whole body, else by one forked worker per
+    usable CPU, each on a byte range of whole lines, whose columns are
+    taken a piece at a time in file order.  None when a parse fails or the
+    workers disagree on the column count, which leaves the whole body to
+    one parse of it (and so every error to that)."""
     fd = fh.fileno()
     end = os.fstat(fd).st_size
     start = fh.tell() if fh.seekable() else end  # a byte offset at a line start
@@ -115,7 +146,7 @@ def _read_split(fh):
                                  for i in range(1, n))})
     if len(cuts) < 3:
         try:
-            return _parse_columns(fd, start, end, fh.encoding) if start < end else None
+            return _parse_columns(fd, start, end, fh.encoding, sink) if start < end else None
         except (ValueError, UserWarning):
             return None
     with _Workers() as workers, contextlib.ExitStack() as pipes:
@@ -128,50 +159,55 @@ def _read_split(fh):
         shapes = [np.frombuffer(p.read(16), np.int64) for p in parts]
         if any(s.size != 2 for s in shapes) or len({int(s[1]) for s in shapes}) != 1:
             return None
-        columns = [np.empty(sum(int(s[0]) for s in shapes)) for _ in range(shapes[0][1])]
-        row = 0
+        k = int(shapes[0][1])
+        sink.start(sum(int(s[0]) for s in shapes), k)
+        piece, row = np.empty(_BLOCK), 0
         for i, (p, s) in enumerate(zip(parts, shapes)):
-            for column in columns:
-                view = memoryview(column[row:row + s[0]]).cast("B")
-                if p.readinto(view) != view.nbytes:
-                    return None
+            for c in range(k):
+                for lo in range(0, s[0], _BLOCK):
+                    values = piece[:min(_BLOCK, s[0] - lo)]
+                    view = memoryview(values).cast("B")
+                    if p.readinto(view) != view.nbytes:
+                        return None
+                    sink.put(c, row + lo, values)
             if not workers.ok(i):
                 return None
-            row += s[0]
-    return columns
+            row += int(s[0])
+    return row, k
 
 
 def _parse_range(fd, lo, hi, encoding, out):
     """In a worker: parse bytes ``lo:hi`` of ``fd`` into columns, and send
     their shape (records, columns) and then each column's bytes."""
-    columns = _parse_columns(fd, lo, hi, encoding)
-    out.write(np.array([columns[0].size, len(columns)], np.int64).tobytes())
-    for column in columns:
+    columns = _Columns()
+    shape = _parse_columns(fd, lo, hi, encoding, columns)
+    out.write(np.array(shape, np.int64).tobytes())
+    for column in columns.finish(shape[0]):
         out.write(memoryview(column).cast("B"))
     out.flush()
 
 
-def _parse_columns(fd, lo, hi, encoding):
-    """The records in bytes ``lo:hi`` of ``fd`` (whole lines, decoded as
-    ``open`` would) as one float array per column.  The range is parsed
-    ``_PARSE_BYTES`` of whole lines at a time into columns sized by its
-    line count, so no (records, columns) block of the whole range is made;
-    each value is parsed as one parse of the range would parse it."""
+def _parse_columns(fd, lo, hi, encoding, sink):
+    """Put the records in bytes ``lo:hi`` of ``fd`` (whole lines, decoded
+    as ``open`` would) into ``sink``, started with the range's line count,
+    and return their (records, columns).  The range is parsed
+    ``_PARSE_BYTES`` of whole lines at a time, and each piece's columns
+    are put in turn, so no (records, columns) block of the whole range is
+    made; each value is parsed as one parse of the range would parse it."""
     cuts = [lo]
     while cuts[-1] < hi:
         cuts.append(_line_start(fd, min(cuts[-1] + _PARSE_BYTES, hi), hi))
-    columns, row = None, 0
+    k, row = None, 0
     for a, b in zip(cuts, cuts[1:]):
         part = _loadtxt(io.TextIOWrapper(_ByteRange(fd, a, b), encoding=encoding))
-        if columns is None:
-            n = _count_lines(fd, lo, hi)
-            columns = [np.empty(n) for _ in range(part.shape[1])]
-        elif part.shape[1] != len(columns):
+        if k is None:
+            sink.start(_count_lines(fd, lo, hi), k := part.shape[1])
+        elif part.shape[1] != k:
             raise ValueError("number of columns changed")
-        for column, values in zip(columns, part.T):
-            column[row:row + len(part)] = values
+        for c in range(k):
+            sink.put(c, row, part[:, c])
         row += len(part)
-    return [column[:row] for column in columns]
+    return row, k
 
 
 def _count_lines(fd, lo, hi):
@@ -405,6 +441,71 @@ def typed_header(source, meta, keys):
             raise DataFormatError(f"{source}: header value {key}={meta[key]!r} is not "
                                   f"a valid {typ.__name__}") from None
     return out
+
+
+class OutOfOrder(Exception):
+    """Records that a ``PanelSink`` cannot place as they come."""
+
+
+class PanelSink:
+    """A ``read_columns`` sink for (path, t) records in the order
+    ``write_table`` writes an (n_paths, n_steps) table: path ids
+    ascending, and t = 0 .. n_steps-1 within each path.  ``names`` are the
+    file's columns, "path" and "t" first, and ``successor`` is as in
+    ``scatter_records``.  Each value goes straight into its step-major
+    panel, and path, t and the successor are checked a piece at a time;
+    ``finish`` returns what ``scatter_records`` would.  Records in any
+    other order, or that ``scatter_records`` would reject, raise
+    OutOfOrder, so that it can place them or name what is wrong."""
+
+    def __init__(self, names, n_paths, n_steps, successor):
+        self.names, self.n, self.steps, self.successor = names, n_paths, n_steps, successor
+
+    def start(self, n, k):
+        if k != len(self.names) or n < self.n * self.steps:
+            raise OutOfOrder
+        succ, of = self.successor
+        self.ids = np.full(self.n, np.nan)  # set by each path's t = 0 record
+        self.panels = {name: np.empty((self.steps + (name == of), self.n))
+                       for name in self.names[2:] if name != succ}
+        self.placed = 0  # records from the first whose value of ``of`` is placed
+        self.pending = []  # (cells, values) of successors whose cell was not placed
+
+    def put(self, c, row, values):
+        record = np.arange(row, row + len(values))
+        if record.size and record[-1] >= self.n * self.steps:
+            raise OutOfOrder
+        path, t = np.divmod(record, self.steps)
+        name, (succ, of) = self.names[c], self.successor
+        if name == "path":
+            self.ids[path[t == 0]] = values[t == 0]
+            ok = values == self.ids[path]
+        elif name == "t":
+            ok = values == t
+        else:
+            ok = np.isfinite(values)
+            cell = t * self.n + path
+            if name != succ:
+                self.panels[name].reshape(-1)[cell] = values
+                if name == of:
+                    self.placed = row + len(values)
+            else:  # the next record's value of ``of``, or the panel's last row
+                flat, cell = self.panels[of].reshape(-1), cell + self.n
+                last = t == self.steps - 1
+                flat[cell[last]] = values[last]
+                now = last | (record + 1 < self.placed)
+                ok &= ~now | (flat[cell] == values)
+                self.pending.append((cell[~now], values[~now]))
+        if not ok.all():
+            raise OutOfOrder
+
+    def finish(self, n):
+        ids, flat = self.ids, self.panels[self.successor[1]].reshape(-1)
+        if (n != self.n * self.steps or not np.all(np.diff(ids) > 0) or ids[0] < 0
+                or ids[-1] >= 2.0**53 or np.any(ids != np.floor(ids))
+                or any(np.any(flat[cell] != v) for cell, v in self.pending)):
+            raise OutOfOrder
+        return ids.astype(np.int64), self.panels
 
 
 def scatter_records(source, records, n_steps=None, successor=None):

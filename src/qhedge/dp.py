@@ -40,7 +40,8 @@ def terminal_fit(design, payoff, lam: float) -> np.ndarray:
     """Value coefficients of the terminal Q on the terminal design:
     -payoff minus lam times the regression estimate of the payoff variance
     conditional on the terminal state (floored at 0)."""
-    var, note = conditional_variance(design, payoff), f"risk.lambda = {lam:g}"
+    var = conditional_variance(design, payoff, what="terminal payoff variance")
+    note = f"risk.lambda = {lam:g}"
     q_term = require_finite(lambda: -payoff - lam * var, "terminal Q target", note=note)
     return least_squares(design, q_term, what=f"terminal Q fit ({note})")
 

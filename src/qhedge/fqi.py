@@ -6,11 +6,13 @@ by a 3 x M matrix W acting on (1, a, a^2/2) and the state basis:
     Q_t(x, a) = (1, a, a^2/2) @ W_t @ Phi(x).
 
 Each backward step solves one least-squares problem in the 3M stacked
-features.  The max over next actions inside the target is evaluated at an
-action estimated independently of the W-fit being maximized: the
-closed-form action of ``dp.solve_dp`` (``portfolio.centered_step`` and the
-tilted ``portfolio.hedge_fit``) when portfolio values are reconstructible,
-or a two-fold cross-fitted vertex otherwise.  Maximizing the same fitted
+features, made a block of rows at a time from the step's design, so no
+(n, 3M) array exists.  The max over next actions inside the target is
+evaluated at an action estimated independently of the W-fit being
+maximized: the closed-form action of ``dp.solve_dp``
+(``portfolio.centered_step`` and the tilted ``portfolio.hedge_fit``) when
+portfolio values are reconstructible, or a two-fold cross-fitted vertex
+otherwise.  Maximizing the same fitted
 parabola on the same sample would bias Q upward through the convexity of
 the max.  The terminal fit is ``dp.terminal_fit``.
 """
@@ -19,14 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import read_columns, scatter_records, typed_header, write_table
+from .csvio import (OutOfOrder, PanelSink, read_columns, scatter_records, typed_header,
+                    write_table)
 from .dp import terminal_fit
 from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
                      require_finite)
 from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
                      terminal_payoff)
-from .portfolio import (DS_MEANS, RiskParams, _pi_step, _reward, centered_step,
-                        hedge_fit, risk_tilt)
+from .portfolio import (DS_MEANS, RiskParams, _local_risk_step, _pi_step, _replicate,
+                        _reward, centered_step, hedge_fit, risk_tilt)
 from .regression import least_squares
 
 
@@ -36,6 +39,10 @@ _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": f
                 "contract_kind": str, "contract_strike": float}
 _OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
 _RECORD_COLUMNS = ("path", "t", "x", "a", "r", "x_next")  # a dataset file's, in order
+# one price panel underlies the records: each x_next must be the x of the
+# same path's next record, and the last fills the terminal row of the
+# states, stored by step
+_SUCCESSOR = ("x_next", "x")
 # the header key of each parameter-class field whose name differs from it
 _FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
@@ -87,12 +94,14 @@ class TransitionDataset:
     def _from_columns(cls, records, header, source):
         """``from_records`` on a dict of the record columns, which it
         empties: ``scatter_records`` frees each column once consumed."""
-        v = typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
-                                          if k in header or k not in _OPTIONAL_KEYS})
-        # one price panel underlies the records: each x_next must be the x
-        # of the same path's next record, and the last fills the terminal
-        # column of the states, stored by step
-        ids, p = scatter_records(source, records, v["n_steps"], successor=("x_next", "x"))
+        v = _typed_header(source, header)
+        ids, p = scatter_records(source, records, v["n_steps"], successor=_SUCCESSOR)
+        return cls._from_panels(ids, p, v, header, source)
+
+    @classmethod
+    def _from_panels(cls, ids, p, v, header, source):
+        """The dataset of the placed records: ``ids`` and the step-major
+        panels ``p`` of ``scatter_records``, under the typed header ``v``."""
         if v.get("n_paths", ids.size) != ids.size:
             raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
                                   f"records hold {ids.size} paths")
@@ -159,10 +168,11 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     Parameters
     ----------
     pi_reference : ndarray, optional
-        Portfolio values as the (n, n_steps+1) panel ``dataset_rewards``
-        takes, in the dataset's path order.  When omitted it is rolled
-        backward from the recorded actions on the price panel, a step
-        ahead of the fits, so that only Pi_(t+1) and Pi_t are held.
+        Portfolio values as an (n, n_steps+1) panel, such as
+        ``solve_local_risk(...)[1]``, in the dataset's path order.  When
+        omitted it is rolled backward from the recorded actions on the
+        price panel, a step ahead of the fits, so that only Pi_(t+1) and
+        Pi_t are held.
     action_source : {"analytic", "crossfit"}
         How the max-term action at t+1 is estimated: the closed-form
         regression on portfolio values (``portfolio.hedge_fit`` with the
@@ -215,12 +225,11 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
         targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
                                  "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
 
-        design_t = basis.evaluate(x_t)
-        psi = build_features(design_t, dataset.a[:, t], t)
-        wvec = least_squares(psi, targets, what=f"FQI weights at step {t}")
+        design_t, a_t = basis.evaluate(x_t), dataset.a[:, t]
+        wvec = least_squares(lambda s: build_features(design_t[s], a_t[s], t), targets,
+                             what=f"FQI weights at step {t}")
         if t > 0 and not use_analytic:  # max_a Q_t at x_t, by the folds' own fits
-            v_cache = _crossfit_v(dataset, design_t, targets, psi, t)
-        del psi  # three design-sized blocks: free before the hedge fit and step t-1
+            v_cache = _crossfit_v(dataset, design_t, targets, t)
         w = _weights_from_vec(wvec)
         weights[t] = w
 
@@ -268,21 +277,23 @@ def _check_one_action(recorded, read, t):
             f"at action {read[off][0]:.6g}; one recorded action cannot price another")
 
 
-def _crossfit_v(dataset, design, targets, psi, t):
+def _crossfit_v(dataset, design, targets, t):
     """Two-fold vertex estimator of max_a Q_t at the step-t states
     (``design`` rows): fit W on each half of the paths (split by id parity)
     and take both vertex action and value from the fold the evaluated path
     does not belong to.  The vertex is clamped to the step's observed
     action support (the fitted parabola means nothing beyond it), and
     non-concave points fall back to the value at a = 0."""
-    a_lo, a_hi = dataset.a[:, t].min(), dataset.a[:, t].max()
+    a = dataset.a[:, t]
+    a_lo, a_hi = a.min(), a.max()
     fold = dataset.path_ids % 2
     w_fold = []
     for f in (0, 1):
-        sel = fold == f
-        if not sel.any():
+        rows = np.flatnonzero(fold == f)
+        if not rows.size:
             raise DataFormatError(f"cannot 2-fold split slice t={t}")
-        wv = least_squares(psi[sel], targets[sel])
+        wv = least_squares(lambda s: build_features(design[rows[s]], a[rows[s]]),
+                           targets[rows])
         w_fold.append(_weights_from_vec(wv))
     out = np.empty(fold.size)
     for f in (0, 1):
@@ -322,25 +333,36 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 # ---------------------------------------------------------------------------
 # dataset construction and CSV round-trip
 
-def dataset_rewards(paths: PathEnsemble, actions, pi_reference, risk: RiskParams,
-                    basis) -> np.ndarray:
+def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
+                    risk: RiskParams, basis, *, record_hedge=False) -> np.ndarray:
     """Per-record rewards of the recorded (n_paths, n_steps) ``actions``
     under ``portfolio.centered_step``'s model convention, with the variance
-    penalty around ``pi_reference``, an (n_paths, n_steps+1) panel such as
-    the risk-minimizing ``solve_local_risk(...)[1]``."""
+    penalty around the portfolio of ``contract``'s risk-minimizing hedge.
+    They are built inside that hedge's backward pass, the one
+    ``solve_local_risk`` runs: each step evaluates one design and centers
+    once, and no portfolio panel is kept.  With ``record_hedge`` the
+    actions are written, not read: column t receives the pass's hedge at
+    step t, the local_risk policy's action, before its rewards are taken."""
     n, n_steps = paths.n_paths, paths.n_steps
     _check_shape("actions", actions, n, n_steps)
-    _check_shape("pi_reference", pi_reference, n, n_steps + 1)
-    rewards = np.empty((n_steps, n))
-    for t in range(n_steps):
-        design = basis.evaluate(paths.x_paths[:, t])
-        pi_next = pi_reference[:, t + 1]
-        ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
-        rewards[t] = require_finite(
-            lambda: _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
-                            pi_center=pi_c, ds_center=ds_c, gain=gain),
-            "reward R", t, f"risk.lambda = {risk.lam:g}")
-    return rewards.T
+
+    def rewards():  # stored by step, so that the first bad row names its step
+        out = np.empty((n_steps, n))
+
+        def hedge(t, pi_next):
+            design, (ds, ds_c, pi_c, gain, _), coeffs = _local_risk_step(basis, paths, t,
+                                                                          pi_next)
+            u = design @ coeffs
+            if record_hedge:
+                actions[:, t] = u
+            out[t] = _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
+                             pi_center=pi_c, ds_center=ds_c, gain=gain)
+            return u
+
+        _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge)
+        return out
+    return require_finite(rewards, "reward R", note=f"risk.lambda = {risk.lam:g}",
+                          by_step=True).T
 
 
 def _check_shape(name, panel, n_paths, n_cols):
@@ -374,7 +396,34 @@ def write_dataset_csv(dataset: TransitionDataset, path):
                  "seed": paths.seed, **dict(sorted(items.items()))})
 
 
+def _typed_header(source, header):
+    return typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
+                                         if k in header or k not in _OPTIONAL_KEYS})
+
+
 def read_dataset_csv(path) -> TransitionDataset:
+    """The dataset of a ``write_dataset_csv`` file.  Records in the order
+    it writes them go straight into the step-major panels, a piece at a
+    time (``csvio.PanelSink``); a file whose records come in any other
+    order, or hold any error, is read again as columns and placed by
+    ``scatter_records``, which names what is wrong."""
+    v = {}
+
+    def panels(meta, _):  # the panels of a whole header's shape
+        try:
+            v.update(typed_header(path, meta, {"n_paths": int}), **_typed_header(path, meta))
+        except DataFormatError:
+            raise OutOfOrder from None
+        if min(v["n_paths"], v["n_steps"]) < 1:
+            raise OutOfOrder
+        return PanelSink(_RECORD_COLUMNS, v["n_paths"], v["n_steps"], _SUCCESSOR)
+
+    try:
+        meta, _, (ids, p) = read_columns(path, panels)
+    except OutOfOrder:
+        pass
+    else:
+        return TransitionDataset._from_panels(ids, p, v, meta, path)
     meta, _, columns = read_columns(path)
     typed_header(path, meta, {"n_paths": int})  # which a file must carry
     if len(columns) != 6:

@@ -8,9 +8,10 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 so uncertainty about the future propagates to today path by path, and the
 bank account B_t = Pi_t - u_t S_t follows from it.  Every
 solver takes each Pi step through one function, ``_pi_step``,
-centers each step by one rule, ``centered_step`` (as ``fqi.dataset_rewards``
-does), and fits its hedge with one regression, ``hedge_fit``: untilted in
-``solve_local_risk``, tilted in ``dp.solve_dp`` and ``fqi.fqi_backward``.
+centers each step by one rule, ``centered_step``, and fits its hedge
+with one regression, ``hedge_fit``: untilted in the risk-minimizing
+pass (``solve_local_risk`` and ``fqi.dataset_rewards``), tilted in
+``dp.solve_dp`` and ``fqi.fqi_backward``.
 On top of the rollout the module provides the risk-adjusted one-step
 reward (a quadratic in the action), signed-measure reweighting and the
 variance-loaded ask price.
@@ -226,25 +227,31 @@ def centered_step(design, paths: PathEnsemble, t: int, pi_next, ds_mean="model")
     return ds, ds_center, pi_center, ds - ds_center, 0.0
 
 
+def _local_risk_step(basis, paths: PathEnsemble, t: int, pi_next):
+    """Step t of the risk-minimizing solve: the design at the step-t
+    states, ``centered_step``'s values (model convention) and the hedge
+    coefficients fitted on them."""
+    design = basis.evaluate(paths.x_paths[:, t])
+    centered = ds, ds_c, pi_c, _, _ = centered_step(design, paths, t, pi_next)
+    ds_dev = ds - ds_c
+    if np.max(np.abs(ds_dev)) == 0.0:
+        raise DegenerateInputError(f"all price increments identical at step {t}; "
+                                   "hedge undefined")
+    return design, centered, hedge_fit(design, ds_dev, pi_next - pi_c, t)
+
+
 def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     """Backward risk-minimizing hedge solve, independent of risk aversion.
 
     Returns (coeffs, pi): per-step hedge coefficient vectors and the
-    (n_paths, n_steps+1) portfolio values rolled under that hedge.  This
-    is the reference replicating rollout used when rewards must not
-    depend on an exploration policy.
+    (n_paths, n_steps+1) portfolio values rolled under that hedge.
+    ``fqi.dataset_rewards`` runs the same pass to price recorded actions
+    against this portfolio without keeping it.
     """
     coeffs = [None] * paths.n_steps
 
     def hedge(t, pi_next):
-        design = basis.evaluate(paths.x_paths[:, t])
-        ds, ds_c, pi_c, _, _ = centered_step(design, paths, t, pi_next)
-        ds_dev = ds - ds_c
-        if np.max(np.abs(ds_dev)) == 0.0:
-            raise DegenerateInputError(
-                f"all price increments identical at step {t}; hedge undefined"
-            )
-        coeffs[t] = hedge_fit(design, ds_dev, pi_next - pi_c, t)
+        design, _, coeffs[t] = _local_risk_step(basis, paths, t, pi_next)
         return design @ coeffs[t]
 
     pi = _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge,
@@ -283,6 +290,7 @@ def ask_price(paths: PathEnsemble, rollout: PortfolioRollout, risk: RiskParams,
     total = float(rollout.pi[:, 0].mean())
     for t in range(paths.n_steps + 1):
         design = basis.evaluate(paths.x_paths[:, t])
-        var_t = conditional_variance(design, rollout.pi[:, t])
+        var_t = conditional_variance(design, rollout.pi[:, t],
+                                     what=f"Pi variance at step {t}")
         total += risk.lam * gamma**t * float(var_t.mean())
     return total

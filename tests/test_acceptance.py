@@ -84,13 +84,11 @@ class TestCriterion3FQIMatchesDP:
         contract = bs_setup["contract"]
         risk = RiskParams(1e-3)
         dp = bs_setup["solutions"][1e-3]
-        # the rewards' variance penalty is taken around the local-risk portfolio
-        pi_ref = solve_local_risk(paths, contract, basis)[1]
 
         actions_on = np.column_stack(
             [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
              for t in range(paths.n_steps)])
-        rewards_on = dataset_rewards(paths, actions_on, pi_ref, risk, basis)
+        rewards_on = dataset_rewards(paths, actions_on, contract, risk, basis)
         ds_on = build_dataset(paths, actions_on, rewards_on, risk.lam, contract)
         sol_on = fqi_backward(ds_on, basis)
 
@@ -98,7 +96,7 @@ class TestCriterion3FQIMatchesDP:
         scale = np.abs(actions_on).max()
         actions_off = rng.uniform(-1.5, 1.5,
                                   size=actions_on.shape) * scale
-        rewards_off = dataset_rewards(paths, actions_off, pi_ref, risk, basis)
+        rewards_off = dataset_rewards(paths, actions_off, contract, risk, basis)
         ds_off = build_dataset(paths, actions_off, rewards_off, risk.lam, contract)
         sol_off = fqi_backward(ds_off, basis)
         elapsed = time.monotonic() - t0

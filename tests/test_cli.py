@@ -287,13 +287,19 @@ class TestSubcommands:
          ("terminal Q fit", "risk.lambda = 1e+308")),
         (["dp-solve", "--risk.lambda", "1e308", "--market.sigma", "1"],
          ("terminal Q target not finite", "risk.lambda = 1e+308")),
+        (["dp-solve", "--market.s0", "1e300"],
+         ("hedge fit at step 23: normal equations not finite",)),
+        (["dp-solve", "--contract.strike", "1e300"],
+         ("terminal payoff variance: squared residual not finite",)),
     ], ids=["dp_tiny_lambda", "dp_tiny_discount", "utility_huge_growth",
             "dataset_reward_overflows", "dp_terminal_fit_overflows",
-            "dp_terminal_target_overflows"])
+            "dp_terminal_target_overflows", "dp_gram_overflows",
+            "dp_squared_residual_overflows"])
     def test_overflow_exits_3_naming_its_cause(self, tmp_path, capsys, argv, names):
         """A tilt, target, reward or terminal fit past the doubles names
-        risk.lambda, and price increments whose own moments overflow name
-        market.r, not the risk aversion: exit 3 with no overflow warning and
+        risk.lambda, price increments whose own moments overflow name
+        market.r, not the risk aversion, and a Gram or a squared residual
+        past the doubles names its fit: exit 3 with no overflow warning and
         no summary."""
         out = tmp_path / "out"
         assert run(*argv, "--mc.n_paths", "500", "--output.dir", str(out)) == 3

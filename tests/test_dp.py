@@ -8,7 +8,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff)
 from qhedge.errors import SingularSystemError
-from qhedge.regression import least_squares
+from qhedge.regression import conditional_variance, least_squares
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 from tests.test_portfolio import local_risk_fit
 
@@ -123,6 +123,22 @@ class TestOptimalQCoeffs:
         targets = np.array([1.0, 3.0, 10.0, 14.0])
         coeffs = self.q_fit(paths, targets, basis, 0)
         np.testing.assert_allclose(coeffs, [2.0, 12.0], rtol=1e-7)
+
+    def test_sums_past_the_doubles_name_the_fit(self):
+        """Rows whose products leave the doubles raise naming the fit, with
+        no overflow warning: in the Gram of the scaled rows, in Phi^T y,
+        and in the squared residual of a variance fit."""
+        paths = gbm(n_paths=500, seed=1)
+        design = build_basis("bspline", 6, paths.x_paths.ravel()).evaluate(
+            paths.x_paths[:, 2])
+        y = np.random.default_rng(1).standard_normal(500)
+        for scale, target in ((np.full(500, 1e160), y), (None, 1e308 * np.sign(y))):
+            with pytest.raises(SingularSystemError,
+                               match=r"^Q fit: normal equations not finite$"):
+                least_squares(design, target, scale, what="Q fit")
+        with pytest.raises(SingularSystemError,
+                           match=r"^payoff variance: squared residual not finite$"):
+            conditional_variance(design, 1e300 * y, what="payoff variance")
 
     def test_zero_everything_is_zero(self):
         """Zero payoff, zero action value: every fitted Q coefficient of

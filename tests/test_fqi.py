@@ -13,8 +13,10 @@ from qhedge import (BasisSet, FQISolution, MarketParams,
                     read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
-from qhedge.csvio import write_table
+from qhedge import csvio
+from qhedge.csvio import read_columns, write_table
 from qhedge.errors import DataFormatError, SingularSystemError
+from qhedge.fqi import _RECORD_COLUMNS
 from qhedge.portfolio import _replicate
 from tests.test_csvio import split_over
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
@@ -100,8 +102,7 @@ class TestAgainstDP:
         actions = np.column_stack(
             [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
              for t in range(paths.n_steps)])
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.02
@@ -109,7 +110,7 @@ class TestAgainstDP:
 
     def test_pi_reference_shape_checked(self):
         """pi_reference is the full (n, n_steps+1) portfolio panel that
-        dataset_rewards takes; the column-shifted (n, n_steps) form is
+        solve_local_risk returns; the column-shifted (n, n_steps) form is
         rejected, not read one step off."""
         paths = gbm(n_paths=4000, seed=3)
         basis, risk = make_pipeline(paths)
@@ -119,7 +120,7 @@ class TestAgainstDP:
              for t in range(paths.n_steps)])
         pi_ref = solve_local_risk(paths, PUT, basis)[1]
         ds = build_dataset(paths, actions,
-                           dataset_rewards(paths, actions, pi_ref, risk, basis),
+                           dataset_rewards(paths, actions, PUT, risk, basis),
                            risk.lam, PUT)
         with pytest.raises(ValueError, match=r"pi_reference.*\(4000, 9\).*got \(4000, 8\)"):
             fqi_backward(ds, basis, pi_reference=pi_ref[:, 1:])
@@ -133,29 +134,23 @@ class TestAgainstDP:
         paths = gbm(n_paths=200, seed=3)
         basis, risk = make_pipeline(paths)
         actions = np.zeros((paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
         ds = build_dataset(paths, actions,
-                           dataset_rewards(paths, actions, pi_ref, risk, basis),
+                           dataset_rewards(paths, actions, PUT, risk, basis),
                            risk.lam, PUT)
         with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
             solve_dp(paths, PUT, risk, basis, ds_mean="pooled")
         with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
             fqi_backward(ds, basis, action_source=action_source, ds_mean="pooled")
 
-    @pytest.mark.parametrize("name,cols", [("pi_reference", 6), ("actions", 3),
-                                           ("actions", 8)])
+    @pytest.mark.parametrize("name,cols", [("actions", 3), ("actions", 8)])
     def test_dataset_rewards_shape_checked(self, name, cols):
-        """A panel of another shape fails naming the argument and both
-        shapes, instead of an IndexError or columns of unset memory."""
+        """An action panel of another shape fails naming the argument and
+        both shapes, instead of an IndexError or columns of unset memory."""
         paths = gbm(n_paths=400, seed=3, n_steps=6)
         basis, risk = make_pipeline(paths)
-        args = {"actions": np.zeros((400, 6)),
-                "pi_reference": solve_local_risk(paths, PUT, basis)[1]}
-        args[name] = np.zeros((400, cols))
-        want = 7 if name == "pi_reference" else 6
         with pytest.raises(ValueError,
-                           match=rf"{name} must be an \(400, {want}\).*got \(400, {cols}\)"):
-            dataset_rewards(paths, args["actions"], args["pi_reference"], risk, basis)
+                           match=rf"{name} must be an \(400, 6\).*got \(400, {cols}\)"):
+            dataset_rewards(paths, np.zeros((400, cols)), PUT, risk, basis)
 
     def test_off_policy_random_actions(self):
         """Uniformly random actions still recover the price and hedge."""
@@ -164,8 +159,7 @@ class TestAgainstDP:
         dp = solve_dp(paths, PUT, risk, basis)
         rng = np.random.default_rng(9)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.05
@@ -179,8 +173,7 @@ class TestAgainstDP:
         paths = gbm(n_paths=500, seed=3, mu=0.05)
         basis, risk = make_pipeline(paths, lam=1e-300)
         actions = np.random.default_rng(9).uniform(-1.5, 1.5, size=(500, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         with pytest.raises(SingularSystemError, match=r"FQI target .* not finite at "
                                                       r"step \d \(risk\.lambda = 1e-300\)"):
@@ -193,8 +186,7 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths)
         rng = np.random.default_rng(9)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis)
         # recompute targets/fits at the last step, where v is the terminal fit
@@ -216,8 +208,7 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths)
         actions = np.random.default_rng(9).uniform(-1.5, 1.5,
                                                    (paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT), basis)
         phi0 = basis.evaluate([x0])
         hedge0 = float((phi0 @ sol.action_coeffs[0])[0])
@@ -233,8 +224,7 @@ class TestAgainstDP:
         basis, risk = make_pipeline(paths, lam=0.05)
         rng = np.random.default_rng(2)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         ana = fqi_backward(ds, basis, action_source="analytic")
         cf = fqi_backward(ds, basis, action_source="crossfit")
@@ -248,19 +238,20 @@ class TestRolledReference:
     def test_equals_the_rolled_panel_and_holds_no_panel(self):
         """At the benchmark's model-free shape (random actions) the default
         solution equals, bit for bit, the one given the rolled panel as
-        pi_reference, and traces less than 2.7 float columns of records
-        beyond the dataset, where rolling the whole panel before the
-        fits took 3.51."""
+        pi_reference, and traces less than 1.5 float columns of records
+        beyond the dataset: rolling the whole panel before the fits took
+        3.51, and a step's whole (n, 3M) feature block beside its design
+        2.55, where the regression now builds the features a block of rows
+        at a time (1.26)."""
         paths = gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
         basis, risk = make_pipeline(paths, m=12)
         actions = np.random.default_rng(9).uniform(-1.5, 1.5,
                                                    (paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, solve_local_risk(paths, PUT, basis)[1],
-                                  risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         del rewards
         sol, peak = traced(lambda: fqi_backward(ds, basis))
-        assert peak / (len(ds) * 8) < 2.7
+        assert peak / (len(ds) * 8) < 1.5
 
         pi = np.empty_like(paths.s_paths)
         _replicate(paths, terminal_payoff(paths.s_paths[:, -1], PUT),
@@ -293,6 +284,23 @@ class TestRolledReference:
         with pytest.raises(SingularSystemError, match=r"^FQI feature a\^2/2 of the recorded "
                                                       r"actions not finite at step 2$"):
             fqi_backward(ds, basis, action_source="crossfit")
+
+    @pytest.mark.parametrize("action_source", ["analytic", "crossfit"])
+    def test_gram_past_the_doubles_names_the_fit(self, action_source):
+        """Recorded actions of 1e150 at step 2 have a finite a^2/2 = 5e299,
+        whose square leaves the doubles in step 2's Gram: the regression
+        raises naming the fit, with no overflow warning (the suite errors
+        on one), in either mode."""
+        paths = gbm(n_paths=300, seed=5, mu=0.05, sigma=0.2, n_steps=6)
+        rng = np.random.default_rng(1)
+        actions = rng.uniform(-1.5, 1.5, (300, 6))
+        actions[:, 2] = 1e150
+        ds = TransitionDataset(np.arange(300), paths, actions, rng.standard_normal((300, 6)),
+                               1e-3, PUT)
+        basis = build_basis("bspline", 8, paths.x_paths.ravel())
+        with pytest.raises(SingularSystemError,
+                           match=r"^FQI weights at step 2: normal equations not finite$"):
+            fqi_backward(ds, basis, action_source=action_source)
 
 
 class TestExtract:
@@ -335,8 +343,7 @@ class TestExtract:
         dp = solve_dp(paths, PUT, risk, basis)
         rng = np.random.default_rng(1)
         actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         sol = fqi_backward(ds, basis, action_source="crossfit")
         _, hedge = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
@@ -352,12 +359,53 @@ class TestExtract:
         basis, risk = make_pipeline(paths, lam=lam)
         actions = np.random.default_rng(1).uniform(-1.5, 1.5,
                                                    (paths.n_paths, paths.n_steps))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT),
                            basis, action_source=action_source)
         got = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
         assert got == (sol.price0, sol.hedge0)
+
+
+class TestRewardPass:
+    def test_working_set_below_two_point_three_record_columns(self):
+        """At the benchmark's model-free shape the rewards are built inside
+        the local-risk pass, which keeps no portfolio panel, evaluates one
+        design a step and centers once: less than 2.3 float columns of
+        records, where keeping the solve's panel and evaluating each step
+        again took 3.84."""
+        paths = gbm(n_paths=BENCH_PATHS, seed=42, **BENCH_PARAMS)
+        basis, risk = make_pipeline(paths, m=12)
+        actions = np.random.default_rng(9).uniform(-1.5, 1.5,
+                                                   (paths.n_paths, paths.n_steps))
+        _, peak = traced(lambda: dataset_rewards(paths, actions, PUT, risk, basis))
+        assert peak / (actions.size * 8) < 2.3
+
+    def test_reward_past_the_doubles_names_its_first_step(self):
+        """The whole pass runs before the rewards are checked, so a reward
+        past the doubles names the first such step, as the two-pass build
+        did, with no overflow warning."""
+        paths = gbm(n_paths=400, seed=3, n_steps=4)
+        basis, _ = make_pipeline(paths)
+        actions = np.zeros((400, 4))
+        actions[:, 1:] = 1e300
+        with pytest.raises(SingularSystemError, match=r"^reward R not finite at step 1 "
+                                                      r"\(risk\.lambda = 0\.001\)$"):
+            dataset_rewards(paths, actions, PUT, RiskParams(1e-3), basis)
+
+
+def scattered_dataset(path):
+    """A dataset file read as whole columns and placed by scatter_records:
+    the reference of the in-order read."""
+    meta, _, columns = read_columns(path)
+    return TransitionDataset._from_columns(dict(zip(_RECORD_COLUMNS, columns)), meta, path)
+
+
+def outcome(read, path):
+    """(dataset, None) or (None, the error's type and message)."""
+    try:
+        return read(path), None
+    except (DataFormatError, ValueError) as exc:
+        return None, (type(exc), str(exc))
 
 
 class TestDatasetIO:
@@ -366,8 +414,7 @@ class TestDatasetIO:
         basis, risk = make_pipeline(paths, m=6)
         rng = np.random.default_rng(0)
         actions = rng.uniform(-1, 1, size=(60, 4))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
         ds.extras["policy"] = "random"
         f = tmp_path / "data.csv"
@@ -434,6 +481,79 @@ class TestDatasetIO:
         assert (ds.paths.n_steps, basis.m) == (24, 12)
         columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
         assert all(peak < 9 for peak in columns.values()), columns
+
+    @pytest.mark.parametrize("n_cpus, n_paths", [(1, 10_000), (2, BENCH_PATHS)])
+    def test_in_order_read_peak_below_four_and_a_half_record_columns(self, tmp_path,
+                                                                      n_cpus, n_paths):
+        """At the benchmark's shape a file in writer order is read straight
+        into its x, a and r panels, a piece of one column at a time, so
+        the read traces less than 4.5 float columns of records (the three
+        panels, the price panel built from the states, and pieces), where
+        reading whole columns and scattering them took 7.38.  The same
+        holds when it parses here (one CPU, at fewer paths: traced, the
+        parse is slow) as in forked workers."""
+        paths = gbm(n_paths=n_paths, seed=42, **BENCH_PARAMS)
+        rng = np.random.default_rng(9)
+        ds = build_dataset(paths, rng.uniform(-1.5, 1.5, (n_paths, 24)),
+                           rng.standard_normal((n_paths, 24)), 1e-3, PUT)
+        write_dataset_csv(ds, tmp_path / "dataset.csv")
+        del ds
+        with split_over(n_cpus, block=1 << 13) as started:
+            back, peak = traced(lambda: read_dataset_csv(tmp_path / "dataset.csv"))
+        assert len(started) == (0 if n_cpus == 1 else n_cpus)
+        assert peak / (len(back) * 8) < 4.5
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("edit", ["shuffled", "descending", "duplicate", "missing",
+                                      "truncated", "extra", "relabelled", "nan", "inf",
+                                      "fraction", "horizon", "n_paths", "columns"]
+                             + [f"x_next-{i}" for i in range(21) if i % 3 < 2])
+    def test_other_files_read_as_scattered(self, tmp_path, monkeypatch, n_cpus, edit):
+        """A file out of writer order, or with any error, is read again as
+        columns and scattered: it gives the scattered read's dataset bit
+        for bit, or its exact error.  Pieces of a few records, and of one
+        line when parsed here, put some successors' checks after the next
+        piece's states."""
+        paths = gbm(n_paths=7, seed=2, n_steps=3)
+        rng = np.random.default_rng(4)
+        f = tmp_path / "data.csv"
+        write_dataset_csv(build_dataset(paths, rng.uniform(-1, 1, (7, 3)),
+                                        rng.standard_normal((7, 3)), 1e-3, PUT), f)
+        lines = f.read_text().splitlines(keepends=True)
+        head = sum(ln.startswith("#") for ln in lines) + 1
+        header, rows = lines[:head], lines[head:]
+        cells = [row.rstrip("\n").split(",") for row in rows]
+
+        def cell(i, j, value):
+            cells[i][j] = value
+        edit, _, row = edit.partition("-")
+        {"shuffled": lambda: rng.shuffle(cells),
+         "descending": lambda: cells.reverse(),
+         "duplicate": lambda: cells.__setitem__(5, list(cells[4])),
+         "missing": lambda: cells.pop(10),
+         "truncated": lambda: cells.pop(),
+         "extra": lambda: cells.append(["7", "0", "4.6", "0", "0", "4.6"]),
+         "relabelled": lambda: cell(5, 0, "2"),
+         "nan": lambda: cell(8, 4, "nan"),
+         "inf": lambda: cell(13, 2, "inf"),
+         "x_next": lambda: cell(int(row or 0), 5, "4.5"),
+         "fraction": lambda: cell(3, 0, "1.5"),
+         "horizon": lambda: cell(20, 1, "3"),
+         "n_paths": lambda: header.__setitem__(0, "# n_paths=8\n"),
+         "columns": lambda: [row.append("0") for row in cells],
+         }[edit]()
+        assert header[0].startswith("# n_paths=")
+        f.write_text("".join(header + [",".join(row) + "\n" for row in cells]))
+        monkeypatch.setattr(csvio, "_PARSE_BYTES", 1)
+        with split_over(n_cpus, block=3):
+            got = outcome(read_dataset_csv, f)
+        want = outcome(scattered_dataset, f)
+        assert got[1] == want[1]
+        if edit in ("shuffled", "descending"):
+            for name in ("path_ids", "x_paths", "a", "r"):
+                assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
+        else:
+            assert want[1] is not None
 
     def test_missing_slice_rejected(self):
         header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
@@ -506,8 +626,7 @@ class TestDatasetIO:
         paths = gbm(n_paths=400, seed=2, n_steps=4)
         basis, risk = make_pipeline(paths, m=6)
         actions = np.random.default_rng(4).uniform(-1, 1, size=(400, 4))
-        pi_ref = solve_local_risk(paths, PUT, basis)[1]
-        rewards = dataset_rewards(paths, actions, pi_ref, risk, basis)
+        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
         f = tmp_path / "data.csv"
         write_dataset_csv(build_dataset(paths, actions, rewards, risk.lam, PUT), f)
         lines = f.read_text().splitlines(keepends=True)

@@ -1,9 +1,11 @@
 """Randomized invariants of the B-spline design, the inverse normal CDF,
 the shared replication recursion, the shared hedge fit, the DP solver, the
-least-squares routine, the artifact codec and the grouped Q-learning kernel.  Examples are drawn by
-hypothesis, derandomized so every run draws the same ones."""
+least-squares routine, the dataset rewards, the artifact codec and the
+grouped Q-learning kernel.  Examples are drawn by hypothesis, derandomized
+so every run draws the same ones."""
 
 import math
+import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -17,15 +19,16 @@ from scipy.interpolate import BSpline
 from scipy.special import ndtri
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
-                    PathEnsemble, RiskParams, build_basis, build_dataset, discretize,
-                    ensemble_from_prices, from_state, q_learn, read_dataset_csv,
-                    reward_parabola, rollout_portfolio, simulate_gbm, solve_dp,
-                    solve_local_risk, terminal_payoff, write_dataset_csv)
-from qhedge import regression
+                    PathEnsemble, RiskParams, build_basis, build_dataset, dataset_rewards,
+                    discretize, ensemble_from_prices, from_state, q_learn,
+                    read_dataset_csv, reward_parabola, rollout_portfolio, simulate_gbm,
+                    solve_dp, solve_local_risk, terminal_payoff, write_dataset_csv)
+from qhedge import basis as basis_module
+from qhedge import csvio, fqi, regression
 from qhedge.basis import KINDS
-from qhedge.csvio import format_value, read_csv, write_table
+from qhedge.csvio import format_value, read_columns, read_csv, write_table
 from qhedge.market import _libm_log, _ndtri
-from qhedge.portfolio import _replicate
+from qhedge.portfolio import _replicate, _reward, centered_step
 from qhedge.tabular import _bucket_means
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -184,6 +187,121 @@ def test_least_squares_solves_the_ridge_normal_equations(n, m, seed, zero_share,
     size = np.abs(gram).max() * np.abs(coeffs).max() + np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-11 * size
     assert regression.least_squares(design, target, -scale).tobytes() == coeffs.tobytes()
+
+
+def unblocked_least_squares(design, target, scale=None):
+    """The ridge solve with each sum taken over all rows at once: the
+    reference whose fit the row-blocked sums must reproduce."""
+    rows = design if scale is None else design * scale[:, None]
+    gram = rows.T @ rows
+    eps = regression.RIDGE_SCALE * float(np.trace(gram)) / gram.shape[0]
+    return np.linalg.solve(gram + (eps if eps > 0 else 1e-12) * np.eye(len(gram)),
+                           np.einsum("ij,i->j", design, target))
+
+
+ROWS = regression._ROWS
+block_sizes = st.sampled_from([ROWS - 1, ROWS, ROWS + 1, 2 * ROWS, 2 * ROWS + 17])
+
+
+@PROPERTY
+@given(n=st.integers(1, 300) | block_sizes, m=st.integers(1, 12), seed=seeds,
+       zero_share=st.sampled_from([0.0, 0.5, 0.999]) | st.floats(0.0, 1.0),
+       scaled=st.booleans(), repeat_column=st.booleans())
+@example(n=ROWS + 1, m=12, seed=1, zero_share=0.0, scaled=True, repeat_column=False)
+@example(n=2 * ROWS + 17, m=12, seed=2, zero_share=0.5, scaled=True, repeat_column=True)
+@example(n=2 * ROWS, m=3, seed=3, zero_share=1.0, scaled=False, repeat_column=False)
+def test_blocked_least_squares_fits_the_unblocked_sums(n, m, seed, zero_share, scaled,
+                                                       repeat_column):
+    """Summing the Gram and Phi^T y over row blocks only reorders the sums:
+    the fitted values Phi c equal the one-pass solve's within 1e-9 of their
+    largest (the coefficients themselves are not identified on singular
+    designs), below, at and above the block size, with all-zero rows and
+    scaled rows; and rows handed over a block at a time by a function give
+    the same bits as the array."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((n, m))
+    design[rng.random(n) < zero_share] = 0.0
+    if repeat_column:
+        design[:, -1] = design[:, 0]
+    target = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    scale = rng.standard_normal(n) if scaled else None
+    coeffs = regression.least_squares(design, target, scale)
+    fit, want = design @ coeffs, design @ unblocked_least_squares(design, target, scale)
+    assert np.abs(fit - want).max() <= 1e-9 * np.abs(want).max()
+    by_block = regression.least_squares(lambda s: design[s], target, scale)
+    assert by_block.tobytes() == coeffs.tobytes()
+
+
+def two_pass_rewards(paths, actions, contract, risk, basis):
+    """The rewards as two passes built them: the local-risk solve keeps its
+    portfolio panel, then each step's design is evaluated and centered
+    again around that panel's column.  The reference the one-pass build
+    must equal bit for bit."""
+    pi_reference = solve_local_risk(paths, contract, basis)[1]
+    rewards = np.empty((paths.n_steps, paths.n_paths))
+    for t in range(paths.n_steps):
+        design = basis.evaluate(paths.x_paths[:, t])
+        pi_next = pi_reference[:, t + 1]
+        ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
+        rewards[t] = _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
+                             pi_center=pi_c, ds_center=ds_c, gain=gain)
+    return rewards.T
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(60, 300), seed=seeds, kind=kinds,
+       strike=st.floats(50.0, 150.0), lam=st.floats(1e-6, 1e2),
+       spread=st.floats(0.0, 3.0), basis_kind=st.sampled_from(KINDS))
+def test_one_pass_rewards_are_the_two_pass_build(params, n_paths, seed, kind, strike, lam,
+                                                 spread, basis_kind):
+    """dataset_rewards builds the rewards inside the local-risk pass, bit
+    for bit as the two-pass build does, for recorded actions and for the
+    local_risk policy, whose actions the pass records as it goes: those
+    equal the solve's hedge rolled out."""
+    paths = simulate_gbm(params, n_paths, seed)
+    basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
+    contract, risk = OptionContract(kind, strike), RiskParams(lam)
+    actions = np.random.default_rng(seed).uniform(-spread, spread,
+                                                  (n_paths, params.n_steps))
+    assert dataset_rewards(paths, actions, contract, risk, basis).tobytes() == \
+        two_pass_rewards(paths, actions, contract, risk, basis).tobytes()
+    coeffs, _ = solve_local_risk(paths, contract, basis)
+    hedge = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)[:, :-1]
+    recorded = np.empty_like(hedge)
+    rewards = dataset_rewards(paths, recorded, contract, risk, basis, record_hedge=True)
+    assert recorded.tobytes() == hedge.tobytes()
+    want = two_pass_rewards(paths, hedge, contract, risk, basis)
+    assert rewards.tobytes() == want.tobytes()
+
+
+def one_pass_design(basis, x):
+    """Every state's design row in one pass: scipy's B-spline design
+    matrix, and the indicator and Gaussian rows of the whole array."""
+    if basis.kind == "bspline":
+        t, k = basis.knots, basis.degree
+        lo, hi = t[k], t[-k - 1]
+        return BSpline.design_matrix(np.clip(x, lo, np.nextafter(hi, lo)), t, k).toarray()
+    if basis.kind == "one_hot_grid":
+        out = np.zeros((x.size, basis.m))
+        out[np.arange(x.size), basis.bucket_of(x)] = 1.0
+        return out
+    return np.exp(-0.5 * ((x[:, None] - basis.centers[None, :]) / basis.bandwidth) ** 2)
+
+
+@PROPERTY
+@given(params=markets, seed=seeds, kind=st.sampled_from(KINDS), m=st.integers(6, 16),
+       n=st.integers(0, 50) | st.sampled_from([basis_module._ROWS - 1, basis_module._ROWS,
+                                               basis_module._ROWS + 1,
+                                               2 * basis_module._ROWS + 17]))
+def test_design_blocks_are_one_pass(params, seed, kind, m, n):
+    """BasisSet.evaluate fills its design a block of rows at a time, and
+    every row depends on its state alone: the design equals the one of
+    all states at once bit for bit, below, at and above the block size,
+    inside the range and beyond it."""
+    samples = simulate_gbm(params, 100, seed).x_paths.ravel()
+    basis = build_basis(kind, m, samples)
+    x = np.random.default_rng(seed).uniform(samples.min() - 1.0, samples.max() + 1.0, n)
+    assert basis.evaluate(x).tobytes() == one_pass_design(basis, x).tobytes()
 
 
 @PROPERTY
@@ -377,6 +495,49 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
         (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
     assert (back.risk.lam, back.paths.seed) == (lam, seed)
     assert (back.contract, back.extras) == (OptionContract(kind, strike), {})
+
+
+def scattered_dataset(path):
+    """A dataset file read as whole columns and placed by scatter_records:
+    the reference of the in-order read."""
+    meta, _, columns = read_columns(path)
+    return fqi.TransitionDataset._from_columns(dict(zip(fqi._RECORD_COLUMNS, columns)),
+                                               meta, path)
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(1, 20), seed=seeds, data=st.data(),
+       gaps=st.lists(st.integers(1, 2**40), min_size=20, max_size=20),
+       parse_bytes=st.sampled_from([1, 97, 1 << 20]), piece=st.integers(1, 40),
+       n_cpus=st.sampled_from([1, 1, 3]))
+def test_in_order_read_is_the_scattered_read(params, n_paths, seed, data, gaps, parse_bytes,
+                                             piece, n_cpus):
+    """A file in the order write_dataset_csv writes it goes straight into
+    the panels, never through scatter_records, and reads bit for bit as
+    scattering its columns does: any ascending path ids, pieces that cut
+    paths anywhere (a line per piece up to whole files), parsed here or by
+    three workers whose columns are taken a few records at a time."""
+    paths = simulate_gbm(params, n_paths, seed)
+    shape = (n_paths, params.n_steps)
+    actions, rewards = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
+                        for _ in range(2))
+    ds = build_dataset(paths, actions, rewards, 1e-3, OptionContract("put", 100.0))
+    ds.path_ids = np.cumsum(gaps[:n_paths]) - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        write_dataset_csv(ds, path)
+        want = scattered_dataset(path)
+        with (mock.patch.object(fqi, "scatter_records", side_effect=AssertionError),
+              mock.patch.object(csvio, "_PARSE_BYTES", parse_bytes),
+              mock.patch.object(csvio, "_BLOCK", piece),
+              mock.patch.object(csvio, "_SPLIT_BYTES", 1),
+              mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
+            back = read_dataset_csv(path)
+    for name in ("path_ids", "x_paths", "a", "r"):
+        assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+    assert back.paths.s_paths.tobytes() == want.paths.s_paths.tobytes()
+    assert (back.paths.params, back.paths.seed, back.risk, back.contract, back.extras) == \
+        (want.paths.params, want.paths.seed, want.risk, want.contract, want.extras)
 
 
 def q_learn_one_by_one(mdp, n_updates_per_slice, schedule, seed):
