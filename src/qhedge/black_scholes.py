@@ -17,12 +17,12 @@ class BSQuote:
 
 
 def norm_cdf(x):
-    """Standard normal CDF via Hart's rational approximation."""
+    """Standard normal CDF via Hart's rational approximation; the density is
+    evaluated only where |x| <= 37, so no huge |x| overflows it."""
     x = np.asarray(x, dtype=float)
     z = np.abs(x)
     c = np.zeros_like(z)
     small = z < 7.07106781186547
-    e = np.exp(-0.5 * z * z)
 
     zs = z[small]
     num = 0.0352624965998911 * zs + 0.700383064443688
@@ -38,12 +38,12 @@ def norm_cdf(x):
     den = den * zs + 637.333633378831
     den = den * zs + 793.826512519948
     den = den * zs + 440.413735824752
-    c[small] = e[small] * num / den
+    c[small] = np.exp(-0.5 * zs * zs) * num / den
 
     big = (~small) & (z <= 37.0)
     zb = z[big]
     b = zb + 1.0 / (zb + 2.0 / (zb + 3.0 / (zb + 4.0 / (zb + 0.65))))
-    c[big] = e[big] / (b * 2.506628274631000502)
+    c[big] = np.exp(-0.5 * zb * zb) / (b * 2.506628274631000502)
 
     out = np.where(x > 0, 1.0 - c, c)
     return out if out.ndim else float(out)

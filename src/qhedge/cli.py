@@ -20,7 +20,7 @@ from .basis import KINDS, build_basis
 from .black_scholes import bs_price_delta
 from .csvio import format_value, read_columns, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
-from .errors import ConfigError, DataFormatError, QHedgeError, require_finite
+from .errors import ConfigError, DataFormatError, DegenerateInputError, QHedgeError, require_finite
 from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
                   write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
@@ -353,8 +353,8 @@ def cmd_make_dataset(cfg):
     policy = cfg["dataset.policy"]
     # one local-risk pass: the rewards' reference, and that policy's hedge
     record = policy == "local_risk"
-    actions = (np.empty((paths.n_paths, paths.n_steps), order="F") if record
-               else _strategy(cfg, paths, basis, policy).actions(paths)[:, :-1])
+    actions = (np.zeros((paths.n_paths, paths.n_steps + 1), order="F") if record
+               else _strategy(cfg, paths, basis, policy).actions(paths))
     rewards = dataset_rewards(paths, actions, contract, risk, basis, record_hedge=record)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
                             seed=cfg["mc.seed"])
@@ -438,8 +438,11 @@ def cmd_compare(cfg):
     paths = _ensemble(cfg)
     basis = cfg.basis_for(paths)
     m, c = cfg.market(), cfg.contract()
-    sol = solve_dp(paths, c, cfg.risk(), basis)
     quote = bs_price_delta(m.s0, c.strike, m.sigma, m.r, m.maturity, c.kind)
+    if quote.price == 0:
+        raise DegenerateInputError(f"the Black-Scholes price is 0 at market.sigma="
+                                   f"{m.sigma:g}, so price_rel_error is undefined")
+    sol = solve_dp(paths, c, cfg.risk(), basis)
     out = _outdir(cfg)
     write_table(out / "comparison.csv", {"quantity": ["price", "hedge"]},
                 {"dp": [sol.price0, sol.hedge0], "analytic": [quote.price, quote.delta],

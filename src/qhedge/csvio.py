@@ -28,14 +28,12 @@ Records are read one column at a time: each range is parsed a piece of
 lines at a time, a worker sends its columns one after another, and the
 reader hands each column to a sink a piece at a time, never one
 (records, columns) block, on one CPU or many.  The default sink keeps
-one array per column; ``PanelSink`` places each piece in its panel, so
-reading a dataset in the order it was written holds its panels and a
-piece, about 3 float columns of records, where whole columns scattered
-by ``scatter_records`` (which drops each once consumed) peak near 7.
+one array per column; ``PanelSink`` places each piece in its panel.
 """
 
 import contextlib
 import io
+import itertools
 import os
 import sys
 import warnings
@@ -46,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataFormatError
 
 _FLOAT = "%.17g"
-_BLOCK = 1 << 13  # records gathered per write, or per successor check
+_BLOCK = 1 << 13  # records gathered per write
 # Fewest records written, and data bytes read, per process: below them a
 # table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
 _SPLIT_RECORDS = 1 << 15
@@ -59,13 +57,6 @@ def format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _FLOAT % v
     return str(v)
-
-
-def read_csv(path):
-    """``(meta, colnames, data)``: ``read_columns``'s table with the records
-    as a float array of one row each."""
-    meta, colnames, columns = read_columns(path)
-    return meta, colnames, np.stack(columns, axis=1)
 
 
 def read_columns(path, sink=None):
@@ -450,33 +441,30 @@ class OutOfOrder(Exception):
 class PanelSink:
     """A ``read_columns`` sink for (path, t) records in the order
     ``write_table`` writes an (n_paths, n_steps) table: path ids
-    ascending, and t = 0 .. n_steps-1 within each path.  ``names`` are the
-    file's columns, "path" and "t" first, and ``successor`` is as in
-    ``scatter_records``.  Each value goes straight into its step-major
-    panel, and path, t and the successor are checked a piece at a time;
-    ``finish`` returns what ``scatter_records`` would.  Records in any
-    other order, or that ``scatter_records`` would reject, raise
-    OutOfOrder, so that it can place them or name what is wrong."""
+    ascending, t = 0 .. n_steps-1 within each path.  ``names`` are the
+    file's columns, "path" and "t" first.  Each value goes straight into
+    its step-major panel, path and t checked a piece at a time; ``finish``
+    returns what ``scatter_records`` would, but the ``zero_ends`` values
+    must be 0 at t = n_steps-1 and get no row there.  Other records raise
+    OutOfOrder, so that ``scatter_records`` can place them or name what is
+    wrong."""
 
-    def __init__(self, names, n_paths, n_steps, successor):
-        self.names, self.n, self.steps, self.successor = names, n_paths, n_steps, successor
+    def __init__(self, names, n_paths, n_steps, zero_ends):
+        self.names, self.n, self.steps, self.zero_ends = names, n_paths, n_steps, zero_ends
 
     def start(self, n, k):
         if k != len(self.names) or n < self.n * self.steps:
             raise OutOfOrder
-        succ, of = self.successor
         self.ids = np.full(self.n, np.nan)  # set by each path's t = 0 record
-        self.panels = {name: np.empty((self.steps + (name == of), self.n))
-                       for name in self.names[2:] if name != succ}
-        self.placed = 0  # records from the first whose value of ``of`` is placed
-        self.pending = []  # (cells, values) of successors whose cell was not placed
+        self.panels = {name: np.empty((self.steps - (name in self.zero_ends), self.n))
+                       for name in self.names[2:]}
 
     def put(self, c, row, values):
         record = np.arange(row, row + len(values))
         if record.size and record[-1] >= self.n * self.steps:
             raise OutOfOrder
         path, t = np.divmod(record, self.steps)
-        name, (succ, of) = self.names[c], self.successor
+        name = self.names[c]
         if name == "path":
             self.ids[path[t == 0]] = values[t == 0]
             ok = values == self.ids[path]
@@ -484,46 +472,47 @@ class PanelSink:
             ok = values == t
         else:
             ok = np.isfinite(values)
-            cell = t * self.n + path
-            if name != succ:
-                self.panels[name].reshape(-1)[cell] = values
-                if name == of:
-                    self.placed = row + len(values)
-            else:  # the next record's value of ``of``, or the panel's last row
-                flat, cell = self.panels[of].reshape(-1), cell + self.n
+            if name in self.zero_ends:
                 last = t == self.steps - 1
-                flat[cell[last]] = values[last]
-                now = last | (record + 1 < self.placed)
-                ok &= ~now | (flat[cell] == values)
-                self.pending.append((cell[~now], values[~now]))
+                ok &= ~last | (values == 0)
+                path, t, values = path[~last], t[~last], values[~last]
+            self.panels[name].reshape(-1)[t * self.n + path] = values
         if not ok.all():
             raise OutOfOrder
 
     def finish(self, n):
-        ids, flat = self.ids, self.panels[self.successor[1]].reshape(-1)
+        ids = self.ids
         if (n != self.n * self.steps or not np.all(np.diff(ids) > 0) or ids[0] < 0
-                or ids[-1] >= 2.0**53 or np.any(ids != np.floor(ids))
-                or any(np.any(flat[cell] != v) for cell, v in self.pending)):
+                or ids[-1] >= 2.0**53 or np.any(ids != np.floor(ids))):
             raise OutOfOrder
         return ids.astype(np.int64), self.panels
 
 
-def scatter_records(source, records, n_steps=None, successor=None):
+def leads_in_order(path, n_steps):
+    """Whether the first ``n_steps`` records of the file at ``path`` are
+    one path's t = 0 .. n_steps-1, as a ``PanelSink`` takes them: a look at
+    a few lines, so that a file in another order is parsed only once."""
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
+        try:  # the records after the column names
+            head = _loadtxt(itertools.islice(lines, 1, n_steps + 1))[:, :2]
+        except (ValueError, UserWarning):
+            return False
+    return np.array_equal(head, np.stack([np.full(n_steps, head[0, 0]), np.arange(n_steps)], 1))
+
+
+def scatter_records(source, records, n_steps=None):
     """Place flat (path, t) records, in any order, into step-major panels.
     ``records`` maps "path", "t" and then each value's name to one column
     of one entry per record; the dict is emptied as its columns are used
     (path and t once each record's cell is known, a value once it is
-    placed, the successor last), so a caller that hands over the only
-    references frees each column as soon as it is consumed.  Returns the
-    distinct path ids, ascending, and per value name an (n_steps, n_paths)
-    panel.  The records must fill the panels: path and t non-negative
-    integers, t below n_steps (by default one past the largest t), values
-    finite, one record per cell.  ``successor``, a pair (name, of) of
-    value names, says that ``name`` holds each record's value of ``of`` at
-    t + 1: it gets no panel of its own; ``of``'s gets an (n_steps+1)-th
-    row, filled from the records at the last t, and every other value of
-    ``name`` must equal ``of``'s in the same path at t + 1.  Each error
-    names ``source`` and the (path, t) cell."""
+    placed), so a caller that hands over the only references frees each
+    column as soon as it is consumed.  Returns the distinct path ids,
+    ascending, and per value name an (n_steps, n_paths) panel.  The
+    records must fill the panels: path and t non-negative integers, t
+    below n_steps (by default one past the largest t), values finite, one
+    record per cell.  Each error names ``source`` and the (path, t)
+    cell."""
     def reject(wrong, message):
         i = np.flatnonzero(wrong)
         if i.size:
@@ -551,24 +540,8 @@ def scatter_records(source, records, n_steps=None, successor=None):
     for wrong, what in ((hits > 1, "duplicate rows for cell"), (hits == 0, "missing cell")):
         reject(wrong, lambda j: f"{what} (path={ids[j % ids.size]}, t={j // ids.size})")
     del hits, wrong  # panel-sized; free before the panels are allocated
-    succ, of = successor or (None, None)
     panels = {}
-    for name in [name for name in records if name != succ]:
-        panels[name] = np.empty((n + (name == of), ids.size))
+    for name in list(records):
+        panels[name] = np.empty((n, ids.size))
         panels[name].reshape(-1)[cell] = records.pop(name)
-    if successor is not None:
-        # each record's successor value goes to its path's cell at t + 1
-        # in the last row and must equal the value there in every other; a
-        # block of records at a time, so that no record-sized array is made
-        flat, step, values = panels[of].reshape(-1), ids.size, records.pop(succ)
-        for lo in range(0, cell.size, _BLOCK):
-            nxt, v = cell[lo:lo + _BLOCK] + step, values[lo:lo + _BLOCK]
-            last = nxt >= n * step
-            flat[nxt[last]] = v[last]
-            differ = np.flatnonzero(flat[nxt] != v)
-            if differ.size:
-                j = nxt[differ[0]] - step
-                raise DataFormatError(f"{source}: {succ} of (path={ids[j % step]}, "
-                                      f"t={j // step}) differs from that path's {of} "
-                                      f"at t={j // step + 1}")
     return ids, panels

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import (OutOfOrder, PanelSink, read_columns, scatter_records, typed_header,
-                    write_table)
+from .csvio import (OutOfOrder, PanelSink, leads_in_order, read_columns, scatter_records,
+                    typed_header, write_table)
 from .dp import terminal_fit
 from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
                      require_finite)
@@ -38,11 +38,9 @@ _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": f
                 "lambda": float, "seed": int, "n_paths": int, "s0": float,
                 "contract_kind": str, "contract_strike": float}
 _OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
-_RECORD_COLUMNS = ("path", "t", "x", "a", "r", "x_next")  # a dataset file's, in order
-# one price panel underlies the records: each x_next must be the x of the
-# same path's next record, and the last fills the terminal row of the
-# states, stored by step
-_SUCCESSOR = ("x_next", "x")
+# a dataset file's columns, in order: a record per path and t in [0, n_steps],
+# the one at t = n_steps holding the terminal state with a and r 0
+_RECORD_COLUMNS = ("path", "t", "x", "a", "r")
 # the header key of each parameter-class field whose name differs from it
 _FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
@@ -51,9 +49,10 @@ class TransitionDataset:
     """Transitions recorded on one ensemble of prices, ``paths``, whose
     params and seed are the dataset's: a path per id of ``path_ids``
     (ascending), and ``a`` and ``r`` (n, n_steps) stored by step so that
-    column t is contiguous.  ``risk`` holds the dataset's lambda,
-    ``contract`` may be None, and ``extras`` holds any other header
-    items.  ``from_records`` builds one from flat records."""
+    column t is contiguous (given (n, n_steps+1), the expiry column of
+    zeros is kept for the file's terminal records).  ``risk`` holds the
+    dataset's lambda, ``contract`` may be None, and ``extras`` holds any
+    other header items.  ``from_records`` builds one from flat records."""
 
     def __init__(self, path_ids, paths: PathEnsemble, a, r, lam: float,
                  contract: OptionContract = None, extras=None):
@@ -63,13 +62,19 @@ class TransitionDataset:
         shape = (self.path_ids.size, paths.n_steps)
         if paths.n_paths != shape[0]:
             raise DataFormatError(f"{paths.n_paths} price paths for {shape[0]} path ids")
+        self._given = {}  # a and r as given, so with an expiry column if they had one
         for name, v in (("a", a), ("r", r)):
-            v = np.asarray(v, dtype=float)
-            if v.shape != shape:
-                raise DataFormatError(f"{name} is {v.shape}; expected {shape}")
+            v = np.ascontiguousarray(np.asarray(v, dtype=float).T).T
+            if v.shape not in (shape, (shape[0], shape[1] + 1)):
+                raise DataFormatError(f"{name} is {v.shape}; expected {shape} (+1 column)")
             if not np.all(np.isfinite(v)):
                 raise DataFormatError(f"non-finite {name} values in dataset")
-            setattr(self, name, np.ascontiguousarray(v.T).T)
+            bad = np.flatnonzero(v[:, shape[1]:])
+            if bad.size:
+                raise DataFormatError(f"{name} at expiry (path={self.path_ids[bad[0]]}, "
+                                      f"t={shape[1]}) is {v[bad[0], -1]}; it must be 0")
+            self._given[name] = v
+            setattr(self, name, v[:, :shape[1]])
 
     @property
     def x_paths(self) -> np.ndarray:
@@ -87,15 +92,17 @@ class TransitionDataset:
         x_next the path's next x.  The states are kept
         exactly, and the prices are their ``from_state``.  Errors name
         ``source`` and the header key or the (path, t) cell."""
-        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, x, a, r, x_next))),
-                                 header, source)
-
-    @classmethod
-    def _from_columns(cls, records, header, source):
-        """``from_records`` on a dict of the record columns, which it
-        empties: ``scatter_records`` frees each column once consumed."""
         v = _typed_header(source, header)
-        ids, p = scatter_records(source, records, v["n_steps"], successor=_SUCCESSOR)
+        ids, p = scatter_records(source, dict(zip((*_RECORD_COLUMNS, "x_next"),
+                                                  (path_ids, t, x, a, r, x_next))),
+                                 v["n_steps"])
+        xs, x_next = p["x"], p.pop("x_next")  # the path's x at t + 1, the last one x_N
+        differ = np.argwhere(x_next[:-1] != xs[1:])
+        if differ.size:
+            step, j = differ[0]
+            raise DataFormatError(f"{source}: x_next of (path={ids[j]}, t={step}) differs "
+                                  f"from that path's x at t={step + 1}")
+        p["x"] = np.vstack([xs, x_next[-1:]])
         return cls._from_panels(ids, p, v, header, source)
 
     @classmethod
@@ -119,8 +126,11 @@ class TransitionDataset:
                                   f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
         paths = PathEnsemble(from_state(x_paths, params.times()[None, :], params),
                              x_paths, params, seed=v["seed"])
-        return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
-                   {k: val for k, val in header.items() if k not in _HEADER_KEYS})
+        try:
+            return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
+                       {k: val for k, val in header.items() if k not in _HEADER_KEYS})
+        except DataFormatError as exc:
+            raise DataFormatError(f"{source}: {exc}") from None
 
     def __len__(self):
         return self.a.size
@@ -335,19 +345,21 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 
 def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
                     risk: RiskParams, basis, *, record_hedge=False) -> np.ndarray:
-    """Per-record rewards of the recorded (n_paths, n_steps) ``actions``
+    """Per-record rewards of the recorded (n_paths, n_steps[+1]) ``actions``
     under ``portfolio.centered_step``'s model convention, with the variance
-    penalty around the portfolio of ``contract``'s risk-minimizing hedge.
+    penalty around the portfolio of ``contract``'s risk-minimizing hedge,
+    as an (n_paths, n_steps+1) panel with an expiry column of zeros.
     They are built inside that hedge's backward pass, the one
     ``solve_local_risk`` runs: each step evaluates one design and centers
     once, and no portfolio panel is kept.  With ``record_hedge`` the
     actions are written, not read: column t receives the pass's hedge at
     step t, the local_risk policy's action, before its rewards are taken."""
     n, n_steps = paths.n_paths, paths.n_steps
-    _check_shape("actions", actions, n, n_steps)
+    if np.shape(actions) != (n, n_steps + 1):
+        _check_shape("actions", actions, n, n_steps)
 
     def rewards():  # stored by step, so that the first bad row names its step
-        out = np.empty((n_steps, n))
+        out = np.zeros((n_steps + 1, n))
 
         def hedge(t, pi_next):
             design, (ds, ds_c, pi_c, gain, _), coeffs = _local_risk_step(basis, paths, t,
@@ -373,9 +385,9 @@ def _check_shape(name, panel, n_paths, n_cols):
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None, seed=None) -> TransitionDataset:
-    """The dataset of an ensemble plus per-step (n_paths, n_steps)
-    actions and rewards; ``seed`` overrides the ensemble's (0 when it has
-    none)."""
+    """The dataset of an ensemble plus per-step actions and rewards (see
+    ``TransitionDataset``); ``seed`` overrides the ensemble's (0 when it
+    has none)."""
     seed = (paths.seed or 0) if seed is None else seed
     if seed != paths.seed:
         paths = PathEnsemble(paths.s_paths, paths.x_paths, paths.params, seed=seed)
@@ -384,13 +396,14 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
 
 
 def write_dataset_csv(dataset: TransitionDataset, path):
+    """Write a record per path and t in [0, n_steps] (see _RECORD_COLUMNS)."""
     paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
     items = {"s0": p.s0, **dataset.extras}
     if c is not None:
         items.update(contract_kind=c.kind, contract_strike=c.strike)
-    write_table(path, {"path": dataset.path_ids, "t": None},
-                {"x": dataset.x_paths[:, :-1], "a": dataset.a, "r": dataset.r,
-                 "x_next": dataset.x_paths[:, 1:]},
+    a_r = {name: v if v.shape[1] > p.n_steps else np.pad(v, [(0, 0), (0, 1)])  # expiry 0
+           for name, v in dataset._given.items()}
+    write_table(path, {"path": dataset.path_ids, "t": None}, {"x": dataset.x_paths, **a_r},
                 {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
                  "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
                  "seed": paths.seed, **dict(sorted(items.items()))})
@@ -402,32 +415,43 @@ def _typed_header(source, header):
 
 
 def read_dataset_csv(path) -> TransitionDataset:
-    """The dataset of a ``write_dataset_csv`` file.  Records in the order
-    it writes them go straight into the step-major panels, a piece at a
-    time (``csvio.PanelSink``); a file whose records come in any other
-    order, or hold any error, is read again as columns and placed by
-    ``scatter_records``, which names what is wrong."""
+    """The dataset of a ``write_dataset_csv`` file, its columns and header
+    checked first.  Records in the order it writes them go straight into
+    the step-major panels, a piece at a time (``csvio.PanelSink``); a file
+    whose first path is in another order is read once by
+    ``_read_scattered``, one that breaks order later or holds any error
+    again by it, which names what is wrong."""
     v = {}
 
-    def panels(meta, _):  # the panels of a whole header's shape
-        try:
-            v.update(typed_header(path, meta, {"n_paths": int}), **_typed_header(path, meta))
-        except DataFormatError:
-            raise OutOfOrder from None
-        if min(v["n_paths"], v["n_steps"]) < 1:
+    def panels(meta, names):  # the panels of a whole header's shape
+        _check_columns(path, names)
+        v.update(typed_header(path, meta, {"n_paths": int}), **_typed_header(path, meta))
+        if min(v["n_paths"], v["n_steps"]) < 1 or not leads_in_order(path, v["n_steps"] + 1):
             raise OutOfOrder
-        return PanelSink(_RECORD_COLUMNS, v["n_paths"], v["n_steps"], _SUCCESSOR)
+        return PanelSink(_RECORD_COLUMNS, v["n_paths"], v["n_steps"] + 1, ("a", "r"))
 
     try:
         meta, _, (ids, p) = read_columns(path, panels)
     except OutOfOrder:
-        pass
-    else:
-        return TransitionDataset._from_panels(ids, p, v, meta, path)
-    meta, _, columns = read_columns(path)
+        return _read_scattered(path)
+    return TransitionDataset._from_panels(ids, p, v, meta, path)
+
+
+def _read_scattered(path) -> TransitionDataset:
+    """The dataset of a dataset file in any record order: its columns read
+    whole and placed by ``scatter_records``."""
+    meta, names, columns = read_columns(path)
+    _check_columns(path, names)
     typed_header(path, meta, {"n_paths": int})  # which a file must carry
-    if len(columns) != 6:
-        raise DataFormatError(f"{path}: expected 6 columns, got {len(columns)}")
+    v = _typed_header(path, meta)
     records = dict(zip(_RECORD_COLUMNS, columns))
     del columns  # the dict holds the only references, and frees each once scattered
-    return TransitionDataset._from_columns(records, meta, path)
+    ids, p = scatter_records(path, records, v["n_steps"] + 1)
+    return TransitionDataset._from_panels(ids, p, v, meta, path)
+
+
+def _check_columns(path, names):
+    if tuple(names) != _RECORD_COLUMNS:  # x_next: the layout before terminal records
+        hint = "; x_next is no longer read: re-run make-dataset" if "x_next" in names else ""
+        raise DataFormatError(f"{path}: columns {','.join(names)}, expected "
+                              f"{','.join(_RECORD_COLUMNS)}{hint}")

@@ -201,8 +201,8 @@ class TestSubcommands:
         records exits 3 naming the file and the key."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
-                     "0,0,0,0,0,0.1\n1,0,0,0,0,0.2\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
+                     "0,0,0,0,0\n0,1,0.1,0,0\n1,0,0,0,0\n1,1,0.2,0,0\n")
         code = run("fqi-solve", "--dataset.path", str(f),
                    "--output.dir", str(tmp_path / "fqi"))
         assert code == 3
@@ -307,6 +307,27 @@ class TestSubcommands:
         assert all(name in err for name in names), err
         assert "risk aversion" not in err
         assert not (out / "summary.txt").exists()
+
+    def test_bs_quote_tiny_sigma_prices_the_limit(self, tmp_path):
+        """At sigma = 1e-300 d1 is about 3e298: the normal CDF's tails are
+        exactly 0 and 1 without squaring it, so the ATM put's price is its
+        limit 0 (the forward is above the strike), with no overflow
+        warning."""
+        out = tmp_path / "q"
+        assert run("bs-quote", "--market.sigma", "1e-300", "--output.dir", str(out)) == 0
+        summary = read_summary(out / "summary.txt")
+        assert (summary["price"], summary["delta"]) == ("0", "0")
+
+    def test_compare_zero_bs_price_names_sigma(self, tmp_path, capsys):
+        """At sigma = 1e-8 the Black-Scholes price of the ATM put is 0, so
+        the relative price error is undefined: exit 3 naming market.sigma
+        and the zero price, before the DP solve, and no summary."""
+        out = tmp_path / "c"
+        assert run("compare", "--market.sigma", "1e-8", "--mc.n_paths", "500",
+                   "--output.dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "the Black-Scholes price is 0 at market.sigma=1e-08" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--rollout.policy", "constant", "--rollout.constant", "1e308"],

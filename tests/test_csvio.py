@@ -14,11 +14,18 @@ from hypothesis.extra import numpy as hnp
 
 from qhedge import csvio
 from qhedge.cli import main
-from qhedge.csvio import read_columns, read_csv, write_table
+from qhedge.csvio import read_columns, write_table
 from qhedge.errors import DataFormatError
 
 SMALL = ["--market.n_steps", "6", "--mc.n_paths", "400", "--basis.m", "8",
          "--mc.seed", "11"]
+
+
+def read_csv(path):
+    """``(meta, colnames, data)``: ``read_columns``' table with the records
+    as a float array of one row each."""
+    meta, colnames, columns = read_columns(path)
+    return meta, colnames, np.stack(columns, axis=1)
 
 
 @contextlib.contextmanager

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from qhedge import (BasisSet, FQISolution, MarketParams,
                     read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
-from qhedge import csvio
-from qhedge.csvio import read_columns, write_table
+from qhedge import csvio, fqi
+from qhedge.csvio import write_table
 from qhedge.errors import DataFormatError, SingularSystemError
-from qhedge.fqi import _RECORD_COLUMNS
 from qhedge.portfolio import _replicate
 from tests.test_csvio import split_over
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
@@ -393,13 +393,6 @@ class TestRewardPass:
             dataset_rewards(paths, actions, PUT, RiskParams(1e-3), basis)
 
 
-def scattered_dataset(path):
-    """A dataset file read as whole columns and placed by scatter_records:
-    the reference of the in-order read."""
-    meta, _, columns = read_columns(path)
-    return TransitionDataset._from_columns(dict(zip(_RECORD_COLUMNS, columns)), meta, path)
-
-
 def outcome(read, path):
     """(dataset, None) or (None, the error's type and message)."""
     try:
@@ -507,13 +500,19 @@ class TestDatasetIO:
     @pytest.mark.parametrize("edit", ["shuffled", "descending", "duplicate", "missing",
                                       "truncated", "extra", "relabelled", "nan", "inf",
                                       "fraction", "horizon", "n_paths", "columns"]
+                             + [f"{edit}-{path}" for edit in ("terminal_a", "terminal_r",
+                                                              "no_terminal")
+                                for path in (0, 3, 6)]
                              + [f"x_next-{i}" for i in range(21) if i % 3 < 2])
     def test_other_files_read_as_scattered(self, tmp_path, monkeypatch, n_cpus, edit):
         """A file out of writer order, or with any error, is read again as
         columns and scattered: it gives the scattered read's dataset bit
         for bit, or its exact error.  Pieces of a few records, and of one
-        line when parsed here, put some successors' checks after the next
-        piece's states."""
+        line when parsed here, put some terminal records first in a piece.
+        ``x_next-i`` writes the file in the layout before terminal records
+        (an x_next column, which repeats the next record's x) with row i's
+        x_next no longer the next x: refused for its x_next column, edited
+        or not (by read_dataset_csv before any record is parsed)."""
         paths = gbm(n_paths=7, seed=2, n_steps=3)
         rng = np.random.default_rng(4)
         f = tmp_path / "data.csv"
@@ -522,38 +521,115 @@ class TestDatasetIO:
         lines = f.read_text().splitlines(keepends=True)
         head = sum(ln.startswith("#") for ln in lines) + 1
         header, rows = lines[:head], lines[head:]
-        cells = [row.rstrip("\n").split(",") for row in rows]
+        cells = [row.rstrip("\n").split(",") for row in rows]  # (path, t) is row 4 path + t
 
         def cell(i, j, value):
             cells[i][j] = value
+
+        def old_layout(i):
+            header[-1] = "path,t,x,a,r,x_next\n"
+            cells[:] = [cells[k] + [cells[k + 1][2]] for k in range(28) if k % 4 < 3]
+            cell(i, 5, "4.5")
         edit, _, row = edit.partition("-")
         {"shuffled": lambda: rng.shuffle(cells),
          "descending": lambda: cells.reverse(),
          "duplicate": lambda: cells.__setitem__(5, list(cells[4])),
          "missing": lambda: cells.pop(10),
          "truncated": lambda: cells.pop(),
-         "extra": lambda: cells.append(["7", "0", "4.6", "0", "0", "4.6"]),
+         "extra": lambda: cells.append(["7", "0", "4.6", "0", "0"]),
          "relabelled": lambda: cell(5, 0, "2"),
          "nan": lambda: cell(8, 4, "nan"),
          "inf": lambda: cell(13, 2, "inf"),
-         "x_next": lambda: cell(int(row or 0), 5, "4.5"),
          "fraction": lambda: cell(3, 0, "1.5"),
-         "horizon": lambda: cell(20, 1, "3"),
+         "horizon": lambda: cell(20, 1, "4"),
          "n_paths": lambda: header.__setitem__(0, "# n_paths=8\n"),
          "columns": lambda: [row.append("0") for row in cells],
+         "terminal_a": lambda: cell(4 * int(row or 0) + 3, 3, "0.5"),
+         "terminal_r": lambda: cell(4 * int(row or 0) + 3, 4, "-1e-300"),
+         "no_terminal": lambda: cells.pop(4 * int(row or 0) + 3),
+         "x_next": lambda: old_layout(int(row or 0)),
          }[edit]()
         assert header[0].startswith("# n_paths=")
         f.write_text("".join(header + [",".join(row) + "\n" for row in cells]))
         monkeypatch.setattr(csvio, "_PARSE_BYTES", 1)
         with split_over(n_cpus, block=3):
             got = outcome(read_dataset_csv, f)
-        want = outcome(scattered_dataset, f)
+        want = outcome(fqi._read_scattered, f)
         assert got[1] == want[1]
         if edit in ("shuffled", "descending"):
             for name in ("path_ids", "x_paths", "a", "r"):
                 assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
         else:
             assert want[1] is not None
+        p = int(row or 0)
+        named = {"terminal_a": f"a at expiry (path={p}, t=3) is 0.5; it must be 0",
+                 "terminal_r": f"r at expiry (path={p}, t=3) is -1e-300; it must be 0",
+                 "no_terminal": f"missing cell (path={p}, t=3)",
+                 "x_next": "x_next is no longer read: re-run make-dataset"}
+        assert named.get(edit, "") in str(want[1])
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("order, parses", [("writer", 1), ("shuffled", 1),
+                                               ("second_path_swapped", 2)])
+    def test_parses_a_file_once_unless_it_breaks_order_late(self, tmp_path, monkeypatch,
+                                                            n_cpus, order, parses):
+        """A file whose first path is not t = 0 .. n_steps in order goes
+        straight to the scattered read: parsed once, as a file in writer
+        order is.  Only records out of order after the first path are
+        parsed twice, once for the panels and once to be scattered."""
+        paths = gbm(n_paths=40, seed=2, n_steps=3)
+        rng = np.random.default_rng(4)
+        ds = build_dataset(paths, rng.uniform(-1, 1, (40, 3)),
+                           rng.standard_normal((40, 3)), 1e-3, PUT)
+        f = tmp_path / "data.csv"
+        write_dataset_csv(ds, f)
+        lines = f.read_text().splitlines(keepends=True)
+        head = sum(ln.startswith("#") for ln in lines) + 1
+        rows = lines[head:]
+        if order == "shuffled":
+            rng.shuffle(rows)
+        elif order == "second_path_swapped":
+            rows[4], rows[5] = rows[5], rows[4]
+        f.write_text("".join(lines[:head] + rows))
+        read = mock.Mock(wraps=csvio._read_split)
+        monkeypatch.setattr(csvio, "_read_split", read)
+        with split_over(n_cpus):
+            back = read_dataset_csv(f)
+        assert read.call_count == parses
+        for name in ("path_ids", "x_paths", "a", "r"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+    def test_file_is_the_panels_with_terminal_records(self, tmp_path):
+        """A dataset file holds a record per path and t in [0, n_steps]:
+        x is the state, and the t = n_steps record holds the terminal state
+        with a and r 0; no column repeats the next record's x."""
+        paths = gbm(n_paths=3, seed=2, n_steps=2)
+        ds = build_dataset(paths, [[0.5, -1.0]] * 3, [[2.0, 0.25]] * 3, 1e-3, PUT)
+        write_dataset_csv(ds, tmp_path / "data.csv")
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        assert lines[lines.index("# n_steps=2") + 1:].count("path,t,x,a,r") == 1
+        rows = lines[lines.index("path,t,x,a,r") + 1:]
+        x = [csvio.format_value(v) for v in paths.x_paths.ravel()]
+        assert rows == [f"{i // 3},{i % 3},{x[i]},{a},{r}"
+                        for i, (a, r) in enumerate([("0.5", "2"), ("-1", "0.25"),
+                                                    ("0", "0")] * 3)]
+
+    def test_expiry_column_is_kept_without_a_copy(self):
+        """Actions and rewards given with their expiry column of zeros, as
+        make-dataset holds them, are stored without a copy, and a and r
+        stay (n, n_steps); a nonzero expiry value is refused, naming its
+        cell."""
+        paths = gbm(n_paths=5, seed=2, n_steps=3)
+        a = np.zeros((5, 4), order="F")
+        a[:, :3] = 0.5
+        r = a.copy(order="F")
+        ds = build_dataset(paths, a, r, 1e-3, PUT)
+        assert ds.a.shape == ds.r.shape == (5, 3) and len(ds) == 15
+        assert np.shares_memory(ds.a, a) and np.shares_memory(ds.r, r)
+        r[3, 3] = 2.0
+        with pytest.raises(DataFormatError,
+                           match=r"^r at expiry \(path=3, t=3\) is 2\.0; it must be 0$"):
+            build_dataset(paths, a, r, 1e-3, PUT)
 
     def test_missing_slice_rejected(self):
         header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
@@ -608,15 +684,15 @@ class TestDatasetIO:
 
     def test_header_missing_keys(self, tmp_path):
         f = tmp_path / "bad.csv"
-        f.write_text("# n_paths=1\npath,t,x,a,r,x_next\n0,0,0,0,0,0\n")
+        f.write_text("# n_paths=1\npath,t,x,a,r\n0,0,0,0,0\n0,1,0.1,0,0\n")
         with pytest.raises(DataFormatError):
             read_dataset_csv(f)
 
     def test_bad_header_value_names_key_and_file(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=abc\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
-                     "0,0,0,0,0,0.1\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
+                     "0,0,0,0,0\n0,1,0.1,0,0\n")
         with pytest.raises(DataFormatError, match=r"bad\.csv.*n_paths='abc'"):
             read_dataset_csv(f)
 
@@ -644,21 +720,21 @@ class TestDatasetIO:
         """A fractional path id is rejected, not truncated to an integer."""
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=2\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
-                     "0,0,0,0,0,0.1\n2.7,0,0,0,0,0.2\n")
-        with pytest.raises(DataFormatError, match=r"data row 2 is \[2\.7, 0\.0"):
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
+                     "0,0,0,0,0\n0,1,0.1,0,0\n2.7,0,0,0,0\n2.7,1,0.2,0,0\n")
+        with pytest.raises(DataFormatError, match=r"data row 3 is \[2\.7, 0\.0"):
             read_dataset_csv(f)
 
     @pytest.mark.parametrize("rows, message", [
-        ("0,0,0,0,0,0.1\n0,1,0.1,0,0,0.2\n0,1,0.1,0,0,0.2\n",
+        ("0,0,0,0,0\n0,1,0.1,0,0\n0,1,0.1,0,0\n0,2,0.2,0,0\n",
          r"duplicate rows for cell \(path=0, t=1\)"),
-        ("0,0,0,0,0,0.1\n0,1,0.1,0,0,0.2\n1,1,0.1,0,0,0.2\n",
+        ("0,0,0,0,0\n0,1,0.1,0,0\n0,2,0.2,0,0\n1,1,0.1,0,0\n1,2,0.2,0,0\n",
          r"missing cell \(path=1, t=0\)"),
     ], ids=["duplicate", "missing"])
     def test_record_errors_name_file_and_cell(self, tmp_path, rows, message):
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=2\n# n_steps=2\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n" + rows)
+                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n" + rows)
         with pytest.raises(DataFormatError, match=rf"data\.csv: {message}"):
             read_dataset_csv(f)
 
@@ -667,8 +743,8 @@ class TestDatasetIO:
         format error, not a dataset that writes the wrong count back."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r,x_next\n"
-                     "0,0,0,0,0,0.1\n1,0,0,0,0,0.2\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
+                     "0,0,0,0,0\n0,1,0.1,0,0\n1,0,0,0,0\n1,1,0.2,0,0\n")
         with pytest.raises(DataFormatError, match=r"data\.csv: header n_paths=5, "
                                                   r"but the records hold 2 paths"):
             read_dataset_csv(f)

@@ -26,10 +26,11 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
 from qhedge import basis as basis_module
 from qhedge import csvio, fqi, regression
 from qhedge.basis import KINDS
-from qhedge.csvio import format_value, read_columns, read_csv, write_table
+from qhedge.csvio import format_value, write_table
 from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, centered_step
 from qhedge.tabular import _bucket_means
+from tests.test_csvio import read_csv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -235,10 +236,10 @@ def test_blocked_least_squares_fits_the_unblocked_sums(n, m, seed, zero_share, s
 def two_pass_rewards(paths, actions, contract, risk, basis):
     """The rewards as two passes built them: the local-risk solve keeps its
     portfolio panel, then each step's design is evaluated and centered
-    again around that panel's column.  The reference the one-pass build
-    must equal bit for bit."""
+    again around that panel's column, and the expiry column is 0.  The
+    reference the one-pass build must equal bit for bit."""
     pi_reference = solve_local_risk(paths, contract, basis)[1]
-    rewards = np.empty((paths.n_steps, paths.n_paths))
+    rewards = np.zeros((paths.n_steps + 1, paths.n_paths))
     for t in range(paths.n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
@@ -256,8 +257,9 @@ def test_one_pass_rewards_are_the_two_pass_build(params, n_paths, seed, kind, st
                                                  spread, basis_kind):
     """dataset_rewards builds the rewards inside the local-risk pass, bit
     for bit as the two-pass build does, for recorded actions and for the
-    local_risk policy, whose actions the pass records as it goes: those
-    equal the solve's hedge rolled out."""
+    local_risk policy, whose actions the pass records as it goes into the
+    (n, n_steps+1) panel make-dataset hands it: those equal the solve's
+    hedge rolled out, expiry column included."""
     paths = simulate_gbm(params, n_paths, seed)
     basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
     contract, risk = OptionContract(kind, strike), RiskParams(lam)
@@ -266,8 +268,8 @@ def test_one_pass_rewards_are_the_two_pass_build(params, n_paths, seed, kind, st
     assert dataset_rewards(paths, actions, contract, risk, basis).tobytes() == \
         two_pass_rewards(paths, actions, contract, risk, basis).tobytes()
     coeffs, _ = solve_local_risk(paths, contract, basis)
-    hedge = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)[:, :-1]
-    recorded = np.empty_like(hedge)
+    hedge = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)
+    recorded = np.zeros_like(hedge)
     rewards = dataset_rewards(paths, recorded, contract, risk, basis, record_hedge=True)
     assert recorded.tobytes() == hedge.tobytes()
     want = two_pass_rewards(paths, hedge, contract, risk, basis)
@@ -478,31 +480,41 @@ def test_table_bytes_at_decades_ties_and_integer_edges():
 
 @PROPERTY
 @given(params=markets, n_paths=st.integers(1, 20), seed=seeds, kind=kinds,
-       strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data())
-def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam, data):
+       strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data(),
+       shuffle=st.booleans(), every_cpu=st.booleans())
+def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam, data,
+                                        shuffle, every_cpu):
+    """A dataset file, a record per path and t in [0, n_steps], reads back
+    bit for bit in the order it is written and with its records shuffled,
+    parsed here or split over every usable CPU."""
     paths = simulate_gbm(params, n_paths, seed)
     shape = (n_paths, params.n_steps)
     actions, rewards = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
                         for _ in range(2))
     ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike),
                        seed=seed)
-    back = round_trip(write_dataset_csv, read_dataset_csv, ds)
+    n_cpus = len(os.sched_getaffinity(0)) if every_cpu else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines(keepends=True)
+        head = sum(ln.startswith("#") for ln in lines) + 1
+        assert len(lines) - head == n_paths * (params.n_steps + 1)
+        if shuffle:
+            rows = lines[head:]
+            np.random.default_rng(seed).shuffle(rows)
+            path.write_text("".join(lines[:head] + rows))
+        with (mock.patch.object(csvio, "_SPLIT_BYTES", 1),
+              mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
+            back = read_dataset_csv(path)
     for name in ("path_ids", "x_paths", "a", "r"):
-        assert np.array_equal(getattr(back, name), getattr(ds, name))
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
     # what the file carries: the maturity is not among it, only dt
     p, q = back.paths.params, ds.paths.params
     assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
         (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
     assert (back.risk.lam, back.paths.seed) == (lam, seed)
     assert (back.contract, back.extras) == (OptionContract(kind, strike), {})
-
-
-def scattered_dataset(path):
-    """A dataset file read as whole columns and placed by scatter_records:
-    the reference of the in-order read."""
-    meta, _, columns = read_columns(path)
-    return fqi.TransitionDataset._from_columns(dict(zip(fqi._RECORD_COLUMNS, columns)),
-                                               meta, path)
 
 
 @PROPERTY
@@ -526,7 +538,7 @@ def test_in_order_read_is_the_scattered_read(params, n_paths, seed, data, gaps, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
         write_dataset_csv(ds, path)
-        want = scattered_dataset(path)
+        want = fqi._read_scattered(path)
         with (mock.patch.object(fqi, "scatter_records", side_effect=AssertionError),
               mock.patch.object(csvio, "_PARSE_BYTES", parse_bytes),
               mock.patch.object(csvio, "_BLOCK", piece),
