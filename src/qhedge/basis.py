@@ -11,6 +11,7 @@ variable is driftless, so its support is stable over the horizon.
 import numpy as np
 
 from .errors import DegenerateInputError
+from .market import PathEnsemble
 
 KINDS = ("one_hot_grid", "bspline", "rbf")
 _ROWS = 1 << 14  # states per block of a design matrix
@@ -114,34 +115,66 @@ def _bspline_design(x, t, k, out):
         at += 1
 
 
+def quantiles(pool, q) -> np.ndarray:
+    """The q-quantiles of samples by numpy's ``quantile`` (its default,
+    linear method) bit for bit, from ``pool``, the non-NaN samples sorted
+    ascending in a 1-D array, for q in [0, 1].  It takes numpy's order
+    statistics, weights and lerp, so the one sort a caller makes replaces
+    the copy that numpy partitions; only the sign of a zero order
+    statistic, which the sort and the partition may place differently
+    among equal zeros, can differ."""
+    q = np.asarray(q, dtype=float)
+    n = pool.size
+    at = (n - 1) * q
+    lo = np.floor(at).astype(np.intp)
+    hi = lo + 1
+    top = at >= n - 1
+    lo[top] = hi[top] = -1  # numpy's index of the largest sample
+    a, b = pool[lo], pool[hi]
+    gamma = at - lo
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet:
     """Build a basis sized to the sample distribution.
 
     B-spline breakpoints and RBF centers sit on equally spaced quantiles of
     the samples, padded by one spacing beyond the observed min/max; one-hot
-    buckets are uniform over [min, max].
+    buckets are uniform over [min, max].  The samples are sorted once, in
+    one fresh array, which every statistic reads.
 
     Parameters
     ----------
     kind : {"one_hot_grid", "bspline", "rbf"}
     m : int
         Number of basis functions.
-    state_samples : array_like
-        Pooled state observations (typically all steps of an ensemble).
+    state_samples : array_like or PathEnsemble
+        Pooled state observations: an array in any shape and order, or an
+        ensemble, whose states of all steps are pooled a step at a time
+        (``PathEnsemble.sorted_states``).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    samples = np.asarray(state_samples, dtype=float).ravel(order="K")  # in any order
+    if isinstance(state_samples, PathEnsemble):
+        samples = state_samples.sorted_states()
+    else:
+        samples = np.sort(np.asarray(state_samples, dtype=float), axis=None)
     if samples.size == 0:
         raise ValueError("state_samples must be non-empty")
-    lo, hi = float(samples.min()), float(samples.max())
+    if np.isnan(samples[-1]):  # NaN sorts last
+        raise ValueError("state_samples must not be NaN")
+    lo, hi = float(samples[0]), float(samples[-1])
 
     if kind == "one_hot_grid":
-        if m > np.unique(samples).size:
+        n_distinct = 1 + np.count_nonzero(samples[1:] != samples[:-1])
+        if m > n_distinct:
             raise ValueError(
-                f"one_hot_grid with m={m} exceeds the {np.unique(samples).size} "
+                f"one_hot_grid with m={m} exceeds the {n_distinct} "
                 "distinct sample values"
             )
         if hi == lo:
@@ -154,7 +187,7 @@ def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet
     if kind == "bspline":
         if m < degree + 3:  # then the quantiles include the distinct min and max
             raise ValueError(f"bspline needs m >= degree + 3, got m={m} with degree {degree}")
-        inner = np.unique(np.quantile(samples, np.linspace(0.0, 1.0, m - degree - 1)))
+        inner = np.unique(quantiles(samples, np.linspace(0.0, 1.0, m - degree - 1)))
         pad_lo = inner[0] - (inner[1] - inner[0])
         pad_hi = inner[-1] + (inner[-1] - inner[-2])
         breaks = np.concatenate([[pad_lo], inner, [pad_hi]])
@@ -164,12 +197,12 @@ def build_basis(kind, m, state_samples, *, degree=3, bandwidth=None) -> BasisSet
 
     # rbf
     if m >= 3:
-        inner = np.quantile(samples, np.linspace(0.0, 1.0, m - 2))
+        inner = quantiles(samples, np.linspace(0.0, 1.0, m - 2))
         inner = np.unique(inner)
         spacing = inner[1] - inner[0] if inner.size > 1 else (hi - lo)
         centers = np.concatenate([[inner[0] - spacing], inner, [inner[-1] + spacing]])
     else:
-        centers = np.quantile(samples, np.linspace(0.0, 1.0, m))
+        centers = quantiles(samples, np.linspace(0.0, 1.0, m))
     if bandwidth is None:
         bandwidth = float(np.diff(centers).mean()) if centers.size > 1 else (hi - lo)
     return BasisSet(kind, centers.size, centers=centers, bandwidth=bandwidth)

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import KINDS, build_basis
+from .basis import KINDS, build_basis, quantiles
 from .black_scholes import bs_price_delta
 from .csvio import format_value, read_columns, scatter_records, typed_header, write_table
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, DegenerateInputError, QHedgeError, require_finite
-from .fqi import (build_dataset, dataset_rewards, fqi_backward, read_dataset_csv,
-                  write_dataset_csv)
+from .fqi import (TransitionDataset, build_dataset, dataset_rewards, fqi_backward,
+                  read_dataset_csv, write_dataset_csv)
 from .market import (MarketParams, OptionContract, PathEnsemble,
                      ensemble_from_prices, simulate_gbm)
 from .portfolio import HedgeStrategy, RiskParams, rollout_portfolio, solve_local_risk
@@ -177,10 +177,12 @@ class ExperimentConfig:
         return RiskParams(self.values["risk.lambda"])
 
     def basis_for(self, paths):
-        """The configured basis over the ``x_paths`` of an ensemble or dataset."""
+        """The configured basis over the states of an ensemble or dataset."""
         v = self.values
         bw = v["basis.bandwidth"] or None
-        return build_basis(v["basis.kind"], v["basis.m"], paths.x_paths,
+        if isinstance(paths, TransitionDataset):
+            paths = paths.paths
+        return build_basis(v["basis.kind"], v["basis.m"], paths,
                            degree=v["basis.degree"], bandwidth=bw)
 
 
@@ -298,7 +300,7 @@ def cmd_simulate(cfg):
                         "maturity": p.maturity, "n_steps": p.n_steps, "n_paths": paths.n_paths,
                         **({} if paths.seed is None else {"seed": paths.seed})})
     _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
-                          "mean_s_final": paths.s_paths[:, -1].mean()})
+                          "mean_s_final": paths.s(p.n_steps).mean()})
     return 0
 
 
@@ -337,7 +339,7 @@ def cmd_dp_solve(cfg):
                 {"phi": phis, "omega": np.array(sol.value_coeffs)}, header={"m": basis.m})
 
     # per-state price/hedge surfaces over the central state range
-    qs = np.quantile(paths.x_paths.ravel(order="K"), np.linspace(0.05, 0.95, 41))
+    qs = quantiles(paths.sorted_states(), np.linspace(0.05, 0.95, 41))
     prices, hedges = price_and_hedge_surface(sol, basis, qs)
     write_table(out / "surfaces.csv", {"t": None, "x": qs},
                 {"price": prices, "hedge": hedges}, header={"m": basis.m})

@@ -65,8 +65,8 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     value_coeffs = [None] * (n_steps + 1)
     hedge_coeffs = [None] * n_steps
 
-    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
-    design = basis.evaluate(paths.x_paths[:, -1])
+    payoff = terminal_payoff(paths.s(n_steps), contract)
+    design = basis.evaluate(paths.x(n_steps))
     value_coeffs[n_steps] = terminal_fit(design, payoff, risk.lam)
     q_next = design @ value_coeffs[n_steps]
     del design  # not held through the steps
@@ -74,7 +74,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     def hedge(t, pi):
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
         nonlocal q_next
-        design = basis.evaluate(paths.x_paths[:, t])
+        design = basis.evaluate(paths.x(t))
         ds, ds_c, pi_c, gain, drift = centered_step(design, paths, t, pi, ds_mean)
         hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
                                     tilt=risk_tilt(drift, gamma, risk, t))
@@ -89,7 +89,7 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         return a
 
     _replicate(paths, payoff, hedge)
-    phi0 = basis.evaluate([paths.x_paths[0, 0]])
+    phi0 = basis.evaluate(paths.x(0)[:1])
     price0 = -float((phi0 @ value_coeffs[0])[0])
     hedge0 = float((phi0 @ hedge_coeffs[0])[0])
     return DPSolution(hedge_coeffs=hedge_coeffs, value_coeffs=value_coeffs,

@@ -17,6 +17,7 @@ parabola on the same sample would bias Q upward through the convexity of
 the max.  The terminal fit is ``dp.terminal_fit``.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,7 @@ from .csvio import (OutOfOrder, PanelSink, leads_in_order, read_columns, scatter
 from .dp import terminal_fit
 from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
                      require_finite)
-from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
-                     terminal_payoff)
+from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
 from .portfolio import (DS_MEANS, RiskParams, _local_risk_step, _pi_step, _replicate,
                         _reward, centered_step, hedge_fit, risk_tilt)
 from .regression import least_squares
@@ -90,7 +90,8 @@ class TransitionDataset:
         ``contract_kind`` and ``contract_strike``, then extras.  The records
         must form one panel: a record per path and t in [0, n_steps), each
         x_next the path's next x.  The states are kept
-        exactly, and the prices are their ``from_state``.  Errors name
+        exactly, and the prices are their ``from_state``, a step at a
+        time (``PathEnsemble``).  Errors name
         ``source`` and the header key or the (path, t) cell."""
         v = _typed_header(source, header)
         ids, p = scatter_records(source, dict(zip((*_RECORD_COLUMNS, "x_next"),
@@ -124,8 +125,7 @@ class TransitionDataset:
             field = str(exc).split()[0]
             raise DataFormatError(f"{source}: bad header value for "
                                   f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
-        paths = PathEnsemble(from_state(x_paths, params.times()[None, :], params),
-                             x_paths, params, seed=v["seed"])
+        paths = PathEnsemble(None, x_paths, params, seed=v["seed"])
         try:
             return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
                        {k: val for k, val in header.items() if k not in _HEADER_KEYS})
@@ -210,13 +210,13 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     if pi_reference is not None:
         _check_shape("pi_reference", pi_reference, paths.n_paths, n_steps + 1)
 
-    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
+    payoff = terminal_payoff(paths.s(n_steps), contract)
     gamma = paths.params.gamma
 
     use_analytic = action_source == "analytic"
     rolled = payoff if use_analytic and pi_reference is None else None  # Pi_(t+1)
 
-    design_term = basis.evaluate(dataset.x_paths[:, -1])
+    design_term = basis.evaluate(paths.x(n_steps))
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
 
     weights = [None] * n_steps
@@ -231,7 +231,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t])
         elif use_analytic:
             pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
-        x_t = dataset.x_paths[:, t]
+        x_t = paths.x(t)
         targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
                                  "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
 
@@ -266,7 +266,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
 
     # read out at the start state every path records, which is then the
     # t = 0 median row; the mean of equal values can be an ulp off them
-    x0 = dataset.x_paths[:, 0]
+    x0 = paths.x(0)
     phi0 = phi_med if np.all(x0 == x0[0]) else basis.evaluate([float(x0.mean())])
     beta0 = action_coeffs[0] if use_analytic else None
     price0, a0 = _read_out(phi0, weights[0], beta0, 0)
@@ -371,7 +371,7 @@ def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
                              pi_center=pi_c, ds_center=ds_c, gain=gain)
             return u
 
-        _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge)
+        _replicate(paths, terminal_payoff(paths.s(n_steps), contract), hedge)
         return out
     return require_finite(rewards, "reward R", note=f"risk.lambda = {risk.lam:g}",
                           by_step=True).T
@@ -389,8 +389,9 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
     ``TransitionDataset``); ``seed`` overrides the ensemble's (0 when it
     has none)."""
     seed = (paths.seed or 0) if seed is None else seed
-    if seed != paths.seed:
-        paths = PathEnsemble(paths.s_paths, paths.x_paths, paths.params, seed=seed)
+    if seed != paths.seed:  # the same stored panel under another seed
+        paths = copy.copy(paths)
+        paths.seed = seed
     return TransitionDataset(np.arange(paths.n_paths), paths, actions, rewards, lam,
                              contract)
 

@@ -83,45 +83,95 @@ class OptionContract:
 
 
 class PathEnsemble:
-    """A matrix of simulated stock paths with their transformed states.
+    """A matrix of stock paths with their transformed states.
 
-    ``s_paths`` and ``x_paths`` are (n_paths, n_steps+1) read-only arrays
-    related pointwise by the state transform, stored by step (Fortran
-    order) so that each step's column is contiguous; a panel in another
-    layout is copied into that one.  ``seed`` records the RNG seed that
-    produced the ensemble (None for ingested data).
+    It stores the (n_paths, n_steps+1) panel it was built from, read-only
+    and by step (Fortran order) so that each step's column is contiguous;
+    a panel in another layout is copied into that one.  ``simulate_gbm``
+    and ``ensemble_from_prices`` store prices (``s_paths``); a read dataset
+    and a chain's snapped ensemble store states (``x_paths``); given both,
+    it stores both.  ``s(t)`` and ``x(t)`` hand out step t's column, the
+    derived one made from the stored one by ``from_state`` or
+    ``to_state``, so it equals the whole-panel transform bit for bit.  The
+    ``s_paths`` and ``x_paths`` properties are whole read-only panels, a
+    derived one built on each access: for writers and tests, not solvers.
+    ``seed`` records the RNG seed that produced the ensemble (None for
+    ingested data).
     """
 
     def __init__(self, s_paths, x_paths, params: MarketParams, seed=None):
-        s_paths = np.asfortranarray(s_paths, dtype=float)
-        x_paths = np.asfortranarray(x_paths, dtype=float)
-        if s_paths.shape != x_paths.shape:
+        self._s, self._x = (None if v is None else np.asfortranarray(v, dtype=float)
+                            for v in (s_paths, x_paths))
+        stored = self._x if self._s is None else self._s
+        if stored is None:
+            raise ValueError("an ensemble needs s_paths or x_paths")
+        if self._x is not None and self._x.shape != stored.shape:
             raise ValueError("s_paths and x_paths must have the same shape")
-        if s_paths.shape[1] != params.n_steps + 1:
+        if stored.shape[1] != params.n_steps + 1:
             raise ValueError(
-                f"paths have {s_paths.shape[1]} columns, expected {params.n_steps + 1}"
+                f"paths have {stored.shape[1]} columns, expected {params.n_steps + 1}"
             )
-        if not _positive_finite(s_paths):
-            raise ValueError("all stock prices must be positive and finite")
-        s_paths.setflags(write=False)
-        x_paths.setflags(write=False)
-        self.s_paths = s_paths
-        self.x_paths = x_paths
-        self.params = params
-        self.seed = seed
+        self.params, self.seed, self._shape = params, seed, stored.shape
+        with np.errstate(over="ignore"):  # a derived price past the doubles is refused
+            if not all(_positive_finite(self.s(t)) for t in range(stored.shape[1])):
+                raise ValueError("all stock prices must be positive and finite")
+        for v in (self._s, self._x):
+            if v is not None:
+                v.setflags(write=False)
 
     @property
     def n_paths(self) -> int:
-        return self.s_paths.shape[0]
+        return self._shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.s_paths.shape[1] - 1
+        return self._shape[1] - 1
+
+    def s(self, t: int) -> np.ndarray:
+        """Step t's prices: a read-only view of the stored panel, or
+        ``from_state`` of step t's states."""
+        if self._s is not None:
+            return self._s[:, t]
+        return from_state(self._x[:, t], self.params.times()[t], self.params)
+
+    def x(self, t: int) -> np.ndarray:
+        """Step t's states: a read-only view of the stored panel, or
+        ``to_state`` of step t's prices."""
+        if self._x is not None:
+            return self._x[:, t]
+        return to_state(self._s[:, t], self.params.times()[t], self.params)
+
+    @property
+    def s_paths(self) -> np.ndarray:
+        return self._s if self._s is not None else self._panel(self.s)
+
+    @property
+    def x_paths(self) -> np.ndarray:
+        return self._x if self._x is not None else self._panel(self.x)
+
+    def _panel(self, column):
+        """The read-only panel of ``column(t)`` over every step, by step."""
+        out = np.empty((self.n_paths, self.n_steps + 1), order="F")
+        for t in range(self.n_steps + 1):
+            out[:, t] = column(t)
+        out.setflags(write=False)
+        return out
+
+    def sorted_states(self, first_step: int = 0) -> np.ndarray:
+        """The states of steps first_step .. n_steps pooled into one fresh
+        1-D array and sorted, a step at a time: the one panel-sized array
+        behind the pooled quantiles (``basis.quantiles``)."""
+        n = self.n_paths
+        out = np.empty(n * (self.n_steps + 1 - first_step))
+        for i, t in enumerate(range(first_step, self.n_steps + 1)):
+            out[i * n:(i + 1) * n] = self.x(t)
+        out.sort()
+        return out
 
     def delta_s(self, t: int) -> np.ndarray:
         """Discount-adjusted one-step increment S_{t+1} - e^{r dt} S_t."""
         p = self.params
-        return self.s_paths[:, t + 1] - np.exp(p.r * p.dt) * self.s_paths[:, t]
+        return self.s(t + 1) - np.exp(p.r * p.dt) * self.s(t)
 
     def delta_s_mean(self, t: int) -> np.ndarray:
         """Model-implied conditional mean of delta_s given time-t prices.
@@ -129,7 +179,7 @@ class PathEnsemble:
         Equals S_t (e^{mu dt} - e^{r dt}); identically zero when mu == r.
         """
         p = self.params
-        return self.s_paths[:, t] * (np.exp(p.mu * p.dt) - np.exp(p.r * p.dt))
+        return self.s(t) * (np.exp(p.mu * p.dt) - np.exp(p.r * p.dt))
 
 
 def _positive_finite(s) -> bool:
@@ -258,7 +308,8 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
     numpy's float64 ``log`` and ``exp`` dispatch to CPU-specific SIMD
     loops, which may differ by an ulp.  Uniforms are drawn path by path
     from one stream, ``_PATH_BLOCK`` paths at a time, and each block's
-    normals go straight into the step-major panel ``PathEnsemble`` keeps.
+    normals go straight into the step-major price panel ``PathEnsemble``
+    keeps; its states are derived a step at a time.
 
     Raises DegenerateInputError when a price leaves the finite positive
     doubles: exp overflows or underflows at extreme drift, volatility or
@@ -289,8 +340,7 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
             "simulated prices overflow or underflow the doubles; the drift and "
             "volatility over the horizon (market.mu, market.sigma, "
             "market.maturity) are too large")
-    x = to_state(s.T, params.times()[None, :], params)
-    return PathEnsemble(s.T, x, params, seed=seed)
+    return PathEnsemble(s.T, None, params, seed=seed)
 
 
 def ensemble_from_prices(s_paths, params: MarketParams, seed=None) -> PathEnsemble:
@@ -305,5 +355,4 @@ def ensemble_from_prices(s_paths, params: MarketParams, seed=None) -> PathEnsemb
         raise ValueError("s_paths must be a 2-D panel")
     if s_paths.shape[0] < 1:
         raise DegenerateInputError("empty price panel")
-    x = to_state(s_paths, params.times()[None, :], params)
-    return PathEnsemble(s_paths, x, params, seed=seed)
+    return PathEnsemble(s_paths, None, params, seed=seed)

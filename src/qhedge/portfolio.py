@@ -81,7 +81,7 @@ class HedgeStrategy:
                 raise ValueError(f"{len(coeffs)} coefficient vectors for "
                                  f"{out.shape[1]} steps")
             for t, c in enumerate(coeffs):
-                out[:, t] = basis.evaluate(paths.x_paths[:, t]) @ c
+                out[:, t] = basis.evaluate(paths.x(t)) @ c
         return cls(fill)
 
     def actions(self, paths: PathEnsemble) -> np.ndarray:
@@ -141,10 +141,15 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     Raises SingularSystemError naming the first step at which Pi, the
     bank account B or the reward R is not finite."""
     u = strategy.actions(paths)
-    payoff = terminal_payoff(paths.s_paths[:, -1], contract)
+    payoff = terminal_payoff(paths.s(paths.n_steps), contract)
     pi = _replicate(paths, payoff, lambda t, _: u[:, t], out=np.empty_like(u))
-    b_account = require_finite(lambda: (pi - u * paths.s_paths).T, "bank account B",
-                               by_step=True).T
+
+    def bank_account():
+        out = np.empty_like(u)
+        for t in range(paths.n_steps + 1):
+            out[:, t] = pi[:, t] - u[:, t] * paths.s(t)
+        return out.T
+    b_account = require_finite(bank_account, "bank account B", by_step=True).T
 
     def rewards():
         out = np.empty_like(u)
@@ -231,7 +236,7 @@ def _local_risk_step(basis, paths: PathEnsemble, t: int, pi_next):
     """Step t of the risk-minimizing solve: the design at the step-t
     states, ``centered_step``'s values (model convention) and the hedge
     coefficients fitted on them."""
-    design = basis.evaluate(paths.x_paths[:, t])
+    design = basis.evaluate(paths.x(t))
     centered = ds, ds_c, pi_c, _, _ = centered_step(design, paths, t, pi_next)
     ds_dev = ds - ds_c
     if np.max(np.abs(ds_dev)) == 0.0:
@@ -254,8 +259,8 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
         design, _, coeffs[t] = _local_risk_step(basis, paths, t, pi_next)
         return design @ coeffs[t]
 
-    pi = _replicate(paths, terminal_payoff(paths.s_paths[:, -1], contract), hedge,
-                    out=np.empty_like(paths.s_paths))  # stored by step
+    pi = _replicate(paths, terminal_payoff(paths.s(paths.n_steps), contract), hedge,
+                    out=np.empty((paths.n_paths, paths.n_steps + 1), order="F"))
     return coeffs, pi
 
 
@@ -289,7 +294,7 @@ def ask_price(paths: PathEnsemble, rollout: PortfolioRollout, risk: RiskParams,
     gamma = paths.params.gamma
     total = float(rollout.pi[:, 0].mean())
     for t in range(paths.n_steps + 1):
-        design = basis.evaluate(paths.x_paths[:, t])
+        design = basis.evaluate(paths.x(t))
         var_t = conditional_variance(design, rollout.pi[:, t],
                                      what=f"Pi variance at step {t}")
         total += risk.lam * gamma**t * float(var_t.mean())

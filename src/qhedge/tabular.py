@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, quantiles
 from .errors import require_finite
-from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
+from .market import OptionContract, PathEnsemble, terminal_payoff
 from .portfolio import RiskParams, _replicate, reward_parabola
 
 
@@ -63,12 +63,20 @@ class DiscreteMDP:
         idx -= 1  # in place, as is the clip of an array
         return np.clip(idx, 0, self.n_states - 1, out=idx if np.ndim(idx) else None)
 
+    def state_indices(self, paths: PathEnsemble) -> np.ndarray:
+        """The (n_steps+1, n_paths) bucket index of every state of
+        ``paths``, row t step t's, made a step at a time."""
+        idx = np.empty((paths.n_steps + 1, paths.n_paths), dtype=np.intp)
+        for t in range(paths.n_steps + 1):
+            idx[t] = self.state_index(paths.x(t))
+        return idx
+
     def snapped_ensemble(self, paths: PathEnsemble, index=None) -> PathEnsemble:
-        """The ensemble with every state snapped to its bucket center;
-        ``index`` is ``state_index(paths.x_paths.T)`` if already computed."""
-        x = self.x_centers[self.state_index(paths.x_paths.T) if index is None else index].T
-        s = from_state(x, paths.params.times()[None, :], paths.params)
-        return PathEnsemble(s, x, paths.params, seed=paths.seed)
+        """The ensemble of the states snapped to their bucket centers, whose
+        prices are derived a step at a time; ``index`` is
+        ``state_indices(paths)`` if already computed."""
+        x = self.x_centers[self.state_indices(paths) if index is None else index].T
+        return PathEnsemble(None, x, paths.params, seed=paths.seed)
 
     def indicator_basis(self):
         """One-hot basis whose buckets are exactly the chain states."""
@@ -115,12 +123,11 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         raise ValueError("need n_x >= 1 and n_a >= 2")
     n_steps = paths.n_steps
 
-    pooled = paths.x_paths
-    if np.all(pooled[:, 0] == pooled[0, 0]) and n_steps >= 1:
-        # the initial column is a point mass; its weight would only
-        # collapse quantile edges onto duplicates
-        pooled = pooled[:, 1:]
-    edges = np.quantile(pooled.ravel(order="K"), np.linspace(0.0, 1.0, n_x + 1))
+    x0 = paths.x(0)
+    # an initial column that is a point mass would only collapse quantile
+    # edges onto duplicates
+    first_step = int(np.all(x0 == x0[0]) and n_steps >= 1)
+    edges = quantiles(paths.sorted_states(first_step), np.linspace(0.0, 1.0, n_x + 1))
     uniq, first = np.unique(edges, return_index=True)
     merged = []
     if uniq.size < edges.size:
@@ -137,9 +144,9 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         action_grid=np.linspace(float(lo), float(hi), n_a), probs=None,
         reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0,
         gamma=paths.params.gamma, edges=edges, merged_bins=merged)
-    idx = mdp.state_index(paths.x_paths.T)  # row t: step t's states
+    idx = mdp.state_indices(paths)  # row t: step t's states
     snapped = mdp.snapped_ensemble(paths, idx)
-    payoff = terminal_payoff(snapped.s_paths[:, -1], contract)
+    payoff = terminal_payoff(snapped.s(n_steps), contract)
     counts, sums = np.empty((n_steps, n_xe, n_xe)), np.empty((n_steps, n_xe, n_xe, 3))
 
     def hedge(t, pi_next):

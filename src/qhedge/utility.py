@@ -148,7 +148,7 @@ def indifference_price_recursion(paths: PathEnsemble, contract: OptionContract,
     if terminal_values is not None:
         h = np.broadcast_to(np.asarray(terminal_values, dtype=float), (paths.n_paths,))
     else:
-        h = terminal_payoff(paths.s_paths[:, -1], contract)
+        h = terminal_payoff(paths.s(n_steps), contract)
     hedge_coeffs = [None] * n_steps
 
     for t in range(n_steps - 1, -1, -1):
@@ -178,7 +178,7 @@ def _cells(paths, t, design):
 
 def _step(paths, t, basis, h_next, gamma_risk, method, order, disc):
     """One backward step: h_t and the per-cell hedges, from h_{t+1}."""
-    design = basis.evaluate(paths.x_paths[:, t])
+    design = basis.evaluate(paths.x(t))
     cells = _cells(paths, t, design)
     vals, hedges = np.zeros(len(cells)), np.zeros(len(cells))
     occupied = np.array([not c.empty for c in cells])

@@ -15,6 +15,7 @@ from qhedge import (BasisSet, MarketParams, OptionContract, PathEnsemble,
 from qhedge.cli import ExperimentConfig, ingest_prices, main
 from qhedge.errors import ConfigError, DataFormatError
 from tests.test_black_scholes import put_price_by_quadrature
+from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 
 
 def run(*argv):
@@ -742,6 +743,24 @@ class TestEvaluateOnce:
         assert run("fqi-solve", *SMALL, "--dataset.path", dataset_path,
                    "--output.dir", str(tmp_path / "out")) == 0
         assert len(calls) == 1
+
+
+class TestModelBasedMemory:
+    """At the benchmark's model-based shape (Criterion 1's market, 50k
+    paths x 24 steps) a whole command traces less than 2.4 float columns
+    of records (n_paths x n_steps doubles): the price panel the ensemble
+    stores (1.04) plus the larger of the one sorted pool of states behind
+    the basis and the solver's working set (2.14 and 2.27; 3.14 and 3.31
+    with the state panel stored too and numpy's quantile copying it)."""
+
+    @pytest.mark.parametrize("command", ["dp-solve", "utility-price"])
+    def test_whole_command_peak_below_two_point_four_record_columns(self, tmp_path, command):
+        market = [f"--market.{k}={v}" for k, v in BENCH_PARAMS.items()]
+        assert run(command, *SMALL, "--output.dir", str(tmp_path / "warm")) == 0  # lazy set-up
+        code, peak = traced(lambda: run(command, *market, "--mc.n_paths", str(BENCH_PATHS),
+                                        "--output.dir", str(tmp_path / "out")))
+        assert code == 0
+        assert peak / (BENCH_PATHS * BENCH_PARAMS["n_steps"] * 8) < 2.4
 
 
 class TestBenchmarkScripts:

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -475,14 +476,64 @@ class TestDatasetIO:
         columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
         assert all(peak < 9 for peak in columns.values()), columns
 
+    def test_read_and_solve_peak_below_six_record_columns(self, tmp_path):
+        """The dataset's ensemble stores the states it read and derives each
+        step's prices when a step needs them, so reading a dataset (parsed
+        here, where every column it makes is traced) and solving it each
+        trace less than 6 float columns of records (3.87 and 5.39; 4.26 and
+        6.43 when the ensemble held the price panel too)."""
+        assert main(["make-dataset", "--dataset.policy", "random",
+                     "--output.dir", str(tmp_path)]) == 0
+        with split_over(1):
+            tracemalloc.start()
+            try:
+                ds = read_dataset_csv(tmp_path / "dataset.csv")
+                read_peak = tracemalloc.get_traced_memory()[1]
+                basis = ExperimentConfig.load().basis_for(ds)
+                tracemalloc.reset_peak()
+                fqi_backward(ds, basis)
+                solve_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert ds.paths._s is None
+        columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
+        assert all(peak < 6 for peak in columns.values()), columns
+
+    @pytest.mark.parametrize("x", ["800", "-800"])
+    @pytest.mark.parametrize("t", [0, 2, 4])
+    def test_state_whose_price_leaves_the_doubles_exits_3(self, tmp_path, capsys, t, x):
+        """The prices of a read dataset are derived a step at a time, but
+        all of them are still checked at read: a record whose x takes exp
+        past the doubles (800) or to 0 (-800) makes fqi-solve exit 3 with
+        the price panel's message, with no overflow warning and no
+        summary."""
+        assert main(["make-dataset", "--mc.n_paths", "20", "--market.n_steps", "4",
+                     "--dataset.policy", "random", "--output.dir", str(tmp_path)]) == 0
+        f = tmp_path / "dataset.csv"
+        lines = f.read_text().splitlines(keepends=True)
+        row = lines.index("path,t,x,a,r\n") + 1 + 3 * 5 + t  # (path 3, t)
+        cells = lines[row].split(",")
+        assert cells[:2] == ["3", str(t)]
+        lines[row] = ",".join([*cells[:2], x, *cells[3:]])
+        f.write_text("".join(lines))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fqi-solve", "--dataset.path", str(f),
+                         "--output.dir", str(tmp_path / "fqi")])
+        assert code == 3
+        assert "all stock prices must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "fqi" / "summary.txt").exists()
+
     @pytest.mark.parametrize("n_cpus, n_paths", [(1, 10_000), (2, BENCH_PATHS)])
     def test_in_order_read_peak_below_four_and_a_half_record_columns(self, tmp_path,
                                                                       n_cpus, n_paths):
         """At the benchmark's shape a file in writer order is read straight
         into its x, a and r panels, a piece of one column at a time, so
         the read traces less than 4.5 float columns of records (the three
-        panels, the price panel built from the states, and pieces), where
-        reading whole columns and scattering them took 7.38.  The same
+        panels and pieces; 4.26 when the price panel was built from the
+        states too), where reading whole columns and scattering them took
+        7.38.  The same
         holds when it parses here (one CPU, at fewer paths: traced, the
         parse is slow) as in forked workers."""
         paths = gbm(n_paths=n_paths, seed=42, **BENCH_PARAMS)

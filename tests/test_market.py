@@ -1,6 +1,7 @@
 """Market simulation and state-transform tests."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestSimulateGBM:
     def test_peak_below_three_and_a_half_record_columns(self):
         """At the benchmark's model-based shape simulate_gbm traces less
         than 3.5 float columns of records (n_paths x n_steps doubles), of
-        which the ensemble it returns holds 2.08: no uniform or normal
+        which the ensemble it returns holds 1.04: no uniform or normal
         panel, nor a panel-sized ndtri temporary, is ever allocated."""
         params = make_params(**BENCH_PARAMS)
         simulate_gbm(params, 10, seed=1)  # lazy set-up out of the trace
@@ -116,13 +117,23 @@ class TestSimulateGBM:
         assert peak / (BENCH_PATHS * params.n_steps * 8) < 3.5
 
     def test_peak_below_two_and_a_half_record_columns(self):
-        """The state transform adds the drift into the array of its log, so
-        simulate_gbm's peak stays below 2.5 record columns: the ensemble's
-        2.08 plus a block of uniforms, and no panel-sized log temporary."""
+        """simulate_gbm's peak stays below 2.5 record columns: no
+        panel-sized log temporary is made."""
         params = make_params(**BENCH_PARAMS)
         simulate_gbm(params, 10, seed=1)
         _, peak = traced(lambda: simulate_gbm(params, BENCH_PATHS, seed=42))
         assert peak / (BENCH_PATHS * params.n_steps * 8) < 2.5
+
+    def test_peak_below_one_and_a_half_record_columns(self):
+        """The ensemble keeps the price panel alone and derives the states a
+        step at a time, so simulate_gbm's peak stays below 1.5 record
+        columns: the panel's 1.04 plus a block of uniforms and its normals
+        (2.23 when the ensemble held the state panel too)."""
+        params = make_params(**BENCH_PARAMS)
+        simulate_gbm(params, 10, seed=1)
+        paths, peak = traced(lambda: simulate_gbm(params, BENCH_PATHS, seed=42))
+        assert paths._x is None
+        assert peak / (BENCH_PATHS * params.n_steps * 8) < 1.5
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -242,6 +253,22 @@ class TestPathEnsemble:
         assert ens.n_paths == 3
         with pytest.raises(ValueError):
             ensemble_from_prices(np.array([[100.0, -1.0, 100.0]]), params)
+
+    @pytest.mark.parametrize("x", [800.0, -800.0, np.inf, -np.inf, np.nan])
+    def test_states_whose_prices_leave_the_doubles_are_refused(self, x):
+        """An ensemble built from states derives its prices a step at a
+        time, and refuses one that exp takes past the doubles or to 0 as a
+        price panel would be, with no overflow warning."""
+        states = np.zeros((3, 3))
+        states[1, 2] = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="positive and finite"):
+                PathEnsemble(None, states, make_params(n_steps=2))
+
+    def test_needs_a_panel(self):
+        with pytest.raises(ValueError, match="s_paths or x_paths"):
+            PathEnsemble(None, None, make_params(n_steps=2))
 
     @pytest.mark.parametrize("price", [np.inf, np.nan])
     def test_rejects_non_finite_prices(self, price):

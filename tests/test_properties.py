@@ -1,7 +1,8 @@
 """Randomized invariants of the B-spline design, the inverse normal CDF,
 the shared replication recursion, the shared hedge fit, the DP solver, the
-least-squares routine, the dataset rewards, the artifact codec and the
-grouped Q-learning kernel.  Examples are drawn by hypothesis, derandomized
+least-squares routine, the dataset rewards, the artifact codec, the
+grouped Q-learning kernel, the pooled quantiles and the per-step columns
+an ensemble derives.  Examples are drawn by hypothesis, derandomized
 so every run draws the same ones."""
 
 import math
@@ -22,10 +23,11 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     PathEnsemble, RiskParams, build_basis, build_dataset, dataset_rewards,
                     discretize, ensemble_from_prices, from_state, q_learn,
                     read_dataset_csv, reward_parabola, rollout_portfolio, simulate_gbm,
-                    solve_dp, solve_local_risk, terminal_payoff, write_dataset_csv)
+                    solve_dp, solve_local_risk, terminal_payoff, to_state,
+                    write_dataset_csv)
 from qhedge import basis as basis_module
 from qhedge import csvio, fqi, regression
-from qhedge.basis import KINDS
+from qhedge.basis import KINDS, quantiles
 from qhedge.csvio import format_value, write_table
 from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, centered_step
@@ -742,3 +744,101 @@ def test_one_pass_discretize_is_the_three_loop_construction(paths, n_x, n_a, kin
     snapped, want = mdp.snapped_ensemble(paths), snapped_with_temporaries(mdp.edges, paths)
     assert np.array_equal(snapped.s_paths, want.s_paths)
     assert np.array_equal(snapped.x_paths, want.x_paths)
+
+
+def same_bits(got, want):
+    """Equal bit for bit in shape and value; a zero may carry either sign,
+    which the sort and numpy's partition may place differently among
+    equal zeros (``basis.quantiles``)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(np.all(
+        (got.view(np.int64) == want.view(np.int64)) | ((got == 0) & (want == 0))))
+
+
+probabilities = hnp.arrays(np.float64, st.integers(1, 45), elements=st.floats(0.0, 1.0))
+
+
+@PROPERTY
+@given(samples=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=60),
+                          elements=st.floats(allow_nan=False)) |
+       hnp.arrays(np.float64, st.integers(1, 500),
+                  elements=st.sampled_from([-1.5, 0.0, 2.0, 2.0000000000000004, 7.0])),
+       q=probabilities | st.sampled_from([np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 9),
+                                          np.linspace(0.05, 0.95, 41)]))
+@example(samples=np.array([3.25]), q=np.array([0.0, 0.3, 0.5, 1.0]))
+@example(samples=np.full(17, -2.5), q=np.linspace(0.0, 1.0, 22))
+@example(samples=np.repeat([1.0, 4.0, 4.0, 9.0], 250), q=np.linspace(0.0, 1.0, 9))
+@example(samples=np.array([0.1, 0.7, 0.4, 0.9]), q=np.array([0.0, 1.0]))
+@example(samples=np.array([1e300, -1e300, 1.7e308, -1.7e308, 3e-300, -3e-300, 5e-324]),
+         q=np.linspace(0.0, 1.0, 13))
+@example(samples=np.asfortranarray(np.random.default_rng(3).normal(size=(50, 7))),
+         q=np.linspace(0.0, 1.0, 10))
+def test_quantiles_of_the_sorted_pool_are_numpys(samples, q):
+    """``basis.quantiles`` on one sorted copy of the samples gives numpy's
+    linear quantiles bit for bit, for samples in any shape and layout:
+    one sample, constant samples, heavy ties, q of 0 and 1, and
+    magnitudes near the ends of the doubles."""
+    assert same_bits(quantiles(np.sort(samples, axis=None), q), np.quantile(samples, q))
+
+
+def stores_prices(paths):
+    """Whether the ensemble stores prices and derives states."""
+    return paths._x is None
+
+
+def whole_panel_transform(paths):
+    """Reference: the derived panel as one whole-panel transform (states
+    of stored prices, or prices of stored states)."""
+    times = paths.params.times()[None, :]
+    if stores_prices(paths):
+        return to_state(paths.s_paths, times, paths.params)
+    return from_state(paths.x_paths, times, paths.params)
+
+
+def ensemble_from_source(source, params, n_paths, seed, tmp):
+    """An ensemble of each source: a simulation, an ingested price panel,
+    a read dataset and a chain's snapped ensemble."""
+    paths = simulate_gbm(params, n_paths, seed)
+    if source == "simulated":
+        return paths
+    if source == "ingested":
+        return ensemble_from_prices(np.array(paths.s_paths, order="C"), params)
+    if source == "dataset":
+        zeros = np.zeros((n_paths, params.n_steps))
+        write_dataset_csv(build_dataset(paths, zeros, zeros, 0.1), Path(tmp) / "d.csv")
+        return read_dataset_csv(Path(tmp) / "d.csv").paths
+    return discretize(paths, OptionContract("put", 100.0), RiskParams(1e-3), 5, 3,
+                      (-1.0, 1.0)).snapped_ensemble(paths)
+
+
+SOURCES = ("simulated", "ingested", "dataset", "snapped")
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(1, 40), seed=seeds,
+       source=st.sampled_from(SOURCES))
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=1, seed=1, source="simulated")
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=1, seed=2, source="ingested")
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=1, seed=3, source="dataset")
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=1, seed=4, source="snapped")
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=40, seed=5, source="dataset")
+@example(params=market(-0.05, 0.5, 0.1, 8), n_paths=1, seed=6, source="snapped")
+def test_derived_columns_are_the_whole_panel_transform(params, n_paths, seed, source):
+    """Each ensemble stores the panel it was built from (prices simulated
+    or ingested, states read or snapped) and derives every column of the
+    other one bit for bit as today's whole-panel to_state or from_state
+    does; the whole derived panel is those columns, stored by step."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = ensemble_from_source(source, params, n_paths, seed, tmp)
+    prices = stores_prices(paths)
+    assert prices == (source in ("simulated", "ingested"))
+    assert (paths._s is None) == (not prices)  # one panel is stored
+    want = whole_panel_transform(paths)
+    stored, derived = (paths.s, paths.x) if prices else (paths.x, paths.s)
+    stored_panel = paths.s_paths if prices else paths.x_paths
+    for t in range(paths.n_steps + 1):
+        assert derived(t).tobytes() == want[:, t].tobytes()
+        assert stored(t).tobytes() == stored_panel[:, t].tobytes()
+    whole = paths.x_paths if prices else paths.s_paths
+    assert whole.tobytes() == want.tobytes()
+    assert whole.flags.f_contiguous and not whole.flags.writeable
