@@ -402,6 +402,27 @@ def outcome(read, path):
         return None, (type(exc), str(exc))
 
 
+def read_and_solve_peaks(tmp_path, n_cpus):
+    """(dataset, basis, started workers, traced peaks in float columns of
+    records) of reading a default random-policy dataset over ``n_cpus``
+    and solving it with the default basis."""
+    assert main(["make-dataset", "--dataset.policy", "random",
+                 "--output.dir", str(tmp_path)]) == 0
+    with split_over(n_cpus) as started:
+        tracemalloc.start()
+        try:
+            ds = read_dataset_csv(tmp_path / "dataset.csv")
+            read_peak = tracemalloc.get_traced_memory()[1]
+            basis = ExperimentConfig.load().basis_for(ds)
+            tracemalloc.reset_peak()
+            fqi_backward(ds, basis)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return ds, basis, started, {"read": read_peak / (len(ds) * 8),
+                                "solve": solve_peak / (len(ds) * 8)}
+
+
 class TestDatasetIO:
     def test_roundtrip_field_for_field(self, tmp_path):
         paths = gbm(n_paths=60, seed=1, n_steps=4)
@@ -458,22 +479,9 @@ class TestDatasetIO:
         column at a time, and each step's features are freed before the
         next step's.  The read holds the same columns whether it parses
         here (one CPU) or in forked workers, whose memory is not traced."""
-        assert main(["make-dataset", "--dataset.policy", "random",
-                     "--output.dir", str(tmp_path)]) == 0
-        with split_over(n_cpus) as started:
-            tracemalloc.start()
-            try:
-                ds = read_dataset_csv(tmp_path / "dataset.csv")
-                read_peak = tracemalloc.get_traced_memory()[1]
-                basis = ExperimentConfig.load().basis_for(ds)
-                tracemalloc.reset_peak()
-                fqi_backward(ds, basis)
-                solve_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        ds, basis, started, columns = read_and_solve_peaks(tmp_path, n_cpus)
         assert len(started) == (0 if n_cpus == 1 else n_cpus)
         assert (ds.paths.n_steps, basis.m) == (24, 12)
-        columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
         assert all(peak < 9 for peak in columns.values()), columns
 
     def test_read_and_solve_peak_below_six_record_columns(self, tmp_path):
@@ -482,21 +490,8 @@ class TestDatasetIO:
         here, where every column it makes is traced) and solving it each
         trace less than 6 float columns of records (3.87 and 5.39; 4.26 and
         6.43 when the ensemble held the price panel too)."""
-        assert main(["make-dataset", "--dataset.policy", "random",
-                     "--output.dir", str(tmp_path)]) == 0
-        with split_over(1):
-            tracemalloc.start()
-            try:
-                ds = read_dataset_csv(tmp_path / "dataset.csv")
-                read_peak = tracemalloc.get_traced_memory()[1]
-                basis = ExperimentConfig.load().basis_for(ds)
-                tracemalloc.reset_peak()
-                fqi_backward(ds, basis)
-                solve_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        ds, _, _, columns = read_and_solve_peaks(tmp_path, 1)
         assert ds.paths._s is None
-        columns = {"read": read_peak / (len(ds) * 8), "solve": solve_peak / (len(ds) * 8)}
         assert all(peak < 6 for peak in columns.values()), columns
 
     @pytest.mark.parametrize("x", ["800", "-800"])
