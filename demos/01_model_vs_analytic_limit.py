@@ -17,7 +17,7 @@ contract = OptionContract("put", 100.0)
 
 print(f"simulating {50_000} paths, {params.n_steps} rebalances ...")
 paths = simulate_gbm(params, 50_000, seed=42)
-basis = build_basis("bspline", 12, paths.x_paths.ravel())
+basis = build_basis("bspline", 12, paths)
 
 quote = bs_price_delta(params.s0, contract.strike, params.sigma, params.r,
                        params.maturity, contract.kind)
@@ -33,7 +33,7 @@ print("\nwith mu != r the optimal position tilts away from the pure hedge:")
 tilted = MarketParams(s0=100.0, mu=0.05, sigma=0.15, r=0.03,
                       maturity=1.0, n_steps=24)
 paths_t = simulate_gbm(tilted, 50_000, seed=42)
-basis_t = build_basis("bspline", 12, paths_t.x_paths.ravel())
+basis_t = build_basis("bspline", 12, paths_t)
 for lam in (0.1, 0.01):
     sol = solve_dp(paths_t, contract, RiskParams(lam), basis_t)
     tilt = (tilted.mu - tilted.r) / (2 * lam * tilted.sigma**2 * tilted.s0)

@@ -19,12 +19,12 @@ contract = OptionContract("put", 100.0)
 risk = RiskParams(1e-3)
 
 paths = simulate_gbm(params, 50_000, seed=42)
-basis = build_basis("bspline", 12, paths.x_paths.ravel())
+basis = build_basis("bspline", 12, paths)
 dp = solve_dp(paths, contract, risk, basis)
 print(f"model-based reference: price {dp.price0:.4f}, hedge {dp.hedge0:.4f}\n")
 
 optimal_actions = np.column_stack(
-    [basis.evaluate(paths.x_paths[:, t]) @ dp.hedge_coeffs[t]
+    [basis.evaluate(paths.x(t)) @ dp.hedge_coeffs[t]
      for t in range(paths.n_steps)])
 rng = np.random.default_rng(7)
 random_actions = rng.uniform(-1.5, 1.5, size=optimal_actions.shape) \

@@ -16,7 +16,7 @@ params = MarketParams(s0=100.0, mu=0.03, sigma=0.15, r=0.03,
                       maturity=1.0, n_steps=6)
 contract = OptionContract("put", 100.0)
 paths = simulate_gbm(params, 40_000, seed=11)
-cells = build_basis("one_hot_grid", 12, paths.x_paths.ravel())
+cells = build_basis("one_hot_grid", 12, paths)
 
 print(f"{'g':>7} {'order-1':>9} {'exact':>9} {'gap':>10}")
 gaps = []
@@ -29,7 +29,7 @@ for g in (0.02, 0.01, 0.005):
 print(f"gap shrink factors per halving: {gaps[0] / gaps[1]:.2f}, "
       f"{gaps[1] / gaps[2]:.2f}  (second-order remainder -> 4)\n")
 
-smooth = build_basis("bspline", 12, paths.x_paths.ravel())
+smooth = build_basis("bspline", 12, paths)
 print("aversion bridge: order-1 indifference vs quadratic-risk ask price")
 for g in (0.02, 0.01):
     h1 = indifference_price_recursion(paths, contract, g, cells, order=1).price0

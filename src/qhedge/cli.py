@@ -294,8 +294,9 @@ def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
     p = paths.params
-    write_table(out / "ensemble.csv", {"path": None, "t": None},
-                {"s": paths.s_paths, "x": paths.x_paths},
+    write_table(out / "ensemble.csv",  # both values are row functions: the labels fix the shape
+                {"path": np.arange(paths.n_paths), "t": np.arange(p.n_steps + 1)},
+                {"s": paths.s_rows, "x": paths.x_rows},
                 header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
                         "maturity": p.maturity, "n_steps": p.n_steps, "n_paths": paths.n_paths,
                         **({} if paths.seed is None else {"seed": paths.seed})})
@@ -311,7 +312,7 @@ def cmd_rollout(cfg):
     roll = rollout_portfolio(paths, strategy, cfg.contract(), cfg.risk())
     out = _outdir(cfg)
     write_table(out / "rollout.csv", {"path": None, "t": None},
-                {"S": paths.s_paths, "X": paths.x_paths, "a": roll.actions,
+                {"S": paths.s_rows, "X": paths.x_rows, "a": roll.actions,
                  "Pi": roll.pi, "B": roll.b_account, "R": roll.rewards},
                 header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
     _summarize(cfg, out, {"mean_pi0": roll.pi[:, 0].mean(),

@@ -12,7 +12,8 @@ value (non-finite, subnormal, other magnitudes, negative integers,
 labels) goes through Python's format.
 
 It is also the one place that knows the record layout: ``write_table``
-turns arrays into one record per element, ``PanelSink`` puts (path, t)
+turns arrays, or functions that hand out a block of their rows at a time,
+into one record per element, ``PanelSink`` puts (path, t)
 records that come in that order straight into panels, and
 ``scatter_records`` places them in any order, checking that they fill
 the panels and naming what is wrong.
@@ -44,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataFormatError
 
 _FLOAT = "%.17g"
-_BLOCK = 1 << 13  # records gathered per write
+_BLOCK = 1 << 13  # records per write (whole rows, at least one) and per piece read
 # Fewest records written, and data bytes read, per process: below them a
 # table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
 _SPLIT_RECORDS = 1 << 15
@@ -297,34 +298,45 @@ def write_table(path, axes, values, header=None):
     """Write arrays of one shape as one record per element, in C order,
     after one ``# key=value`` line per ``header`` item: first one column
     per axis of ``axes`` (name -> that axis's labels, or None for its
-    index), then one per array of ``values`` (name -> array).  Each
-    column's format follows its dtype; each block of records is gathered
-    from the arrays as it is written and formatted by ``_column_text``.
-    The records are cut into one contiguous range of whole blocks per
-    process: this one writes the first, and a forked worker formats each
-    other into an unnamed file in the output directory, copied in after
-    it; a range whose worker failed or found no such file is written
-    here."""
-    arrays = [np.asarray(v) for v in values.values()]
-    shape = arrays[0].shape
-    if len(axes) != len(shape) or any(a.shape != shape for a in arrays):
-        raise ValueError(f"arrays of one {len(axes)}-axis shape expected for {path}")
+    index), then one per value of ``values`` (name -> an array, or a
+    function of a slice of rows, over the first axis, that returns those
+    rows of the array, so that no whole array need exist).  The shape is
+    the arrays', or, where every value is a function, the lengths of the
+    axes' labels.  Each column's format follows its dtype; each block of
+    records, ``_BLOCK`` records' worth of whole rows (at least one), is
+    gathered from the values as it is written and formatted by
+    ``_column_text``.  The rows are cut into one contiguous range of whole
+    blocks per process: this one writes the first, and a forked worker
+    formats each other into an unnamed file in the output directory,
+    copied in after it; a range whose worker failed or found no such file
+    is written here."""
     labels = [None if lab is None else np.asarray(lab) for lab in axes.values()]
-    n = arrays[0].size
+    values = {name: v if callable(v) else np.asarray(v) for name, v in values.items()}
+    arrays = [v for v in values.values() if not callable(v)]
+    shape = arrays[0].shape if arrays else tuple(len(lab) for lab in labels if lab is not None)
+    if len(axes) != len(shape) or any(a.shape != shape for a in arrays):
+        raise ValueError(f"arrays of one {len(axes)}-axis shape, or labels on every "
+                         f"axis, expected for {path}")
+    n = int(np.prod(shape))
+    n_rows, per_row = (shape[0], n // shape[0]) if n else (0, 1)  # and records in a row
+    rows_per_block = max(1, _BLOCK // per_row)
+    gathers = [v if callable(v) else v.__getitem__ for v in values.values()]
 
     def write_records(out, lo, hi):
-        for start in range(lo, hi, _BLOCK):
-            index = np.unravel_index(np.arange(start, min(start + _BLOCK, hi)), shape)
+        for start in range(lo, hi, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, hi))
+            index = np.unravel_index(np.arange(rows.start * per_row, rows.stop * per_row), shape)
             cols = [i if lab is None else lab[i] for lab, i in zip(labels, index)]
+            cols += [np.reshape(gather(rows), -1) for gather in gathers]
             comma = np.full((index[0].size, 1), ord(","), np.uint8)
-            rows = np.concatenate([part for c in cols + [a[index] for a in arrays]
+            text = np.concatenate([part for c in cols
                                    for part in (*_column_text(c, fh.encoding), comma)], axis=1)
-            rows[:, -1] = ord("\n")
-            out.write(rows.ravel()[rows.ravel() != 0])
+            text[:, -1] = ord("\n")
+            out.write(text.ravel()[text.ravel() != 0])
         out.flush()
 
-    procs, blocks = _n_procs(n, _SPLIT_RECORDS), -(-n // _BLOCK)
-    cuts = [min(n, blocks * i // procs * _BLOCK) for i in range(procs + 1)]
+    procs, blocks = _n_procs(n, _SPLIT_RECORDS), -(-n_rows // rows_per_block)
+    cuts = [min(n_rows, blocks * i // procs * rows_per_block) for i in range(procs + 1)]
     directory = os.path.dirname(os.path.abspath(path))
     with open(path, "w") as fh, _Workers() as workers, contextlib.ExitStack() as stack:
         fh.writelines(f"# {k}={format_value(v)}\n" for k, v in (header or {}).items())

@@ -76,34 +76,28 @@ class TransitionDataset:
             self._given[name] = v
             setattr(self, name, v[:, :shape[1]])
 
-    @property
-    def x_paths(self) -> np.ndarray:
-        return self.paths.x_paths
+    @classmethod
+    def from_records(cls, path_ids, t, x, a, r, header: dict, source="records"):
+        """The dataset of flat (path, t, x, a, r) records in any order, as a
+        file holds them, under ``header``, the file's items as a dict:
+        ``n_steps``, ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, ``seed``,
+        optionally ``n_paths`` (checked against the records), ``s0``,
+        ``contract_kind`` and ``contract_strike``, then extras.  The records
+        must form one panel: a record per path and t in [0, n_steps], with
+        a = r = 0 at t = n_steps.  The states are kept exactly, and the
+        prices are their ``from_state``, a step at a time
+        (``PathEnsemble``).  Errors name ``source`` and the header key or
+        the (path, t) cell."""
+        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, x, a, r))),
+                                 header, source)
 
     @classmethod
-    def from_records(cls, path_ids, t, x, a, r, x_next, header: dict,
-                     source="records"):
-        """The dataset of flat (path, t, x, a, r, x_next) records in any
-        order, under ``header``, the file's items as a dict: ``n_steps``,
-        ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, ``seed``, optionally
-        ``n_paths`` (checked against the records), ``s0``,
-        ``contract_kind`` and ``contract_strike``, then extras.  The records
-        must form one panel: a record per path and t in [0, n_steps), each
-        x_next the path's next x.  The states are kept
-        exactly, and the prices are their ``from_state``, a step at a
-        time (``PathEnsemble``).  Errors name
-        ``source`` and the header key or the (path, t) cell."""
+    def _from_columns(cls, records, header, source):
+        """``from_records`` of ``records``, a dict of its columns, which
+        ``scatter_records`` empties as it places them: a caller that hands
+        over the only references frees each column once it is placed."""
         v = _typed_header(source, header)
-        ids, p = scatter_records(source, dict(zip((*_RECORD_COLUMNS, "x_next"),
-                                                  (path_ids, t, x, a, r, x_next))),
-                                 v["n_steps"])
-        xs, x_next = p["x"], p.pop("x_next")  # the path's x at t + 1, the last one x_N
-        differ = np.argwhere(x_next[:-1] != xs[1:])
-        if differ.size:
-            step, j = differ[0]
-            raise DataFormatError(f"{source}: x_next of (path={ids[j]}, t={step}) differs "
-                                  f"from that path's x at t={step + 1}")
-        p["x"] = np.vstack([xs, x_next[-1:]])
+        ids, p = scatter_records(source, records, v["n_steps"] + 1)
         return cls._from_panels(ids, p, v, header, source)
 
     @classmethod
@@ -255,6 +249,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             ds, ds_c, pi_c, _, drift = centered_step(design_t, paths, t, pi_next, ds_mean)
             action_coeffs[t] = hedge_fit(design_t, ds - ds_c, pi_next - pi_c, t,
                                          tilt=risk_tilt(drift, gamma, risk, t))
+            del ds, ds_c, pi_c, _, drift  # not held through step t-1's design and fits
             if t > 0:  # max_a Q_t at x_t, the previous step's next states
                 a_star = design_t @ action_coeffs[t]
                 _check_one_action(dataset.a[:, t], a_star, t)
@@ -262,6 +257,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
                 v_cache = require_finite(  # past the doubles, so is step t-1's target
                     lambda: u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2],
                     "FQI target R_t + gamma max_a Q_(t+1)", t - 1, lam_note)
+                del u, a_star
         del design_t  # free before step t-1's is evaluated
 
     # read out at the start state every path records, which is then the
@@ -397,14 +393,18 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
 
 
 def write_dataset_csv(dataset: TransitionDataset, path):
-    """Write a record per path and t in [0, n_steps] (see _RECORD_COLUMNS)."""
+    """Write a record per path and t in [0, n_steps] (see _RECORD_COLUMNS),
+    formatted from the stored panels a block of paths at a time: the
+    states are ``PathEnsemble.x_rows``, so no derived panel is built."""
     paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
     items = {"s0": p.s0, **dataset.extras}
     if c is not None:
         items.update(contract_kind=c.kind, contract_strike=c.strike)
-    a_r = {name: v if v.shape[1] > p.n_steps else np.pad(v, [(0, 0), (0, 1)])  # expiry 0
-           for name, v in dataset._given.items()}
-    write_table(path, {"path": dataset.path_ids, "t": None}, {"x": dataset.x_paths, **a_r},
+
+    def with_expiry(v):  # a or r given without the expiry column: its rows padded by a 0
+        return v if v.shape[1] > p.n_steps else lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
+    write_table(path, {"path": dataset.path_ids, "t": np.arange(p.n_steps + 1)},
+                {"x": paths.x_rows, **{k: with_expiry(v) for k, v in dataset._given.items()}},
                 {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
                  "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
                  "seed": paths.seed, **dict(sorted(items.items()))})
@@ -440,15 +440,13 @@ def read_dataset_csv(path) -> TransitionDataset:
 
 def _read_scattered(path) -> TransitionDataset:
     """The dataset of a dataset file in any record order: its columns read
-    whole and placed by ``scatter_records``."""
+    whole and placed as ``TransitionDataset.from_records`` places them."""
     meta, names, columns = read_columns(path)
     _check_columns(path, names)
     typed_header(path, meta, {"n_paths": int})  # which a file must carry
-    v = _typed_header(path, meta)
     records = dict(zip(_RECORD_COLUMNS, columns))
-    del columns  # the dict holds the only references, and frees each once scattered
-    ids, p = scatter_records(path, records, v["n_steps"] + 1)
-    return TransitionDataset._from_panels(ids, p, v, meta, path)
+    del columns  # the dict holds the only references
+    return TransitionDataset._from_columns(records, meta, path)
 
 
 def _check_columns(path, names):

@@ -90,11 +90,13 @@ class PathEnsemble:
     a panel in another layout is copied into that one.  ``simulate_gbm``
     and ``ensemble_from_prices`` store prices (``s_paths``); a read dataset
     and a chain's snapped ensemble store states (``x_paths``); given both,
-    it stores both.  ``s(t)`` and ``x(t)`` hand out step t's column, the
-    derived one made from the stored one by ``from_state`` or
-    ``to_state``, so it equals the whole-panel transform bit for bit.  The
-    ``s_paths`` and ``x_paths`` properties are whole read-only panels, a
-    derived one built on each access: for writers and tests, not solvers.
+    it stores both.  ``s(t)`` and ``x(t)`` hand out step t's column and
+    ``s_rows`` and ``x_rows`` a slice of paths over every step (for
+    writers, a block at a time), the derived values made from the stored
+    ones by ``from_state`` or ``to_state``, so they equal the whole-panel
+    transform bit for bit.  The ``s_paths`` and ``x_paths`` properties are
+    whole read-only panels, a derived one built on each access: for tests,
+    not solvers or writers.
     ``seed`` records the RNG seed that produced the ensemble (None for
     ingested data).
     """
@@ -141,19 +143,32 @@ class PathEnsemble:
             return self._x[:, t]
         return to_state(self._s[:, t], self.params.times()[t], self.params)
 
+    def s_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the price panel: a read-only view of the stored
+        panel, or ``from_state`` of those rows of the states, each step's
+        drift broadcast along its column."""
+        if self._s is not None:
+            return self._s[rows]
+        return from_state(self._x[rows], self.params.times(), self.params)
+
+    def x_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the state panel: a read-only view of the stored
+        panel, or ``to_state`` of those rows of the prices."""
+        if self._x is not None:
+            return self._x[rows]
+        return to_state(self._s[rows], self.params.times(), self.params)
+
     @property
     def s_paths(self) -> np.ndarray:
-        return self._s if self._s is not None else self._panel(self.s)
+        return self._s if self._s is not None else self._panel(self.s_rows)
 
     @property
     def x_paths(self) -> np.ndarray:
-        return self._x if self._x is not None else self._panel(self.x)
+        return self._x if self._x is not None else self._panel(self.x_rows)
 
-    def _panel(self, column):
-        """The read-only panel of ``column(t)`` over every step, by step."""
-        out = np.empty((self.n_paths, self.n_steps + 1), order="F")
-        for t in range(self.n_steps + 1):
-            out[:, t] = column(t)
+    def _panel(self, rows):
+        """The whole read-only panel of ``rows``, by step."""
+        out = rows(slice(None))
         out.setflags(write=False)
         return out
 

@@ -150,9 +150,14 @@ class TestCriterion4FiniteStateAgreement:
                   "r": params.r, "dt": params.dt, "lambda": risk.lam, "seed": 3,
                   "s0": params.s0, "contract_kind": contract.kind,
                   "contract_strike": contract.strike}
+        # each variant's terminal record: its path's last state, a and r 0
+        ends = np.arange(n * n_var)
         ds = TransitionDataset.from_records(
-            path_ids=pid, t=t_flat, x=mdp.x_centers[i_flat], a=a_flat,
-            r=r_flat, x_next=mdp.x_centers[j_flat], header=header)
+            path_ids=np.concatenate([pid, ends]),
+            t=np.concatenate([t_flat, np.full(ends.size, t1 - 1)]),
+            x=mdp.x_centers[np.concatenate([i_flat, idx[ends // n_var, -1]])],
+            a=np.concatenate([a_flat, np.zeros(ends.size)]),
+            r=np.concatenate([r_flat, np.zeros(ends.size)]), header=header)
         # max-term actions regress on the replicating portfolio (per-variant
         # constant-action rollouts would leak snapping autocorrelation)
         growth = np.exp(params.r * params.dt)

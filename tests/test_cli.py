@@ -12,7 +12,7 @@ import pytest
 import qhedge
 from qhedge import (BasisSet, MarketParams, OptionContract, PathEnsemble,
                     read_dataset_csv)
-from qhedge.cli import ExperimentConfig, ingest_prices, main
+from qhedge.cli import POLICIES, ExperimentConfig, ingest_prices, main
 from qhedge.errors import ConfigError, DataFormatError
 from tests.test_black_scholes import put_price_by_quadrature
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
@@ -761,6 +761,21 @@ class TestModelBasedMemory:
                                         "--output.dir", str(tmp_path / "out")))
         assert code == 0
         assert peak / (BENCH_PATHS * BENCH_PARAMS["n_steps"] * 8) < 2.4
+
+
+@pytest.mark.parametrize("command, policy", [("simulate", None),
+                                             *(("rollout", p) for p in POLICIES),
+                                             *(("make-dataset", p) for p in POLICIES)])
+def test_writers_build_no_derived_panel(tmp_path, monkeypatch, command, policy):
+    """simulate, rollout and make-dataset write the states their ensemble
+    derives from its prices a block of rows at a time: none builds a whole
+    derived panel."""
+    def refuse(self, rows):
+        raise AssertionError("a whole derived panel was built")
+    monkeypatch.setattr(PathEnsemble, "_panel", refuse)
+    section = "dataset" if command == "make-dataset" else "rollout"
+    extra = [] if policy is None else [f"--{section}.policy", policy]
+    assert run(command, *SMALL, *extra, "--output.dir", str(tmp_path)) == 0
 
 
 class TestBenchmarkScripts:

@@ -3,6 +3,7 @@
 import os
 import tracemalloc
 import warnings
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -82,8 +83,11 @@ class TestSingleStepRegression:
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.0, "r": 0.0, "dt": 1.0,
                   "lambda": 0.5, "seed": 0, "s0": 100.0, "contract_kind": "put",
                   "contract_strike": 100.0}
-        ds = TransitionDataset.from_records(np.arange(4), np.zeros(4, dtype=int),
-                                            x, a, r, x_next, header)
+        ends = np.zeros(4)  # the t = 1 records: the next states, a and r 0
+        ds = TransitionDataset.from_records(np.tile(np.arange(4), 2), np.repeat([0, 1], 4),
+                                            np.concatenate([x, x_next]),
+                                            np.concatenate([a, ends]),
+                                            np.concatenate([r, ends]), header)
         basis = unit_basis()
         sol = fqi_backward(ds, basis)
         # oracle: terminal Q is the flat-cell fit of -payoff - lam Var(payoff)
@@ -192,9 +196,9 @@ class TestAgainstDP:
         sol = fqi_backward(ds, basis)
         # recompute targets/fits at the last step, where v is the terminal fit
         t = paths.n_steps - 1
-        v = basis.evaluate(ds.x_paths[:, t + 1]) @ sol.terminal_value_coeffs
+        v = basis.evaluate(ds.paths.x(t + 1)) @ sol.terminal_value_coeffs
         targets = ds.r[:, t] + paths.params.gamma * v
-        fitted = build_features(basis.evaluate(ds.x_paths[:, t]), ds.a[:, t]) \
+        fitted = build_features(basis.evaluate(ds.paths.x(t)), ds.a[:, t]) \
             @ sol.weights[t].T.ravel()
         resid = targets - fitted
         assert abs(resid.mean()) <= 4 * resid.std() / np.sqrt(resid.size)
@@ -436,7 +440,7 @@ class TestDatasetIO:
         write_dataset_csv(ds, f)
         back = read_dataset_csv(f)
         assert np.array_equal(back.path_ids, ds.path_ids)
-        assert np.array_equal(back.x_paths, ds.x_paths)
+        assert np.array_equal(back.paths.x_paths, ds.paths.x_paths)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
         # what the file carries: the maturity is not among it, only dt
@@ -489,10 +493,32 @@ class TestDatasetIO:
         step's prices when a step needs them, so reading a dataset (parsed
         here, where every column it makes is traced) and solving it each
         trace less than 6 float columns of records (3.87 and 5.39; 4.26 and
-        6.43 when the ensemble held the price panel too)."""
+        6.43 when the ensemble held the price panel too).  The solve frees
+        each step's centered values, read-out actions and their Q values
+        once the next target is built, so it traces less than 2.2 columns
+        beyond the dataset's x, a and r panels (2.05; 2.35 when they were
+        held through the next step's fits)."""
         ds, _, _, columns = read_and_solve_peaks(tmp_path, 1)
         assert ds.paths._s is None
         assert all(peak < 6 for peak in columns.values()), columns
+        resident = sum(v.nbytes for v in (ds.paths.x_paths, ds.a, ds.r)) / (len(ds) * 8)
+        assert columns["solve"] - resident < 2.2, (columns, resident)
+
+    def test_make_dataset_peak_below_five_point_two_record_columns(self, tmp_path,
+                                                                    monkeypatch):
+        """make-dataset at the defaults (10k paths x 24 steps, random
+        actions), formatting every record here (one CPU), traces less than
+        5.2 float columns of records once its modules are set up: the
+        writer formats the states from the stored price panel a block of
+        paths at a time (4.74; 5.75 when it built the whole state panel to
+        write it)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["make-dataset", "--mc.n_paths", "400", "--market.n_steps", "6",
+                     "--output.dir", str(tmp_path / "warm")]) == 0  # lazy set-up
+        code, peak = traced(lambda: main(["make-dataset", "--dataset.policy", "random",
+                                          "--output.dir", str(tmp_path / "out")]))
+        assert code == 0
+        assert peak / (10_000 * 24 * 8) < 5.2
 
     @pytest.mark.parametrize("x", ["800", "-800"])
     @pytest.mark.parametrize("t", [0, 2, 4])
@@ -603,8 +629,8 @@ class TestDatasetIO:
         want = outcome(fqi._read_scattered, f)
         assert got[1] == want[1]
         if edit in ("shuffled", "descending"):
-            for name in ("path_ids", "x_paths", "a", "r"):
-                assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
+            for name in ("path_ids", "paths.x_paths", "a", "r"):
+                assert attrgetter(name)(got[0]).tobytes() == attrgetter(name)(want[0]).tobytes()
         else:
             assert want[1] is not None
         p = int(row or 0)
@@ -642,8 +668,8 @@ class TestDatasetIO:
         with split_over(n_cpus):
             back = read_dataset_csv(f)
         assert read.call_count == parses
-        for name in ("path_ids", "x_paths", "a", "r"):
-            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+        for name in ("path_ids", "paths.x_paths", "a", "r"):
+            assert attrgetter(name)(back).tobytes() == attrgetter(name)(ds).tobytes()
 
     def test_file_is_the_panels_with_terminal_records(self, tmp_path):
         """A dataset file holds a record per path and t in [0, n_steps]:
@@ -682,9 +708,8 @@ class TestDatasetIO:
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records(
-                path_ids=[0, 1, 0], t=[0, 0, 1], x=[0.0, 0.0, 0.1],
-                a=[0.0] * 3, r=[0.0] * 3, x_next=[0.1, 0.2, 0.2],
-                header=header)
+                path_ids=[0, 1, 0, 0, 1], t=[0, 0, 1, 2, 2], x=[0.0, 0.0, 0.1, 0.2, 0.2],
+                a=[0.0] * 5, r=[0.0] * 5, header=header)
 
     def test_duplicate_record_rejected(self):
         header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
@@ -692,41 +717,32 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=r"duplicate rows for cell \(path=0, t=0\)"):
             TransitionDataset.from_records(
                 path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], x=[0.0] * 4,
-                a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1] * 4, header=header)
+                a=[0.0] * 4, r=[0.0] * 4, header=header)
 
     def test_nonfinite_reward_rejected(self):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
-            TransitionDataset.from_records([0], [0], [0.0], [0.0], [np.nan], [0.1],
-                                           header)
+            TransitionDataset.from_records([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
+                                           [np.nan, 0.0], header)
 
     @pytest.mark.parametrize("field", ["x", "a", "x_next"])
     def test_nonfinite_state_or_action_rejected(self, field):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
-        rec = dict(x=[0.0], a=[0.0], r=[0.0], x_next=[0.1])
-        rec[field] = [np.inf]
-        with pytest.raises(DataFormatError, match=f"non-finite {field}"):
-            TransitionDataset.from_records([0], [0], header=header, **rec)
-
-    def test_x_next_must_match_next_state(self):
-        """A path's x_next at t is its x at t+1: the rebuilt panel keeps
-        only one of them, so a disagreement would price two panels."""
-        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
-                  "lambda": 0.1, "seed": 0}
-        with pytest.raises(DataFormatError, match=r"path=1, t=0"):
-            TransitionDataset.from_records(
-                path_ids=[0, 0, 1, 1], t=[0, 1, 0, 1], x=[0.0, 0.1, 0.0, 0.2],
-                a=[0.0] * 4, r=[0.0] * 4, x_next=[0.1, 0.3, 0.25, 0.1],
-                header=header)
+        rec = dict(x=[0.0, 0.1], a=[0.0, 0.0], r=[0.0, 0.0])
+        column, t = ("x", 1) if field == "x_next" else (field, 0)  # x_next: the t = 1 record's x
+        rec[column][t] = np.inf
+        with pytest.raises(DataFormatError, match=rf"non-finite {column} inf at cell "
+                                                  rf"\(path=0, t={t}\)"):
+            TransitionDataset.from_records([0, 0], [0, 1], header=header, **rec)
 
     def test_time_outside_horizon_rejected(self):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
-        with pytest.raises(DataFormatError, match=r"cell \(path=0, t=1\) is outside"):
-            TransitionDataset.from_records([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
-                                           [0.0, 0.0], [0.1, 0.2], header)
+        with pytest.raises(DataFormatError, match=r"cell \(path=0, t=2\) is outside"):
+            TransitionDataset.from_records([0, 0, 0], [0, 1, 2], [0.0, 0.1, 0.2], [0.0] * 3,
+                                           [0.0] * 3, header)
 
     def test_header_missing_keys(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -758,8 +774,8 @@ class TestDatasetIO:
         g = tmp_path / "shuffled.csv"
         g.write_text("".join(lines[:head] + rows))
         ds, back = read_dataset_csv(f), read_dataset_csv(g)
-        for name in ("path_ids", "x_paths", "a", "r"):
-            assert np.array_equal(getattr(back, name), getattr(ds, name))
+        for name in ("path_ids", "paths.x_paths", "a", "r"):
+            assert np.array_equal(attrgetter(name)(back), attrgetter(name)(ds))
         assert fqi_backward(back, basis).price0 == fqi_backward(ds, basis).price0
 
     def test_fractional_path_id_rejected(self, tmp_path):
@@ -798,7 +814,7 @@ class TestDatasetIO:
     def test_contract_required(self):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0, "s0": 100.0}
-        ds = TransitionDataset.from_records([0, 1], [0, 0], [4.6, 4.6], [0.0, 0.0],
-                                            [0.0, 0.0], [4.61, 4.59], header)
+        ds = TransitionDataset.from_records([0, 1, 0, 1], [0, 0, 1, 1], [4.6, 4.6, 4.61, 4.59],
+                                            [0.0] * 4, [0.0] * 4, header)
         with pytest.raises(DataFormatError, match="contract"):
             fqi_backward(ds, unit_basis())

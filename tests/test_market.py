@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qhedge import (MarketParams, OptionContract, PathEnsemble, RiskParams,
-                    build_dataset, discretize, ensemble_from_prices, from_state,
-                    read_dataset_csv, simulate_gbm, terminal_payoff, to_state,
+                    TransitionDataset, build_dataset, discretize, ensemble_from_prices,
+                    from_state, simulate_gbm, terminal_payoff, to_state,
                     write_dataset_csv)
+from qhedge.csvio import read_columns
 from qhedge.cli import ingest_prices, main
 from qhedge.errors import DegenerateInputError
 from qhedge.market import _PATH_BLOCK, _ndtri
@@ -289,10 +290,11 @@ def _ensemble_from(constructor, tmp_path):
         assert main(["simulate", "--market.n_steps", "4", "--mc.n_paths", "30",
                      "--output.dir", str(tmp_path)]) == 0
         return ingest_prices(tmp_path / "ensemble.csv")
-    if constructor == "from_records":
+    if constructor == "from_records":  # a written dataset's records
         zeros = np.zeros((paths.n_paths, paths.n_steps))
         write_dataset_csv(build_dataset(paths, zeros, zeros, 0.1), tmp_path / "d.csv")
-        return read_dataset_csv(tmp_path / "d.csv").paths
+        meta, _, columns = read_columns(tmp_path / "d.csv")
+        return TransitionDataset.from_records(*columns, meta).paths
     mdp = discretize(paths, OptionContract("put", 100.0),
                      RiskParams(0.1), 5, 3, (-1.0, 1.0))
     return mdp.snapped_ensemble(paths)

@@ -2,13 +2,14 @@
 the shared replication recursion, the shared hedge fit, the DP solver, the
 least-squares routine, the dataset rewards, the artifact codec, the
 grouped Q-learning kernel, the pooled quantiles and the per-step columns
-an ensemble derives.  Examples are drawn by hypothesis, derandomized
+and blocks of rows an ensemble derives.  Examples are drawn by hypothesis, derandomized
 so every run draws the same ones."""
 
 import math
 import os
 import tempfile
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -480,6 +481,65 @@ def test_table_bytes_at_decades_ties_and_integer_edges():
                           {"k": np.array([2**64 - 1, 2**63], np.uint64)})
 
 
+BENCH_ROWS = 25  # records in a row of a 24-step panel
+
+
+@PROPERTY
+@given(seed=seeds, n_paths=st.integers(1, 60), n_cols=st.integers(1, 9),
+       block=st.integers(1, 80), n_cpus=st.sampled_from([1, 2]),
+       split_records=st.sampled_from([1, 7]))
+@example(seed=1, n_paths=1, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=1, split_records=1)
+@example(seed=2, n_paths=1, n_cols=3, block=2, n_cpus=2, split_records=1)
+# above _SPLIT_RECORDS records, in a path count that is no multiple of a block's
+# 327 paths: one process, then two (the table holds twice _SPLIT_RECORDS)
+@example(seed=3, n_paths=1400, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=1,
+         split_records=1 << 15)
+@example(seed=4, n_paths=2700, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=2,
+         split_records=1 << 15)
+def test_row_functions_write_the_arrays_bytes(seed, n_paths, n_cols, block, n_cpus,
+                                              split_records):
+    """write_table writes the same bytes from an array as from a function of
+    a slice of its rows, with an array beside it or with every axis
+    labelled, on one process or two; the function is asked for whole rows,
+    at most a block's records' worth (at least one row) at a time, each row
+    once, in order."""
+    rng = np.random.default_rng(seed)
+    shape = (n_paths, n_cols)
+    values = {"x": np.asfortranarray(rng.standard_normal(shape)),
+              "k": rng.integers(-10**6, 10**6, shape),
+              "tiny": rng.standard_normal(shape) * 1e-310}  # subnormals: Python's format
+    asked = []
+
+    def rows_of(v):
+        def rows(r):
+            asked.append(r)
+            return v[r]
+        return rows
+    index = {"path": None, "t": None}
+    labels = {"path": 3 * np.arange(n_paths) + 1, "t": np.arange(n_cols)}
+    tables = {"arrays": (index, values),
+              "mixed": (index, {"x": values["x"], "k": rows_of(values["k"]),
+                                "tiny": rows_of(values["tiny"])}),
+              "labelled_arrays": (labels, values),
+              "functions": (labels, {name: rows_of(v) for name, v in values.items()})}
+    written = {}
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(csvio, "_BLOCK", block),
+          mock.patch.object(csvio, "_SPLIT_RECORDS", split_records),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
+        for name, (axes, table) in tables.items():
+            asked.clear()
+            write_table(Path(tmp) / f"{name}.csv", axes, table)
+            written[name] = (Path(tmp) / f"{name}.csv").read_bytes()
+            if name == "functions" and n_cpus == 1:  # a worker's requests are its own
+                per_block = max(1, block // n_cols)
+                starts = [r.start for r in asked[::3]]
+                assert starts == list(range(0, n_paths, per_block))
+                assert all(r.stop == min(r.start + per_block, n_paths) for r in asked)
+    assert written["mixed"] == written["arrays"]
+    assert written["functions"] == written["labelled_arrays"]
+
+
 @PROPERTY
 @given(params=markets, n_paths=st.integers(1, 20), seed=seeds, kind=kinds,
        strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data(),
@@ -509,8 +569,8 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
         with (mock.patch.object(csvio, "_SPLIT_BYTES", 1),
               mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
             back = read_dataset_csv(path)
-    for name in ("path_ids", "x_paths", "a", "r"):
-        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+    for name in ("path_ids", "paths.x_paths", "a", "r"):
+        assert attrgetter(name)(back).tobytes() == attrgetter(name)(ds).tobytes()
     # what the file carries: the maturity is not among it, only dt
     p, q = back.paths.params, ds.paths.params
     assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
@@ -547,8 +607,8 @@ def test_in_order_read_is_the_scattered_read(params, n_paths, seed, data, gaps, 
               mock.patch.object(csvio, "_SPLIT_BYTES", 1),
               mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
             back = read_dataset_csv(path)
-    for name in ("path_ids", "x_paths", "a", "r"):
-        assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("path_ids", "paths.x_paths", "a", "r"):
+        assert attrgetter(name)(back).tobytes() == attrgetter(name)(want).tobytes()
     assert back.paths.s_paths.tobytes() == want.paths.s_paths.tobytes()
     assert (back.paths.params, back.paths.seed, back.risk, back.contract, back.extras) == \
         (want.paths.params, want.paths.seed, want.risk, want.contract, want.extras)
@@ -842,3 +902,35 @@ def test_derived_columns_are_the_whole_panel_transform(params, n_paths, seed, so
     whole = paths.x_paths if prices else paths.s_paths
     assert whole.tobytes() == want.tobytes()
     assert whole.flags.f_contiguous and not whole.flags.writeable
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(1, 300), seed=seeds,
+       source=st.sampled_from(SOURCES), data=st.data())
+@example(params=market(0.05, 0.2, 0.03, 1), n_paths=1, seed=1, source="simulated",
+         data=None)
+@example(params=market(0.05, 0.2, 0.03, 8), n_paths=1, seed=2, source="dataset", data=None)
+@example(params=market(0.03, 0.15, 0.03, 8), n_paths=300, seed=3, source="simulated",
+         data=None)
+def test_derived_rows_are_the_whole_panel_transform(params, n_paths, seed, source, data):
+    """``s_rows`` and ``x_rows`` hand out any slice of paths of the derived
+    panel bit for bit as today's whole-panel to_state or from_state, and of
+    the stored one as a view of it, so that a writer's blocks of rows
+    (drawn here; one path or all of them in the examples) give the whole
+    panels' bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = ensemble_from_source(source, params, n_paths, seed, tmp)
+    want = whole_panel_transform(paths)
+    prices = stores_prices(paths)
+    stored_rows, derived_rows = ((paths.s_rows, paths.x_rows) if prices
+                                 else (paths.x_rows, paths.s_rows))
+    stored_panel = paths._s if prices else paths._x
+    per_block = n_paths if data is None else data.draw(st.integers(1, n_paths))
+    starts = range(0, n_paths, per_block)
+    if data is None and n_paths > 1:
+        starts = [0, 1]  # one path, then all the others
+    for lo, hi in zip(starts, [*starts[1:], n_paths]):
+        rows = slice(lo, hi)
+        assert derived_rows(rows).tobytes() == want[rows].tobytes()
+        assert np.shares_memory(stored_rows(rows), stored_panel)
+        assert stored_rows(rows).tobytes() == stored_panel[rows].tobytes()
