@@ -147,7 +147,8 @@ def _read_split(fh, sink):
             r, w = os.pipe()
             parts.append(pipes.enter_context(open(r, "rb")))
             with open(w, "wb") as out:  # the worker's copy stays open
-                workers.start(i, _parse_range, fd, lo, hi, fh.encoding, out)
+                workers.start(i, _parse_range, fd, lo, hi, fh.encoding, out,
+                              [p.fileno() for p in parts])
         shapes = [np.frombuffer(p.read(16), np.int64) for p in parts]
         if any(s.size != 2 for s in shapes) or len({int(s[1]) for s in shapes}) != 1:
             return None
@@ -168,9 +169,14 @@ def _read_split(fh, sink):
     return row, k
 
 
-def _parse_range(fd, lo, hi, encoding, out):
-    """In a worker: parse bytes ``lo:hi`` of ``fd`` into columns, and send
-    their shape (records, columns) and then each column's bytes."""
+def _parse_range(fd, lo, hi, encoding, out, readers):
+    """In a worker: close the pipes' read ends it inherited (``readers``),
+    parse bytes ``lo:hi`` of ``fd`` into columns, and send their shape
+    (records, columns) and then each column's bytes.  With no read end
+    left but the reader's, a write after the reader died fails (EPIPE)
+    and the worker exits, where it would otherwise block on a full pipe."""
+    for r in readers:
+        os.close(r)
     columns = _Columns()
     shape = _parse_columns(fd, lo, hi, encoding, columns)
     out.write(np.array(shape, np.int64).tobytes())

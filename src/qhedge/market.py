@@ -284,18 +284,25 @@ def _libm_log(v):
 
 def _ndtri(y):
     """Inverse standard normal CDF of a float array in the open (0, 1), bit
-    for bit the Cephes ``ndtri``: each branch runs on its own subset in
-    Cephes' operation order and fills one output array."""
-    z = np.empty_like(y)
-    centre = (y > _EXP_M2) & (y <= 1.0 - _EXP_M2)
-    c = y[centre] - 0.5
-    c2 = c * c
-    z[centre] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _S2PI
+    for bit the Cephes ``ndtri``: the centre's formula runs in Cephes'
+    operation order on the whole array, in three array buffers, and the
+    tails, gathered by flat index, overwrite their entries.  (For any y
+    in (0, 1) the centre's denominator stays below -2e-4, so the values
+    the tails overwrite are finite.)"""
+    c2 = np.subtract(y, 0.5)
+    np.multiply(c2, c2, out=c2)
+    z = _polevl(c2, _P0)
+    z *= c2
+    z /= _polevl(c2, _Q0)
+    c = np.subtract(y, 0.5, out=c2)  # c2 is spent: its buffer takes c
+    z *= c
+    z += c
+    z *= _S2PI
     del c, c2
     # a tail value above 1/2 is mapped to 1 - y, which is exact and below
     # e^-2, and keeps its positive sign; the lower tail is negated
-    tail = ~centre
-    t = y[tail]
+    tail = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    t = np.take(y, tail)
     upper = t > 0.5
     np.subtract(1.0, t, out=t, where=upper)
     x = np.sqrt(-2.0 * _libm_log(t))
@@ -307,7 +314,7 @@ def _ndtri(y):
     x1[far] = wf * _polevl(wf, _P2) / _polevl(wf, _Q2)
     x0 -= x1
     np.negative(x0, out=x0, where=~upper)
-    z[tail] = x0
+    np.put(z, tail, x0)
     return z
 
 

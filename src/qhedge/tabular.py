@@ -8,10 +8,15 @@ bucket: snapping the state breaks the martingale property of the price
 increments, and without recentering a grid-max Bellman solver would chase
 the quantization drift to the edge of the action grid.  One backward pass
 of the replicating rollout builds every step's rewards and transitions.
+The states are indexed once, into one panel of the narrowest unsigned
+integer type that holds a state (uint8 up to 256 states), and each
+step's snapped prices are derived from its row when the pass reaches
+it, so no snapped panel is built beside the ensemble's own.
 
 On a chain, exact backward induction over the action grid is cheap and
 serves as the convergence oracle for online Q-learning, which runs one
-time slice at a time (backward) with per-cell Robbins-Monro step sizes.
+time slice at a time (backward) with per-cell Robbins-Monro step sizes,
+applied a visit rank at a time to every cell visited that often.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +25,7 @@ import numpy as np
 
 from .basis import BasisSet, quantiles
 from .errors import require_finite
-from .market import OptionContract, PathEnsemble, terminal_payoff
+from .market import OptionContract, PathEnsemble, from_state, terminal_payoff
 from .portfolio import RiskParams, _replicate, reward_parabola
 
 
@@ -65,17 +70,19 @@ class DiscreteMDP:
 
     def state_indices(self, paths: PathEnsemble) -> np.ndarray:
         """The (n_steps+1, n_paths) bucket index of every state of
-        ``paths``, row t step t's, made a step at a time."""
-        idx = np.empty((paths.n_steps + 1, paths.n_paths), dtype=np.intp)
+        ``paths``, row t step t's, made a step at a time and held in the
+        smallest unsigned integer type that holds n_x - 1 (uint8 up to 256
+        states): index arithmetic upcasts a row first."""
+        idx = np.empty((paths.n_steps + 1, paths.n_paths),
+                       dtype=np.min_scalar_type(self.n_states - 1))
         for t in range(paths.n_steps + 1):
             idx[t] = self.state_index(paths.x(t))
         return idx
 
-    def snapped_ensemble(self, paths: PathEnsemble, index=None) -> PathEnsemble:
+    def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
         """The ensemble of the states snapped to their bucket centers, whose
-        prices are derived a step at a time; ``index`` is
-        ``state_indices(paths)`` if already computed."""
-        x = self.x_centers[self.state_indices(paths) if index is None else index].T
+        prices are derived a step at a time."""
+        x = self.x_centers[self.state_indices(paths)].T
         return PathEnsemble(None, x, paths.params, seed=paths.seed)
 
     def indicator_basis(self):
@@ -87,6 +94,21 @@ class DiscreteMDP:
             inner = 0.5 * (c[:-1] + c[1:])
             mids = np.concatenate([[c[0] - 1.0], inner, [c[-1] + 1.0]])
         return BasisSet("one_hot_grid", c.size, edges=mids)
+
+
+class _SnappedPrices:
+    """The prices of ``DiscreteMDP.snapped_ensemble``, step t's derived from
+    row t of the chain's index when asked for, bit for bit the snapped
+    ensemble's: what ``_replicate`` reads of an ensemble, with no panel."""
+
+    delta_s = PathEnsemble.delta_s
+
+    def __init__(self, centers, idx, params):
+        self.centers, self.idx, self.params = centers, idx, params
+        self.n_steps = idx.shape[0] - 1
+
+    def s(self, t: int) -> np.ndarray:
+        return from_state(self.centers[self.idx[t]], self.params.times()[t], self.params)
 
 
 @dataclass
@@ -115,7 +137,9 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     policy.  Each time step keeps its own empirical transition table,
     exactly consistent with the cross-sectional regression solvers.  At
     step t the rollout's hedge rule, holding Pi_{t+1}, also sums step t's
-    reward parabolas per (i, j) cell, so no dS or Pi panel is kept.
+    reward parabolas per (i, j) cell, so no dS or Pi panel is kept, and
+    the rollout reads step t's snapped prices from row t of the compact
+    state index (``_SnappedPrices``), so no snapped panel is either.
     Raises SingularSystemError naming the first step whose reward
     coefficients or terminal values are not finite.
     """
@@ -145,7 +169,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         reward_coeffs=None, terminal_q=None, reachable=None, x0_index=0,
         gamma=paths.params.gamma, edges=edges, merged_bins=merged)
     idx = mdp.state_indices(paths)  # row t: step t's states
-    snapped = mdp.snapped_ensemble(paths, idx)
+    snapped = _SnappedPrices(mdp.x_centers, idx, paths.params)
     payoff = terminal_payoff(snapped.s(n_steps), contract)
     counts, sums = np.empty((n_steps, n_xe, n_xe)), np.empty((n_steps, n_xe, n_xe, 3))
 
@@ -153,7 +177,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         """Step t's reward-parabola sums and counts per (i, j) cell, then its
         per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t), on
         dS_t centered per bucket (the martingale-enforced increment)."""
-        ix = idx[t]
+        ix = idx[t].astype(np.intp)  # a narrow index would overflow in ix * n_xe
         ds = snapped.delta_s(t)
         ds_dev = ds - _bucket_means(ix, ds, n_xe)[ix]
         pi_center = _bucket_means(ix, pi_next, n_xe)[ix]
@@ -224,15 +248,21 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
     step per visit rank k, and this is exact, not an approximation: with
     ``v_next`` frozen, a target depends only on its own draws, so each
     cell is an independent Robbins-Monro chain (Watkins & Dayan 1992).
-    Ranking by a stable sort keeps every cell's updates in draw order,
-    and each arithmetic step is the one-at-a-time update's, so ``q`` and
-    ``visits`` are bit-identical to applying the draws one by one.
+    A stable sort of the draws by cell, on keys of the smallest integer
+    type that holds a cell, keeps every cell's updates in draw order and
+    each state's draws in one run, on which its successors are drawn.
+    The targets are laid out as a (visit rank, visited cell) table whose
+    cells are ordered by visit count, most first, so the cells visited at
+    rank k are a prefix of its row k and each rank's step runs on basic
+    slices.  Each arithmetic step is the one-at-a-time update's, so ``q``
+    and ``visits`` are bit-identical to applying the draws one by one.
     """
     alpha0, k0 = float(schedule[0]), float(schedule[1])
     n_steps, n_x, n_a = mdp.n_steps, mdp.n_states, mdp.n_actions
     rng = np.random.default_rng(seed)
     ag = mdp.action_grid
     gamma = mdp.gamma
+    key = np.min_scalar_type(n_x * n_a - 1)  # numpy sorts keys of 16 bits or less by radix
 
     q = np.zeros((n_steps + 1, n_x, n_a))
     q[n_steps] = np.where(mdp.reachable[n_steps, :, None], mdp.terminal_q[:, None], 0.0)
@@ -245,31 +275,43 @@ def q_learn(mdp: DiscreteMDP, n_updates_per_slice: int, *,
         xs = rng.choice(states, size=n_updates_per_slice)
         aj = rng.integers(0, n_a, size=n_updates_per_slice)
         u = rng.random(n_updates_per_slice)
-        # successors state by state, so no (n_updates, n_x) temporary is built
+
+        cell = (xs * n_a + aj).astype(key)
+        by_cell = np.argsort(cell, kind="stable")
+        counts = np.bincount(cell, minlength=n_x * n_a)
+        aj, u = aj[by_cell], u[by_cell]
+        del xs, cell, by_cell
+        # successors state by state, each on its state's run of the sort
+        per_state = counts.reshape(n_x, n_a).sum(axis=1)
+        ends = np.cumsum(per_state)
         xn = np.empty(n_updates_per_slice, dtype=np.intp)
         for i in states:
-            drawn = xs == i
-            xn[drawn] = np.searchsorted(cum[i], u[drawn], side="right")
-        xn = np.minimum(xn, n_x - 1)
+            run = slice(ends[i] - per_state[i], ends[i])
+            xn[run] = np.searchsorted(cum[i], u[run], side="right")
+        del u
+        np.minimum(xn, n_x - 1, out=xn)
+        xs = np.repeat(np.arange(n_x), per_state)
         a = ag[aj]
         c = mdp.reward_coeffs[t, xs, xn]
         target = c[:, 0] + c[:, 1] * a + c[:, 2] * a * a + gamma * v_next[xn]
+        del xs, aj, xn, a, c
 
-        cell = xs * n_a + aj
-        counts = np.bincount(cell, minlength=n_x * n_a)
-        by_cell = np.argsort(cell, kind="stable")
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        rank = np.arange(n_updates_per_slice) - first     # visit rank of by_cell[j]
-        by_rank = by_cell[np.argsort(rank, kind="stable")]
-        per_rank = np.bincount(rank)
+        seen = np.flatnonzero(counts)   # the visited cells: the table is sized by them alone
+        n_seen = counts[seen]
+        rank = np.arange(n_updates_per_slice) - np.repeat(np.cumsum(n_seen) - n_seen, n_seen)
+        order = np.argsort(-n_seen, kind="stable")   # most visits first
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        per_rank = np.bincount(rank)    # row k's visited cells: its first per_rank[k]
+        table = np.empty((per_rank.size, seen.size))
+        table[rank, np.repeat(column, n_seen)] = target
+        del rank, target
         steps = alpha0 / (1.0 + np.arange(per_rank.size) / k0)
-        q_t = q[t].reshape(-1)      # a view: updates land in q
-        lo = 0
-        for k, hi in enumerate(np.cumsum(per_rank)):
-            sel = by_rank[lo:hi]    # rank k: each visited cell once
-            cs = cell[sel]
-            q_t[cs] += steps[k] * (target[sel] - q_t[cs])
-            lo = hi
+        cells = seen[order]
+        v = q[t].reshape(-1)[cells]
+        for k, m in enumerate(per_rank):
+            head = v[:m]
+            head += steps[k] * (table[k, :m] - head)
+        q[t].reshape(-1)[cells] = v
         visits[t] = counts.reshape(n_x, n_a)
     return QTable(q=q, visits=visits)
-

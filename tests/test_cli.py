@@ -763,6 +763,25 @@ class TestModelBasedMemory:
         assert peak / (BENCH_PATHS * BENCH_PARAMS["n_steps"] * 8) < 2.4
 
 
+def test_tabular_q_peak_below_two_and_a_half_panels(tmp_path):
+    """At the benchmark's chain (Criterion 4's market, 50k paths x 12
+    steps) the whole tabular-q command traces less than 2.5 panels of
+    (n_paths, n_steps+1) doubles: the stored price panel (1.0) plus the
+    larger of discretize's working set, whose state index is one uint8
+    panel, and q_learn's (2.19 in all; 3.99 with an intp index panel and
+    a snapped state panel held beside the prices)."""
+    chain = ["--market.mu", "0.03", "--market.r", "0.03", "--market.sigma", "0.10",
+             "--market.n_steps", "12", "--contract.strike", "200", "--risk.lambda", "1e-4",
+             "--tabular.n_x", "21", "--tabular.n_a", "5", "--tabular.action_lo", "-1.3",
+             "--tabular.action_hi", "0.1", "--tabular.alpha0", "1", "--tabular.k0", "1",
+             "--tabular.n_updates", "40000"]
+    assert run("tabular-q", *SMALL, "--output.dir", str(tmp_path / "warm")) == 0  # lazy set-up
+    code, peak = traced(lambda: run("tabular-q", *chain, "--mc.n_paths", str(BENCH_PATHS),
+                                    "--output.dir", str(tmp_path / "out")))
+    assert code == 0
+    assert peak / (BENCH_PATHS * 13 * 8) < 2.5
+
+
 @pytest.mark.parametrize("command, policy", [("simulate", None),
                                              *(("rollout", p) for p in POLICIES),
                                              *(("make-dataset", p) for p in POLICIES)])

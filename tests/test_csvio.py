@@ -5,6 +5,11 @@ and no worker or file outlives a call."""
 import contextlib
 import io
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +239,68 @@ class TestSplitWrite:
         assert_no_worker_left()
         assert ((tmp_path / "split.csv").read_bytes()
                 == (tmp_path / "serial.csv").read_bytes())
+
+
+# A reader that splits its read over three workers and stalls in its sink
+# once they are all writing; it prints the workers' process ids first.
+STALLED_READER = """
+import os, sys, time
+from qhedge import csvio
+csvio._SPLIT_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+real_fork, workers = os.fork, []
+def fork():
+    pid = real_fork()
+    if pid:
+        workers.append(pid)
+    return pid
+os.fork = fork
+class Stall:
+    def start(self, n, k):
+        pass
+    def put(self, c, row, values):
+        print(*workers, flush=True)
+        time.sleep(600)
+csvio.read_columns(sys.argv[1], lambda meta, names: Stall())
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_split_read_workers_die_with_a_killed_reader(tmp_path):
+    """A reader killed by SIGKILL mid-read, which runs none of its own
+    clean-up, leaves no worker behind: each worker closed the read ends of
+    the pipes it inherited, so once the reader is gone its write to a full
+    pipe fails and it exits, where it would block for good.  Each worker's
+    columns (480 kB) are larger than a pipe's buffer."""
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.arange(180_000.0).reshape(-1, 2), delimiter=",",
+               header="a,b", comments="")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(csvio.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    reader = subprocess.Popen([sys.executable, "-c", STALLED_READER, str(path)],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    workers = []
+    try:
+        workers = [int(pid) for pid in reader.stdout.readline().split()]
+        assert len(workers) == 3
+        reader.kill()
+        reader.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        reader.kill()
+        reader.wait()
+        reader.stdout.close()
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)

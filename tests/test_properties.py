@@ -32,7 +32,7 @@ from qhedge.basis import KINDS, quantiles
 from qhedge.csvio import format_value, write_table
 from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, centered_step
-from qhedge.tabular import _bucket_means
+from qhedge.tabular import _SnappedPrices, _bucket_means
 from tests.test_csvio import read_csv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -664,12 +664,31 @@ def chains(draw):
         gamma=draw(st.floats(0.9, 1.0)))
 
 
+def one_state_start(n_x=6, n_a=4, n_steps=2, seed=0):
+    """A chain whose first slice has one reachable state and whose later
+    slices have n_x: its first slice's cells are visited about n_x times as
+    often as a later slice's, and a few hundred updates leave some later
+    cells unvisited and others visited a handful of times."""
+    rng = np.random.default_rng(seed)
+    reachable = np.ones((n_steps + 1, n_x), dtype=bool)
+    reachable[0] = np.arange(n_x) == 2
+    probs = rng.random((n_steps, n_x, n_x))
+    probs /= probs.sum(axis=2, keepdims=True)
+    return DiscreteMDP(
+        x_centers=np.arange(n_x, dtype=float), action_grid=np.linspace(-1.3, 0.1, n_a),
+        probs=probs, reward_coeffs=rng.normal(size=(n_steps, n_x, n_x, 3)),
+        terminal_q=rng.normal(size=n_x), reachable=reachable, x0_index=2, gamma=0.99)
+
+
 @PROPERTY
 @given(mdp=chains(), n_updates=st.integers(1, 3000), seed=seeds,
        schedule=st.sampled_from([(1.0, np.inf), (1.0, 1.0), (0.5, 100.0)]))
+@example(mdp=one_state_start(), n_updates=3000, seed=1, schedule=(1.0, 1.0))
+@example(mdp=one_state_start(n_x=9, n_a=5), n_updates=40, seed=2, schedule=(0.5, 100.0))
 def test_grouped_q_learning_is_the_one_by_one_loop(mdp, n_updates, seed, schedule):
     """Within a frozen slice each cell is its own Robbins-Monro chain, so
-    the cell-grouped kernel gives the one-at-a-time result bit for bit."""
+    the rank-major kernel gives the one-at-a-time result bit for bit, also
+    when one state starts the chain and the visit counts are skewed."""
     table = q_learn(mdp, n_updates, schedule=schedule, seed=seed)
     q, visits = q_learn_one_by_one(mdp, n_updates, schedule, seed)
     assert np.array_equal(table.q, q)
@@ -783,11 +802,17 @@ def chain_ensembles(draw):
          strike=95.0, lam=1e-3)
 @example(paths=ensemble_from_prices(np.resize(PRICE_LEVELS, (12, 3)), market(0.0, 0.2, 0.0, 2)),
          n_x=6, n_a=4, kind="put", strike=100.0, lam=1e-2)
+@example(paths=simulate_gbm(market(0.05, 0.2, 0.03, 3), 200, 5), n_x=300, n_a=3, kind="put",
+         strike=100.0, lam=1e-3)
 def test_one_pass_discretize_is_the_three_loop_construction(paths, n_x, n_a, kind, strike,
                                                             lam):
     """The one backward pass builds every field of the chain bit for bit as
-    three loops over a ds_dev and a Pi panel do, and the chain's state
-    index and snapped ensemble are those of the three index panels."""
+    three loops over a ds_dev and a Pi panel do, from one index panel of
+    the narrowest unsigned type (uint16 above 256 states, as in the 300
+    bin example) and snapped prices derived from it a step at a time; the
+    chain's state index and snapped ensemble are those of the three index
+    panels.  The first example has one state; the zero-volatility one
+    merges every bin into one."""
     contract, risk = OptionContract(kind, strike), RiskParams(lam)
     mdp = discretize(paths, contract, risk, n_x, n_a, (-1.3, 0.1))
     ref = discretize_three_loops(paths, contract, risk, n_x, n_a, (-1.3, 0.1))
@@ -801,9 +826,15 @@ def test_one_pass_discretize_is_the_three_loop_construction(paths, n_x, n_a, kin
     for x in (paths.x_paths, paths.x_paths[:, 0], float(paths.x_paths[-1, -1])):
         got, want = mdp.state_index(x), state_index_with_temporaries(mdp.edges, x)
         assert type(got) is type(want) and np.array_equal(got, want)
+    idx = mdp.state_indices(paths)
+    assert idx.dtype == np.min_scalar_type(mdp.n_states - 1)
+    assert np.array_equal(idx, state_index_with_temporaries(mdp.edges, paths.x_paths).T)
     snapped, want = mdp.snapped_ensemble(paths), snapped_with_temporaries(mdp.edges, paths)
     assert np.array_equal(snapped.s_paths, want.s_paths)
     assert np.array_equal(snapped.x_paths, want.x_paths)
+    prices = _SnappedPrices(mdp.x_centers, idx, paths.params)
+    for t in range(paths.n_steps + 1):
+        assert prices.s(t).tobytes() == want.s_paths[:, t].tobytes()
 
 
 def same_bits(got, want):

@@ -98,6 +98,18 @@ class TestDiscretize:
         _, peak = traced(lambda: discretize(paths, deep_itm, risk, 21, 5, (-1.3, 0.1)))
         assert peak / (paths.s_paths.size * 8) < 4.5
 
+    def test_working_set_below_one_and_a_half_panels(self):
+        """At the same chain discretize allocates less than 1.5 panels: the
+        state index is one uint8 panel and each step's snapped prices are
+        derived from it when needed, so the pooled sort of the states
+        behind the quantile edges sets the peak (1.16; 2.96 with an intp
+        index panel and a snapped state panel held)."""
+        paths = gbm(n_paths=50_000, seed=42, sigma=0.10, n_steps=12)
+        deep_itm, risk = OptionContract("put", 200.0), RiskParams(1e-4)
+        discretize(gbm(n_paths=100), deep_itm, risk, 21, 5, (-1.3, 0.1))  # lazy set-up
+        _, peak = traced(lambda: discretize(paths, deep_itm, risk, 21, 5, (-1.3, 0.1)))
+        assert peak / (paths.s_paths.size * 8) < 1.5
+
     def test_rejects_bad_sizes(self):
         paths = gbm(n_paths=100)
         risk = RiskParams(1e-3)
