@@ -227,17 +227,21 @@ def _ensemble(cfg) -> PathEnsemble:
 def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
-    The panel must hold one finite, positive price per (path, t) cell of
-    a rectangle.  Without ``params`` the state transform uses the header's
-    mu/sigma; with them the panel must have ``params.n_steps`` steps, and
-    a header mu, sigma, r or maturity must equal the configured one.
+    The file's first columns must be ``path``, ``t`` and a price column,
+    ``s`` as ``simulate`` writes it or ``S`` as ``rollout`` does, so that a
+    dataset's states are never read as prices.  The panel must hold one
+    finite, positive price per (path, t) cell of a rectangle.  Without
+    ``params`` the state transform uses the header's mu/sigma; with them
+    the panel must have ``params.n_steps`` steps, and a header mu, sigma,
+    r or maturity must equal the configured one.
     """
     path = Path(csv_path)
     if not path.exists():
         raise ConfigError(f"price panel not found: {path}")
-    meta, _, columns = read_columns(path)
-    if len(columns) < 3:
-        raise DataFormatError(f"{path}: expected path,t,s columns")
+    meta, names, columns = read_columns(path)
+    if names[:2] != ["path", "t"] or names[2:3] not in (["s"], ["S"]):
+        raise DataFormatError(f"{path}: columns {','.join(names)}; a price panel starts "
+                              "path,t,s (simulate) or path,t,S (rollout)")
     _, cols = scatter_records(path, dict(zip(("path", "t", "price"), columns)))
     bad = np.flatnonzero(columns[2] <= 0)
     if bad.size:

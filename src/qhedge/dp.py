@@ -5,9 +5,9 @@ regressions per step: the optimal action (closed form, since the one-step
 reward is an exact parabola in the action) and the optimal Q-function fit
 to the targets R_t + gamma * Q_{t+1}.  The option's ask price is the
 negative of the optimal Q at the initial state, and the optimal hedge is
-its action argument — one object carries both.  Steps are centered and
-hedged as in ``fqi_backward`` (``portfolio.centered_step``, the tilted
-``portfolio.hedge_fit``), and ``terminal_fit`` is shared with it.
+its action argument — one object carries both.  Each step is centered
+and hedged by ``portfolio.hedge_step``, tilted, as in ``fqi_backward``,
+and ``terminal_fit`` is shared with it.
 
 The Q-target uses Q_{t+1} evaluated at the previously computed optimal
 action, never at the vertex of a parabola refit on the same sample; that
@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import require_finite
 from .market import OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import (DS_MEANS, RiskParams, _replicate, _reward, centered_step,
-                        hedge_fit, risk_tilt)
+from .portfolio import RiskParams, _replicate, _reward, hedge_step
 from .regression import conditional_variance, least_squares
 
 
@@ -53,13 +52,11 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     Per step (t = T-1 .. 0): fit the optimal action, re-evaluate the
     realized rewards at that action, fit the Q-coefficients to
     R_t + gamma * Q_{t+1}, and roll the portfolio back one step.  ``ds_mean``
-    is the convention of ``portfolio.centered_step``, as in ``fqi_backward``.
+    is the convention of ``portfolio.hedge_step``, as in ``fqi_backward``.
     """
     if risk.lam <= 0:
         raise ValueError("solve_dp requires lam > 0; portfolio.solve_local_risk "
                          "gives the pure risk-minimizing hedge")
-    if ds_mean not in DS_MEANS:
-        raise ValueError(f"unknown ds_mean {ds_mean!r}")
 
     n_steps, gamma = paths.n_steps, paths.params.gamma
     value_coeffs = [None] * (n_steps + 1)
@@ -75,9 +72,8 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
         nonlocal q_next
         design = basis.evaluate(paths.x(t))
-        ds, ds_c, pi_c, gain, drift = centered_step(design, paths, t, pi, ds_mean)
-        hedge_coeffs[t] = hedge_fit(design, ds - ds_c, pi - pi_c, t,
-                                    tilt=risk_tilt(drift, gamma, risk, t))
+        (ds, ds_c, pi_c, gain), hedge_coeffs[t] = hedge_step(design, paths, t, pi, risk,
+                                                             ds_mean)
         a = design @ hedge_coeffs[t]
 
         target = require_finite(

@@ -9,12 +9,13 @@ Each backward step solves one least-squares problem in the 3M stacked
 features, made a block of rows at a time from the step's design, so no
 (n, 3M) array exists.  The max over next actions inside the target is
 evaluated at an action estimated independently of the W-fit being
-maximized: the closed-form action of ``dp.solve_dp``
-(``portfolio.centered_step`` and the tilted ``portfolio.hedge_fit``) when
-portfolio values are reconstructible, or a two-fold cross-fitted vertex
-otherwise.  Maximizing the same fitted
+maximized: the closed-form action of ``dp.solve_dp``, the one hedge step
+``portfolio.hedge_step`` tilted by the risk-return drift, on the
+portfolio the recorded actions roll back.  Maximizing the same fitted
 parabola on the same sample would bias Q upward through the convexity of
-the max.  The terminal fit is ``dp.terminal_fit``.
+the max.  The price is -Q_0 at that action, which is the hedge: the price
+and the hedge are read out of one fit.  The terminal fit is
+``dp.terminal_fit``.
 """
 
 import copy
@@ -25,11 +26,9 @@ import numpy as np
 from .csvio import (OutOfOrder, PanelSink, leads_in_order, read_columns, scatter_records,
                     typed_header, write_table)
 from .dp import terminal_fit
-from .errors import (DataFormatError, DegenerateInputError, SingularSystemError,
-                     require_finite)
+from .errors import DataFormatError, DegenerateInputError, require_finite
 from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import (DS_MEANS, RiskParams, _local_risk_step, _pi_step, _replicate,
-                        _reward, centered_step, hedge_fit, risk_tilt)
+from .portfolio import RiskParams, _pi_step, _replicate, _reward, hedge_step
 from .regression import least_squares
 
 
@@ -158,14 +157,14 @@ class FQISolution:
 
     weights: list               # n_steps arrays of shape (3, M)
     terminal_value_coeffs: np.ndarray
-    action_coeffs: list | None  # analytic-action coefficients, when available
+    action_coeffs: list         # n_steps arrays of shape (M,), the analytic actions
     price0: float
     hedge0: float
     warnings: list = field(default_factory=list)
 
 
 def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
-                 action_source: str = "analytic", ds_mean: str = "model") -> FQISolution:
+                 ds_mean: str = "model") -> FQISolution:
     """Backward fitted Q-iteration over the dataset's steps, pricing the
     dataset's own contract (its terminal condition).
 
@@ -176,16 +175,11 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
         ``solve_local_risk(...)[1]``, in the dataset's path order.  When
         omitted it is rolled backward from the recorded actions on the
         price panel, a step ahead of the fits, so that only Pi_(t+1) and
-        Pi_t are held.
-    action_source : {"analytic", "crossfit"}
-        How the max-term action at t+1 is estimated: the closed-form
-        regression on portfolio values (``portfolio.hedge_fit`` with the
-        risk-return tilt, as in ``dp.solve_dp``; the default) or the
-        two-fold cross-fitted parabola vertex ("crossfit", the data-only
-        fallback).  ``hedge0`` is the same analytic action at t = 0, or
-        under "crossfit" the vertex of the fitted parabola.
+        Pi_t are held.  The max-term action at each step is the tilted
+        ``portfolio.hedge_step`` on these values, as in ``dp.solve_dp``;
+        ``hedge0`` is the same action at t = 0.
     ds_mean : {"model", "regression"}
-        The step convention of ``portfolio.centered_step``; "regression"
+        The step convention of ``portfolio.hedge_step``; "regression"
         matches chains whose snapped increments carry quantization drift.
     """
     risk, paths, contract = dataset.risk, dataset.paths, dataset.contract
@@ -196,25 +190,19 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
             "no contract in the dataset (header contract_kind/strike); "
             "the terminal condition is undefined without one"
         )
-    if action_source not in ("analytic", "crossfit"):
-        raise ValueError(f"unknown action_source {action_source!r}")
-    if ds_mean not in DS_MEANS:
-        raise ValueError(f"unknown ds_mean {ds_mean!r}")
     n_steps = paths.n_steps
     if pi_reference is not None:
         _check_shape("pi_reference", pi_reference, paths.n_paths, n_steps + 1)
 
     payoff = terminal_payoff(paths.s(n_steps), contract)
     gamma = paths.params.gamma
-
-    use_analytic = action_source == "analytic"
-    rolled = payoff if use_analytic and pi_reference is None else None  # Pi_(t+1)
+    rolled = payoff if pi_reference is None else None  # Pi_(t+1)
 
     design_term = basis.evaluate(paths.x(n_steps))
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
 
     weights = [None] * n_steps
-    action_coeffs = [None] * n_steps if use_analytic else None
+    action_coeffs = [None] * n_steps
     warnings = []
     lam_note = f"risk.lambda = {risk.lam:g}"
 
@@ -223,7 +211,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     for t in range(n_steps - 1, -1, -1):
         if rolled is not None:
             pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t])
-        elif use_analytic:
+        else:
             pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
         x_t = paths.x(t)
         targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
@@ -232,8 +220,6 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
         design_t, a_t = basis.evaluate(x_t), dataset.a[:, t]
         wvec = least_squares(lambda s: build_features(design_t[s], a_t[s], t), targets,
                              what=f"FQI weights at step {t}")
-        if t > 0 and not use_analytic:  # max_a Q_t at x_t, by the folds' own fits
-            v_cache = _crossfit_v(dataset, design_t, targets, t)
         w = _weights_from_vec(wvec)
         weights[t] = w
 
@@ -245,27 +231,24 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
                 f"state (quadratic coefficient {u_med[0, 2]:.3e})"
             )
 
-        if use_analytic:
-            ds, ds_c, pi_c, _, drift = centered_step(design_t, paths, t, pi_next, ds_mean)
-            action_coeffs[t] = hedge_fit(design_t, ds - ds_c, pi_next - pi_c, t,
-                                         tilt=risk_tilt(drift, gamma, risk, t))
-            del ds, ds_c, pi_c, _, drift  # not held through step t-1's design and fits
-            if t > 0:  # max_a Q_t at x_t, the previous step's next states
-                a_star = design_t @ action_coeffs[t]
-                _check_one_action(dataset.a[:, t], a_star, t)
-                u = design_t @ w.T
-                v_cache = require_finite(  # past the doubles, so is step t-1's target
-                    lambda: u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2],
-                    "FQI target R_t + gamma max_a Q_(t+1)", t - 1, lam_note)
-                del u, a_star
+        # the step's centered values are dropped at once, not held through
+        # step t-1's design and fits
+        action_coeffs[t] = hedge_step(design_t, paths, t, pi_next, risk, ds_mean)[1]
+        if t > 0:  # max_a Q_t at x_t, the previous step's next states
+            a_star = design_t @ action_coeffs[t]
+            _check_one_action(dataset.a[:, t], a_star, t)
+            u = design_t @ w.T
+            v_cache = require_finite(  # past the doubles, so is step t-1's target
+                lambda: u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2],
+                "FQI target R_t + gamma max_a Q_(t+1)", t - 1, lam_note)
+            del u, a_star
         del design_t  # free before step t-1's is evaluated
 
     # read out at the start state every path records, which is then the
     # t = 0 median row; the mean of equal values can be an ulp off them
     x0 = paths.x(0)
     phi0 = phi_med if np.all(x0 == x0[0]) else basis.evaluate([float(x0.mean())])
-    beta0 = action_coeffs[0] if use_analytic else None
-    price0, a0 = _read_out(phi0, weights[0], beta0, 0)
+    price0, a0 = _read_out(phi0, weights[0], action_coeffs[0])
     _check_one_action(dataset.a[:, 0], a0, 0)
     return FQISolution(weights=weights, terminal_value_coeffs=term_coeffs,
                        action_coeffs=action_coeffs, price0=price0, hedge0=a0,
@@ -283,48 +266,12 @@ def _check_one_action(recorded, read, t):
             f"at action {read[off][0]:.6g}; one recorded action cannot price another")
 
 
-def _crossfit_v(dataset, design, targets, t):
-    """Two-fold vertex estimator of max_a Q_t at the step-t states
-    (``design`` rows): fit W on each half of the paths (split by id parity)
-    and take both vertex action and value from the fold the evaluated path
-    does not belong to.  The vertex is clamped to the step's observed
-    action support (the fitted parabola means nothing beyond it), and
-    non-concave points fall back to the value at a = 0."""
-    a = dataset.a[:, t]
-    a_lo, a_hi = a.min(), a.max()
-    fold = dataset.path_ids % 2
-    w_fold = []
-    for f in (0, 1):
-        rows = np.flatnonzero(fold == f)
-        if not rows.size:
-            raise DataFormatError(f"cannot 2-fold split slice t={t}")
-        wv = least_squares(lambda s: build_features(design[rows[s]], a[rows[s]]),
-                           targets[rows])
-        w_fold.append(_weights_from_vec(wv))
-    out = np.empty(fold.size)
-    for f in (0, 1):
-        sel = fold == f
-        u = design[sel] @ w_fold[1 - f].T
-        concave = u[:, 2] < 0
-        a_star = np.where(concave, -u[:, 1] / np.where(concave, u[:, 2], -1.0), 0.0)
-        a_star = np.clip(a_star, a_lo, a_hi)
-        out[sel] = u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2]
-    return out
-
-
-def _read_out(phi, w, beta, t):
-    """Price and hedge at the design row ``phi`` (1 x M) from step t's
-    weights ``w``: the hedge is the analytic action ``phi @ beta`` when
-    the solution has one (``beta`` not None), else the vertex -q1/q2 of
-    the concave fitted parabola; the price is -Q_t at that hedge."""
+def _read_out(phi, w, beta):
+    """Price and hedge at the design row ``phi`` (1 x M) from a step's
+    weights ``w`` and action coefficients ``beta``: the hedge is the
+    analytic action ``phi @ beta`` and the price is -Q at that hedge."""
     q0, q1, q2 = (phi @ w.T)[0]
-    if beta is not None:
-        hedge = float((phi @ beta)[0])
-    elif q2 < 0:
-        hedge = float(-q1 / q2)
-    else:
-        raise SingularSystemError(
-            f"fitted Q not concave in the action at step {t} and no analytic action")
+    hedge = float((phi @ beta)[0])
     return -float(q0 + hedge * q1 + 0.5 * hedge**2 * q2), hedge
 
 
@@ -332,8 +279,8 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
     """Price and hedge read out at (x, t) by the rule ``fqi_backward``
     applies at t = 0, so at its start state this returns
     (``price0``, ``hedge0``)."""
-    beta = None if solution.action_coeffs is None else solution.action_coeffs[t]
-    return _read_out(basis.evaluate([float(x)]), solution.weights[t], beta, t)
+    return _read_out(basis.evaluate([float(x)]), solution.weights[t],
+                     solution.action_coeffs[t])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +289,7 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
                     risk: RiskParams, basis, *, record_hedge=False) -> np.ndarray:
     """Per-record rewards of the recorded (n_paths, n_steps[+1]) ``actions``
-    under ``portfolio.centered_step``'s model convention, with the variance
+    under ``portfolio.hedge_step``'s model convention, with the variance
     penalty around the portfolio of ``contract``'s risk-minimizing hedge,
     as an (n_paths, n_steps+1) panel with an expiry column of zeros.
     They are built inside that hedge's backward pass, the one
@@ -358,8 +305,8 @@ def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
         out = np.zeros((n_steps + 1, n))
 
         def hedge(t, pi_next):
-            design, (ds, ds_c, pi_c, gain, _), coeffs = _local_risk_step(basis, paths, t,
-                                                                          pi_next)
+            design = basis.evaluate(paths.x(t))
+            (ds, ds_c, pi_c, gain), coeffs = hedge_step(design, paths, t, pi_next)
             u = design @ coeffs
             if record_hedge:
                 actions[:, t] = u

@@ -7,11 +7,11 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 
 so uncertainty about the future propagates to today path by path, and the
 bank account B_t = Pi_t - u_t S_t follows from it.  Every
-solver takes each Pi step through one function, ``_pi_step``,
-centers each step by one rule, ``centered_step``, and fits its hedge
-with one regression, ``hedge_fit``: untilted in the risk-minimizing
-pass (``solve_local_risk`` and ``fqi.dataset_rewards``), tilted in
-``dp.solve_dp`` and ``fqi.fqi_backward``.
+solver takes each Pi step through one function, ``_pi_step``, and each
+hedge step through one function, ``hedge_step``, which centers the step
+and fits its hedge: untilted in the risk-minimizing pass
+(``solve_local_risk`` and ``fqi.dataset_rewards``), tilted by the
+risk-return drift in ``dp.solve_dp`` and ``fqi.fqi_backward``.
 On top of the rollout the module provides the risk-adjusted one-step
 reward (a quadratic in the action), signed-measure reweighting and the
 variance-loaded ask price.
@@ -24,8 +24,6 @@ import numpy as np
 from .errors import DegenerateInputError, require_finite
 from .market import OptionContract, PathEnsemble, terminal_payoff
 from .regression import conditional_mean, conditional_variance, least_squares
-
-DS_MEANS = ("model", "regression")  # the conventions of centered_step
 
 
 @dataclass(frozen=True)
@@ -193,56 +191,47 @@ def _reward(a, delta_s, pi_next, risk: RiskParams, gamma: float, **centers):
     return c0 + c1 * a + c2 * a**2
 
 
-def hedge_fit(design, ds_dev, pi_dev, t: int, tilt=None) -> np.ndarray:
-    """Step-t hedge coefficients c on the design rows Phi, from the ridge
-    system Phi^T diag(ds_dev^2) Phi c = Phi^T (pi_dev * ds_dev + tilt).
+def hedge_step(design, paths: PathEnsemble, t: int, pi_next, risk: RiskParams = None,
+               ds_mean="model"):
+    """The one hedge step t of the regression solvers, on the step-t design
+    rows Phi.
+    Returns ((ds, ds_center, pi_center, gain), c): dS_t, its center, the
+    center of Pi_{t+1} (always its regression on ``design``), the reward's
+    gain, and the coefficients c of the ridge system
 
-    With no tilt c estimates Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state),
-    the risk-minimizing hedge; tilt = drift / (2 gamma lam) gives the
-    risk-adjusted optimal action."""
-    target = pi_dev * ds_dev if tilt is None else pi_dev * ds_dev + tilt
-    return least_squares(design, target, scale=ds_dev, what=f"hedge fit at step {t}")
+        Phi^T diag(ds_dev^2) Phi c = Phi^T (pi_dev * ds_dev + tilt).
 
-
-def risk_tilt(drift, gamma: float, risk: RiskParams, t: int):
-    """The tilt drift / (2 gamma lam) that ``hedge_fit`` adds for the
-    risk-adjusted optimal action at step t, in ``dp.solve_dp`` and
-    ``fqi.fqi_backward``; a tilt past the doubles raises
-    SingularSystemError naming risk.lambda."""
-    return require_finite(lambda: drift / (2.0 * gamma * risk.lam),
-                          "risk-return tilt drift / (2 gamma lambda)", t,
-                          f"risk.lambda = {risk.lam:g}, gamma = {gamma:.6g}")
-
-
-def centered_step(design, paths: PathEnsemble, t: int, pi_next, ds_mean="model"):
-    """The one centering rule of the risk-adjusted step t.  Returns
-    (ds, ds_center, pi_center, gain, drift): dS_t, its center, the center
-    of Pi_{t+1} (always its regression on ``design``), the reward's gain
-    and the drift that tilts the hedge.  Under ``ds_mean="model"`` dS_t is
-    centered on S_t (e^{mu dt} - e^{r dt}), the gain is the raw dS_t and
-    the drift is that mean; under "regression" dS_t is centered on its
-    regression, the gain is centered and the drift is zero (the chain's
-    martingale convention)."""
-    ds = paths.delta_s(t)
-    pi_center = conditional_mean(design, pi_next)
+    Under ``ds_mean="model"`` dS_t is centered on S_t (e^{mu dt} - e^{r dt})
+    and the gain is the raw dS_t; under "regression" dS_t is centered on
+    its regression and the gain is centered (the chain's martingale
+    convention).  Without ``risk`` there is no tilt, so c estimates
+    Cov(Pi_{t+1}, dS_t | state) / Var(dS_t | state), the risk-minimizing
+    hedge, and increments that are all equal raise DegenerateInputError.
+    With it the tilt drift / (2 gamma lam), drift the model center (0
+    under "regression"), gives the risk-adjusted optimal action; a tilt
+    past the doubles raises SingularSystemError naming risk.lambda."""
+    if ds_mean not in ("model", "regression"):
+        raise ValueError(f"unknown ds_mean {ds_mean!r}")
+    ds, pi_center = paths.delta_s(t), conditional_mean(design, pi_next)
     if ds_mean == "model":
-        ds_center = paths.delta_s_mean(t)
-        return ds, ds_center, pi_center, ds, ds_center
-    ds_center = conditional_mean(design, ds)
-    return ds, ds_center, pi_center, ds - ds_center, 0.0
-
-
-def _local_risk_step(basis, paths: PathEnsemble, t: int, pi_next):
-    """Step t of the risk-minimizing solve: the design at the step-t
-    states, ``centered_step``'s values (model convention) and the hedge
-    coefficients fitted on them."""
-    design = basis.evaluate(paths.x(t))
-    centered = ds, ds_c, pi_c, _, _ = centered_step(design, paths, t, pi_next)
-    ds_dev = ds - ds_c
-    if np.max(np.abs(ds_dev)) == 0.0:
-        raise DegenerateInputError(f"all price increments identical at step {t}; "
-                                   "hedge undefined")
-    return design, centered, hedge_fit(design, ds_dev, pi_next - pi_c, t)
+        ds_center = drift = paths.delta_s_mean(t)
+    else:
+        ds_center, drift = conditional_mean(design, ds), 0.0
+    ds_dev = ds - ds_center
+    gain = ds if ds_mean == "model" else ds_dev
+    if risk is None:
+        if np.max(np.abs(ds_dev)) == 0.0:
+            raise DegenerateInputError(f"all price increments identical at step {t}; "
+                                       "hedge undefined")
+        target = (pi_next - pi_center) * ds_dev
+    else:
+        pi_dev, gamma = pi_next - pi_center, paths.params.gamma
+        tilt = require_finite(lambda: drift / (2.0 * gamma * risk.lam),
+                              "risk-return tilt drift / (2 gamma lambda)", t,
+                              f"risk.lambda = {risk.lam:g}, gamma = {gamma:.6g}")
+        target = pi_dev * ds_dev + tilt
+    return (ds, ds_center, pi_center, gain), least_squares(
+        design, target, scale=ds_dev, what=f"hedge fit at step {t}")
 
 
 def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
@@ -256,7 +245,8 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     coeffs = [None] * paths.n_steps
 
     def hedge(t, pi_next):
-        design, _, coeffs[t] = _local_risk_step(basis, paths, t, pi_next)
+        design = basis.evaluate(paths.x(t))
+        coeffs[t] = hedge_step(design, paths, t, pi_next)[1]
         return design @ coeffs[t]
 
     pi = _replicate(paths, terminal_payoff(paths.s(paths.n_steps), contract), hedge,

@@ -542,6 +542,31 @@ class TestIngest:
         assert np.array_equal(first.s_paths, second.s_paths)
         assert second.seed is None
 
+    def test_dataset_file_is_not_a_price_panel(self, tmp_path, capsys):
+        """A make-dataset file holds log-states in its third column: it is a
+        format error naming the file and its columns, not a price computed
+        from the states read as prices."""
+        assert run("make-dataset", *SMALL, "--output.dir", str(tmp_path / "ds")) == 0
+        f = tmp_path / "ds" / "dataset.csv"
+        message = f"{f}: columns path,t,x,a,r; a price panel starts path,t,s"
+        with pytest.raises(DataFormatError, match=message):
+            ingest_prices(f)
+        capsys.readouterr()
+        out = tmp_path / "dp"
+        assert run("dp-solve", "--ingest.path", str(f), "--output.dir", str(out), *SMALL) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
+    def test_rollout_panel_is_a_price_panel(self, tmp_path):
+        """rollout.csv starts path,t,S: it reads back as the prices of the
+        same config's ensemble.csv."""
+        for command in ("rollout", "simulate"):
+            assert run(command, *SMALL, "--output.dir", str(tmp_path)) == 0
+        params = MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03, maturity=1.0, n_steps=6)
+        rolled, simulated = (ingest_prices(tmp_path / f, params)
+                             for f in ("rollout.csv", "ensemble.csv"))
+        assert np.array_equal(rolled.s_paths, simulated.s_paths)
+
     def test_ragged_panel_names_cell(self, tmp_path):
         f = tmp_path / "panel.csv"
         f.write_text("# mu=0\n# sigma=0.2\n# r=0\n# maturity=1\n"

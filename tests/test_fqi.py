@@ -132,10 +132,25 @@ class TestAgainstDP:
         sol = fqi_backward(ds, basis, pi_reference=pi_ref)
         assert abs(sol.price0 - dp.price0) / dp.price0 < 0.02
 
-    @pytest.mark.parametrize("action_source", ["analytic", "crossfit"])
-    def test_unknown_ds_mean_rejected(self, action_source):
+    def test_max_term_action_is_dps_hedge(self):
+        """On a dataset of DP's own actions, FQI's max-term action at every
+        step is DP's hedge bit for bit: both solvers take the same hedge
+        step on the same portfolio."""
+        paths = gbm(n_paths=5000, seed=3, n_steps=12)
+        basis, risk = make_pipeline(paths)
+        dp = solve_dp(paths, PUT, risk, basis)
+        actions = np.column_stack([basis.evaluate(paths.x(t)) @ dp.hedge_coeffs[t]
+                                   for t in range(paths.n_steps)])
+        ds = build_dataset(paths, actions,
+                           dataset_rewards(paths, actions, PUT, risk, basis), risk.lam, PUT)
+        sol = fqi_backward(ds, basis)
+        for t in range(paths.n_steps):
+            assert np.array_equal(sol.action_coeffs[t], dp.hedge_coeffs[t]), t
+        assert sol.hedge0 == dp.hedge0
+
+    def test_unknown_ds_mean_rejected(self):
         """Both solvers reject a ds_mean outside the two conventions of
-        centered_step, fqi_backward under either action source."""
+        portfolio.hedge_step."""
         paths = gbm(n_paths=200, seed=3)
         basis, risk = make_pipeline(paths)
         actions = np.zeros((paths.n_paths, paths.n_steps))
@@ -145,7 +160,7 @@ class TestAgainstDP:
         with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
             solve_dp(paths, PUT, risk, basis, ds_mean="pooled")
         with pytest.raises(ValueError, match="unknown ds_mean 'pooled'"):
-            fqi_backward(ds, basis, action_source=action_source, ds_mean="pooled")
+            fqi_backward(ds, basis, ds_mean="pooled")
 
     @pytest.mark.parametrize("name,cols", [("actions", 3), ("actions", 8)])
     def test_dataset_rewards_shape_checked(self, name, cols):
@@ -222,19 +237,6 @@ class TestAgainstDP:
         assert sol.price0 == -float(u0[0, 0] + hedge0 * u0[0, 1]
                                     + 0.5 * hedge0**2 * u0[0, 2])
 
-    def test_crossfit_mode_close_to_analytic(self):
-        """The data-only fallback needs enough risk aversion for the
-        quadratic action coefficient to be identifiable."""
-        paths = gbm(n_paths=20_000, seed=5)
-        basis, risk = make_pipeline(paths, lam=0.05)
-        rng = np.random.default_rng(2)
-        actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
-        ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
-        ana = fqi_backward(ds, basis, action_source="analytic")
-        cf = fqi_backward(ds, basis, action_source="crossfit")
-        assert abs(cf.price0 - ana.price0) / ana.price0 < 0.10
-
 
 class TestRolledReference:
     """Without ``pi_reference`` the recorded actions are rolled backward a
@@ -273,9 +275,7 @@ class TestRolledReference:
         """Recorded actions of 1e308 at step 2 take Pi_2 past the doubles.
         The roll raises "portfolio value Pi not finite at step 2" after the
         fits of steps 5 to 3, before any fit of step 2, so the error is the
-        one of rolling the whole panel first.  Under "crossfit", which
-        computes no Pi, the same dataset fails at step 2's features instead,
-        named and with no overflow warning (the suite errors on one)."""
+        one of rolling the whole panel first."""
         paths = gbm(n_paths=300, seed=5, mu=0.05, sigma=0.2, n_steps=6)
         rng = np.random.default_rng(1)
         actions = rng.uniform(-1.5, 1.5, (300, 6))
@@ -286,16 +286,12 @@ class TestRolledReference:
         with pytest.raises(SingularSystemError,
                            match=r"^portfolio value Pi not finite at step 2$"):
             fqi_backward(ds, basis)
-        with pytest.raises(SingularSystemError, match=r"^FQI feature a\^2/2 of the recorded "
-                                                      r"actions not finite at step 2$"):
-            fqi_backward(ds, basis, action_source="crossfit")
 
-    @pytest.mark.parametrize("action_source", ["analytic", "crossfit"])
-    def test_gram_past_the_doubles_names_the_fit(self, action_source):
+    def test_gram_past_the_doubles_names_the_fit(self):
         """Recorded actions of 1e150 at step 2 have a finite a^2/2 = 5e299,
         whose square leaves the doubles in step 2's Gram: the regression
         raises naming the fit, with no overflow warning (the suite errors
-        on one), in either mode."""
+        on one)."""
         paths = gbm(n_paths=300, seed=5, mu=0.05, sigma=0.2, n_steps=6)
         rng = np.random.default_rng(1)
         actions = rng.uniform(-1.5, 1.5, (300, 6))
@@ -305,68 +301,29 @@ class TestRolledReference:
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
         with pytest.raises(SingularSystemError,
                            match=r"^FQI weights at step 2: normal equations not finite$"):
-            fqi_backward(ds, basis, action_source=action_source)
+            fqi_backward(ds, basis)
 
 
 class TestExtract:
-    def solution_with_flat_q(self, u0, u1, u2):
-        w = np.array([[u0], [u1], [u2]], dtype=float)
-        return FQISolution(weights=[w], terminal_value_coeffs=np.array([0.0]),
-                           action_coeffs=None, price0=0.0, hedge0=0.0)
+    def test_analytic_read_out_arithmetic(self):
+        """The hedge is the analytic action phi @ beta and the price is -Q at
+        it, not at the fitted parabola's vertex (2 for the first Q), and a
+        parabola with no vertex reads out the same way."""
+        for (u0, u1, u2), price in (((5.0, 2.0, -1.0), -5.46875), ((3.0, 1.0, 0.0), -3.25)):
+            sol = FQISolution(weights=[np.array([[u0], [u1], [u2]])],
+                              terminal_value_coeffs=np.array([0.0]),
+                              action_coeffs=[np.array([0.25])], price0=0.0, hedge0=0.0)
+            assert extract_price_hedge(sol, unit_basis(), 0.0, 0) == (price, 0.25)
 
-    def test_vertex_arithmetic(self):
-        sol = self.solution_with_flat_q(5.0, 2.0, -1.0)
-        price, hedge = extract_price_hedge(sol, unit_basis(), 0.0, 0)
-        assert hedge == 2.0
-        assert price == -7.0
-
-    def test_symmetric_parabola_hedges_zero(self):
-        sol = self.solution_with_flat_q(3.0, 0.0, -2.0)
-        price, hedge = extract_price_hedge(sol, unit_basis(), 0.0, 0)
-        assert hedge == 0.0 and price == -3.0
-
-    def test_degenerate_without_fallback(self):
-        from qhedge.errors import SingularSystemError
-        sol = self.solution_with_flat_q(3.0, 1.0, 0.0)
-        with pytest.raises(SingularSystemError):
-            extract_price_hedge(sol, unit_basis(), 0.0, 0)
-
-    def test_degenerate_with_fallback(self):
-        sol = self.solution_with_flat_q(3.0, 1.0, 0.0)
-        sol.action_coeffs = [np.array([0.25])]
-        price, hedge = extract_price_hedge(sol, unit_basis(), 0.0, 0)
-        assert hedge == 0.25
-        assert price == -(3.0 + 0.25)
-
-    def test_hedge_close_to_dp_on_generated_data(self):
-        """Vertex read-out of the fitted parabola, which a crossfit solution
-        uses; its linear and quadratic coefficients scale with lam, so
-        identifiability needs lam large enough (the analytic route covers
-        the small-lam regime)."""
-        paths = gbm(n_paths=20_000, seed=13)
-        basis, risk = make_pipeline(paths, lam=0.05)
-        dp = solve_dp(paths, PUT, risk, basis)
-        rng = np.random.default_rng(1)
-        actions = rng.uniform(-1.5, 1.5, size=(paths.n_paths, paths.n_steps))
-        rewards = dataset_rewards(paths, actions, PUT, risk, basis)
-        ds = build_dataset(paths, actions, rewards, risk.lam, PUT)
-        sol = fqi_backward(ds, basis, action_source="crossfit")
-        _, hedge = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
-        assert abs(hedge - dp.hedge0) < 0.05
-
-    # the crossfit vertex needs lam large enough for a concave fit at t = 0
-    @pytest.mark.parametrize("action_source, lam", [("analytic", 1e-3),
-                                                    ("crossfit", 0.05)])
-    def test_read_out_is_the_solvers(self, action_source, lam):
+    def test_read_out_is_the_solvers(self):
         """At the start state the read-out returns price0 and hedge0 bit for
-        bit: one rule, the analytic action when the solution has one."""
+        bit: one rule, the analytic action."""
         paths = gbm(seed=3)
-        basis, risk = make_pipeline(paths, lam=lam)
+        basis, risk = make_pipeline(paths)
         actions = np.random.default_rng(1).uniform(-1.5, 1.5,
                                                    (paths.n_paths, paths.n_steps))
         rewards = dataset_rewards(paths, actions, PUT, risk, basis)
-        sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT),
-                           basis, action_source=action_source)
+        sol = fqi_backward(build_dataset(paths, actions, rewards, risk.lam, PUT), basis)
         got = extract_price_hedge(sol, basis, paths.x_paths[0, 0], 0)
         assert got == (sol.price0, sol.hedge0)
 

@@ -8,8 +8,7 @@ from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
                     rollout_portfolio, signed_measure_weights, simulate_gbm,
                     solve_dp, solve_local_risk, terminal_payoff)
 from qhedge.errors import DegenerateInputError
-from qhedge.portfolio import hedge_fit
-from qhedge.regression import conditional_mean
+from qhedge.portfolio import hedge_step
 
 PUT = OptionContract("put", 100.0)
 
@@ -109,15 +108,12 @@ class TestRollout:
             rollout_portfolio(paths, bad, PUT, risk)
 
 
-def local_risk_fit(paths, pi_next, basis, t, ds_center=None):
-    """The shared hedge fit with no tilt, as ``solve_local_risk`` runs it:
-    Pi_{t+1} centered on its conditional mean, dS_t on ``ds_center``
-    (default: the model-implied conditional mean)."""
-    design = basis.evaluate(paths.x_paths[:, t])
-    if ds_center is None:
-        ds_center = paths.delta_s_mean(t)
-    return hedge_fit(design, paths.delta_s(t) - ds_center,
-                     pi_next - conditional_mean(design, pi_next), t)
+def local_risk_fit(paths, pi_next, basis, t, ds_mean="model"):
+    """The shared hedge step with no tilt, as ``solve_local_risk`` runs it:
+    Pi_{t+1} centered on its conditional mean, dS_t on the model-implied
+    one or, under ``ds_mean="regression"``, on its regression."""
+    return hedge_step(basis.evaluate(paths.x_paths[:, t]), paths, t, pi_next,
+                      ds_mean=ds_mean)[1]
 
 
 class TestLocalRiskHedge:
@@ -126,9 +122,7 @@ class TestLocalRiskHedge:
         are centered by the same conditional-mean estimate."""
         paths = gbm(n_paths=1000, mu=0.03, seed=4)
         basis = build_basis("one_hot_grid", 6, paths.x_paths.ravel())
-        pi_next = paths.delta_s(2)
-        ds_c = conditional_mean(basis.evaluate(paths.x_paths[:, 2]), pi_next)
-        coeffs = local_risk_fit(paths, pi_next, basis, 2, ds_center=ds_c)
+        coeffs = local_risk_fit(paths, paths.delta_s(2), basis, 2, ds_mean="regression")
         # near-empty edge buckets feel the ridge more; identity exact without it
         np.testing.assert_allclose(basis.evaluate(paths.x_paths[:, 2]) @ coeffs,
                                    1.0, atol=1e-4)
@@ -136,10 +130,7 @@ class TestLocalRiskHedge:
     def test_constant_target_gives_zero_hedge(self):
         paths = gbm(n_paths=1000, mu=0.03, seed=4)
         basis = build_basis("one_hot_grid", 6, paths.x_paths.ravel())
-        ds = paths.delta_s(1)
-        ds_c = conditional_mean(basis.evaluate(paths.x_paths[:, 1]), ds)
-        coeffs = local_risk_fit(paths, np.full(1000, 7.3), basis, 1,
-                                ds_center=ds_c)
+        coeffs = local_risk_fit(paths, np.full(1000, 7.3), basis, 1, ds_mean="regression")
         np.testing.assert_allclose(basis.evaluate(paths.x_paths[:, 1]) @ coeffs,
                                    0.0, atol=1e-6)
 

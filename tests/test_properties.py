@@ -31,7 +31,7 @@ from qhedge import csvio, fqi, regression
 from qhedge.basis import KINDS, quantiles
 from qhedge.csvio import format_value, write_table
 from qhedge.market import _libm_log, _ndtri
-from qhedge.portfolio import _replicate, _reward, centered_step
+from qhedge.portfolio import _replicate, _reward, hedge_step
 from qhedge.tabular import _SnappedPrices, _bucket_means
 from tests.test_csvio import read_csv
 
@@ -246,7 +246,7 @@ def two_pass_rewards(paths, actions, contract, risk, basis):
     for t in range(paths.n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
-        ds, ds_c, pi_c, gain, _ = centered_step(design, paths, t, pi_next)
+        (ds, ds_c, pi_c, gain), _ = hedge_step(design, paths, t, pi_next)
         rewards[t] = _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
                              pi_center=pi_c, ds_center=ds_c, gain=gain)
     return rewards.T
