@@ -294,16 +294,23 @@ def _strategy(cfg, paths, basis, policy) -> HedgeStrategy:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _market_header(paths: PathEnsemble) -> dict:
+    """The header of a price panel: the market its prices were simulated or
+    ingested under, which ``ingest_prices`` checks against the configured
+    one, its shape, and the seed of a simulated ensemble."""
+    p = paths.params
+    return {"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r, "maturity": p.maturity,
+            "n_steps": p.n_steps, "n_paths": paths.n_paths,
+            **({} if paths.seed is None else {"seed": paths.seed})}
+
+
 def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
     p = paths.params
     write_table(out / "ensemble.csv",  # both values are row functions: the labels fix the shape
                 {"path": np.arange(paths.n_paths), "t": np.arange(p.n_steps + 1)},
-                {"s": paths.s_rows, "x": paths.x_rows},
-                header={"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r,
-                        "maturity": p.maturity, "n_steps": p.n_steps, "n_paths": paths.n_paths,
-                        **({} if paths.seed is None else {"seed": paths.seed})})
+                {"s": paths.s_rows, "x": paths.x_rows}, header=_market_header(paths))
     _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
                           "mean_s_final": paths.s(p.n_steps).mean()})
     return 0
@@ -317,8 +324,9 @@ def cmd_rollout(cfg):
     out = _outdir(cfg)
     write_table(out / "rollout.csv", {"path": None, "t": None},
                 {"S": paths.s_rows, "X": paths.x_rows, "a": roll.actions,
-                 "Pi": roll.pi, "B": roll.b_account, "R": roll.rewards},
-                header={"policy": cfg["rollout.policy"], "lambda": cfg.risk().lam})
+                 "Pi": roll.pi, "B": roll.b_rows, "R": roll.r_rows},
+                header={**_market_header(paths), "policy": cfg["rollout.policy"],
+                        "lambda": cfg.risk().lam})
     _summarize(cfg, out, {"mean_pi0": roll.pi[:, 0].mean(),
                           "policy": cfg["rollout.policy"]})
     return 0

@@ -45,7 +45,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataFormatError
 
 _FLOAT = "%.17g"
-_BLOCK = 1 << 13  # records per write (whole rows, at least one) and per piece read
+_BLOCK = 1 << 13  # records per piece read
+# Values (records x columns) per block written, in whole rows, at least one: a
+# block's text temporaries then take about the same room whatever the width.
+_WRITE_VALUES = 1 << 15
 # Fewest records written, and data bytes read, per process: below them a
 # table is not worth a fork.  2^15 records is about 2^21 bytes of dataset.
 _SPLIT_RECORDS = 1 << 15
@@ -309,8 +312,8 @@ def write_table(path, axes, values, header=None):
     rows of the array, so that no whole array need exist).  The shape is
     the arrays', or, where every value is a function, the lengths of the
     axes' labels.  Each column's format follows its dtype; each block of
-    records, ``_BLOCK`` records' worth of whole rows (at least one), is
-    gathered from the values as it is written and formatted by
+    records, ``_WRITE_VALUES`` values' worth of whole rows (at least one),
+    is gathered from the values as it is written and formatted by
     ``_column_text``.  The rows are cut into one contiguous range of whole
     blocks per process: this one writes the first, and a forked worker
     formats each other into an unnamed file in the output directory,
@@ -325,7 +328,7 @@ def write_table(path, axes, values, header=None):
                          f"axis, expected for {path}")
     n = int(np.prod(shape))
     n_rows, per_row = (shape[0], n // shape[0]) if n else (0, 1)  # and records in a row
-    rows_per_block = max(1, _BLOCK // per_row)
+    rows_per_block = max(1, _WRITE_VALUES // (len(axes) + len(values)) // per_row)
     gathers = [v if callable(v) else v.__getitem__ for v in values.values()]
 
     def write_records(out, lo, hi):

@@ -68,12 +68,12 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     q_next = design @ value_coeffs[n_steps]
     del design  # not held through the steps
 
-    def hedge(t, pi):
+    def hedge(t, pi, ds):
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
         nonlocal q_next
         design = basis.evaluate(paths.x(t))
-        (ds, ds_c, pi_c, gain), hedge_coeffs[t] = hedge_step(design, paths, t, pi, risk,
-                                                             ds_mean)
+        (ds_c, pi_c, gain), hedge_coeffs[t] = hedge_step(design, paths, t, pi, ds, risk,
+                                                         ds_mean)
         a = design @ hedge_coeffs[t]
 
         target = require_finite(

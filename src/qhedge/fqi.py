@@ -209,8 +209,9 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
     del design_term  # not held through the steps
     for t in range(n_steps - 1, -1, -1):
+        ds = paths.delta_s(t)
         if rolled is not None:
-            pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t])
+            pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t], ds)
         else:
             pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
         x_t = paths.x(t)
@@ -233,7 +234,7 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
 
         # the step's centered values are dropped at once, not held through
         # step t-1's design and fits
-        action_coeffs[t] = hedge_step(design_t, paths, t, pi_next, risk, ds_mean)[1]
+        action_coeffs[t] = hedge_step(design_t, paths, t, pi_next, ds, risk, ds_mean)[1]
         if t > 0:  # max_a Q_t at x_t, the previous step's next states
             a_star = design_t @ action_coeffs[t]
             _check_one_action(dataset.a[:, t], a_star, t)
@@ -304,9 +305,9 @@ def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
     def rewards():  # stored by step, so that the first bad row names its step
         out = np.zeros((n_steps + 1, n))
 
-        def hedge(t, pi_next):
+        def hedge(t, pi_next, ds):
             design = basis.evaluate(paths.x(t))
-            (ds, ds_c, pi_c, gain), coeffs = hedge_step(design, paths, t, pi_next)
+            (ds_c, pi_c, gain), coeffs = hedge_step(design, paths, t, pi_next, ds)
             u = design @ coeffs
             if record_hedge:
                 actions[:, t] = u

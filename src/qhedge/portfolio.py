@@ -7,11 +7,16 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
 
 so uncertainty about the future propagates to today path by path, and the
 bank account B_t = Pi_t - u_t S_t follows from it.  Every
-solver takes each Pi step through one function, ``_pi_step``, and each
-hedge step through one function, ``hedge_step``, which centers the step
-and fits its hedge: untilted in the risk-minimizing pass
-(``solve_local_risk`` and ``fqi.dataset_rewards``), tilted by the
-risk-return drift in ``dp.solve_dp`` and ``fqi.fqi_backward``.
+solver runs that recursion through one function, ``_replicate``, which
+derives each step's dS_t once and hands it to the solver's hedge rule
+and to ``_pi_step``, and takes each hedge step through one function,
+``hedge_step``, which centers the step and fits its hedge: untilted in
+the risk-minimizing pass (``solve_local_risk`` and
+``fqi.dataset_rewards``), tilted by the risk-return drift in
+``dp.solve_dp`` and ``fqi.fqi_backward``.  A rollout keeps only Pi and
+the actions: B and the one-step rewards are fixed by them, and are
+derived a block of paths at a time (``PortfolioRollout.b_rows`` and
+``r_rows``), so no whole panel of either is made to check or write them.
 On top of the rollout the module provides the risk-adjusted one-step
 reward (a quadratic in the action), signed-measure reweighting and the
 variance-loaded ask price.
@@ -90,20 +95,58 @@ class HedgeStrategy:
         return out
 
 
-@dataclass
 class PortfolioRollout:
-    """Backward-evaluated portfolio values, bank account and realized rewards."""
+    """Backward-evaluated portfolio values ``pi`` and the ``actions`` that
+    made them, each an (n_paths, n_steps+1) panel stored by step, the
+    actions' expiry column 0; column T of ``pi`` is the payoff.
 
-    pi: np.ndarray         # (n_paths, n_steps+1)
-    b_account: np.ndarray  # (n_paths, n_steps+1), Pi - actions * S
-    rewards: np.ndarray    # (n_paths, n_steps+1); column T holds the terminal penalty
-    actions: np.ndarray    # (n_paths, n_steps+1), expiry column 0
+    The bank account B = Pi - u S and the realized rewards R (column T
+    holding the terminal penalty) are fixed by these and the ensemble, so
+    they are not stored: ``b_rows`` and ``r_rows`` derive a slice of paths
+    over every step (for writers, a block at a time), bit for bit those
+    rows of the whole panels, with the pooled per-step centers the
+    rollout took (mean Pi_(t+1) and mean dS_t).  The ``b_account`` and
+    ``rewards`` properties are whole panels built on each access: for
+    tests, not writers.
+    """
+
+    def __init__(self, paths: PathEnsemble, pi, actions, risk: RiskParams, pi_centers,
+                 ds_centers):
+        self.pi, self.actions = pi, actions
+        self._paths, self._risk = paths, risk
+        self._pi_centers, self._ds_centers = pi_centers, ds_centers
+
+    def b_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the bank account B = Pi - u S."""
+        return self.pi[rows] - self.actions[rows] * self._paths.s_rows(rows)
+
+    def r_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the rewards: ``_reward`` of each step's action
+        around the step's centers, then the terminal penalty, the per-path
+        squared deviation of the payoff, which averages to -lam Var[Pi_T]."""
+        p, lam = self._paths.params, self._risk.lam
+        s, pi = self._paths.s_rows(rows), self.pi[rows]
+        out = np.empty(pi.shape)
+        ds = s[:, 1:] - np.exp(p.r * p.dt) * s[:, :-1]  # delta_s of every step
+        out[:, :-1] = _reward(self.actions[rows][:, :-1], ds, pi[:, 1:], self._risk, p.gamma,
+                              pi_center=self._pi_centers, ds_center=self._ds_centers)
+        out[:, -1] = -lam * (pi[:, -1] - self._pi_centers[-1]) ** 2
+        return out
+
+    @property
+    def b_account(self) -> np.ndarray:
+        return self.b_rows(slice(None))
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self.r_rows(slice(None))
 
 
-def _pi_step(paths: PathEnsemble, t: int, pi_next, u) -> np.ndarray:
+def _pi_step(paths: PathEnsemble, t: int, pi_next, u, ds) -> np.ndarray:
     """One step of the self-financing recursion, Pi_t = gamma (Pi_{t+1} -
-    u_t dS_t); raises SingularSystemError if Pi_t leaves the finite doubles."""
-    return require_finite(lambda: paths.params.gamma * (pi_next - u * paths.delta_s(t)),
+    u_t dS_t), on step t's increments ``ds``; raises SingularSystemError
+    if Pi_t leaves the finite doubles."""
+    return require_finite(lambda: paths.params.gamma * (pi_next - u * ds),
                           "portfolio value Pi", t)
 
 
@@ -113,9 +156,10 @@ def _replicate(paths: PathEnsemble, payoff, hedge, out=None):
         Pi_T = payoff,   Pi_t = gamma (Pi_{t+1} - u_t dS_t),   t = T-1 .. 0,
 
     with the steps, the discount gamma and the increments dS_t of the
-    ensemble ``paths``, where the hedge rule ``hedge(t, pi_next)`` chooses
-    u_t from Pi_{t+1} (recording whatever fits it makes on the way), and
-    ``_pi_step`` takes the step.  Only Pi_{t+1} and Pi_t are held at step
+    ensemble ``paths``, where the hedge rule ``hedge(t, pi_next, ds)``
+    chooses u_t from Pi_{t+1} and dS_t (recording whatever fits it makes
+    on the way), and ``_pi_step`` takes the step on the same dS_t, which
+    is derived once per step.  Only Pi_{t+1} and Pi_t are held at step
     t; a caller that needs the panel passes ``out``, an (n_paths,
     n_steps+1) array that receives Pi_t in column t, and is returned.
     Raises SingularSystemError at the first step whose Pi leaves the
@@ -125,10 +169,21 @@ def _replicate(paths: PathEnsemble, payoff, hedge, out=None):
     if out is not None:
         out[:, -1] = payoff
     for t in range(paths.n_steps - 1, -1, -1):
-        pi = _pi_step(paths, t, pi, hedge(t, pi))
+        ds = paths.delta_s(t)
+        pi = _pi_step(paths, t, pi, hedge(t, pi, ds), ds)
         if out is not None:  # the next step reads Pi_t from the panel: its array goes
             out[:, t] = pi
             pi = out[:, t]
+    return out
+
+
+def _largest_magnitudes(rows, n_paths, n_cols):
+    """Per column, the largest |value| of the (n_paths, n_cols) panel that
+    the row function ``rows`` derives, a block of about 2^15 values at a
+    time: non-finite exactly where the column holds a non-finite value."""
+    out, block = np.zeros(n_cols), max(1, (1 << 15) // n_cols)
+    for lo in range(0, n_paths, block):
+        np.maximum(out, np.abs(rows(slice(lo, lo + block))).max(axis=0), out=out)
     return out
 
 
@@ -137,29 +192,23 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     """Evaluate the self-financing portfolio backward along every path.
 
     Raises SingularSystemError naming the first step at which Pi, the
-    bank account B or the reward R is not finite."""
+    bank account B or the reward R is not finite.  B and R are checked
+    a block of paths at a time, as their row functions derive them, so
+    neither is ever held whole."""
     u = strategy.actions(paths)
-    payoff = terminal_payoff(paths.s(paths.n_steps), contract)
-    pi = _replicate(paths, payoff, lambda t, _: u[:, t], out=np.empty_like(u))
+    centers = np.empty((2, paths.n_steps))  # per step: mean Pi_(t+1), mean dS_t
 
-    def bank_account():
-        out = np.empty_like(u)
-        for t in range(paths.n_steps + 1):
-            out[:, t] = pi[:, t] - u[:, t] * paths.s(t)
-        return out.T
-    b_account = require_finite(bank_account, "bank account B", by_step=True).T
+    def hedge(t, pi_next, ds):
+        with np.errstate(over="ignore", invalid="ignore"):  # a center past the doubles
+            centers[:, t] = pi_next.mean(), ds.mean()      # leaves R non-finite: refused
+        return u[:, t]
 
-    def rewards():
-        out = np.empty_like(u)
-        for t in range(paths.n_steps):
-            ds = paths.delta_s(t)
-            out[:, t] = _reward(u[:, t], ds, pi[:, t + 1], risk, paths.params.gamma,
-                                pi_center=pi[:, t + 1].mean(), ds_center=ds.mean())
-        # terminal penalty: per-path squared deviation, averaging to -lam Var[Pi_T]
-        out[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
-        return out.T
-    return PortfolioRollout(pi=pi, b_account=b_account, actions=u,
-                            rewards=require_finite(rewards, "reward R", by_step=True).T)
+    pi = _replicate(paths, terminal_payoff(paths.s(paths.n_steps), contract), hedge,
+                    out=np.empty_like(u))
+    roll = PortfolioRollout(paths, pi, u, risk, *centers)
+    for rows, what in ((roll.b_rows, "bank account B"), (roll.r_rows, "reward R")):
+        require_finite(lambda: _largest_magnitudes(rows, *u.shape), what, by_step=True)
+    return roll
 
 
 def reward_parabola(delta_s, pi_next, risk: RiskParams, gamma: float, *,
@@ -191,11 +240,11 @@ def _reward(a, delta_s, pi_next, risk: RiskParams, gamma: float, **centers):
     return c0 + c1 * a + c2 * a**2
 
 
-def hedge_step(design, paths: PathEnsemble, t: int, pi_next, risk: RiskParams = None,
+def hedge_step(design, paths: PathEnsemble, t: int, pi_next, ds, risk: RiskParams = None,
                ds_mean="model"):
     """The one hedge step t of the regression solvers, on the step-t design
-    rows Phi.
-    Returns ((ds, ds_center, pi_center, gain), c): dS_t, its center, the
+    rows Phi and the step's increments dS_t, ``ds``.
+    Returns ((ds_center, pi_center, gain), c): the center of dS_t, the
     center of Pi_{t+1} (always its regression on ``design``), the reward's
     gain, and the coefficients c of the ridge system
 
@@ -212,7 +261,7 @@ def hedge_step(design, paths: PathEnsemble, t: int, pi_next, risk: RiskParams = 
     past the doubles raises SingularSystemError naming risk.lambda."""
     if ds_mean not in ("model", "regression"):
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
-    ds, pi_center = paths.delta_s(t), conditional_mean(design, pi_next)
+    pi_center = conditional_mean(design, pi_next)
     if ds_mean == "model":
         ds_center = drift = paths.delta_s_mean(t)
     else:
@@ -230,7 +279,7 @@ def hedge_step(design, paths: PathEnsemble, t: int, pi_next, risk: RiskParams = 
                               "risk-return tilt drift / (2 gamma lambda)", t,
                               f"risk.lambda = {risk.lam:g}, gamma = {gamma:.6g}")
         target = pi_dev * ds_dev + tilt
-    return (ds, ds_center, pi_center, gain), least_squares(
+    return (ds_center, pi_center, gain), least_squares(
         design, target, scale=ds_dev, what=f"hedge fit at step {t}")
 
 
@@ -244,9 +293,9 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     """
     coeffs = [None] * paths.n_steps
 
-    def hedge(t, pi_next):
+    def hedge(t, pi_next, ds):
         design = basis.evaluate(paths.x(t))
-        coeffs[t] = hedge_step(design, paths, t, pi_next)[1]
+        coeffs[t] = hedge_step(design, paths, t, pi_next, ds)[1]
         return design @ coeffs[t]
 
     pi = _replicate(paths, terminal_payoff(paths.s(paths.n_steps), contract), hedge,

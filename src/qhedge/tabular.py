@@ -173,12 +173,11 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     payoff = terminal_payoff(snapped.s(n_steps), contract)
     counts, sums = np.empty((n_steps, n_xe, n_xe)), np.empty((n_steps, n_xe, n_xe, 3))
 
-    def hedge(t, pi_next):
+    def hedge(t, pi_next, ds):
         """Step t's reward-parabola sums and counts per (i, j) cell, then its
         per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t), on
         dS_t centered per bucket (the martingale-enforced increment)."""
         ix = idx[t].astype(np.intp)  # a narrow index would overflow in ix * n_xe
-        ds = snapped.delta_s(t)
         ds_dev = ds - _bucket_means(ix, ds, n_xe)[ix]
         pi_center = _bucket_means(ix, pi_next, n_xe)[ix]
         # bincount adds each cell's records in path order

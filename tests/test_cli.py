@@ -11,8 +11,9 @@ import pytest
 
 import qhedge
 from qhedge import (BasisSet, MarketParams, OptionContract, PathEnsemble,
-                    read_dataset_csv)
+                    PortfolioRollout, read_dataset_csv)
 from qhedge.cli import POLICIES, ExperimentConfig, ingest_prices, main
+from qhedge.csvio import read_columns
 from qhedge.errors import ConfigError, DataFormatError
 from tests.test_black_scholes import put_price_by_quadrature
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
@@ -697,6 +698,25 @@ class TestIngest:
         assert run("dp-solve", "--ingest.path", str(f), f"--market.{key}", value,
                    "--output.dir", str(out), *SMALL) == 0
 
+    def test_rollout_panel_carries_the_market_header(self, tmp_path, capsys):
+        """rollout.csv carries simulate's market header, so that it ingests
+        under its own market with none configured, and is refused under
+        another one, naming the key."""
+        for command in ("rollout", "simulate"):
+            assert run(command, *SMALL, "--output.dir", str(tmp_path)) == 0
+        rolled, simulated = (read_columns(tmp_path / f)[0]
+                             for f in ("rollout.csv", "ensemble.csv"))
+        assert rolled == {**simulated, "policy": "local_risk", "lambda": "0.001"}
+        assert (ingest_prices(tmp_path / "rollout.csv").params
+                == ingest_prices(tmp_path / "ensemble.csv").params)
+        capsys.readouterr()
+        out = tmp_path / "dp"
+        assert run("dp-solve", *SMALL, "--ingest.path", str(tmp_path / "rollout.csv"),
+                   "--market.mu", "0.2", "--market.sigma", "0.5",
+                   "--output.dir", str(out)) == 2
+        assert "but market.mu is 0.2" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_duplicate_cell_names_cell(self, tmp_path, capsys):
         """Two rows for one (path, t) cell are a format error, not a price
         the later row silently overwrites."""
@@ -807,16 +827,32 @@ def test_tabular_q_peak_below_two_and_a_half_panels(tmp_path):
     assert peak / (BENCH_PATHS * 13 * 8) < 2.5
 
 
+def test_rollout_peak_below_six_panels(tmp_path):
+    """At the benchmark's artifacts shape (Criterion 1's market, 10k paths
+    x 24 steps) the whole rollout command traces less than 6 panels of
+    (n_paths, n_steps+1) doubles: the price, action and portfolio panels
+    plus a block's working set (4.3; 7.6 with whole bank-account and
+    reward panels built to be checked and written)."""
+    market = [f"--market.{k}={v}" for k, v in BENCH_PARAMS.items()]
+    assert run("rollout", *SMALL, "--output.dir", str(tmp_path / "warm")) == 0  # lazy set-up
+    code, peak = traced(lambda: run("rollout", *market, "--mc.n_paths", "10000",
+                                    "--output.dir", str(tmp_path / "out")))
+    assert code == 0
+    assert peak / (10000 * (BENCH_PARAMS["n_steps"] + 1) * 8) < 6
+
+
 @pytest.mark.parametrize("command, policy", [("simulate", None),
                                              *(("rollout", p) for p in POLICIES),
                                              *(("make-dataset", p) for p in POLICIES)])
 def test_writers_build_no_derived_panel(tmp_path, monkeypatch, command, policy):
     """simulate, rollout and make-dataset write the states their ensemble
-    derives from its prices a block of rows at a time: none builds a whole
-    derived panel."""
-    def refuse(self, rows):
+    derives from its prices a block of rows at a time, and rollout its
+    bank account and rewards: none builds a whole derived panel."""
+    def refuse(self, *rows):
         raise AssertionError("a whole derived panel was built")
     monkeypatch.setattr(PathEnsemble, "_panel", refuse)
+    for name in ("b_account", "rewards"):
+        monkeypatch.setattr(PortfolioRollout, name, property(refuse))
     section = "dataset" if command == "make-dataset" else "rollout"
     extra = [] if policy is None else [f"--{section}.policy", policy]
     assert run(command, *SMALL, *extra, "--output.dir", str(tmp_path)) == 0

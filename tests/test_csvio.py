@@ -36,7 +36,9 @@ def read_csv(path):
 @contextlib.contextmanager
 def split_over(n_cpus, block=None):
     """Make every table split over ``n_cpus`` processes (one keeps the
-    one-process path); count the workers started in the yielded list."""
+    one-process path), reading pieces of ``block`` records and writing
+    blocks of ``block`` values; count the workers started in the yielded
+    list."""
     started = []
     real_start = csvio._Workers.start
 
@@ -51,6 +53,7 @@ def split_over(n_cpus, block=None):
         mp.setattr(csvio._Workers, "start", start)
         if block is not None:
             mp.setattr(csvio, "_BLOCK", block)
+            mp.setattr(csvio, "_WRITE_VALUES", block)
         yield started
 
 

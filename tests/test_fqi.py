@@ -262,7 +262,7 @@ class TestRolledReference:
 
         pi = np.empty_like(paths.s_paths)
         _replicate(paths, terminal_payoff(paths.s_paths[:, -1], PUT),
-                   lambda t, _: ds.a[:, t], out=pi)
+                   lambda t, *_: ds.a[:, t], out=pi)
         ref = fqi_backward(ds, basis, pi_reference=pi)
         assert (sol.price0, sol.hedge0, sol.warnings) == (ref.price0, ref.hedge0,
                                                            ref.warnings)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qhedge import (HedgeStrategy, MarketParams, OptionContract, RiskParams,
-                    ask_price, build_basis, ensemble_from_prices,
-                    rollout_portfolio, signed_measure_weights, simulate_gbm,
-                    solve_dp, solve_local_risk, terminal_payoff)
+from qhedge import (HedgeStrategy, MarketParams, OptionContract, PathEnsemble, RiskParams,
+                    ask_price, build_basis, build_dataset, dataset_rewards,
+                    ensemble_from_prices, fqi_backward, rollout_portfolio,
+                    signed_measure_weights, simulate_gbm, solve_dp, solve_local_risk,
+                    terminal_payoff)
 from qhedge.errors import DegenerateInputError
 from qhedge.portfolio import hedge_step
 
@@ -108,12 +109,34 @@ class TestRollout:
             rollout_portfolio(paths, bad, PUT, risk)
 
 
+@pytest.mark.parametrize("solver", ["rollout", "local_risk", "dp", "dataset_rewards", "fqi"])
+def test_each_pass_derives_each_increment_once(monkeypatch, solver):
+    """Every backward pass derives step t's increments dS_t once, and its
+    hedge step and its Pi step share them."""
+    paths, risk = gbm(n_paths=400), RiskParams(1e-3)
+    basis = build_basis("bspline", 8, paths.x_paths.ravel())
+    actions = np.random.default_rng(1).uniform(-1, 1, (400, paths.n_steps))
+    dataset = build_dataset(paths, actions, dataset_rewards(paths, actions, PUT, risk, basis),
+                            risk.lam, PUT)
+    run = {"rollout": lambda: rollout_portfolio(paths, HedgeStrategy.constant(0.5), PUT, risk),
+           "local_risk": lambda: solve_local_risk(paths, PUT, basis),
+           "dp": lambda: solve_dp(paths, PUT, risk, basis),
+           "dataset_rewards": lambda: dataset_rewards(paths, actions, PUT, risk, basis),
+           "fqi": lambda: fqi_backward(dataset, basis)}[solver]
+    calls = []
+    delta_s = PathEnsemble.delta_s
+    monkeypatch.setattr(PathEnsemble, "delta_s",
+                        lambda self, t: calls.append(t) or delta_s(self, t))
+    run()
+    assert calls == list(range(paths.n_steps - 1, -1, -1))
+
+
 def local_risk_fit(paths, pi_next, basis, t, ds_mean="model"):
     """The shared hedge step with no tilt, as ``solve_local_risk`` runs it:
     Pi_{t+1} centered on its conditional mean, dS_t on the model-implied
     one or, under ``ds_mean="regression"``, on its regression."""
     return hedge_step(basis.evaluate(paths.x_paths[:, t]), paths, t, pi_next,
-                      ds_mean=ds_mean)[1]
+                      paths.delta_s(t), ds_mean=ds_mean)[1]
 
 
 class TestLocalRiskHedge:

@@ -29,6 +29,7 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
 from qhedge import basis as basis_module
 from qhedge import csvio, fqi, regression
 from qhedge.basis import KINDS, quantiles
+from qhedge.cli import POLICIES, ExperimentConfig, _strategy
 from qhedge.csvio import format_value, write_table
 from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, hedge_step
@@ -88,6 +89,44 @@ def test_local_risk_rollout_is_its_own_replication(params, n_paths, seed, kind):
     roll = rollout_portfolio(paths, HedgeStrategy.from_coefficients(basis, coeffs),
                              contract, RiskParams(1e-3))
     assert np.array_equal(roll.pi, pi)
+
+
+def whole_panel_b_and_r(paths, roll, contract, risk):
+    """The bank account and rewards as whole panels, built a step at a time
+    with each step's centers taken on its columns: the reference the
+    rollout's row functions must equal bit for bit."""
+    u, pi, gamma = roll.actions, roll.pi, paths.params.gamma
+    b, r = np.empty_like(pi), np.empty_like(pi)
+    for t in range(paths.n_steps + 1):
+        b[:, t] = pi[:, t] - u[:, t] * paths.s(t)
+    for t in range(paths.n_steps):
+        ds = paths.delta_s(t)
+        r[:, t] = _reward(u[:, t], ds, pi[:, t + 1], risk, gamma,
+                          pi_center=pi[:, t + 1].mean(), ds_center=ds.mean())
+    payoff = terminal_payoff(paths.s(paths.n_steps), contract)
+    r[:, -1] = -risk.lam * (payoff - payoff.mean()) ** 2
+    return b, r
+
+
+@PROPERTY
+@given(params=markets, n_paths=st.integers(100, 300), seed=seeds, kind=kinds,
+       lam=st.floats(1e-4, 1.0), policy=st.sampled_from(POLICIES), data=st.data())
+def test_row_functions_are_the_whole_panels(params, n_paths, seed, kind, lam, policy, data):
+    """For every rollout policy, the bank account and the rewards derived
+    over any slice of rows, and the whole panels built from them, are
+    those rows of the panels built a step at a time, bit for bit."""
+    paths = simulate_gbm(params, n_paths, seed)
+    cfg = ExperimentConfig.load(None, {"contract.kind": kind, "risk.lambda": repr(lam),
+                                       "rollout.constant": "0.7", "basis.m": "8",
+                                       "mc.seed": str(seed)})
+    strategy = _strategy(cfg, paths, cfg.basis_for(paths), policy)
+    roll = rollout_portfolio(paths, strategy, cfg.contract(), cfg.risk())
+    b, r = whole_panel_b_and_r(paths, roll, cfg.contract(), cfg.risk())
+    rows = data.draw(st.slices(n_paths))
+    assert roll.b_rows(rows).tobytes() == b[rows].tobytes()
+    assert roll.r_rows(rows).tobytes() == r[rows].tobytes()
+    assert roll.b_account.tobytes() == b.tobytes()
+    assert roll.rewards.tobytes() == r.tobytes()
 
 
 def scaled_dp(c, mu, sigma, r, n_steps, lam, kind, moneyness, seed):
@@ -246,7 +285,8 @@ def two_pass_rewards(paths, actions, contract, risk, basis):
     for t in range(paths.n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
-        (ds, ds_c, pi_c, gain), _ = hedge_step(design, paths, t, pi_next)
+        ds = paths.delta_s(t)
+        (ds_c, pi_c, gain), _ = hedge_step(design, paths, t, pi_next, ds)
         rewards[t] = _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
                              pi_center=pi_c, ds_center=ds_c, gain=gain)
     return rewards.T
@@ -488,20 +528,20 @@ BENCH_ROWS = 25  # records in a row of a 24-step panel
 @given(seed=seeds, n_paths=st.integers(1, 60), n_cols=st.integers(1, 9),
        block=st.integers(1, 80), n_cpus=st.sampled_from([1, 2]),
        split_records=st.sampled_from([1, 7]))
-@example(seed=1, n_paths=1, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=1, split_records=1)
+@example(seed=1, n_paths=1, n_cols=BENCH_ROWS, block=1 << 15, n_cpus=1, split_records=1)
 @example(seed=2, n_paths=1, n_cols=3, block=2, n_cpus=2, split_records=1)
 # above _SPLIT_RECORDS records, in a path count that is no multiple of a block's
-# 327 paths: one process, then two (the table holds twice _SPLIT_RECORDS)
-@example(seed=3, n_paths=1400, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=1,
+# 262 paths: one process, then two (the table holds twice _SPLIT_RECORDS)
+@example(seed=3, n_paths=1400, n_cols=BENCH_ROWS, block=1 << 15, n_cpus=1,
          split_records=1 << 15)
-@example(seed=4, n_paths=2700, n_cols=BENCH_ROWS, block=1 << 13, n_cpus=2,
+@example(seed=4, n_paths=2700, n_cols=BENCH_ROWS, block=1 << 15, n_cpus=2,
          split_records=1 << 15)
 def test_row_functions_write_the_arrays_bytes(seed, n_paths, n_cols, block, n_cpus,
                                               split_records):
     """write_table writes the same bytes from an array as from a function of
     a slice of its rows, with an array beside it or with every axis
     labelled, on one process or two; the function is asked for whole rows,
-    at most a block's records' worth (at least one row) at a time, each row
+    at most a block's values' worth (at least one row) at a time, each row
     once, in order."""
     rng = np.random.default_rng(seed)
     shape = (n_paths, n_cols)
@@ -524,7 +564,7 @@ def test_row_functions_write_the_arrays_bytes(seed, n_paths, n_cols, block, n_cp
               "functions": (labels, {name: rows_of(v) for name, v in values.items()})}
     written = {}
     with (tempfile.TemporaryDirectory() as tmp,
-          mock.patch.object(csvio, "_BLOCK", block),
+          mock.patch.object(csvio, "_WRITE_VALUES", block),
           mock.patch.object(csvio, "_SPLIT_RECORDS", split_records),
           mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
         for name, (axes, table) in tables.items():
@@ -532,12 +572,37 @@ def test_row_functions_write_the_arrays_bytes(seed, n_paths, n_cols, block, n_cp
             write_table(Path(tmp) / f"{name}.csv", axes, table)
             written[name] = (Path(tmp) / f"{name}.csv").read_bytes()
             if name == "functions" and n_cpus == 1:  # a worker's requests are its own
-                per_block = max(1, block // n_cols)
+                per_block = max(1, block // 5 // n_cols)  # 5 columns: path, t, x, k, tiny
                 starts = [r.start for r in asked[::3]]
                 assert starts == list(range(0, n_paths, per_block))
                 assert all(r.stop == min(r.start + per_block, n_paths) for r in asked)
     assert written["mixed"] == written["arrays"]
     assert written["functions"] == written["labelled_arrays"]
+
+
+@PROPERTY
+@given(seed=seeds, n_paths=st.integers(1, 40), n_cols=st.integers(1, 9),
+       n_cpus=st.sampled_from([1, 2]))
+def test_write_block_size_changes_no_byte(seed, n_paths, n_cols, n_cpus):
+    """write_table writes the same bytes in blocks of one value (so one row
+    at a time), of 7 values and of its own size, from arrays and from row
+    functions alike, on one process or two."""
+    rng = np.random.default_rng(seed)
+    shape = (n_paths, n_cols)
+    values = {"x": rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape),
+              "k": rng.integers(-10**6, 10**6, shape)}
+    tables = [values, {name: v.__getitem__ for name, v in values.items()}]
+    labels = {"path": np.arange(n_paths), "t": np.arange(n_cols)}
+    written = set()
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(csvio, "_SPLIT_RECORDS", 1),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
+        for block in (1, 7, csvio._WRITE_VALUES):
+            with mock.patch.object(csvio, "_WRITE_VALUES", block):
+                for table in tables:
+                    write_table(Path(tmp) / "table.csv", labels, table)
+                    written.add((Path(tmp) / "table.csv").read_bytes())
+    assert len(written) == 1
 
 
 @PROPERTY
@@ -736,7 +801,7 @@ def discretize_three_loops(paths, contract, risk, n_x, n_a, action_range):
         ds = snapped.delta_s(t)
         ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
 
-    def bucket_hedge(t, pi_next):
+    def bucket_hedge(t, pi_next, _):
         ix = idx[:, t]
         pi_dev = pi_next - _bucket_means(ix, pi_next, n_xe)[ix]
         num = _bucket_means(ix, pi_dev * ds_dev[:, t], n_xe)

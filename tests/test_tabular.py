@@ -6,6 +6,7 @@ import pytest
 from qhedge import (DiscreteMDP, MarketParams, OptionContract, RiskParams,
                     discretize, ensemble_from_prices, exact_backward_induction,
                     q_learn, simulate_gbm)
+from qhedge.tabular import _SnappedPrices
 from tests.test_market import traced
 
 PUT = OptionContract("put", 100.0)
@@ -109,6 +110,17 @@ class TestDiscretize:
         discretize(gbm(n_paths=100), deep_itm, risk, 21, 5, (-1.3, 0.1))  # lazy set-up
         _, peak = traced(lambda: discretize(paths, deep_itm, risk, 21, 5, (-1.3, 0.1)))
         assert peak / (paths.s_paths.size * 8) < 1.5
+
+    def test_each_increment_derives_its_snapped_prices_once(self, monkeypatch):
+        """discretize's rollout derives each step's increments dS_t once, for
+        its hedge rule and its Pi step alike: S_T's snapped prices for the
+        payoff, then S_(t+1) and S_t at each step (49 derivations at 12
+        steps when each took its own)."""
+        calls = []
+        s = _SnappedPrices.s
+        monkeypatch.setattr(_SnappedPrices, "s", lambda self, t: calls.append(t) or s(self, t))
+        discretize(gbm(n_paths=500, n_steps=12), PUT, RiskParams(1e-3), 21, 5, (-1.3, 0.1))
+        assert calls == [12, *(u for t in range(11, -1, -1) for u in (t + 1, t))]
 
     def test_rejects_bad_sizes(self):
         paths = gbm(n_paths=100)
