@@ -68,11 +68,11 @@ def solve_dp(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     q_next = design @ value_coeffs[n_steps]
     del design  # not held through the steps
 
-    def hedge(t, pi, ds):
+    def hedge(t, pi, ds, s):
         """Optimal action at step t, then the Q fit to R_t + gamma Q_{t+1}."""
         nonlocal q_next
         design = basis.evaluate(paths.x(t))
-        (ds_c, pi_c, gain), hedge_coeffs[t] = hedge_step(design, paths, t, pi, ds, risk,
+        (ds_c, pi_c, gain), hedge_coeffs[t] = hedge_step(design, paths, t, pi, ds, s, risk,
                                                          ds_mean)
         a = design @ hedge_coeffs[t]
 

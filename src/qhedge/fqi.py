@@ -7,15 +7,16 @@ by a 3 x M matrix W acting on (1, a, a^2/2) and the state basis:
 
 Each backward step solves one least-squares problem in the 3M stacked
 features, made a block of rows at a time from the step's design, so no
-(n, 3M) array exists.  The max over next actions inside the target is
-evaluated at an action estimated independently of the W-fit being
-maximized: the closed-form action of ``dp.solve_dp``, the one hedge step
-``portfolio.hedge_step`` tilted by the risk-return drift, on the
-portfolio the recorded actions roll back.  Maximizing the same fitted
-parabola on the same sample would bias Q upward through the convexity of
-the max.  The price is -Q_0 at that action, which is the hedge: the price
-and the hedge are read out of one fit.  The terminal fit is
-``dp.terminal_fit``.
+(n, 3M) array exists; the steps are the hedge rule of
+``portfolio._replicate``, which rolls the portfolio back on the recorded
+actions.  The max over next actions inside the target is evaluated at an
+action estimated independently of the W-fit being maximized: the
+closed-form action of ``dp.solve_dp``, the one hedge step
+``portfolio.hedge_step`` tilted by the risk-return drift, on that
+portfolio.  Maximizing the same fitted parabola on the same sample would
+bias Q upward through the convexity of the max.  The price is -Q_0 at
+that action, which is the hedge: the price and the hedge are read out of
+one fit.  The terminal fit is ``dp.terminal_fit``.
 """
 
 import copy
@@ -28,15 +29,15 @@ from .csvio import (OutOfOrder, PanelSink, leads_in_order, read_columns, scatter
 from .dp import terminal_fit
 from .errors import DataFormatError, DegenerateInputError, require_finite
 from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
-from .portfolio import RiskParams, _pi_step, _replicate, _reward, hedge_step
+from .portfolio import RiskParams, _replicate, _reward, hedge_step
 from .regression import least_squares
 
 
-# header key -> type; n_paths, s0 and the contract keys may be absent
+# header key -> type; _OPTIONAL_KEYS may be absent (no seed: a seedless ensemble)
 _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": float,
                 "lambda": float, "seed": int, "n_paths": int, "s0": float,
                 "contract_kind": str, "contract_strike": float}
-_OPTIONAL_KEYS = ("n_paths", "s0", "contract_kind", "contract_strike")
+_OPTIONAL_KEYS = ("seed", "n_paths", "s0", "contract_kind", "contract_strike")
 # a dataset file's columns, in order: a record per path and t in [0, n_steps],
 # the one at t = n_steps holding the terminal state with a and r 0
 _RECORD_COLUMNS = ("path", "t", "x", "a", "r")
@@ -79,8 +80,8 @@ class TransitionDataset:
     def from_records(cls, path_ids, t, x, a, r, header: dict, source="records"):
         """The dataset of flat (path, t, x, a, r) records in any order, as a
         file holds them, under ``header``, the file's items as a dict:
-        ``n_steps``, ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, ``seed``,
-        optionally ``n_paths`` (checked against the records), ``s0``,
+        ``n_steps``, ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, optionally
+        ``seed``, ``n_paths`` (checked against the records), ``s0``,
         ``contract_kind`` and ``contract_strike``, then extras.  The records
         must form one panel: a record per path and t in [0, n_steps], with
         a = r = 0 at t = n_steps.  The states are kept exactly, and the
@@ -118,7 +119,7 @@ class TransitionDataset:
             field = str(exc).split()[0]
             raise DataFormatError(f"{source}: bad header value for "
                                   f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
-        paths = PathEnsemble(None, x_paths, params, seed=v["seed"])
+        paths = PathEnsemble(None, x_paths, params, seed=v.get("seed"))
         try:
             return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
                        {k: val for k, val in header.items() if k not in _HEADER_KEYS})
@@ -173,9 +174,9 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
     pi_reference : ndarray, optional
         Portfolio values as an (n, n_steps+1) panel, such as
         ``solve_local_risk(...)[1]``, in the dataset's path order.  When
-        omitted it is rolled backward from the recorded actions on the
-        price panel, a step ahead of the fits, so that only Pi_(t+1) and
-        Pi_t are held.  The max-term action at each step is the tilted
+        omitted it is the portfolio the recorded actions roll back, whose
+        Pi_(t+1) ``portfolio._replicate`` hands step t's fits before it
+        takes the step.  The max-term action at each step is the tilted
         ``portfolio.hedge_step`` on these values, as in ``dp.solve_dp``;
         ``hedge0`` is the same action at t = 0.
     ds_mean : {"model", "regression"}
@@ -195,55 +196,47 @@ def fqi_backward(dataset: TransitionDataset, basis, *, pi_reference=None,
         _check_shape("pi_reference", pi_reference, paths.n_paths, n_steps + 1)
 
     payoff = terminal_payoff(paths.s(n_steps), contract)
-    gamma = paths.params.gamma
-    rolled = payoff if pi_reference is None else None  # Pi_(t+1)
-
     design_term = basis.evaluate(paths.x(n_steps))
     term_coeffs = terminal_fit(design_term, payoff, risk.lam)
+    v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
+    del design_term  # not held through the steps
 
     weights = [None] * n_steps
     action_coeffs = [None] * n_steps
     warnings = []
     lam_note = f"risk.lambda = {risk.lam:g}"
+    phi_med = None  # step 0's median design row, for the read-out
 
-    v_cache = design_term @ term_coeffs  # max_a Q_{t+1}(x_{t+1})
-    del design_term  # not held through the steps
-    for t in range(n_steps - 1, -1, -1):
-        ds = paths.delta_s(t)
-        if rolled is not None:
-            pi_next, rolled = rolled, _pi_step(paths, t, rolled, dataset.a[:, t], ds)
-        else:
+    def hedge(t, pi_next, ds, s):
+        """Step t's Q fit, concavity probe and analytic action, then max_a
+        Q_t for step t-1's targets; the portfolio rolls on the recorded action."""
+        nonlocal v_cache, phi_med
+        if pi_reference is not None:
             pi_next = np.ascontiguousarray(pi_reference[:, t + 1], dtype=float)
-        x_t = paths.x(t)
-        targets = require_finite(lambda: dataset.r[:, t] + gamma * v_cache,
+        x_t, a_t = paths.x(t), dataset.a[:, t]
+        targets = require_finite(lambda: dataset.r[:, t] + paths.params.gamma * v_cache,
                                  "FQI target R_t + gamma max_a Q_(t+1)", t, lam_note)
-
-        design_t, a_t = basis.evaluate(x_t), dataset.a[:, t]
-        wvec = least_squares(lambda s: build_features(design_t[s], a_t[s], t), targets,
-                             what=f"FQI weights at step {t}")
-        w = _weights_from_vec(wvec)
-        weights[t] = w
+        design = basis.evaluate(x_t)
+        weights[t] = w = _weights_from_vec(least_squares(
+            lambda rows: build_features(design[rows], a_t[rows], t), targets,
+            what=f"FQI weights at step {t}"))
 
         phi_med = basis.evaluate([float(np.median(x_t))])
-        u_med = phi_med @ w.T
-        if u_med[0, 2] >= 0:
-            warnings.append(
-                f"step {t}: fitted Q not concave in the action at the median "
-                f"state (quadratic coefficient {u_med[0, 2]:.3e})"
-            )
+        if (q2 := (phi_med @ w.T)[0, 2]) >= 0:
+            warnings.append(f"step {t}: fitted Q not concave in the action at the median "
+                            f"state (quadratic coefficient {q2:.3e})")
 
-        # the step's centered values are dropped at once, not held through
-        # step t-1's design and fits
-        action_coeffs[t] = hedge_step(design_t, paths, t, pi_next, ds, risk, ds_mean)[1]
+        action_coeffs[t] = hedge_step(design, paths, t, pi_next, ds, s, risk, ds_mean)[1]
         if t > 0:  # max_a Q_t at x_t, the previous step's next states
-            a_star = design_t @ action_coeffs[t]
-            _check_one_action(dataset.a[:, t], a_star, t)
-            u = design_t @ w.T
+            a_star = design @ action_coeffs[t]
+            _check_one_action(a_t, a_star, t)
+            u = design @ w.T
             v_cache = require_finite(  # past the doubles, so is step t-1's target
                 lambda: u[:, 0] + a_star * u[:, 1] + 0.5 * a_star**2 * u[:, 2],
                 "FQI target R_t + gamma max_a Q_(t+1)", t - 1, lam_note)
-            del u, a_star
-        del design_t  # free before step t-1's is evaluated
+        return a_t
+
+    _replicate(paths, payoff, hedge)
 
     # read out at the start state every path records, which is then the
     # t = 0 median row; the mean of equal values can be an ulp off them
@@ -305,9 +298,9 @@ def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
     def rewards():  # stored by step, so that the first bad row names its step
         out = np.zeros((n_steps + 1, n))
 
-        def hedge(t, pi_next, ds):
+        def hedge(t, pi_next, ds, s):
             design = basis.evaluate(paths.x(t))
-            (ds_c, pi_c, gain), coeffs = hedge_step(design, paths, t, pi_next, ds)
+            (ds_c, pi_c, gain), coeffs = hedge_step(design, paths, t, pi_next, ds, s)
             u = design @ coeffs
             if record_hedge:
                 actions[:, t] = u
@@ -345,6 +338,7 @@ def write_dataset_csv(dataset: TransitionDataset, path):
     formatted from the stored panels a block of paths at a time: the
     states are ``PathEnsemble.x_rows``, so no derived panel is built."""
     paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
+    seed = {} if paths.seed is None else {"seed": paths.seed}
     items = {"s0": p.s0, **dataset.extras}
     if c is not None:
         items.update(contract_kind=c.kind, contract_strike=c.strike)
@@ -355,7 +349,7 @@ def write_dataset_csv(dataset: TransitionDataset, path):
                 {"x": paths.x_rows, **{k: with_expiry(v) for k, v in dataset._given.items()}},
                 {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
                  "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
-                 "seed": paths.seed, **dict(sorted(items.items()))})
+                 **seed, **dict(sorted(items.items()))})
 
 
 def _typed_header(source, header):

@@ -184,17 +184,14 @@ class PathEnsemble:
         return out
 
     def delta_s(self, t: int) -> np.ndarray:
-        """Discount-adjusted one-step increment S_{t+1} - e^{r dt} S_t."""
-        p = self.params
-        return self.s(t + 1) - np.exp(p.r * p.dt) * self.s(t)
+        """Step t's ``price_increment``."""
+        return price_increment(self.s(t + 1), self.s(t), self.params)
 
-    def delta_s_mean(self, t: int) -> np.ndarray:
-        """Model-implied conditional mean of delta_s given time-t prices.
 
-        Equals S_t (e^{mu dt} - e^{r dt}); identically zero when mu == r.
-        """
-        p = self.params
-        return self.s(t) * (np.exp(p.mu * p.dt) - np.exp(p.r * p.dt))
+def price_increment(s_next, s, params: MarketParams):
+    """Discount-adjusted one-step increment S_{t+1} - e^{r dt} S_t of the
+    prices ``s`` and the next step's ``s_next`` (any matching shapes)."""
+    return s_next - np.exp(params.r * params.dt) * s
 
 
 def _positive_finite(s) -> bool:

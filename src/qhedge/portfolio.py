@@ -6,17 +6,18 @@ terminal condition Pi_T = B_T = payoff with u_T = 0.  Self-financing makes
     Pi_t = e^{-r dt} (Pi_{t+1} - u_t dS_t),   dS_t = S_{t+1} - e^{r dt} S_t,
 
 so uncertainty about the future propagates to today path by path, and the
-bank account B_t = Pi_t - u_t S_t follows from it.  Every
-solver runs that recursion through one function, ``_replicate``, which
-derives each step's dS_t once and hands it to the solver's hedge rule
-and to ``_pi_step``, and takes each hedge step through one function,
-``hedge_step``, which centers the step and fits its hedge: untilted in
-the risk-minimizing pass (``solve_local_risk`` and
-``fqi.dataset_rewards``), tilted by the risk-return drift in
-``dp.solve_dp`` and ``fqi.fqi_backward``.  A rollout keeps only Pi and
-the actions: B and the one-step rewards are fixed by them, and are
-derived a block of paths at a time (``PortfolioRollout.b_rows`` and
-``r_rows``), so no whole panel of either is made to check or write them.
+bank account B_t = Pi_t - u_t S_t follows from it.  Every solver, fitted
+Q-iteration too, runs that recursion through one function,
+``_replicate``, which derives each step's prices S_t once, forms dS_t
+from them and the next step's, and hands both to the solver's hedge
+rule.  Each hedge step goes through one function, ``hedge_step``, which
+centers the step and fits its hedge: untilted in the risk-minimizing
+pass (``solve_local_risk`` and ``fqi.dataset_rewards``), tilted by the
+risk-return drift in ``dp.solve_dp`` and ``fqi.fqi_backward``.  A
+rollout keeps only Pi and the actions: B and the one-step rewards are
+fixed by them, and are derived a block of paths at a time
+(``PortfolioRollout.b_rows`` and ``r_rows``), so no whole panel of
+either is made to check or write them.
 On top of the rollout the module provides the risk-adjusted one-step
 reward (a quadratic in the action), signed-measure reweighting and the
 variance-loaded ask price.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, require_finite
-from .market import OptionContract, PathEnsemble, terminal_payoff
+from .market import OptionContract, PathEnsemble, price_increment, terminal_payoff
 from .regression import conditional_mean, conditional_variance, least_squares
 
 
@@ -127,7 +128,7 @@ class PortfolioRollout:
         p, lam = self._paths.params, self._risk.lam
         s, pi = self._paths.s_rows(rows), self.pi[rows]
         out = np.empty(pi.shape)
-        ds = s[:, 1:] - np.exp(p.r * p.dt) * s[:, :-1]  # delta_s of every step
+        ds = price_increment(s[:, 1:], s[:, :-1], p)  # of every step
         out[:, :-1] = _reward(self.actions[rows][:, :-1], ds, pi[:, 1:], self._risk, p.gamma,
                               pi_center=self._pi_centers, ds_center=self._ds_centers)
         out[:, -1] = -lam * (pi[:, -1] - self._pi_centers[-1]) ** 2
@@ -155,22 +156,24 @@ def _replicate(paths: PathEnsemble, payoff, hedge, out=None):
 
         Pi_T = payoff,   Pi_t = gamma (Pi_{t+1} - u_t dS_t),   t = T-1 .. 0,
 
-    with the steps, the discount gamma and the increments dS_t of the
-    ensemble ``paths``, where the hedge rule ``hedge(t, pi_next, ds)``
-    chooses u_t from Pi_{t+1} and dS_t (recording whatever fits it makes
-    on the way), and ``_pi_step`` takes the step on the same dS_t, which
-    is derived once per step.  Only Pi_{t+1} and Pi_t are held at step
-    t; a caller that needs the panel passes ``out``, an (n_paths,
+    with the steps, the discount gamma and the prices of the ensemble
+    ``paths``, where the hedge rule ``hedge(t, pi_next, ds, s)`` chooses
+    u_t from Pi_{t+1}, dS_t and S_t (recording whatever fits it makes on
+    the way), and ``_pi_step`` takes the step on the same dS_t.  Each
+    step's S_t is derived once (S_T once more than the caller's payoff)
+    and kept as the next step's S_{t+1}.  Only Pi_{t+1} and Pi_t are held
+    at step t; a caller that needs the panel passes ``out``, an (n_paths,
     n_steps+1) array that receives Pi_t in column t, and is returned.
     Raises SingularSystemError at the first step whose Pi leaves the
     finite doubles.
     """
-    pi = payoff
+    pi, s_next = payoff, paths.s(paths.n_steps)
     if out is not None:
         out[:, -1] = payoff
     for t in range(paths.n_steps - 1, -1, -1):
-        ds = paths.delta_s(t)
-        pi = _pi_step(paths, t, pi, hedge(t, pi, ds), ds)
+        s = paths.s(t)
+        ds, s_next = price_increment(s_next, s, paths.params), s
+        pi = _pi_step(paths, t, pi, hedge(t, pi, ds, s), ds)
         if out is not None:  # the next step reads Pi_t from the panel: its array goes
             out[:, t] = pi
             pi = out[:, t]
@@ -198,7 +201,7 @@ def rollout_portfolio(paths: PathEnsemble, strategy: HedgeStrategy,
     u = strategy.actions(paths)
     centers = np.empty((2, paths.n_steps))  # per step: mean Pi_(t+1), mean dS_t
 
-    def hedge(t, pi_next, ds):
+    def hedge(t, pi_next, ds, _):
         with np.errstate(over="ignore", invalid="ignore"):  # a center past the doubles
             centers[:, t] = pi_next.mean(), ds.mean()      # leaves R non-finite: refused
         return u[:, t]
@@ -240,10 +243,10 @@ def _reward(a, delta_s, pi_next, risk: RiskParams, gamma: float, **centers):
     return c0 + c1 * a + c2 * a**2
 
 
-def hedge_step(design, paths: PathEnsemble, t: int, pi_next, ds, risk: RiskParams = None,
+def hedge_step(design, paths: PathEnsemble, t: int, pi_next, ds, s, risk: RiskParams = None,
                ds_mean="model"):
     """The one hedge step t of the regression solvers, on the step-t design
-    rows Phi and the step's increments dS_t, ``ds``.
+    rows Phi, the step's increments dS_t, ``ds``, and its prices S_t, ``s``.
     Returns ((ds_center, pi_center, gain), c): the center of dS_t, the
     center of Pi_{t+1} (always its regression on ``design``), the reward's
     gain, and the coefficients c of the ridge system
@@ -261,9 +264,10 @@ def hedge_step(design, paths: PathEnsemble, t: int, pi_next, ds, risk: RiskParam
     past the doubles raises SingularSystemError naming risk.lambda."""
     if ds_mean not in ("model", "regression"):
         raise ValueError(f"unknown ds_mean {ds_mean!r}")
+    p = paths.params
     pi_center = conditional_mean(design, pi_next)
     if ds_mean == "model":
-        ds_center = drift = paths.delta_s_mean(t)
+        ds_center = drift = s * (np.exp(p.mu * p.dt) - np.exp(p.r * p.dt))
     else:
         ds_center, drift = conditional_mean(design, ds), 0.0
     ds_dev = ds - ds_center
@@ -274,7 +278,7 @@ def hedge_step(design, paths: PathEnsemble, t: int, pi_next, ds, risk: RiskParam
                                        "hedge undefined")
         target = (pi_next - pi_center) * ds_dev
     else:
-        pi_dev, gamma = pi_next - pi_center, paths.params.gamma
+        pi_dev, gamma = pi_next - pi_center, p.gamma
         tilt = require_finite(lambda: drift / (2.0 * gamma * risk.lam),
                               "risk-return tilt drift / (2 gamma lambda)", t,
                               f"risk.lambda = {risk.lam:g}, gamma = {gamma:.6g}")
@@ -293,9 +297,9 @@ def solve_local_risk(paths: PathEnsemble, contract: OptionContract, basis):
     """
     coeffs = [None] * paths.n_steps
 
-    def hedge(t, pi_next, ds):
+    def hedge(t, pi_next, ds, s):
         design = basis.evaluate(paths.x(t))
-        coeffs[t] = hedge_step(design, paths, t, pi_next, ds)[1]
+        coeffs[t] = hedge_step(design, paths, t, pi_next, ds, s)[1]
         return design @ coeffs[t]
 
     pi = _replicate(paths, terminal_payoff(paths.s(paths.n_steps), contract), hedge,

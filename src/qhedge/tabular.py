@@ -10,8 +10,8 @@ the quantization drift to the edge of the action grid.  One backward pass
 of the replicating rollout builds every step's rewards and transitions.
 The states are indexed once, into one panel of the narrowest unsigned
 integer type that holds a state (uint8 up to 256 states), and each
-step's snapped prices are derived from its row when the pass reaches
-it, so no snapped panel is built beside the ensemble's own.
+step's snapped prices are derived once from its row, when the pass
+reaches it, so no snapped panel is built beside the ensemble's own.
 
 On a chain, exact backward induction over the action grid is cheap and
 serves as the convergence oracle for online Q-learning, which runs one
@@ -99,9 +99,8 @@ class DiscreteMDP:
 class _SnappedPrices:
     """The prices of ``DiscreteMDP.snapped_ensemble``, step t's derived from
     row t of the chain's index when asked for, bit for bit the snapped
-    ensemble's: what ``_replicate`` reads of an ensemble, with no panel."""
-
-    delta_s = PathEnsemble.delta_s
+    ensemble's: what ``_replicate`` reads of an ensemble, each step's S_t
+    once (it forms dS_t from them), with no panel."""
 
     def __init__(self, centers, idx, params):
         self.centers, self.idx, self.params = centers, idx, params
@@ -173,7 +172,7 @@ def discretize(paths: PathEnsemble, contract: OptionContract, risk: RiskParams,
     payoff = terminal_payoff(snapped.s(n_steps), contract)
     counts, sums = np.empty((n_steps, n_xe, n_xe)), np.empty((n_steps, n_xe, n_xe, 3))
 
-    def hedge(t, pi_next, ds):
+    def hedge(t, pi_next, ds, _):
         """Step t's reward-parabola sums and counts per (i, j) cell, then its
         per-bucket risk-minimizing hedge Cov(Pi_{t+1}, dS_t) / Var(dS_t), on
         dS_t centered per bucket (the martingale-enforced increment)."""

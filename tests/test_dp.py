@@ -8,7 +8,7 @@ from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
                     reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff)
 from qhedge.errors import SingularSystemError
-from qhedge.regression import conditional_variance, least_squares
+from qhedge.regression import RIDGE_SCALE, conditional_variance, least_squares
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 from tests.test_portfolio import local_risk_fit
 
@@ -109,11 +109,16 @@ class TestOptimalQCoeffs:
         return least_squares(design, targets)
 
     def test_constant_target_on_indicators(self):
+        """The Gram of indicators is diag(c), c a bucket's sample count, and
+        its trace is n, so each occupied bucket solves (c + eps) w = 4.2 c
+        with the ridge eps = RIDGE_SCALE n / m: w = 4.2 c / (c + eps), a
+        sparse bucket's as exactly as a full one's."""
         paths = gbm(n_paths=500, seed=1)
         basis = build_basis("one_hot_grid", 5, paths.x_paths.ravel())
         coeffs = self.q_fit(paths, np.full(500, 4.2), basis, 2)
-        occupied = basis.evaluate(paths.x_paths[:, 2]).sum(axis=0) > 0
-        np.testing.assert_allclose(coeffs[occupied], 4.2, rtol=1e-7)
+        counts = basis.evaluate(paths.x_paths[:, 2]).sum(axis=0)
+        c, eps = counts[counts > 0], RIDGE_SCALE * 500 / counts.size
+        np.testing.assert_allclose(coeffs[counts > 0], 4.2 * c / (c + eps), rtol=1e-12)
 
     def test_two_bucket_hand_means(self):
         prices = np.array([[100.0, 104.0], [100.0, 97.0],

@@ -12,9 +12,9 @@ import pytest
 from qhedge import (BasisSet, FQISolution, MarketParams,
                     OptionContract, RiskParams, TransitionDataset,
                     build_basis, build_dataset, build_features,
-                    dataset_rewards, extract_price_hedge, fqi_backward,
-                    read_dataset_csv, simulate_gbm, solve_dp, solve_local_risk,
-                    terminal_payoff, write_dataset_csv)
+                    dataset_rewards, ensemble_from_prices, extract_price_hedge,
+                    fqi_backward, read_dataset_csv, simulate_gbm, solve_dp,
+                    solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
 from qhedge import csvio, fqi
 from qhedge.csvio import write_table
@@ -239,8 +239,9 @@ class TestAgainstDP:
 
 
 class TestRolledReference:
-    """Without ``pi_reference`` the recorded actions are rolled backward a
-    step ahead of the fits, which read Pi_(t+1) at step t."""
+    """Without ``pi_reference`` the recorded actions are rolled backward by
+    ``_replicate``, whose hedge rule the fits are: they read Pi_(t+1) at
+    step t."""
 
     def test_equals_the_rolled_panel_and_holds_no_panel(self):
         """At the benchmark's model-free shape (random actions) the default
@@ -272,10 +273,10 @@ class TestRolledReference:
                        for a, b in zip(getattr(sol, name), getattr(ref, name), strict=True))
 
     def test_pi_past_the_doubles_raises_at_its_step(self):
-        """Recorded actions of 1e308 at step 2 take Pi_2 past the doubles.
-        The roll raises "portfolio value Pi not finite at step 2" after the
-        fits of steps 5 to 3, before any fit of step 2, so the error is the
-        one of rolling the whole panel first."""
+        """Recorded actions of 1e308 at step 2 would take Pi_2 past the
+        doubles, but step 2's fits run before its roll: after the fits of
+        steps 5 to 3, step 2's feature a^2/2 of those actions is refused,
+        naming the cause at its step."""
         paths = gbm(n_paths=300, seed=5, mu=0.05, sigma=0.2, n_steps=6)
         rng = np.random.default_rng(1)
         actions = rng.uniform(-1.5, 1.5, (300, 6))
@@ -284,7 +285,8 @@ class TestRolledReference:
                                1e-3, PUT)
         basis = build_basis("bspline", 8, paths.x_paths.ravel())
         with pytest.raises(SingularSystemError,
-                           match=r"^portfolio value Pi not finite at step 2$"):
+                           match=r"^FQI feature a\^2/2 of the recorded actions not finite "
+                                 r"at step 2$"):
             fqi_backward(ds, basis)
 
     def test_gram_past_the_doubles_names_the_fit(self):
@@ -406,6 +408,23 @@ class TestDatasetIO:
             (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
         assert (back.risk.lam, back.paths.seed) == (ds.risk.lam, ds.paths.seed)
         assert (back.contract, back.extras) == (PUT, {"policy": "random"})
+
+    def test_seedless_ensemble_roundtrips(self, tmp_path):
+        """A dataset on an ensemble of given prices has no seed: its file
+        carries no seed line, and reads back seedless."""
+        sim = gbm(n_paths=60, seed=1, n_steps=4)
+        paths = ensemble_from_prices(sim.s_paths, sim.params)
+        rng = np.random.default_rng(0)
+        ds = TransitionDataset(np.arange(60), paths, rng.uniform(-1, 1, (60, 4)),
+                               rng.standard_normal((60, 4)), 1e-3, PUT)
+        f = tmp_path / "data.csv"
+        write_dataset_csv(ds, f)
+        assert not any(line.startswith("# seed=") for line in f.read_text().splitlines())
+        back = read_dataset_csv(f)
+        assert back.paths.seed is None
+        assert np.array_equal(back.paths.x_paths, ds.paths.x_paths)
+        assert np.array_equal(back.a, ds.a)
+        assert np.array_equal(back.r, ds.r)
 
     def test_table_writer_gathers_records_by_block(self, tmp_path, monkeypatch):
         """write_table gathers and formats each block of records from the

@@ -30,3 +30,13 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_one_module_steps_the_portfolio():
+    """The self-financing step Pi_t = gamma (Pi_(t+1) - u_t dS_t) is taken
+    only by ``portfolio._replicate``: no other module of the package names
+    ``_pi_step``, so every solver rolls its portfolio through that one
+    recursion."""
+    steppers = [path.name for path in sorted(Path(qhedge.__file__).parent.glob("*.py"))
+                if "_pi_step" in path.read_text()]
+    assert steppers == ["portfolio.py"]

@@ -5,9 +5,9 @@ import pytest
 
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, PathEnsemble, RiskParams,
                     ask_price, build_basis, build_dataset, dataset_rewards,
-                    ensemble_from_prices, fqi_backward, rollout_portfolio,
-                    signed_measure_weights, simulate_gbm, solve_dp, solve_local_risk,
-                    terminal_payoff)
+                    ensemble_from_prices, fqi_backward, read_dataset_csv,
+                    rollout_portfolio, signed_measure_weights, simulate_gbm, solve_dp,
+                    solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge.errors import DegenerateInputError
 from qhedge.portfolio import hedge_step
 
@@ -110,25 +110,32 @@ class TestRollout:
 
 
 @pytest.mark.parametrize("solver", ["rollout", "local_risk", "dp", "dataset_rewards", "fqi"])
-def test_each_pass_derives_each_increment_once(monkeypatch, solver):
-    """Every backward pass derives step t's increments dS_t once, and its
-    hedge step and its Pi step share them."""
-    paths, risk = gbm(n_paths=400), RiskParams(1e-3)
-    basis = build_basis("bspline", 8, paths.x_paths.ravel())
-    actions = np.random.default_rng(1).uniform(-1, 1, (400, paths.n_steps))
-    dataset = build_dataset(paths, actions, dataset_rewards(paths, actions, PUT, risk, basis),
-                            risk.lam, PUT)
+def test_each_pass_derives_each_increment_once(monkeypatch, tmp_path, solver):
+    """Every backward pass forms each dS_t once, from prices it derives
+    once: on a dataset read back from its file, whose prices are derived
+    from its states, S_T for the payoff, then S_T and each S_t once more
+    in the recursion, which forms dS_t from S_(t+1) and S_t and hands S_t
+    to the hedge rule, n_steps + 2 derivations (at 12 steps, 25 when each
+    dS_t derived its own pair, 37 when a hedge step's model center of dS_t
+    derived S_t once more)."""
+    sim, risk = gbm(n_paths=400, n_steps=12), RiskParams(1e-3)
+    basis = build_basis("bspline", 8, sim.x_paths.ravel())
+    actions = np.random.default_rng(1).uniform(-1, 1, (400, sim.n_steps))
+    write_dataset_csv(build_dataset(sim, actions, dataset_rewards(sim, actions, PUT, risk,
+                                                                  basis), risk.lam, PUT),
+                      tmp_path / "dataset.csv")
+    dataset = read_dataset_csv(tmp_path / "dataset.csv")
+    paths = dataset.paths
     run = {"rollout": lambda: rollout_portfolio(paths, HedgeStrategy.constant(0.5), PUT, risk),
            "local_risk": lambda: solve_local_risk(paths, PUT, basis),
            "dp": lambda: solve_dp(paths, PUT, risk, basis),
            "dataset_rewards": lambda: dataset_rewards(paths, actions, PUT, risk, basis),
            "fqi": lambda: fqi_backward(dataset, basis)}[solver]
     calls = []
-    delta_s = PathEnsemble.delta_s
-    monkeypatch.setattr(PathEnsemble, "delta_s",
-                        lambda self, t: calls.append(t) or delta_s(self, t))
+    s = PathEnsemble.s
+    monkeypatch.setattr(PathEnsemble, "s", lambda self, t: calls.append(t) or s(self, t))
     run()
-    assert calls == list(range(paths.n_steps - 1, -1, -1))
+    assert calls == [paths.n_steps, *range(paths.n_steps, -1, -1)]
 
 
 def local_risk_fit(paths, pi_next, basis, t, ds_mean="model"):
@@ -136,7 +143,7 @@ def local_risk_fit(paths, pi_next, basis, t, ds_mean="model"):
     Pi_{t+1} centered on its conditional mean, dS_t on the model-implied
     one or, under ``ds_mean="regression"``, on its regression."""
     return hedge_step(basis.evaluate(paths.x_paths[:, t]), paths, t, pi_next,
-                      paths.delta_s(t), ds_mean=ds_mean)[1]
+                      paths.delta_s(t), paths.s(t), ds_mean=ds_mean)[1]
 
 
 class TestLocalRiskHedge:

@@ -286,7 +286,7 @@ def two_pass_rewards(paths, actions, contract, risk, basis):
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
         ds = paths.delta_s(t)
-        (ds_c, pi_c, gain), _ = hedge_step(design, paths, t, pi_next, ds)
+        (ds_c, pi_c, gain), _ = hedge_step(design, paths, t, pi_next, ds, paths.s(t))
         rewards[t] = _reward(actions[:, t], ds, pi_next, risk, paths.params.gamma,
                              pi_center=pi_c, ds_center=ds_c, gain=gain)
     return rewards.T
@@ -801,7 +801,7 @@ def discretize_three_loops(paths, contract, risk, n_x, n_a, action_range):
         ds = snapped.delta_s(t)
         ds_dev[:, t] = ds - _bucket_means(idx[:, t], ds, n_xe)[idx[:, t]]
 
-    def bucket_hedge(t, pi_next, _):
+    def bucket_hedge(t, pi_next, *_):
         ix = idx[:, t]
         pi_dev = pi_next - _bucket_means(ix, pi_next, n_xe)[ix]
         num = _bucket_means(ix, pi_dev * ds_dev[:, t], n_xe)

@@ -112,15 +112,16 @@ class TestDiscretize:
         assert peak / (paths.s_paths.size * 8) < 1.5
 
     def test_each_increment_derives_its_snapped_prices_once(self, monkeypatch):
-        """discretize's rollout derives each step's increments dS_t once, for
-        its hedge rule and its Pi step alike: S_T's snapped prices for the
-        payoff, then S_(t+1) and S_t at each step (49 derivations at 12
-        steps when each took its own)."""
+        """discretize's rollout derives each step's snapped prices once, and
+        each increment dS_t shares them: S_T for the payoff, then S_T and
+        each S_t once more in the recursion, which keeps S_t as the next
+        step's S_(t+1) (25 derivations at 12 steps when each increment
+        derived its own pair)."""
         calls = []
         s = _SnappedPrices.s
         monkeypatch.setattr(_SnappedPrices, "s", lambda self, t: calls.append(t) or s(self, t))
         discretize(gbm(n_paths=500, n_steps=12), PUT, RiskParams(1e-3), 21, 5, (-1.3, 0.1))
-        assert calls == [12, *(u for t in range(11, -1, -1) for u in (t + 1, t))]
+        assert calls == [12, *range(12, -1, -1)]
 
     def test_rejects_bad_sizes(self):
         paths = gbm(n_paths=100)
