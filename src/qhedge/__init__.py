@@ -18,9 +18,8 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError,
 from .fqi import (FQISolution, TransitionDataset, build_dataset, build_features,
                   dataset_rewards, extract_price_hedge, fqi_backward,
                   read_dataset_csv, write_dataset_csv)
-from .market import (MarketParams, OptionContract, PathEnsemble,
-                     ensemble_from_prices, from_state, simulate_gbm,
-                     terminal_payoff, to_state)
+from .market import (MarketParams, OptionContract, PathEnsemble, from_state,
+                     simulate_gbm, terminal_payoff, to_state)
 from .portfolio import (HedgeStrategy, PortfolioRollout, RiskParams, ask_price,
                         reward_parabola, rollout_portfolio,
                         signed_measure_weights, solve_local_risk)
@@ -35,7 +34,7 @@ __all__ = [
     "PathEnsemble", "PortfolioRollout", "QHedgeError", "QTable", "RiskParams",
     "SingularSystemError", "TransitionDataset", "ask_price",
     "bs_price_delta", "build_basis", "build_dataset",
-    "build_features", "dataset_rewards", "discretize", "ensemble_from_prices",
+    "build_features", "dataset_rewards", "discretize",
     "exact_backward_induction", "extract_price_hedge", "fqi_backward",
     "from_state", "indifference_price_recursion", "limit_hedge_correction",
     "norm_cdf", "price_and_hedge_surface", "q_learn", "read_dataset_csv",

@@ -23,8 +23,7 @@ from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, DegenerateInputError, QHedgeError, require_finite
 from .fqi import (TransitionDataset, build_dataset, dataset_rewards, fqi_backward,
                   read_dataset_csv, write_dataset_csv)
-from .market import (MarketParams, OptionContract, PathEnsemble,
-                     ensemble_from_prices, simulate_gbm)
+from .market import MarketParams, OptionContract, PathEnsemble, simulate_gbm
 from .portfolio import HedgeStrategy, RiskParams, rollout_portfolio, solve_local_risk
 from .tabular import discretize, exact_backward_induction, q_learn
 from .utility import indifference_price_recursion
@@ -228,12 +227,12 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     """Read a (path, t, s) panel into an ensemble.
 
     The file's first columns must be ``path``, ``t`` and a price column,
-    ``s`` as ``simulate`` writes it or ``S`` as ``rollout`` does, so that a
-    dataset's states are never read as prices.  The panel must hold one
-    finite, positive price per (path, t) cell of a rectangle.  Without
-    ``params`` the state transform uses the header's mu/sigma; with them
-    the panel must have ``params.n_steps`` steps, and a header mu, sigma,
-    r or maturity must equal the configured one.
+    ``s`` as ``simulate`` and ``make-dataset`` write it or ``S`` as
+    ``rollout`` does, so that states are never read as prices.  The panel
+    must hold one finite, positive price per (path, t) cell of a
+    rectangle.  Without ``params`` the state transform uses the header's
+    mu/sigma; with them the panel must have ``params.n_steps`` steps, and
+    a header mu, sigma, r or maturity must equal the configured one.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -241,7 +240,7 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
     meta, names, columns = read_columns(path)
     if names[:2] != ["path", "t"] or names[2:3] not in (["s"], ["S"]):
         raise DataFormatError(f"{path}: columns {','.join(names)}; a price panel starts "
-                              "path,t,s (simulate) or path,t,S (rollout)")
+                              "path,t,s (simulate, make-dataset) or path,t,S (rollout)")
     _, cols = scatter_records(path, dict(zip(("path", "t", "price"), columns)))
     bad = np.flatnonzero(columns[2] <= 0)
     if bad.size:
@@ -268,7 +267,7 @@ def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
             if value != getattr(params, key):
                 raise ConfigError(f"{path}: the panel's header has {key}={value}, but "
                                   f"market.{key} is {getattr(params, key)}")
-    return ensemble_from_prices(panel, params)
+    return PathEnsemble(panel, params)
 
 
 def _strategy(cfg, paths, basis, policy) -> HedgeStrategy:
@@ -308,9 +307,9 @@ def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
     p = paths.params
-    write_table(out / "ensemble.csv",  # both values are row functions: the labels fix the shape
+    write_table(out / "ensemble.csv",
                 {"path": np.arange(paths.n_paths), "t": np.arange(p.n_steps + 1)},
-                {"s": paths.s_rows, "x": paths.x_rows}, header=_market_header(paths))
+                {"s": paths.s_paths, "x": paths.x_rows}, header=_market_header(paths))
     _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
                           "mean_s_final": paths.s(p.n_steps).mean()})
     return 0
@@ -323,7 +322,7 @@ def cmd_rollout(cfg):
     roll = rollout_portfolio(paths, strategy, cfg.contract(), cfg.risk())
     out = _outdir(cfg)
     write_table(out / "rollout.csv", {"path": None, "t": None},
-                {"S": paths.s_rows, "X": paths.x_rows, "a": roll.actions,
+                {"S": paths.s_paths, "X": paths.x_rows, "a": roll.actions,
                  "Pi": roll.pi, "B": roll.b_rows, "R": roll.r_rows},
                 header={**_market_header(paths), "policy": cfg["rollout.policy"],
                         "lambda": cfg.risk().lam})
@@ -371,8 +370,7 @@ def cmd_make_dataset(cfg):
     actions = (np.zeros((paths.n_paths, paths.n_steps + 1), order="F") if record
                else _strategy(cfg, paths, basis, policy).actions(paths))
     rewards = dataset_rewards(paths, actions, contract, risk, basis, record_hedge=record)
-    dataset = build_dataset(paths, actions, rewards, risk.lam, contract,
-                            seed=cfg["mc.seed"])
+    dataset = build_dataset(paths, actions, rewards, risk.lam, contract)
     dataset.extras["policy"] = policy
     out = _outdir(cfg)
     write_dataset_csv(dataset, out / "dataset.csv")

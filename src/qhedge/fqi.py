@@ -19,7 +19,6 @@ that action, which is the hedge: the price and the hedge are read out of
 one fit.  The terminal fit is ``dp.terminal_fit``.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +38,8 @@ _HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": f
                 "contract_kind": str, "contract_strike": float}
 _OPTIONAL_KEYS = ("seed", "n_paths", "s0", "contract_kind", "contract_strike")
 # a dataset file's columns, in order: a record per path and t in [0, n_steps],
-# the one at t = n_steps holding the terminal state with a and r 0
-_RECORD_COLUMNS = ("path", "t", "x", "a", "r")
+# the one at t = n_steps holding the terminal price with a and r 0
+_RECORD_COLUMNS = ("path", "t", "s", "a", "r")
 # the header key of each parameter-class field whose name differs from it
 _FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
@@ -77,18 +76,18 @@ class TransitionDataset:
             setattr(self, name, v[:, :shape[1]])
 
     @classmethod
-    def from_records(cls, path_ids, t, x, a, r, header: dict, source="records"):
-        """The dataset of flat (path, t, x, a, r) records in any order, as a
+    def from_records(cls, path_ids, t, s, a, r, header: dict, source="records"):
+        """The dataset of flat (path, t, s, a, r) records in any order, as a
         file holds them, under ``header``, the file's items as a dict:
         ``n_steps``, ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, optionally
-        ``seed``, ``n_paths`` (checked against the records), ``s0``,
-        ``contract_kind`` and ``contract_strike``, then extras.  The records
-        must form one panel: a record per path and t in [0, n_steps], with
-        a = r = 0 at t = n_steps.  The states are kept exactly, and the
-        prices are their ``from_state``, a step at a time
-        (``PathEnsemble``).  Errors name ``source`` and the header key or
-        the (path, t) cell."""
-        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, x, a, r))),
+        ``seed``, ``n_paths`` (checked against the records), ``s0`` (by
+        default the first path's t = 0 price), ``contract_kind`` and
+        ``contract_strike``, then extras.  The records must form one panel:
+        a record per path and t in [0, n_steps], with a = r = 0 at
+        t = n_steps.  The prices are kept exactly, and the states are their
+        ``to_state``, a step at a time (``PathEnsemble``).  Errors name
+        ``source`` and the header key or the (path, t) cell."""
+        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, s, a, r))),
                                  header, source)
 
     @classmethod
@@ -107,9 +106,9 @@ class TransitionDataset:
         if v.get("n_paths", ids.size) != ids.size:
             raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
                                   f"records hold {ids.size} paths")
-        x_paths = p["x"].T
+        s_paths = p["s"].T
         try:
-            params = MarketParams(s0=v.get("s0", float(np.exp(x_paths[:, 0].mean()))),
+            params = MarketParams(s0=v.get("s0", float(s_paths[0, 0])),
                                   mu=v["mu"], sigma=v["sigma"], r=v["r"],
                                   maturity=v["dt"] * v["n_steps"], n_steps=v["n_steps"])
             RiskParams(v["lambda"])  # checked here to name the key
@@ -119,7 +118,7 @@ class TransitionDataset:
             field = str(exc).split()[0]
             raise DataFormatError(f"{source}: bad header value for "
                                   f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
-        paths = PathEnsemble(None, x_paths, params, seed=v.get("seed"))
+        paths = PathEnsemble(s_paths, params, seed=v.get("seed"))
         try:
             return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
                        {k: val for k, val in header.items() if k not in _HEADER_KEYS})
@@ -321,14 +320,9 @@ def _check_shape(name, panel, n_paths, n_cols):
 
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
-                  contract: OptionContract = None, seed=None) -> TransitionDataset:
-    """The dataset of an ensemble plus per-step actions and rewards (see
-    ``TransitionDataset``); ``seed`` overrides the ensemble's (0 when it
-    has none)."""
-    seed = (paths.seed or 0) if seed is None else seed
-    if seed != paths.seed:  # the same stored panel under another seed
-        paths = copy.copy(paths)
-        paths.seed = seed
+                  contract: OptionContract = None) -> TransitionDataset:
+    """The dataset of an ensemble, under its seed, plus per-step actions
+    and rewards (see ``TransitionDataset``)."""
     return TransitionDataset(np.arange(paths.n_paths), paths, actions, rewards, lam,
                              contract)
 
@@ -336,7 +330,7 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
 def write_dataset_csv(dataset: TransitionDataset, path):
     """Write a record per path and t in [0, n_steps] (see _RECORD_COLUMNS),
     formatted from the stored panels a block of paths at a time: the
-    states are ``PathEnsemble.x_rows``, so no derived panel is built."""
+    prices are the ensemble's own panel, so no derived panel is built."""
     paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
     seed = {} if paths.seed is None else {"seed": paths.seed}
     items = {"s0": p.s0, **dataset.extras}
@@ -346,7 +340,7 @@ def write_dataset_csv(dataset: TransitionDataset, path):
     def with_expiry(v):  # a or r given without the expiry column: its rows padded by a 0
         return v if v.shape[1] > p.n_steps else lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
     write_table(path, {"path": dataset.path_ids, "t": np.arange(p.n_steps + 1)},
-                {"x": paths.x_rows, **{k: with_expiry(v) for k, v in dataset._given.items()}},
+                {"s": paths.s_paths, **{k: with_expiry(v) for k, v in dataset._given.items()}},
                 {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
                  "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
                  **seed, **dict(sorted(items.items()))})
@@ -392,7 +386,7 @@ def _read_scattered(path) -> TransitionDataset:
 
 
 def _check_columns(path, names):
-    if tuple(names) != _RECORD_COLUMNS:  # x_next: the layout before terminal records
-        hint = "; x_next is no longer read: re-run make-dataset" if "x_next" in names else ""
+    if tuple(names) != _RECORD_COLUMNS:  # x: a layout of states, with or without x_next
+        hint = "; states (x) are no longer read: re-run make-dataset" if "x" in names[2:3] else ""
         raise DataFormatError(f"{path}: columns {','.join(names)}, expected "
                               f"{','.join(_RECORD_COLUMNS)}{hint}")

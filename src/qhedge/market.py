@@ -83,88 +83,65 @@ class OptionContract:
 
 
 class PathEnsemble:
-    """A matrix of stock paths with their transformed states.
+    """A matrix of stock prices with their transformed states.
 
-    It stores the (n_paths, n_steps+1) panel it was built from, read-only
-    and by step (Fortran order) so that each step's column is contiguous;
-    a panel in another layout is copied into that one.  ``simulate_gbm``
-    and ``ensemble_from_prices`` store prices (``s_paths``); a read dataset
-    and a chain's snapped ensemble store states (``x_paths``); given both,
-    it stores both.  ``s(t)`` and ``x(t)`` hand out step t's column and
-    ``s_rows`` and ``x_rows`` a slice of paths over every step (for
-    writers, a block at a time), the derived values made from the stored
-    ones by ``from_state`` or ``to_state``, so they equal the whole-panel
-    transform bit for bit.  The ``s_paths`` and ``x_paths`` properties are
-    whole read-only panels, a derived one built on each access: for tests,
-    not solvers or writers.
+    It stores the (n_paths, n_steps+1) price panel, read-only and by step
+    (Fortran order) so that each step's column is contiguous; a panel in
+    another layout is copied into that one.  ``s(t)`` hands out step t's
+    column, and ``x(t)`` and ``x_rows`` step t's states or a slice of
+    paths' states over every step (for writers, a block at a time):
+    ``to_state`` of the stored prices under ``params``' mu and sigma (for
+    ingested data, the header's), so they equal the whole-panel transform
+    bit for bit.  ``s_paths`` is the stored panel; the ``x_paths``
+    property is the whole read-only state panel, built on each access: for
+    tests, not solvers or writers.
     ``seed`` records the RNG seed that produced the ensemble (None for
     ingested data).
     """
 
-    def __init__(self, s_paths, x_paths, params: MarketParams, seed=None):
-        self._s, self._x = (None if v is None else np.asfortranarray(v, dtype=float)
-                            for v in (s_paths, x_paths))
-        stored = self._x if self._s is None else self._s
-        if stored is None:
-            raise ValueError("an ensemble needs s_paths or x_paths")
-        if self._x is not None and self._x.shape != stored.shape:
-            raise ValueError("s_paths and x_paths must have the same shape")
-        if stored.shape[1] != params.n_steps + 1:
+    def __init__(self, s_paths, params: MarketParams, seed=None):
+        self._s = np.asfortranarray(s_paths, dtype=float)
+        if self._s.ndim != 2:
+            raise ValueError("s_paths must be a 2-D panel")
+        if self._s.shape[0] < 1:
+            raise DegenerateInputError("empty price panel")
+        if self._s.shape[1] != params.n_steps + 1:
             raise ValueError(
-                f"paths have {stored.shape[1]} columns, expected {params.n_steps + 1}"
+                f"paths have {self._s.shape[1]} columns, expected {params.n_steps + 1}"
             )
-        self.params, self.seed, self._shape = params, seed, stored.shape
-        with np.errstate(over="ignore"):  # a derived price past the doubles is refused
-            if not all(_positive_finite(self.s(t)) for t in range(stored.shape[1])):
-                raise ValueError("all stock prices must be positive and finite")
-        for v in (self._s, self._x):
-            if v is not None:
-                v.setflags(write=False)
+        if not all(_positive_finite(self.s(t)) for t in range(self._s.shape[1])):
+            raise ValueError("all stock prices must be positive and finite")
+        self._s.setflags(write=False)
+        self.params, self.seed = params, seed
 
     @property
     def n_paths(self) -> int:
-        return self._shape[0]
+        return self._s.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self._shape[1] - 1
+        return self._s.shape[1] - 1
 
     def s(self, t: int) -> np.ndarray:
-        """Step t's prices: a read-only view of the stored panel, or
-        ``from_state`` of step t's states."""
-        if self._s is not None:
-            return self._s[:, t]
-        return from_state(self._x[:, t], self.params.times()[t], self.params)
+        """Step t's prices: a read-only view of the stored panel."""
+        return self._s[:, t]
 
     def x(self, t: int) -> np.ndarray:
-        """Step t's states: a read-only view of the stored panel, or
-        ``to_state`` of step t's prices."""
-        if self._x is not None:
-            return self._x[:, t]
+        """Step t's states: ``to_state`` of step t's prices."""
         return to_state(self._s[:, t], self.params.times()[t], self.params)
 
-    def s_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the price panel: a read-only view of the stored
-        panel, or ``from_state`` of those rows of the states, each step's
-        drift broadcast along its column."""
-        if self._s is not None:
-            return self._s[rows]
-        return from_state(self._x[rows], self.params.times(), self.params)
-
     def x_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the state panel: a read-only view of the stored
-        panel, or ``to_state`` of those rows of the prices."""
-        if self._x is not None:
-            return self._x[rows]
+        """Rows ``rows`` of the state panel: ``to_state`` of those rows of
+        the prices, each step's drift broadcast along its column."""
         return to_state(self._s[rows], self.params.times(), self.params)
 
     @property
     def s_paths(self) -> np.ndarray:
-        return self._s if self._s is not None else self._panel(self.s_rows)
+        return self._s
 
     @property
     def x_paths(self) -> np.ndarray:
-        return self._x if self._x is not None else self._panel(self.x_rows)
+        return self._panel(self.x_rows)
 
     def _panel(self, rows):
         """The whole read-only panel of ``rows``, by step."""
@@ -359,19 +336,5 @@ def simulate_gbm(params: MarketParams, n_paths: int, seed: int) -> PathEnsemble:
             "simulated prices overflow or underflow the doubles; the drift and "
             "volatility over the horizon (market.mu, market.sigma, "
             "market.maturity) are too large")
-    return PathEnsemble(s.T, None, params, seed=seed)
+    return PathEnsemble(s.T, params, seed=seed)
 
-
-def ensemble_from_prices(s_paths, params: MarketParams, seed=None) -> PathEnsemble:
-    """Wrap a price panel (e.g. ingested market data) into a PathEnsemble.
-
-    The state transform uses the mu/sigma configured in ``params``, which
-    for external data must come from the dataset header.  A panel stored
-    by step (Fortran order) is used without a copy.
-    """
-    s_paths = np.asfortranarray(s_paths, dtype=float)
-    if s_paths.ndim != 2:
-        raise ValueError("s_paths must be a 2-D panel")
-    if s_paths.shape[0] < 1:
-        raise DegenerateInputError("empty price panel")
-    return PathEnsemble(s_paths, None, params, seed=seed)

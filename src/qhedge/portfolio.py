@@ -119,14 +119,14 @@ class PortfolioRollout:
 
     def b_rows(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` of the bank account B = Pi - u S."""
-        return self.pi[rows] - self.actions[rows] * self._paths.s_rows(rows)
+        return self.pi[rows] - self.actions[rows] * self._paths.s_paths[rows]
 
     def r_rows(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` of the rewards: ``_reward`` of each step's action
         around the step's centers, then the terminal penalty, the per-path
         squared deviation of the payoff, which averages to -lam Var[Pi_T]."""
         p, lam = self._paths.params, self._risk.lam
-        s, pi = self._paths.s_rows(rows), self.pi[rows]
+        s, pi = self._paths.s_paths[rows], self.pi[rows]
         out = np.empty(pi.shape)
         ds = price_increment(s[:, 1:], s[:, :-1], p)  # of every step
         out[:, :-1] = _reward(self.actions[rows][:, :-1], ds, pi[:, 1:], self._risk, p.gamma,

@@ -80,10 +80,12 @@ class DiscreteMDP:
         return idx
 
     def snapped_ensemble(self, paths: PathEnsemble) -> PathEnsemble:
-        """The ensemble of the states snapped to their bucket centers, whose
-        prices are derived a step at a time."""
-        x = self.x_centers[self.state_indices(paths)].T
-        return PathEnsemble(None, x, paths.params, seed=paths.seed)
+        """The ensemble of the prices of the states snapped to their bucket
+        centers: ``from_state`` of each step's centers, the prices
+        ``_SnappedPrices`` derives."""
+        x = self.x_centers[self.state_indices(paths)]  # row t: step t's
+        return PathEnsemble(from_state(x, paths.params.times()[:, None], paths.params).T,
+                            paths.params, seed=paths.seed)
 
     def indicator_basis(self):
         """One-hot basis whose buckets are exactly the chain states."""

@@ -150,12 +150,13 @@ class TestCriterion4FiniteStateAgreement:
                   "r": params.r, "dt": params.dt, "lambda": risk.lam, "seed": 3,
                   "s0": params.s0, "contract_kind": contract.kind,
                   "contract_strike": contract.strike}
-        # each variant's terminal record: its path's last state, a and r 0
+        # each variant's terminal record: its path's last price, a and r 0;
+        # a record's price is its path's snapped price at its step
         ends = np.arange(n * n_var)
+        path_ids = np.concatenate([pid, ends])
+        t = np.concatenate([t_flat, np.full(ends.size, t1 - 1)])
         ds = TransitionDataset.from_records(
-            path_ids=np.concatenate([pid, ends]),
-            t=np.concatenate([t_flat, np.full(ends.size, t1 - 1)]),
-            x=mdp.x_centers[np.concatenate([i_flat, idx[ends // n_var, -1]])],
+            path_ids=path_ids, t=t, s=snapped.s_paths[path_ids // n_var, t],
             a=np.concatenate([a_flat, np.zeros(ends.size)]),
             r=np.concatenate([r_flat, np.zeros(ends.size)]), header=header)
         # max-term actions regress on the replicating portfolio (per-variant

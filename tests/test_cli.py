@@ -203,8 +203,8 @@ class TestSubcommands:
         records exits 3 naming the file and the key."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
-                     "0,0,0,0,0\n0,1,0.1,0,0\n1,0,0,0,0\n1,1,0.2,0,0\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "0,0,100,0,0\n0,1,110,0,0\n1,0,100,0,0\n1,1,120,0,0\n")
         code = run("fqi-solve", "--dataset.path", str(f),
                    "--output.dir", str(tmp_path / "fqi"))
         assert code == 3
@@ -544,19 +544,42 @@ class TestIngest:
         assert second.seed is None
 
     def test_dataset_file_is_not_a_price_panel(self, tmp_path, capsys):
-        """A make-dataset file holds log-states in its third column: it is a
-        format error naming the file and its columns, not a price computed
-        from the states read as prices."""
+        """A make-dataset file holds the simulated prices in its s column:
+        dp-solve on it is dp-solve at that seed, price0 and hedge0 bit for
+        bit.  A file of states, its columns path,t,x,a,r, is a format error
+        naming the file and its columns, so states are never read as
+        prices."""
         assert run("make-dataset", *SMALL, "--output.dir", str(tmp_path / "ds")) == 0
         f = tmp_path / "ds" / "dataset.csv"
-        message = f"{f}: columns path,t,x,a,r; a price panel starts path,t,s"
+        summaries = []
+        for name, argv in (("dp", []), ("dp-ingest", ["--ingest.path", str(f)])):
+            assert run("dp-solve", *SMALL, *argv, "--output.dir", str(tmp_path / name)) == 0
+            summaries.append({k: v for k, v in read_summary(tmp_path / name / "summary.txt")
+                              .items() if k in ("price0", "hedge0")})
+        assert summaries[0] == summaries[1] and len(summaries[0]) == 2
+        states = tmp_path / "states.csv"
+        states.write_text(f.read_text().replace("\npath,t,s,a,r\n", "\npath,t,x,a,r\n"))
+        message = f"{states}: columns path,t,x,a,r; a price panel starts path,t,s"
         with pytest.raises(DataFormatError, match=message):
-            ingest_prices(f)
+            ingest_prices(states)
         capsys.readouterr()
-        out = tmp_path / "dp"
-        assert run("dp-solve", "--ingest.path", str(f), "--output.dir", str(out), *SMALL) == 3
+        out = tmp_path / "dp-states"
+        assert run("dp-solve", "--ingest.path", str(states), "--output.dir", str(out),
+                   *SMALL) == 3
         assert message in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
+
+    def test_dataset_of_ingested_prices_has_no_seed(self, tmp_path):
+        """make-dataset on an ingested panel records the panel's
+        seedlessness, not the configured mc.seed: no seed line, and the
+        dataset reads back seedless."""
+        assert run("simulate", *SMALL, "--mc.seed", "7", "--output.dir",
+                   str(tmp_path / "sim")) == 0
+        assert run("make-dataset", *SMALL, "--ingest.path", str(tmp_path / "sim" / "ensemble.csv"),
+                   "--output.dir", str(tmp_path / "ds")) == 0
+        f = tmp_path / "ds" / "dataset.csv"
+        assert not any(line.startswith("# seed=") for line in f.read_text().splitlines())
+        assert read_dataset_csv(f).paths.seed is None
 
     def test_rollout_panel_is_a_price_panel(self, tmp_path):
         """rollout.csv starts path,t,S: it reads back as the prices of the

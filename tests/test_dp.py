@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qhedge import (MarketParams, OptionContract, RiskParams, bs_price_delta,
-                    build_basis, ensemble_from_prices, price_and_hedge_surface,
+from qhedge import (MarketParams, OptionContract, PathEnsemble, RiskParams, bs_price_delta,
+                    build_basis, price_and_hedge_surface,
                     reward_parabola, simulate_gbm, solve_dp, solve_local_risk,
                     terminal_payoff)
 from qhedge.errors import SingularSystemError
@@ -26,7 +26,7 @@ def hand_ensemble(prices, mu=0.0, r=0.0):
     params = MarketParams(s0=prices[0, 0], mu=mu, sigma=0.2, r=r,
                           maturity=float(prices.shape[1] - 1),
                           n_steps=prices.shape[1] - 1)
-    return ensemble_from_prices(prices, params)
+    return PathEnsemble(prices, params)
 
 
 class TestOptimalActionCoeffs:

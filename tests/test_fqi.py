@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from qhedge import (BasisSet, FQISolution, MarketParams,
-                    OptionContract, RiskParams, TransitionDataset,
+                    OptionContract, PathEnsemble, RiskParams, TransitionDataset,
                     build_basis, build_dataset, build_features,
-                    dataset_rewards, ensemble_from_prices, extract_price_hedge,
+                    dataset_rewards, extract_price_hedge,
                     fqi_backward, read_dataset_csv, simulate_gbm, solve_dp,
                     solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
@@ -21,7 +21,7 @@ from qhedge.csvio import write_table
 from qhedge.errors import DataFormatError, SingularSystemError
 from qhedge.portfolio import _replicate
 from tests.test_csvio import split_over
-from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
+from tests.test_market import BENCH_PARAMS, BENCH_PATHS, stored_panels, traced
 
 PUT = OptionContract("put", 100.0)
 
@@ -75,23 +75,22 @@ class TestSingleStepRegression:
     def test_hand_least_squares(self):
         """One step, flat basis: W equals the 3-column least squares of the
         targets on (1, a, a^2/2), checked against numpy's lstsq."""
-        # sigma = 0 in the header makes the state exactly log S
-        x = np.full(4, np.log(100.0))
-        x_next = np.log(np.array([95.0, 99.0, 104.0, 108.0]))
+        s = np.full(4, 100.0)
+        s_next = np.array([95.0, 99.0, 104.0, 108.0])
         a = np.array([-1.0, 0.0, 0.5, 1.0])
         r = np.array([0.3, -0.1, 0.2, 0.4])
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.0, "r": 0.0, "dt": 1.0,
                   "lambda": 0.5, "seed": 0, "s0": 100.0, "contract_kind": "put",
                   "contract_strike": 100.0}
-        ends = np.zeros(4)  # the t = 1 records: the next states, a and r 0
+        ends = np.zeros(4)  # the t = 1 records: the next prices, a and r 0
         ds = TransitionDataset.from_records(np.tile(np.arange(4), 2), np.repeat([0, 1], 4),
-                                            np.concatenate([x, x_next]),
+                                            np.concatenate([s, s_next]),
                                             np.concatenate([a, ends]),
                                             np.concatenate([r, ends]), header)
         basis = unit_basis()
         sol = fqi_backward(ds, basis)
         # oracle: terminal Q is the flat-cell fit of -payoff - lam Var(payoff)
-        payoff = np.maximum(100.0 - np.exp(x_next), 0.0)
+        payoff = np.maximum(100.0 - s_next, 0.0)
         q_term = (-payoff - 0.5 * payoff.var()).mean()
         targets = r + 1.0 * q_term
         design = np.stack([np.ones(4), a, 0.5 * a**2], axis=1)
@@ -413,7 +412,7 @@ class TestDatasetIO:
         """A dataset on an ensemble of given prices has no seed: its file
         carries no seed line, and reads back seedless."""
         sim = gbm(n_paths=60, seed=1, n_steps=4)
-        paths = ensemble_from_prices(sim.s_paths, sim.params)
+        paths = PathEnsemble(sim.s_paths, sim.params)
         rng = np.random.default_rng(0)
         ds = TransitionDataset(np.arange(60), paths, rng.uniform(-1, 1, (60, 4)),
                                rng.standard_normal((60, 4)), 1e-3, PUT)
@@ -425,6 +424,22 @@ class TestDatasetIO:
         assert np.array_equal(back.paths.x_paths, ds.paths.x_paths)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
+
+    def test_dp_on_the_read_dataset_is_dp_on_the_simulation(self, tmp_path):
+        """A dataset records the simulated prices themselves, not states
+        decoded through the header's mu and sigma, so DP on a read
+        dataset's ensemble is DP on the simulated one bit for bit: price0,
+        hedge0 and every coefficient."""
+        paths = gbm(n_paths=2000, seed=42, mu=0.05, sigma=0.2, n_steps=12)
+        basis, risk = make_pipeline(paths, m=12)
+        zeros = np.zeros((paths.n_paths, paths.n_steps))
+        f = tmp_path / "data.csv"
+        write_dataset_csv(build_dataset(paths, zeros, zeros, risk.lam, PUT), f)
+        want, got = (solve_dp(p, PUT, risk, basis) for p in (paths, read_dataset_csv(f).paths))
+        assert (got.price0, got.hedge0) == (want.price0, want.hedge0)
+        for name in ("hedge_coeffs", "value_coeffs"):
+            assert all(np.array_equal(u, v) for u, v in
+                       zip(getattr(got, name), getattr(want, name), strict=True)), name
 
     def test_table_writer_gathers_records_by_block(self, tmp_path, monkeypatch):
         """write_table gathers and formats each block of records from the
@@ -465,19 +480,19 @@ class TestDatasetIO:
         assert all(peak < 9 for peak in columns.values()), columns
 
     def test_read_and_solve_peak_below_six_record_columns(self, tmp_path):
-        """The dataset's ensemble stores the states it read and derives each
-        step's prices when a step needs them, so reading a dataset (parsed
+        """The dataset's ensemble stores the prices it read and derives each
+        step's states when a step needs them, so reading a dataset (parsed
         here, where every column it makes is traced) and solving it each
         trace less than 6 float columns of records (3.87 and 5.39; 4.26 and
-        6.43 when the ensemble held the price panel too).  The solve frees
-        each step's centered values, read-out actions and their Q values
-        once the next target is built, so it traces less than 2.2 columns
-        beyond the dataset's x, a and r panels (2.05; 2.35 when they were
-        held through the next step's fits)."""
+        6.43 when the ensemble held a state panel beside the prices).  The
+        solve frees each step's centered values, read-out actions and their
+        Q values once the next target is built, so it traces less than 2.2
+        columns beyond the dataset's s, a and r panels (2.05; 2.35 when
+        they were held through the next step's fits)."""
         ds, _, _, columns = read_and_solve_peaks(tmp_path, 1)
-        assert ds.paths._s is None
+        assert stored_panels(ds.paths) == ["_s"]
         assert all(peak < 6 for peak in columns.values()), columns
-        resident = sum(v.nbytes for v in (ds.paths.x_paths, ds.a, ds.r)) / (len(ds) * 8)
+        resident = sum(v.nbytes for v in (ds.paths.s_paths, ds.a, ds.r)) / (len(ds) * 8)
         assert columns["solve"] - resident < 2.2, (columns, resident)
 
     def test_make_dataset_peak_below_five_point_two_record_columns(self, tmp_path,
@@ -499,19 +514,21 @@ class TestDatasetIO:
     @pytest.mark.parametrize("x", ["800", "-800"])
     @pytest.mark.parametrize("t", [0, 2, 4])
     def test_state_whose_price_leaves_the_doubles_exits_3(self, tmp_path, capsys, t, x):
-        """The prices of a read dataset are derived a step at a time, but
-        all of them are still checked at read: a record whose x takes exp
-        past the doubles (800) or to 0 (-800) makes fqi-solve exit 3 with
+        """A dataset records prices, so the price a state of 800 or -800
+        stands for, inf or 0, is what a file can hold: a record with it
+        makes fqi-solve exit 3, naming the non-finite price's cell or with
         the price panel's message, with no overflow warning and no
         summary."""
+        price, message = {"800": ("inf", f"non-finite s inf at cell (path=3, t={t})"),
+                          "-800": ("0", "all stock prices must be positive and finite")}[x]
         assert main(["make-dataset", "--mc.n_paths", "20", "--market.n_steps", "4",
                      "--dataset.policy", "random", "--output.dir", str(tmp_path)]) == 0
         f = tmp_path / "dataset.csv"
         lines = f.read_text().splitlines(keepends=True)
-        row = lines.index("path,t,x,a,r\n") + 1 + 3 * 5 + t  # (path 3, t)
+        row = lines.index("path,t,s,a,r\n") + 1 + 3 * 5 + t  # (path 3, t)
         cells = lines[row].split(",")
         assert cells[:2] == ["3", str(t)]
-        lines[row] = ",".join([*cells[:2], x, *cells[3:]])
+        lines[row] = ",".join([*cells[:2], price, *cells[3:]])
         f.write_text("".join(lines))
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -519,7 +536,7 @@ class TestDatasetIO:
             code = main(["fqi-solve", "--dataset.path", str(f),
                          "--output.dir", str(tmp_path / "fqi")])
         assert code == 3
-        assert "all stock prices must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "fqi" / "summary.txt").exists()
 
     @pytest.mark.parametrize("n_cpus, n_paths", [(1, 10_000), (2, BENCH_PATHS)])
@@ -551,7 +568,7 @@ class TestDatasetIO:
                              + [f"{edit}-{path}" for edit in ("terminal_a", "terminal_r",
                                                               "no_terminal")
                                 for path in (0, 3, 6)]
-                             + [f"x_next-{i}" for i in range(21) if i % 3 < 2])
+                             + [f"x_next-{i}" for i in range(21) if i % 3 < 2] + ["x"])
     def test_other_files_read_as_scattered(self, tmp_path, monkeypatch, n_cpus, edit):
         """A file out of writer order, or with any error, is read again as
         columns and scattered: it gives the scattered read's dataset bit
@@ -559,8 +576,10 @@ class TestDatasetIO:
         line when parsed here, put some terminal records first in a piece.
         ``x_next-i`` writes the file in the layout before terminal records
         (an x_next column, which repeats the next record's x) with row i's
-        x_next no longer the next x: refused for its x_next column, edited
-        or not (by read_dataset_csv before any record is parsed)."""
+        x_next no longer the next x, and ``x`` the layout before prices,
+        the file with its columns named path,t,x,a,r: both are refused as
+        files of states, edited or not (by read_dataset_csv before any
+        record is parsed)."""
         paths = gbm(n_paths=7, seed=2, n_steps=3)
         rng = np.random.default_rng(4)
         f = tmp_path / "data.csv"
@@ -596,6 +615,7 @@ class TestDatasetIO:
          "terminal_r": lambda: cell(4 * int(row or 0) + 3, 4, "-1e-300"),
          "no_terminal": lambda: cells.pop(4 * int(row or 0) + 3),
          "x_next": lambda: old_layout(int(row or 0)),
+         "x": lambda: header.__setitem__(-1, "path,t,x,a,r\n"),
          }[edit]()
         assert header[0].startswith("# n_paths=")
         f.write_text("".join(header + [",".join(row) + "\n" for row in cells]))
@@ -613,7 +633,9 @@ class TestDatasetIO:
         named = {"terminal_a": f"a at expiry (path={p}, t=3) is 0.5; it must be 0",
                  "terminal_r": f"r at expiry (path={p}, t=3) is -1e-300; it must be 0",
                  "no_terminal": f"missing cell (path={p}, t=3)",
-                 "x_next": "x_next is no longer read: re-run make-dataset"}
+                 "x_next": "states (x) are no longer read: re-run make-dataset",
+                 "x": "columns path,t,x,a,r, expected path,t,s,a,r; states (x) are no "
+                      "longer read: re-run make-dataset"}
         assert named.get(edit, "") in str(want[1])
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -649,16 +671,16 @@ class TestDatasetIO:
 
     def test_file_is_the_panels_with_terminal_records(self, tmp_path):
         """A dataset file holds a record per path and t in [0, n_steps]:
-        x is the state, and the t = n_steps record holds the terminal state
-        with a and r 0; no column repeats the next record's x."""
+        s is the price, and the t = n_steps record holds the terminal price
+        with a and r 0; no column repeats the next record's s."""
         paths = gbm(n_paths=3, seed=2, n_steps=2)
         ds = build_dataset(paths, [[0.5, -1.0]] * 3, [[2.0, 0.25]] * 3, 1e-3, PUT)
         write_dataset_csv(ds, tmp_path / "data.csv")
         lines = (tmp_path / "data.csv").read_text().splitlines()
-        assert lines[lines.index("# n_steps=2") + 1:].count("path,t,x,a,r") == 1
-        rows = lines[lines.index("path,t,x,a,r") + 1:]
-        x = [csvio.format_value(v) for v in paths.x_paths.ravel()]
-        assert rows == [f"{i // 3},{i % 3},{x[i]},{a},{r}"
+        assert lines[lines.index("# n_steps=2") + 1:].count("path,t,s,a,r") == 1
+        rows = lines[lines.index("path,t,s,a,r") + 1:]
+        s = [csvio.format_value(v) for v in paths.s_paths.ravel()]
+        assert rows == [f"{i // 3},{i % 3},{s[i]},{a},{r}"
                         for i, (a, r) in enumerate([("0.5", "2"), ("-1", "0.25"),
                                                     ("0", "0")] * 3)]
 
@@ -684,7 +706,7 @@ class TestDatasetIO:
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records(
-                path_ids=[0, 1, 0, 0, 1], t=[0, 0, 1, 2, 2], x=[0.0, 0.0, 0.1, 0.2, 0.2],
+                path_ids=[0, 1, 0, 0, 1], t=[0, 0, 1, 2, 2], s=[100.0, 100.0, 110.0, 120.0, 120.0],
                 a=[0.0] * 5, r=[0.0] * 5, header=header)
 
     def test_duplicate_record_rejected(self):
@@ -692,22 +714,23 @@ class TestDatasetIO:
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"duplicate rows for cell \(path=0, t=0\)"):
             TransitionDataset.from_records(
-                path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], x=[0.0] * 4,
+                path_ids=[0, 0, 1, 1], t=[0, 0, 1, 1], s=[100.0] * 4,
                 a=[0.0] * 4, r=[0.0] * 4, header=header)
 
     def test_nonfinite_reward_rejected(self):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
-            TransitionDataset.from_records([0, 0], [0, 1], [0.0, 0.1], [0.0, 0.0],
+            TransitionDataset.from_records([0, 0], [0, 1], [100.0, 110.0], [0.0, 0.0],
                                            [np.nan, 0.0], header)
 
     @pytest.mark.parametrize("field", ["x", "a", "x_next"])
     def test_nonfinite_state_or_action_rejected(self, field):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
-        rec = dict(x=[0.0, 0.1], a=[0.0, 0.0], r=[0.0, 0.0])
-        column, t = ("x", 1) if field == "x_next" else (field, 0)  # x_next: the t = 1 record's x
+        rec = dict(s=[100.0, 110.0], a=[0.0, 0.0], r=[0.0, 0.0])
+        # the state of a record is its price: x_next is the t = 1 record's
+        column, t = {"x": ("s", 0), "a": ("a", 0), "x_next": ("s", 1)}[field]
         rec[column][t] = np.inf
         with pytest.raises(DataFormatError, match=rf"non-finite {column} inf at cell "
                                                   rf"\(path=0, t={t}\)"):
@@ -717,20 +740,20 @@ class TestDatasetIO:
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"cell \(path=0, t=2\) is outside"):
-            TransitionDataset.from_records([0, 0, 0], [0, 1, 2], [0.0, 0.1, 0.2], [0.0] * 3,
+            TransitionDataset.from_records([0, 0, 0], [0, 1, 2], [100.0, 110.0, 120.0], [0.0] * 3,
                                            [0.0] * 3, header)
 
     def test_header_missing_keys(self, tmp_path):
         f = tmp_path / "bad.csv"
-        f.write_text("# n_paths=1\npath,t,x,a,r\n0,0,0,0,0\n0,1,0.1,0,0\n")
+        f.write_text("# n_paths=1\npath,t,s,a,r\n0,0,100,0,0\n0,1,110,0,0\n")
         with pytest.raises(DataFormatError):
             read_dataset_csv(f)
 
     def test_bad_header_value_names_key_and_file(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=abc\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
-                     "0,0,0,0,0\n0,1,0.1,0,0\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "0,0,100,0,0\n0,1,110,0,0\n")
         with pytest.raises(DataFormatError, match=r"bad\.csv.*n_paths='abc'"):
             read_dataset_csv(f)
 
@@ -758,21 +781,21 @@ class TestDatasetIO:
         """A fractional path id is rejected, not truncated to an integer."""
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=2\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
-                     "0,0,0,0,0\n0,1,0.1,0,0\n2.7,0,0,0,0\n2.7,1,0.2,0,0\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "0,0,100,0,0\n0,1,110,0,0\n2.7,0,100,0,0\n2.7,1,120,0,0\n")
         with pytest.raises(DataFormatError, match=r"data row 3 is \[2\.7, 0\.0"):
             read_dataset_csv(f)
 
     @pytest.mark.parametrize("rows, message", [
-        ("0,0,0,0,0\n0,1,0.1,0,0\n0,1,0.1,0,0\n0,2,0.2,0,0\n",
+        ("0,0,100,0,0\n0,1,110,0,0\n0,1,110,0,0\n0,2,120,0,0\n",
          r"duplicate rows for cell \(path=0, t=1\)"),
-        ("0,0,0,0,0\n0,1,0.1,0,0\n0,2,0.2,0,0\n1,1,0.1,0,0\n1,2,0.2,0,0\n",
+        ("0,0,100,0,0\n0,1,110,0,0\n0,2,120,0,0\n1,1,110,0,0\n1,2,120,0,0\n",
          r"missing cell \(path=1, t=0\)"),
     ], ids=["duplicate", "missing"])
     def test_record_errors_name_file_and_cell(self, tmp_path, rows, message):
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=2\n# n_steps=2\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n" + rows)
+                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n" + rows)
         with pytest.raises(DataFormatError, match=rf"data\.csv: {message}"):
             read_dataset_csv(f)
 
@@ -781,8 +804,8 @@ class TestDatasetIO:
         format error, not a dataset that writes the wrong count back."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,x,a,r\n"
-                     "0,0,0,0,0\n0,1,0.1,0,0\n1,0,0,0,0\n1,1,0.2,0,0\n")
+                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "0,0,100,0,0\n0,1,110,0,0\n1,0,100,0,0\n1,1,120,0,0\n")
         with pytest.raises(DataFormatError, match=r"data\.csv: header n_paths=5, "
                                                   r"but the records hold 2 paths"):
             read_dataset_csv(f)
@@ -790,7 +813,8 @@ class TestDatasetIO:
     def test_contract_required(self):
         header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
                   "lambda": 0.1, "seed": 0, "s0": 100.0}
-        ds = TransitionDataset.from_records([0, 1, 0, 1], [0, 0, 1, 1], [4.6, 4.6, 4.61, 4.59],
+        ds = TransitionDataset.from_records([0, 1, 0, 1], [0, 0, 1, 1],
+                                            [100.0, 100.0, 101.0, 99.0],
                                             [0.0] * 4, [0.0] * 4, header)
         with pytest.raises(DataFormatError, match="contract"):
             fqi_backward(ds, unit_basis())

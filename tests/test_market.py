@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from qhedge import (MarketParams, OptionContract, PathEnsemble, RiskParams,
-                    TransitionDataset, build_dataset, discretize, ensemble_from_prices,
-                    from_state, simulate_gbm, terminal_payoff, to_state,
-                    write_dataset_csv)
+                    TransitionDataset, build_dataset, discretize, from_state,
+                    simulate_gbm, terminal_payoff, to_state, write_dataset_csv)
 from qhedge.csvio import read_columns
 from qhedge.cli import ingest_prices, main
 from qhedge.errors import DegenerateInputError
@@ -25,6 +24,11 @@ def make_params(**kw):
 # the benchmark's model-based shape: Criterion 1's market at 50k paths
 BENCH_PARAMS = dict(mu=0.03, sigma=0.15, r=0.03, n_steps=24)
 BENCH_PATHS = 50_000
+
+
+def stored_panels(paths):
+    """The names of the arrays an ensemble holds."""
+    return [k for k, v in vars(paths).items() if isinstance(v, np.ndarray)]
 
 
 def traced(compute):
@@ -133,7 +137,7 @@ class TestSimulateGBM:
         params = make_params(**BENCH_PARAMS)
         simulate_gbm(params, 10, seed=1)
         paths, peak = traced(lambda: simulate_gbm(params, BENCH_PATHS, seed=42))
-        assert paths._x is None
+        assert stored_panels(paths) == ["_s"]
         assert peak / (BENCH_PATHS * params.n_steps * 8) < 1.5
 
     def test_rejects_bad_inputs(self):
@@ -250,32 +254,38 @@ class TestPathEnsemble:
     def test_from_prices_validates(self):
         params = make_params(n_steps=2)
         good = np.full((3, 3), 100.0)
-        ens = ensemble_from_prices(good, params)
+        ens = PathEnsemble(good, params)
         assert ens.n_paths == 3
         with pytest.raises(ValueError):
-            ensemble_from_prices(np.array([[100.0, -1.0, 100.0]]), params)
+            PathEnsemble(np.array([[100.0, -1.0, 100.0]]), params)
+        with pytest.raises(ValueError, match="2-D panel"):
+            PathEnsemble(good[0], params)
+        with pytest.raises(DegenerateInputError, match="empty price panel"):
+            PathEnsemble(good[:0], params)
 
     @pytest.mark.parametrize("x", [800.0, -800.0, np.inf, -np.inf, np.nan])
     def test_states_whose_prices_leave_the_doubles_are_refused(self, x):
-        """An ensemble built from states derives its prices a step at a
-        time, and refuses one that exp takes past the doubles or to 0 as a
-        price panel would be, with no overflow warning."""
-        states = np.zeros((3, 3))
-        states[1, 2] = x
+        """An ensemble stores prices, never states: the price a state past
+        the doubles stands for (inf from 800 or inf, 0 from -800 or -inf,
+        NaN) is refused by the price panel's own check, with no warning."""
+        params = make_params(n_steps=2)
+        prices = np.full((3, 3), 100.0)
+        with np.errstate(over="ignore"):
+            prices[1, 2] = from_state(x, params.times()[2], params)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="positive and finite"):
-                PathEnsemble(None, states, make_params(n_steps=2))
+                PathEnsemble(prices, params)
 
     def test_needs_a_panel(self):
-        with pytest.raises(ValueError, match="s_paths or x_paths"):
-            PathEnsemble(None, None, make_params(n_steps=2))
+        with pytest.raises(ValueError, match="2-D panel"):
+            PathEnsemble(None, make_params(n_steps=2))
 
     @pytest.mark.parametrize("price", [np.inf, np.nan])
     def test_rejects_non_finite_prices(self, price):
         s = np.array([[100.0, price, 100.0]])
         with pytest.raises(ValueError, match="positive and finite"):
-            PathEnsemble(s, np.zeros_like(s), make_params(n_steps=2))
+            PathEnsemble(s, make_params(n_steps=2))
 
 
 def _ensemble_from(constructor, tmp_path):
@@ -284,8 +294,8 @@ def _ensemble_from(constructor, tmp_path):
     paths = simulate_gbm(params, 30, seed=1)
     if constructor == "simulate_gbm":
         return paths
-    if constructor == "ensemble_from_prices":  # from a panel stored by path
-        return ensemble_from_prices(np.array(paths.s_paths, order="C"), params)
+    if constructor == "PathEnsemble":  # from a panel stored by path
+        return PathEnsemble(np.array(paths.s_paths, order="C"), params)
     if constructor == "ingest_prices":
         assert main(["simulate", "--market.n_steps", "4", "--mc.n_paths", "30",
                      "--output.dir", str(tmp_path)]) == 0
@@ -300,12 +310,12 @@ def _ensemble_from(constructor, tmp_path):
     return mdp.snapped_ensemble(paths)
 
 
-@pytest.mark.parametrize("constructor", ["simulate_gbm", "ensemble_from_prices",
+@pytest.mark.parametrize("constructor", ["simulate_gbm", "PathEnsemble",
                                          "ingest_prices", "from_records",
                                          "snapped_ensemble"])
 def test_panels_are_stored_by_step(tmp_path, constructor):
-    """Every constructor stores s_paths and x_paths by step: each step's
-    column is contiguous."""
+    """Every constructor stores s_paths by step, and x_paths is derived
+    by step too: each step's column is contiguous."""
     paths = _ensemble_from(constructor, tmp_path)
     for panel in (paths.s_paths, paths.x_paths):
         assert all(panel[:, t].flags.c_contiguous for t in range(paths.n_steps + 1))
@@ -314,7 +324,7 @@ def test_panels_are_stored_by_step(tmp_path, constructor):
 def test_panel_stored_by_step_is_not_copied():
     params = make_params(n_steps=2)
     panel = np.full((3, 3), 100.0, order="F")
-    assert ensemble_from_prices(panel, params).s_paths is panel
+    assert PathEnsemble(panel, params).s_paths is panel
 
 
 @pytest.mark.parametrize("kw", [dict(mu=900.0, n_steps=1), dict(mu=-900.0, n_steps=1),

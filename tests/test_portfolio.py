@@ -5,7 +5,7 @@ import pytest
 
 from qhedge import (HedgeStrategy, MarketParams, OptionContract, PathEnsemble, RiskParams,
                     ask_price, build_basis, build_dataset, dataset_rewards,
-                    ensemble_from_prices, fqi_backward, read_dataset_csv,
+                    fqi_backward, read_dataset_csv,
                     rollout_portfolio, signed_measure_weights, simulate_gbm, solve_dp,
                     solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge.errors import DegenerateInputError
@@ -28,7 +28,7 @@ def hand_ensemble(prices, mu=0.0, sigma=0.2, r=0.0, maturity=None):
     n_steps = prices.shape[1] - 1
     params = MarketParams(s0=prices[0, 0], mu=mu, sigma=sigma, r=r,
                           maturity=maturity or float(n_steps), n_steps=n_steps)
-    return ensemble_from_prices(prices, params)
+    return PathEnsemble(prices, params)
 
 
 class TestRiskParams:

@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
                     PathEnsemble, RiskParams, build_basis, build_dataset, dataset_rewards,
-                    discretize, ensemble_from_prices, from_state, q_learn,
+                    discretize, from_state, q_learn,
                     read_dataset_csv, reward_parabola, rollout_portfolio, simulate_gbm,
                     solve_dp, solve_local_risk, terminal_payoff, to_state,
                     write_dataset_csv)
@@ -35,6 +35,7 @@ from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, hedge_step
 from qhedge.tabular import _SnappedPrices, _bucket_means
 from tests.test_csvio import read_csv
+from tests.test_market import stored_panels
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -618,8 +619,7 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     shape = (n_paths, params.n_steps)
     actions, rewards = (data.draw(hnp.arrays(np.float64, shape, elements=finite))
                         for _ in range(2))
-    ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike),
-                       seed=seed)
+    ds = build_dataset(paths, actions, rewards, lam, OptionContract(kind, strike))
     n_cpus = len(os.sched_getaffinity(0)) if every_cpu else 1
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
@@ -636,6 +636,7 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
             back = read_dataset_csv(path)
     for name in ("path_ids", "paths.x_paths", "a", "r"):
         assert attrgetter(name)(back).tobytes() == attrgetter(name)(ds).tobytes()
+    assert np.array_equal(back.paths.s_paths, ds.paths.s_paths)
     # what the file carries: the maturity is not among it, only dt
     p, q = back.paths.params, ds.paths.params
     assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
@@ -771,7 +772,7 @@ def snapped_with_temporaries(edges, paths):
     centers = 0.5 * (edges[:-1] + edges[1:])
     x = centers[state_index_with_temporaries(edges, paths.x_paths.T)].T
     s = from_state(x, paths.params.times()[None, :], paths.params)
-    return PathEnsemble(s, x, paths.params, seed=paths.seed)
+    return PathEnsemble(s, paths.params, seed=paths.seed)
 
 
 def discretize_three_loops(paths, contract, risk, n_x, n_a, action_range):
@@ -855,7 +856,7 @@ def chain_ensembles(draw):
         return simulate_gbm(params, n_paths, draw(seeds))
     prices = draw(hnp.arrays(np.float64, (n_paths, n_steps + 1),
                              elements=st.sampled_from(PRICE_LEVELS)))
-    return ensemble_from_prices(prices, params)
+    return PathEnsemble(prices, params)
 
 
 @PROPERTY
@@ -865,7 +866,7 @@ def chain_ensembles(draw):
          strike=100.0, lam=1e-3)
 @example(paths=simulate_gbm(market(0.05, 0.0, 0.03, 2), 9, 2), n_x=5, n_a=3, kind="call",
          strike=95.0, lam=1e-3)
-@example(paths=ensemble_from_prices(np.resize(PRICE_LEVELS, (12, 3)), market(0.0, 0.2, 0.0, 2)),
+@example(paths=PathEnsemble(np.resize(PRICE_LEVELS, (12, 3)), market(0.0, 0.2, 0.0, 2)),
          n_x=6, n_a=4, kind="put", strike=100.0, lam=1e-2)
 @example(paths=simulate_gbm(market(0.05, 0.2, 0.03, 3), 200, 5), n_x=300, n_a=3, kind="put",
          strike=100.0, lam=1e-3)
@@ -937,18 +938,10 @@ def test_quantiles_of_the_sorted_pool_are_numpys(samples, q):
     assert same_bits(quantiles(np.sort(samples, axis=None), q), np.quantile(samples, q))
 
 
-def stores_prices(paths):
-    """Whether the ensemble stores prices and derives states."""
-    return paths._x is None
-
-
-def whole_panel_transform(paths):
-    """Reference: the derived panel as one whole-panel transform (states
-    of stored prices, or prices of stored states)."""
-    times = paths.params.times()[None, :]
-    if stores_prices(paths):
-        return to_state(paths.s_paths, times, paths.params)
-    return from_state(paths.x_paths, times, paths.params)
+def whole_panel_states(paths):
+    """Reference: the state panel as one whole-panel ``to_state`` of the
+    stored prices."""
+    return to_state(paths.s_paths, paths.params.times()[None, :], paths.params)
 
 
 def ensemble_from_source(source, params, n_paths, seed, tmp):
@@ -958,7 +951,7 @@ def ensemble_from_source(source, params, n_paths, seed, tmp):
     if source == "simulated":
         return paths
     if source == "ingested":
-        return ensemble_from_prices(np.array(paths.s_paths, order="C"), params)
+        return PathEnsemble(np.array(paths.s_paths, order="C"), params)
     if source == "dataset":
         zeros = np.zeros((n_paths, params.n_steps))
         write_dataset_csv(build_dataset(paths, zeros, zeros, 0.1), Path(tmp) / "d.csv")
@@ -980,22 +973,19 @@ SOURCES = ("simulated", "ingested", "dataset", "snapped")
 @example(params=market(0.05, 0.2, 0.03, 1), n_paths=40, seed=5, source="dataset")
 @example(params=market(-0.05, 0.5, 0.1, 8), n_paths=1, seed=6, source="snapped")
 def test_derived_columns_are_the_whole_panel_transform(params, n_paths, seed, source):
-    """Each ensemble stores the panel it was built from (prices simulated
-    or ingested, states read or snapped) and derives every column of the
-    other one bit for bit as today's whole-panel to_state or from_state
-    does; the whole derived panel is those columns, stored by step."""
+    """Each ensemble, whatever its source (prices simulated, ingested, read
+    from a dataset or snapped to a chain's centers), stores its price panel
+    alone and derives every column of the states bit for bit as the
+    whole-panel to_state does; the whole state panel is those columns,
+    stored by step."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = ensemble_from_source(source, params, n_paths, seed, tmp)
-    prices = stores_prices(paths)
-    assert prices == (source in ("simulated", "ingested"))
-    assert (paths._s is None) == (not prices)  # one panel is stored
-    want = whole_panel_transform(paths)
-    stored, derived = (paths.s, paths.x) if prices else (paths.x, paths.s)
-    stored_panel = paths.s_paths if prices else paths.x_paths
+    assert stored_panels(paths) == ["_s"]
+    want = whole_panel_states(paths)
     for t in range(paths.n_steps + 1):
-        assert derived(t).tobytes() == want[:, t].tobytes()
-        assert stored(t).tobytes() == stored_panel[:, t].tobytes()
-    whole = paths.x_paths if prices else paths.s_paths
+        assert paths.x(t).tobytes() == want[:, t].tobytes()
+        assert paths.s(t).tobytes() == paths.s_paths[:, t].tobytes()
+    whole = paths.x_paths
     assert whole.tobytes() == want.tobytes()
     assert whole.flags.f_contiguous and not whole.flags.writeable
 
@@ -1009,24 +999,17 @@ def test_derived_columns_are_the_whole_panel_transform(params, n_paths, seed, so
 @example(params=market(0.03, 0.15, 0.03, 8), n_paths=300, seed=3, source="simulated",
          data=None)
 def test_derived_rows_are_the_whole_panel_transform(params, n_paths, seed, source, data):
-    """``s_rows`` and ``x_rows`` hand out any slice of paths of the derived
-    panel bit for bit as today's whole-panel to_state or from_state, and of
-    the stored one as a view of it, so that a writer's blocks of rows
+    """``x_rows`` hands out any slice of paths of the state panel bit for
+    bit as the whole-panel to_state, so that a writer's blocks of rows
     (drawn here; one path or all of them in the examples) give the whole
-    panels' bytes."""
+    panel's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = ensemble_from_source(source, params, n_paths, seed, tmp)
-    want = whole_panel_transform(paths)
-    prices = stores_prices(paths)
-    stored_rows, derived_rows = ((paths.s_rows, paths.x_rows) if prices
-                                 else (paths.x_rows, paths.s_rows))
-    stored_panel = paths._s if prices else paths._x
+    want = whole_panel_states(paths)
     per_block = n_paths if data is None else data.draw(st.integers(1, n_paths))
     starts = range(0, n_paths, per_block)
     if data is None and n_paths > 1:
         starts = [0, 1]  # one path, then all the others
     for lo, hi in zip(starts, [*starts[1:], n_paths]):
         rows = slice(lo, hi)
-        assert derived_rows(rows).tobytes() == want[rows].tobytes()
-        assert np.shares_memory(stored_rows(rows), stored_panel)
-        assert stored_rows(rows).tobytes() == stored_panel[rows].tobytes()
+        assert paths.x_rows(rows).tobytes() == want[rows].tobytes()

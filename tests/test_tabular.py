@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qhedge import (DiscreteMDP, MarketParams, OptionContract, RiskParams,
-                    discretize, ensemble_from_prices, exact_backward_induction,
+from qhedge import (DiscreteMDP, MarketParams, OptionContract, PathEnsemble, RiskParams,
+                    discretize, exact_backward_induction,
                     q_learn, simulate_gbm)
 from qhedge.tabular import _SnappedPrices
 from tests.test_market import traced
@@ -81,7 +81,7 @@ class TestDiscretize:
         # mu = sigma^2/2 keeps the transformed state constant too
         params = MarketParams(s0=100.0, mu=0.005, sigma=0.1, r=0.0,
                               maturity=2.0, n_steps=2)
-        paths = ensemble_from_prices(prices, params)
+        paths = PathEnsemble(prices, params)
         risk = RiskParams(1e-3)
         mdp = discretize(paths, PUT, risk, 4, 2, (-1.0, 0.0))
         assert len(mdp.merged_bins) > 0

@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qhedge import (BasisSet, MarketParams, OptionContract, bs_price_delta,
-                    build_basis, ensemble_from_prices,
-                    indifference_price_recursion, simulate_gbm)
+from qhedge import (BasisSet, MarketParams, OptionContract, PathEnsemble, bs_price_delta,
+                    build_basis, indifference_price_recursion, simulate_gbm)
 from qhedge.errors import DegenerateInputError, SingularSystemError
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 
@@ -30,15 +29,14 @@ def hand_ensemble(prices):
     params = MarketParams(s0=prices[0, 0], mu=0.0, sigma=0.2, r=0.0,
                           maturity=float(prices.shape[1] - 1),
                           n_steps=prices.shape[1] - 1)
-    return ensemble_from_prices(prices, params)
+    return PathEnsemble(prices, params)
 
 
 def step_hedge(paths, h_next, t, g, **kw):
     """The recursion's hedge coefficients on the one-step ensemble of step
     t, with terminal values ``h_next``, on the single flat cell."""
-    step = ensemble_from_prices(paths.s_paths[:, t:t + 2],
-                                replace(paths.params, maturity=paths.params.dt,
-                                        n_steps=1))
+    step = PathEnsemble(paths.s_paths[:, t:t + 2],
+                        replace(paths.params, maturity=paths.params.dt, n_steps=1))
     return indifference_price_recursion(step, PUT, g, unit_basis(),
                                         terminal_values=h_next, **kw).hedge_coeffs[0]
 
