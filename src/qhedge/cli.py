@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .basis import KINDS, build_basis, quantiles
 from .black_scholes import bs_price_delta
-from .csvio import format_value, read_columns, scatter_records, typed_header, write_table
+from .csvio import format_value, read_panels, write_table
 from .dp import price_and_hedge_surface, solve_dp
 from .errors import ConfigError, DataFormatError, DegenerateInputError, QHedgeError, require_finite
 from .fqi import (TransitionDataset, build_dataset, dataset_rewards, fqi_backward,
@@ -224,50 +224,39 @@ def _ensemble(cfg) -> PathEnsemble:
 
 
 def ingest_prices(csv_path, params: MarketParams = None) -> PathEnsemble:
-    """Read a (path, t, s) panel into an ensemble.
-
-    The file's first columns must be ``path``, ``t`` and a price column,
-    ``s`` as ``simulate`` and ``make-dataset`` write it or ``S`` as
-    ``rollout`` does, so that states are never read as prices.  The panel
-    must hold one finite, positive price per (path, t) cell of a
-    rectangle.  Without ``params`` the state transform uses the header's
-    mu/sigma; with them the panel must have ``params.n_steps`` steps, and
-    a header mu, sigma, r or maturity must equal the configured one.
-    """
+    """The seedless ensemble of a price panel: a file whose columns start
+    ``path``, ``t`` and ``s`` (``simulate``, ``make-dataset``) or ``S``
+    (``rollout``), so that states are never read as prices, read by
+    ``csvio.read_panels`` and ``PathEnsemble.from_header``.  With
+    ``params`` the panel must have ``params.n_steps`` steps, the configured
+    market stands in for header items the file lacks, and a header mu,
+    sigma, r or maturity must equal the configured one."""
     path = Path(csv_path)
     if not path.exists():
         raise ConfigError(f"price panel not found: {path}")
-    meta, names, columns = read_columns(path)
-    if names[:2] != ["path", "t"] or names[2:3] not in (["s"], ["S"]):
-        raise DataFormatError(f"{path}: columns {','.join(names)}; a price panel starts "
-                              "path,t,s (simulate, make-dataset) or path,t,S (rollout)")
-    _, cols = scatter_records(path, dict(zip(("path", "t", "price"), columns)))
-    bad = np.flatnonzero(columns[2] <= 0)
-    if bad.size:
-        i = bad[0]
-        raise DataFormatError(f"{path}: non-positive price {columns[2][i]} at cell "
-                              f"(path={int(columns[0][i])}, t={int(columns[1][i])})")
-    panel = cols["price"].T  # stored by step, as PathEnsemble keeps it
-    n_steps = panel.shape[1] - 1
-    keys = ("mu", "sigma", "r", "maturity")
+
+    def check(meta, names):
+        if names[:2] != ["path", "t"] or names[2:3] not in (["s"], ["S"]):
+            raise DataFormatError(f"{path}: columns {','.join(names)}; a price panel starts "
+                                  "path,t,s (simulate, make-dataset) or path,t,S (rollout)")
+        return {names[2]: "price"}
+
+    meta, (ids, panels) = read_panels(path, check)
+    meta.pop("seed", None)  # an ingested ensemble has none
+    prices = panels["price"]
     if params is None:
-        h = typed_header(path, meta, dict.fromkeys(keys, float))
-        try:
-            params = MarketParams(s0=float(panel[0, 0]), n_steps=n_steps, **h)
-        except ValueError as exc:  # n_steps is the panel's, not the header's
-            key = str(exc).split()[0]
-            raise DataFormatError(f"{path}: bad header value for {key}: {exc}" if key in h
-                                  else f"{path}: {exc}") from None
-    elif params.n_steps != n_steps:
-        raise ConfigError(f"{path}: the panel has {n_steps} steps, but "
+        return PathEnsemble.from_header(path, meta, ids, prices)
+    if params.n_steps != len(prices) - 1:
+        raise ConfigError(f"{path}: the panel has {len(prices) - 1} steps, but "
                           f"market.n_steps is {params.n_steps}")
-    else:  # a panel recorded under another market would be priced under the wrong one
-        h = typed_header(path, meta, dict.fromkeys((k for k in keys if k in meta), float))
-        for key, value in h.items():
-            if value != getattr(params, key):
-                raise ConfigError(f"{path}: the panel's header has {key}={value}, but "
-                                  f"market.{key} is {getattr(params, key)}")
-    return PathEnsemble(panel, params)
+    keys = ("mu", "sigma", "r", "maturity")
+    paths = PathEnsemble.from_header(
+        path, {**{k: getattr(params, k) for k in ("s0", *keys)}, **meta}, ids, prices)
+    for key in keys:  # a panel recorded under another market would be priced under the wrong one
+        if (value := getattr(paths.params, key)) != getattr(params, key):
+            raise ConfigError(f"{path}: the panel's header has {key}={value}, but "
+                              f"market.{key} is {getattr(params, key)}")
+    return paths
 
 
 def _strategy(cfg, paths, basis, policy) -> HedgeStrategy:
@@ -293,25 +282,13 @@ def _strategy(cfg, paths, basis, policy) -> HedgeStrategy:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _market_header(paths: PathEnsemble) -> dict:
-    """The header of a price panel: the market its prices were simulated or
-    ingested under, which ``ingest_prices`` checks against the configured
-    one, its shape, and the seed of a simulated ensemble."""
-    p = paths.params
-    return {"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r, "maturity": p.maturity,
-            "n_steps": p.n_steps, "n_paths": paths.n_paths,
-            **({} if paths.seed is None else {"seed": paths.seed})}
-
-
 def cmd_simulate(cfg):
     paths = _ensemble(cfg)
     out = _outdir(cfg)
-    p = paths.params
-    write_table(out / "ensemble.csv",
-                {"path": np.arange(paths.n_paths), "t": np.arange(p.n_steps + 1)},
-                {"s": paths.s_paths, "x": paths.x_rows}, header=_market_header(paths))
-    _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": p.n_steps,
-                          "mean_s_final": paths.s(p.n_steps).mean()})
+    write_table(out / "ensemble.csv", {"path": None, "t": None},
+                {"s": paths.s_paths, "x": paths.x_rows}, header=paths.header())
+    _summarize(cfg, out, {"n_paths": paths.n_paths, "n_steps": paths.n_steps,
+                          "mean_s_final": paths.s(paths.n_steps).mean()})
     return 0
 
 
@@ -324,7 +301,7 @@ def cmd_rollout(cfg):
     write_table(out / "rollout.csv", {"path": None, "t": None},
                 {"S": paths.s_paths, "X": paths.x_rows, "a": roll.actions,
                  "Pi": roll.pi, "B": roll.b_rows, "R": roll.r_rows},
-                header={**_market_header(paths), "policy": cfg["rollout.policy"],
+                header={**paths.header(), "policy": cfg["rollout.policy"],
                         "lambda": cfg.risk().lam})
     _summarize(cfg, out, {"mean_pi0": roll.pi[:, 0].mean(),
                           "policy": cfg["rollout.policy"]})

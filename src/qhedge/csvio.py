@@ -13,10 +13,10 @@ labels) goes through Python's format.
 
 It is also the one place that knows the record layout: ``write_table``
 turns arrays, or functions that hand out a block of their rows at a time,
-into one record per element, ``PanelSink`` puts (path, t)
-records that come in that order straight into panels, and
-``scatter_records`` places them in any order, checking that they fill
-the panels and naming what is wrong.
+into one record per element, and ``read_panels`` reads (path, t) records
+back, those in that order straight into panels and others through
+``scatter_records``, which places them in any order, checking that they
+fill the panels and naming what is wrong.
 
 Records are formatted and parsed on every usable CPU: a large table is
 cut into contiguous ranges of records, one process per CPU formats or
@@ -29,7 +29,7 @@ Records are read one column at a time: each range is parsed a piece of
 lines at a time, a worker sends its columns one after another, and the
 reader hands each column to a sink a piece at a time, never one
 (records, columns) block, on one CPU or many.  The default sink keeps
-one array per column; ``PanelSink`` places each piece in its panel.
+one array per column; ``read_panels``' sink places each piece in its panel.
 """
 
 import contextlib
@@ -455,37 +455,65 @@ def typed_header(source, meta, keys):
     return out
 
 
-class OutOfOrder(Exception):
-    """Records that a ``PanelSink`` cannot place as they come."""
+def read_panels(path, check, zero_ends=()):
+    """``(meta, (ids, panels))``: a (path, t) file's header items, and the
+    path ids and panels of ``scatter_records``.  ``check(meta, names)``
+    refuses bad columns or header items and maps the value columns to keep
+    to their panels' names.  Records in ``write_table``'s order for the
+    header's (n_paths, n_steps+1) go straight into the panels, where the
+    ``zero_ends`` must be 0 at t = n_steps and get no row; any other file is
+    read as columns and scattered, every row kept, over the header's steps:
+    at once if its first path is out of order, else when the order breaks."""
+    names, shape = [], []
+
+    def panels(meta, colnames):
+        keep = {"path": "path", "t": "t", **check(meta, colnames)}
+        names[:] = [keep.get(name) for name in colnames]
+        with contextlib.suppress(KeyError, ValueError):
+            shape[:] = int(meta["n_paths"]), int(meta["n_steps"]) + 1
+        if len(shape) < 2 or min(shape) < 1 or not _leads_in_order(path, shape[1]):
+            raise _OutOfOrder
+        return _PanelSink(names, *shape, zero_ends)
+
+    try:
+        return read_columns(path, panels)[::2]
+    except _OutOfOrder:
+        meta, _, columns = read_columns(path)
+    records = {name: column for name, column in zip(names, columns) if name}
+    del columns  # the dict holds the only references
+    return meta, scatter_records(path, records, shape[1] if shape else None)
 
 
-class PanelSink:
+class _OutOfOrder(Exception):
+    """Records that a ``_PanelSink`` cannot place as they come."""
+
+
+class _PanelSink:
     """A ``read_columns`` sink for (path, t) records in the order
-    ``write_table`` writes an (n_paths, n_steps) table: path ids
-    ascending, t = 0 .. n_steps-1 within each path.  ``names`` are the
-    file's columns, "path" and "t" first.  Each value goes straight into
-    its step-major panel, path and t checked a piece at a time; ``finish``
-    returns what ``scatter_records`` would, but the ``zero_ends`` values
-    must be 0 at t = n_steps-1 and get no row there.  Other records raise
-    OutOfOrder, so that ``scatter_records`` can place them or name what is
-    wrong."""
+    ``write_table`` writes an (n_paths, n_steps) table, its columns named
+    by ``names`` as ``scatter_records`` takes them (None: not kept).  Each
+    kept value goes straight into its step-major panel, path and t checked
+    a piece at a time; ``finish`` returns what ``scatter_records`` would,
+    but the ``zero_ends`` values must be 0 at t = n_steps-1 and get no row
+    there.  Other records raise _OutOfOrder."""
 
     def __init__(self, names, n_paths, n_steps, zero_ends):
         self.names, self.n, self.steps, self.zero_ends = names, n_paths, n_steps, zero_ends
 
     def start(self, n, k):
         if k != len(self.names) or n < self.n * self.steps:
-            raise OutOfOrder
+            raise _OutOfOrder
         self.ids = np.full(self.n, np.nan)  # set by each path's t = 0 record
         self.panels = {name: np.empty((self.steps - (name in self.zero_ends), self.n))
-                       for name in self.names[2:]}
+                       for name in self.names if name not in (None, "path", "t")}
 
     def put(self, c, row, values):
+        if (name := self.names[c]) is None:
+            return
         record = np.arange(row, row + len(values))
         if record.size and record[-1] >= self.n * self.steps:
-            raise OutOfOrder
+            raise _OutOfOrder
         path, t = np.divmod(record, self.steps)
-        name = self.names[c]
         if name == "path":
             self.ids[path[t == 0]] = values[t == 0]
             ok = values == self.ids[path]
@@ -499,20 +527,20 @@ class PanelSink:
                 path, t, values = path[~last], t[~last], values[~last]
             self.panels[name].reshape(-1)[t * self.n + path] = values
         if not ok.all():
-            raise OutOfOrder
+            raise _OutOfOrder
 
     def finish(self, n):
         ids = self.ids
         if (n != self.n * self.steps or not np.all(np.diff(ids) > 0) or ids[0] < 0
                 or ids[-1] >= 2.0**53 or np.any(ids != np.floor(ids))):
-            raise OutOfOrder
+            raise _OutOfOrder
         return ids.astype(np.int64), self.panels
 
 
-def leads_in_order(path, n_steps):
+def _leads_in_order(path, n_steps):
     """Whether the first ``n_steps`` records of the file at ``path`` are
-    one path's t = 0 .. n_steps-1, as a ``PanelSink`` takes them: a look at
-    a few lines, so that a file in another order is parsed only once."""
+    one path's t = 0 .. n_steps-1, as a ``_PanelSink`` takes them: a look
+    at a few lines, so that a file in another order is parsed only once."""
     with open(path) as fh:
         lines = (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
         try:  # the records after the column names

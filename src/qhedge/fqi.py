@@ -23,25 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import (OutOfOrder, PanelSink, leads_in_order, read_columns, scatter_records,
-                    typed_header, write_table)
+from .csvio import read_panels, scatter_records, typed_header, write_table
 from .dp import terminal_fit
 from .errors import DataFormatError, DegenerateInputError, require_finite
-from .market import MarketParams, OptionContract, PathEnsemble, terminal_payoff
+from .market import OptionContract, PathEnsemble, terminal_payoff
 from .portfolio import RiskParams, _replicate, _reward, hedge_step
 from .regression import least_squares
 
 
-# header key -> type; _OPTIONAL_KEYS may be absent (no seed: a seedless ensemble)
-_HEADER_KEYS = {"n_steps": int, "mu": float, "sigma": float, "r": float, "dt": float,
-                "lambda": float, "seed": int, "n_paths": int, "s0": float,
-                "contract_kind": str, "contract_strike": float}
-_OPTIONAL_KEYS = ("seed", "n_paths", "s0", "contract_kind", "contract_strike")
+# a dataset header's items after its ensemble's (PathEnsemble.header), by type
+_HEADER_KEYS = {"lambda": float, "contract_kind": str, "contract_strike": float}
 # a dataset file's columns, in order: a record per path and t in [0, n_steps],
 # the one at t = n_steps holding the terminal price with a and r 0
 _RECORD_COLUMNS = ("path", "t", "s", "a", "r")
-# the header key of each parameter-class field whose name differs from it
-_FIELD_KEYS = {"maturity": "dt", "kind": "contract_kind", "strike": "contract_strike"}
 
 
 class TransitionDataset:
@@ -78,52 +72,36 @@ class TransitionDataset:
     @classmethod
     def from_records(cls, path_ids, t, s, a, r, header: dict, source="records"):
         """The dataset of flat (path, t, s, a, r) records in any order, as a
-        file holds them, under ``header``, the file's items as a dict:
-        ``n_steps``, ``mu``, ``sigma``, ``r``, ``dt``, ``lambda``, optionally
-        ``seed``, ``n_paths`` (checked against the records), ``s0`` (by
-        default the first path's t = 0 price), ``contract_kind`` and
-        ``contract_strike``, then extras.  The records must form one panel:
-        a record per path and t in [0, n_steps], with a = r = 0 at
-        t = n_steps.  The prices are kept exactly, and the states are their
-        ``to_state``, a step at a time (``PathEnsemble``).  Errors name
-        ``source`` and the header key or the (path, t) cell."""
-        return cls._from_columns(dict(zip(_RECORD_COLUMNS, (path_ids, t, s, a, r))),
-                                 header, source)
+        file holds them, under the file's items ``header``: ``n_steps``, the
+        rest of the ensemble's (``PathEnsemble.from_header``), ``lambda``,
+        optionally ``contract_kind`` and ``contract_strike``, then extras.
+        The records must hold one per path and t in [0, n_steps], with
+        a = r = 0 at t = n_steps.  Errors name ``source`` and the header
+        key or the (path, t) cell."""
+        n_steps = typed_header(source, header, {"n_steps": int})["n_steps"]
+        ids, p = scatter_records(source, dict(zip(_RECORD_COLUMNS, (path_ids, t, s, a, r))),
+                                 n_steps + 1)
+        return cls._from_panels(source, header, ids, p)
 
     @classmethod
-    def _from_columns(cls, records, header, source):
-        """``from_records`` of ``records``, a dict of its columns, which
-        ``scatter_records`` empties as it places them: a caller that hands
-        over the only references frees each column once it is placed."""
-        v = _typed_header(source, header)
-        ids, p = scatter_records(source, records, v["n_steps"] + 1)
-        return cls._from_panels(ids, p, v, header, source)
-
-    @classmethod
-    def _from_panels(cls, ids, p, v, header, source):
+    def _from_panels(cls, source, header, ids, p):
         """The dataset of the placed records: ``ids`` and the step-major
-        panels ``p`` of ``scatter_records``, under the typed header ``v``."""
-        if v.get("n_paths", ids.size) != ids.size:
-            raise DataFormatError(f"{source}: header n_paths={v['n_paths']}, but the "
-                                  f"records hold {ids.size} paths")
-        s_paths = p["s"].T
+        panels ``p`` of ``scatter_records``, under the file's items."""
+        paths = PathEnsemble.from_header(source, header, ids, p["s"])
+        v = typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
+                                          if k in header or k == "lambda"})
+        known = {**_HEADER_KEYS, **paths.header()}
         try:
-            params = MarketParams(s0=v.get("s0", float(s_paths[0, 0])),
-                                  mu=v["mu"], sigma=v["sigma"], r=v["r"],
-                                  maturity=v["dt"] * v["n_steps"], n_steps=v["n_steps"])
-            RiskParams(v["lambda"])  # checked here to name the key
             contract = (OptionContract(v["contract_kind"], v["contract_strike"])
                         if "contract_kind" in v and "contract_strike" in v else None)
-        except ValueError as exc:
-            field = str(exc).split()[0]
-            raise DataFormatError(f"{source}: bad header value for "
-                                  f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
-        paths = PathEnsemble(s_paths, params, seed=v.get("seed"))
-        try:
             return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
-                       {k: val for k, val in header.items() if k not in _HEADER_KEYS})
-        except DataFormatError as exc:
+                       {k: val for k, val in header.items() if k not in known})
+        except DataFormatError as exc:  # a or r
             raise DataFormatError(f"{source}: {exc}") from None
+        except ValueError as exc:  # lambda, or the contract's kind or strike
+            key = str(exc).split()[0]
+            key = key if key == "lambda" else f"contract_{key}"
+            raise DataFormatError(f"{source}: bad header value for {key}: {exc}") from None
 
     def __len__(self):
         return self.a.size
@@ -330,59 +308,31 @@ def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
 def write_dataset_csv(dataset: TransitionDataset, path):
     """Write a record per path and t in [0, n_steps] (see _RECORD_COLUMNS),
     formatted from the stored panels a block of paths at a time: the
-    prices are the ensemble's own panel, so no derived panel is built."""
-    paths, p, c = dataset.paths, dataset.paths.params, dataset.contract
-    seed = {} if paths.seed is None else {"seed": paths.seed}
-    items = {"s0": p.s0, **dataset.extras}
-    if c is not None:
-        items.update(contract_kind=c.kind, contract_strike=c.strike)
+    prices are the ensemble's own panel, so no derived panel is built.
+    The header is the ensemble's (``PathEnsemble.header``), then
+    ``lambda``, and the contract and extras by name."""
+    paths, n_steps, c = dataset.paths, dataset.paths.n_steps, dataset.contract
+    contract = {} if c is None else {"contract_kind": c.kind, "contract_strike": c.strike}
 
     def with_expiry(v):  # a or r given without the expiry column: its rows padded by a 0
-        return v if v.shape[1] > p.n_steps else lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
-    write_table(path, {"path": dataset.path_ids, "t": np.arange(p.n_steps + 1)},
+        return v if v.shape[1] > n_steps else lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
+    write_table(path, {"path": dataset.path_ids, "t": np.arange(n_steps + 1)},
                 {"s": paths.s_paths, **{k: with_expiry(v) for k, v in dataset._given.items()}},
-                {"n_paths": paths.n_paths, "n_steps": p.n_steps, "mu": p.mu,
-                 "sigma": p.sigma, "r": p.r, "dt": p.dt, "lambda": dataset.risk.lam,
-                 **seed, **dict(sorted(items.items()))})
-
-
-def _typed_header(source, header):
-    return typed_header(source, header, {k: typ for k, typ in _HEADER_KEYS.items()
-                                         if k in header or k not in _OPTIONAL_KEYS})
+                {**paths.header(), "lambda": dataset.risk.lam,
+                 **dict(sorted({**dataset.extras, **contract}.items()))})
 
 
 def read_dataset_csv(path) -> TransitionDataset:
-    """The dataset of a ``write_dataset_csv`` file, its columns and header
-    checked first.  Records in the order it writes them go straight into
-    the step-major panels, a piece at a time (``csvio.PanelSink``); a file
-    whose first path is in another order is read once by
-    ``_read_scattered``, one that breaks order later or holds any error
-    again by it, which names what is wrong."""
-    v = {}
-
-    def panels(meta, names):  # the panels of a whole header's shape
+    """The dataset of a ``write_dataset_csv`` file, its columns, n_paths
+    and n_steps checked before any record is read (``csvio.read_panels``,
+    which puts records in writer order straight into the panels)."""
+    def check(meta, names):
         _check_columns(path, names)
-        v.update(typed_header(path, meta, {"n_paths": int}), **_typed_header(path, meta))
-        if min(v["n_paths"], v["n_steps"]) < 1 or not leads_in_order(path, v["n_steps"] + 1):
-            raise OutOfOrder
-        return PanelSink(_RECORD_COLUMNS, v["n_paths"], v["n_steps"] + 1, ("a", "r"))
+        typed_header(path, meta, {"n_paths": int, "n_steps": int})
+        return {name: name for name in _RECORD_COLUMNS[2:]}
 
-    try:
-        meta, _, (ids, p) = read_columns(path, panels)
-    except OutOfOrder:
-        return _read_scattered(path)
-    return TransitionDataset._from_panels(ids, p, v, meta, path)
-
-
-def _read_scattered(path) -> TransitionDataset:
-    """The dataset of a dataset file in any record order: its columns read
-    whole and placed as ``TransitionDataset.from_records`` places them."""
-    meta, names, columns = read_columns(path)
-    _check_columns(path, names)
-    typed_header(path, meta, {"n_paths": int})  # which a file must carry
-    records = dict(zip(_RECORD_COLUMNS, columns))
-    del columns  # the dict holds the only references
-    return TransitionDataset._from_columns(records, meta, path)
+    meta, (ids, p) = read_panels(path, check, zero_ends=("a", "r"))
+    return TransitionDataset._from_panels(path, meta, ids, p)
 
 
 def _check_columns(path, names):

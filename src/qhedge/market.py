@@ -7,18 +7,26 @@ any step size.  The working state variable is
     X_t = -(mu - sigma^2/2) * t + log S_t,
 
 a driftless coordinate whose distribution does not translate over time,
-which keeps one basis usable across all time steps.
+which keeps one basis usable across all time steps.  A price-panel file's
+header is ``PathEnsemble.header()``, and ``PathEnsemble.from_header`` is
+its one decoder.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .csvio import typed_header
+from .errors import DataFormatError, DegenerateInputError
 
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # largest sigma with a finite square
 _RATE_DT_MAX = float(np.log(np.finfo(float).max))  # largest r dt with a finite e^{r dt}
 _PATH_BLOCK = 4096  # paths whose uniforms simulate_gbm draws and transforms at once
+# a price panel's header items (PathEnsemble.header) by type; all but these
+# four may be absent
+_HEADER_TYPES = {"s0": float, "mu": float, "sigma": float, "r": float, "maturity": float,
+                 "n_steps": int, "n_paths": int, "seed": int}
+_HEADER_REQUIRED = ("mu", "sigma", "r", "maturity")
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,42 @@ class PathEnsemble:
             raise ValueError("all stock prices must be positive and finite")
         self._s.setflags(write=False)
         self.params, self.seed = params, seed
+
+    @classmethod
+    def from_header(cls, source, header, path_ids, s) -> "PathEnsemble":
+        """``header()`` read back: the ensemble of the step-major price panel
+        ``s`` of the paths ``path_ids`` under a file's ``header`` items,
+        strings or values.  mu, sigma, r and maturity are required, s0 is
+        by default the first path's t = 0 price, n_steps and n_paths must
+        count the panel's, and a non-positive price is refused by its
+        (path, t) cell before the market is built.  Errors name ``source``."""
+        v = typed_header(source, header, {k: typ for k, typ in _HEADER_TYPES.items()
+                                          if k in header or k in _HEADER_REQUIRED})
+        for key, count in (("n_steps", s.shape[0] - 1), ("n_paths", s.shape[1])):
+            if v.get(key, count) != count:
+                raise DataFormatError(f"{source}: header {key}={v[key]}, but the records "
+                                      f"hold {count} {key[2:]}")
+        if (bad := np.argwhere(s <= 0)).size:
+            t, i = bad[0]
+            raise DataFormatError(f"{source}: non-positive price {s[t, i]} at cell "
+                                  f"(path={path_ids[i]}, t={t}); all stock prices must "
+                                  "be positive and finite")
+        try:
+            params = MarketParams(s0=v.get("s0", float(s[0, 0])), n_steps=s.shape[0] - 1,
+                                  **{k: v[k] for k in _HEADER_REQUIRED})
+        except ValueError as exc:
+            key = str(exc).split()[0]
+            raise DataFormatError(f"{source}: bad header value for {key}: {exc}" if key in v
+                                  else f"{source}: {exc}") from None
+        return cls(s.T, params, seed=v.get("seed"))
+
+    def header(self) -> dict:
+        """A price-panel file's header items: the market, the panel's
+        shape and a simulated ensemble's seed."""
+        p = self.params
+        return {"s0": p.s0, "mu": p.mu, "sigma": p.sigma, "r": p.r, "maturity": p.maturity,
+                "n_steps": p.n_steps, "n_paths": self.n_paths,
+                **({} if self.seed is None else {"seed": self.seed})}
 
     @property
     def n_paths(self) -> int:

@@ -147,7 +147,7 @@ class TestCriterion4FiniteStateAgreement:
         pid = np.repeat(np.arange(n)[:, None] * n_var, t1 - 1, axis=1)
         pid = np.repeat(pid.ravel(), n_var) + np.tile(np.arange(n_var), n * (t1 - 1))
         header = {"n_steps": t1 - 1, "mu": params.mu, "sigma": params.sigma,
-                  "r": params.r, "dt": params.dt, "lambda": risk.lam, "seed": 3,
+                  "r": params.r, "maturity": params.dt * (t1 - 1), "lambda": risk.lam, "seed": 3,
                   "s0": params.s0, "contract_kind": contract.kind,
                   "contract_strike": contract.strike}
         # each variant's terminal record: its path's last price, a and r 0;

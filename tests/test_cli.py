@@ -16,6 +16,7 @@ from qhedge.cli import POLICIES, ExperimentConfig, ingest_prices, main
 from qhedge.csvio import read_columns
 from qhedge.errors import ConfigError, DataFormatError
 from tests.test_black_scholes import put_price_by_quadrature
+from tests.test_csvio import split_over
 from tests.test_market import BENCH_PARAMS, BENCH_PATHS, traced
 
 
@@ -203,7 +204,7 @@ class TestSubcommands:
         records exits 3 naming the file and the key."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "# maturity=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
                      "0,0,100,0,0\n0,1,110,0,0\n1,0,100,0,0\n1,1,120,0,0\n")
         code = run("fqi-solve", "--dataset.path", str(f),
                    "--output.dir", str(tmp_path / "fqi"))
@@ -408,8 +409,8 @@ class TestDatasetHeader:
         ("sigma", "1e200", "bad header value for sigma: sigma must be at most"),
         ("lambda", "-1", "bad header value for lambda: lambda must be non-negative"),
         ("lambda", "0", "bad header value for lambda: fqi-solve requires lambda > 0"),
-        ("dt", "-1", "bad header value for dt: maturity must be positive"),
-        ("dt", "1e308", "bad header value for dt: maturity must be finite"),
+        ("maturity", "-1", "bad header value for maturity: maturity must be positive"),
+        ("maturity", "inf", "bad header value for maturity: maturity must be finite"),
         ("r", "-1", "bad header value for r: r must be non-negative"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, dataset_path,
@@ -701,17 +702,20 @@ class TestIngest:
         assert ("panel.csv: the panel has 2 steps, but market.n_steps is 24"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key, value", [("mu", "0.03"), ("sigma", "0.3"), ("r", "0.04"),
-                                            ("maturity", "2")])
+    @pytest.mark.parametrize("command, key, value", [
+        pytest.param(command, key, value, id=f"{prefix}{key}-{value}")
+        for command, prefix in (("simulate", ""), ("make-dataset", "dataset-"))
+        for key, value in (("mu", "0.03"), ("sigma", "0.3"), ("r", "0.04"), ("maturity", "2"))])
     def test_header_market_contradiction_names_key_and_file(self, tmp_path, capsys,
-                                                             key, value):
-        """A panel recorded under another market is a configuration error
-        naming the key, the file and both values, not a price computed
-        under the configured market; under the panel's market it runs."""
-        assert run("simulate", f"--market.{key}", value, "--output.dir",
+                                                             command, key, value):
+        """A panel recorded under another market, an ensemble.csv or a
+        dataset.csv, is a configuration error naming the key, the file and
+        both values, not a price computed under the configured market;
+        under the panel's market it runs."""
+        assert run(command, f"--market.{key}", value, "--output.dir",
                    str(tmp_path / "sim"), *SMALL) == 0
         capsys.readouterr()
-        f = tmp_path / "sim" / "ensemble.csv"
+        f = tmp_path / "sim" / ("ensemble.csv" if command == "simulate" else "dataset.csv")
         out = tmp_path / "dp"
         assert run("dp-solve", "--ingest.path", str(f), "--output.dir", str(out), *SMALL) == 2
         default = ExperimentConfig.load().values[f"market.{key}"]
@@ -720,6 +724,36 @@ class TestIngest:
         assert not (out / "summary.txt").exists()
         assert run("dp-solve", "--ingest.path", str(f), f"--market.{key}", value,
                    "--output.dir", str(out), *SMALL) == 0
+
+    def test_dataset_file_ingests_under_its_own_header(self, tmp_path):
+        """A make-dataset file carries the ensemble's header: with no market
+        configured it reads back as the recorded prices under the dataset's
+        own market, maturity included, and without its seed."""
+        assert run("make-dataset", *SMALL, "--market.maturity", "2",
+                   "--output.dir", str(tmp_path)) == 0
+        paths = ingest_prices(tmp_path / "dataset.csv")
+        recorded = read_dataset_csv(tmp_path / "dataset.csv").paths
+        assert paths.params == recorded.params
+        assert paths.params == MarketParams(s0=100.0, mu=0.05, sigma=0.2, r=0.03,
+                                            maturity=2.0, n_steps=6)
+        assert np.array_equal(paths.s_paths, recorded.s_paths)
+        assert (paths.seed, recorded.seed) == (None, 11)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("command, name", [("simulate", "ensemble.csv"),
+                                               ("rollout", "rollout.csv")])
+    def test_ingest_peak_below_two_price_panels(self, tmp_path, n_cpus, command, name):
+        """A price panel in writer order goes straight into the one panel
+        ingest keeps, its other columns dropped a piece at a time: reading
+        a 10k x 24 ensemble.csv or rollout.csv traces less than two price
+        panels, parsed here or by forked workers, where reading every
+        column whole and scattering them took 11.6 for rollout.csv."""
+        assert run(command, "--mc.n_paths", "10000", "--market.n_steps", "24",
+                   "--rollout.policy", "zero", "--output.dir", str(tmp_path)) == 0
+        with split_over(n_cpus, block=1 << 13) as started:
+            paths, peak = traced(lambda: ingest_prices(tmp_path / name))
+        assert len(started) == (0 if n_cpus == 1 else n_cpus)
+        assert peak / paths.s_paths.nbytes < 2
 
     def test_rollout_panel_carries_the_market_header(self, tmp_path, capsys):
         """rollout.csv carries simulate's market header, so that it ingests

@@ -79,7 +79,7 @@ class TestSingleStepRegression:
         s_next = np.array([95.0, 99.0, 104.0, 108.0])
         a = np.array([-1.0, 0.0, 0.5, 1.0])
         r = np.array([0.3, -0.1, 0.2, 0.4])
-        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.0, "r": 0.0, "dt": 1.0,
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.0, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.5, "seed": 0, "s0": 100.0, "contract_kind": "put",
                   "contract_strike": 100.0}
         ends = np.zeros(4)  # the t = 1 records: the next prices, a and r 0
@@ -364,6 +364,15 @@ def outcome(read, path):
         return None, (type(exc), str(exc))
 
 
+def read_scattered(path):
+    """The reference for ``read_dataset_csv``: a dataset file read whole
+    as columns, its columns checked, and its records placed by
+    ``TransitionDataset.from_records``."""
+    meta, names, columns = csvio.read_columns(path)
+    fqi._check_columns(path, names)
+    return TransitionDataset.from_records(*columns, meta, source=path)
+
+
 def read_and_solve_peaks(tmp_path, n_cpus):
     """(dataset, basis, started workers, traced peaks in float columns of
     records) of reading a default random-policy dataset over ``n_cpus``
@@ -401,10 +410,7 @@ class TestDatasetIO:
         assert np.array_equal(back.paths.x_paths, ds.paths.x_paths)
         assert np.array_equal(back.a, ds.a)
         assert np.array_equal(back.r, ds.r)
-        # what the file carries: the maturity is not among it, only dt
-        p, q = back.paths.params, ds.paths.params
-        assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
-            (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
+        assert back.paths.params == ds.paths.params
         assert (back.risk.lam, back.paths.seed) == (ds.risk.lam, ds.paths.seed)
         assert (back.contract, back.extras) == (PUT, {"policy": "random"})
 
@@ -609,7 +615,7 @@ class TestDatasetIO:
          "inf": lambda: cell(13, 2, "inf"),
          "fraction": lambda: cell(3, 0, "1.5"),
          "horizon": lambda: cell(20, 1, "4"),
-         "n_paths": lambda: header.__setitem__(0, "# n_paths=8\n"),
+         "n_paths": lambda: header.__setitem__(header.index("# n_paths=7\n"), "# n_paths=8\n"),
          "columns": lambda: [row.append("0") for row in cells],
          "terminal_a": lambda: cell(4 * int(row or 0) + 3, 3, "0.5"),
          "terminal_r": lambda: cell(4 * int(row or 0) + 3, 4, "-1e-300"),
@@ -617,12 +623,11 @@ class TestDatasetIO:
          "x_next": lambda: old_layout(int(row or 0)),
          "x": lambda: header.__setitem__(-1, "path,t,x,a,r\n"),
          }[edit]()
-        assert header[0].startswith("# n_paths=")
         f.write_text("".join(header + [",".join(row) + "\n" for row in cells]))
         monkeypatch.setattr(csvio, "_PARSE_BYTES", 1)
         with split_over(n_cpus, block=3):
             got = outcome(read_dataset_csv, f)
-        want = outcome(fqi._read_scattered, f)
+        want = outcome(read_scattered, f)
         assert got[1] == want[1]
         if edit in ("shuffled", "descending"):
             for name in ("path_ids", "paths.x_paths", "a", "r"):
@@ -702,7 +707,7 @@ class TestDatasetIO:
             build_dataset(paths, a, r, 1e-3, PUT)
 
     def test_missing_slice_rejected(self):
-        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
+        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records(
@@ -710,7 +715,7 @@ class TestDatasetIO:
                 a=[0.0] * 5, r=[0.0] * 5, header=header)
 
     def test_duplicate_record_rejected(self):
-        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 0.5,
+        header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"duplicate rows for cell \(path=0, t=0\)"):
             TransitionDataset.from_records(
@@ -718,7 +723,7 @@ class TestDatasetIO:
                 a=[0.0] * 4, r=[0.0] * 4, header=header)
 
     def test_nonfinite_reward_rejected(self):
-        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError):
             TransitionDataset.from_records([0, 0], [0, 1], [100.0, 110.0], [0.0, 0.0],
@@ -726,7 +731,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("field", ["x", "a", "x_next"])
     def test_nonfinite_state_or_action_rejected(self, field):
-        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0}
         rec = dict(s=[100.0, 110.0], a=[0.0, 0.0], r=[0.0, 0.0])
         # the state of a record is its price: x_next is the t = 1 record's
@@ -737,7 +742,7 @@ class TestDatasetIO:
             TransitionDataset.from_records([0, 0], [0, 1], header=header, **rec)
 
     def test_time_outside_horizon_rejected(self):
-        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0}
         with pytest.raises(DataFormatError, match=r"cell \(path=0, t=2\) is outside"):
             TransitionDataset.from_records([0, 0, 0], [0, 1, 2], [100.0, 110.0, 120.0], [0.0] * 3,
@@ -752,7 +757,7 @@ class TestDatasetIO:
     def test_bad_header_value_names_key_and_file(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=abc\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "# maturity=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
                      "0,0,100,0,0\n0,1,110,0,0\n")
         with pytest.raises(DataFormatError, match=r"bad\.csv.*n_paths='abc'"):
             read_dataset_csv(f)
@@ -781,7 +786,7 @@ class TestDatasetIO:
         """A fractional path id is rejected, not truncated to an integer."""
         f = tmp_path / "bad.csv"
         f.write_text("# n_paths=2\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "# maturity=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
                      "0,0,100,0,0\n0,1,110,0,0\n2.7,0,100,0,0\n2.7,1,120,0,0\n")
         with pytest.raises(DataFormatError, match=r"data row 3 is \[2\.7, 0\.0"):
             read_dataset_csv(f)
@@ -795,7 +800,7 @@ class TestDatasetIO:
     def test_record_errors_name_file_and_cell(self, tmp_path, rows, message):
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=2\n# n_steps=2\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=0.5\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n" + rows)
+                     "# maturity=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n" + rows)
         with pytest.raises(DataFormatError, match=rf"data\.csv: {message}"):
             read_dataset_csv(f)
 
@@ -804,14 +809,24 @@ class TestDatasetIO:
         format error, not a dataset that writes the wrong count back."""
         f = tmp_path / "data.csv"
         f.write_text("# n_paths=5\n# n_steps=1\n# mu=0\n# sigma=0.2\n# r=0\n"
-                     "# dt=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
+                     "# maturity=1\n# lambda=0.1\n# seed=0\npath,t,s,a,r\n"
                      "0,0,100,0,0\n0,1,110,0,0\n1,0,100,0,0\n1,1,120,0,0\n")
         with pytest.raises(DataFormatError, match=r"data\.csv: header n_paths=5, "
                                                   r"but the records hold 2 paths"):
             read_dataset_csv(f)
 
+    def test_bad_first_price_names_its_cell(self):
+        """Without an s0 item, s0 is the first path's t = 0 price: a price
+        of 0 there is refused by its cell, not blamed on the header."""
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
+                  "lambda": 0.1}
+        with pytest.raises(DataFormatError, match=r"^records: non-positive price 0\.0 at cell "
+                                                  r"\(path=0, t=0\); .*positive and finite$"):
+            TransitionDataset.from_records([0, 0, 1, 1], [0, 1, 0, 1], [0.0, 100.0, 100.0, 100.0],
+                                           [0.0] * 4, [0.0] * 4, header)
+
     def test_contract_required(self):
-        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "dt": 1.0,
+        header = {"n_steps": 1, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,
                   "lambda": 0.1, "seed": 0, "s0": 100.0}
         ds = TransitionDataset.from_records([0, 1, 0, 1], [0, 0, 1, 1],
                                             [100.0, 100.0, 101.0, 99.0],

@@ -21,13 +21,13 @@ from scipy.interpolate import BSpline
 from scipy.special import ndtri
 
 from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
-                    PathEnsemble, RiskParams, build_basis, build_dataset, dataset_rewards,
-                    discretize, from_state, q_learn,
+                    PathEnsemble, RiskParams, TransitionDataset, build_basis, build_dataset,
+                    dataset_rewards, discretize, from_state, q_learn,
                     read_dataset_csv, reward_parabola, rollout_portfolio, simulate_gbm,
                     solve_dp, solve_local_risk, terminal_payoff, to_state,
                     write_dataset_csv)
 from qhedge import basis as basis_module
-from qhedge import csvio, fqi, regression
+from qhedge import csvio, regression
 from qhedge.basis import KINDS, quantiles
 from qhedge.cli import POLICIES, ExperimentConfig, _strategy
 from qhedge.csvio import format_value, write_table
@@ -606,10 +606,24 @@ def test_write_block_size_changes_no_byte(seed, n_paths, n_cols, n_cpus):
     assert len(written) == 1
 
 
+class _Uniforms:
+    """An explicit example's ``data``: each draw is a (n_paths, n_steps)
+    panel of uniforms on [-1, 1] from one seeded stream."""
+
+    def __init__(self, shape):
+        self.shape, self.rng = shape, np.random.default_rng(0)
+
+    def draw(self, strategy):
+        return self.rng.uniform(-1.0, 1.0, self.shape)
+
+
 @PROPERTY
 @given(params=markets, n_paths=st.integers(1, 20), seed=seeds, kind=kinds,
        strike=st.floats(50.0, 150.0), lam=st.floats(1e-4, 1.0), data=st.data(),
        shuffle=st.booleans(), every_cpu=st.booleans())
+# 49 steps over maturity 1: dt * n_steps is 0.9999999999999999, not the maturity
+@example(params=market(0.05, 0.2, 0.03, 49), n_paths=3, seed=1, kind="put", strike=100.0,
+         lam=1e-3, data=_Uniforms((3, 49)), shuffle=False, every_cpu=False)
 def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam, data,
                                         shuffle, every_cpu):
     """A dataset file, a record per path and t in [0, n_steps], reads back
@@ -637,10 +651,7 @@ def test_dataset_round_trip_is_lossless(params, n_paths, seed, kind, strike, lam
     for name in ("path_ids", "paths.x_paths", "a", "r"):
         assert attrgetter(name)(back).tobytes() == attrgetter(name)(ds).tobytes()
     assert np.array_equal(back.paths.s_paths, ds.paths.s_paths)
-    # what the file carries: the maturity is not among it, only dt
-    p, q = back.paths.params, ds.paths.params
-    assert (p.n_steps, p.mu, p.sigma, p.r, p.dt, p.s0) == \
-        (q.n_steps, q.mu, q.sigma, q.r, q.dt, q.s0)
+    assert back.paths.params == ds.paths.params
     assert (back.risk.lam, back.paths.seed) == (lam, seed)
     assert (back.contract, back.extras) == (OptionContract(kind, strike), {})
 
@@ -666,8 +677,9 @@ def test_in_order_read_is_the_scattered_read(params, n_paths, seed, data, gaps, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
         write_dataset_csv(ds, path)
-        want = fqi._read_scattered(path)
-        with (mock.patch.object(fqi, "scatter_records", side_effect=AssertionError),
+        meta, _, columns = csvio.read_columns(path)
+        want = TransitionDataset.from_records(*columns, meta, source=path)
+        with (mock.patch.object(csvio, "scatter_records", side_effect=AssertionError),
               mock.patch.object(csvio, "_PARSE_BYTES", parse_bytes),
               mock.patch.object(csvio, "_BLOCK", piece),
               mock.patch.object(csvio, "_SPLIT_BYTES", 1),
