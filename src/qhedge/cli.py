@@ -344,8 +344,8 @@ def cmd_make_dataset(cfg):
     policy = cfg["dataset.policy"]
     # one local-risk pass: the rewards' reference, and that policy's hedge
     record = policy == "local_risk"
-    actions = (np.zeros((paths.n_paths, paths.n_steps + 1), order="F") if record
-               else _strategy(cfg, paths, basis, policy).actions(paths))
+    actions = (np.zeros((paths.n_paths, paths.n_steps), order="F") if record
+               else _strategy(cfg, paths, basis, policy).actions(paths)[:, :-1])
     rewards = dataset_rewards(paths, actions, contract, risk, basis, record_hedge=record)
     dataset = build_dataset(paths, actions, rewards, risk.lam, contract)
     dataset.extras["policy"] = policy

@@ -105,16 +105,22 @@ def read_columns(path, sink=None):
 
 
 class _Columns:
-    """``read_columns``' own sink: one float array per column."""
+    """``read_columns``' own sink: one float array per column, or only per
+    column ``keep`` marks true, the others None, their values dropped."""
+
+    def __init__(self, keep=None):
+        self.keep = keep
 
     def start(self, n, k):
-        self.columns = [np.empty(n) for _ in range(k)]
+        self.columns = [np.empty(n) if self.keep is None or c < len(self.keep) and self.keep[c]
+                        else None for c in range(k)]
 
     def put(self, c, row, values):
-        self.columns[c][row:row + len(values)] = values
+        if self.columns[c] is not None:
+            self.columns[c][row:row + len(values)] = values
 
     def finish(self, n):
-        return [column[:n] for column in self.columns]
+        return [None if column is None else column[:n] for column in self.columns]
 
 
 def _loadtxt(lines):
@@ -457,13 +463,13 @@ def typed_header(source, meta, keys):
 
 def read_panels(path, check, zero_ends=()):
     """``(meta, (ids, panels))``: a (path, t) file's header items, and the
-    path ids and panels of ``scatter_records``.  ``check(meta, names)``
-    refuses bad columns or header items and maps the value columns to keep
-    to their panels' names.  Records in ``write_table``'s order for the
-    header's (n_paths, n_steps+1) go straight into the panels, where the
-    ``zero_ends`` must be 0 at t = n_steps and get no row; any other file is
-    read as columns and scattered, every row kept, over the header's steps:
-    at once if its first path is out of order, else when the order breaks."""
+    path ids and panels of ``scatter_records``, ``zero_ends`` and all, in
+    any record order.  ``check(meta, names)`` refuses bad columns or header
+    items and maps the value columns to keep to their panels' names.
+    Records in ``write_table``'s order for the header's (n_paths,
+    n_steps+1) go straight into the panels; any other file is read as its
+    kept columns and scattered over the header's steps: at once if its
+    first path is out of order, else when the order breaks."""
     names, shape = [], []
 
     def panels(meta, colnames):
@@ -473,15 +479,16 @@ def read_panels(path, check, zero_ends=()):
             shape[:] = int(meta["n_paths"]), int(meta["n_steps"]) + 1
         if len(shape) < 2 or min(shape) < 1 or not _leads_in_order(path, shape[1]):
             raise _OutOfOrder
-        return _PanelSink(names, *shape, zero_ends)
+        return _PanelSink(names, *shape)
 
     try:
-        return read_columns(path, panels)[::2]
+        meta, _, (ids, placed) = read_columns(path, panels)
     except _OutOfOrder:
-        meta, _, columns = read_columns(path)
-    records = {name: column for name, column in zip(names, columns) if name}
-    del columns  # the dict holds the only references
-    return meta, scatter_records(path, records, shape[1] if shape else None)
+        meta, _, columns = read_columns(path, lambda meta, colnames: _Columns(names))
+        records = {name: column for name, column in zip(names, columns) if name}
+        del columns  # the dict holds the only references
+        return meta, scatter_records(path, records, shape[1] if shape else None, zero_ends)
+    return meta, _drop_zero_ends(path, ids, placed, zero_ends)
 
 
 class _OutOfOrder(Exception):
@@ -493,18 +500,17 @@ class _PanelSink:
     ``write_table`` writes an (n_paths, n_steps) table, its columns named
     by ``names`` as ``scatter_records`` takes them (None: not kept).  Each
     kept value goes straight into its step-major panel, path and t checked
-    a piece at a time; ``finish`` returns what ``scatter_records`` would,
-    but the ``zero_ends`` values must be 0 at t = n_steps-1 and get no row
-    there.  Other records raise _OutOfOrder."""
+    a piece at a time; ``finish`` returns what ``scatter_records`` would
+    with no ``zero_ends``.  Other records raise _OutOfOrder."""
 
-    def __init__(self, names, n_paths, n_steps, zero_ends):
-        self.names, self.n, self.steps, self.zero_ends = names, n_paths, n_steps, zero_ends
+    def __init__(self, names, n_paths, n_steps):
+        self.names, self.n, self.steps = names, n_paths, n_steps
 
     def start(self, n, k):
         if k != len(self.names) or n < self.n * self.steps:
             raise _OutOfOrder
         self.ids = np.full(self.n, np.nan)  # set by each path's t = 0 record
-        self.panels = {name: np.empty((self.steps - (name in self.zero_ends), self.n))
+        self.panels = {name: np.empty((self.steps, self.n))
                        for name in self.names if name not in (None, "path", "t")}
 
     def put(self, c, row, values):
@@ -521,10 +527,6 @@ class _PanelSink:
             ok = values == t
         else:
             ok = np.isfinite(values)
-            if name in self.zero_ends:
-                last = t == self.steps - 1
-                ok &= ~last | (values == 0)
-                path, t, values = path[~last], t[~last], values[~last]
             self.panels[name].reshape(-1)[t * self.n + path] = values
         if not ok.all():
             raise _OutOfOrder
@@ -535,6 +537,18 @@ class _PanelSink:
                 or ids[-1] >= 2.0**53 or np.any(ids != np.floor(ids))):
             raise _OutOfOrder
         return ids.astype(np.int64), self.panels
+
+
+def _drop_zero_ends(source, ids, panels, zero_ends):
+    """The terminal rule: the ``zero_ends`` must be 0 at the last t, whose
+    record holds the price at expiry alone; their panels then lose that row."""
+    for name in zero_ends:
+        end, bad = len(panels[name]) - 1, np.flatnonzero(panels[name][-1])
+        if bad.size:
+            raise DataFormatError(f"{source}: {name} at expiry (path={ids[bad[0]]}, t={end}) "
+                                  f"is {panels[name][end, bad[0]]}; it must be 0")
+        panels[name].resize((end, ids.size), refcheck=False)  # no view of it exists
+    return ids, panels
 
 
 def _leads_in_order(path, n_steps):
@@ -550,18 +564,18 @@ def _leads_in_order(path, n_steps):
     return np.array_equal(head, np.stack([np.full(n_steps, head[0, 0]), np.arange(n_steps)], 1))
 
 
-def scatter_records(source, records, n_steps=None):
+def scatter_records(source, records, n_steps=None, zero_ends=()):
     """Place flat (path, t) records, in any order, into step-major panels.
     ``records`` maps "path", "t" and then each value's name to one column
     of one entry per record; the dict is emptied as its columns are used
     (path and t once each record's cell is known, a value once it is
     placed), so a caller that hands over the only references frees each
     column as soon as it is consumed.  Returns the distinct path ids,
-    ascending, and per value name an (n_steps, n_paths) panel.  The
-    records must fill the panels: path and t non-negative integers, t
+    ascending, and per value name an (n_steps, n_paths) panel, whose last
+    row the ``zero_ends`` lose to the terminal rule (``_drop_zero_ends``).
+    The records must fill the panels: path and t non-negative integers, t
     below n_steps (by default one past the largest t), values finite, one
-    record per cell.  Each error names ``source`` and the (path, t)
-    cell."""
+    record per cell.  Each error names ``source`` and the (path, t) cell."""
     def reject(wrong, message):
         i = np.flatnonzero(wrong)
         if i.size:
@@ -593,4 +607,4 @@ def scatter_records(source, records, n_steps=None):
     for name in list(records):
         panels[name] = np.empty((n, ids.size))
         panels[name].reshape(-1)[cell] = records.pop(name)
-    return ids, panels
+    return _drop_zero_ends(source, ids, panels, zero_ends)

@@ -34,16 +34,16 @@ from .regression import least_squares
 # a dataset header's items after its ensemble's (PathEnsemble.header), by type
 _HEADER_KEYS = {"lambda": float, "contract_kind": str, "contract_strike": float}
 # a dataset file's columns, in order: a record per path and t in [0, n_steps],
-# the one at t = n_steps holding the terminal price with a and r 0
+# the one at t = n_steps holding the terminal price with a and r 0 (csvio's rule)
 _RECORD_COLUMNS = ("path", "t", "s", "a", "r")
 
 
 class TransitionDataset:
     """Transitions recorded on one ensemble of prices, ``paths``, whose
     params and seed are the dataset's: a path per id of ``path_ids``
-    (ascending), and ``a`` and ``r`` (n, n_steps) stored by step so that
-    column t is contiguous (given (n, n_steps+1), the expiry column of
-    zeros is kept for the file's terminal records).  ``risk`` holds the
+    (ascending), and ``a`` and ``r`` (n, n_steps), a column per step, stored
+    by step so that column t is contiguous (a panel so stored, no copy);
+    the file's terminal records are the codec's.  ``risk`` holds the
     dataset's lambda, ``contract`` may be None, and ``extras`` holds any
     other header items.  ``from_records`` builds one from flat records."""
 
@@ -55,19 +55,13 @@ class TransitionDataset:
         shape = (self.path_ids.size, paths.n_steps)
         if paths.n_paths != shape[0]:
             raise DataFormatError(f"{paths.n_paths} price paths for {shape[0]} path ids")
-        self._given = {}  # a and r as given, so with an expiry column if they had one
         for name, v in (("a", a), ("r", r)):
             v = np.ascontiguousarray(np.asarray(v, dtype=float).T).T
-            if v.shape not in (shape, (shape[0], shape[1] + 1)):
-                raise DataFormatError(f"{name} is {v.shape}; expected {shape} (+1 column)")
+            if v.shape != shape:
+                raise DataFormatError(f"{name} is {v.shape}; expected {shape}")
             if not np.all(np.isfinite(v)):
                 raise DataFormatError(f"non-finite {name} values in dataset")
-            bad = np.flatnonzero(v[:, shape[1]:])
-            if bad.size:
-                raise DataFormatError(f"{name} at expiry (path={self.path_ids[bad[0]]}, "
-                                      f"t={shape[1]}) is {v[bad[0], -1]}; it must be 0")
-            self._given[name] = v
-            setattr(self, name, v[:, :shape[1]])
+            setattr(self, name, v)
 
     @classmethod
     def from_records(cls, path_ids, t, s, a, r, header: dict, source="records"):
@@ -76,11 +70,11 @@ class TransitionDataset:
         rest of the ensemble's (``PathEnsemble.from_header``), ``lambda``,
         optionally ``contract_kind`` and ``contract_strike``, then extras.
         The records must hold one per path and t in [0, n_steps], with
-        a = r = 0 at t = n_steps.  Errors name ``source`` and the header
-        key or the (path, t) cell."""
+        a = r = 0 at t = n_steps (csvio's terminal rule).  Errors name
+        ``source`` and the header key or the (path, t) cell."""
         n_steps = typed_header(source, header, {"n_steps": int})["n_steps"]
         ids, p = scatter_records(source, dict(zip(_RECORD_COLUMNS, (path_ids, t, s, a, r))),
-                                 n_steps + 1)
+                                 n_steps + 1, _RECORD_COLUMNS[3:])
         return cls._from_panels(source, header, ids, p)
 
     @classmethod
@@ -96,8 +90,6 @@ class TransitionDataset:
                         if "contract_kind" in v and "contract_strike" in v else None)
             return cls(ids, paths, p["a"].T, p["r"].T, v["lambda"], contract,
                        {k: val for k, val in header.items() if k not in known})
-        except DataFormatError as exc:  # a or r
-            raise DataFormatError(f"{source}: {exc}") from None
         except ValueError as exc:  # lambda, or the contract's kind or strike
             key = str(exc).split()[0]
             key = key if key == "lambda" else f"contract_{key}"
@@ -259,21 +251,20 @@ def extract_price_hedge(solution: FQISolution, basis, x, t: int):
 
 def dataset_rewards(paths: PathEnsemble, actions, contract: OptionContract,
                     risk: RiskParams, basis, *, record_hedge=False) -> np.ndarray:
-    """Per-record rewards of the recorded (n_paths, n_steps[+1]) ``actions``
+    """Per-record rewards of the recorded (n_paths, n_steps) ``actions``
     under ``portfolio.hedge_step``'s model convention, with the variance
     penalty around the portfolio of ``contract``'s risk-minimizing hedge,
-    as an (n_paths, n_steps+1) panel with an expiry column of zeros.
+    as an (n_paths, n_steps) panel stored by step, as a dataset keeps it.
     They are built inside that hedge's backward pass, the one
     ``solve_local_risk`` runs: each step evaluates one design and centers
     once, and no portfolio panel is kept.  With ``record_hedge`` the
     actions are written, not read: column t receives the pass's hedge at
     step t, the local_risk policy's action, before its rewards are taken."""
     n, n_steps = paths.n_paths, paths.n_steps
-    if np.shape(actions) != (n, n_steps + 1):
-        _check_shape("actions", actions, n, n_steps)
+    _check_shape("actions", actions, n, n_steps)
 
     def rewards():  # stored by step, so that the first bad row names its step
-        out = np.zeros((n_steps + 1, n))
+        out = np.empty((n_steps, n))
 
         def hedge(t, pi_next, ds, s):
             design = basis.evaluate(paths.x(t))
@@ -299,8 +290,8 @@ def _check_shape(name, panel, n_paths, n_cols):
 
 def build_dataset(paths: PathEnsemble, actions, rewards, lam: float,
                   contract: OptionContract = None) -> TransitionDataset:
-    """The dataset of an ensemble, under its seed, plus per-step actions
-    and rewards (see ``TransitionDataset``)."""
+    """The dataset of an ensemble, under its seed, plus (n_paths, n_steps)
+    actions and rewards (see ``TransitionDataset``)."""
     return TransitionDataset(np.arange(paths.n_paths), paths, actions, rewards, lam,
                              contract)
 
@@ -314,24 +305,24 @@ def write_dataset_csv(dataset: TransitionDataset, path):
     paths, n_steps, c = dataset.paths, dataset.paths.n_steps, dataset.contract
     contract = {} if c is None else {"contract_kind": c.kind, "contract_strike": c.strike}
 
-    def with_expiry(v):  # a or r given without the expiry column: its rows padded by a 0
-        return v if v.shape[1] > n_steps else lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
+    def with_expiry(v):  # a or r: each block's rows padded by the terminal record's 0
+        return lambda rows: np.pad(v[rows], [(0, 0), (0, 1)])
     write_table(path, {"path": dataset.path_ids, "t": np.arange(n_steps + 1)},
-                {"s": paths.s_paths, **{k: with_expiry(v) for k, v in dataset._given.items()}},
+                {"s": paths.s_paths, "a": with_expiry(dataset.a), "r": with_expiry(dataset.r)},
                 {**paths.header(), "lambda": dataset.risk.lam,
                  **dict(sorted({**dataset.extras, **contract}.items()))})
 
 
 def read_dataset_csv(path) -> TransitionDataset:
-    """The dataset of a ``write_dataset_csv`` file, its columns, n_paths
-    and n_steps checked before any record is read (``csvio.read_panels``,
-    which puts records in writer order straight into the panels)."""
+    """The dataset of a ``write_dataset_csv`` file in any record order, its
+    columns, n_paths and n_steps checked before any record is read
+    (``csvio.read_panels``, which applies the terminal rule to a and r)."""
     def check(meta, names):
         _check_columns(path, names)
         typed_header(path, meta, {"n_paths": int, "n_steps": int})
         return {name: name for name in _RECORD_COLUMNS[2:]}
 
-    meta, (ids, p) = read_panels(path, check, zero_ends=("a", "r"))
+    meta, (ids, p) = read_panels(path, check, _RECORD_COLUMNS[3:])
     return TransitionDataset._from_panels(path, meta, ids, p)
 
 

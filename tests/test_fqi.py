@@ -16,7 +16,7 @@ from qhedge import (BasisSet, FQISolution, MarketParams,
                     fqi_backward, read_dataset_csv, simulate_gbm, solve_dp,
                     solve_local_risk, terminal_payoff, write_dataset_csv)
 from qhedge.cli import ExperimentConfig, main
-from qhedge import csvio, fqi
+from qhedge import cli, csvio, fqi
 from qhedge.csvio import write_table
 from qhedge.errors import DataFormatError, SingularSystemError
 from qhedge.portfolio import _replicate
@@ -689,22 +689,31 @@ class TestDatasetIO:
                         for i, (a, r) in enumerate([("0.5", "2"), ("-1", "0.25"),
                                                     ("0", "0")] * 3)]
 
-    def test_expiry_column_is_kept_without_a_copy(self):
-        """Actions and rewards given with their expiry column of zeros, as
-        make-dataset holds them, are stored without a copy, and a and r
-        stay (n, n_steps); a nonzero expiry value is refused, naming its
-        cell."""
-        paths = gbm(n_paths=5, seed=2, n_steps=3)
-        a = np.zeros((5, 4), order="F")
-        a[:, :3] = 0.5
-        r = a.copy(order="F")
-        ds = build_dataset(paths, a, r, 1e-3, PUT)
-        assert ds.a.shape == ds.r.shape == (5, 3) and len(ds) == 15
-        assert np.shares_memory(ds.a, a) and np.shares_memory(ds.r, r)
-        r[3, 3] = 2.0
-        with pytest.raises(DataFormatError,
-                           match=r"^r at expiry \(path=3, t=3\) is 2\.0; it must be 0$"):
-            build_dataset(paths, a, r, 1e-3, PUT)
+    @pytest.mark.parametrize("policy", ["random", "local_risk"])
+    def test_make_dataset_stores_its_panels_without_a_copy(self, tmp_path, monkeypatch,
+                                                           policy):
+        """make-dataset hands build_dataset the transition columns (a view)
+        of the policy's per-date action panel, or the (n, n_steps) panel
+        the local-risk pass records into, and dataset_rewards' panel: the
+        dataset stores each without a copy, as (n, n_steps).  A per-date
+        panel itself is refused by its shape: the terminal record is the
+        codec's, not the dataset's."""
+        calls = []
+
+        def spy(*args):
+            calls.append((args, fqi.build_dataset(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(cli, "build_dataset", spy)
+        assert main(["make-dataset", "--mc.n_paths", "50", "--market.n_steps", "3",
+                     "--basis.m", "6", "--dataset.policy", policy,
+                     "--output.dir", str(tmp_path)]) == 0
+        [((paths, a, r, lam, contract), ds)] = calls
+        given = a if policy == "local_risk" else a.base
+        assert given.shape == (50, 3 if policy == "local_risk" else 4)
+        assert ds.a.shape == ds.r.shape == (50, 3) and len(ds) == 150
+        assert np.shares_memory(ds.a, given) and np.shares_memory(ds.r, r)
+        with pytest.raises(DataFormatError, match=r"^a is \(50, 4\); expected \(50, 3\)$"):
+            build_dataset(paths, np.zeros((50, 4)), r, lam, contract)
 
     def test_missing_slice_rejected(self):
         header = {"n_steps": 2, "mu": 0.0, "sigma": 0.2, "r": 0.0, "maturity": 1.0,

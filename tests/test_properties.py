@@ -5,6 +5,7 @@ grouped Q-learning kernel, the pooled quantiles and the per-step columns
 and blocks of rows an ensemble derives.  Examples are drawn by hypothesis, derandomized
 so every run draws the same ones."""
 
+import functools
 import math
 import os
 import tempfile
@@ -29,8 +30,9 @@ from qhedge import (DiscreteMDP, HedgeStrategy, MarketParams, OptionContract,
 from qhedge import basis as basis_module
 from qhedge import csvio, regression
 from qhedge.basis import KINDS, quantiles
-from qhedge.cli import POLICIES, ExperimentConfig, _strategy
+from qhedge.cli import POLICIES, ExperimentConfig, _strategy, main
 from qhedge.csvio import format_value, write_table
+from qhedge.errors import DataFormatError
 from qhedge.market import _libm_log, _ndtri
 from qhedge.portfolio import _replicate, _reward, hedge_step
 from qhedge.tabular import _SnappedPrices, _bucket_means
@@ -279,10 +281,10 @@ def test_blocked_least_squares_fits_the_unblocked_sums(n, m, seed, zero_share, s
 def two_pass_rewards(paths, actions, contract, risk, basis):
     """The rewards as two passes built them: the local-risk solve keeps its
     portfolio panel, then each step's design is evaluated and centered
-    again around that panel's column, and the expiry column is 0.  The
+    again around that panel's column: one column per transition.  The
     reference the one-pass build must equal bit for bit."""
     pi_reference = solve_local_risk(paths, contract, basis)[1]
-    rewards = np.zeros((paths.n_steps + 1, paths.n_paths))
+    rewards = np.zeros((paths.n_steps, paths.n_paths))
     for t in range(paths.n_steps):
         design = basis.evaluate(paths.x_paths[:, t])
         pi_next = pi_reference[:, t + 1]
@@ -302,8 +304,8 @@ def test_one_pass_rewards_are_the_two_pass_build(params, n_paths, seed, kind, st
     """dataset_rewards builds the rewards inside the local-risk pass, bit
     for bit as the two-pass build does, for recorded actions and for the
     local_risk policy, whose actions the pass records as it goes into the
-    (n, n_steps+1) panel make-dataset hands it: those equal the solve's
-    hedge rolled out, expiry column included."""
+    (n, n_steps) panel make-dataset hands it: those equal the transition
+    columns of the solve's hedge rolled out."""
     paths = simulate_gbm(params, n_paths, seed)
     basis = build_basis(basis_kind, 7, paths.x_paths.ravel())
     contract, risk = OptionContract(kind, strike), RiskParams(lam)
@@ -312,8 +314,8 @@ def test_one_pass_rewards_are_the_two_pass_build(params, n_paths, seed, kind, st
     assert dataset_rewards(paths, actions, contract, risk, basis).tobytes() == \
         two_pass_rewards(paths, actions, contract, risk, basis).tobytes()
     coeffs, _ = solve_local_risk(paths, contract, basis)
-    hedge = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)
-    recorded = np.zeros_like(hedge)
+    hedge = HedgeStrategy.from_coefficients(basis, coeffs).actions(paths)[:, :-1]
+    recorded = np.zeros(hedge.shape, order="F")
     rewards = dataset_rewards(paths, recorded, contract, risk, basis, record_hedge=True)
     assert recorded.tobytes() == hedge.tobytes()
     want = two_pass_rewards(paths, hedge, contract, risk, basis)
@@ -690,6 +692,76 @@ def test_in_order_read_is_the_scattered_read(params, n_paths, seed, data, gaps, 
     assert back.paths.s_paths.tobytes() == want.paths.s_paths.tobytes()
     assert (back.paths.params, back.paths.seed, back.risk, back.contract, back.extras) == \
         (want.paths.params, want.paths.seed, want.risk, want.contract, want.extras)
+
+
+ORDER_PATHS, ORDER_STEPS = 8, 3
+WRITER_ORDER = list(range(ORDER_PATHS * (ORDER_STEPS + 1)))
+
+
+@functools.cache
+def small_dataset_lines():
+    """The header lines and the record lines, in writer order, of a small
+    make-dataset file (random actions, its rewards and terminal records)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["make-dataset", "--mc.n_paths", str(ORDER_PATHS), "--market.n_steps",
+                     str(ORDER_STEPS), "--basis.m", "6", "--dataset.policy", "random",
+                     "--output.dir", tmp]) == 0
+        lines = (Path(tmp) / "dataset.csv").read_text().splitlines(keepends=True)
+    head = sum(ln.startswith("#") for ln in lines) + 1
+    return lines[:head], lines[head:]
+
+
+@PROPERTY
+@given(order=st.permutations(WRITER_ORDER), bad=st.sampled_from([None, None, "a", "r"]),
+       bad_path=st.integers(0, ORDER_PATHS - 1), every_cpu=st.booleans())
+@example(order=WRITER_ORDER, bad=None, bad_path=0, every_cpu=False)
+@example(order=sorted(WRITER_ORDER, key=lambda i: (i % (ORDER_STEPS + 1), i)), bad=None,
+         bad_path=0, every_cpu=False)  # t-major
+@example(order=WRITER_ORDER[::-1], bad=None, bad_path=0, every_cpu=False)
+@example(order=WRITER_ORDER[::-1], bad="a", bad_path=5, every_cpu=False)
+def test_record_order_is_free(order, bad, bad_path, every_cpu):
+    """A make-dataset file's records in any order read as in writer order:
+    ``read_panels`` returns the same path ids and the same panels bit for
+    bit, a and r (n_steps, n_paths) in every order, and
+    ``read_dataset_csv`` then ``write_dataset_csv`` writes the writer-order
+    file byte for byte.  A nonzero terminal a or r is refused, in every
+    order, with one message naming its cell."""
+    header, rows = small_dataset_lines()
+    rows = list(rows)
+    if bad is not None:  # the terminal record of path bad_path
+        i = bad_path * (ORDER_STEPS + 1) + ORDER_STEPS
+        cells = rows[i].rstrip("\n").split(",")
+        cells["par".index(bad) + 2] = "0.5"
+        rows[i] = ",".join(cells) + "\n"
+    n_cpus = len(os.sched_getaffinity(0)) if every_cpu else 1
+
+    def check(meta, names):
+        return {"s": "s", "a": "a", "r": "r"}
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(csvio, "_SPLIT_BYTES", 1),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))):
+        writer, path, again = (Path(tmp) / f for f in ("writer.csv", "dataset.csv", "again.csv"))
+        writer.write_text("".join(header + rows))
+        path.write_text("".join(header + [rows[i] for i in order]))
+        if bad is not None:
+            for f in (writer, path):
+                try:
+                    read_dataset_csv(f)
+                except DataFormatError as exc:
+                    assert str(exc) == (f"{f}: {bad} at expiry (path={bad_path}, "
+                                        f"t={ORDER_STEPS}) is 0.5; it must be 0")
+                else:
+                    raise AssertionError(f"{f} read with a nonzero terminal {bad}")
+            return
+        (want_ids, want), (ids, got) = (csvio.read_panels(f, check, ("a", "r"))[1]
+                                        for f in (writer, path))
+        write_dataset_csv(read_dataset_csv(path), again)
+        assert again.read_bytes() == writer.read_bytes()
+    assert ids.tobytes() == want_ids.tobytes()
+    assert {k: v.shape for k, v in got.items()} == {k: v.shape for k, v in want.items()} == \
+        {"s": (ORDER_STEPS + 1, ORDER_PATHS), "a": (ORDER_STEPS, ORDER_PATHS),
+         "r": (ORDER_STEPS, ORDER_PATHS)}
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 def q_learn_one_by_one(mdp, n_updates_per_slice, schedule, seed):
